@@ -1,82 +1,15 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//!
-//! 1. **Snapshot-optimized `empty()`** (§6 "Optimizations to IBR
-//!    Framework") vs a naive per-retired-node rescan of all slots.
-//! 2. **Single end-of-op fence** vs a fence per cleared slot.
-//! 3. **Midpoint index policy** (§4.1) vs a pred+1 policy, measured by
-//!    MP's hazard-fallback (collision) rate.
+//! Ablation bench for MP's index assignment: **midpoint policy** (§4.1) vs
+//! a pred+1 policy, measured by MP's hazard-fallback (collision) rate.
 
 use mp_bench::{BenchParams, Table};
-use mp_ds::{LinkedList, NmTree};
-use mp_smr::schemes::{Hp, Mp};
+use mp_ds::LinkedList;
+use mp_smr::schemes::Mp;
 use mp_smr::IndexPolicy;
 
 fn main() {
     let runs = mp_bench::runs();
     let threads = *mp_bench::thread_sweep().last().unwrap_or(&2);
-    let _prefill = mp_bench::prefill_size(500_000);
-    let _list_prefill = mp_bench::prefill_size(5_000);
-
-    // 1. Snapshot vs naive reclamation scan (write-heavy → many empties).
-    let mut t1 = Table::new(
-        "Ablation: snapshot-optimized empty() vs naive rescan (write-dominated BST)",
-        &["scheme", "variant", "Mops/s"],
-    );
-    for (scheme, naive, mops) in [
-        ("HP", false, {
-            let p = BenchParams::paper(threads, 500_000, mp_bench::WRITE_DOMINATED);
-            mp_bench::driver::run_avg::<Hp, NmTree<Hp>>(&p, runs).mops
-        }),
-        ("HP", true, {
-            let mut p = BenchParams::paper(threads, 500_000, mp_bench::WRITE_DOMINATED);
-            p.config = p.config.with_naive_scan(true);
-            mp_bench::driver::run_avg::<Hp, NmTree<Hp>>(&p, runs).mops
-        }),
-        ("MP", false, {
-            let p = BenchParams::paper(threads, 500_000, mp_bench::WRITE_DOMINATED);
-            mp_bench::driver::run_avg::<Mp, NmTree<Mp>>(&p, runs).mops
-        }),
-        ("MP", true, {
-            let mut p = BenchParams::paper(threads, 500_000, mp_bench::WRITE_DOMINATED);
-            p.config = p.config.with_naive_scan(true);
-            mp_bench::driver::run_avg::<Mp, NmTree<Mp>>(&p, runs).mops
-        }),
-    ] {
-        t1.row(vec![
-            scheme.into(),
-            if naive { "naive rescan" } else { "snapshot" }.into(),
-            format!("{mops:.3}"),
-        ]);
-    }
-    t1.emit("ablation_snapshot");
-
-    // 2. Single end-of-op fence vs per-slot fences (read-dominated → the
-    // end_op path dominates SMR cost).
-    let mut t2 = Table::new(
-        "Ablation: one end_op fence vs per-slot fences (read-dominated BST)",
-        &["scheme", "variant", "Mops/s", "fences/node"],
-    );
-    for (scheme, per_slot) in [("HP", false), ("HP", true), ("MP", false), ("MP", true)] {
-        let mut p = BenchParams::paper(threads, 500_000, mp_bench::READ_DOMINATED);
-        p.config = p.config.with_per_slot_fence(per_slot);
-        let (mops, fpn) = if scheme == "HP" {
-            let r = mp_bench::driver::run_avg::<Hp, NmTree<Hp>>(&p, runs);
-            (r.mops, r.fences_per_node)
-        } else {
-            let r = mp_bench::driver::run_avg::<Mp, NmTree<Mp>>(&p, runs);
-            (r.mops, r.fences_per_node)
-        };
-        t2.row(vec![
-            scheme.into(),
-            if per_slot { "per-slot fence" } else { "single fence" }.into(),
-            format!("{mops:.3}"),
-            format!("{fpn:.4}"),
-        ]);
-    }
-    t2.emit("ablation_endop_fence");
-
-    // 3. Index policy: midpoint vs after-pred (collision → HP fallback).
-    let mut t3 = Table::new(
+    let mut table = Table::new(
         "Ablation: MP index policy (write-dominated list)",
         &["policy", "Mops/s", "hp-fallback rate", "collision allocs"],
     );
@@ -86,12 +19,12 @@ fn main() {
         let mut p = BenchParams::paper(threads, 5_000, mp_bench::WRITE_DOMINATED);
         p.config = p.config.with_index_policy(policy);
         let r = mp_bench::driver::run_avg::<Mp, LinkedList<Mp>>(&p, runs);
-        t3.row(vec![
+        table.row(vec![
             name.into(),
             format!("{:.3}", r.mops),
             format!("{:.1}%", 100.0 * r.hp_fallback_rate),
             r.telemetry.collision_allocs().to_string(),
         ]);
     }
-    t3.emit("ablation_index_policy");
+    table.emit("ablation_index_policy");
 }

@@ -23,9 +23,6 @@ struct Point {
     structure: &'static str,
     threads: usize,
     pool: bool,
-    /// Scan trigger: `"watermark"` (adaptive, the default) or `"fixed"`
-    /// (the pre-watermark every-`empty_freq`-retires ablation).
-    cadence: &'static str,
     mops: f64,
     allocs_per_op: f64,
     pool_hit_rate: f64,
@@ -45,7 +42,6 @@ impl Point {
         structure: &'static str,
         threads: usize,
         pool: bool,
-        cadence: &'static str,
         r: &BenchResult,
     ) -> Self {
         Point {
@@ -53,7 +49,6 @@ impl Point {
             structure,
             threads,
             pool,
-            cadence,
             mops: r.mops,
             allocs_per_op: r.allocs_per_op,
             pool_hit_rate: r.pool_hit_rate,
@@ -68,7 +63,7 @@ impl Point {
     fn json(&self) -> String {
         format!(
             "{{\"scheme\": {}, \"structure\": {}, \"threads\": {}, \"pool\": {}, \
-             \"cadence\": {}, \
+             \"cadence\": \"watermark\", \
              \"mops\": {:.4}, \"allocs_per_op\": {:.5}, \"pool_hit_rate\": {:.4}, \
              \"fences_per_op\": {:.4}, \
              \"fences_start_op_per_op\": {:.4}, \"fences_end_op_per_op\": {:.4}, \
@@ -78,7 +73,6 @@ impl Point {
             json_str(self.structure),
             self.threads,
             if self.pool { "\"on\"" } else { "\"off\"" },
-            json_str(self.cadence),
             self.mops,
             self.allocs_per_op,
             self.pool_hit_rate,
@@ -121,7 +115,7 @@ fn main() {
             for &threads in &sweep {
                 let p = BenchParams::paper(threads, $paper_s, mp_bench::READ_DOMINATED);
                 for_each_scheme!($ds, &p, runs, |name, res| {
-                    points.push(Point::from(name, $label, threads, $pool_on, "watermark", &res));
+                    points.push(Point::from(name, $label, threads, $pool_on, &res));
                 });
             }
         };
@@ -136,19 +130,6 @@ fn main() {
     }
     mp_util::pool::set_enabled(true);
 
-    // Fixed-cadence ablation: the list at the top thread count with the
-    // adaptive watermark disabled (scan every `empty_freq` retires, the
-    // pre-watermark behavior), so the committed trajectory carries the
-    // watermark-vs-fixed scan-cost comparison at the most contended point.
-    if let Some(&top) = sweep.iter().max() {
-        eprintln!("[throughput] fixed-cadence ablation at {top} threads");
-        let mut p = BenchParams::paper(top, 5_000, mp_bench::READ_DOMINATED);
-        p.config = p.config.with_fixed_cadence(true);
-        for_each_scheme!(LinkedList, &p, runs, |name, res| {
-            points.push(Point::from(name, "list", top, true, "fixed", &res));
-        });
-    }
-
     let mut table = Table::new(
         "Throughput trajectory: node pool off vs on (read-dominated)",
         &[
@@ -156,7 +137,6 @@ fn main() {
             "threads",
             "scheme",
             "pool",
-            "cadence",
             "Mops/s",
             "allocs/op",
             "pool-hit",
@@ -171,7 +151,6 @@ fn main() {
             pt.threads.to_string(),
             pt.scheme.to_string(),
             if pt.pool { "on" } else { "off" }.to_string(),
-            pt.cadence.to_string(),
             format!("{:.3}", pt.mops),
             format!("{:.4}", pt.allocs_per_op),
             format!("{:.3}", pt.pool_hit_rate),

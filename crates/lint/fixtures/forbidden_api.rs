@@ -1,16 +1,12 @@
 //! Negative fixture — pass 4 (forbidden): one hit per denied API.
 //! Linted by `tests/lint_fixtures.rs` under the display path
-//! `crates/smr/src/forbidden_api.rs` — non-test code, outside both the
-//! `stats_mut` shim (`api.rs`) and the cast sanctum (`packed.rs`).
+//! `crates/smr/src/forbidden_api.rs` — non-test code, outside the cast
+//! sanctum (`packed.rs`).
 
 use core::mem;
 
 pub fn leak_guard(guard: OpGuard) {
     mem::forget(guard); //~ ERROR[forbidden]: forgetting an OpGuard
-}
-
-pub fn raw_counters(api: &mut Api) -> &mut Stats {
-    api.stats_mut() //~ ERROR[forbidden]: deprecated shim
 }
 
 pub fn unfinished() {

@@ -2,7 +2,8 @@
 //! and an unclassified site. Linted by `tests/lint_fixtures.rs` under the
 //! display path `crates/smr/src/schemes/hp.rs`, so the *real*
 //! `crates/lint/ordering.rules` classifications apply: `read` is a
-//! `publish` site, `empty` is `retire_load`, and `mystery` matches no rule.
+//! `publish` site, `snapshot_hazards_into` is `retire_load`, and `mystery`
+//! matches no rule.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
@@ -16,7 +17,7 @@ impl Slot {
 
     /// Justification present but names no pairing fence or structural
     /// reason, so it does not discharge the gate.
-    pub fn empty(&self) -> usize {
+    pub fn snapshot_hazards_into(&self) -> usize {
         // ORDERING: because the scan squints hard enough.
         self.0.load(Ordering::Relaxed) //~ ERROR[ordering]: at a retire_load site
     }

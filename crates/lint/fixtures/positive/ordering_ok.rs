@@ -23,7 +23,7 @@ impl Slot {
     }
 
     /// Trailing-comment form of a structural reason.
-    pub fn empty(&self) -> bool {
+    pub fn snapshot_hazards_into(&self) -> bool {
         self.0.load(Ordering::Relaxed) == 0 // ORDERING: reason = exclusive — caller holds &mut.
     }
 }

@@ -1,7 +1,7 @@
 //! Positive fixture — pass 2 (ordering): resolvable pairing references.
 //! Linted under the display path `crates/smr/src/schemes/mp.rs`, so the
-//! real rules classify `read`/`announce_margin` as `publish` and `empty`
-//! as `retire_load`; must be clean.
+//! real rules classify `read`/`announce_margin` as `publish` and
+//! `snapshot_into` as `retire_load`; must be clean.
 
 use core::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -23,7 +23,7 @@ impl Margin {
     }
 
     /// Scan-side structural reason in trailing position.
-    pub fn empty(&self) -> u64 {
+    pub fn snapshot_into(&self) -> u64 {
         self.0.load(Ordering::Relaxed) // ORDERING: reason = quiescent — scan revalidates under its own fence.
     }
 }

@@ -16,9 +16,8 @@
 //!    resolved protocol graph is emittable as a JSON/DOT artifact.
 //! 3. **protection-scope heuristic** — `deref()` outside a lexical
 //!    `pin()` / `start_op()` span needs a `// PROTECTION:` annotation.
-//! 4. **forbidden-API pass** — `mem::forget`, the deprecated `stats_mut()`
-//!    shim, `todo!`/`unimplemented!` in non-test code, and raw
-//!    pointer-width `as` casts outside `packed.rs`.
+//! 4. **forbidden-API pass** — `mem::forget`, `todo!`/`unimplemented!` in
+//!    non-test code, and raw pointer-width `as` casts outside `packed.rs`.
 //!
 //! Zero dependencies, a hand-rolled lexer (tokens + brace tree, no full
 //! parser), run as `cargo run -p mp-lint -- crates/ tests/ examples/ src/`.

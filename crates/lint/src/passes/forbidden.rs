@@ -8,8 +8,6 @@
 //!   forever, pinning every later retiree). Type resolution is out of reach
 //!   for a lexer, so *all* forgets are denied; a genuinely safe one takes a
 //!   `// FORBID-OK:` justification.
-//! * `stats_mut()` — deprecated raw-counter shim; only its definition site
-//!   (`crates/smr/src/api.rs`) may mention it.
 //! * `todo!` / `unimplemented!` in non-test code.
 //! * raw `as`-casts of pointer-width values outside `packed.rs` — the
 //!   packed-word layout (§4.3.1) is the one audited place where addresses
@@ -20,8 +18,6 @@
 use crate::lexer::{in_spans, LexFile, Tok};
 use crate::{Diagnostic, PASS_FORBIDDEN};
 
-/// Files whose *definition* of `stats_mut` is the allowed shim.
-const STATS_MUT_SHIM: &str = "crates/smr/src/api.rs";
 /// The one module allowed to pun pointers and integers freely.
 const CAST_SANCTUM: &str = "crates/smr/src/packed.rs";
 
@@ -46,17 +42,6 @@ pub fn run(
                     "mem::forget is forbidden: forgetting an OpGuard leaks an open \
                      protection span (end_op never runs). Use ManuallyDrop in the \
                      rare legitimate case and justify with `// FORBID-OK:`",
-                ));
-            }
-            "stats_mut"
-                if !file.ends_with(STATS_MUT_SHIM) && !escaped(f, i, "FORBID-OK:") =>
-            {
-                out.push(diag(
-                    file,
-                    f,
-                    i,
-                    "stats_mut() is a deprecated shim: use the typed Telemetry \
-                     recorders (record_node_traversed, reset_telemetry, …)",
                 ));
             }
             "todo" | "unimplemented"

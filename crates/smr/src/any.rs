@@ -41,50 +41,116 @@ use crate::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use crate::schemes::{DtaHandle, EbrHandle, HeHandle, HpHandle, IbrHandle, LeakyHandle, MpHandle};
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
-/// Names one of the seven reclamation schemes, for runtime selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// Margin pointers (the paper's scheme).
-    Mp,
-    /// Hazard pointers.
-    Hp,
-    /// Epoch-based reclamation.
-    Ebr,
-    /// Hazard eras.
-    He,
-    /// Interval-based reclamation.
-    Ibr,
-    /// Drop the Anchor.
-    Dta,
-    /// No reclamation (baseline).
-    Leaky,
+/// The scheme table: one row per scheme — enum variant, scheme type, handle
+/// type, display name (identical to the scheme's [`Smr::name`]) and
+/// `MP_SCHEME` spelling. Generates [`SchemeKind`] with its `ALL`, `name`
+/// and `FromStr`, [`AnySmr`] and [`AnyHandle`] with their constructors and
+/// `kind()`s, and the `delegate!` match the trait impls below forward
+/// through. Adding a scheme is adding a row.
+macro_rules! scheme_table {
+    (
+        $d:tt
+        $(($variant:ident, $scheme:ident, $handle:ident, $name:literal, $env:literal)),+ $(,)?
+    ) => {
+        /// Names one of the reclamation schemes, for runtime selection.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum SchemeKind {
+            $(#[doc = concat!("Selects [`", stringify!($scheme), "`].")] $variant,)+
+        }
+
+        impl SchemeKind {
+            /// Every selectable scheme, in the benchmark harness's canonical order.
+            pub const ALL: [SchemeKind; [$($env),+].len()] = [$(SchemeKind::$variant),+];
+
+            /// The scheme's display name, identical to its [`Smr::name`].
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(SchemeKind::$variant => $name,)+
+                }
+            }
+        }
+
+        impl std::str::FromStr for SchemeKind {
+            type Err = String;
+
+            fn from_str(s: &str) -> Result<SchemeKind, String> {
+                $(if s.eq_ignore_ascii_case($env) {
+                    return Ok(SchemeKind::$variant);
+                })+
+                Err(format!(
+                    "unknown scheme {:?} (expected one of: {})",
+                    s.to_ascii_lowercase(),
+                    [$($env),+].join(", ")
+                ))
+            }
+        }
+
+        /// Runtime-selected SMR scheme (see module docs).
+        pub enum AnySmr {
+            $(#[doc = concat!("A wrapped [`", stringify!($scheme), "`] instance.")]
+            $variant(Arc<$scheme>),)+
+        }
+
+        /// Per-thread handle for [`AnySmr`].
+        pub enum AnyHandle {
+            $(#[doc = concat!("A wrapped [`", stringify!($scheme), "`] handle.")]
+            $variant($handle),)+
+        }
+
+        /// One `match` covering every variant of [`AnySmr`] or
+        /// [`AnyHandle`], binding the inner value as `$inner` for `$body`.
+        macro_rules! delegate {
+            ($d enum_:ident, $d on:expr, $d inner:ident => $d body:expr) => {
+                match $d on {
+                    $($d enum_::$variant($d inner) => $d body,)+
+                }
+            };
+        }
+
+        impl AnySmr {
+            /// Constructs the named scheme behind the facade.
+            pub fn try_with_kind(kind: SchemeKind, cfg: Config) -> Result<Arc<AnySmr>, SmrError> {
+                Ok(Arc::new(match kind {
+                    $(SchemeKind::$variant => AnySmr::$variant($scheme::try_new(cfg)?),)+
+                }))
+            }
+
+            /// Which scheme this facade wraps.
+            pub fn kind(&self) -> SchemeKind {
+                match self {
+                    $(AnySmr::$variant(_) => SchemeKind::$variant,)+
+                }
+            }
+
+            fn try_register_any(&self) -> Result<AnyHandle, SmrError> {
+                Ok(match self {
+                    $(AnySmr::$variant(s) => AnyHandle::$variant(s.try_register()?),)+
+                })
+            }
+        }
+
+        impl AnyHandle {
+            /// Which scheme this handle belongs to.
+            pub fn kind(&self) -> SchemeKind {
+                match self {
+                    $(AnyHandle::$variant(_) => SchemeKind::$variant,)+
+                }
+            }
+        }
+    };
+}
+
+scheme_table! { $
+    (Mp, Mp, MpHandle, "MP", "mp"),
+    (Hp, Hp, HpHandle, "HP", "hp"),
+    (Ebr, Ebr, EbrHandle, "EBR", "ebr"),
+    (He, He, HeHandle, "HE", "he"),
+    (Ibr, Ibr, IbrHandle, "IBR", "ibr"),
+    (Dta, Dta, DtaHandle, "DTA", "dta"),
+    (Leaky, Leaky, LeakyHandle, "Leaky", "leaky"),
 }
 
 impl SchemeKind {
-    /// Every selectable scheme, in the benchmark harness's canonical order.
-    pub const ALL: [SchemeKind; 7] = [
-        SchemeKind::Mp,
-        SchemeKind::Hp,
-        SchemeKind::Ebr,
-        SchemeKind::He,
-        SchemeKind::Ibr,
-        SchemeKind::Dta,
-        SchemeKind::Leaky,
-    ];
-
-    /// The scheme's display name, identical to its [`Smr::name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Mp => "MP",
-            SchemeKind::Hp => "HP",
-            SchemeKind::Ebr => "EBR",
-            SchemeKind::He => "HE",
-            SchemeKind::Ibr => "IBR",
-            SchemeKind::Dta => "DTA",
-            SchemeKind::Leaky => "Leaky",
-        }
-    }
-
     /// The kind named by the `MP_SCHEME` environment variable, or `None`
     /// when the variable is unset or empty.
     ///
@@ -110,104 +176,7 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
-impl std::str::FromStr for SchemeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SchemeKind, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "mp" => Ok(SchemeKind::Mp),
-            "hp" => Ok(SchemeKind::Hp),
-            "ebr" => Ok(SchemeKind::Ebr),
-            "he" => Ok(SchemeKind::He),
-            "ibr" => Ok(SchemeKind::Ibr),
-            "dta" => Ok(SchemeKind::Dta),
-            "leaky" => Ok(SchemeKind::Leaky),
-            other => Err(format!(
-                "unknown scheme {other:?} (expected one of: mp, hp, ebr, he, ibr, dta, leaky)"
-            )),
-        }
-    }
-}
-
-/// Runtime-selected SMR scheme (see module docs).
-pub enum AnySmr {
-    /// A wrapped [`Mp`] instance.
-    Mp(Arc<Mp>),
-    /// A wrapped [`Hp`] instance.
-    Hp(Arc<Hp>),
-    /// A wrapped [`Ebr`] instance.
-    Ebr(Arc<Ebr>),
-    /// A wrapped [`He`] instance.
-    He(Arc<He>),
-    /// A wrapped [`Ibr`] instance.
-    Ibr(Arc<Ibr>),
-    /// A wrapped [`Dta`] instance.
-    Dta(Arc<Dta>),
-    /// A wrapped [`Leaky`] instance.
-    Leaky(Arc<Leaky>),
-}
-
-/// Per-thread handle for [`AnySmr`].
-pub enum AnyHandle {
-    /// A wrapped [`Mp`] handle.
-    Mp(MpHandle),
-    /// A wrapped [`Hp`] handle.
-    Hp(HpHandle),
-    /// A wrapped [`Ebr`] handle.
-    Ebr(EbrHandle),
-    /// A wrapped [`He`] handle.
-    He(HeHandle),
-    /// A wrapped [`Ibr`] handle.
-    Ibr(IbrHandle),
-    /// A wrapped [`Dta`] handle.
-    Dta(DtaHandle),
-    /// A wrapped [`Leaky`] handle.
-    Leaky(LeakyHandle),
-}
-
-/// One `match` covering every variant of [`AnySmr`] or [`AnyHandle`],
-/// binding the inner value as `$inner` for `$body`.
-macro_rules! delegate {
-    ($enum:ident, $on:expr, $inner:ident => $body:expr) => {
-        match $on {
-            $enum::Mp($inner) => $body,
-            $enum::Hp($inner) => $body,
-            $enum::Ebr($inner) => $body,
-            $enum::He($inner) => $body,
-            $enum::Ibr($inner) => $body,
-            $enum::Dta($inner) => $body,
-            $enum::Leaky($inner) => $body,
-        }
-    };
-}
-
 impl AnySmr {
-    /// Constructs the named scheme behind the facade.
-    pub fn try_with_kind(kind: SchemeKind, cfg: Config) -> Result<Arc<AnySmr>, SmrError> {
-        Ok(Arc::new(match kind {
-            SchemeKind::Mp => AnySmr::Mp(Mp::try_new(cfg)?),
-            SchemeKind::Hp => AnySmr::Hp(Hp::try_new(cfg)?),
-            SchemeKind::Ebr => AnySmr::Ebr(Ebr::try_new(cfg)?),
-            SchemeKind::He => AnySmr::He(He::try_new(cfg)?),
-            SchemeKind::Ibr => AnySmr::Ibr(Ibr::try_new(cfg)?),
-            SchemeKind::Dta => AnySmr::Dta(Dta::try_new(cfg)?),
-            SchemeKind::Leaky => AnySmr::Leaky(Leaky::try_new(cfg)?),
-        }))
-    }
-
-    /// Which scheme this facade wraps.
-    pub fn kind(&self) -> SchemeKind {
-        match self {
-            AnySmr::Mp(_) => SchemeKind::Mp,
-            AnySmr::Hp(_) => SchemeKind::Hp,
-            AnySmr::Ebr(_) => SchemeKind::Ebr,
-            AnySmr::He(_) => SchemeKind::He,
-            AnySmr::Ibr(_) => SchemeKind::Ibr,
-            AnySmr::Dta(_) => SchemeKind::Dta,
-            AnySmr::Leaky(_) => SchemeKind::Leaky,
-        }
-    }
-
     /// The wrapped scheme's display name ("MP", "HP", …) — unlike
     /// [`Smr::name`], which is static and answers `"ANY"` for this type.
     pub fn scheme_name(&self) -> &'static str {
@@ -234,15 +203,7 @@ impl Smr for AnySmr {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<AnyHandle, SmrError> {
-        Ok(match &**self {
-            AnySmr::Mp(s) => AnyHandle::Mp(s.try_register()?),
-            AnySmr::Hp(s) => AnyHandle::Hp(s.try_register()?),
-            AnySmr::Ebr(s) => AnyHandle::Ebr(s.try_register()?),
-            AnySmr::He(s) => AnyHandle::He(s.try_register()?),
-            AnySmr::Ibr(s) => AnyHandle::Ibr(s.try_register()?),
-            AnySmr::Dta(s) => AnyHandle::Dta(s.try_register()?),
-            AnySmr::Leaky(s) => AnyHandle::Leaky(s.try_register()?),
-        })
+        self.try_register_any()
     }
 
     fn name() -> &'static str {
@@ -255,21 +216,6 @@ impl Smr for AnySmr {
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
         delegate!(AnySmr, self, s => s.backpressure_policy())
-    }
-}
-
-impl AnyHandle {
-    /// Which scheme this handle belongs to.
-    pub fn kind(&self) -> SchemeKind {
-        match self {
-            AnyHandle::Mp(_) => SchemeKind::Mp,
-            AnyHandle::Hp(_) => SchemeKind::Hp,
-            AnyHandle::Ebr(_) => SchemeKind::Ebr,
-            AnyHandle::He(_) => SchemeKind::He,
-            AnyHandle::Ibr(_) => SchemeKind::Ibr,
-            AnyHandle::Dta(_) => SchemeKind::Dta,
-            AnyHandle::Leaky(_) => SchemeKind::Leaky,
-        }
     }
 }
 

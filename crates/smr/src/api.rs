@@ -59,18 +59,6 @@ pub struct Config {
     /// DTA: reclamation attempts tolerated before a non-advancing thread is
     /// declared stalled and its anchored segment is frozen.
     pub stall_patience: usize,
-    /// Ablation switch: disable the §6 snapshot optimization in `empty()`
-    /// (rescan the live slot arrays for every retired node, as the
-    /// unoptimized IBR-framework baselines did).
-    pub ablation_naive_scan: bool,
-    /// Ablation switch: fence after clearing each slot in `end_op` instead
-    /// of once after clearing them all (undoes the other §6 optimization).
-    pub ablation_per_slot_fence: bool,
-    /// Ablation switch: restore the pre-watermark fixed scan cadence (one
-    /// `empty()` every `empty_freq` retires, regardless of how much the
-    /// previous scan reclaimed). Baseline for the scan-cost-per-free
-    /// comparison in `BENCH_throughput.json`.
-    pub ablation_fixed_cadence: bool,
     /// Backpressure hard cap in retired payload bytes (0 = disabled).
     /// When the scheme's retired-bytes gauge reaches half this figure,
     /// retiring threads escalate onto the help-scan rung (adopt orphans,
@@ -109,9 +97,6 @@ impl Default for Config {
             max_index: u32::MAX - 1,
             anchor_hops: 100,
             stall_patience: 8,
-            ablation_naive_scan: false,
-            ablation_per_slot_fence: false,
-            ablation_fixed_cadence: false,
             backpressure_bytes: 0,
             index_policy: IndexPolicy::Midpoint,
         }
@@ -256,25 +241,6 @@ impl Config {
     pub fn with_stall_patience(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.stall_patience = n;
-        self
-    }
-
-    /// Disables the snapshot optimization in reclamation scans (ablation).
-    pub fn with_naive_scan(mut self, on: bool) -> Self {
-        self.ablation_naive_scan = on;
-        self
-    }
-
-    /// Fences per cleared slot in `end_op` (ablation).
-    pub fn with_per_slot_fence(mut self, on: bool) -> Self {
-        self.ablation_per_slot_fence = on;
-        self
-    }
-
-    /// Restores the fixed `empty_freq` scan cadence (ablation baseline for
-    /// the adaptive watermark trigger).
-    pub fn with_fixed_cadence(mut self, on: bool) -> Self {
-        self.ablation_fixed_cadence = on;
         self
     }
 
@@ -496,23 +462,6 @@ pub trait SmrHandle: Send + Telemetry + 'static {
         self.tele().stats()
     }
 
-    /// Mutable counters.
-    ///
-    /// Deprecated: raw field pokes bypass event tracing and saturation.
-    /// Use the typed recorders on [`Telemetry`] instead —
-    /// [`record_node_traversed`](Telemetry::record_node_traversed) for
-    /// Figure 5's denominator,
-    /// [`reset_telemetry`](Telemetry::reset_telemetry) to zero a
-    /// measurement window.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed Telemetry recorders (record_node_traversed, \
-                reset_telemetry, …) instead of poking OpStats fields"
-    )]
-    fn stats_mut(&mut self) -> &mut OpStats {
-        self.tele_mut().stats_raw_mut()
-    }
-
     /// Current length of this handle's retired list (wasted memory held by
     /// this thread).
     fn retired_len(&self) -> usize;
@@ -589,7 +538,6 @@ mod tests {
         assert_eq!(c.scan_watermark, 0, "watermark auto-derives k·H by default");
         assert_eq!(c.scan_watermark_bytes, 0, "bytes trigger off by default");
         assert_eq!(c.backpressure_bytes, 0, "backpressure ladder off by default");
-        assert!(!c.ablation_fixed_cadence);
     }
 
     #[test]
@@ -611,8 +559,7 @@ mod tests {
             .with_stall_patience(2)
             .with_scan_watermark(128)
             .with_scan_watermark_bytes(1 << 20)
-            .with_backpressure_bytes(1 << 22)
-            .with_fixed_cadence(true);
+            .with_backpressure_bytes(1 << 22);
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.slots_per_thread, 3);
         assert_eq!(c.empty_freq, 10);
@@ -624,7 +571,6 @@ mod tests {
         assert_eq!(c.scan_watermark, 128);
         assert_eq!(c.scan_watermark_bytes, 1 << 20);
         assert_eq!(c.backpressure_bytes, 1 << 22);
-        assert!(c.ablation_fixed_cadence);
     }
 
     #[test]

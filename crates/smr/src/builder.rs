@@ -124,24 +124,6 @@ impl SmrBuilder {
         self
     }
 
-    /// Reverts scan triggering to the fixed `empty_freq` cadence (ablation).
-    pub fn fixed_cadence(mut self, on: bool) -> Self {
-        self.cfg = self.cfg.with_fixed_cadence(on);
-        self
-    }
-
-    /// Disables the snapshot optimization in reclamation scans (ablation).
-    pub fn naive_scan(mut self, on: bool) -> Self {
-        self.cfg = self.cfg.with_naive_scan(on);
-        self
-    }
-
-    /// Fences per cleared slot in `end_op` (ablation).
-    pub fn per_slot_fence(mut self, on: bool) -> Self {
-        self.cfg = self.cfg.with_per_slot_fence(on);
-        self
-    }
-
     /// Selects MP's index assignment policy (ablation).
     pub fn index_policy(mut self, p: IndexPolicy) -> Self {
         self.cfg = self.cfg.with_index_policy(p);
@@ -247,9 +229,6 @@ mod tests {
             .stall_patience(4)
             .scan_watermark(96)
             .scan_watermark_bytes(1 << 19)
-            .fixed_cadence(true)
-            .naive_scan(true)
-            .per_slot_fence(true)
             .index_policy(IndexPolicy::AfterPred);
         let c = b.config();
         assert_eq!(c.max_threads, 3);
@@ -262,9 +241,6 @@ mod tests {
         assert_eq!(c.stall_patience, 4);
         assert_eq!(c.scan_watermark, 96);
         assert_eq!(c.scan_watermark_bytes, 1 << 19);
-        assert!(c.ablation_fixed_cadence);
-        assert!(c.ablation_naive_scan);
-        assert!(c.ablation_per_slot_fence);
         assert_eq!(c.index_policy, IndexPolicy::AfterPred);
 
         let mp = b.clone().build::<Mp>();

@@ -4,8 +4,8 @@
 //! arrays indexed by a thread id (tid): hazard-pointer slots, margin-pointer
 //! slots, epoch/era announcements. The arrays are allocated once at scheme
 //! construction ([`Config::max_threads`](crate::Config) rows), each row
-//! padded to a cache line so announcements by different threads never
-//! false-share.
+//! starting on its own cache line so announcements by different threads
+//! never false-share.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -14,54 +14,70 @@ use mp_util::CachePadded;
 
 use crate::node::Retired;
 
-/// A `max_threads × slots_per_thread` matrix of atomic words, one
-/// cache-line-padded row per thread.
+/// A `max_threads × slots_per_thread` matrix of atomic words in one
+/// allocation, each thread's row starting on its own cache line: the row
+/// stride is `slots` words rounded up to [`CachePadded`]'s alignment, and
+/// the first row starts at the first aligned word of the (slightly
+/// over-sized) buffer. Rows of adjacent tids therefore never share a line,
+/// whatever the allocator hands back.
 pub struct SlotArray {
-    rows: Box<[CachePadded<Box<[AtomicU64]>>]>,
+    cells: Box<[AtomicU64]>,
+    /// Index of the first aligned word of `cells` (row 0, slot 0).
+    base: usize,
+    /// Words between consecutive rows (a multiple of the line size).
+    stride: usize,
+    slots: usize,
+    threads: usize,
     init: u64,
 }
+
+/// Words per [`CachePadded`] alignment unit.
+const LINE_WORDS: usize = align_of::<CachePadded<()>>() / size_of::<AtomicU64>();
 
 impl SlotArray {
     /// Creates the matrix with every slot holding `init` (a scheme-specific
     /// "no protection" sentinel).
     pub fn new(threads: usize, slots: usize, init: u64) -> Self {
-        let rows = (0..threads)
-            .map(|_| {
-                CachePadded::new(
-                    (0..slots).map(|_| AtomicU64::new(init)).collect::<Box<[AtomicU64]>>(),
-                )
-            })
-            .collect();
-        SlotArray { rows, init }
+        let stride = slots.next_multiple_of(LINE_WORDS);
+        // `LINE_WORDS - 1` spare words let row 0 start on a line boundary
+        // wherever the 8-aligned buffer itself begins.
+        let cells: Box<[AtomicU64]> =
+            (0..threads * stride + LINE_WORDS - 1).map(|_| AtomicU64::new(init)).collect();
+        let misaligned = cells.as_ptr().addr() / size_of::<AtomicU64>() % LINE_WORDS;
+        let base = (LINE_WORDS - misaligned) % LINE_WORDS;
+        SlotArray { cells, base, stride, slots, threads, init }
     }
 
     /// Number of slots per thread.
     #[inline]
     pub fn slots_per_thread(&self) -> usize {
-        self.rows[0].len()
+        self.slots
     }
 
     /// Number of thread rows.
     #[inline]
     pub fn threads(&self) -> usize {
-        self.rows.len()
+        self.threads
     }
 
     /// The slot cell for `(tid, slot)`.
     #[inline]
     pub fn get(&self, tid: usize, slot: usize) -> &AtomicU64 {
-        &self.rows[tid][slot]
+        assert!(tid < self.threads && slot < self.slots);
+        &self.cells[self.base + tid * self.stride + slot]
     }
 
-    /// Iterates over one thread's slots.
+    /// One thread's slots.
     #[inline]
     pub fn row(&self, tid: usize) -> &[AtomicU64] {
-        &self.rows[tid]
+        assert!(tid < self.threads);
+        let start = self.base + tid * self.stride;
+        &self.cells[start..start + self.slots]
     }
 
     /// Resets every slot of `tid` to the "no protection" sentinel.
     pub fn clear_row(&self, tid: usize, order: Ordering) {
-        for s in self.rows[tid].iter() {
+        for s in self.row(tid) {
             s.store(self.init, order);
         }
     }
@@ -247,6 +263,23 @@ mod tests {
         assert_eq!(a.get(0, 2).load(Ordering::Relaxed), u64::MAX);
         a.clear_row(1, Ordering::Relaxed);
         assert_eq!(a.get(1, 2).load(Ordering::Relaxed), u64::MAX);
+    }
+
+    /// Rows are line-aligned and at least a line apart, whatever the slot
+    /// count — the property the old per-row `Box` left to the allocator.
+    #[test]
+    fn slot_array_rows_never_share_a_cache_line() {
+        let align = align_of::<CachePadded<()>>();
+        for slots in [1, 2, 8, 62] {
+            let a = SlotArray::new(4, slots, 0);
+            assert_eq!(a.row(0).as_ptr().addr() % align, 0, "row 0 unaligned at {slots} slots");
+            for t in 0..3 {
+                assert_eq!(a.row(t).len(), slots);
+                let gap = a.row(t + 1).as_ptr().addr() - a.row(t).as_ptr().addr();
+                assert_eq!(gap % align, 0, "row stride {gap} unaligned at {slots} slots");
+                assert!(gap >= align.max(slots * 8), "rows {t},{} overlap a line", t + 1);
+            }
+        }
     }
 
     #[test]

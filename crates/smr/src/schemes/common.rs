@@ -94,9 +94,6 @@ pub struct ScanPolicy {
     /// Minimum additional retires between consecutive scans when the
     /// retired list is not shrinking (`Config::empty_freq`).
     pub rearm_floor: usize,
-    /// `Some(empty_freq)` under `ablation_fixed_cadence`: scan every
-    /// `empty_freq` retires exactly as the pre-watermark design did.
-    pub fixed_cadence: Option<usize>,
 }
 
 impl ScanPolicy {
@@ -125,7 +122,6 @@ impl ScanPolicy {
             watermark_nodes: nodes.max(1),
             watermark_bytes: bytes,
             rearm_floor: cfg.empty_freq.max(1),
-            fixed_cadence: cfg.ablation_fixed_cadence.then(|| cfg.empty_freq.max(1)),
         }
     }
 }
@@ -134,7 +130,6 @@ impl ScanPolicy {
 /// atomics are involved on the retire path.
 #[derive(Debug)]
 pub struct ScanState {
-    retires: usize,
     retired_bytes: usize,
     next_len: usize,
     next_bytes: usize,
@@ -144,7 +139,6 @@ impl ScanState {
     /// Initial state: the first scan is due at the configured watermark.
     pub fn new(policy: &ScanPolicy) -> Self {
         ScanState {
-            retires: 0,
             retired_bytes: 0,
             next_len: policy.watermark_nodes,
             next_bytes: if policy.watermark_bytes == 0 {
@@ -169,22 +163,12 @@ impl ScanState {
     /// Accounts one retired node of `bytes` payload.
     #[inline]
     pub fn note_retire(&mut self, bytes: u32) {
-        self.retires += 1;
         self.retired_bytes = self.retired_bytes.saturating_add(bytes as usize);
-    }
-
-    /// Total retires accounted so far (epoch-advance cadences key off it).
-    #[inline]
-    pub fn retires(&self) -> usize {
-        self.retires
     }
 
     /// True when a reclamation scan is due.
     #[inline]
-    pub fn due(&self, policy: &ScanPolicy, retired_len: usize) -> bool {
-        if let Some(freq) = policy.fixed_cadence {
-            return self.retires.is_multiple_of(freq);
-        }
+    pub fn due(&self, retired_len: usize) -> bool {
         retired_len >= self.next_len || self.retired_bytes >= self.next_bytes
     }
 
@@ -236,7 +220,69 @@ pub struct SharedSnapshot {
     data: Box<[AtomicU64]>,
 }
 
+/// A scanning handle's retained buffers for [`SharedSnapshot::fill`]:
+/// refilled in place, so steady-state scans allocate nothing.
+#[derive(Default)]
+pub struct SnapshotScratch {
+    /// The sorted protected set (hazard addresses / announced eras) the
+    /// current scan judges retired nodes against.
+    pub values: Vec<u64>,
+    /// Generation vector loaded after the scan fence.
+    gens: Vec<u64>,
+    /// True if the previous scan adopted the shared snapshot. A handle
+    /// never adopts twice in a row: releases (unprotect/end_op/drop) do not
+    /// bump generations, so the forced fresh walk bounds how long a
+    /// released protection can linger in an adopted snapshot.
+    adopted_last: bool,
+}
+
+impl SnapshotScratch {
+    /// Combined buffer capacity (growth across a scan = a heap allocation).
+    pub fn capacity(&self) -> usize {
+        self.values.capacity() + self.gens.capacity()
+    }
+}
+
 impl SharedSnapshot {
+    /// Fills `scratch.values` with the sorted protected set, after the
+    /// caller's scan fence: adopts the published snapshot when `allow_adopt`
+    /// and its generation vector still equals the one loaded here — no
+    /// protection was announced-and-validated since that snapshot's walk,
+    /// so it only over-approximates (see the type docs) — and otherwise
+    /// runs `walk` over the live slots and publishes the result.
+    pub fn fill(
+        &self,
+        scratch: &mut SnapshotScratch,
+        allow_adopt: bool,
+        tele: &mut HandleTelemetry,
+        walk: impl Fn(&mut Vec<u64>),
+    ) {
+        self.load_gens_into(&mut scratch.gens);
+        let adopted = allow_adopt
+            && !scratch.adopted_last
+            && self.try_adopt_into(&scratch.gens, &mut scratch.values);
+        scratch.adopted_last = adopted;
+        if adopted {
+            tele.record_snapshot_reuse();
+            #[cfg(feature = "oracle")]
+            {
+                // The reused snapshot must contain everything a fresh walk
+                // would see (superset check).
+                let mut fresh = Vec::new();
+                walk(&mut fresh);
+                for v in &fresh {
+                    assert!(
+                        scratch.values.binary_search(v).is_ok(),
+                        "snapshot reuse under-approximates: {v:#x} missing"
+                    );
+                }
+            }
+        } else {
+            walk(&mut scratch.values);
+            self.publish_snapshot(&scratch.gens, &scratch.values);
+        }
+    }
+
     /// Pre-sizes every buffer (`threads` generations, `threads × slots`
     /// snapshot capacity) so publishing and adopting are allocation-free.
     pub fn new(threads: usize, slots: usize) -> Self {
@@ -433,6 +479,16 @@ impl EpochClock {
     pub fn advance(&self) -> u64 {
         self.0.fetch_add(1, Ordering::AcqRel) + 1
     }
+
+    /// Counts one event on `counter` and advances the clock on every
+    /// `freq`-th (the paper's per-thread `epoch_freq` cadence).
+    #[inline]
+    pub fn tick(&self, counter: &mut usize, freq: usize, tele: &mut HandleTelemetry) {
+        *counter += 1;
+        if counter.is_multiple_of(freq) {
+            tele.record_epoch_advance(self.advance());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -463,16 +519,13 @@ mod tests {
         let p = ScanPolicy::from_config(&cfg);
         assert_eq!(p.watermark_nodes, 2 * 4 * 8, "k·H with k = 2");
         assert_eq!(p.rearm_floor, cfg.empty_freq);
-        assert!(p.fixed_cadence.is_none());
 
         // Explicit knob wins over the auto rule; empty_freq floors the auto
         // rule when it exceeds k·H.
         let p = ScanPolicy::from_config(&cfg.clone().with_scan_watermark(7));
         assert_eq!(p.watermark_nodes, 7);
-        let p = ScanPolicy::from_config(&cfg.clone().with_empty_freq(1000));
+        let p = ScanPolicy::from_config(&cfg.with_empty_freq(1000));
         assert_eq!(p.watermark_nodes, 1000);
-        let p = ScanPolicy::from_config(&cfg.with_fixed_cadence(true));
-        assert_eq!(p.fixed_cadence, Some(30));
     }
 
     #[test]
@@ -482,24 +535,24 @@ mod tests {
         let mut s = ScanState::new(&p);
         for len in 1..30 {
             s.note_retire(64);
-            assert!(!s.due(&p, len), "below watermark at len {len}");
+            assert!(!s.due(len), "below watermark at len {len}");
         }
         s.note_retire(64);
-        assert!(s.due(&p, 30), "watermark reached");
+        assert!(s.due(30), "watermark reached");
         // Scan kept everything (stalled reader): next scan waits a full
         // rearm_floor of retires, not one.
         s.rearm(&p, 30, 30 * 64);
-        assert!(!s.due(&p, 30));
+        assert!(!s.due(30));
         for len in 31..60 {
             s.note_retire(64);
-            assert!(!s.due(&p, len), "inside rearm window at len {len}");
+            assert!(!s.due(len), "inside rearm window at len {len}");
         }
         s.note_retire(64);
-        assert!(s.due(&p, 60), "rearm floor elapsed");
+        assert!(s.due(60), "rearm floor elapsed");
         // Scan freed everything: back to the plain watermark.
         s.rearm(&p, 0, 0);
-        assert!(!s.due(&p, 29));
-        assert!(s.due(&p, 30));
+        assert!(!s.due(29));
+        assert!(s.due(30));
     }
 
     #[test]
@@ -513,9 +566,9 @@ mod tests {
         for _ in 0..3 {
             s.note_retire(512); // large payloads
         }
-        assert!(s.due(&p, 3), "1.5 KiB retired ≥ 1 KiB bytes watermark");
+        assert!(s.due(3), "1.5 KiB retired ≥ 1 KiB bytes watermark");
         s.rearm(&p, 0, 0);
-        assert!(!s.due(&p, 3));
+        assert!(!s.due(3));
     }
 
     #[test]
@@ -531,30 +584,15 @@ mod tests {
         // A handle adopting a large-byte orphan backlog must see the bytes
         // watermark immediately, not only after its first rearm.
         let s = ScanState::with_backlog(&p, &backlog);
-        assert!(s.due(&p, backlog.len()), "adopted bytes reach the watermark");
+        assert!(s.due(backlog.len()), "adopted bytes reach the watermark");
         assert!(
-            !ScanState::new(&p).due(&p, backlog.len()),
+            !ScanState::new(&p).due(backlog.len()),
             "unseeded state under-counts the same backlog"
         );
         for r in backlog {
             // SAFETY: [INV-05] never protected by any thread.
             unsafe { r.reclaim() };
         }
-    }
-
-    #[test]
-    fn fixed_cadence_matches_the_legacy_trigger() {
-        let cfg = Config::default().with_empty_freq(5).with_fixed_cadence(true);
-        let p = ScanPolicy::from_config(&cfg);
-        let mut s = ScanState::new(&p);
-        let mut scans = 0;
-        for _ in 0..25 {
-            s.note_retire(64);
-            if s.due(&p, usize::MAX) {
-                scans += 1;
-            }
-        }
-        assert_eq!(scans, 5, "exactly every empty_freq retires");
     }
 
     #[test]

@@ -1,0 +1,571 @@
+//! The reclamation skeleton every scheme shares.
+//!
+//! The schemes differ in what a thread announces and which retired nodes
+//! an announcement pins; everything around that predicate — registration,
+//! allocation accounting, the retire → scan → free pipeline, backpressure
+//! hooks, orphan adoption, drain-on-drop — is the same and lives here, once.
+//! A scheme embeds a [`SchemeCore`] in its shared state and a
+//! [`HandleCore`] in its handle, names itself through [`Scheme`], and hands
+//! the scan a [`Protection`]: a snapshot of its announcements plus the
+//! "may this node still be referenced?" predicate over it. Everything is
+//! generic, so each scheme's pipeline monomorphises to straight-line code.
+
+use core::sync::atomic::{fence, Ordering};
+use std::time::Instant;
+
+use mp_util::CachePadded;
+
+use crate::api::Config;
+use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::error::SmrError;
+use crate::node::Retired;
+use crate::packed::Shared;
+use crate::registry::Registry;
+use crate::schemes::common::{ScanPolicy, ScanState};
+use crate::telemetry::{HandleTelemetry, SchemeTelemetry};
+
+/// What a scheme's shared state tells the skeleton about itself.
+pub(crate) trait Scheme {
+    /// Display name (`Smr::name`, oracle reports).
+    const NAME: &'static str;
+    /// How the scheme's protection claims map onto hb-tracker records.
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy;
+    /// Whether new handles and help-scans adopt the registry's orphan list.
+    /// DTA parks its frozen nodes there until teardown; Leaky frees nothing.
+    const ADOPT_ORPHANS: bool = true;
+    /// Whether retired nodes are ever scanned (false only for Leaky).
+    const RECLAIMS: bool = true;
+
+    /// The embedded shared half of the skeleton.
+    fn core(&self) -> &SchemeCore;
+
+    /// The predetermined cap on one handle's retired list after a scan, if
+    /// the scheme has one; checked by the oracle's waste-bound monitor.
+    #[cfg(feature = "oracle")]
+    fn waste_bound(&self) -> Option<u128> {
+        None
+    }
+}
+
+/// A scheme's view of who is protected, judged against by one scan.
+pub(crate) trait Protection<S: Scheme> {
+    /// Refills the snapshot from the scheme's announcements. Called once
+    /// per scan, after the scan's SeqCst fence. `fresh` demands the live
+    /// slots (explicit, help and drain scans) where a scheme could
+    /// otherwise reuse a shared snapshot.
+    fn snapshot(&mut self, scheme: &S, tele: &mut HandleTelemetry, fresh: bool);
+
+    /// True if, per the snapshot, some thread may still reference `r`.
+    fn is_protected(&self, r: &Retired) -> bool;
+
+    /// Combined capacity of the snapshot's buffers; growth across a scan
+    /// counts as a scan heap allocation.
+    fn scratch_capacity(&self) -> usize;
+}
+
+/// The shared half: everything a scheme instance owns besides its
+/// announcement arrays.
+pub(crate) struct SchemeCore {
+    pub(crate) registry: Registry,
+    scan_policy: ScanPolicy,
+    pub(crate) bp_policy: BackpressurePolicy,
+    pub(crate) cfg: Config,
+    pub(crate) tele: SchemeTelemetry,
+}
+
+impl SchemeCore {
+    /// Validates `cfg` and resolves the scan and backpressure policies.
+    pub(crate) fn try_new(cfg: Config) -> Result<Self, SmrError> {
+        cfg.validate()?;
+        Ok(SchemeCore {
+            registry: Registry::new(cfg.max_threads),
+            scan_policy: ScanPolicy::from_config(&cfg),
+            bp_policy: BackpressurePolicy::from_config(&cfg),
+            cfg,
+            tele: SchemeTelemetry::new(),
+        })
+    }
+
+    /// Leases a tid and builds the per-handle half for it.
+    pub(crate) fn try_register<S: Scheme>(&self) -> Result<HandleCore, SmrError> {
+        let lease = self
+            .registry
+            .try_acquire()
+            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
+        let mut tele = HandleTelemetry::new(lease.tid);
+        if lease.recycled {
+            tele.record_tid_recycle();
+        }
+        // Adopt parked orphans: churned-out handles leave behind whatever
+        // their drain scan could not free; this handle frees them at its
+        // next scan instead of letting them pile to teardown.
+        let retired = if S::ADOPT_ORPHANS { self.registry.adopt_orphans() } else { Vec::new() };
+        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        Ok(HandleCore {
+            tid: lease.tid,
+            retired: CachePadded::new(retired),
+            scan_scratch: Vec::new(),
+            scan,
+            bp_rung: BpLevel::Normal,
+            tele: CachePadded::new(tele),
+        })
+    }
+
+    /// Captures a removed node for deferred reclamation and counts it in
+    /// the scheme's pending gauge.
+    ///
+    /// # Safety
+    /// `node` must be removed, non-null and captured at most once.
+    // SAFETY: [INV-11] obligation stated in `# Safety` above; forwarded by
+    // `HandleCore::retire` and `park` from their own contracts.
+    unsafe fn capture<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) -> Retired {
+        // SAFETY: [INV-04] forwarded from this fn's own contract.
+        let r = unsafe { Retired::new(node.as_raw(), stamp) };
+        self.tele.pending.add(1, r.bytes() as usize);
+        r
+    }
+
+    /// Parks a removed node straight in the orphan list, bypassing every
+    /// retired list: it is reclaimed only at scheme teardown.
+    ///
+    /// # Safety
+    /// As for `SmrHandle::retire`: removed, non-null, never retired before.
+    // SAFETY: [INV-11] obligation stated in `# Safety` above; the caller
+    // (DTA's `park_frozen`) forwards its own contract.
+    pub(crate) unsafe fn park<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) {
+        // SAFETY: [INV-04] forwarded from this fn's own contract.
+        let r = unsafe { self.capture(node, stamp) };
+        self.registry.park_orphan(r);
+    }
+}
+
+impl Drop for SchemeCore {
+    fn drop(&mut self) {
+        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
+        // scheme embedding this core, so `&mut self` here proves no handle
+        // exists and orphaned retired lists can no longer be protected by
+        // anyone.
+        unsafe { self.registry.reclaim_orphans() };
+    }
+}
+
+/// The per-handle half: a thread's retired list and the bookkeeping around
+/// it.
+pub(crate) struct HandleCore {
+    pub(crate) tid: usize,
+    /// Cache-padded so adjacent handles never false-share the hot
+    /// retired-list head (cf. `registry.rs::SlotArray` rows).
+    retired: CachePadded<Vec<Retired>>,
+    /// Retained swap buffer for scans: the drain source of one scan is the
+    /// keep destination of the next, so steady-state scans never allocate.
+    scan_scratch: Vec<Retired>,
+    scan: ScanState,
+    /// In-op backpressure rung (monotone within one op; reset by start_op).
+    bp_rung: BpLevel,
+    pub(crate) tele: CachePadded<HandleTelemetry>,
+}
+
+impl HandleCore {
+    /// `start_op` prologue: oracle/hb context, rung reset, op accounting.
+    #[inline]
+    pub(crate) fn start_op<S: Scheme>(&mut self) {
+        #[cfg(feature = "oracle")]
+        crate::oracle::enter_scheme(S::NAME);
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_start_op(S::HB);
+        self.bp_rung = BpLevel::Normal;
+        let retired_len = self.retired.len();
+        self.tele.record_op_start(retired_len);
+    }
+
+    /// `end_op` prologue: closes the hb-oracle's op span.
+    #[inline]
+    pub(crate) fn end_op(&mut self) {
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_end_op();
+    }
+
+    /// Allocates a node stamped with `index` and the scheme's `birth`.
+    #[inline]
+    pub(crate) fn alloc<T: Send + Sync>(
+        &mut self,
+        shared: &SchemeCore,
+        data: T,
+        index: u32,
+        birth: u64,
+    ) -> Shared<T> {
+        backpressure::before_alloc(
+            &shared.bp_policy,
+            shared.tele.backpressure(),
+            &mut self.bp_rung,
+            &mut self.tele,
+        );
+        self.tele.record_alloc();
+        let ptr = crate::node::alloc_node_in(data, index, birth, &mut self.tele);
+        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
+        unsafe { Shared::from_owned(ptr) }
+    }
+
+    /// Buffers `node` as retired at `stamp` (by an operation that began at
+    /// `op_start`), scans when the trigger is due, and climbs the
+    /// backpressure ladder.
+    ///
+    /// # Safety
+    /// `node` must be removed, non-null and retired at most once — the
+    /// `SmrHandle::retire` contract, forwarded by every scheme.
+    // SAFETY: [INV-11] obligation stated in `# Safety` above; each scheme's
+    // `retire` forwards its own trait contract here.
+    pub(crate) unsafe fn retire<T, S, P>(
+        &mut self,
+        scheme: &S,
+        prot: &mut P,
+        node: Shared<T>,
+        stamp: u64,
+        op_start: u64,
+    ) where
+        T: Send + Sync,
+        S: Scheme,
+        P: Protection<S>,
+    {
+        let shared = scheme.core();
+        self.tele.record_retire(node.addr());
+        // SAFETY: [INV-04] forwarded from this fn's own contract.
+        let mut r = unsafe { shared.capture(node, stamp) };
+        r.op_start = op_start;
+        self.scan.note_retire(r.bytes());
+        self.retired.push(r);
+        if S::RECLAIMS && self.scan.due(self.retired.len()) {
+            self.scan(scheme, prot, false);
+        }
+        // The ladder tracks the gauge for every scheme (Leaky's throttle
+        // rung and engagement telemetry included); only schemes that can
+        // free something answer the help rung.
+        if backpressure::after_retire(
+            &shared.bp_policy,
+            shared.tele.backpressure(),
+            shared.tele.pending_bytes(),
+            &mut self.bp_rung,
+            &mut self.tele,
+        ) && S::RECLAIMS
+        {
+            self.help_scan(scheme, prot);
+        }
+    }
+
+    /// One reclamation scan: fence, snapshot, then partition the retired
+    /// list into kept and freed. Allocation-free in steady state — the
+    /// retired list swaps through the retained `scan_scratch` and the
+    /// snapshot refills the scheme's own buffers.
+    pub(crate) fn scan<S: Scheme, P: Protection<S>>(
+        &mut self,
+        scheme: &S,
+        prot: &mut P,
+        fresh: bool,
+    ) {
+        self.tele.record_empty();
+        if !S::RECLAIMS {
+            return;
+        }
+        let shared = scheme.core();
+        let scan_t0 = Instant::now();
+        let caps_before =
+            self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
+        // Retirements about to be judged are ordered after any protection
+        // announcement the snapshot will observe.
+        fence(Ordering::SeqCst);
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_fence_sc();
+        prot.snapshot(scheme, &mut self.tele, fresh);
+        // `pending` (last scan's scratch) becomes the drain source and the
+        // emptied `retired` collects the keepers; `mem::take` leaves a
+        // capacity-0 Vec, so nothing allocates.
+        let mut pending = std::mem::take(&mut self.scan_scratch);
+        debug_assert!(pending.is_empty());
+        std::mem::swap(&mut pending, &mut *self.retired);
+        let before = pending.len();
+        let mut kept_bytes = 0usize;
+        let mut freed_bytes = 0usize;
+        for r in pending.drain(..) {
+            if prot.is_protected(&r) {
+                kept_bytes += r.bytes() as usize;
+                self.retired.push(r);
+            } else {
+                self.tele.record_free(r.addr());
+                freed_bytes += r.bytes() as usize;
+                // SAFETY: [INV-05] the node is retired (unreachable) and the
+                // scheme's snapshot, taken after the SeqCst fence above,
+                // shows no announcement that admits a reference to it — each
+                // scheme's `is_protected` carries its own argument.
+                unsafe { r.reclaim() };
+            }
+        }
+        self.scan_scratch = pending;
+        let freed = before - self.retired.len();
+        shared.tele.pending.sub(freed, freed_bytes);
+        self.scan.rearm(&shared.scan_policy, self.retired.len(), kept_bytes);
+        let caps_after =
+            self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
+        if caps_after > caps_before {
+            self.tele.record_scan_heap_alloc();
+        }
+        self.tele.record_scan_elapsed(scan_t0);
+        #[cfg(feature = "oracle")]
+        if let Some(bound) = scheme.waste_bound() {
+            crate::oracle::check_waste_bound(S::NAME, self.retired.len(), bound);
+        }
+    }
+
+    /// Backpressure help-scan: adopt whatever retired lists churned-out
+    /// peers parked as orphans, then scan against the live announcements —
+    /// helping exists to free memory now, not to be cheap. The scan's rearm
+    /// re-baselines the backlog, adopted nodes included.
+    fn help_scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
+        self.tele.record_help_scan();
+        if S::ADOPT_ORPHANS {
+            self.retired.extend(scheme.core().registry.adopt_orphans());
+        }
+        self.scan(scheme, prot, true);
+    }
+
+    /// Handle teardown, after the scheme withdrew its announcements (so the
+    /// handle's own stale slots cannot pin its leftovers): a drain scan —
+    /// with watermark-batched triggers a short-lived handle may never have
+    /// reached its threshold, and without this its whole list would park as
+    /// orphans, unbounded under handle churn — then the tid and whatever
+    /// the scan kept go back to the registry, and this thread's cached pool
+    /// blocks to the global shard.
+    pub(crate) fn release<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
+        self.scan(scheme, prot, true);
+        scheme.core().registry.release(self.tid, std::mem::take(&mut *self.retired));
+        mp_util::pool::flush();
+    }
+
+    /// Current length of the retired list.
+    #[inline]
+    pub(crate) fn retired_len(&self) -> usize {
+        self.retired.len()
+    }
+
+    /// The retired list itself, for tests that look for a specific node.
+    #[cfg(test)]
+    pub(crate) fn retired(&self) -> &[Retired] {
+        &self.retired
+    }
+}
+
+/// The three `Smr` accessors every scheme answers from its embedded core;
+/// invoke inside the scheme's `impl Smr` block.
+macro_rules! smr_core_accessors {
+    () => {
+        fn name() -> &'static str {
+            <Self as $crate::schemes::core::Scheme>::NAME
+        }
+
+        fn telemetry(&self) -> &$crate::telemetry::SchemeTelemetry {
+            &self.core.tele
+        }
+
+        fn backpressure_policy(&self) -> &$crate::backpressure::BackpressurePolicy {
+            &self.core.bp_policy
+        }
+    };
+}
+pub(crate) use smr_core_accessors;
+
+/// `Telemetry` for a handle type, answered from its embedded core.
+macro_rules! impl_handle_telemetry {
+    ($handle:ty) => {
+        impl $crate::telemetry::Telemetry for $handle {
+            fn tele(&self) -> &$crate::telemetry::HandleTelemetry {
+                &self.core.tele
+            }
+
+            fn tele_mut(&mut self) -> &mut $crate::telemetry::HandleTelemetry {
+                &mut self.core.tele
+            }
+        }
+    };
+}
+pub(crate) use impl_handle_telemetry;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::Telemetry;
+
+    /// Everything a scheme must write for the skeleton: here the protected
+    /// set is a list of addresses the test edits. `ADOPT` is the
+    /// orphan-adoption constant (off for DTA).
+    struct Fake<const ADOPT: bool> {
+        core: SchemeCore,
+    }
+
+    impl<const ADOPT: bool> Scheme for Fake<ADOPT> {
+        const NAME: &'static str = "FAKE";
+        #[cfg(feature = "hb-oracle")]
+        const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+        const ADOPT_ORPHANS: bool = ADOPT;
+
+        fn core(&self) -> &SchemeCore {
+            &self.core
+        }
+    }
+
+    struct Pinned(Vec<u64>);
+
+    impl<const ADOPT: bool> Protection<Fake<ADOPT>> for Pinned {
+        fn snapshot(&mut self, _: &Fake<ADOPT>, _: &mut HandleTelemetry, _: bool) {}
+
+        fn is_protected(&self, r: &Retired) -> bool {
+            self.0.contains(&r.addr())
+        }
+
+        fn scratch_capacity(&self) -> usize {
+            self.0.capacity()
+        }
+    }
+
+    struct Handle {
+        core: HandleCore,
+    }
+    impl_handle_telemetry!(Handle);
+
+    fn fake<const ADOPT: bool>(cfg: Config) -> Fake<ADOPT> {
+        Fake { core: SchemeCore::try_new(cfg.with_max_threads(2)).unwrap() }
+    }
+
+    fn register<const ADOPT: bool>(s: &Fake<ADOPT>) -> Handle {
+        Handle { core: s.core.try_register::<Fake<ADOPT>>().unwrap() }
+    }
+
+    /// Allocates and retires one node; returns its address.
+    fn retire<const ADOPT: bool>(h: &mut Handle, s: &Fake<ADOPT>, pinned: &mut Pinned) -> u64 {
+        retire_if(h, s, pinned, false)
+    }
+
+    /// As [`retire`], pinning the node first when `pin` is set.
+    fn retire_if<const ADOPT: bool>(
+        h: &mut Handle,
+        s: &Fake<ADOPT>,
+        pinned: &mut Pinned,
+        pin: bool,
+    ) -> u64 {
+        let node = h.core.alloc(&s.core, 0u64, 0, 0);
+        if pin {
+            pinned.0.push(node.addr());
+        }
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { h.core.retire(s, pinned, node, 0, 0) };
+        node.addr()
+    }
+
+    /// No trigger fires on its own: scans happen where the test asks.
+    fn manual() -> Config {
+        Config::default().with_scan_watermark(1 << 20)
+    }
+
+    #[test]
+    fn scan_partitions_exactly_and_the_second_scan_allocates_nothing() {
+        let s = fake::<true>(manual());
+        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
+        let addrs: Vec<u64> = (0..8).map(|_| retire(&mut h, &s, &mut pinned)).collect();
+        pinned.0 = vec![addrs[1], addrs[4], addrs[6]];
+        h.core.scan(&s, &mut pinned, true);
+        let kept: Vec<u64> = h.core.retired().iter().map(|r| r.addr()).collect();
+        assert_eq!(kept, pinned.0, "exactly the protected nodes survive, in order");
+        assert_eq!(h.snapshot().frees(), 5);
+        assert_eq!(s.core.tele.pending(), 3);
+
+        let warm = h.snapshot().scan_heap_allocs();
+        for _ in 0..5 {
+            retire(&mut h, &s, &mut pinned);
+        }
+        h.core.scan(&s, &mut pinned, true);
+        assert_eq!(h.snapshot().scan_heap_allocs(), warm, "steady-state scan grew a buffer");
+        assert_eq!(h.core.retired_len(), 3);
+        pinned.0.clear();
+        h.core.release(&s, &mut pinned);
+        assert_eq!(s.core.tele.pending(), 0);
+    }
+
+    #[test]
+    fn gauge_is_exact_across_retire_scan_drop_park_adopt_and_free() {
+        let s = fake::<true>(manual());
+        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
+        let a = retire(&mut h, &s, &mut pinned);
+        let node_bytes = s.core.tele.pending_bytes();
+        let b = retire(&mut h, &s, &mut pinned);
+        retire(&mut h, &s, &mut pinned);
+        assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (3, 3 * node_bytes));
+
+        pinned.0 = vec![a, b];
+        h.core.scan(&s, &mut pinned, true);
+        assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (2, 2 * node_bytes));
+
+        // Drop parks only what the drain scan kept.
+        pinned.0 = vec![b];
+        h.core.release(&s, &mut pinned);
+        assert_eq!(s.core.registry.orphan_count(), 1);
+        assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (1, node_bytes));
+
+        // The next handle adopts the orphan without moving the gauge…
+        let mut h2 = register(&s);
+        assert_eq!(h2.snapshot().tid_recycles(), 1, "tid 0 came back");
+        assert_eq!((s.core.registry.orphan_count(), h2.core.retired_len()), (0, 1));
+        assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (1, node_bytes));
+        // …and frees it once nothing pins it.
+        pinned.0.clear();
+        h2.core.scan(&s, &mut pinned, true);
+        assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (0, 0));
+        h2.core.release(&s, &mut pinned);
+    }
+
+    #[test]
+    fn an_all_kept_scan_rearms_at_kept_plus_empty_freq() {
+        let s = fake::<true>(Config::default().with_scan_watermark(2).with_empty_freq(4));
+        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
+        let scans_after: Vec<u64> = (0..10)
+            .map(|_| {
+                retire_if(&mut h, &s, &mut pinned, true);
+                h.snapshot().empties()
+            })
+            .collect();
+        // Watermark 2 fires on the 2nd retire and keeps both; the trigger
+        // re-arms at kept + 4 = 6, then 6 + 4 = 10: three scans in ten
+        // retires, not nine.
+        assert_eq!(scans_after, [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]);
+        pinned.0.clear();
+        h.core.release(&s, &mut pinned);
+    }
+
+    /// Parks one pinned orphan while a second handle is live, drives that
+    /// handle onto the help rung, then registers a third. Returns the
+    /// orphan counts the help-scan and the registration left behind.
+    fn orphans_after_help_and_register<const ADOPT: bool>() -> (usize, usize) {
+        let s = fake::<ADOPT>(manual().with_backpressure_bytes(64));
+        let (mut h, mut h2, mut pinned) = (register(&s), register(&s), Pinned(Vec::new()));
+        retire_if(&mut h, &s, &mut pinned, true);
+        h.core.release(&s, &mut pinned);
+        assert_eq!(s.core.registry.orphan_count(), 1);
+
+        retire_if(&mut h2, &s, &mut pinned, true);
+        assert!(h2.snapshot().help_scans() > 0, "a 64-byte cap must engage the help rung");
+        let after_help = s.core.registry.orphan_count();
+        assert_eq!(h2.core.retired_len(), 2 - after_help, "adopted orphans join the helper's list");
+
+        let mut h3 = register(&s);
+        let after_register = s.core.registry.orphan_count();
+        assert_eq!(h3.core.retired_len(), after_help - after_register);
+        pinned.0.clear();
+        h3.core.release(&s, &mut pinned);
+        h2.core.release(&s, &mut pinned);
+        (after_help, after_register)
+    }
+
+    #[test]
+    fn orphans_are_adopted_only_when_the_scheme_says_so() {
+        assert_eq!(orphans_after_help_and_register::<true>(), (0, 0), "help-scan drains them");
+        assert_eq!(orphans_after_help_and_register::<false>(), (1, 1), "DTA-style: left parked");
+    }
+}

@@ -20,22 +20,21 @@
 //! arbitrarily large).
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 /// Data-structure-specific freezing callback (see module docs).
 ///
@@ -61,11 +60,7 @@ pub struct Dta {
     announce: SlotArray,
     /// One anchor address slot per thread (0 = none).
     anchors: SlotArray,
-    registry: Registry,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
     /// Client-registered freezing procedure.
     freezer: RwLock<Option<Arc<dyn Freezer>>>,
     /// Stall bookkeeping: per-tid (last observed stamp, misses) plus the
@@ -83,7 +78,7 @@ struct RecoveryState {
     frozen: HashSet<u64>,
 }
 
-/// How `empty()` must treat one thread (computed by `classify_threads`).
+/// How a scan must treat one thread (computed by `classify_threads_into`).
 #[derive(Clone, Copy)]
 enum ThreadClass {
     /// Not inside an operation: pins nothing.
@@ -100,100 +95,67 @@ enum ThreadClass {
 /// Per-thread handle for [`Dta`].
 pub struct DtaHandle {
     scheme: Arc<Dta>,
-    tid: usize,
+    core: HandleCore,
     /// Stamp announced by the current operation (`start_op`/`refresh_op`).
     stamp: u64,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
     /// Retained thread-classification buffer, refilled in place per scan.
     class_scratch: Vec<ThreadClass>,
-    scan: ScanState,
     alloc_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+}
+
+/// DTA's waste depends on freeze timing and the anchored-segment size, not
+/// a predetermined formula — exempt from the oracle's waste-bound monitor.
+/// Its orphan list doubles as the frozen-node park (see
+/// [`Dta::park_frozen`]), and frozen nodes must stay parked until scheme
+/// teardown: adopting them would shuttle permanently-pinned nodes through
+/// every scan. A help-scan still helps by re-classifying stalled peers
+/// (possibly freezing them) and draining the helper's own backlog.
+impl Scheme for Dta {
+    const NAME: &'static str = "DTA";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    const ADOPT_ORPHANS: bool = false;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
 }
 
 impl Smr for Dta {
     type Handle = DtaHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
+        let threads = core.cfg.max_threads;
         Ok(Arc::new(Dta {
             clock: EpochClock::new(),
-            announce: SlotArray::new(cfg.max_threads, 1, INACTIVE),
-            anchors: SlotArray::new(cfg.max_threads, 1, 0),
-            registry: Registry::new(cfg.max_threads),
+            announce: SlotArray::new(threads, 1, INACTIVE),
+            anchors: SlotArray::new(threads, 1, 0),
             recovery: Mutex::new(RecoveryState {
-                last_stamp: vec![INACTIVE; cfg.max_threads],
-                misses: vec![0; cfg.max_threads],
-                neutralized: vec![None; cfg.max_threads],
+                last_stamp: vec![INACTIVE; threads],
+                misses: vec![0; threads],
+                neutralized: vec![None; threads],
                 frozen: HashSet::new(),
             }),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            core,
             freezer: RwLock::new(None),
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<DtaHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
         Ok(DtaHandle {
+            core: self.core.try_register::<Dta>()?,
             scheme: self.clone(),
-            tid: lease.tid,
             stamp: 0,
-            retired: CachePadded::new(Vec::new()),
-            scan_scratch: Vec::new(),
             class_scratch: Vec::new(),
-            scan: ScanState::new(&self.scan_policy),
             alloc_counter: 0,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
         })
     }
 
-    fn name() -> &'static str {
-        "DTA"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for DtaHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
-
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Dta {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so no handle exists and orphans are unprotectable. Frozen
-        // nodes were parked by the freezer and sit in the orphan list too.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
+impl_handle_telemetry!(DtaHandle);
 
 impl Dta {
     /// Registers the data-structure-specific freezing procedure.
@@ -221,9 +183,7 @@ impl Dta {
     pub unsafe fn park_frozen<T: Send + Sync>(&self, node: Shared<T>) {
         // SAFETY: [INV-04] forwarded from this fn's own contract (removed,
         // never retired before).
-        let retired = unsafe { Retired::new(node.as_raw(), u64::MAX) };
-        self.tele.pending.add(1, retired.bytes() as usize);
-        self.registry.park_orphan(retired);
+        unsafe { self.core.park(node, u64::MAX) };
     }
 
     /// Number of nodes currently frozen (for tests and Table 1).
@@ -232,19 +192,19 @@ impl Dta {
     }
 
     /// Updates stall bookkeeping and classifies every thread for the
-    /// reclamation rule. Runs under the recovery lock, which also guards
-    /// every `empty()`'s reclaim loop — so no node is freed while a freeze
-    /// walk dereferences the (pinned) anchor chain.
+    /// reclamation rule. Runs under the recovery lock (`rec`), which the
+    /// scanning handle keeps holding through its reclaim loop — so no node is
+    /// freed while a freeze walk dereferences the (pinned) anchor chain.
     ///
     /// `out` (a handle-retained buffer) is cleared and refilled in place so
     /// steady-state scans do not allocate.
     #[allow(clippy::needless_range_loop)] // tid indexes three parallel arrays
-    fn classify_threads_into(&self, out: &mut Vec<ThreadClass>) {
+    fn classify_threads_into(&self, rec: &mut RecoveryState, out: &mut Vec<ThreadClass>) {
+        let cfg = &self.core.cfg;
         out.clear();
-        out.resize(self.cfg.max_threads, ThreadClass::Idle);
+        out.resize(cfg.max_threads, ThreadClass::Idle);
         let freezer = self.freezer.read().unwrap().clone();
-        let mut rec = self.recovery.lock().unwrap();
-        for tid in 0..self.cfg.max_threads {
+        for tid in 0..cfg.max_threads {
             let stamp = self.announce.get(tid, 0).load(Ordering::Acquire);
             if stamp == INACTIVE {
                 rec.last_stamp[tid] = INACTIVE;
@@ -267,7 +227,7 @@ impl Dta {
                 out[tid] = ThreadClass::Neutralized { stamp: s, fclock };
                 continue;
             }
-            let stalled = rec.misses[tid] >= self.cfg.stall_patience;
+            let stalled = rec.misses[tid] >= cfg.stall_patience;
             if stalled {
                 if let Some(f) = &freezer {
                     let anchor = self.anchors.get(tid, 0).load(Ordering::Acquire);
@@ -278,7 +238,7 @@ impl Dta {
                         // the predecessor, and the thread may stand one hop
                         // past its cadence point).
                         let frozen =
-                            f.freeze_from(anchor, self.cfg.anchor_hops + 2, stamp);
+                            f.freeze_from(anchor, cfg.anchor_hops + 2, stamp);
                         if !frozen.is_empty() {
                             rec.frozen.extend(frozen.iter().copied());
                             // Revalidate before neutralizing: if the thread
@@ -310,88 +270,58 @@ impl Dta {
     }
 }
 
-impl DtaHandle {
-    /// Reclamation scan; allocation-free in steady state (classification
-    /// and retired list both cycle through handle-owned buffers).
-    fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before =
-            self.retired.capacity() + self.scan_scratch.capacity() + self.class_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        self.scheme.classify_threads_into(&mut self.class_scratch);
-        // Frees must hold the recovery lock: freeze walks dereference
-        // pinned retired nodes and rely on no concurrent reclamation.
-        let rec = self.scheme.recovery.lock().unwrap();
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        'next: for r in pending.drain(..) {
-            if rec.frozen.contains(&r.addr()) {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-                continue;
-            }
-            for class in &self.class_scratch {
-                let pins = match *class {
-                    ThreadClass::Idle => false,
-                    // EBR rule: an active thread may reference anything
-                    // retired at or after its announced stamp.
-                    ThreadClass::Respected(m) => r.retire >= m,
-                    // A neutralized thread pins only the fixed window of
-                    // nodes retired during its stall, up to the freeze;
-                    // later retirees were linked when freezing completed,
-                    // so the thread can reach them only inside the frozen
-                    // zone (kept above) or not at all.
-                    // Keyed on the *retiring operation's start* rather than
-                    // the retire stamp: the remover may be preempted between
-                    // its unlink CAS and its retire() call, so only
-                    // op_start ≤ unlink-time is guaranteed.
-                    ThreadClass::Neutralized { stamp, fclock } => {
-                        r.retire >= stamp && r.op_start < fclock
-                    }
-                };
-                if pins {
-                    kept_bytes += r.bytes() as usize;
-                    self.retired.push(r);
-                    continue 'next;
-                }
-            }
-            self.tele.record_free(r.addr());
-            freed_bytes += r.bytes() as usize;
-            // SAFETY: [INV-05] the classification above (under the recovery
-            // lock, after the SeqCst fence) admits no thread class that can
-            // still reference this node.
-            unsafe { r.reclaim() };
-        }
-        drop(rec);
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity() + self.scan_scratch.capacity() + self.class_scratch.capacity()
-            > caps_before
-        {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+/// One scan's view of the scheme: the recovery lock — taken by the first
+/// snapshot and held until the view drops, because frees must not run while
+/// a freeze walk dereferences pinned retired nodes — plus the thread
+/// classification computed under it.
+struct DtaScan<'a> {
+    scheme: &'a Dta,
+    rec: Option<MutexGuard<'a, RecoveryState>>,
+    classes: &'a mut Vec<ThreadClass>,
+}
+
+impl Protection<Dta> for DtaScan<'_> {
+    fn snapshot(&mut self, _scheme: &Dta, _tele: &mut HandleTelemetry, _fresh: bool) {
+        let scheme = self.scheme;
+        let rec = self.rec.get_or_insert_with(|| scheme.recovery.lock().unwrap());
+        scheme.classify_threads_into(rec, self.classes);
     }
 
-    /// Backpressure help-scan. Unlike the other schemes this does NOT adopt
-    /// orphans: DTA's orphan list doubles as the frozen-node park (see
-    /// [`Dta::park_frozen`]), and frozen nodes must stay parked until scheme
-    /// teardown — adopting them would shuttle permanently-pinned nodes
-    /// through every scan. The scan itself still helps by re-classifying
-    /// stalled peers (possibly freezing them) and draining this handle's
-    /// backlog. See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        self.empty();
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        // Nothing is judged before `snapshot` took the lock: keep.
+        let Some(rec) = &self.rec else { return true };
+        rec.frozen.contains(&r.addr())
+            || self.classes.iter().any(|class| match *class {
+                ThreadClass::Idle => false,
+                // EBR rule: an active thread may reference anything
+                // retired at or after its announced stamp.
+                ThreadClass::Respected(m) => r.retire >= m,
+                // A neutralized thread pins only the fixed window of
+                // nodes retired during its stall, up to the freeze;
+                // later retirees were linked when freezing completed,
+                // so the thread can reach them only inside the frozen
+                // zone (kept above) or not at all.
+                // Keyed on the *retiring operation's start* rather than
+                // the retire stamp: the remover may be preempted between
+                // its unlink CAS and its retire() call, so only
+                // op_start ≤ unlink-time is guaranteed.
+                ThreadClass::Neutralized { stamp, fclock } => {
+                    r.retire >= stamp && r.op_start < fclock
+                }
+            })
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        self.classes.capacity()
+    }
+}
+
+impl DtaHandle {
+    /// Splits the handle into the pieces one call into the core needs.
+    fn scan_parts(&mut self) -> (&mut HandleCore, &Dta, DtaScan<'_>) {
+        let scan = DtaScan { scheme: &self.scheme, rec: None, classes: &mut self.class_scratch };
+        (&mut self.core, &self.scheme, scan)
     }
 
     /// The scheme this handle belongs to (used by the DTA list to register
@@ -407,13 +337,13 @@ impl DtaHandle {
     /// (reached via validated unmarked reads), every `anchor_hops`
     /// traversal steps — DTA's replacement for a hazard fence per read.
     pub fn post_anchor(&mut self, node_addr: u64) {
-        self.scheme.anchors.get(self.tid, 0).store(node_addr, Ordering::Release);
-        counted_fence(&mut self.tele, FenceSite::Announce);
+        self.scheme.anchors.get(self.core.tid, 0).store(node_addr, Ordering::Release);
+        counted_fence(&mut self.core.tele, FenceSite::Announce);
     }
 
     /// The configured anchor cadence (hops between posts).
     pub fn anchor_hops(&self) -> usize {
-        self.scheme.cfg.anchor_hops
+        self.scheme.core.cfg.anchor_hops
     }
 
     /// Re-announces a *fresh* operation stamp mid-operation. The client
@@ -425,36 +355,25 @@ impl DtaHandle {
     pub fn refresh_op(&mut self) {
         let e = self.scheme.clock.advance();
         self.stamp = e;
-        self.scheme.announce.get(self.tid, 0).store(e, Ordering::Release);
-        self.scheme.anchors.get(self.tid, 0).store(0, Ordering::Release);
-        counted_fence(&mut self.tele, FenceSite::StartOp);
+        self.scheme.announce.get(self.core.tid, 0).store(e, Ordering::Release);
+        self.scheme.anchors.get(self.core.tid, 0).store(0, Ordering::Release);
+        counted_fence(&mut self.core.tele, FenceSite::StartOp);
     }
-
 }
 
 impl SmrHandle for DtaHandle {
     fn start_op(&mut self) {
-        // Oracle context only: DTA's waste depends on freeze timing and the
-        // anchored-segment size, not a predetermined formula — exempt from
-        // the waste-bound monitor.
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("DTA");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Dta>();
         let e = self.scheme.clock.advance(); // fresh stamp ⇒ visible progress
         self.stamp = e;
-        self.scheme.announce.get(self.tid, 0).store(e, Ordering::Release);
-        counted_fence(&mut self.tele, FenceSite::StartOp);
+        self.scheme.announce.get(self.core.tid, 0).store(e, Ordering::Release);
+        counted_fence(&mut self.core.tele, FenceSite::StartOp);
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-        self.scheme.anchors.get(self.tid, 0).store(0, Ordering::Release);
+        self.core.end_op();
+        self.scheme.announce.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
+        self.scheme.anchors.get(self.core.tid, 0).store(0, Ordering::Release);
     }
 
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, _refno: usize) -> Shared<T> {
@@ -468,67 +387,40 @@ impl SmrHandle for DtaHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
-            let e = self.scheme.clock.advance();
-            self.tele.record_epoch_advance(e);
-        }
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let freq = self.scheme.core.cfg.epoch_freq;
+        self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
+        let birth = self.scheme.clock.now();
+        self.core.alloc(&self.scheme.core, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
+        // The neutralization window is keyed on when the unlinking
+        // operation began (≤ the unlink itself); see `is_protected`.
+        let op_start = self.stamp;
+        let (core, scheme, mut scan) = self.scan_parts();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let mut r = unsafe { Retired::new(node.as_raw(), stamp) };
-        // Record when the unlinking operation began (≤ the unlink itself);
-        // the neutralization window is keyed on this (see `empty`).
-        r.op_start = self.stamp;
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty();
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        unsafe { core.retire(scheme, &mut scan, node, stamp, op_start) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty();
+        let (core, scheme, mut scan) = self.scan_parts();
+        core.scan(scheme, &mut scan, true);
     }
 }
 
 impl Drop for DtaHandle {
     fn drop(&mut self) {
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-        self.scheme.anchors.get(self.tid, 0).store(0, Ordering::Release);
-        // Drain scan before parking leftovers — see HpHandle::drop.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.scheme.announce.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
+        self.scheme.anchors.get(self.core.tid, 0).store(0, Ordering::Release);
+        let (core, scheme, mut scan) = self.scan_parts();
+        core.release(scheme, &mut scan);
     }
 }
 

@@ -12,122 +12,75 @@
 //! and wasted memory grows without bound — the failure mode motivating MP.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 /// Epoch-based reclamation scheme (shared state).
 pub struct Ebr {
     clock: EpochClock,
     /// One announcement slot per thread: observed epoch, or `INACTIVE`.
     announce: SlotArray,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`Ebr`].
 pub struct EbrHandle {
     scheme: Arc<Ebr>,
-    tid: usize,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
-    scan: ScanState,
+    core: HandleCore,
+    /// The current scan's view of [`Ebr::min_active_epoch`].
+    min_active: MinActive,
     alloc_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+}
+
+/// EBR is exempt from the oracle's waste-bound monitor: one stalled thread
+/// legitimately pins every later retiree (§1).
+impl Scheme for Ebr {
+    const NAME: &'static str = "EBR";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
 }
 
 impl Smr for Ebr {
     type Handle = EbrHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
         Ok(Arc::new(Ebr {
             clock: EpochClock::new(),
-            announce: SlotArray::new(cfg.max_threads, 1, INACTIVE),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            announce: SlotArray::new(core.cfg.max_threads, 1, INACTIVE),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
         Ok(EbrHandle {
+            core: self.core.try_register::<Ebr>()?,
             scheme: self.clone(),
-            tid: lease.tid,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
-            scan,
+            min_active: MinActive(None),
             alloc_counter: 0,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
         })
     }
 
-    fn name() -> &'static str {
-        "EBR"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for EbrHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
-
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Ebr {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
+impl_handle_telemetry!(EbrHandle);
 
 impl Ebr {
     /// Smallest epoch announced by any active thread, or `None` if no thread
@@ -144,85 +97,39 @@ impl Ebr {
     }
 }
 
-impl EbrHandle {
-    /// Reclamation scan; allocation-free in steady state (the retired list
-    /// swaps through the retained `scan_scratch`).
-    fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity() + self.scan_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        let min = self.scheme.min_active_epoch();
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            // Free if every active thread announced strictly after the
-            // retirement epoch (see module docs). No active thread: free.
-            let safe = match min {
-                None => true,
-                Some(m) => r.retire < m,
-            };
-            if safe {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] unreachable since retirement and, by the
-                // epoch argument above (every active announcement is newer
-                // than the retire stamp), referenced by no active thread.
-                unsafe { r.reclaim() };
-            } else {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity() + self.scan_scratch.capacity() > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+/// One scan's snapshot: the smallest announced epoch, if any.
+struct MinActive(Option<u64>);
+
+impl Protection<Ebr> for MinActive {
+    fn snapshot(&mut self, scheme: &Ebr, _tele: &mut HandleTelemetry, _fresh: bool) {
+        self.0 = scheme.min_active_epoch();
     }
 
-    /// Backpressure help-scan: adopt orphaned retired lists and scan them.
-    /// Under a stalled announcement this cannot shrink the pinned suffix
-    /// (EBR is not robust), but it does drain orphans and anything retired
-    /// before the stalled epoch. See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        self.empty();
+    /// Free only if every active thread announced strictly after the
+    /// retirement epoch (see module docs) — such a thread began after the
+    /// node was unlinked. No active thread: free.
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        self.0.is_some_and(|m| r.retire >= m)
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        0
     }
 }
 
 impl SmrHandle for EbrHandle {
     fn start_op(&mut self) {
-        // Oracle context only: EBR is exempt from the waste-bound monitor —
-        // one stalled thread legitimately pins every later retiree (§1).
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("EBR");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Ebr>();
         let e = self.scheme.clock.now();
-        self.scheme.announce.get(self.tid, 0).store(e, Ordering::Release);
+        self.scheme.announce.get(self.core.tid, 0).store(e, Ordering::Release);
         // The announcement must be visible before any data-structure read.
-        counted_fence(&mut self.tele, FenceSite::StartOp);
+        counted_fence(&mut self.core.tele, FenceSite::StartOp);
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
+        self.core.end_op();
+        self.scheme.announce.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
     }
 
     #[inline]
@@ -235,63 +142,33 @@ impl SmrHandle for EbrHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
-            let e = self.scheme.clock.advance();
-            self.tele.record_epoch_advance(e);
-        }
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let freq = self.scheme.core.cfg.epoch_freq;
+        self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
+        let birth = self.scheme.clock.now();
+        self.core.alloc(&self.scheme.core, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty();
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        unsafe { self.core.retire(&*self.scheme, &mut self.min_active, node, stamp, stamp) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty();
+        self.core.scan(&*self.scheme, &mut self.min_active, true);
     }
 }
 
 impl Drop for EbrHandle {
     fn drop(&mut self) {
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-        // Drain scan before parking leftovers — see HpHandle::drop.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.scheme.announce.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
+        self.core.release(&*self.scheme, &mut self.min_active);
     }
 }
 
@@ -386,7 +263,7 @@ mod tests {
         b.start_op();
         b.force_empty();
         assert!(
-            !b.retired.iter().any(|r| r.addr() == old.addr()),
+            !b.core.retired().iter().any(|r| r.addr() == old.addr()),
             "old node freed despite active thread"
         );
         a.end_op();

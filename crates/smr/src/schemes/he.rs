@@ -14,21 +14,20 @@
 //! entire data structure (§1).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, SharedSnapshot, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, SharedSnapshot, SnapshotScratch, INACTIVE};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 /// Hazard-eras SMR scheme (shared state).
 pub struct He {
@@ -38,115 +37,74 @@ pub struct He {
     /// Version-stamped era snapshot shared across scanning handles;
     /// adopted instead of re-walked when no announcement changed.
     shared_snap: SharedSnapshot,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`He`].
 pub struct HeHandle {
     scheme: Arc<He>,
-    tid: usize,
+    core: HandleCore,
     /// Local mirror of this thread's announced eras.
     local: Vec<u64>,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
-    /// Retained era-snapshot buffer, refilled in place per scan.
-    era_scratch: Vec<u64>,
-    /// Retained generation-vector buffer for snapshot adoption.
-    gens_scratch: Vec<u64>,
-    /// True if the previous scan adopted the shared snapshot. A handle
-    /// never adopts twice in a row: releases (unprotect/deregistration) do
-    /// not bump generations, so the forced fresh walk bounds how long a
-    /// released era can linger in an adopted snapshot.
-    adopted_last: bool,
-    scan: ScanState,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+    /// Retained era snapshot, refilled in place per scan.
+    eras: SnapshotScratch,
+    retire_counter: usize,
+}
+
+impl Scheme for He {
+    const NAME: &'static str = "HE";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::HE;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
+
+    /// Era-pile conformance bound. At most T·H distinct eras are announced;
+    /// each pins retirees whose lifetime contains it, and the era clock
+    /// advances every `epoch_freq` retires per thread, so a pile of more
+    /// than F·T nodes per announced era (plus the `empty_freq` batch retired
+    /// since the last scan) means the interval filter is broken. Heuristic,
+    /// not a paper theorem — HE's waste is not predetermined — but far above
+    /// anything a correct scan retains at test scale.
+    #[cfg(feature = "oracle")]
+    fn waste_bound(&self) -> Option<u128> {
+        let cfg = &self.core.cfg;
+        let t = cfg.max_threads as u128;
+        let h = cfg.slots_per_thread as u128;
+        let f = cfg.epoch_freq as u128;
+        Some(t * h * f * t + cfg.empty_freq as u128)
+    }
 }
 
 impl Smr for He {
     type Handle = HeHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(He {
             clock: EpochClock::new(),
-            era_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, INACTIVE),
-            shared_snap: SharedSnapshot::new(cfg.max_threads, cfg.slots_per_thread),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            era_slots: SlotArray::new(threads, slots, INACTIVE),
+            shared_snap: SharedSnapshot::new(threads, slots),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
         Ok(HeHandle {
+            core: self.core.try_register::<He>()?,
             scheme: self.clone(),
-            tid: lease.tid,
-            local: vec![INACTIVE; self.cfg.slots_per_thread],
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
-            era_scratch: Vec::new(),
-            gens_scratch: Vec::new(),
-            adopted_last: false,
-            scan,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
+            local: vec![INACTIVE; self.core.cfg.slots_per_thread],
+            eras: SnapshotScratch::default(),
+            retire_counter: 0,
         })
     }
 
-    fn name() -> &'static str {
-        "HE"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for HeHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
-
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for He {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
+impl_handle_telemetry!(HeHandle);
 
 impl He {
     /// Snapshots every announced era into `snap` (cleared and refilled in
@@ -172,120 +130,26 @@ fn interval_hit(eras: &[u64], birth: u64, retire: u64) -> bool {
     i < eras.len() && eras[i] <= retire
 }
 
-impl HeHandle {
-    /// Reclamation scan; allocation-free in steady state (era snapshot and
-    /// retired list both cycle through handle-owned buffers).
-    /// `allow_adopt` permits reusing the shared era snapshot; explicit
-    /// `force_empty` calls pass `false` so they always observe the live
-    /// slots.
-    fn empty(&mut self, allow_adopt: bool) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.era_scratch.capacity()
-            + self.gens_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        // Same adoption protocol as HP (see SharedSnapshot docs): equal
-        // generation vectors prove no era was announced-and-validated since
-        // the published walk, so reusing it only over-approximates.
-        self.scheme.shared_snap.load_gens_into(&mut self.gens_scratch);
-        let adopted = allow_adopt
-            && !self.adopted_last
-            && self.scheme.shared_snap.try_adopt_into(&self.gens_scratch, &mut self.era_scratch);
-        self.adopted_last = adopted;
-        if adopted {
-            self.tele.record_snapshot_reuse();
-            #[cfg(feature = "oracle")]
-            {
-                // The reused snapshot must contain every era a fresh walk
-                // would see (superset check).
-                let mut fresh = Vec::new();
-                self.scheme.snapshot_eras_into(&mut fresh);
-                for v in &fresh {
-                    assert!(
-                        self.era_scratch.binary_search(v).is_ok(),
-                        "snapshot reuse under-approximates: era {v} missing"
-                    );
-                }
-            }
-        } else {
-            self.scheme.snapshot_eras_into(&mut self.era_scratch);
-            self.scheme.shared_snap.publish_snapshot(&self.gens_scratch, &self.era_scratch);
-        }
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            if interval_hit(&self.era_scratch, r.birth, r.retire) {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the snapshot taken after the SeqCst fence
-                // shows no announced era overlapping the node's lifetime, so
-                // no thread can have validated a protection for it (§3.3).
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.era_scratch.capacity()
-            + self.gens_scratch.capacity()
-            > caps_before
-        {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
-        // Oracle: era-pile conformance bound. At most T·H distinct eras are
-        // announced; each pins retirees whose lifetime contains it, and the
-        // era clock advances every `epoch_freq` allocations per thread, so
-        // a pile of more than F·T nodes per announced era (plus the
-        // `empty_freq` batch retired since the last scan) means the
-        // interval filter is broken. Heuristic, not a paper theorem — HE's
-        // waste is not predetermined — but far above anything a correct
-        // scan retains at test scale.
-        #[cfg(feature = "oracle")]
-        {
-            let cfg = &self.scheme.cfg;
-            let t = cfg.max_threads as u128;
-            let h = cfg.slots_per_thread as u128;
-            let f = cfg.epoch_freq as u128;
-            let bound = t * h * f * t + cfg.empty_freq as u128;
-            crate::oracle::check_waste_bound("HE", self.retired.len(), bound);
-        }
+impl Protection<He> for SnapshotScratch {
+    fn snapshot(&mut self, scheme: &He, tele: &mut HandleTelemetry, fresh: bool) {
+        scheme.shared_snap.fill(self, !fresh, tele, |out| scheme.snapshot_eras_into(out));
     }
 
-    /// Backpressure help-scan: adopt whatever retired lists churned-out
-    /// peers parked as orphans, then scan against the *live* era slots.
-    /// See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        self.empty(false);
+    /// No announced era overlaps the node's lifetime, so no thread can have
+    /// validated a protection for it (§3.3).
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        interval_hit(&self.values, r.birth, r.retire)
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        self.capacity()
     }
 }
 
 impl SmrHandle for HeHandle {
     fn start_op(&mut self) {
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("HE");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::HE);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<He>();
     }
 
     fn end_op(&mut self) {
@@ -295,8 +159,7 @@ impl SmrHandle for HeHandle {
         // next operation that sees an unchanged global era pays no fence at
         // all. This matches the paper's characterization of HE's per-read
         // cost as "only reading the global epoch" (§6).
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
+        self.core.end_op();
     }
 
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
@@ -316,18 +179,18 @@ impl SmrHandle for HeHandle {
                 }
                 return w;
             }
-            self.scheme.era_slots.get(self.tid, refno).store(era, Ordering::Release);
+            self.scheme.era_slots.get(self.core.tid, refno).store(era, Ordering::Release);
             self.local[refno] = era;
             // New era announced: invalidate shared era snapshots (after the
             // slot store, before the validation fence).
-            self.scheme.shared_snap.bump_gen(self.tid);
-            counted_fence(&mut self.tele, FenceSite::Announce);
+            self.scheme.shared_snap.bump_gen(self.core.tid);
+            counted_fence(&mut self.core.tele, FenceSite::Announce);
             prev = era;
         }
     }
 
     fn unprotect(&mut self, refno: usize) {
-        self.scheme.era_slots.get(self.tid, refno).store(INACTIVE, Ordering::Release);
+        self.scheme.era_slots.get(self.core.tid, refno).store(INACTIVE, Ordering::Release);
         self.local[refno] = INACTIVE;
     }
 
@@ -336,53 +199,27 @@ impl SmrHandle for HeHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let birth = self.scheme.clock.now();
+        self.core.alloc(&self.scheme.core, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
-        // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
         // HE advances the era every constant number of deletions (§3.3).
-        if self.scan.retires().is_multiple_of(self.scheme.cfg.epoch_freq) {
-            let e = self.scheme.clock.advance();
-            self.tele.record_epoch_advance(e);
-        }
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty(true);
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        let freq = self.scheme.core.cfg.epoch_freq;
+        self.scheme.clock.tick(&mut self.retire_counter, freq, &mut self.core.tele);
+        // SAFETY: [INV-04] forwarded from this fn's own contract.
+        unsafe { self.core.retire(&*self.scheme, &mut self.eras, node, stamp, stamp) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty(false);
+        self.core.scan(&*self.scheme, &mut self.eras, true);
     }
 }
 
@@ -392,13 +229,8 @@ impl Drop for HeHandle {
         // this handle made, so its protection claims must die with it.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_handle_drop();
-        self.scheme.era_slots.clear_row(self.tid, Ordering::Release);
-        // Drain scan before parking leftovers — see HpHandle::drop: under
-        // watermark triggers plus handle churn, skipping this would leak
-        // every retired node of short-lived handles into the orphan list.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.scheme.era_slots.clear_row(self.core.tid, Ordering::Release);
+        self.core.release(&*self.scheme, &mut self.eras);
     }
 }
 

@@ -14,22 +14,20 @@
 //! rescanning them per retired node.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::Registry;
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, ScanPolicy, ScanState, SharedSnapshot, NO_HAZARD};
+use crate::schemes::common::{counted_fence, SharedSnapshot, SnapshotScratch, NO_HAZARD};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 /// Hazard-pointer SMR scheme (shared state).
 pub struct Hp {
@@ -37,118 +35,64 @@ pub struct Hp {
     /// Version-stamped hazard snapshot shared across scanning handles;
     /// adopted instead of re-walked when no protection changed underneath.
     shared_snap: SharedSnapshot,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`Hp`].
 pub struct HpHandle {
     scheme: Arc<Hp>,
-    tid: usize,
+    core: HandleCore,
     /// Thread-local mirror of this thread's slots (avoids atomic re-loads
     /// when checking whether a node is already protected).
     local: Vec<u64>,
-    /// Cache-padded so adjacent handles never false-share the hot
-    /// retired-list head (cf. `registry.rs::SlotArray` rows).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()` (steady-state scans allocate
-    /// nothing).
-    scan_scratch: Vec<Retired>,
-    /// Retained hazard-snapshot buffer, refilled in place per scan.
-    hazard_scratch: Vec<u64>,
-    /// Retained generation-vector buffer for snapshot adoption.
-    gens_scratch: Vec<u64>,
-    /// True if the previous scan adopted the shared snapshot. A handle
-    /// never adopts twice in a row: releases (unprotect/end_op/drop) do not
-    /// bump generations, so the forced fresh walk bounds how long a
-    /// released hazard can linger in an adopted snapshot.
-    adopted_last: bool,
-    scan: ScanState,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+    /// Retained hazard snapshot, refilled in place per scan.
+    hazards: SnapshotScratch,
+}
+
+impl Scheme for Hp {
+    const NAME: &'static str = "HP";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::HP;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
+
+    /// Every kept node is pinned by some announced hazard, so a handle's
+    /// list can never exceed the total slot budget (Table 1's HP bound).
+    #[cfg(feature = "oracle")]
+    fn waste_bound(&self) -> Option<u128> {
+        let cfg = &self.core.cfg;
+        Some((cfg.max_threads * cfg.slots_per_thread) as u128)
+    }
 }
 
 impl Smr for Hp {
     type Handle = HpHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(Hp {
-            hp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_HAZARD),
-            shared_snap: SharedSnapshot::new(cfg.max_threads, cfg.slots_per_thread),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
+            shared_snap: SharedSnapshot::new(threads, slots),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
         Ok(HpHandle {
+            core: self.core.try_register::<Hp>()?,
             scheme: self.clone(),
-            tid: lease.tid,
-            local: vec![NO_HAZARD; self.cfg.slots_per_thread],
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
-            hazard_scratch: Vec::new(),
-            gens_scratch: Vec::new(),
-            adopted_last: false,
-            scan,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
+            local: vec![NO_HAZARD; self.core.cfg.slots_per_thread],
+            hazards: SnapshotScratch::default(),
         })
     }
 
-    fn name() -> &'static str {
-        "HP"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for HpHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
-
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Hp {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-        self.tele.pending.sub(self.tele.pending.get(), self.tele.pending.bytes());
-    }
-}
+impl_handle_telemetry!(HpHandle);
 
 impl Hp {
     /// Snapshots every announced hazard address into `snap` (cleared and
@@ -168,165 +112,34 @@ impl Hp {
     }
 }
 
-impl HpHandle {
-    /// Naive per-node rescan of the live slot arrays (the pre-optimization
-    /// behavior of the IBR framework; kept for the ablation bench).
-    fn hazard_hit_naive(&self, addr: u64) -> bool {
-        let slots = &self.scheme.hp_slots;
-        for tid in 0..slots.threads() {
-            for s in slots.row(tid) {
-                if s.load(Ordering::Acquire) == addr {
-                    return true;
-                }
-            }
-        }
-        false
+impl Protection<Hp> for SnapshotScratch {
+    fn snapshot(&mut self, scheme: &Hp, tele: &mut HandleTelemetry, fresh: bool) {
+        scheme.shared_snap.fill(self, !fresh, tele, |out| scheme.snapshot_hazards_into(out));
     }
 
-    /// Reclamation scan; allocation-free in steady state (the hazard
-    /// snapshot and the retired list both cycle through handle-owned
-    /// buffers). `allow_adopt` permits reusing the shared hazard snapshot;
-    /// explicit `force_empty` calls pass `false` so they always observe the
-    /// live slots.
-    fn empty(&mut self, allow_adopt: bool) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.hazard_scratch.capacity()
-            + self.gens_scratch.capacity();
-        // Ensure retirements we are about to judge are ordered after any
-        // protection announcements we will observe.
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        let naive = self.scheme.cfg.ablation_naive_scan;
-        if !naive {
-            // Generation vector loaded *after* this handle's fence: if it
-            // still equals the published snapshot's vector, no protection
-            // was announced-and-validated since that snapshot's walk, so
-            // adopting it only over-approximates (see SharedSnapshot docs).
-            self.scheme.shared_snap.load_gens_into(&mut self.gens_scratch);
-            let adopted = allow_adopt
-                && !self.adopted_last
-                && self
-                    .scheme
-                    .shared_snap
-                    .try_adopt_into(&self.gens_scratch, &mut self.hazard_scratch);
-            self.adopted_last = adopted;
-            if adopted {
-                self.tele.record_snapshot_reuse();
-                #[cfg(feature = "oracle")]
-                {
-                    // The reused snapshot must contain every hazard a fresh
-                    // walk would see (superset check).
-                    let mut fresh = Vec::new();
-                    self.scheme.snapshot_hazards_into(&mut fresh);
-                    for v in &fresh {
-                        assert!(
-                            self.hazard_scratch.binary_search(v).is_ok(),
-                            "snapshot reuse under-approximates: hazard {v:#x} missing"
-                        );
-                    }
-                }
-            } else {
-                self.scheme.snapshot_hazards_into(&mut self.hazard_scratch);
-                self.scheme.shared_snap.publish_snapshot(&self.gens_scratch, &self.hazard_scratch);
-            }
-        }
-        // Swap the retired list through the retained scratch (`mem::take`
-        // leaves a capacity-0 Vec: no allocation).
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            let protected = if naive {
-                self.hazard_hit_naive(r.addr())
-            } else {
-                self.hazard_scratch.binary_search(&r.addr()).is_ok()
-            };
-            if protected {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the node is retired (unreachable) and no
-                // hazard slot held its address after the SeqCst fence, so no
-                // thread can have validated a protection for it.
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        let caps_after = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.hazard_scratch.capacity()
-            + self.gens_scratch.capacity();
-        if caps_after > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
-        // Oracle: every kept node is pinned by some announced hazard, so a
-        // handle's list can never exceed the total slot budget (the paper's
-        // Table 1 bound for HP).
-        #[cfg(feature = "oracle")]
-        {
-            let cfg = &self.scheme.cfg;
-            crate::oracle::check_waste_bound(
-                "HP",
-                self.retired.len(),
-                (cfg.max_threads * cfg.slots_per_thread) as u128,
-            );
-        }
+    /// No hazard slot held the address after the scan fence, so no thread
+    /// can have validated a protection for it.
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        self.values.binary_search(&r.addr()).is_ok()
     }
 
-    /// Backpressure help-scan: adopt whatever retired lists churned-out
-    /// peers parked as orphans, then scan against the *live* slots (no
-    /// snapshot adoption — helping exists to free memory now, not to be
-    /// cheap). See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        // The scan's rearm (inside empty) re-baselines the backlog, so no
-        // separate bookkeeping is needed for the adopted nodes.
-        self.empty(false);
+    fn scratch_capacity(&self) -> usize {
+        self.capacity()
     }
 }
 
 impl SmrHandle for HpHandle {
     fn start_op(&mut self) {
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("HP");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::HP);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Hp>();
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
-        if self.scheme.cfg.ablation_per_slot_fence {
-            // Unoptimized baseline: fence after clearing each slot.
-            for slot in self.scheme.hp_slots.row(self.tid) {
-                slot.store(NO_HAZARD, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-            }
-            self.local.fill(NO_HAZARD);
-            return;
-        }
+        self.core.end_op();
         // Paper optimization: clear all slots, then a single fence.
-        self.scheme.hp_slots.clear_row(self.tid, Ordering::Release);
+        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
         self.local.fill(NO_HAZARD);
-        counted_fence(&mut self.tele, FenceSite::EndOp);
+        counted_fence(&mut self.core.tele, FenceSite::EndOp);
     }
 
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
@@ -356,12 +169,12 @@ impl SmrHandle for HpHandle {
             // held; the new candidate earns a record only once validated.
             #[cfg(feature = "hb-oracle")]
             crate::hb::on_unprotect(refno);
-            self.scheme.hp_slots.get(self.tid, refno).store(addr, Ordering::Release);
+            self.scheme.hp_slots.get(self.core.tid, refno).store(addr, Ordering::Release);
             self.local[refno] = addr;
             // New protection announced: invalidate shared hazard snapshots
             // (after the slot store, before the validation fence).
-            self.scheme.shared_snap.bump_gen(self.tid);
-            counted_fence(&mut self.tele, FenceSite::HpProtect);
+            self.scheme.shared_snap.bump_gen(self.core.tid);
+            counted_fence(&mut self.core.tele, FenceSite::HpProtect);
             // Validate the node is still reachable from `src`: success means
             // the announcement happened while the node was linked (§3.1).
             let w2 = src.load(Ordering::Acquire);
@@ -380,7 +193,7 @@ impl SmrHandle for HpHandle {
     }
 
     fn unprotect(&mut self, refno: usize) {
-        self.scheme.hp_slots.get(self.tid, refno).store(NO_HAZARD, Ordering::Release);
+        self.scheme.hp_slots.get(self.core.tid, refno).store(NO_HAZARD, Ordering::Release);
         self.local[refno] = NO_HAZARD;
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_unprotect(refno);
@@ -391,47 +204,22 @@ impl SmrHandle for HpHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, 0, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.core.alloc(&self.scheme.core, data, index, 0)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), 0) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty(true);
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        unsafe { self.core.retire(&*self.scheme, &mut self.hazards, node, 0, 0) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty(false);
+        self.core.scan(&*self.scheme, &mut self.hazards, true);
     }
 }
 
@@ -441,16 +229,8 @@ impl Drop for HpHandle {
         // handle made, so its protection claims must die with it.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_handle_drop();
-        self.scheme.hp_slots.clear_row(self.tid, Ordering::Release);
-        // Drain scan: with watermark-batched triggers a short-lived handle
-        // may never have reached its scan threshold; without this scan its
-        // whole retired list would park as orphans (reclaimed only at
-        // scheme teardown), unbounded under handle churn. Runs after the
-        // row clear so the handle's own stale announcements don't pin its
-        // leftovers.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
+        self.core.release(&*self.scheme, &mut self.hazards);
     }
 }
 

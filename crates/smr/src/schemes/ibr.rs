@@ -20,21 +20,20 @@
 //! node alive when a thread stalls stays pinned by its interval.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 const LOWER: usize = 0;
 const UPPER: usize = 1;
@@ -44,198 +43,99 @@ pub struct Ibr {
     clock: EpochClock,
     /// Two slots per thread: reserved `[lower, upper]` (INACTIVE = idle).
     reservations: SlotArray,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`Ibr`].
 pub struct IbrHandle {
     scheme: Arc<Ibr>,
-    tid: usize,
+    core: HandleCore,
     upper_local: u64,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
-    /// Retained reservation-snapshot buffer, refilled in place per scan.
-    interval_scratch: Vec<(u64, u64)>,
-    scan: ScanState,
+    /// Retained reservation snapshot, refilled in place per scan.
+    intervals: Vec<(u64, u64)>,
     alloc_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+}
+
+/// IBR (2GE) is exempt from the oracle's waste-bound monitor: a stalled
+/// reservation pins unboundedly many retirees whose intervals overlap it.
+impl Scheme for Ibr {
+    const NAME: &'static str = "IBR";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
 }
 
 impl Smr for Ibr {
     type Handle = IbrHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
         Ok(Arc::new(Ibr {
             clock: EpochClock::new(),
-            reservations: SlotArray::new(cfg.max_threads, 2, INACTIVE),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            reservations: SlotArray::new(core.cfg.max_threads, 2, INACTIVE),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
         Ok(IbrHandle {
+            core: self.core.try_register::<Ibr>()?,
             scheme: self.clone(),
-            tid: lease.tid,
             upper_local: INACTIVE,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
-            interval_scratch: Vec::new(),
-            scan,
+            intervals: Vec::new(),
             alloc_counter: 0,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
         })
     }
 
-    fn name() -> &'static str {
-        "IBR"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for IbrHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
+impl_handle_telemetry!(IbrHandle);
 
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Ibr {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
-
-impl IbrHandle {
-    /// Reclamation scan; allocation-free in steady state (the reservation
-    /// snapshot and the retired list both cycle through handle-owned
-    /// buffers).
-    fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.interval_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        // Snapshot all active reservations once, into the retained buffer.
-        self.interval_scratch.clear();
-        for tid in 0..self.scheme.reservations.threads() {
-            let lo = self.scheme.reservations.get(tid, LOWER).load(Ordering::Acquire);
-            let hi = self.scheme.reservations.get(tid, UPPER).load(Ordering::Acquire);
+impl Protection<Ibr> for Vec<(u64, u64)> {
+    /// Snapshots all active reservations once, into the retained buffer.
+    fn snapshot(&mut self, scheme: &Ibr, _tele: &mut HandleTelemetry, _fresh: bool) {
+        self.clear();
+        for tid in 0..scheme.reservations.threads() {
+            let lo = scheme.reservations.get(tid, LOWER).load(Ordering::Acquire);
+            let hi = scheme.reservations.get(tid, UPPER).load(Ordering::Acquire);
             if lo != INACTIVE {
-                self.interval_scratch.push((lo, hi.min(INACTIVE - 1)));
+                self.push((lo, hi.min(INACTIVE - 1)));
             }
         }
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            let conflict =
-                self.interval_scratch.iter().any(|&(lo, hi)| !(r.retire < lo || r.birth > hi));
-            if conflict {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the snapshot taken after the SeqCst fence
-                // shows every active interval began after the node was
-                // retired or ended before it was born, so no thread's
-                // reservation admits a reference to it.
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity() + self.scan_scratch.capacity() + self.interval_scratch.capacity()
-            > caps_before
-        {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
     }
 
-    /// Backpressure help-scan: adopt orphaned retired lists and scan them
-    /// against the live reservations. See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        self.empty();
+    /// A node is free once every active interval began after it was
+    /// retired or ended before it was born: no reservation then admits a
+    /// reference to it.
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        self.iter().any(|&(lo, hi)| !(r.retire < lo || r.birth > hi))
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        self.capacity()
     }
 }
 
 impl SmrHandle for IbrHandle {
     fn start_op(&mut self) {
-        // Oracle context only: IBR (2GE) is exempt from the waste-bound
-        // monitor — a stalled reservation pins unboundedly many retirees
-        // whose intervals overlap it.
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("IBR");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Ibr>();
         let e = self.scheme.clock.now();
-        self.scheme.reservations.get(self.tid, LOWER).store(e, Ordering::Release);
-        self.scheme.reservations.get(self.tid, UPPER).store(e, Ordering::Release);
+        self.scheme.reservations.get(self.core.tid, LOWER).store(e, Ordering::Release);
+        self.scheme.reservations.get(self.core.tid, UPPER).store(e, Ordering::Release);
         self.upper_local = e;
         // Reservation must be visible before any data-structure read.
-        counted_fence(&mut self.tele, FenceSite::StartOp);
+        counted_fence(&mut self.core.tele, FenceSite::StartOp);
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
-        self.scheme.reservations.get(self.tid, UPPER).store(INACTIVE, Ordering::Release);
-        self.scheme.reservations.get(self.tid, LOWER).store(INACTIVE, Ordering::Release);
+        self.core.end_op();
+        self.scheme.reservations.get(self.core.tid, UPPER).store(INACTIVE, Ordering::Release);
+        self.scheme.reservations.get(self.core.tid, LOWER).store(INACTIVE, Ordering::Release);
         self.upper_local = INACTIVE;
     }
 
@@ -248,10 +148,10 @@ impl SmrHandle for IbrHandle {
             if e == self.upper_local {
                 return w;
             }
-            self.scheme.reservations.get(self.tid, UPPER).store(e, Ordering::Release);
+            self.scheme.reservations.get(self.core.tid, UPPER).store(e, Ordering::Release);
             self.upper_local = e;
             // The epoch changed under us — IBR's rare per-read cost.
-            counted_fence(&mut self.tele, FenceSite::Announce);
+            counted_fence(&mut self.core.tele, FenceSite::Announce);
         }
     }
 
@@ -260,64 +160,34 @@ impl SmrHandle for IbrHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        self.alloc_counter += 1;
         // IBR advances the epoch every constant number of allocations (§3.3).
-        if self.alloc_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
-            let e = self.scheme.clock.advance();
-            self.tele.record_epoch_advance(e);
-        }
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let freq = self.scheme.core.cfg.epoch_freq;
+        self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
+        let birth = self.scheme.clock.now();
+        self.core.alloc(&self.scheme.core, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty();
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        unsafe { self.core.retire(&*self.scheme, &mut self.intervals, node, stamp, stamp) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty();
+        self.core.scan(&*self.scheme, &mut self.intervals, true);
     }
 }
 
 impl Drop for IbrHandle {
     fn drop(&mut self) {
-        self.scheme.reservations.clear_row(self.tid, Ordering::Release);
-        // Drain scan before parking leftovers — see HpHandle::drop.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.scheme.reservations.clear_row(self.core.tid, Ordering::Release);
+        self.core.release(&*self.scheme, &mut self.intervals);
     }
 }
 

@@ -9,114 +9,80 @@ use std::sync::Arc;
 
 use core::sync::atomic::Ordering;
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::Registry;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
+use crate::telemetry::HandleTelemetry;
 
 /// The leaky "scheme": never reclaims (see module docs).
 pub struct Leaky {
-    registry: Registry,
-    bp_policy: BackpressurePolicy,
-    max_threads: usize,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`Leaky`].
 pub struct LeakyHandle {
     scheme: Arc<Leaky>,
-    tid: usize,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+    core: HandleCore,
+}
+
+/// No scan ever runs, so no waste bound applies and the help rung cannot
+/// free anything — but allocations and retires are still lifecycle-tracked
+/// and the ladder still tracks the gauge, keeping the no-reclamation
+/// baseline honest about its memory pressure.
+impl Scheme for Leaky {
+    const NAME: &'static str = "Leaky";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    const ADOPT_ORPHANS: bool = false;
+    const RECLAIMS: bool = false;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
+}
+
+/// Nothing is announced and everything retired stays pinned.
+struct Everything;
+
+impl Protection<Leaky> for Everything {
+    fn snapshot(&mut self, _scheme: &Leaky, _tele: &mut HandleTelemetry, _fresh: bool) {}
+
+    fn is_protected(&self, _r: &Retired) -> bool {
+        true
+    }
+
+    fn scratch_capacity(&self) -> usize {
+        0
+    }
 }
 
 impl Smr for Leaky {
     type Handle = LeakyHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
-        Ok(Arc::new(Leaky {
-            registry: Registry::new(cfg.max_threads),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            max_threads: cfg.max_threads,
-            tele: SchemeTelemetry::new(),
-        }))
+        Ok(Arc::new(Leaky { core: SchemeCore::try_new(cfg)? }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        Ok(LeakyHandle {
-            scheme: self.clone(),
-            tid: lease.tid,
-            retired: CachePadded::new(Vec::new()),
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
-        })
+        Ok(LeakyHandle { core: self.core.try_register::<Leaky>()?, scheme: self.clone() })
     }
 
-    fn name() -> &'static str {
-        "Leaky"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for LeakyHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
-
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Leaky {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
+impl_handle_telemetry!(LeakyHandle);
 
 impl SmrHandle for LeakyHandle {
     fn start_op(&mut self) {
-        // Oracle context only: Leaky never reclaims, so no bound applies —
-        // but its allocations and retires are still lifecycle-tracked.
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("Leaky");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Leaky>();
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
+        self.core.end_op();
     }
 
     #[inline]
@@ -129,53 +95,28 @@ impl SmrHandle for LeakyHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, 0, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.core.alloc(&self.scheme.core, data, index, 0)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), 0) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.retired.push(r);
-        // Leaky has no scan, so the help rung cannot free anything — but
-        // the ladder still tracks the gauge so the throttle rung (and the
-        // engagement telemetry) work, keeping the no-reclamation baseline
-        // honest about its memory pressure.
-        let _ = backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
+        unsafe { self.core.retire(&*self.scheme, &mut Everything, node, 0, 0) }
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        // Leaky never reclaims.
-        self.tele.record_empty();
+        self.core.scan(&*self.scheme, &mut Everything, true);
     }
 }
 
 impl Drop for LeakyHandle {
     fn drop(&mut self) {
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.core.release(&*self.scheme, &mut Everything);
     }
 }
 
@@ -195,7 +136,7 @@ mod tests {
         assert_eq!(h.retired_len(), 1, "leaky keeps everything");
         assert_eq!(smr.retired_pending(), 1);
         drop(h);
-        assert_eq!(smr.registry.orphan_count(), 1, "node parked as orphan on handle drop");
+        assert_eq!(smr.core.registry.orphan_count(), 1, "node parked as orphan on handle drop");
         // Scheme drop reclaims orphans; exact gauge equality is asserted by
         // the single-process `leak_check` integration test.
     }

@@ -11,8 +11,18 @@
 //! | [`Leaky`] | — | Everything | none (never reclaims) |
 //!
 //! † frozen-node memory can grow arbitrarily; see §3.1.
+//!
+//! A scheme file holds what is the scheme's own: its announcement arrays
+//! and handle-local mirrors, `start_op`/`end_op`/`read`/`unprotect`, the
+//! stamps it gives nodes, and a `Protection` — a snapshot of the
+//! announcements plus the predicate "may this retired node still be
+//! referenced?". Registration, allocation accounting, the retire → scan →
+//! free pipeline, backpressure, orphan adoption and drain-on-drop exist
+//! once, in the crate-private `core` module; `common` holds the pieces
+//! several schemes share (scan trigger, epoch clock, shared snapshot).
 
 pub(crate) mod common;
+pub(crate) mod core;
 
 mod dta;
 mod ebr;

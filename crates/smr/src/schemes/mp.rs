@@ -65,21 +65,20 @@
 //!   slots for every candidate, which is strictly conservative.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-use mp_util::CachePadded;
-
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::{is_use_hp_class, Retired, USE_HP};
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, ScanPolicy, ScanState, INACTIVE, NO_HAZARD, NO_MARGIN};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, INACTIVE, NO_HAZARD, NO_MARGIN};
+use crate::schemes::core::{
+    impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
+};
 use crate::stats::FenceSite;
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 
 /// Sentinel for "this refno returned no margin-protected node this op".
 const NO_PROTEGE: u64 = u64::MAX;
@@ -102,17 +101,13 @@ pub struct Mp {
     /// is moving margins between slots fence-free, bumped even when the
     /// cycle completes. Reclamation scans retry on a torn read.
     mp_versions: SlotArray,
-    registry: Registry,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    core: SchemeCore,
 }
 
 /// Per-thread handle for [`Mp`].
 pub struct MpHandle {
     scheme: Arc<Mp>,
-    tid: usize,
+    core: HandleCore,
     /// Local mirrors of this thread's announced slots.
     local_mps: Vec<u64>,
     local_hps: Vec<u64>,
@@ -162,72 +157,72 @@ pub struct MpHandle {
     victim_next: usize,
     /// Whether this operation already consumed its one epoch re-arm.
     rearmed: bool,
-    /// Retired-list head and stats are cache-padded so two handles adjacent
-    /// in memory never false-share their hottest mutable state (same
-    /// treatment `registry.rs::SlotArray` gives slot rows).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`: the drain source on one scan is
-    /// the keep destination on the next, so steady-state scans never
-    /// allocate.
-    scan_scratch: Vec<Retired>,
     /// Retained per-thread slot snapshots (`ThreadSnap` interval/hazard
     /// buffers), refilled in place by every scan.
     snaps: Vec<ThreadSnap>,
-    scan: ScanState,
     unlink_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
-    tele: CachePadded<HandleTelemetry>,
+}
+
+impl Scheme for Mp {
+    const NAME: &'static str = "MP";
+    #[cfg(feature = "hb-oracle")]
+    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::MP;
+
+    fn core(&self) -> &SchemeCore {
+        &self.core
+    }
+
+    /// Theorem 4.2's predetermined bound. Each kept node is held by a
+    /// hazard (≤ T·H in total) or by a margin of a thread whose epoch
+    /// admits its lifetime; a margin spans at most margin + 2^16 indices
+    /// (precision slack) and each index piles up at most F·T same-epoch
+    /// retirees per epoch window. Astronomically loose, but predetermined —
+    /// a scan bug that keeps everything still trips it. Persistent
+    /// (cross-op) margins do not widen it: the bound already charges every
+    /// slot of every thread.
+    #[cfg(feature = "oracle")]
+    fn waste_bound(&self) -> Option<u128> {
+        let cfg = &self.core.cfg;
+        let t = cfg.max_threads as u128;
+        let h = cfg.slots_per_thread as u128;
+        let m = cfg.margin as u128 + (1 << 16);
+        let f = cfg.epoch_freq as u128;
+        Some(t * h + t * h * m * f * t)
+    }
 }
 
 impl Smr for Mp {
     type Handle = MpHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::try_new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(Mp {
             global_epoch: AtomicU64::new(1),
-            mp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_MARGIN),
-            hp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_HAZARD),
-            local_epochs: SlotArray::new(cfg.max_threads, 1, INACTIVE),
-            mp_versions: SlotArray::new(cfg.max_threads, 1, 0),
-            registry: Registry::new(cfg.max_threads),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            mp_slots: SlotArray::new(threads, slots, NO_MARGIN),
+            hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
+            local_epochs: SlotArray::new(threads, 1, INACTIVE),
+            mp_versions: SlotArray::new(threads, 1, 0),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<MpHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let tid = lease.tid;
-        let mut tele = HandleTelemetry::new(tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let core = self.core.try_register::<Mp>()?;
+        let cfg = &self.core.cfg;
         Ok(MpHandle {
             scheme: self.clone(),
-            tid,
-            local_mps: vec![NO_MARGIN; self.cfg.slots_per_thread],
-            local_hps: vec![NO_HAZARD; self.cfg.slots_per_thread],
+            local_mps: vec![NO_MARGIN; cfg.slots_per_thread],
+            local_hps: vec![NO_HAZARD; cfg.slots_per_thread],
             lower_bound: 0,
             upper_bound: 0,
             epoch: 0,
-            margin_half: (self.cfg.margin / 2) as i64,
+            margin_half: (cfg.margin / 2) as i64,
             use_hp_mode: false,
             // A reused tid continues the previous owner's (even) version.
-            version: self.mp_versions.get(tid, 0).load(Ordering::Acquire),
+            version: self.mp_versions.get(core.tid, 0).load(Ordering::Acquire),
             // Generation 0 never recurs, so the zeroed entries start dead.
-            proteges: vec![0; self.cfg.slots_per_thread],
+            proteges: vec![0; cfg.slots_per_thread],
             last_cover: 0,
             cover_lo: 1,
             cover_hi: 0,
@@ -235,49 +230,18 @@ impl Smr for Mp {
             hps_dirty: false,
             victim_next: 0,
             rearmed: false,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
             snaps: Vec::new(),
-            scan,
             unlink_counter: 0,
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
+            core,
         })
     }
 
-    fn name() -> &'static str {
-        "MP"
-    }
-
-    fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
-    }
+    smr_core_accessors!();
 }
 
-impl Telemetry for MpHandle {
-    fn tele(&self) -> &HandleTelemetry {
-        &self.tele
-    }
+impl_handle_telemetry!(MpHandle);
 
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
-        &mut self.tele
-    }
-}
-
-impl Drop for Mp {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
-
-/// One thread's protection state, snapshotted by `empty()` (the paper's
+/// One thread's protection state, snapshotted by each scan (the paper's
 /// snapshot optimization, §6), with the margins preprocessed into a
 /// stabbing structure (the "interval tree" optimization §4.3 suggests):
 /// intervals sorted by start with a running maximum of ends, so an
@@ -323,8 +287,8 @@ impl Mp {
     /// Refills `snaps` (one entry per registered thread) in place; after
     /// warm-up every buffer reuses its retained capacity.
     fn snapshot_into(&self, snaps: &mut Vec<ThreadSnap>) {
-        let half = (self.cfg.margin / 2) as i64;
-        snaps.resize_with(self.cfg.max_threads, ThreadSnap::default);
+        let half = (self.core.cfg.margin / 2) as i64;
+        snaps.resize_with(self.core.cfg.max_threads, ThreadSnap::default);
         for (tid, snap) in snaps.iter_mut().enumerate() {
             let version = self.mp_versions.get(tid, 0);
             let mut tries = 0;
@@ -389,126 +353,52 @@ fn covers(mp: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
     mp != NO_MARGIN && mp as i64 - half <= idx_lo as i64 && (idx_hi as i64) <= mp as i64 + half
 }
 
-impl MpHandle {
-    /// Combined capacity of every scan buffer; growth across one `empty()`
-    /// means the scan had to touch the heap (counted in `scan_heap_allocs`,
-    /// zero in steady state).
-    fn scan_caps(&self) -> usize {
-        self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.snaps.capacity()
-            + self
-                .snaps
-                .iter()
-                .map(|s| s.intervals.capacity() + s.prefix_max_hi.capacity() + s.hps.capacity())
-                .sum::<usize>()
+/// The reclamation predicate of Listing 10's `empty`, over the slot
+/// snapshots (the §6 snapshot optimization).
+impl Protection<Mp> for Vec<ThreadSnap> {
+    fn snapshot(&mut self, scheme: &Mp, _tele: &mut HandleTelemetry, _fresh: bool) {
+        scheme.snapshot_into(self);
     }
 
-    /// Reclamation pass (Listing 10 `empty`), with the slot-snapshot
-    /// optimization. Allocation-free in steady state: the slot snapshots
-    /// refill handle-owned buffers, and the retired list is swapped through
-    /// the retained `scan_scratch` instead of draining into a fresh `Vec`.
-    fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.scan_caps();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        let naive = self.scheme.cfg.ablation_naive_scan;
-        if !naive {
-            self.scheme.snapshot_into(&mut self.snaps);
-        }
-        // Swap the retired list through the scratch: `pending` (last scan's
-        // scratch) becomes the drain source, the emptied `self.retired`
-        // collects the keepers, and the drained Vec is retained for next
-        // time. `mem::take` leaves a capacity-0 Vec, so no allocation.
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        'next_node: for r in pending.drain(..) {
-            // Ablation: without the snapshot optimization, the live slot
-            // arrays are re-read for every retired node.
-            if naive {
-                self.scheme.snapshot_into(&mut self.snaps);
-            }
-            let (range_lo, range_hi) = precision_range(r.index);
-            for snap in &self.snaps {
-                // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters the
-                // hazard slots too, but a thread that observed the epoch
-                // advancing protects *newer-born* nodes with HPs (the
-                // §4.3.2 fallback) precisely while its announced epoch
-                // predates their birth — epoch-filtering hazards would
-                // reclaim under those protections (caught by
-                // tests/mp_depth.rs). Address protection is epoch-free and
-                // the waste bound's #HP term is unaffected.
-                if snap.hazards(r.addr()) {
-                    kept_bytes += r.bytes() as usize;
-                    self.retired.push(r);
-                    continue 'next_node;
-                }
+    /// A node is free when no HP holds its address and no margin (of a
+    /// thread whose epoch admits the node's lifetime) covers its index:
+    /// then no thread can have validated protection for it (Theorem 4.3).
+    #[inline]
+    fn is_protected(&self, r: &Retired) -> bool {
+        let (range_lo, range_hi) = precision_range(r.index);
+        self.iter().any(|snap| {
+            // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters the
+            // hazard slots too, but a thread that observed the epoch
+            // advancing protects *newer-born* nodes with HPs (the
+            // §4.3.2 fallback) precisely while its announced epoch
+            // predates their birth — epoch-filtering hazards would
+            // reclaim under those protections (caught by
+            // tests/mp_depth.rs). Address protection is epoch-free and
+            // the waste bound's #HP term is unaffected.
+            snap.hazards(r.addr())
                 // Epoch filter applies to margins only: a thread whose
                 // announced epoch lies outside the node's lifetime cannot
                 // have (validly) margin-protected it — Theorem 4.2's key
                 // step, bounding same-index retiree pileups.
-                if snap.epoch < r.birth || snap.epoch > r.retire {
-                    continue;
-                }
-                if !is_use_hp_class(r.index) && snap.covers(range_lo, range_hi) {
-                    kept_bytes += r.bytes() as usize;
-                    self.retired.push(r);
-                    continue 'next_node;
-                }
-            }
-            self.tele.record_free(r.addr());
-            freed_bytes += r.bytes() as usize;
-            // SAFETY: [INV-05] the scan above found no HP holding the
-            // address and no margin (of a thread whose epoch admits the
-            // node's lifetime) covering its index, so no thread can have
-            // validated protection for it (Theorem 4.3).
-            unsafe { r.reclaim() };
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.scan_caps() > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
-        // Oracle: Theorem 4.2's predetermined bound. Each kept node is held
-        // by a hazard (≤ T·H in total) or by a margin of a thread whose
-        // epoch admits its lifetime; a margin spans at most margin + 2^16
-        // indices (precision slack) and each index piles up at most F·T
-        // same-epoch retirees per epoch window. Astronomically loose, but
-        // predetermined — a scan bug that keeps everything still trips it.
-        // Persistent (cross-op) margins do not widen it: the bound already
-        // charges every slot of every thread.
-        #[cfg(feature = "oracle")]
-        {
-            let cfg = &self.scheme.cfg;
-            let t = cfg.max_threads as u128;
-            let h = cfg.slots_per_thread as u128;
-            let m = cfg.margin as u128 + (1 << 16);
-            let f = cfg.epoch_freq as u128;
-            crate::oracle::check_waste_bound("MP", self.retired.len(), t * h + t * h * m * f * t);
-        }
+                || (snap.epoch >= r.birth
+                    && snap.epoch <= r.retire
+                    && !is_use_hp_class(r.index)
+                    && snap.covers(range_lo, range_hi))
+        })
     }
 
-    /// Backpressure help-scan: adopt whatever retired lists churned-out
-    /// peers parked as orphans, then scan. See [`crate::backpressure`].
-    fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        // The scan's rearm (inside empty) re-baselines the backlog, so no
-        // separate bookkeeping is needed for the adopted nodes.
-        self.empty();
+    /// Every per-thread buffer counts: a scan that grows one touched the
+    /// heap (`scan_heap_allocs`, zero in steady state).
+    fn scratch_capacity(&self) -> usize {
+        self.capacity()
+            + self
+                .iter()
+                .map(|s| s.intervals.capacity() + s.prefix_max_hi.capacity() + s.hps.capacity())
+                .sum::<usize>()
     }
+}
 
+impl MpHandle {
     /// Hazard-pointer protection of `w`'s target, with validation.
     /// Returns the validated word or `None` if `src` changed.
     fn hp_protect<T: Send + Sync>(
@@ -521,10 +411,10 @@ impl MpHandle {
         if self.local_hps[refno] == addr {
             return Some(w); // already protected by this slot
         }
-        self.scheme.hp_slots.get(self.tid, refno).store(addr, Ordering::Release);
+        self.scheme.hp_slots.get(self.core.tid, refno).store(addr, Ordering::Release);
         self.local_hps[refno] = addr;
         self.hps_dirty = true;
-        counted_fence(&mut self.tele, FenceSite::HpProtect);
+        counted_fence(&mut self.core.tele, FenceSite::HpProtect);
         if src.load(Ordering::Acquire) == w {
             Some(w)
         } else {
@@ -607,14 +497,14 @@ impl MpHandle {
     #[inline]
     fn seq_begin(&mut self) {
         self.version = self.version.wrapping_add(1);
-        self.scheme.mp_versions.get(self.tid, 0).store(self.version, Ordering::Release);
+        self.scheme.mp_versions.get(self.core.tid, 0).store(self.version, Ordering::Release);
     }
 
     /// Closes the seqlock write cycle (version back to even).
     #[inline]
     fn seq_end(&mut self) {
         self.version = self.version.wrapping_add(1);
-        self.scheme.mp_versions.get(self.tid, 0).store(self.version, Ordering::Release);
+        self.scheme.mp_versions.get(self.core.tid, 0).store(self.version, Ordering::Release);
     }
 
     /// Publishes a margin covering the precision block at `idx_lo` into
@@ -641,11 +531,11 @@ impl MpHandle {
             && !self.local_mps.iter().enumerate().any(|(s, &v)| s != refno && v == old)
         {
             if let Some(v) = self.pick_victim(refno) {
-                self.scheme.mp_slots.get(self.tid, v).store(old, Ordering::Release);
+                self.scheme.mp_slots.get(self.core.tid, v).store(old, Ordering::Release);
                 self.local_mps[v] = old;
             }
         }
-        self.scheme.mp_slots.get(self.tid, refno).store(mid, Ordering::Release);
+        self.scheme.mp_slots.get(self.core.tid, refno).store(mid, Ordering::Release);
         self.local_mps[refno] = mid;
         // Re-cover orphaned proteges: a node returned under margin
         // protection earlier this op must stay covered until its refno is
@@ -665,7 +555,7 @@ impl MpHandle {
                 let (p_lo, p_hi) = (p as u32, p as u32 | 0xffff);
                 if self.covering_slot(k, p_lo, p_hi).is_none() {
                     let pmid = p + half as u64;
-                    self.scheme.mp_slots.get(self.tid, k).store(pmid, Ordering::Release);
+                    self.scheme.mp_slots.get(self.core.tid, k).store(pmid, Ordering::Release);
                     self.local_mps[k] = pmid;
                     changed = true;
                 }
@@ -675,7 +565,7 @@ impl MpHandle {
             }
         }
         self.seq_end();
-        counted_fence(&mut self.tele, FenceSite::Announce);
+        counted_fence(&mut self.core.tele, FenceSite::Announce);
         // The stores above are the only place announced coverage can be
         // destroyed (unparked evictions, victim/protege overwrites), so
         // re-priming here keeps the cover cache a subset of live coverage.
@@ -704,8 +594,8 @@ impl MpHandle {
         }
         self.rearmed = true;
         self.epoch = self.scheme.global_epoch.load(Ordering::SeqCst);
-        self.scheme.local_epochs.get(self.tid, 0).store(self.epoch, Ordering::Release);
-        counted_fence(&mut self.tele, FenceSite::StartOp);
+        self.scheme.local_epochs.get(self.core.tid, 0).store(self.epoch, Ordering::Release);
+        counted_fence(&mut self.core.tele, FenceSite::StartOp);
         true
     }
 
@@ -735,7 +625,7 @@ impl MpHandle {
             // Collision / USE_HP-class / fallback-mode reads go through HP
             // (§4.3.2).
             if idx_hi == USE_HP || self.use_hp_mode {
-                self.tele.record_hp_fallback(w.addr());
+                self.core.tele.record_hp_fallback(w.addr());
                 match self.hp_protect(src, refno, w) {
                     Some(w) => {
                         // The hazard slot owns this refno's protection now;
@@ -839,13 +729,7 @@ impl MpHandle {
 
 impl SmrHandle for MpHandle {
     fn start_op(&mut self) {
-        #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme("MP");
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(crate::hb::HbPolicy::MP);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.core.start_op::<Mp>();
         self.lower_bound = 0;
         self.upper_bound = 0;
         self.use_hp_mode = false;
@@ -861,38 +745,15 @@ impl SmrHandle for MpHandle {
         let e = self.scheme.global_epoch.load(Ordering::SeqCst);
         if e != self.epoch {
             self.epoch = e;
-            self.scheme.local_epochs.get(self.tid, 0).store(e, Ordering::Release);
+            self.scheme.local_epochs.get(self.core.tid, 0).store(e, Ordering::Release);
             // Announcement must be visible before any data-structure read
             // (Listing 10 start_op's memory_fence).
-            counted_fence(&mut self.tele, FenceSite::StartOp);
+            counted_fence(&mut self.core.tele, FenceSite::StartOp);
         }
     }
 
     fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
-        if self.scheme.cfg.ablation_per_slot_fence {
-            // Unoptimized baseline: clear everything eagerly, fence after
-            // each slot store.
-            for i in 0..self.local_mps.len() {
-                self.scheme.mp_slots.get(self.tid, i).store(NO_MARGIN, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-                self.scheme.hp_slots.get(self.tid, i).store(NO_HAZARD, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-            }
-            self.scheme.local_epochs.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-            self.local_mps.fill(NO_MARGIN);
-            self.local_hps.fill(NO_HAZARD);
-            self.hps_dirty = false;
-            // The eager clear withdrew every margin; empty the cover cache.
-            self.cover_lo = 1;
-            self.cover_hi = 0;
-            // Invalidate the cached epoch: the next start_op re-announces
-            // (the global epoch starts at 1 and never returns to 0).
-            self.epoch = 0;
-            counted_fence(&mut self.tele, FenceSite::EndOp);
-            return;
-        }
+        self.core.end_op();
         // Amortized end: release the hazard slots — address protection
         // must not outlive the operation, since addresses are recycled —
         // but KEEP the margins and the epoch announcement. A standing
@@ -904,7 +765,7 @@ impl SmrHandle for MpHandle {
         // itself is owed only when this operation published a hazard —
         // pure margin-path operations end in O(1).
         if self.hps_dirty {
-            self.scheme.hp_slots.clear_row(self.tid, Ordering::Release);
+            self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
             self.local_hps.fill(NO_HAZARD);
             self.hps_dirty = false;
         }
@@ -957,10 +818,10 @@ impl SmrHandle for MpHandle {
         let lo = self.lower_bound.min(self.upper_bound);
         let hi = self.lower_bound.max(self.upper_bound);
         let index = if hi - lo <= 1 {
-            self.tele.record_collision_alloc(lo);
+            self.core.tele.record_collision_alloc(lo);
             USE_HP
         } else {
-            match self.scheme.cfg.index_policy {
+            match self.scheme.core.cfg.index_policy {
                 crate::api::IndexPolicy::Midpoint => lo + (hi - lo) / 2,
                 crate::api::IndexPolicy::AfterPred => lo + 1,
             }
@@ -969,48 +830,23 @@ impl SmrHandle for MpHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
         let birth = self.scheme.global_epoch.load(Ordering::SeqCst);
-        let ptr = crate::node::alloc_node_in(data, index, birth, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.core.alloc(&self.scheme.core, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.global_epoch.load(Ordering::SeqCst);
-        // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
         self.unlink_counter += 1;
         // §4.3.2: each thread increments the global epoch once every
         // `epoch_freq` node unlinks — the F of Theorem 4.2's bound.
-        if self.unlink_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
+        if self.unlink_counter.is_multiple_of(self.scheme.core.cfg.epoch_freq) {
             let e = self.scheme.global_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.tele.record_epoch_advance(e);
+            self.core.tele.record_epoch_advance(e);
         }
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
-            self.empty();
-        }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
-            self.help_scan();
-        }
+        // SAFETY: [INV-04] forwarded from this fn's own contract.
+        unsafe { self.core.retire(&*self.scheme, &mut self.snaps, node, stamp, stamp) }
     }
 
     // PROTECTION: caller — the client passes a node it protected during the
@@ -1029,11 +865,11 @@ impl SmrHandle for MpHandle {
     }
 
     fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.core.retired_len()
     }
 
     fn force_empty(&mut self) {
-        self.empty();
+        self.core.scan(&*self.scheme, &mut self.snaps, true);
     }
 }
 
@@ -1046,17 +882,10 @@ impl Drop for MpHandle {
         // Dropping announcements is removal-only — a torn observation can
         // only under-protect nodes this thread no longer reads — so no
         // seqlock cycle or fence is needed.
-        self.scheme.mp_slots.clear_row(self.tid, Ordering::Release);
-        self.scheme.hp_slots.clear_row(self.tid, Ordering::Release);
-        self.scheme.local_epochs.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-        // Drain scan before parking leftovers — see HpHandle::drop: under
-        // watermark triggers plus handle churn, skipping this would leak
-        // every retired node of short-lived handles into the orphan list.
-        self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        // Hand this thread's cached pool blocks to the global shard so a
-        // short-lived worker doesn't strand recycled memory.
-        mp_util::pool::flush();
+        self.scheme.mp_slots.clear_row(self.core.tid, Ordering::Release);
+        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
+        self.scheme.local_epochs.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
+        self.core.release(&*self.scheme, &mut self.snaps);
     }
 }
 

@@ -578,14 +578,6 @@ impl HandleTelemetry {
         &self.stats
     }
 
-    /// Mutable access to the raw counters — the escape hatch backing the
-    /// deprecated `SmrHandle::stats_mut`; new code uses the `record_*`
-    /// methods.
-    #[doc(hidden)]
-    pub fn stats_raw_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
     /// One counter's current value.
     #[inline]
     pub fn counter(&self, c: Counter) -> u64 {
@@ -674,8 +666,7 @@ pub trait Telemetry {
         self.tele_mut().record_fence(site);
     }
 
-    /// Counts one client node traversal (Fig. 5 denominator) — the typed
-    /// replacement for bumping `stats_mut().nodes_traversed`.
+    /// Counts one client node traversal (Fig. 5 denominator).
     fn record_node_traversed(&mut self) {
         self.tele_mut().record_nodes_traversed(1);
     }

@@ -1,5 +1,5 @@
-//! Deeper MP-specific properties: ablation parity, multi-reader epoch
-//! interactions, and dual-protection corners.
+//! Deeper MP-specific properties: scan decisions against the margin
+//! formula, multi-reader epoch interactions, and dual-protection corners.
 
 use std::sync::atomic::Ordering;
 
@@ -10,70 +10,68 @@ fn cfg() -> Config {
     Config::default().with_max_threads(3).with_empty_freq(1).with_scan_watermark(1).with_epoch_freq(1000)
 }
 
-/// The snapshot-optimized and naive reclamation scans must agree on every
-/// keep/free decision — the optimization is performance-only.
+/// The snapshot scan's keep/free decisions must match the test's own
+/// interval model of the announced margins.
 #[test]
-fn snapshot_and_naive_scans_agree() {
-    for naive in [false, true] {
-        let smr = Mp::new(cfg().with_naive_scan(naive));
-        let mut reader = smr.register();
-        let mut writer = smr.register();
-        writer.start_op();
-        reader.start_op();
+fn snapshot_scan_agrees_with_the_interval_model() {
+    let smr = Mp::new(cfg());
+    let mut reader = smr.register();
+    let mut writer = smr.register();
+    writer.start_op();
+    reader.start_op();
 
-        // Reader protects three scattered margins.
-        let mut pinned_cells = Vec::new();
-        for (i, idx) in [1u32 << 20, 1 << 24, 1 << 28].iter().enumerate() {
-            let n = writer.alloc_with_index(0u32, *idx);
-            let cell = Atomic::new(n);
-            let got = reader.read(&cell, i);
-            assert_eq!(got, n);
-            pinned_cells.push((cell, n));
-        }
-        // Retire nodes inside and outside the margins.
-        let mut expect_kept = 0;
-        for idx in [
-            (1u32 << 20) + 5,       // inside margin 0
-            (1 << 24) - 100,        // inside margin 1
-            (1 << 28) + 1000,       // inside margin 2
-            (1 << 22),              // far from everything
-            (1 << 30),              // far
-        ] {
-            let probe = writer.alloc_with_index(0u32, idx);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { writer.retire(probe) };
-            let half = 1u32 << 19; // margin 2^20
-            let covered = [1u32 << 20, 1 << 24, 1 << 28].iter().any(|&m| {
-                // Forward-centered announcement: mid = block base + margin/2,
-                // so the interval is [block base, block base + margin].
-                let mid = (m & 0xffff_0000) as i64 + half as i64;
-                let lo = (idx & 0xffff_0000) as i64;
-                let hi = (idx | 0xffff) as i64;
-                mid - (half as i64) <= hi && lo <= mid + half as i64
-            });
-            if covered {
-                expect_kept += 1;
-            }
-        }
-        writer.force_empty();
-        assert_eq!(
-            writer.retired_len(),
-            expect_kept,
-            "scan variant naive={naive} disagrees with the margin formula"
-        );
-        // Margins persist across end_op (fence amortization); only dropping
-        // the handle withdraws them.
-        reader.end_op();
-        drop(reader);
-        writer.end_op();
-        for (cell, n) in pinned_cells {
-            cell.store(Shared::null(), Ordering::Release);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { writer.retire(n) };
-        }
-        writer.force_empty();
-        assert_eq!(writer.retired_len(), 0);
+    // Reader protects three scattered margins.
+    let mut pinned_cells = Vec::new();
+    for (i, idx) in [1u32 << 20, 1 << 24, 1 << 28].iter().enumerate() {
+        let n = writer.alloc_with_index(0u32, *idx);
+        let cell = Atomic::new(n);
+        let got = reader.read(&cell, i);
+        assert_eq!(got, n);
+        pinned_cells.push((cell, n));
     }
+    // Retire nodes inside and outside the margins.
+    let mut expect_kept = 0;
+    for idx in [
+        (1u32 << 20) + 5,       // inside margin 0
+        (1 << 24) - 100,        // inside margin 1
+        (1 << 28) + 1000,       // inside margin 2
+        (1 << 22),              // far from everything
+        (1 << 30),              // far
+    ] {
+        let probe = writer.alloc_with_index(0u32, idx);
+        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+        unsafe { writer.retire(probe) };
+        let half = 1u32 << 19; // margin 2^20
+        let covered = [1u32 << 20, 1 << 24, 1 << 28].iter().any(|&m| {
+            // Forward-centered announcement: mid = block base + margin/2,
+            // so the interval is [block base, block base + margin].
+            let mid = (m & 0xffff_0000) as i64 + half as i64;
+            let lo = (idx & 0xffff_0000) as i64;
+            let hi = (idx | 0xffff) as i64;
+            mid - (half as i64) <= hi && lo <= mid + half as i64
+        });
+        if covered {
+            expect_kept += 1;
+        }
+    }
+    writer.force_empty();
+    assert_eq!(
+        writer.retired_len(),
+        expect_kept,
+        "scan disagrees with the margin formula"
+    );
+    // Margins persist across end_op (fence amortization); only dropping
+    // the handle withdraws them.
+    reader.end_op();
+    drop(reader);
+    writer.end_op();
+    for (cell, n) in pinned_cells {
+        cell.store(Shared::null(), Ordering::Release);
+        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+        unsafe { writer.retire(n) };
+    }
+    writer.force_empty();
+    assert_eq!(writer.retired_len(), 0);
 }
 
 /// Two readers announced at different epochs: the reclaimer must apply

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Runs the throughput-trajectory bench and emits the machine-readable
-# BENCH_throughput.json (scheme x structure x thread-count, pool off vs on,
-# plus a fixed-cadence scan ablation at the top thread count).
+# BENCH_throughput.json (scheme x structure x thread-count, pool off vs on).
 #
 # Usage:
 #   scripts/bench.sh            # CI-scale run, JSON at the repo root

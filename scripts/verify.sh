@@ -105,4 +105,12 @@ done
 grep -q '"schema": *"mp-telemetry/v1"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
   || { echo "!! telemetry smoke: JSON schema marker missing" >&2; exit 1; }
 
+# Benchmark smoke: the frozen benchmark (BENCHMARK.json, benchmark/) is a
+# separate package built only against the library's public surface, so
+# this stage is what notices a PR that breaks that surface or the
+# benchmark's correctness checks (per-key parity, drained-to-zero, bounded
+# waste under a stalled reader). ~12 s; builds into benchmark/target.
+echo "==> benchmark/run.sh --smoke"
+./benchmark/run.sh --smoke >/dev/null
+
 echo "==> OK"

@@ -121,7 +121,7 @@ fn safety_pass_fires_on_uncited_unsafe() {
 #[test]
 fn ordering_pass_fires_on_gated_relaxed_and_unclassified_sites() {
     // Linted as schemes/hp.rs so the real rule file classifies `read` as
-    // publish and `empty` as retire_load.
+    // publish and `snapshot_hazards_into` as retire_load.
     check_negative("ordering_relaxed.rs", "crates/smr/src/schemes/hp.rs", PASS_ORDERING);
 }
 
