@@ -1,12 +1,13 @@
 //! Throughput trajectory for the zero-allocation hot path.
 //!
-//! Sweeps scheme × structure × thread-count twice — once with the
-//! per-thread node pool disabled ("before") and once enabled ("after") —
-//! and records, per point: throughput (Mops/s), real allocator calls per
-//! operation, pool hit rate, fences per operation, and the number of scans
-//! that had to grow a scratch buffer. The machine-readable result lands in
+//! Sweeps scheme × structure × thread-count and records, per point:
+//! throughput (Mops/s), fresh-memory allocations per operation, pool hit
+//! rate, fences per operation, and the number of scans that had to grow a
+//! scratch buffer. The machine-readable result lands in
 //! `BENCH_throughput.json` at the workspace root (or `$MP_BENCH_DIR`), so
-//! the before/after trajectory can be committed alongside the code.
+//! the trajectory can be committed alongside the code. The node pool has
+//! no off switch; the `"pool": "on"` column is constant and stays for
+//! readers of schema v3.
 //!
 //! Knobs: `MP_BENCH_THREADS`, `MP_BENCH_DURATION_MS`, `MP_BENCH_PREFILL`,
 //! `MP_BENCH_RUNS`, `MP_BENCH_FULL` (see crate docs).
@@ -22,7 +23,6 @@ struct Point {
     scheme: &'static str,
     structure: &'static str,
     threads: usize,
-    pool: bool,
     mops: f64,
     allocs_per_op: f64,
     pool_hit_rate: f64,
@@ -41,14 +41,12 @@ impl Point {
         scheme: &'static str,
         structure: &'static str,
         threads: usize,
-        pool: bool,
         r: &BenchResult,
     ) -> Self {
         Point {
             scheme,
             structure,
             threads,
-            pool,
             mops: r.mops,
             allocs_per_op: r.allocs_per_op,
             pool_hit_rate: r.pool_hit_rate,
@@ -62,7 +60,7 @@ impl Point {
 
     fn json(&self) -> String {
         format!(
-            "{{\"scheme\": {}, \"structure\": {}, \"threads\": {}, \"pool\": {}, \
+            "{{\"scheme\": {}, \"structure\": {}, \"threads\": {}, \"pool\": \"on\", \
              \"cadence\": \"watermark\", \
              \"mops\": {:.4}, \"allocs_per_op\": {:.5}, \"pool_hit_rate\": {:.4}, \
              \"fences_per_op\": {:.4}, \
@@ -72,7 +70,6 @@ impl Point {
             json_str(self.scheme),
             json_str(self.structure),
             self.threads,
-            if self.pool { "\"on\"" } else { "\"off\"" },
             self.mops,
             self.allocs_per_op,
             self.pool_hit_rate,
@@ -108,35 +105,28 @@ fn main() {
     let duration_ms = mp_bench::duration().as_millis();
     let mut points: Vec<Point> = Vec::new();
 
-    // Sweep one structure family across all schemes and thread counts, for
-    // the current pool state.
+    // Sweep one structure family across all schemes and thread counts.
     macro_rules! sweep_structure {
-        ($ds:ident, $label:expr, $paper_s:expr, $pool_on:expr) => {
+        ($ds:ident, $label:expr, $paper_s:expr) => {
             for &threads in &sweep {
                 let p = BenchParams::paper(threads, $paper_s, mp_bench::READ_DOMINATED);
                 for_each_scheme!($ds, &p, runs, |name, res| {
-                    points.push(Point::from(name, $label, threads, $pool_on, &res));
+                    points.push(Point::from(name, $label, threads, &res));
                 });
             }
         };
     }
 
-    for pool_on in [false, true] {
-        mp_util::pool::set_enabled(pool_on);
-        eprintln!("[throughput] pool {}", if pool_on { "on" } else { "off" });
-        sweep_structure!(LinkedList, "list", 5_000, pool_on);
-        sweep_structure!(SkipList, "skiplist", 500_000, pool_on);
-        sweep_structure!(NmTree, "tree", 500_000, pool_on);
-    }
-    mp_util::pool::set_enabled(true);
+    sweep_structure!(LinkedList, "list", 5_000);
+    sweep_structure!(SkipList, "skiplist", 500_000);
+    sweep_structure!(NmTree, "tree", 500_000);
 
     let mut table = Table::new(
-        "Throughput trajectory: node pool off vs on (read-dominated)",
+        "Throughput trajectory (read-dominated)",
         &[
             "structure",
             "threads",
             "scheme",
-            "pool",
             "Mops/s",
             "allocs/op",
             "pool-hit",
@@ -150,7 +140,6 @@ fn main() {
             pt.structure.to_string(),
             pt.threads.to_string(),
             pt.scheme.to_string(),
-            if pt.pool { "on" } else { "off" }.to_string(),
             format!("{:.3}", pt.mops),
             format!("{:.4}", pt.allocs_per_op),
             format!("{:.3}", pt.pool_hit_rate),

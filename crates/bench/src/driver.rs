@@ -138,9 +138,9 @@ pub struct BenchResult {
     pub peak_pending: usize,
     /// Fraction of reads that took MP's hazard-pointer fallback.
     pub hp_fallback_rate: f64,
-    /// Real allocator calls per completed operation (pool misses / ops).
+    /// Fresh-memory node allocations per completed operation (pool misses / ops).
     pub allocs_per_op: f64,
-    /// Fraction of node allocations served by the per-thread block pool.
+    /// Fraction of node allocations served a recycled pool block.
     pub pool_hit_rate: f64,
 }
 

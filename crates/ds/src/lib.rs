@@ -67,3 +67,14 @@ pub trait ConcurrentSet<S: Smr>: Send + Sync + Sized + 'static {
     /// Structure name for reports ("list", "skiplist", "nmtree").
     fn name() -> &'static str;
 }
+
+/// Size of an SMR node with payload `T`, less the canary word the header
+/// gains when mp-smr's oracle is compiled in. Each structure pins this for
+/// its `Node` (with `V = ()`): a layout change then shows up in review
+/// before it shows up in the benchmark's `setup_rss_anon_kb`.
+#[cfg(test)]
+fn node_bytes<T>() -> usize {
+    let header = size_of::<mp_smr::node::Header>();
+    assert!(header == 24 || header == 32, "3 words, 4 with the oracle's canary: {header}");
+    size_of::<mp_smr::SmrNode<T>>() - (header - 24)
+}

@@ -329,6 +329,11 @@ mod tests {
         Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
     }
 
+    #[test]
+    fn node_size_is_pinned() {
+        assert_eq!(crate::node_bytes::<Node>(), 40, "header 24 + key 8 + next 8");
+    }
+
     fn smoke<S: Smr>() {
         let smr = S::new(cfg());
         let list: LinkedList<S> = LinkedList::new(&smr);

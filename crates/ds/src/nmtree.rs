@@ -606,6 +606,11 @@ mod tests {
         Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
     }
 
+    #[test]
+    fn node_size_is_pinned() {
+        assert_eq!(crate::node_bytes::<Node>(), 48, "header 24 + key 8 + two children 16");
+    }
+
     fn smoke<S: Smr>() {
         let smr = S::new(cfg());
         let mut tree: NmTree<S> = NmTree::new(&smr);

@@ -473,6 +473,11 @@ mod tests {
             .with_epoch_freq(8)
     }
 
+    #[test]
+    fn node_size_is_pinned() {
+        assert_eq!(crate::node_bytes::<Node>(), 200, "header 24 + key 8 + height 8 + 20 links 160");
+    }
+
     fn smoke<S: Smr>() {
         let smr = S::new(cfg());
         let sl: SkipList<S> = SkipList::new(&smr);

@@ -423,11 +423,12 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     ///
     /// # Allocation behavior
     ///
-    /// Node memory is served from a per-thread segregated block pool
-    /// ([`mp_util::pool`]) when possible, so steady-state churn —
-    /// alloc, retire, reclaim, alloc again — performs no real heap
+    /// Node memory is served from the slab pool ([`mp_util::pool`]):
+    /// steady-state churn — alloc, retire, reclaim, alloc again — recycles
+    /// blocks through the thread's magazine and performs no heap
     /// allocations; [`OpStats::pool_hits`]/[`OpStats::pool_misses`] record
-    /// the split. Reclaimed node blocks are returned to the same pool.
+    /// the recycled / fresh-carve split. Reclaimed node blocks are returned
+    /// to the same pool.
     ///
     /// [`update_lower_bound`]: SmrHandle::update_lower_bound
     /// [`update_upper_bound`]: SmrHandle::update_upper_bound

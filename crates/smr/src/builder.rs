@@ -1,10 +1,8 @@
 //! One fluent constructor for every scheme: [`SmrBuilder`].
 //!
-//! Before this builder, examples and benches threaded three separate
-//! mechanisms to stand up a scheme: a [`Config`] value, the `MP_POOL` env
-//! var / `mp_util::pool::set_enabled` toggle, and (now) the
-//! `MP_TELEMETRY` arming flag. `SmrBuilder` folds them into one chain
-//! that ends in the scheme's `new`:
+//! Standing up a scheme takes a [`Config`] value and the `MP_TELEMETRY`
+//! arming flag. `SmrBuilder` folds them into one chain that ends in the
+//! scheme's `new`:
 //!
 //! ```
 //! use mp_smr::{schemes::Mp, SmrBuilder, Smr};
@@ -14,17 +12,15 @@
 //!     .slots_per_thread(4)
 //!     .margin(1 << 20)
 //!     .telemetry(false) // disarm tracing/timing for this process
-//!     .pool(true)       // node-recycling block pool on
 //!     .build::<Mp>();
 //! let _h = smr.register();
 //! ```
 //!
-//! The pool and telemetry switches are **process-global** (they gate
-//! thread-local and per-handle state shared by every scheme instance);
-//! the builder applies them before construction so handles registered
-//! from the new scheme see the requested state. Leaving a switch unset
-//! keeps whatever the process already chose (env var or a previous
-//! override).
+//! The telemetry switch is **process-global** (it gates per-handle state
+//! shared by every scheme instance); the builder applies it before
+//! construction so handles registered from the new scheme see the
+//! requested state. Leaving it unset keeps whatever the process already
+//! chose (env var or a previous override).
 
 use std::sync::Arc;
 
@@ -33,9 +29,9 @@ use crate::api::{Config, IndexPolicy, Smr};
 use crate::error::SmrError;
 use crate::telemetry;
 
-/// Fluent builder unifying [`Config`], the telemetry arming switch, and
-/// the node-pool toggle. Construct with [`SmrBuilder::new`] (paper §6
-/// defaults) or [`SmrBuilder::from_config`], chain setters, finish with
+/// Fluent builder unifying [`Config`] and the telemetry arming switch.
+/// Construct with [`SmrBuilder::new`] (paper §6 defaults) or
+/// [`SmrBuilder::from_config`], chain setters, finish with
 /// [`try_build`](SmrBuilder::try_build) for a statically chosen scheme or
 /// [`try_build_any`](SmrBuilder::try_build_any) for one selected at
 /// runtime via [`scheme`](SmrBuilder::scheme) / `MP_SCHEME`.
@@ -45,7 +41,6 @@ pub struct SmrBuilder {
     kind: Option<SchemeKind>,
     telemetry: Option<bool>,
     event_capacity: Option<usize>,
-    pool: Option<bool>,
 }
 
 impl SmrBuilder {
@@ -160,13 +155,6 @@ impl SmrBuilder {
         self
     }
 
-    /// Enables (or disables) the per-thread node block pool process-wide,
-    /// overriding `MP_POOL`.
-    pub fn pool(mut self, enabled: bool) -> Self {
-        self.pool = Some(enabled);
-        self
-    }
-
     /// Applies the process-global switches and constructs the scheme,
     /// reporting an invalid accumulated [`Config`] as
     /// [`SmrError::Config`].
@@ -203,9 +191,6 @@ impl SmrBuilder {
         }
         if let Some(armed) = self.telemetry {
             telemetry::set_armed(armed);
-        }
-        if let Some(pool_on) = self.pool {
-            mp_util::pool::set_enabled(pool_on);
         }
     }
 }

@@ -129,16 +129,16 @@ fn node_layout<T>() -> Layout {
 
 /// Allocates a node with the given payload, index, and birth epoch.
 ///
-/// The block comes from the thread-local segregated pool
-/// (`mp_util::pool`) when a reclaimed block of the right size class is
-/// cached, and from the system allocator otherwise.
+/// The block comes from the slab pool (`mp_util::pool`): a recycled block
+/// of the node's size class when the thread's magazine or a chunk holds
+/// one, a fresh carve otherwise.
 pub(crate) fn alloc_node<T>(data: T, index: u32, birth: u64) -> *mut SmrNode<T> {
     alloc_node_tracked(data, index, birth).0
 }
 
 /// [`alloc_node`] plus per-handle telemetry: records the pool hit/miss
-/// split and traces the allocation event. Every `SmrHandle::alloc` routes
-/// here.
+/// split (recycled block / fresh carve) and traces the allocation event.
+/// Every `SmrHandle::alloc` routes here.
 pub(crate) fn alloc_node_in<T>(
     data: T,
     index: u32,
@@ -311,8 +311,8 @@ pub(crate) struct Retired {
     /// depends on. Defaults to `retire` for schemes that don't need it.
     pub(crate) op_start: u64,
     pub(crate) index: u32,
-    /// Size of the node (header + payload) in bytes; keeps the global
-    /// retired-bytes gauge exact without re-deriving the erased layout.
+    /// Bytes the node holds — the pool block it occupies, not only its
+    /// header + payload — so the retired-bytes gauges count what is held.
     bytes: u32,
     // SAFETY: [INV-11] unsafe fn *type*: the pointee-type obligation is
     // carried by `dealloc_erased`, the only value ever stored here.
@@ -344,7 +344,7 @@ impl Retired {
         // field is atomic — concurrent scans of foreign retired state stay
         // well-defined while this store publishes the retire epoch.
         unsafe { (*header).retire.store(retire_epoch, Ordering::Release) };
-        let bytes = size_of::<SmrNode<T>>() as u32;
+        let bytes = mp_util::pool::block_size(node_layout::<T>()) as u32;
         gauge::RETIRED_BYTES.fetch_add(bytes as usize, Ordering::AcqRel);
         Retired {
             ptr: header,
@@ -376,8 +376,8 @@ impl Retired {
         self.ptr as u64 // CAST-OK: compared against announced slot words, never decoded.
     }
 
-    /// Size of the node (header + payload) in bytes, for the retired-bytes
-    /// scan watermark.
+    /// Bytes the node holds (its pool block), for the retired-bytes scan
+    /// watermark and the pending gauge.
     #[inline]
     pub(crate) fn bytes(&self) -> u32 {
         self.bytes
@@ -447,9 +447,28 @@ mod tests {
         assert_eq!(retired.birth, 3);
         assert_eq!(retired.retire, 8);
         assert_eq!(retired.index, 11);
-        assert_eq!(retired.bytes as usize, size_of::<SmrNode<DropFlag>>());
+        assert_eq!(retired.bytes as usize, mp_util::pool::block_size(node_layout::<DropFlag>()));
         unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
         assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
+    }
+
+    /// A retired node is counted as the block it holds, not as its own
+    /// size: one of these two nodes is 40 bytes (which one depends on the
+    /// oracle's canary word) and pins a 48-byte block.
+    #[test]
+    fn retired_bytes_are_the_block_held() {
+        fn node_and_retired_bytes<T: Default>() -> (usize, usize) {
+            let node = alloc_node(T::default(), 0, 0);
+            let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
+            let bytes = retired.bytes() as usize;
+            unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+            (size_of::<SmrNode<T>>(), bytes)
+        }
+        let sizes = [node_and_retired_bytes::<u64>(), node_and_retired_bytes::<[u64; 2]>()];
+        for (node, bytes) in sizes {
+            assert_eq!(bytes, node.next_multiple_of(mp_util::pool::CLASS_GRANULE));
+        }
+        assert!(sizes.contains(&(40, 48)), "{sizes:?}");
     }
 
     /// Pool recycling round-trip: a reclaimed node's block is served to the
@@ -467,7 +486,6 @@ mod tests {
                 self.0.fetch_add(1, Ordering::AcqRel);
             }
         }
-        assert!(mp_util::pool::enabled(), "pool must default on");
         let drops = std::sync::Arc::new(AtomicUsize::new(0));
 
         let a = alloc_node(DropFlag(drops.clone()), 1, 0);

@@ -333,12 +333,11 @@ impl HandleCore {
     /// with watermark-batched triggers a short-lived handle may never have
     /// reached its threshold, and without this its whole list would park as
     /// orphans, unbounded under handle churn — then the tid and whatever
-    /// the scan kept go back to the registry, and this thread's cached pool
-    /// blocks to the global shard.
+    /// the scan kept go back to the registry. The thread's pool magazine
+    /// stays warm: it goes home when the thread exits, not with a handle.
     pub(crate) fn release<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
         self.scan(scheme, prot, true);
         scheme.core().registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
     }
 
     /// Current length of the retired list.
@@ -495,6 +494,10 @@ mod tests {
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let a = retire(&mut h, &s, &mut pinned);
         let node_bytes = s.core.tele.pending_bytes();
+        // The gauge counts the pool block a node holds: a header + `u64`
+        // (32 bytes, 40 with the oracle's canary) sits in a 16-byte class.
+        let node_size = size_of::<crate::node::SmrNode<u64>>();
+        assert_eq!(node_bytes, node_size.next_multiple_of(mp_util::pool::CLASS_GRANULE));
         let b = retire(&mut h, &s, &mut pinned);
         retire(&mut h, &s, &mut pinned);
         assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (3, 3 * node_bytes));

@@ -64,11 +64,11 @@ pub struct OpStats {
     pub hp_fallback_reads: u64,
     /// MP only: nodes allocated with the `USE_HP` collision index.
     pub collision_allocs: u64,
-    /// Node allocations served from the thread-local block pool (no
-    /// system-allocator call). `pool_hits / allocs` is the pool hit rate.
+    /// Node allocations served a recycled block (from the thread's magazine
+    /// or a chunk free list). `pool_hits / allocs` is the pool hit rate.
     pub pool_hits: u64,
-    /// Node allocations that fell through to the system allocator (cold
-    /// pool, unpoolable layout, or pool disabled).
+    /// Node allocations served a fresh carve: memory no node used before
+    /// (cold pool), or an unpoolable layout sent to the system allocator.
     pub pool_misses: u64,
     /// `empty()` passes that had to grow a scan-scratch buffer (heap
     /// realloc during a reclamation scan). Zero in steady state — the
@@ -167,8 +167,8 @@ impl OpStats {
         }
     }
 
-    /// Heap allocations per operation (node allocs that reached malloc,
-    /// i.e. pool misses, over ops).
+    /// Fresh-memory allocations per operation (node allocs that were not
+    /// served a recycled block, i.e. pool misses, over ops).
     pub fn allocs_per_op(&self) -> f64 {
         if self.ops == 0 {
             0.0

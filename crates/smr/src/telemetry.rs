@@ -30,13 +30,12 @@
 //! Counters (the old `OpStats`) are always on: plain per-handle `u64`
 //! bumps, exactly as before. The *timed* and *traced* layers are gated by
 //! a process-global armed flag — the `MP_TELEMETRY` env var (`1` / `on` /
-//! `true` to arm) or [`set_armed`] at runtime, the same idiom as
-//! `mp_util::pool`. Disarmed, the hot path pays one relaxed atomic load
-//! and a predictable branch per site: no clock reads, no ring pushes, and
-//! — crucially — no heap allocation, so `tests/zero_alloc.rs` still
-//! witnesses exactly zero steady-state allocations with telemetry
-//! compiled in. Handles allocate their event ring at registration time
-//! only if tracing is armed at that moment.
+//! `true` to arm) or [`set_armed`] at runtime. Disarmed, the hot path
+//! pays one relaxed atomic load and a predictable branch per site: no
+//! clock reads, no ring pushes, and — crucially — no heap allocation, so
+//! `tests/zero_alloc.rs` still witnesses exactly zero steady-state
+//! allocations with telemetry compiled in. Handles allocate their event
+//! ring at registration time only if tracing is armed at that moment.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -51,7 +50,7 @@ use crate::stats::{FenceSite, OpStats};
 pub mod export;
 
 // ---------------------------------------------------------------------------
-// Arming (env default, runtime override) — mirrors `mp_util::pool`.
+// Arming (env default, runtime override)
 
 const STATE_UNINIT: u8 = 0;
 const STATE_ON: u8 = 1;
@@ -262,9 +261,9 @@ pub enum Counter {
     HpFallbackReads,
     /// MP allocations that hit the `USE_HP` collision index.
     CollisionAllocs,
-    /// Node allocations served by the thread-local block pool.
+    /// Node allocations served a recycled pool block.
     PoolHits,
-    /// Node allocations that reached the system allocator.
+    /// Node allocations served a fresh carve (or an unpoolable layout).
     PoolMisses,
     /// Reclamation scans that had to grow a scratch buffer.
     ScanHeapAllocs,

@@ -61,8 +61,10 @@ fn push_histogram(
 /// Renders the snapshot in Prometheus text exposition format: one
 /// `mp_<counter>_total` counter per [`Counter`], both latency histograms
 /// with cumulative power-of-two buckets, the waste gauges (latest sample
-/// of the series), and — when `bp` is given — the scheme's backpressure
-/// ladder state (current level plus engagement/release totals).
+/// of the series), the process-wide node-pool gauges (`mp_pool_*`, no
+/// `scheme` label: every scheme shares the one pool), and — when `bp` is
+/// given — the scheme's backpressure ladder state (current level plus
+/// engagement/release totals).
 pub fn prometheus_text(
     scheme: &str,
     snap: &TelemetrySnapshot,
@@ -106,6 +108,17 @@ pub fn prometheus_text(
             let _ = writeln!(out, "{name}{{scheme=\"{scheme}\"}} {v}");
         }
     }
+    let pool = mp_util::pool::stats();
+    for (gauge, help, v) in [
+        ("reserved_bytes", "Bytes reserved from the system allocator", pool.reserved_bytes),
+        ("blank_chunks", "Chunks with no block out, ready for any size class", pool.blank_chunks),
+        ("free_blocks", "Blocks sitting in chunk free lists", pool.free_blocks),
+    ] {
+        let name = format!("{p}_pool_{gauge}");
+        let _ = writeln!(out, "# HELP {name} Node pool, process-wide: {help}.");
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        let _ = writeln!(out, "{name} {v}");
+    }
     if let Some(bp) = bp {
         let name = format!("{p}_backpressure_level");
         let _ = writeln!(
@@ -146,8 +159,9 @@ fn json_hist(out: &mut String, h: &Histogram) {
 
 /// Renders the snapshot as a self-contained JSON document (schema
 /// `mp-telemetry/v1`): counters, derived ratios, both histograms (sparse
-/// buckets), the waste time-series, the event-drop count, and — when `bp`
-/// is given — a `backpressure` object with the ladder state.
+/// buckets), the waste time-series, the event-drop count, a `pool` object
+/// (the process-wide node pool's [`mp_util::pool::stats`]), and — when
+/// `bp` is given — a `backpressure` object with the ladder state.
 pub fn json(
     scheme: &str,
     snap: &TelemetrySnapshot,
@@ -179,6 +193,18 @@ pub fn json(
     out.push_str(",\n  \"scan_latency\": ");
     json_hist(&mut out, snap.scan_latency());
     let _ = write!(out, ",\n  \"events_dropped\": {}", snap.events_dropped());
+    let pool = mp_util::pool::stats();
+    let _ = write!(
+        out,
+        ",\n  \"pool\": {{\"regions\": {}, \"reserved_bytes\": {}, \"chunks_in_use\": {}, \
+         \"blank_chunks\": {}, \"free_blocks\": {}, \"live_blocks\": {}}}",
+        pool.regions,
+        pool.reserved_bytes,
+        pool.chunks_in_use,
+        pool.blank_chunks,
+        pool.free_blocks,
+        pool.live_blocks
+    );
     if let Some(bp) = bp {
         let level = bp.level();
         let _ = write!(
@@ -487,8 +513,12 @@ mod tests {
     fn prometheus_output_is_valid_and_complete() {
         let text = prometheus_text("MP", &sample_snapshot(), &sample_waste(), None);
         let samples = validate_prometheus(&text).expect("must validate");
-        // 13 counters + 2 histograms (≥3 lines each) + drops + 2 gauges.
-        assert!(samples >= 13 + 6 + 1 + 2, "got {samples} samples:\n{text}");
+        // 13 counters + 2 histograms (≥3 lines each) + drops + 2 waste
+        // gauges + 3 pool gauges.
+        assert!(samples >= 13 + 6 + 1 + 2 + 3, "got {samples} samples:\n{text}");
+        for gauge in ["mp_pool_reserved_bytes", "mp_pool_blank_chunks", "mp_pool_free_blocks"] {
+            assert!(text.contains(&format!("# TYPE {gauge} gauge\n{gauge} ")), "{gauge} missing");
+        }
         assert!(text.contains("# TYPE mp_ops_total counter"));
         assert!(text.contains("mp_ops_total{scheme=\"MP\"} 1"));
         assert!(text.contains("# TYPE mp_op_latency_nanos histogram"));
@@ -519,6 +549,8 @@ mod tests {
         assert!(doc.contains("\"t_micros\": 20"));
         // Histogram buckets are cumulative-free sparse counts.
         assert!(doc.contains("\"op_latency\": {\"count\": 2"));
+        assert!(doc.contains("\"pool\": {\"regions\": "));
+        assert!(doc.contains("\"blank_chunks\": "));
     }
 
     #[test]

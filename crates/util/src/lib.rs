@@ -21,8 +21,9 @@
 //!   bounded queue) carrying fixed-size telemetry event records.
 //! * [`hist`] / [`Histogram`] — a 64-bucket power-of-two latency
 //!   histogram, mergeable and allocation-free.
-//! * [`pool`] — per-thread segregated block pool (size-class free lists,
-//!   bounded caps, global overflow shard) recycling SMR node memory.
+//! * [`pool`] — slab-backed block pool (16-byte size classes carved from
+//!   64 KiB chunks, per-thread magazines, chunk-level recycling) serving
+//!   SMR node memory.
 //! * [`shadow`] — a sharded shadow table (key → state record with atomic
 //!   transitions), the substrate of `mp-smr`'s reclamation oracle.
 //! * `hb` (feature `hb-oracle`) — a vector-clock happens-before tracker,

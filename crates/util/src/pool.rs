@@ -1,152 +1,86 @@
-//! Per-thread segregated block pool for SMR node recycling.
+//! Slab-backed block pool for SMR node recycling.
 //!
 //! The reclamation hot path of every scheme is `alloc` → unlink → `retire`
-//! → `empty()` → free. With the system allocator on both ends, the
-//! steady-state cost of a churn workload is dominated by malloc/free round
-//! trips rather than by the reclamation scheme itself — exactly the
-//! measurement hazard the paper's C++ harness avoids with per-thread block
-//! pools. This module supplies the same substrate in-tree:
+//! → `empty()` → free. With the system allocator on both ends, a churn
+//! workload measures malloc/free round trips rather than the reclamation
+//! scheme, and a prefilled structure measures the allocator's rounding and
+//! per-block header rather than the node — the hazards the paper's C++
+//! harness avoids with per-thread block pools on a bump allocator. This
+//! module is that substrate, in two levels:
 //!
-//! * **Size-class free lists, per thread.** Block sizes are rounded up to a
-//!   [`CLASS_GRANULE`]-byte class (up to [`MAX_POOLED_SIZE`]); each thread
-//!   keeps a bounded LIFO free list per class, so a reclaimed node is handed
-//!   back to the next allocation of the same class without any shared-memory
-//!   traffic.
-//! * **Bounded capacity + global overflow shard.** A thread list never holds
-//!   more than [`THREAD_CLASS_CAP`] blocks; overflow spills half the list
-//!   into a global mutex-protected shard (capacity [`SHARD_CLASS_CAP`] per
-//!   class), and anything beyond that is genuinely returned to the system
-//!   allocator — the pool *bounds* wasted memory instead of hoarding it,
-//!   mirroring the paper's theme.
-//! * **Flush on handle drop.** SMR handles call [`flush`] when they are
-//!   dropped, migrating the thread's cached blocks to the shard so short-lived
-//!   threads do not strand memory; a `Drop` impl on the thread-local cache
-//!   covers threads that exit without dropping a handle.
+//! * **Per-thread magazine** (the only thing the alloc/free hot path
+//!   touches). Per size class a thread keeps up to [`THREAD_CLASS_CAP`]
+//!   recycled blocks in a LIFO and one *span*: a run of never-used blocks
+//!   its chunk granted it, consumed by bump pointer. A full magazine spills
+//!   half its blocks to the slab; an empty one refills from it.
+//! * **The slab**, under one mutex. Block sizes are rounded up to a
+//!   [`CLASS_GRANULE`]-byte class (up to [`MAX_POOLED_SIZE`]). Blocks are
+//!   carved from [`CHUNK`]-byte chunks, each serving one class at a time;
+//!   chunks are cut from [`REGION`]-byte regions obtained from the system
+//!   allocator at chunk alignment, so a block carries no allocator header
+//!   and its chunk is found by masking its address. A chunk starts with an
+//!   in-band header: how many of its blocks are out (`live`), how many the
+//!   bump pointer has carved, and an intrusive list (link in each block's
+//!   first word) of the blocks that came home.
+//!
+//! **The blank-chunk rule.** A chunk whose last block came home is *blank*:
+//!   its free list is dropped, and whichever class needs a chunk next takes
+//!   the lowest blank chunk of the earliest region and carves it from the
+//!   start. After a mass free (a structure dropped) the next build therefore
+//!   walks memory sequentially again instead of popping a free list in
+//!   drop order — one cold load per pop and a random page per node, which
+//!   measured +36 % on the benchmark's second and third tree set-ups.
+//!
+//! Regions are never returned to the system: the reserve is the process's
+//! high-water mark rounded up to chunks, with one live block per chunk as
+//! its worst case. [`stats`] reports it.
 //!
 //! Layouts larger than [`MAX_POOLED_SIZE`] or more aligned than
-//! [`MAX_POOLED_ALIGN`] bypass the pool entirely and go straight to the
-//! system allocator.
+//! [`MAX_POOLED_ALIGN`] bypass the pool and go straight to the system
+//! allocator.
 //!
-//! The pool is enabled by default; set the env var `MP_POOL=0` (or `off` /
-//! `false`) before first use, or call [`set_enabled`] at runtime, to route
-//! every request to the system allocator (benchmarks use this for
-//! before/after comparisons).
-//!
-//! Blocks are recycled with their contents intact, so the reclamation
-//! oracle's freed-memory poisoning and quarantine remain meaningful: the
-//! oracle quarantines a freed node *first* and only releases it into the
-//! pool after its shadow entry is pruned (see `mp-smr`'s oracle module).
+//! Blocks are recycled with their contents intact except for the first
+//! word, which holds the free-list link while a block sits in its chunk.
+//! The reclamation oracle's poison canary lives past that word, and the
+//! oracle quarantines a freed node *first*, releasing it into the pool only
+//! after its shadow entry is pruned (see `mp-smr`'s oracle module).
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use core::ptr::{addr_of, null_mut};
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Largest block size (bytes) served from the pool; bigger layouts bypass
 /// straight to the system allocator.
 pub const MAX_POOLED_SIZE: usize = 2048;
 
-/// Largest alignment served from the pool. Every pooled block is allocated
-/// at this alignment, so any request with `align <= MAX_POOLED_ALIGN` is
-/// satisfied by any block of its size class.
+/// Largest alignment served from the pool. Every pooled block sits at this
+/// alignment, so any request with `align <= MAX_POOLED_ALIGN` is satisfied
+/// by any block of its size class.
 pub const MAX_POOLED_ALIGN: usize = 16;
 
 /// Size-class granule: block sizes are rounded up to the next multiple.
-pub const CLASS_GRANULE: usize = 64;
+pub const CLASS_GRANULE: usize = 16;
 
 /// Number of size classes (`MAX_POOLED_SIZE / CLASS_GRANULE`).
 pub const NUM_CLASSES: usize = MAX_POOLED_SIZE / CLASS_GRANULE;
 
-/// Per-thread, per-class free-list capacity. Must comfortably exceed a
+/// Per-thread, per-class magazine capacity. Must comfortably exceed a
 /// scheme's `empty_freq` so one reclamation batch recycles without spilling.
 pub const THREAD_CLASS_CAP: usize = 128;
 
-/// Per-class capacity of the global overflow shard; blocks beyond this are
-/// returned to the system allocator (the pool's waste bound).
-pub const SHARD_CLASS_CAP: usize = 1024;
+/// Bytes per chunk: the unit that serves one size class and goes blank as a
+/// whole. Chunks are `CHUNK`-aligned.
+pub const CHUNK: usize = 64 << 10;
 
-/// How many blocks a thread pulls from the shard per refill.
+/// Chunks per region; one `u64` bitmap tracks a region's blank chunks.
+const REGION_CHUNKS: usize = 64;
+
+/// Bytes per region, the unit requested from the system allocator.
+pub const REGION: usize = CHUNK * REGION_CHUNKS;
+
+/// How many blocks a magazine receives per refill, recycled or as a span.
 const REFILL_BATCH: usize = 32;
-
-// ---------------------------------------------------------------------------
-// Enable switch (env default, runtime override)
-
-const STATE_UNINIT: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Whether the pool is currently enabled. First call consults the `MP_POOL`
-/// env var (`0` / `off` / `false` disable; anything else — including unset —
-/// enables).
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("MP_POOL").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            );
-            ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Runtime override of the enable switch (used by benchmarks to measure
-/// pool-off vs pool-on in one process). Already-cached blocks stay cached
-/// and are still freed correctly after disabling.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Counters
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static RECYCLED: AtomicU64 = AtomicU64::new(0);
-static RELEASED: AtomicU64 = AtomicU64::new(0);
-
-/// Monotonic process-wide pool counters (snapshot; compute deltas across a
-/// measurement window for rates).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Allocations served from a free list (no system-allocator call).
-    pub hits: u64,
-    /// Allocations that fell through to the system allocator (pool disabled,
-    /// unpoolable layout, or empty free lists).
-    pub misses: u64,
-    /// Deallocations parked in a free list for reuse.
-    pub recycled: u64,
-    /// Deallocations returned to the system allocator (pool disabled,
-    /// unpoolable layout, or capacity bounds reached).
-    pub released: u64,
-}
-
-impl PoolStats {
-    /// Fraction of allocations served from the pool, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Current process-wide counter snapshot.
-pub fn stats() -> PoolStats {
-    PoolStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
-        released: RELEASED.load(Ordering::Relaxed),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Size classes
@@ -163,123 +97,416 @@ fn class_of(layout: Layout) -> Option<usize> {
 }
 
 #[inline]
-fn class_layout(class: usize) -> Layout {
-    // Infallible: size is a multiple of 64 ≤ MAX_POOLED_SIZE, align 16.
-    Layout::from_size_align((class + 1) * CLASS_GRANULE, MAX_POOLED_ALIGN).unwrap()
+const fn class_size(class: usize) -> usize {
+    (class + 1) * CLASS_GRANULE
+}
+
+/// Blocks one chunk of `class` holds.
+#[inline]
+const fn chunk_capacity(class: usize) -> u32 {
+    // 32-bit operands: `take_home` divides once per returned block.
+    (CHUNK - size_of::<ChunkHeader>()) as u32 / class_size(class) as u32
+}
+
+/// Bytes a block served for `layout` occupies: its class size, or the
+/// layout's own size when the layout bypasses the pool.
+#[inline]
+pub fn block_size(layout: Layout) -> usize {
+    class_of(layout).map_or(layout.size(), class_size)
 }
 
 // ---------------------------------------------------------------------------
-// Storage
+// Chunks
 
-/// A cached free block. Raw pointers are not `Send`, but a free block is
-/// exclusively owned by whichever list holds it, so moving it across threads
-/// through the shard is sound.
-struct Block(*mut u8);
-// SAFETY: [INV-08] a free block is exclusively owned by whichever list holds
-// it (see the struct docs), so moving it across threads is sound.
-unsafe impl Send for Block {}
-
-struct ThreadCache {
-    classes: [Vec<Block>; NUM_CLASSES],
+/// In-band header at the start of every chunk in use. All fields are read
+/// and written under the slab lock; `class` is also read lock-free by
+/// `dealloc`'s debug check, and is constant while any block is out.
+///
+/// A chunk is in exactly one state, told by `live`: *blank* (`live == 0`,
+/// its bit set in the region's bitmap, header stale), *available*
+/// (`0 < live < capacity`, linked in its class's `avail` list) or *full*
+/// (`live == capacity`, unlisted). `carved - live` blocks sit in `free`.
+#[repr(C, align(64))]
+struct ChunkHeader {
+    /// Blocks that came home, LIFO, linked through their first word.
+    free: *mut u8,
+    /// Neighbours in the class's `avail` list.
+    next: *mut ChunkHeader,
+    prev: *mut ChunkHeader,
+    /// Size class the chunk is carved for.
+    class: u32,
+    /// Index of the owning region in `Slab::regions`.
+    region: u32,
+    /// Blocks out of the chunk: in use, in a magazine or in a span.
+    live: u32,
+    /// Blocks the bump pointer has handed out at least once (a prefix).
+    carved: u32,
 }
 
-impl ThreadCache {
-    fn new() -> Self {
-        ThreadCache { classes: core::array::from_fn(|_| Vec::new()) }
+/// The chunk holding `block`, by address mask.
+#[inline]
+fn chunk_of(block: *mut u8) -> *mut ChunkHeader {
+    // Blocks start past the header, so the mask never lands on the block.
+    block.wrapping_sub(block.addr() & (CHUNK - 1)).cast()
+}
+
+struct Region {
+    base: *mut u8,
+    /// Bit `i` set: chunk `i` is blank.
+    blank: u64,
+}
+
+struct Slab {
+    regions: Vec<Region>,
+    /// No region below this index has a blank chunk.
+    blank_hint: usize,
+    /// Per class, the chunks with a block to give. A chunk with uncarved
+    /// room is always last: chunks are pushed in front, and a class takes a
+    /// blank chunk only when its list is empty.
+    avail: [*mut ChunkHeader; NUM_CLASSES],
+}
+
+// SAFETY: [INV-08] every pointer in the slab addresses region memory the
+// slab owns for the life of the process and is dereferenced only by the
+// thread holding the slab lock.
+unsafe impl Send for Slab {}
+
+static SLAB: Mutex<Slab> =
+    Mutex::new(Slab { regions: Vec::new(), blank_hint: 0, avail: [null_mut(); NUM_CLASSES] });
+
+fn lock_slab() -> MutexGuard<'static, Slab> {
+    // Every update leaves the slab consistent before anything that can
+    // panic (only the allocator's own failure handling), so a poisoned
+    // lock still guards valid data.
+    SLAB.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Slab {
+    /// Unlinks `c` from its class's `avail` list.
+    ///
+    /// # Safety
+    /// `c` is an initialised header currently in that list.
+    // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
+    // discharged by the chunk-state argument at each call ([INV-08]).
+    unsafe fn unlink(&mut self, c: *mut ChunkHeader) {
+        // SAFETY: [INV-08] `c` and its list neighbours are initialised
+        // headers of chunks in use, accessed under the slab lock.
+        unsafe {
+            let (prev, next) = ((*c).prev, (*c).next);
+            if prev.is_null() {
+                self.avail[(*c).class as usize] = next;
+            } else {
+                (*prev).next = next;
+            }
+            if !next.is_null() {
+                (*next).prev = prev;
+            }
+        }
     }
 
-    /// Migrates every cached block to the global shard (freeing past the
-    /// shard's capacity bound).
-    fn flush(&mut self) {
-        let mut shard = lock_shard();
-        for (class, list) in self.classes.iter_mut().enumerate() {
-            for block in list.drain(..) {
-                if shard.classes[class].len() < SHARD_CLASS_CAP {
-                    shard.classes[class].push(block);
-                } else {
-                    RELEASED.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: [INV-08] the block is exclusively ours (drained
-                    // from our list) and was allocated with this class layout.
-                    unsafe { raw_dealloc(block.0, class_layout(class)) };
+    /// Links `c` at the front of its class's `avail` list.
+    ///
+    /// # Safety
+    /// `c` is an initialised header not currently in any list.
+    // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
+    // discharged by the chunk-state argument at each call ([INV-08]).
+    unsafe fn link_front(&mut self, c: *mut ChunkHeader) {
+        // SAFETY: [INV-08] `c` and the old head are initialised headers of
+        // chunks in use, accessed under the slab lock.
+        unsafe {
+            let head = &mut self.avail[(*c).class as usize];
+            (*c).prev = null_mut();
+            (*c).next = *head;
+            if !head.is_null() {
+                (**head).prev = c;
+            }
+            *head = c;
+        }
+    }
+
+    /// Claims the lowest blank chunk of the earliest region (reserving a
+    /// region when none has one) for `class` and lists it.
+    fn take_blank(&mut self, class: usize) -> *mut ChunkHeader {
+        while self.regions.get(self.blank_hint).is_some_and(|r| r.blank == 0) {
+            self.blank_hint += 1;
+        }
+        if self.blank_hint == self.regions.len() {
+            let layout =
+                Layout::from_size_align(REGION, CHUNK).expect("region layout is a constant");
+            // SAFETY: [INV-08] the layout has non-zero size.
+            let base = unsafe { std::alloc::alloc(layout) };
+            if base.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            self.regions.push(Region { base, blank: u64::MAX });
+        }
+        let region = &mut self.regions[self.blank_hint];
+        let index = region.blank.trailing_zeros() as usize;
+        region.blank &= !(1 << index);
+        let c: *mut ChunkHeader = region.base.wrapping_add(index * CHUNK).cast();
+        // SAFETY: [INV-08] the chunk lies inside its region, is CHUNK-aligned
+        // and blank — no block of it is out — so the slab owns every byte.
+        unsafe {
+            c.write(ChunkHeader {
+                free: null_mut(),
+                next: null_mut(),
+                prev: null_mut(),
+                class: class as u32,
+                region: self.blank_hint as u32,
+                live: 0,
+                carved: 0,
+            });
+            self.link_front(c);
+        }
+        c
+    }
+
+    /// Gives `mag` up to [`REFILL_BATCH`] recycled blocks of `class`, or,
+    /// when no chunk holds one, a span of never-used blocks.
+    fn refill(&mut self, class: usize, mag: &mut Magazine) {
+        let capacity = chunk_capacity(class);
+        for _ in 0..REFILL_BATCH {
+            let c = self.avail[class];
+            // SAFETY: [INV-08] a listed chunk's header is initialised; a
+            // block on its free list is owned by the chunk and holds the
+            // next link in its first word (written by `take_home`).
+            unsafe {
+                if c.is_null() || (*c).free.is_null() {
+                    break;
                 }
+                let block = (*c).free;
+                (*c).free = block.cast::<*mut u8>().read();
+                (*c).live += 1;
+                if (*c).live == capacity {
+                    self.unlink(c);
+                }
+                mag.blocks.push(block);
+            }
+        }
+        if !mag.blocks.is_empty() {
+            return;
+        }
+        // The head holds no free block, so it is the one chunk with
+        // uncarved room, or the list is empty.
+        let head = self.avail[class];
+        let c = if head.is_null() { self.take_blank(class) } else { head };
+        // SAFETY: [INV-08] `c` is listed with an empty free list, hence
+        // `carved == live < capacity`: the span lies inside the chunk and
+        // has never been handed out.
+        unsafe {
+            let n = (capacity - (*c).carved).min(REFILL_BATCH as u32);
+            let first = size_of::<ChunkHeader>() + (*c).carved as usize * class_size(class);
+            mag.span = c.cast::<u8>().add(first);
+            mag.span_left = n;
+            (*c).carved += n;
+            (*c).live += n;
+            if (*c).live == capacity {
+                self.unlink(c);
+            }
+        }
+    }
+
+    /// Returns `block` to its chunk; the chunk goes blank when it was the
+    /// last one out.
+    ///
+    /// # Safety
+    /// `block` was served by this pool and is exclusively the caller's.
+    // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
+    // discharged by every caller ([INV-08]).
+    unsafe fn take_home(&mut self, block: *mut u8) {
+        let c = chunk_of(block);
+        // SAFETY: [INV-08] a block that is out keeps its chunk in use, so
+        // the header is initialised; the block is the caller's to overwrite.
+        unsafe {
+            let was_full = (*c).live == chunk_capacity((*c).class as usize);
+            (*c).live -= 1;
+            if (*c).live == 0 {
+                if !was_full {
+                    self.unlink(c);
+                }
+                let region = (*c).region as usize;
+                let r = &mut self.regions[region];
+                r.blank |= 1 << ((c.addr() - r.base.addr()) / CHUNK);
+                self.blank_hint = self.blank_hint.min(region);
+                return;
+            }
+            block.cast::<*mut u8>().write((*c).free);
+            (*c).free = block;
+            if was_full {
+                self.link_front(c);
             }
         }
     }
 }
 
+/// What the slab holds, for "why is memory held" (see [`stats`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Regions obtained from the system allocator (never returned).
+    pub regions: usize,
+    /// `regions × REGION`: the pool's reserve. Pages of chunks that were
+    /// never carved are reserved but not resident.
+    pub reserved_bytes: usize,
+    /// Chunks currently carved for a size class.
+    pub chunks_in_use: usize,
+    /// Chunks with no block out, ready for any class.
+    pub blank_chunks: usize,
+    /// Blocks sitting in chunk free lists.
+    pub free_blocks: usize,
+    /// Blocks out of their chunk: in use, in a magazine or in a span.
+    pub live_blocks: usize,
+}
+
+/// Snapshot of the slab, computed under its lock by walking the chunk
+/// headers. Nothing on the alloc/free path counts anything for it.
+pub fn stats() -> PoolStats {
+    let slab = lock_slab();
+    let mut s = PoolStats {
+        regions: slab.regions.len(),
+        reserved_bytes: slab.regions.len() * REGION,
+        ..PoolStats::default()
+    };
+    for r in &slab.regions {
+        s.blank_chunks += r.blank.count_ones() as usize;
+        for i in (0..REGION_CHUNKS).filter(|i| r.blank & (1 << i) == 0) {
+            let c: *const ChunkHeader = r.base.wrapping_add(i * CHUNK).cast();
+            // SAFETY: [INV-08] a chunk whose blank bit is clear has an
+            // initialised header, stable while the slab lock is held.
+            let (live, carved) = unsafe { ((*c).live, (*c).carved) };
+            s.chunks_in_use += 1;
+            s.live_blocks += live as usize;
+            s.free_blocks += (carved - live) as usize;
+        }
+    }
+    s
+}
+
+// ---------------------------------------------------------------------------
+// Magazines
+
+/// One thread's cache for one size class.
+struct Magazine {
+    /// Recycled blocks, LIFO.
+    blocks: Vec<*mut u8>,
+    /// Next never-used block of the span the chunk granted, and how many
+    /// remain. They count as `live` in their chunk.
+    span: *mut u8,
+    span_left: u32,
+}
+
+impl Magazine {
+    const fn new() -> Self {
+        Magazine { blocks: Vec::new(), span: null_mut(), span_left: 0 }
+    }
+
+    /// A block of `class`, and whether it is recycled (`true`) or a fresh
+    /// carve (`false`).
+    #[inline]
+    fn take(&mut self, class: usize) -> (*mut u8, bool) {
+        if self.blocks.is_empty() && self.span_left == 0 {
+            lock_slab().refill(class, self);
+        }
+        if let Some(block) = self.blocks.pop() {
+            return (block, true);
+        }
+        let block = self.span;
+        self.span_left -= 1;
+        // SAFETY: [INV-08] `refill` left a non-empty span (no recycled
+        // block was available), so `block` and its successor are inside
+        // the chunk or one past its last block.
+        self.span = unsafe { block.add(class_size(class)) };
+        (block, false)
+    }
+
+    /// Caches `block`, spilling half the magazine to the slab when full.
+    ///
+    /// # Safety
+    /// `block` was served by this pool for this magazine's class and is
+    /// exclusively the caller's.
+    // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
+    // discharged by `dealloc` ([INV-08]).
+    #[inline]
+    unsafe fn put(&mut self, block: *mut u8) {
+        if self.blocks.len() >= THREAD_CLASS_CAP {
+            let mut slab = lock_slab();
+            for spilled in self.blocks.drain(THREAD_CLASS_CAP / 2..) {
+                // SAFETY: [INV-08] the magazine owned the block exclusively.
+                unsafe { slab.take_home(spilled) };
+            }
+        }
+        self.blocks.push(block);
+    }
+
+    /// Sends every cached block and the rest of the span home.
+    fn release(&mut self, class: usize) {
+        if self.blocks.is_empty() && self.span_left == 0 {
+            return;
+        }
+        let mut slab = lock_slab();
+        for block in self.blocks.drain(..) {
+            // SAFETY: [INV-08] the magazine owned the block exclusively.
+            unsafe { slab.take_home(block) };
+        }
+        for i in 0..self.span_left as usize {
+            // SAFETY: [INV-08] the span's blocks were granted to this
+            // magazine alone and lie inside their chunk.
+            unsafe { slab.take_home(self.span.add(i * class_size(class))) };
+        }
+        self.span_left = 0;
+    }
+}
+
+struct ThreadCache {
+    classes: [Magazine; NUM_CLASSES],
+}
+
 impl Drop for ThreadCache {
     fn drop(&mut self) {
-        self.flush();
+        for (class, mag) in self.classes.iter_mut().enumerate() {
+            mag.release(class);
+        }
     }
 }
 
 thread_local! {
-    static CACHE: RefCell<ThreadCache> = RefCell::new(ThreadCache::new());
-}
-
-struct Shard {
-    classes: [Vec<Block>; NUM_CLASSES],
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_LIST: Vec<Block> = Vec::new();
-
-static SHARD: Mutex<Shard> = Mutex::new(Shard { classes: [EMPTY_LIST; NUM_CLASSES] });
-
-fn lock_shard() -> std::sync::MutexGuard<'static, Shard> {
-    SHARD.lock().unwrap_or_else(|e| e.into_inner())
+    static CACHE: RefCell<ThreadCache> =
+        const { RefCell::new(ThreadCache { classes: [const { Magazine::new() }; NUM_CLASSES] }) };
 }
 
 // ---------------------------------------------------------------------------
 // Alloc / dealloc
 
-fn raw_alloc(layout: Layout) -> *mut u8 {
-    debug_assert!(layout.size() > 0, "pool does not serve zero-sized layouts");
-    // SAFETY: [INV-08] layout has non-zero size (all SMR nodes carry a
-    // header), asserted above.
-    let ptr = unsafe { std::alloc::alloc(layout) };
-    if ptr.is_null() {
-        std::alloc::handle_alloc_error(layout);
-    }
-    ptr
-}
-
-/// # Safety
-/// `ptr` must have been returned by [`raw_alloc`] with this exact `layout`
-/// and must not be used again after this call.
-// SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
-// discharged by every caller ([INV-08]).
-unsafe fn raw_dealloc(ptr: *mut u8, layout: Layout) {
-    // SAFETY: [INV-08] forwarded from this fn's own contract.
-    unsafe { std::alloc::dealloc(ptr, layout) };
-}
-
-/// Allocates a block for `layout`, preferring the calling thread's free
-/// list, then the global shard, then the system allocator. Returns the
-/// pointer and whether it was served from the pool (`true` = no
-/// system-allocator call was made).
+/// Allocates a block for `layout`: from the calling thread's magazine, else
+/// from the slab. Returns the pointer and whether the block is recycled
+/// (`true`: it came from a magazine or a chunk free list) or a fresh carve
+/// (`false`; also every layout that bypasses the pool).
 ///
 /// The returned block is at least `layout.size()` bytes at alignment
 /// `>= layout.align()`; free it with [`dealloc`] using the *same* `layout`.
 /// `layout.size()` must be non-zero.
 pub fn alloc(layout: Layout) -> (*mut u8, bool) {
-    if let Some(class) = class_of(layout) {
-        if enabled() {
-            if let Some(ptr) = pop_cached(class) {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                return (ptr, true);
-            }
+    let Some(class) = class_of(layout) else {
+        debug_assert!(layout.size() > 0, "pool does not serve zero-sized layouts");
+        // SAFETY: [INV-08] layout has non-zero size (all SMR nodes carry a
+        // header), asserted above.
+        let ptr = unsafe { std::alloc::alloc(layout) };
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        (raw_alloc(class_layout(class)), false)
-    } else {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        (raw_alloc(layout), false)
-    }
+        return (ptr, false);
+    };
+    CACHE.try_with(|cache| cache.borrow_mut().classes[class].take(class)).unwrap_or_else(|_| {
+        // Thread-local already destroyed (thread exit): a magazine for
+        // this one call.
+        let mut mag = Magazine::new();
+        let served = mag.take(class);
+        mag.release(class);
+        served
+    })
 }
 
-/// Returns a block to the pool (or to the system allocator when the pool is
-/// disabled, the layout unpoolable, or every capacity bound is reached).
+/// Returns a block to the calling thread's magazine (or, for a layout that
+/// bypasses the pool, to the system allocator).
 ///
 /// # Safety
 /// `ptr` must have been returned by [`alloc`] called with the same `layout`,
@@ -287,229 +514,319 @@ pub fn alloc(layout: Layout) -> (*mut u8, bool) {
 // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
 // discharged by every caller ([INV-08]).
 pub unsafe fn dealloc(ptr: *mut u8, layout: Layout) {
-    match class_of(layout) {
-        Some(class) if enabled() => {
-            if push_cached(class, ptr) {
-                RECYCLED.fetch_add(1, Ordering::Relaxed);
-            } else {
-                RELEASED.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: [INV-08] forwarded from this fn's contract; pooled
-                // layouts are served (and freed) with their class layout.
-                unsafe { raw_dealloc(ptr, class_layout(class)) };
-            }
-        }
-        Some(class) => {
-            RELEASED.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: [INV-08] forwarded from this fn's contract; pooled
-            // layouts are served (and freed) with their class layout.
-            unsafe { raw_dealloc(ptr, class_layout(class)) };
-        }
-        None => {
-            RELEASED.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: [INV-08] forwarded: unpooled layouts go straight to
-            // the system allocator with the caller's layout.
-            unsafe { raw_dealloc(ptr, layout) };
-        }
-    }
-}
-
-/// Migrates the calling thread's cached blocks to the global overflow shard.
-/// Called by SMR handles on drop so exiting worker threads do not strand
-/// blocks in dead thread-locals.
-pub fn flush() {
-    let _ = CACHE.try_with(|cache| cache.borrow_mut().flush());
-}
-
-fn pop_cached(class: usize) -> Option<*mut u8> {
-    CACHE
-        .try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let list = &mut cache.classes[class];
-            if list.is_empty() {
-                refill_from_shard(list, class);
-            }
-            list.pop().map(|block| block.0)
-        })
-        .ok()
-        .flatten()
-}
-
-/// Parks `ptr` in the thread list (spilling half to the shard when full).
-/// Returns `false` when every bound is reached and the caller must free it.
-fn push_cached(class: usize, ptr: *mut u8) -> bool {
-    CACHE
-        .try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let list = &mut cache.classes[class];
-            if list.len() >= THREAD_CLASS_CAP {
-                spill_half_to_shard(list, class);
-            }
-            if list.len() < THREAD_CLASS_CAP {
-                list.push(Block(ptr));
-                true
-            } else {
-                false
-            }
-        })
-        // Thread-local already destroyed (thread exit): go via the shard.
-        .unwrap_or_else(|_| shard_push(class, ptr))
-}
-
-fn refill_from_shard(list: &mut Vec<Block>, class: usize) {
-    let mut shard = lock_shard();
-    let src = &mut shard.classes[class];
-    let n = src.len().min(REFILL_BATCH);
-    let from = src.len() - n;
-    list.extend(src.drain(from..));
-}
-
-fn spill_half_to_shard(list: &mut Vec<Block>, class: usize) {
-    let mut shard = lock_shard();
-    let dst = &mut shard.classes[class];
-    while list.len() > THREAD_CLASS_CAP / 2 && dst.len() < SHARD_CLASS_CAP {
-        dst.push(list.pop().expect("list length checked above"));
-    }
-}
-
-fn shard_push(class: usize, ptr: *mut u8) -> bool {
-    let mut shard = lock_shard();
-    let dst = &mut shard.classes[class];
-    if dst.len() < SHARD_CLASS_CAP {
-        dst.push(Block(ptr));
-        true
-    } else {
-        false
+    let Some(class) = class_of(layout) else {
+        // SAFETY: [INV-08] forwarded: unpooled layouts go straight to the
+        // system allocator with the caller's layout.
+        unsafe { std::alloc::dealloc(ptr, layout) };
+        return;
+    };
+    debug_assert_eq!(
+        // SAFETY: [INV-08] the block is out, so its chunk's header is
+        // initialised and `class` is not written until it comes home.
+        unsafe { addr_of!((*chunk_of(ptr)).class).read() } as usize,
+        class,
+        "block freed with a layout of another size class than it was served for"
+    );
+    // SAFETY: [INV-08] forwarded from this fn's contract.
+    let cached = CACHE.try_with(|cache| unsafe { cache.borrow_mut().classes[class].put(ptr) });
+    if cached.is_err() {
+        // Thread-local already destroyed (thread exit): straight home.
+        // SAFETY: [INV-08] forwarded from this fn's contract.
+        unsafe { lock_slab().take_home(ptr) };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Checker;
+    use crate::rng::{RngExt, SeedableRng, SmallRng};
+    use std::sync::mpsc;
 
-    // Pool state (enable switch, thread lists, shard) is process-global, so
-    // the tests in this module serialize on one lock and always restore the
-    // enabled state.
+    // The slab is process-global and these assertions are absolute (zero
+    // live blocks, every chunk blank), so each test holds one lock and does
+    // its pool work on a thread of its own: the magazine goes home when that
+    // thread exits, whichever thread the harness ran the test on.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn isolated<R: Send>(work: impl FnOnce() -> R + Send) -> R {
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let out = on_thread(work);
+        let s = stats();
+        assert_eq!((s.live_blocks, s.chunks_in_use), (0, 0), "a test stranded blocks: {s:?}");
+        out
+    }
+
+    fn on_thread<R: Send>(work: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(work).join().expect("pool test thread panicked"))
+    }
+
+    fn layout(size: usize) -> Layout {
+        Layout::from_size_align(size, 8).unwrap()
+    }
+
+    fn alloc_addr(size: usize) -> usize {
+        alloc(layout(size)).0.addr()
+    }
+
+    /// Frees `blocks`, all served for `layout(size)`.
+    fn free_all(blocks: impl IntoIterator<Item = usize>, size: usize) {
+        for b in blocks {
+            // SAFETY: [INV-12] test-owned blocks, each served by `alloc(layout(size))` and freed once.
+            unsafe { dealloc(b as *mut u8, layout(size)) };
+        }
+    }
+
+    /// Sends the calling thread's magazine for `size` home now.
+    fn release_magazine(size: usize) {
+        let class = class_of(layout(size)).unwrap();
+        CACHE.with(|c| c.borrow_mut().classes[class].release(class));
+    }
+
+    fn chunk_addr(block: usize) -> usize {
+        block & !(CHUNK - 1)
     }
 
     #[test]
     fn same_block_is_reused_lifo() {
-        let _g = locked();
-        set_enabled(true);
-        let layout = Layout::from_size_align(48, 8).unwrap();
-        let (p1, _) = alloc(layout);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p1, layout) };
-        let (p2, from_pool) = alloc(layout);
-        assert_eq!(p1, p2, "LIFO free list must hand the same block back");
-        assert!(from_pool);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p2, layout) };
+        isolated(|| {
+            let p1 = alloc_addr(48);
+            free_all([p1], 48);
+            let (p2, recycled) = alloc(layout(48));
+            assert_eq!(p1, p2.addr(), "LIFO magazine must hand the same block back");
+            assert!(recycled);
+            free_all([p1], 48);
+        });
+    }
+
+    #[test]
+    fn class_boundaries_at_16_17_2048_and_2049_bytes() {
+        assert_eq!(class_of(layout(16)), Some(0));
+        assert_eq!(class_of(layout(17)), Some(1));
+        assert_eq!(class_of(layout(2048)), Some(NUM_CLASSES - 1));
+        assert_eq!(class_of(layout(2049)), None);
+        assert_eq!(block_size(layout(16)), 16);
+        assert_eq!(block_size(layout(17)), 32);
+        assert_eq!(block_size(layout(2048)), 2048);
+        assert_eq!(block_size(layout(2049)), 2049, "a bypassed layout holds its own size");
+        isolated(|| {
+            let (small, next) = (alloc_addr(16), alloc_addr(17));
+            assert_ne!(chunk_addr(small), chunk_addr(next), "one class per chunk");
+            let last = alloc_addr(2048);
+            assert!(last + 2048 <= chunk_addr(last) + CHUNK, "the largest class fits its chunk");
+            free_all([small], 16);
+            free_all([next], 17);
+            free_all([last], 2048);
+        });
     }
 
     #[test]
     fn different_sizes_in_same_class_share_blocks() {
-        let _g = locked();
-        set_enabled(true);
-        // 100 and 128 both round up to the 128-byte class.
-        let a = Layout::from_size_align(100, 8).unwrap();
-        let b = Layout::from_size_align(128, 16).unwrap();
-        assert_eq!(class_of(a), class_of(b));
-        let (p1, _) = alloc(a);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p1, a) };
-        let (p2, from_pool) = alloc(b);
-        assert_eq!(p1, p2);
-        assert!(from_pool);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p2, b) };
+        isolated(|| {
+            // 33 and 48 both round up to the 48-byte class.
+            let (a, b) = (layout(33), Layout::from_size_align(48, 16).unwrap());
+            assert_eq!(class_of(a), class_of(b));
+            let (p1, _) = alloc(a);
+            assert_eq!(p1.addr() % MAX_POOLED_ALIGN, 0);
+            // SAFETY: [INV-12] test-owned block served by `alloc(a)`, freed once.
+            unsafe { dealloc(p1, a) };
+            let (p2, recycled) = alloc(b);
+            assert_eq!((p1, true), (p2, recycled));
+            // SAFETY: [INV-12] test-owned block of `a`'s class, freed once.
+            unsafe { dealloc(p2, b) };
+        });
     }
 
     #[test]
     fn oversized_and_overaligned_layouts_bypass() {
-        let _g = locked();
-        set_enabled(true);
-        let big = Layout::from_size_align(MAX_POOLED_SIZE + 1, 8).unwrap();
-        let aligned = Layout::from_size_align(64, 64).unwrap();
+        let big = layout(MAX_POOLED_SIZE + 1);
+        let aligned = Layout::from_size_align(64, 32).unwrap();
         assert_eq!(class_of(big), None);
-        assert_eq!(class_of(aligned), None);
-        for layout in [big, aligned] {
-            let (p, from_pool) = alloc(layout);
-            assert!(!from_pool);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { dealloc(p, layout) };
-        }
-    }
-
-    #[test]
-    fn disabled_pool_never_serves_hits() {
-        let _g = locked();
-        set_enabled(false);
-        let layout = Layout::from_size_align(64, 8).unwrap();
-        let (p1, from_pool) = alloc(layout);
-        assert!(!from_pool);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p1, layout) };
-        let (p2, from_pool) = alloc(layout);
-        assert!(!from_pool, "disabled pool must always miss");
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p2, layout) };
-        set_enabled(true);
-    }
-
-    #[test]
-    fn flush_migrates_blocks_to_the_shard_for_other_threads() {
-        let _g = locked();
-        set_enabled(true);
-        // A size class nothing else in this test binary touches.
-        let layout = Layout::from_size_align(MAX_POOLED_SIZE - 8, 16).unwrap();
-        let ptr = std::thread::spawn(move || {
-            let (p, _) = alloc(layout);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { dealloc(p, layout) };
-            flush();
-            p as usize
-        })
-        .join()
-        .unwrap();
-        // The block now sits in the global shard; this thread's next alloc of
-        // the class refills from it.
-        let (p, from_pool) = alloc(layout);
-        assert!(from_pool, "flushed block must be visible via the shard");
-        assert_eq!(p as usize, ptr);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { dealloc(p, layout) };
+        assert_eq!(class_of(aligned), None, "align > 16");
+        assert_eq!(block_size(aligned), 64);
+        isolated(|| {
+            let before = stats();
+            for bypass in [big, aligned] {
+                let (p, recycled) = alloc(bypass);
+                assert!(!recycled);
+                assert_eq!(p.addr() % bypass.align(), 0);
+                // SAFETY: [INV-12] test-owned block served by `alloc(bypass)`, freed once.
+                unsafe { dealloc(p, bypass) };
+            }
+            assert_eq!(stats(), before, "bypassed layouts never reach the slab");
+        });
     }
 
     #[test]
     fn thread_cap_spills_instead_of_growing_unboundedly() {
-        let _g = locked();
-        set_enabled(true);
-        let layout = Layout::from_size_align(CLASS_GRANULE * 7, 16).unwrap();
-        let mut ptrs = Vec::new();
-        for _ in 0..THREAD_CLASS_CAP + 16 {
-            ptrs.push(alloc(layout).0);
-        }
-        let before = stats();
-        for p in ptrs {
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { dealloc(p, layout) };
-        }
-        let after = stats();
-        // Every block was parked (thread list + shard spill absorb them all);
-        // none were released back to the system allocator.
-        assert_eq!(after.recycled - before.recycled, (THREAD_CLASS_CAP + 16) as u64);
-        assert_eq!(after.released, before.released);
-        flush();
+        isolated(|| {
+            let n = THREAD_CLASS_CAP + 16;
+            let blocks: Vec<usize> = (0..n).map(|_| alloc_addr(448)).collect();
+            let out = stats().live_blocks;
+            free_all(blocks, 448);
+            // The free that found the magazine full sent its newer half
+            // home; the magazine never held more than its cap.
+            let s = stats();
+            assert_eq!(s.free_blocks, THREAD_CLASS_CAP / 2, "{s:?}");
+            assert_eq!(s.live_blocks, out - THREAD_CLASS_CAP / 2);
+        });
     }
 
     #[test]
-    fn hit_rate_math() {
-        let s = PoolStats { hits: 9, misses: 1, recycled: 0, released: 0 };
-        assert!((s.hit_rate() - 0.9).abs() < 1e-12);
-        assert_eq!(PoolStats::default().hit_rate(), 0.0);
+    fn mass_free_blanks_every_chunk_and_the_rebuild_carves_in_address_order() {
+        let per_chunk = chunk_capacity(class_of(layout(48)).unwrap()) as usize;
+        let n = 3 * per_chunk + 100;
+        let build = move || -> Vec<usize> { (0..n).map(|_| alloc_addr(48)).collect() };
+        isolated(move || {
+            let first = build();
+            assert!(
+                first.windows(2).all(|w| chunk_addr(w[0]) != chunk_addr(w[1]) || w[0] + 48 == w[1]),
+                "a fresh carve ascends block by block within each chunk"
+            );
+            assert_eq!(stats().chunks_in_use, 4);
+            // Free in an order no drop traversal would improve on.
+            let mut order = first.clone();
+            let mut rng = SmallRng::seed_from_u64(48);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.random_range(0..i + 1));
+            }
+            free_all(order, 48);
+            release_magazine(48);
+            let s = stats();
+            assert_eq!((s.live_blocks, s.free_blocks, s.chunks_in_use), (0, 0, 0), "{s:?}");
+
+            let second = build();
+            assert_eq!(second, first, "the rebuild re-carves the same chunks from their start");
+            free_all(second, 48);
+        });
+    }
+
+    #[test]
+    fn a_blank_chunk_serves_whichever_class_asks_next() {
+        isolated(|| {
+            let a = alloc_addr(48);
+            free_all([a], 48);
+            release_magazine(48);
+            assert_eq!(stats().chunks_in_use, 0);
+            let b = alloc_addr(200);
+            assert_eq!(
+                b,
+                chunk_addr(a) + size_of::<ChunkHeader>(),
+                "the 208-byte class re-carves, from its start, the chunk the 48-byte class left"
+            );
+            free_all([b], 200);
+        });
+    }
+
+    #[test]
+    fn a_thread_exiting_with_a_half_used_magazine_strands_nothing() {
+        isolated(|| {
+            // The thread leaves recycled blocks in its magazine, an
+            // unfinished span, and blocks it never freed.
+            let kept: Vec<usize> = on_thread(|| {
+                let blocks: Vec<usize> = (0..REFILL_BATCH + 7).map(|_| alloc_addr(112)).collect();
+                free_all(blocks[..10].iter().copied(), 112);
+                blocks[10..].to_vec()
+            });
+            let s = stats();
+            assert_eq!(s.live_blocks, kept.len(), "only the blocks still in use are out: {s:?}");
+            assert_eq!(s.free_blocks, 2 * REFILL_BATCH - kept.len());
+            free_all(kept, 112);
+        });
+    }
+
+    #[test]
+    fn a_block_freed_on_another_thread_goes_home_to_its_own_chunk() {
+        isolated(|| {
+            let blocks: Vec<usize> = (0..10).map(|_| alloc_addr(80)).collect();
+            let span_left = REFILL_BATCH - blocks.len();
+            on_thread(|| free_all(blocks.iter().copied(), 80));
+            // The other thread's magazine went home with it: the blocks sit
+            // in the chunk they were carved from.
+            let s = stats();
+            assert_eq!((s.chunks_in_use, s.live_blocks), (1, span_left), "{s:?}");
+            assert_eq!(s.free_blocks, 10);
+            let (again, recycled) = on_thread(|| {
+                let (p, recycled) = alloc(layout(80));
+                free_all([p.addr()], 80);
+                (p.addr(), recycled)
+            });
+            assert!(recycled, "a third thread refills from that chunk's free list");
+            assert_eq!(chunk_addr(again), chunk_addr(blocks[0]));
+        });
+    }
+
+    /// Checker-seeded interleaving of alloc and free over three threads and
+    /// four classes, any thread freeing what any other allocated. The
+    /// driver hands each step to its thread and waits for the answer, so
+    /// the interleaving is the script's. `live` is exact across threads iff
+    /// the slab ends with nothing out and every chunk blank.
+    #[test]
+    fn cross_thread_churn_ends_with_every_chunk_blank() {
+        const SIZES: [usize; 4] = [16, 48, 200, 2048];
+        enum Cmd {
+            Alloc(usize),
+            Free(usize, usize),
+        }
+        Checker::new().cases(8).run(
+            "cross_thread_churn_ends_with_every_chunk_blank",
+            |rng| {
+                (0..3_000)
+                    // Allocs (ops 0..4) outnumber frees, so magazines fill
+                    // and the final frees spill.
+                    .map(|_| (rng.random_range(0..3usize), rng.random_range(0..7u32)))
+                    .collect()
+            },
+            |script: &[(usize, u32)]| {
+                isolated(|| {
+                    std::thread::scope(|s| {
+                        let workers: Vec<_> = (0..3)
+                            .map(|_| {
+                                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
+                                let (addr_tx, addr_rx) = mpsc::channel::<usize>();
+                                let worker = s.spawn(move || {
+                                    for cmd in cmd_rx {
+                                        let done = match cmd {
+                                            Cmd::Alloc(size) => alloc_addr(size),
+                                            Cmd::Free(block, size) => {
+                                                free_all([block], size);
+                                                0
+                                            }
+                                        };
+                                        addr_tx.send(done).expect("driver hung up");
+                                    }
+                                });
+                                (cmd_tx, addr_rx, worker)
+                            })
+                            .collect();
+                        let step = |t: usize, cmd: Cmd| {
+                            workers[t].0.send(cmd).expect("worker hung up");
+                            workers[t].1.recv().expect("worker died")
+                        };
+                        let mut out: Vec<(usize, usize)> = Vec::new();
+                        for &(t, op) in script {
+                            match SIZES.get(op as usize) {
+                                Some(&size) => out.push((step(t, Cmd::Alloc(size)), size)),
+                                None if out.is_empty() => {}
+                                None => {
+                                    let pick = op as usize * 31 % out.len();
+                                    let (block, size) = out.swap_remove(pick);
+                                    step(t, Cmd::Free(block, size));
+                                }
+                            }
+                        }
+                        for (block, size) in out {
+                            step(0, Cmd::Free(block, size));
+                        }
+                        // Joined by hand: the scope's own wait ends before
+                        // a thread's magazine has gone home.
+                        for (cmd_tx, _, worker) in workers {
+                            drop(cmd_tx);
+                            worker.join().expect("worker panicked");
+                        }
+                    });
+                });
+            },
+        );
     }
 }

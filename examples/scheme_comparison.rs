@@ -124,7 +124,7 @@ fn main() {
         );
     }
     println!("\nMP: bounded wasted memory at epoch-scheme-like cost (Table 1).");
-    println!("pool-hit: node allocations served by the per-thread block pool;");
-    println!("allocs/op: real allocator calls per operation (pool misses / ops);");
+    println!("pool-hit: node allocations served a recycled pool block;");
+    println!("allocs/op: fresh-memory node allocations per operation (pool misses / ops);");
     println!("scan-allocs: reclamation scans that had to grow a scratch buffer.");
 }

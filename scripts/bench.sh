@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the throughput-trajectory bench and emits the machine-readable
-# BENCH_throughput.json (scheme x structure x thread-count, pool off vs on).
+# BENCH_throughput.json (scheme x structure x thread-count).
 #
 # Usage:
 #   scripts/bench.sh            # CI-scale run, JSON at the repo root

@@ -34,6 +34,9 @@ for artifact in ORDERING_GRAPH.json ORDERING_GRAPH.dot; do
   }
 done
 
+# Includes mp-util's slab-pool tests (blank-chunk rule, cross-thread
+# `live` exactness, thread-exit release); they run again below with
+# `-p mp-util --features hb-oracle`.
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
@@ -43,6 +46,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Oracle stage: the same tests plus the conformance matrix, negative
 # oracle tests, and mp-smr's oracle unit tests, with shadow lifecycle
 # tracking, freed-memory poisoning, and the waste-bound monitor armed.
+# Only here (and in the hb-oracle stage, which reruns it) is the
+# quarantine → pool hand-off exercised: tests/oracle_negative.rs drives a
+# block through eviction, a magazine and its chunk's free list and still
+# expects the poison canary.
 run_oracle() {
   if ! "$@"; then
     echo "!! oracle stage failed: $*" >&2
@@ -98,7 +105,8 @@ rm -rf "$TELEMETRY_SMOKE_DIR"
 MP_TELEMETRY=1 MP_BENCH_DIR="$TELEMETRY_SMOKE_DIR" \
   cargo run -q --release --offline --example telemetry_export >/dev/null
 for family in mp_ops_total mp_op_latency_nanos_bucket mp_scan_latency_nanos_bucket \
-              mp_wasted_nodes mp_wasted_bytes; do
+              mp_wasted_nodes mp_wasted_bytes \
+              mp_pool_reserved_bytes mp_pool_blank_chunks mp_pool_free_blocks; do
   grep -q "^$family" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom" \
     || { echo "!! telemetry smoke: $family missing from Prometheus output" >&2; exit 1; }
 done

@@ -80,7 +80,6 @@ fn use_after_free_still_caught_with_pool_enabled() {
     // the oracle's FIFO quarantine *before* any pool reinsertion, so a
     // dangling pointer still reads the poisoned canary — never a
     // freshly recycled, reinitialized block.
-    mp_util::pool::set_enabled(true);
     let smr = Hp::new(cfg());
     let mut h = smr.register();
     h.start_op();
@@ -105,6 +104,49 @@ fn use_after_free_still_caught_with_pool_enabled() {
         let _ = unsafe { n.deref() };
     });
     assert!(msg.contains("use-after-free"), "wrong diagnosis: {msg}");
+}
+
+#[test]
+fn use_after_free_still_caught_after_the_block_went_home_to_its_chunk() {
+    // The full hand-off: quarantine eviction → the freeing thread's pool
+    // magazine → (thread exit) the chunk's free list, whose link is written
+    // into the block's first word. The poison canary sits past that word,
+    // so a dangling pointer still reads it. The payload's size class is
+    // used by no other test of this binary, so nothing re-serves the block.
+    type Payload = [u64; 9];
+    let smr = Hp::new(cfg());
+    let n = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut h = smr.register();
+            h.start_op();
+            let n = h.alloc::<Payload>([7; 9]);
+            h.end_op();
+            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+            unsafe { h.retire(n) };
+            h.force_empty();
+            // `n` is the oldest of these frees: one more than the quarantine
+            // holds pushes it out, into this thread's magazine.
+            for i in 0..=oracle::QUARANTINE_CAP as u64 {
+                h.start_op();
+                let m = h.alloc::<Payload>([i; 9]);
+                h.end_op();
+                // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+                unsafe { h.retire(m) };
+                if i % 64 == 0 {
+                    h.force_empty();
+                }
+            }
+            h.force_empty();
+            n
+        })
+        .join()
+        .expect("churn thread panicked")
+    });
+    let msg = oracle_panic(|| {
+        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+        let _ = unsafe { n.deref() };
+    });
+    assert!(msg.contains("after reclamation"), "the link reached the canary word: {msg}");
 }
 
 #[test]

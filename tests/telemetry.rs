@@ -1,9 +1,9 @@
 //! Telemetry integration: armed tracing on a real workload, exporter
 //! validity, and the disarmed zero-ring contract.
 //!
-//! Arming is process-global state (like `MP_POOL`), so this binary holds a
-//! single `#[test]` that covers both armed and disarmed phases in a fixed
-//! order — the same discipline as `leak_check` and `zero_alloc`.
+//! Arming is process-global state, so this binary holds a single `#[test]`
+//! that covers both armed and disarmed phases in a fixed order — the same
+//! discipline as `leak_check` and `zero_alloc`.
 
 use std::sync::Arc;
 
@@ -94,7 +94,15 @@ fn armed_run_traces_exports_and_disarmed_run_has_no_ring() {
     assert!(prom.contains("mp_ops_total"), "counter families present");
     assert!(prom.contains("mp_scan_latency_nanos_bucket"), "histogram families present");
     assert!(prom.contains("mp_backpressure_level"), "ladder gauge present");
-    export::validate_json(&export::json("MP", &merged, &waste, Some(bp))).expect("valid JSON");
+    // The list's nodes came from the pool, so it reserved at least a region.
+    let reserved = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("mp_pool_reserved_bytes "))
+        .expect("pool gauges present");
+    assert!(reserved.parse::<usize>().unwrap() >= mp_util::pool::REGION);
+    let json = export::json("MP", &merged, &waste, Some(bp));
+    export::validate_json(&json).expect("valid JSON");
+    assert!(json.contains("\"pool\": {\"regions\": "), "pool object present");
 
     // --- Phase 2: disarmed. Counters still tick; no ring, no timing.
     telemetry::set_armed(false);

@@ -3,7 +3,7 @@
 //! Installs a counting global allocator and proves that, after a warm-up
 //! phase, a steady-state churn loop — pinned operations, node allocation,
 //! retirement, and full `empty()` scans — performs **zero** heap
-//! allocations: every node comes from the per-thread block pool and every
+//! allocations: every node comes from the thread's pool magazine and every
 //! scan cycles through handle-retained scratch buffers. Also asserts a
 //! pool hit rate above 90% under churn and that the live-node gauge
 //! returns to its baseline.
@@ -53,7 +53,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_churn_does_not_allocate() {
-    mp_util::pool::set_enabled(true);
     // Telemetry compiled in but disarmed: counters tick, but no event ring
     // is allocated and no latency timing runs — the hot path must stay
     // allocation-free with the subsystem present.
