@@ -22,7 +22,7 @@ fn main() {
         table.row(vec![
             name.into(),
             format!("{:.3}", r.mops),
-            format!("{:.1}%", 100.0 * r.hp_fallback_rate),
+            format!("{:.1}%", 100.0 * r.telemetry.hp_fallback_rate()),
             r.telemetry.collision_allocs().to_string(),
         ]);
     }

@@ -45,7 +45,7 @@ fn measure<D: mp_ds::ConcurrentSet<Mp>>(
         prefill.to_string(),
         format!("{mode:?}"),
         format!("{collision_rate:.2}%"),
-        format!("{:.2}%", 100.0 * res.hp_fallback_rate),
+        format!("{:.2}%", 100.0 * res.telemetry.hp_fallback_rate()),
     ]);
 }
 

@@ -25,7 +25,7 @@ fn main() {
                     threads.to_string(),
                     name.to_string(),
                     format!("{:.3}", res.mops),
-                    format!("{:.1}", res.avg_retired),
+                    format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
                 ]);
             });
         }

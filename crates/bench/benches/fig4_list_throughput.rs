@@ -26,7 +26,7 @@ fn main() {
                     threads.to_string(),
                     name.to_string(),
                     format!("{:.3}", res.mops),
-                    format!("{:.1}", res.avg_retired),
+                    format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
                 ]);
             });
             // DTA runs on its co-designed list (§6 evaluates DTA only here).
@@ -35,7 +35,7 @@ fn main() {
                 threads.to_string(),
                 "DTA".to_string(),
                 format!("{:.3}", res.mops),
-                format!("{:.1}", res.avg_retired),
+                format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
             ]);
         }
         table.emit(&format!("fig4_list_{}", mix.name));

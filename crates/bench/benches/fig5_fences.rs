@@ -14,7 +14,7 @@ where
     D: mp_ds::ConcurrentSet<S>,
 {
     let p = BenchParams::paper(threads, paper_s, mp_bench::READ_ONLY);
-    mp_bench::driver::run_avg::<S, D>(&p, runs).fences_per_node
+    mp_bench::driver::run_avg::<S, D>(&p, runs).telemetry.fences_per_node()
 }
 
 fn main() {

@@ -33,7 +33,7 @@ fn main() {
                             $label.to_string(),
                             threads.to_string(),
                             name.to_string(),
-                            format!("{:.1}", res.avg_retired),
+                            format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
                             res.peak_pending.to_string(),
                         ]);
                     });
@@ -50,7 +50,7 @@ fn main() {
                 "list".into(),
                 threads.to_string(),
                 "DTA".into(),
-                format!("{:.1}", res.avg_retired),
+                format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
                 res.peak_pending.to_string(),
             ]);
         }

@@ -28,7 +28,7 @@ fn main() {
             threads.to_string(),
             "MP".into(),
             format!("{:.3}", mp.mops),
-            format!("{:.1}%", 100.0 * mp.hp_fallback_rate),
+            format!("{:.1}%", 100.0 * mp.telemetry.hp_fallback_rate()),
         ]);
         table.row(vec![
             threads.to_string(),

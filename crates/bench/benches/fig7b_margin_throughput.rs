@@ -24,7 +24,7 @@ fn main() {
         table.row(vec![
             format!("2^{shift}"),
             format!("{:.3}", res.mops),
-            format!("{:.4}", res.fences_per_node),
+            format!("{:.4}", res.telemetry.fences_per_node()),
         ]);
     }
     table.emit("fig7b_margin_throughput");

@@ -22,7 +22,7 @@ fn main() {
         let res = mp_bench::driver::run_avg::<Mp, NmTree<Mp>>(&p, runs);
         table.row(vec![
             format!("2^{shift}"),
-            format!("{:.1}", res.avg_retired),
+            format!("{:.1}", res.telemetry.avg_retired_at_op_start()),
             res.peak_pending.to_string(),
         ]);
     }

@@ -58,9 +58,9 @@ impl Row {
             r.p50_ns,
             r.p99_ns,
             r.p999_ns,
-            r.scan_ns_per_free,
-            r.snapshot_reuses,
-            r.tid_recycles,
+            r.telemetry.scan_ns_per_free(),
+            r.telemetry.snapshot_reuses(),
+            r.telemetry.tid_recycles(),
             r.handle_churns,
             r.peak_pending,
             r.peak_pending_bytes,
@@ -167,9 +167,9 @@ fn main() {
             format!("{:.1}", r.p50_ns as f64 / 1e3),
             format!("{:.1}", r.p99_ns as f64 / 1e3),
             format!("{:.1}", r.p999_ns as f64 / 1e3),
-            format!("{:.1}", r.scan_ns_per_free),
-            r.snapshot_reuses.to_string(),
-            r.tid_recycles.to_string(),
+            format!("{:.1}", r.telemetry.scan_ns_per_free()),
+            r.telemetry.snapshot_reuses().to_string(),
+            r.telemetry.tid_recycles().to_string(),
             r.peak_pending.to_string(),
             r.end_pending.to_string(),
             format!("{:.1}", r.peak_rss_kb as f64 / 1024.0),

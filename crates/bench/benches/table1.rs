@@ -39,7 +39,7 @@ fn main() {
             table.row(vec![
                 $name.to_string(),
                 format!("{:.2}x", base.mops / r.mops.max(1e-9)),
-                format!("{:.4}", r.fences_per_node),
+                format!("{:.4}", r.telemetry.fences_per_node()),
                 $bound.to_string(),
                 $effort.to_string(),
                 hdr_words.to_string(),

@@ -38,12 +38,12 @@ fn main() {
         let p = BenchParams::paper(threads, 500_000, mp_bench::READ_DOMINATED);
         let mp = mp_bench::driver::run_avg::<Mp, NmTree<Mp>>(&p, runs);
         let hp = mp_bench::driver::run_avg::<Hp, NmTree<Hp>>(&p, runs);
-        let ok = mp.fences_per_node < hp.fences_per_node;
+        let (mp_fpn, hp_fpn) = (mp.telemetry.fences_per_node(), hp.telemetry.fences_per_node());
         table.row(vec![
             "1".into(),
             "bounded-waste category: MP < HP fences/node (BST, read-dom.)".into(),
-            format!("MP {:.3} vs HP {:.3}", mp.fences_per_node, hp.fences_per_node),
-            verdict(ok),
+            format!("MP {mp_fpn:.3} vs HP {hp_fpn:.3}"),
+            verdict(mp_fpn < hp_fpn),
         ]);
         table.row(vec![
             "1b".into(),
@@ -60,16 +60,12 @@ fn main() {
         let mp = mp_bench::driver::run_avg::<Mp, LinkedList<Mp>>(&p, runs);
         let ebr = mp_bench::driver::run_avg::<Ebr, LinkedList<Ebr>>(&p, runs);
         let ibr = mp_bench::driver::run_avg::<Ibr, LinkedList<Ibr>>(&p, runs);
-        let ok = ebr.avg_retired > 10.0 * mp.avg_retired.max(1.0)
-            && ibr.avg_retired > 3.0 * mp.avg_retired.max(1.0);
+        let [mp, ebr, ibr] = [mp, ebr, ibr].map(|r| r.telemetry.avg_retired_at_op_start());
         table.row(vec![
             "2".into(),
             "stalled thread: MP waste bounded, EBR/IBR not (list)".into(),
-            format!(
-                "MP {:.0} vs EBR {:.0} / IBR {:.0} avg-retired",
-                mp.avg_retired, ebr.avg_retired, ibr.avg_retired
-            ),
-            verdict(ok),
+            format!("MP {mp:.0} vs EBR {ebr:.0} / IBR {ibr:.0} avg-retired"),
+            verdict(ebr > 10.0 * mp.max(1.0) && ibr > 3.0 * mp.max(1.0)),
         ]);
     }
 
@@ -80,16 +76,13 @@ fn main() {
         let ebr = mp_bench::driver::run_avg::<Ebr, NmTree<Ebr>>(&p, runs);
         let he = mp_bench::driver::run_avg::<He, NmTree<He>>(&p, runs);
         let ibr = mp_bench::driver::run_avg::<Ibr, NmTree<Ibr>>(&p, runs);
-        let worst_epoch = ebr.avg_retired.min(he.avg_retired).min(ibr.avg_retired);
-        let ok = mp.avg_retired < worst_epoch;
+        let [mp, ebr, he, ibr] =
+            [mp, ebr, he, ibr].map(|r| r.telemetry.avg_retired_at_op_start());
         table.row(vec![
             "3".into(),
             "MP wastes less than EBR/HE/IBR in practice (BST, read-dom.)".into(),
-            format!(
-                "MP {:.0} vs EBR {:.0} / HE {:.0} / IBR {:.0}",
-                mp.avg_retired, ebr.avg_retired, he.avg_retired, ibr.avg_retired
-            ),
-            verdict(ok),
+            format!("MP {mp:.0} vs EBR {ebr:.0} / HE {he:.0} / IBR {ibr:.0}"),
+            verdict(mp < ebr.min(he).min(ibr)),
         ]);
     }
 

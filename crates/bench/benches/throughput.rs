@@ -15,50 +15,31 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mp_bench::{for_each_scheme, json_str, BenchParams, BenchResult, Table};
+use mp_bench::{for_each_scheme, json_str, BenchParams, Table};
 use mp_ds::{LinkedList, NmTree, SkipList};
+use mp_smr::{FenceSite, TelemetrySnapshot};
 
-/// One measured point of the sweep.
+/// One measured point of the sweep: where it was taken, its throughput,
+/// and the merged telemetry every other column is read from.
 struct Point {
     scheme: &'static str,
     structure: &'static str,
     threads: usize,
     mops: f64,
-    allocs_per_op: f64,
-    pool_hit_rate: f64,
-    fences_per_op: f64,
-    /// Per-site attribution of `fences_per_op`:
-    /// `[start_op, end_op, announce, hp_protect]`.
-    fence_site_per_op: [f64; 4],
-    scan_heap_allocs: u64,
-    empties: u64,
-    /// Amortized scan cost: wall nanoseconds of scanning per freed node.
-    scan_ns_per_free: f64,
+    telemetry: TelemetrySnapshot,
 }
 
 impl Point {
-    fn from(
-        scheme: &'static str,
-        structure: &'static str,
-        threads: usize,
-        r: &BenchResult,
-    ) -> Self {
-        Point {
-            scheme,
-            structure,
-            threads,
-            mops: r.mops,
-            allocs_per_op: r.allocs_per_op,
-            pool_hit_rate: r.pool_hit_rate,
-            fences_per_op: r.telemetry.fences() as f64 / r.telemetry.ops().max(1) as f64,
-            fence_site_per_op: r.fence_site_per_op,
-            scan_heap_allocs: r.telemetry.scan_heap_allocs(),
-            empties: r.telemetry.empties(),
-            scan_ns_per_free: r.telemetry.scan_ns_per_free(),
-        }
+    /// Per-site attribution of `fences_per_op`:
+    /// `[start_op, end_op, announce, hp_protect]`.
+    fn fence_sites_per_op(&self) -> [f64; 4] {
+        [FenceSite::StartOp, FenceSite::EndOp, FenceSite::Announce, FenceSite::HpProtect]
+            .map(|site| self.telemetry.fences_per_op_at(site))
     }
 
     fn json(&self) -> String {
+        let t = &self.telemetry;
+        let sites = self.fence_sites_per_op();
         format!(
             "{{\"scheme\": {}, \"structure\": {}, \"threads\": {}, \"pool\": \"on\", \
              \"cadence\": \"watermark\", \
@@ -71,16 +52,16 @@ impl Point {
             json_str(self.structure),
             self.threads,
             self.mops,
-            self.allocs_per_op,
-            self.pool_hit_rate,
-            self.fences_per_op,
-            self.fence_site_per_op[0],
-            self.fence_site_per_op[1],
-            self.fence_site_per_op[2],
-            self.fence_site_per_op[3],
-            self.scan_heap_allocs,
-            self.empties,
-            self.scan_ns_per_free,
+            t.allocs_per_op(),
+            t.pool_hit_rate(),
+            t.fences_per_op(),
+            sites[0],
+            sites[1],
+            sites[2],
+            sites[3],
+            t.scan_heap_allocs(),
+            t.empties(),
+            t.scan_ns_per_free(),
         )
     }
 }
@@ -111,7 +92,13 @@ fn main() {
             for &threads in &sweep {
                 let p = BenchParams::paper(threads, $paper_s, mp_bench::READ_DOMINATED);
                 for_each_scheme!($ds, &p, runs, |name, res| {
-                    points.push(Point::from(name, $label, threads, &res));
+                    points.push(Point {
+                        scheme: name,
+                        structure: $label,
+                        threads,
+                        mops: res.mops,
+                        telemetry: res.telemetry,
+                    });
                 });
             }
         };
@@ -136,22 +123,17 @@ fn main() {
         ],
     );
     for pt in &points {
+        let (t, sites) = (&pt.telemetry, pt.fence_sites_per_op());
         table.row(vec![
             pt.structure.to_string(),
             pt.threads.to_string(),
             pt.scheme.to_string(),
             format!("{:.3}", pt.mops),
-            format!("{:.4}", pt.allocs_per_op),
-            format!("{:.3}", pt.pool_hit_rate),
-            format!("{:.3}", pt.fences_per_op),
-            format!(
-                "{:.2}/{:.2}/{:.2}/{:.2}",
-                pt.fence_site_per_op[0],
-                pt.fence_site_per_op[1],
-                pt.fence_site_per_op[2],
-                pt.fence_site_per_op[3],
-            ),
-            format!("{:.0}", pt.scan_ns_per_free),
+            format!("{:.4}", t.allocs_per_op()),
+            format!("{:.3}", t.pool_hit_rate()),
+            format!("{:.3}", t.fences_per_op()),
+            format!("{:.2}/{:.2}/{:.2}/{:.2}", sites[0], sites[1], sites[2], sites[3]),
+            format!("{:.0}", t.scan_ns_per_free()),
         ]);
     }
     table.emit("throughput");

@@ -121,27 +121,12 @@ pub struct BenchResult {
     pub total_ops: u64,
     /// Throughput in million operations per second.
     pub mops: f64,
-    /// Merged per-thread telemetry (counters + latency histograms).
+    /// Merged per-thread telemetry: counters, latency histograms and the
+    /// ratios the figures plot (`fences_per_node()`,
+    /// `avg_retired_at_op_start()`, `hp_fallback_rate()`, …).
     pub telemetry: TelemetrySnapshot,
-    /// Average retired-but-unreclaimed nodes at operation start
-    /// (Figure 6's metric).
-    pub avg_retired: f64,
-    /// Fences per traversed node (Figure 5's metric).
-    pub fences_per_node: f64,
-    /// Fences per completed operation (the fence-budget metric).
-    pub fences_per_op: f64,
-    /// Per-site attribution of `fences_per_op`, in the order
-    /// `[start_op, end_op, announce, hp_protect]` (see
-    /// [`mp_smr::FenceSite`]).
-    pub fence_site_per_op: [f64; 4],
     /// Peak global retired-pending observed by a 10 ms poller.
     pub peak_pending: usize,
-    /// Fraction of reads that took MP's hazard-pointer fallback.
-    pub hp_fallback_rate: f64,
-    /// Fresh-memory node allocations per completed operation (pool misses / ops).
-    pub allocs_per_op: f64,
-    /// Fraction of node allocations served a recycled pool block.
-    pub pool_hit_rate: f64,
 }
 
 /// Message carried by [`FaultMode::MidOpPanic`]'s injected panics; the
@@ -226,7 +211,7 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
     ));
     let total_ops = Arc::new(AtomicU64::new(0));
 
-    let mut result_stats: Vec<TelemetrySnapshot> = Vec::new();
+    let mut merged = TelemetrySnapshot::default();
     let mut peak_pending = 0usize;
 
     std::thread::scope(|scope| {
@@ -326,74 +311,38 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
         }
         stop.store(true, Ordering::Release);
         for j in joins {
-            result_stats.push(j.join().expect("worker panicked"));
+            merged.merge(&j.join().expect("worker panicked"));
         }
     });
 
-    let mut merged = TelemetrySnapshot::default();
-    for s in &result_stats {
-        merged.merge(s);
-    }
     let total = total_ops.load(Ordering::Acquire);
-    let reads = merged.nodes_traversed().max(1);
-    let ops = merged.ops().max(1) as f64;
     BenchResult {
         total_ops: total,
         mops: total as f64 / p.duration.as_secs_f64() / 1e6,
-        avg_retired: merged.avg_retired_at_op_start(),
-        fences_per_node: merged.fences_per_node(),
-        fences_per_op: merged.fences() as f64 / ops,
-        fence_site_per_op: [
-            merged.fences_start_op() as f64 / ops,
-            merged.fences_end_op() as f64 / ops,
-            merged.fences_announce() as f64 / ops,
-            merged.fences_hp_protect() as f64 / ops,
-        ],
-        peak_pending,
-        hp_fallback_rate: merged.hp_fallback_reads() as f64 / reads as f64,
-        allocs_per_op: merged.allocs_per_op(),
-        pool_hit_rate: merged.pool_hit_rate(),
         telemetry: merged,
+        peak_pending,
     }
 }
 
-/// Averages `n` repetitions of the same point (the paper reports the mean
-/// of 10 runs).
+/// `n` repetitions of the same point (the paper reports the mean of 10
+/// runs): `mops` is the mean over runs, the telemetry snapshots are merged
+/// — so every ratio read from the result is pooled over all runs' counts
+/// rather than a mean of per-run ratios — and `peak_pending` is the max.
 pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchResult {
-    let mut results: Vec<BenchResult> = (0..n.max(1))
-        .map(|i| {
-            let mut p = p.clone();
-            p.seed = p.seed.wrapping_add(i as u64);
-            run::<S, D>(&p)
-        })
-        .collect();
-    let n = results.len() as f64;
-    let mut acc = results.pop().expect("at least one run");
-    for r in &results {
+    let n = n.max(1);
+    let mut runs = (0..n).map(|i| {
+        let mut p = p.clone();
+        p.seed = p.seed.wrapping_add(i as u64);
+        run::<S, D>(&p)
+    });
+    let mut acc = runs.next().expect("at least one run");
+    for r in runs {
         acc.total_ops += r.total_ops;
         acc.mops += r.mops;
-        acc.avg_retired += r.avg_retired;
-        acc.fences_per_node += r.fences_per_node;
-        acc.fences_per_op += r.fences_per_op;
-        for (a, b) in acc.fence_site_per_op.iter_mut().zip(&r.fence_site_per_op) {
-            *a += b;
-        }
         acc.peak_pending = acc.peak_pending.max(r.peak_pending);
-        acc.hp_fallback_rate += r.hp_fallback_rate;
-        acc.allocs_per_op += r.allocs_per_op;
-        acc.pool_hit_rate += r.pool_hit_rate;
         acc.telemetry.merge(&r.telemetry);
     }
-    acc.mops /= n;
-    acc.avg_retired /= n;
-    acc.fences_per_node /= n;
-    acc.fences_per_op /= n;
-    for a in acc.fence_site_per_op.iter_mut() {
-        *a /= n;
-    }
-    acc.hp_fallback_rate /= n;
-    acc.allocs_per_op /= n;
-    acc.pool_hit_rate /= n;
+    acc.mops /= n as f64;
     acc
 }
 
@@ -435,7 +384,7 @@ mod tests {
         let p = quick(2, 100, READ_ONLY);
         let r = run::<Hp, LinkedList<Hp>>(&p);
         assert_eq!(r.telemetry.retires(), 0);
-        assert_eq!(r.avg_retired, 0.0);
+        assert_eq!(r.telemetry.avg_retired_at_op_start(), 0.0);
     }
 
     #[test]

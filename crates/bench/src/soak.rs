@@ -98,12 +98,6 @@ pub struct SoakResult {
     pub p99_ns: u64,
     /// 99.9th percentile operation latency — the scan-pause witness.
     pub p999_ns: u64,
-    /// Wall nanoseconds of scanning per reclaimed node.
-    pub scan_ns_per_free: f64,
-    /// Scans that adopted a peer's published snapshot.
-    pub snapshot_reuses: u64,
-    /// Registrations that reused a released tid.
-    pub tid_recycles: u64,
     /// Handle drop + re-register cycles performed by workers.
     pub handle_churns: u64,
     /// Peak scheme-wide retired-but-unreclaimed nodes (5 ms poller).
@@ -125,7 +119,8 @@ pub struct SoakResult {
     pub bp_throttle_engagements: u64,
     /// Times the ladder released back to normal.
     pub bp_releases: u64,
-    /// Merged per-handle telemetry.
+    /// Merged per-handle telemetry; the soak report's `scan_ns_per_free()`,
+    /// `snapshot_reuses()` and `tid_recycles()` columns are read from it.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -320,9 +315,6 @@ fn run_soak_with<S: Smr, D: ConcurrentSet<S>>(
         p50_ns: latency.quantile(0.50),
         p99_ns: latency.quantile(0.99),
         p999_ns: latency.quantile(0.999),
-        scan_ns_per_free: merged.scan_ns_per_free(),
-        snapshot_reuses: merged.snapshot_reuses(),
-        tid_recycles: merged.tid_recycles(),
         handle_churns: total_churns.load(Ordering::Acquire),
         peak_pending,
         peak_pending_bytes,
@@ -350,10 +342,10 @@ mod tests {
         assert!(r.p50_ns > 0 && r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
         assert!(r.handle_churns > 0, "workers never churned handles");
         assert!(
-            r.tid_recycles >= r.handle_churns,
+            r.telemetry.tid_recycles() >= r.handle_churns,
             "each churn re-register must observe a recycled tid \
              (recycles {}, churns {})",
-            r.tid_recycles,
+            r.telemetry.tid_recycles(),
             r.handle_churns
         );
         assert!(r.peak_rss_kb > 0 || !cfg!(target_os = "linux"));

@@ -4,8 +4,10 @@
 //! by containment: every node is linked at level 0, and each higher level
 //! skips geometrically more nodes. `find` navigates top-down, producing
 //! per-level `(pred, succ)` pairs; `insert` links bottom-up; `remove` marks
-//! every level's next pointer top-down and the winner of the level-0 mark
-//! physically unlinks (via repeated `find`) and retires the node.
+//! every level's next pointer top-down, and the later of the level-0 mark's
+//! winner and the node's inserter (the retire handshake,
+//! `Node::second_to_finish`) physically unlinks it (via repeated `find`)
+//! and retires it.
 //!
 //! MP integration (§5.2): searches update the MP search interval exactly as
 //! in the single list — each rightward step updates the lower bound, each
@@ -13,8 +15,8 @@
 //! used per level (alternating pred/curr), matching the paper's slot
 //! budget of "two MPs per level".
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::atomic::Ordering;
 
 use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
 
@@ -26,8 +28,9 @@ pub const MAX_HEIGHT: usize = 20;
 
 /// Protection slots a skip-list operation may use: three per level
 /// (rotating pred/curr/next roles, so each traversed node costs exactly one
-/// protected read) plus a scratch slot for `remove`'s re-reads and a pin
-/// slot for the not-yet-fully-linked insert node.
+/// protected read) plus a scratch slot for `remove`'s re-reads. The last
+/// slot is spare: it stays in the count because the count sizes the slot
+/// rows of every skip-list measurement (ROADMAP, carried forward).
 pub const SLOTS_NEEDED: usize = 3 * MAX_HEIGHT + 2;
 
 /// Deleted-bit on a level's next pointer.
@@ -35,9 +38,6 @@ const DELETED: u64 = 0b01;
 
 /// Scratch slot for transient next-pointer reads outside `find`.
 const SCRATCH: usize = 3 * MAX_HEIGHT;
-/// Pin slot keeping an inserter's own node protected while it links the
-/// upper levels (a concurrent remove may otherwise retire and free it).
-const PIN: usize = 3 * MAX_HEIGHT + 1;
 
 /// The three rotating slots of `level`.
 #[inline]
@@ -45,17 +45,49 @@ fn slot(level: usize, role: usize) -> usize {
     3 * level + role
 }
 
+/// Set in [`Node::state`] by whichever of the node's inserter (done
+/// linking the upper levels) and remover (done marking every level)
+/// finishes first.
+const FIRST_DONE: usize = 1 << 8;
+
 /// Skip-list node payload: immutable key, optional value, tower of links.
 pub struct Node<V = ()> {
     key: u64,
     value: V,
-    height: usize,
+    /// Tower height (immutable) in the low byte, plus [`FIRST_DONE`].
+    state: AtomicUsize,
     next: [Atomic<Node<V>>; MAX_HEIGHT],
 }
 
 impl<V> Node<V> {
+    /// A one-level node has no upper levels to link, so its inserter is
+    /// done at birth.
     fn new(key: u64, value: V, height: usize) -> Self {
-        Node { key, value, height, next: std::array::from_fn(|_| Atomic::null()) }
+        let done = if height == 1 { FIRST_DONE } else { 0 };
+        Node {
+            key,
+            value,
+            state: AtomicUsize::new(height | done),
+            next: std::array::from_fn(|_| Atomic::null()),
+        }
+    }
+
+    fn height(&self) -> usize {
+        self.state.load(Ordering::Acquire) & (FIRST_DONE - 1)
+    }
+
+    /// The retire handshake (Fraser's `check_for_full_delete`). A removed
+    /// node may be unlinked for good and retired only once its inserter
+    /// has stopped linking it: an inserter that read a level's forward
+    /// pointer as unmarked can still link that level after the remover has
+    /// marked every level and run an unlinking `find`, and a node retired
+    /// before that link would be reachable again with no scheme protecting
+    /// its new readers. So both parties call this when they are done — the
+    /// inserter after `link_upper_levels`, the remover after the level-0
+    /// mark — and only the second caller (`true`) unlinks and retires; the
+    /// first leaves the node, marked, to it.
+    fn second_to_finish(&self) -> bool {
+        self.state.fetch_or(FIRST_DONE, Ordering::AcqRel) & FIRST_DONE != 0
     }
 }
 
@@ -197,11 +229,15 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
         }
     }
 
-    /// Links `new` at levels `from..height`, re-finding on interference.
+    /// Links `new` at levels `1..height`, re-finding on interference.
     /// Returns once linking is complete or the node was concurrently
-    /// removed. `new` must be pinned under [`PIN`].
+    /// removed. The mark check is only an early exit: a remover can mark
+    /// the level right after it, and the `pred` CAS then links a marked
+    /// node — which is why `new` is not unlinked and retired before its
+    /// inserter's [`Node::second_to_finish`].
     // PROTECTION: caller — runs inside the caller's start_op span; `new` is
-    // pinned under PIN and preds stay protected by the most recent find.
+    // the caller's own node, unretired until its `second_to_finish`, and
+    // preds stay protected by the most recent find.
     fn link_upper_levels(
         &self,
         h: &mut S::Handle,
@@ -212,7 +248,9 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     ) {
         let mut level = 1;
         while level < height {
-            // SAFETY: [INV-01] new pinned under PIN.
+            // SAFETY: [INV-01] no protected read needed: nobody retires
+            // `new` before its inserter — our caller — has called
+            // `second_to_finish` ([INV-04]).
             let new_node = unsafe { new.deref() }.data();
             let cur_fwd = new_node.next[level].load(Ordering::Acquire);
             if cur_fwd.mark() != 0 {
@@ -227,6 +265,8 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             {
                 return; // marked concurrently
             }
+            #[cfg(test)]
+            tests::pause(new.addr());
             // SAFETY: [INV-01] pred protected by the most recent find.
             let pred_node = unsafe { r.preds[level].deref() }.data();
             if pred_node.next[level]
@@ -240,6 +280,18 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             r = self.find(h, key);
             if !r.found || r.succs[0] != new {
                 return; // removed while linking
+            }
+        }
+    }
+
+    /// Physically unlinks the marked `victim` at every level it is linked
+    /// at (`find` splices marked nodes). Compares identities — a same-key
+    /// node may reappear.
+    fn unlink(&self, h: &mut S::Handle, victim: Shared<Node<V>>, key: u64) {
+        loop {
+            let r = self.find(h, key);
+            if !r.found || r.succs[0] != victim {
+                break;
             }
         }
     }
@@ -265,11 +317,6 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                 payload.next[l].store(*succ, Ordering::Relaxed);
             }
             let new = h.alloc(payload);
-            // Pin our node before publishing: a concurrent remove may retire
-            // it as soon as it is reachable, but cannot reclaim it past this
-            // protection. The cell is stack-local, so validation is trivial.
-            let pin_cell = Atomic::new(new);
-            let new = h.read(&pin_cell, PIN);
 
             // Level-0 link is the linearization point.
             // SAFETY: [INV-01] preds are protected by find (or sentinels).
@@ -285,6 +332,19 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                 continue;
             }
             self.link_upper_levels(h, new, key, r, height);
+            // One-level nodes are born done (and may be retired by now):
+            // only a tall node's inserter takes part in the handshake.
+            // SAFETY: [INV-01] a tall node is not retired before this very
+            // call returns ([INV-04]), so no protected read is needed.
+            if height > 1 && unsafe { new.deref() }.data().second_to_finish() {
+                // Removed while we were linking, and the remover is done
+                // marking: it left the node to us.
+                self.unlink(h, new, key);
+                // SAFETY: [INV-04] marked at every level, unlinked after the
+                // last link attempt, and `second_to_finish` returned `true`
+                // to us alone — unique retirer.
+                unsafe { h.retire(new) };
+            }
             h.end_op();
             return true;
         }
@@ -365,11 +425,10 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
             return false;
         }
         let victim = r.succs[0];
-        // SAFETY: [INV-01] victim protected by find (level-0 slot, untouched below
-        // until the unlink loop's finds, by which point we only compare
-        // addresses and, as unique retirer, know it cannot be freed).
+        // SAFETY: [INV-01] victim protected by find: its level-0 slot is
+        // untouched until the unlink pass, which only compares addresses.
         let victim_node = unsafe { victim.deref() }.data();
-        let height = victim_node.height;
+        let height = victim_node.height();
 
         // Mark top-down, levels height-1 .. 1.
         for level in (1..height).rev() {
@@ -412,17 +471,19 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
             }
         }
 
-        // Physically unlink at every level (find splices marked nodes),
-        // then retire. Compare identities — a same-key node may reappear.
-        loop {
-            let r = self.find(h, key);
-            if !r.found || r.succs[0] != victim {
-                break;
-            }
+        #[cfg(test)]
+        tests::pause(victim.addr());
+        if victim_node.second_to_finish() {
+            // The inserter is done (a one-level node's was at birth), so
+            // nothing links the node again once this pass has unlinked it.
+            // Otherwise the inserter, finishing second, does both.
+            self.unlink(h, victim, key);
+            // SAFETY: [INV-04] we won the level-0 mark, the inserter had
+            // stopped linking before the unlink above, and
+            // `second_to_finish` returned `true` to us alone — unique
+            // retirer.
+            unsafe { h.retire(victim) };
         }
-        // SAFETY: [INV-04] fully unlinked and we won the level-0 mark —
-        // unique retirer.
-        unsafe { h.retire(victim) };
         h.end_op();
         true
     }
@@ -473,9 +534,117 @@ mod tests {
             .with_epoch_freq(8)
     }
 
+    /// A paused thread's side of its two channels: the address of the node
+    /// it is working on goes out, the go-ahead comes in.
+    type Pause = (std::sync::mpsc::Sender<u64>, std::sync::mpsc::Receiver<()>);
+
+    thread_local! {
+        /// Armed only by the regression test below, on the thread to hold.
+        static PAUSE: std::cell::RefCell<Option<Pause>> = const { std::cell::RefCell::new(None) };
+    }
+
+    /// The two pause points: in `link_upper_levels` between a level's mark
+    /// check and its `pred` CAS, and in `remove` between the level-0 mark
+    /// and the retire handshake. Fires once per arming.
+    pub(super) fn pause(node_addr: u64) {
+        if let Some((paused, resume)) = PAUSE.take() {
+            paused.send(node_addr).unwrap();
+            resume.recv().unwrap();
+        }
+    }
+
+    /// Regression: an inserter that has read level 1 of its node as
+    /// unmarked is held there while a remover marks every level; the
+    /// inserter then links level 1. Whichever of the two finishes first,
+    /// the node must end up unlinked at every level and retired once;
+    /// retired early, it stays reachable at level 1 after reclamation.
+    ///
+    /// `remover_first`: the remover runs to completion (scan and handle
+    /// drop included) while the inserter is held. Otherwise the remover is
+    /// held in turn, just before its handshake, until the inserter has
+    /// linked level 1 and finished.
+    // PROTECTION: quiescent — the closing walk runs after both worker
+    // threads joined; every other access goes through the set's own ops.
+    fn removed_node_is_not_left_linked<S: Smr>(remover_first: bool) {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::mpsc::channel;
+        let smr = S::new(cfg());
+        let sl = SkipList::<S>::new(&smr);
+        let inserting = AtomicU64::new(0);
+        let (ins_paused_tx, ins_paused_rx) = channel();
+        let (ins_resume_tx, ins_resume_rx) = channel();
+        let (rem_paused_tx, rem_paused_rx) = channel();
+        let (rem_resume_tx, rem_resume_rx) = channel();
+        let (smr_ref, sl, inserting) = (&smr, &sl, &inserting);
+        let victim_addr = std::thread::scope(|s| {
+            let remover = s.spawn(move || {
+                let mut h = smr_ref.register();
+                let addr =
+                    ins_paused_rx.recv().expect("the inserter pauses on its first tall node");
+                if !remover_first {
+                    PAUSE.set(Some((rem_paused_tx, rem_resume_rx)));
+                }
+                let key = inserting.load(Ordering::Acquire);
+                assert!(sl.remove(&mut h, key), "the paused node is already in the set");
+                h.force_empty();
+                drop(h); // drains: whatever this handle retired is now freed
+                addr
+            });
+            let inserter = s.spawn(move || {
+                let mut h = smr_ref.register();
+                PAUSE.set(Some((ins_paused_tx, ins_resume_rx)));
+                for key in 0.. {
+                    inserting.store(key, Ordering::Release);
+                    assert!(sl.insert(&mut h, key));
+                    if PAUSE.with_borrow(Option::is_none) {
+                        break; // that was the tall node
+                    }
+                }
+                h.force_empty();
+            });
+            if remover_first {
+                let addr = remover.join().unwrap();
+                ins_resume_tx.send(()).unwrap();
+                inserter.join().unwrap();
+                addr
+            } else {
+                rem_paused_rx.recv().expect("the remover pauses before its handshake");
+                ins_resume_tx.send(()).unwrap();
+                inserter.join().unwrap();
+                rem_resume_tx.send(()).unwrap();
+                remover.join().unwrap()
+            }
+        });
+        // Every handle is gone, so whatever was retired has been freed.
+        // Walk each level comparing addresses before dereferencing.
+        for level in 0..MAX_HEIGHT {
+            // SAFETY: [INV-12] quiescent: both threads joined.
+            let mut curr = unsafe { sl.head.deref() }.data().next[level].load(Ordering::Acquire);
+            while curr != sl.tail {
+                assert_ne!(curr.addr(), victim_addr, "removed node still linked at level {level}");
+                assert_eq!(curr.mark(), 0);
+                // SAFETY: [INV-12] quiescent, and not the removed node.
+                curr = unsafe { curr.deref() }.data().next[level].load(Ordering::Acquire);
+            }
+        }
+        assert_eq!(smr.retired_pending(), 0, "the removed node was retired and freed");
+        let mut h = smr.register();
+        let keys = sl.collect(&mut h);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
+    }
+
+    #[test]
+    fn removed_node_is_not_left_linked_hp_mp_ebr() {
+        for remover_first in [true, false] {
+            removed_node_is_not_left_linked::<Hp>(remover_first);
+            removed_node_is_not_left_linked::<Mp>(remover_first);
+            removed_node_is_not_left_linked::<Ebr>(remover_first);
+        }
+    }
+
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(crate::node_bytes::<Node>(), 200, "header 24 + key 8 + height 8 + 20 links 160");
+        assert_eq!(crate::node_bytes::<Node>(), 200, "header 24 + key 8 + state 8 + 20 links 160");
     }
 
     fn smoke<S: Smr>() {

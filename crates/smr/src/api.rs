@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use crate::error::SmrError;
 use crate::packed::{Atomic, Shared};
-use crate::stats::OpStats;
 use crate::telemetry::{self, SchemeTelemetry, Telemetry};
 
 /// Tunable SMR parameters (paper §4.3 Listing 2 constants + §6 defaults).
@@ -426,14 +425,14 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// Node memory is served from the slab pool ([`mp_util::pool`]):
     /// steady-state churn — alloc, retire, reclaim, alloc again — recycles
     /// blocks through the thread's magazine and performs no heap
-    /// allocations; [`OpStats::pool_hits`]/[`OpStats::pool_misses`] record
+    /// allocations; [`Counter::PoolHits`]/[`Counter::PoolMisses`] record
     /// the recycled / fresh-carve split. Reclaimed node blocks are returned
     /// to the same pool.
     ///
     /// [`update_lower_bound`]: SmrHandle::update_lower_bound
     /// [`update_upper_bound`]: SmrHandle::update_upper_bound
-    /// [`OpStats::pool_hits`]: crate::stats::OpStats::pool_hits
-    /// [`OpStats::pool_misses`]: crate::stats::OpStats::pool_misses
+    /// [`Counter::PoolHits`]: crate::telemetry::Counter::PoolHits
+    /// [`Counter::PoolMisses`]: crate::telemetry::Counter::PoolMisses
     fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T>;
 
     /// Allocates a node with an explicit index — for sentinel nodes whose
@@ -456,13 +455,6 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// MP extension: the search interval's upper endpoint moved to `node`.
     fn update_upper_bound<T: Send + Sync>(&mut self, _node: Shared<T>) {}
 
-    /// Immutable view of this handle's counters. For a mergeable copy
-    /// that includes latency histograms, use
-    /// [`Telemetry::snapshot`](crate::telemetry::Telemetry::snapshot).
-    fn stats(&self) -> &OpStats {
-        self.tele().stats()
-    }
-
     /// Current length of this handle's retired list (wasted memory held by
     /// this thread).
     fn retired_len(&self) -> usize;
@@ -471,11 +463,11 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     ///
     /// Scans are allocation-free in steady state: the retired list swaps
     /// through a handle-retained scratch `Vec` and protection snapshots
-    /// refill handle-owned buffers in place. [`OpStats::scan_heap_allocs`]
+    /// refill handle-owned buffers in place. [`Counter::ScanHeapAllocs`]
     /// counts the scans that still had to grow a buffer (warm-up or a new
     /// high-water mark).
     ///
-    /// [`OpStats::scan_heap_allocs`]: crate::stats::OpStats::scan_heap_allocs
+    /// [`Counter::ScanHeapAllocs`]: crate::telemetry::Counter::ScanHeapAllocs
     fn force_empty(&mut self);
 }
 
@@ -527,6 +519,7 @@ impl<H: SmrHandle> Drop for OpGuard<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Counter;
 
     #[test]
     fn default_config_matches_paper_section6() {
@@ -628,20 +621,20 @@ mod tests {
         use crate::schemes::Mp;
         let smr = Mp::new(Config::default().with_max_threads(1));
         let mut h = smr.register();
-        let fences_before = h.stats().fences;
+        let fences_before = h.counter(Counter::Fences);
         let mut op = h.pin();
-        assert_eq!(op.stats().ops, 1, "pin must start_op");
+        assert_eq!(op.counter(Counter::Ops), 1, "pin must start_op");
         let n = op.alloc_with_index(1u8, 5 << 16);
         unsafe { op.retire(n) }; // SAFETY: [INV-12] never published, retired once.
         drop(op);
         // Amortized MP: the first start_op announces the epoch (one fence);
         // end_op releases hazard slots fence-free and keeps the margins.
-        assert_eq!(h.stats().fences, fences_before + 1, "first pin announces once");
-        assert_eq!(h.stats().fences_start_op, 1);
-        assert_eq!(h.stats().fences_end_op, 0, "amortized end_op is fence-free");
+        assert_eq!(h.counter(Counter::Fences), fences_before + 1, "first pin announces once");
+        assert_eq!(h.counter(Counter::FencesStartOp), 1);
+        assert_eq!(h.counter(Counter::FencesEndOp), 0, "amortized end_op is fence-free");
         // The handle is reusable after the guard drops.
         let op = h.pin();
-        assert_eq!(op.stats().ops, 2);
+        assert_eq!(op.counter(Counter::Ops), 2);
     }
 
     #[test]
@@ -654,9 +647,9 @@ mod tests {
             panic!("client panicked mid-operation");
         }));
         assert!(caught.is_err());
-        assert_eq!(h.stats().ops, 1);
+        assert_eq!(h.counter(Counter::Ops), 1);
         // end_op (fence-free under amortized MP) must still have run: the
         // hazard row is cleared even though no fence is issued.
-        assert_eq!(h.stats().fences, 1, "only the start_op announcement fences");
+        assert_eq!(h.counter(Counter::Fences), 1, "only the start_op announcement fences");
     }
 }

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::api::Config;
 use crate::error::BackpressureError;
-use crate::telemetry::{EventKind, HandleTelemetry};
+use crate::telemetry::{Counter, EventKind, HandleTelemetry};
 
 /// A rung of the backpressure ladder, ordered by severity.
 #[repr(u8)]
@@ -77,8 +77,8 @@ impl BpLevel {
 }
 
 /// The resolved backpressure watermarks, derived from [`Config`] once at
-/// scheme construction (the same knob-beats-env precedence as
-/// [`ScanPolicy`](crate::schemes::common::ScanPolicy)).
+/// scheme construction (the same knob-beats-env precedence as the scan
+/// watermarks' `ScanPolicy`).
 #[derive(Debug, Clone)]
 pub struct BackpressurePolicy {
     /// Hard cap in retired payload bytes; `0` disables the ladder.
@@ -284,7 +284,7 @@ pub(crate) fn before_alloc(
         return;
     }
     *rung = BpLevel::Throttle;
-    tele.record_throttle_wait();
+    tele.bump(Counter::ThrottleWaits);
     throttle_wait();
 }
 

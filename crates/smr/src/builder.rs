@@ -200,6 +200,7 @@ mod tests {
     use super::*;
     use crate::schemes::{Ebr, Mp};
     use crate::SmrHandle;
+    use crate::telemetry::{Counter, Telemetry};
 
     #[test]
     fn builder_accumulates_config_and_builds_any_scheme() {
@@ -231,7 +232,7 @@ mod tests {
         let mp = b.clone().build::<Mp>();
         let mut h = mp.register();
         let op = h.pin();
-        assert_eq!(op.stats().ops, 1);
+        assert_eq!(op.counter(Counter::Ops), 1);
         drop(op);
 
         let ebr = b.build::<Ebr>();

@@ -55,7 +55,6 @@ pub mod oracle;
 pub mod packed;
 pub mod registry;
 pub mod schemes;
-pub mod stats;
 pub mod telemetry;
 
 pub use any::{AnyHandle, AnySmr, SchemeKind};
@@ -65,8 +64,7 @@ pub use builder::SmrBuilder;
 pub use error::{BackpressureError, SmrError};
 pub use node::{gauge, SmrNode};
 pub use packed::{Atomic, Shared};
-pub use stats::{FenceSite, OpStats};
 pub use telemetry::{
-    Counter, EventKind, EventRecord, EventRing, HandleTelemetry, SchemeTelemetry, Telemetry,
-    TelemetrySnapshot, WasteSample, WasteSampler, WasteSeries,
+    Counter, EventKind, EventRecord, EventRing, FenceSite, HandleTelemetry, SchemeTelemetry,
+    Telemetry, TelemetrySnapshot, WasteSample, WasteSampler, WasteSeries,
 };

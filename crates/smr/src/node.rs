@@ -494,11 +494,12 @@ mod tests {
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
-        let mut tele = crate::telemetry::HandleTelemetry::new(0);
+        use crate::telemetry::{Counter, HandleTelemetry};
+        let mut tele = HandleTelemetry::new(0);
         let b = alloc_node_in(DropFlag(drops.clone()), 2, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
-        assert_eq!(tele.stats().pool_hits, 1);
-        assert_eq!(tele.stats().pool_misses, 0);
+        assert_eq!(tele.counter(Counter::PoolHits), 1);
+        assert_eq!(tele.counter(Counter::PoolMisses), 0);
         assert_eq!(drops.load(Ordering::Acquire), 1, "recycling must not run drop glue");
         // SAFETY: [INV-12] `b` is live and owned by this test thread.
         assert_eq!(unsafe { (*b).header.index }, 2, "header fully re-initialized");

@@ -6,8 +6,7 @@ use mp_util::CachePadded;
 
 use crate::api::Config;
 use crate::node::Retired;
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{Counter, FenceSite, HandleTelemetry};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
 pub const INACTIVE: u64 = u64::MAX;
@@ -263,7 +262,7 @@ impl SharedSnapshot {
             && self.try_adopt_into(&scratch.gens, &mut scratch.values);
         scratch.adopted_last = adopted;
         if adopted {
-            tele.record_snapshot_reuse();
+            tele.bump(Counter::SnapshotReuses);
             #[cfg(feature = "oracle")]
             {
                 // The reused snapshot must contain everything a fresh walk
@@ -638,8 +637,8 @@ mod tests {
         let mut t = HandleTelemetry::new(0);
         counted_fence(&mut t, FenceSite::StartOp);
         counted_fence(&mut t, FenceSite::Announce);
-        assert_eq!(t.stats().fences, 2);
-        assert_eq!(t.stats().fences_start_op, 1);
-        assert_eq!(t.stats().fences_announce, 1);
+        assert_eq!(t.counter(Counter::Fences), 2);
+        assert_eq!(t.counter(Counter::FencesStartOp), 1);
+        assert_eq!(t.counter(Counter::FencesAnnounce), 1);
     }
 }

@@ -22,7 +22,7 @@ use crate::node::Retired;
 use crate::packed::Shared;
 use crate::registry::Registry;
 use crate::schemes::common::{ScanPolicy, ScanState};
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry};
+use crate::telemetry::{Counter, HandleTelemetry, SchemeTelemetry};
 
 /// What a scheme's shared state tells the skeleton about itself.
 pub(crate) trait Scheme {
@@ -95,7 +95,7 @@ impl SchemeCore {
             .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
         let mut tele = HandleTelemetry::new(lease.tid);
         if lease.recycled {
-            tele.record_tid_recycle();
+            tele.bump(Counter::TidRecycles);
         }
         // Adopt parked orphans: churned-out handles leave behind whatever
         // their drain scan could not free; this handle frees them at its
@@ -201,7 +201,7 @@ impl HandleCore {
             &mut self.bp_rung,
             &mut self.tele,
         );
-        self.tele.record_alloc();
+        self.tele.bump(Counter::Allocs);
         let ptr = crate::node::alloc_node_in(data, index, birth, &mut self.tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
         unsafe { Shared::from_owned(ptr) }
@@ -263,7 +263,7 @@ impl HandleCore {
         prot: &mut P,
         fresh: bool,
     ) {
-        self.tele.record_empty();
+        self.tele.bump(Counter::Empties);
         if !S::RECLAIMS {
             return;
         }
@@ -307,7 +307,7 @@ impl HandleCore {
         let caps_after =
             self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
         if caps_after > caps_before {
-            self.tele.record_scan_heap_alloc();
+            self.tele.bump(Counter::ScanHeapAllocs);
         }
         self.tele.record_scan_elapsed(scan_t0);
         #[cfg(feature = "oracle")]
@@ -321,7 +321,7 @@ impl HandleCore {
     /// helping exists to free memory now, not to be cheap. The scan's rearm
     /// re-baselines the backlog, adopted nodes included.
     fn help_scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
-        self.tele.record_help_scan();
+        self.tele.bump(Counter::HelpScans);
         if S::ADOPT_ORPHANS {
             self.retired.extend(scheme.core().registry.adopt_orphans());
         }

@@ -33,8 +33,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Data-structure-specific freezing callback (see module docs).
 ///
@@ -427,6 +426,7 @@ impl Drop for DtaHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Dta> {
         // watermark 1: scan on every retire, as the old empty_freq=1 did.
@@ -469,15 +469,15 @@ mod tests {
         h.start_op();
         let n = h.alloc(0u32);
         let cell = Atomic::new(n);
-        let f0 = h.stats().fences;
+        let f0 = h.counter(Counter::Fences);
         // Reads are plain loads — DTA's whole point.
         for _ in 0..10 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.stats().fences, f0, "reads must not fence");
+        assert_eq!(h.counter(Counter::Fences), f0, "reads must not fence");
         assert_eq!(h.anchor_hops(), 3);
         h.post_anchor(n.addr());
-        assert_eq!(h.stats().fences, f0 + 1, "anchor post costs one fence");
+        assert_eq!(h.counter(Counter::Fences), f0 + 1, "anchor post costs one fence");
         assert_eq!(smr.anchors.get(0, 0).load(Ordering::Relaxed), n.addr());
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.

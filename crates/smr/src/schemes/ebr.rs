@@ -24,8 +24,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Epoch-based reclamation scheme (shared state).
 pub struct Ebr {

@@ -26,8 +26,7 @@ use crate::schemes::common::{counted_fence, EpochClock, SharedSnapshot, Snapshot
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Hazard-eras SMR scheme (shared state).
 pub struct He {
@@ -237,6 +236,7 @@ impl Drop for HeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<He> {
         // watermark 1: scan on every retire, as the old empty_freq=1 did.
@@ -331,11 +331,11 @@ mod tests {
         let n = h.alloc(9u8);
         let cell = Atomic::new(n);
         let _ = h.read(&cell, 0);
-        let after_first = h.stats().fences;
+        let after_first = h.counter(Counter::Fences);
         for _ in 0..50 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.stats().fences, after_first, "unchanged era ⇒ no fence");
+        assert_eq!(h.counter(Counter::Fences), after_first, "unchanged era ⇒ no fence");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
         h.force_empty();

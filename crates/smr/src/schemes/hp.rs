@@ -26,8 +26,7 @@ use crate::schemes::common::{counted_fence, SharedSnapshot, SnapshotScratch, NO_
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Hazard-pointer SMR scheme (shared state).
 pub struct Hp {
@@ -237,6 +236,7 @@ impl Drop for HpHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Hp> {
         // watermark 1: scan on every retire, as the old empty_freq=1 did.
@@ -313,14 +313,14 @@ mod tests {
         h.start_op();
         let n = h.alloc(3u16);
         let cell = Atomic::new(n);
-        let f0 = h.stats().fences;
+        let f0 = h.counter(Counter::Fences);
         let _ = h.read(&cell, 0);
-        let after_first = h.stats().fences;
+        let after_first = h.counter(Counter::Fences);
         assert_eq!(after_first, f0 + 1);
         for _ in 0..10 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.stats().fences, after_first, "slot dedup avoids refencing");
+        assert_eq!(h.counter(Counter::Fences), after_first, "slot dedup avoids refencing");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
     }

@@ -32,8 +32,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 const LOWER: usize = 0;
 const UPPER: usize = 1;
@@ -194,6 +193,7 @@ impl Drop for IbrHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Ibr> {
         // watermark 1: scan on every retire, as the old empty_freq=1 did.
@@ -267,11 +267,11 @@ mod tests {
         h.start_op();
         let n = h.alloc(1u8);
         let cell = Atomic::new(n);
-        let baseline = h.stats().fences;
+        let baseline = h.counter(Counter::Fences);
         for _ in 0..50 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.stats().fences, baseline, "per-operation overhead only");
+        assert_eq!(h.counter(Counter::Fences), baseline, "per-operation overhead only");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
         h.force_empty();

@@ -123,6 +123,7 @@ impl Drop for LeakyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     #[test]
     fn leaky_never_reclaims_until_scheme_drop() {
@@ -150,7 +151,7 @@ mod tests {
         let cell = Atomic::new(n);
         let r = h.read(&cell, 0);
         assert_eq!(r, n);
-        assert_eq!(h.stats().fences, 0, "no protection fences");
+        assert_eq!(h.counter(Counter::Fences), 0, "no protection fences");
         // SAFETY: [INV-12] leaky never reclaims; the node is live.
         assert_eq!(unsafe { *r.deref().data() }, 99);
         h.end_op();

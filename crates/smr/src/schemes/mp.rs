@@ -77,8 +77,7 @@ use crate::schemes::common::{counted_fence, INACTIVE, NO_HAZARD, NO_MARGIN};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Sentinel for "this refno returned no margin-protected node this op".
 const NO_PROTEGE: u64 = u64::MAX;
@@ -892,6 +891,7 @@ impl Drop for MpHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Mp> {
         // watermark 1: scan on every retire, as the old empty_freq=1 did.
@@ -948,7 +948,7 @@ mod tests {
         let n = h.alloc(1u8);
         // SAFETY: [INV-12] node protected by this test's open span.
         assert_eq!(unsafe { n.deref() }.index(), USE_HP);
-        assert_eq!(h.stats().collision_allocs, 1);
+        assert_eq!(h.counter(Counter::CollisionAllocs), 1);
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
         unsafe {
@@ -966,17 +966,17 @@ mod tests {
         // Nodes clustered within one margin (margin default 2^20).
         let cells: Vec<_> =
             (0..8u32).map(|i| cell_with(&mut h, i, 500_000 + (i << 16))).collect();
-        let f0 = h.stats().fences;
+        let f0 = h.counter(Counter::Fences);
         let _ = h.read(&cells[0].0, 0);
-        let after_first = h.stats().fences;
+        let after_first = h.counter(Counter::Fences);
         assert_eq!(after_first, f0 + 1, "first read announces one margin");
-        assert_eq!(h.stats().fences_announce, 1, "the fence is attributed to the announce site");
+        assert_eq!(h.counter(Counter::FencesAnnounce), 1, "the fence is attributed to the announce site");
         for (i, (c, _)) in cells[1..].iter().enumerate() {
             // Rotate refnos like a list traversal would: the cross-refno
             // cover check must keep the cluster fence-free anyway.
             let _ = h.read(c, (i + 1) % 3);
         }
-        assert_eq!(h.stats().fences, after_first, "margin covers the cluster: no more fences");
+        assert_eq!(h.counter(Counter::Fences), after_first, "margin covers the cluster: no more fences");
         h.end_op();
         for (_, n) in cells {
             unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
@@ -1003,23 +1003,23 @@ mod tests {
         let base = 1u32 << 24;
         let (c0, n0) = cell_with(&mut h, 0u32, base);
         let _ = h.read(&c0, 0);
-        let f_after_first = h.stats().fences;
+        let f_after_first = h.counter(Counter::Fences);
 
         // Far forward but still inside [base, base + margin]: covered.
         let (c1, n1) = cell_with(&mut h, 1u32, base + margin - (1 << 16));
         let _ = h.read(&c1, 1);
-        assert_eq!(h.stats().fences, f_after_first, "configured margin covers forward reads");
+        assert_eq!(h.counter(Counter::Fences), f_after_first, "configured margin covers forward reads");
 
         // Just beyond the configured margin: must re-announce.
         let (c2, n2) = cell_with(&mut h, 2u32, base + margin + (1 << 16));
         let _ = h.read(&c2, 2);
-        assert_eq!(h.stats().fences, f_after_first + 1, "past-margin read announces");
+        assert_eq!(h.counter(Counter::Fences), f_after_first + 1, "past-margin read announces");
 
         // Behind the block base: forward centering does not cover it.
         let (c3, n3) = cell_with(&mut h, 3u32, base - (1 << 17));
-        let f_before_back = h.stats().fences;
+        let f_before_back = h.counter(Counter::Fences);
         let _ = h.read(&c3, 0);
-        assert_eq!(h.stats().fences, f_before_back + 1, "margins are forward-centered");
+        assert_eq!(h.counter(Counter::Fences), f_before_back + 1, "margins are forward-centered");
 
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
@@ -1040,21 +1040,21 @@ mod tests {
         let (c, n) = cell_with(&mut h, 1u32, 500_000);
         let _ = h.read(&c, 0);
         h.end_op();
-        let fences_after_op1 = h.stats().fences;
+        let fences_after_op1 = h.counter(Counter::Fences);
         // Second op over the same region: no epoch movement, standing
         // margin → zero fences for both the bracketing and the read.
         h.start_op();
         let _ = h.read(&c, 1);
         h.end_op();
         assert_eq!(
-            h.stats().fences,
+            h.counter(Counter::Fences),
             fences_after_op1,
             "unchanged epoch + standing margin must make the second op fence-free \
              (start_op {}, end_op {}, announce {}, hp {})",
-            h.stats().fences_start_op,
-            h.stats().fences_end_op,
-            h.stats().fences_announce,
-            h.stats().fences_hp_protect,
+            h.counter(Counter::FencesStartOp),
+            h.counter(Counter::FencesEndOp),
+            h.counter(Counter::FencesAnnounce),
+            h.counter(Counter::FencesHpProtect),
         );
         // SAFETY: [INV-12] test-owned node, retired once.
         unsafe { h.retire(n) };
@@ -1134,8 +1134,8 @@ mod tests {
         reader.start_op();
         let got = reader.read(&cell, 0);
         assert_eq!(got, n);
-        assert!(reader.stats().hp_fallback_reads >= 1, "collision path must use HP");
-        assert!(reader.stats().fences_hp_protect >= 1, "attributed to the HP site");
+        assert!(reader.counter(Counter::HpFallbackReads) >= 1, "collision path must use HP");
+        assert!(reader.counter(Counter::FencesHpProtect) >= 1, "attributed to the HP site");
 
         cell.store(Shared::null(), Ordering::Release);
         unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
@@ -1172,11 +1172,11 @@ mod tests {
 
         // The reader already returned a margin-protected node this op, so
         // the re-arm is not available: the next read must take the HP path.
-        let before = reader.stats().hp_fallback_reads;
+        let before = reader.counter(Counter::HpFallbackReads);
         let _ = reader.read(&c2, 1);
         assert!(reader.use_hp_mode, "epoch change must flip the fallback flag");
         let _ = reader.read(&c1, 0);
-        assert!(reader.stats().hp_fallback_reads > before);
+        assert!(reader.counter(Counter::HpFallbackReads) > before);
 
         reader.end_op();
         writer.end_op();
@@ -1207,11 +1207,11 @@ mod tests {
 
         // The lazier §4.3.2 trigger: with no margin-protected node returned
         // yet, the op re-announces its epoch and stays in margin mode.
-        let hp_before = reader.stats().hp_fallback_reads;
+        let hp_before = reader.counter(Counter::HpFallbackReads);
         let _ = reader.read(&c1, 0);
         assert!(!reader.use_hp_mode, "transient advance must not condemn the op to HP mode");
-        assert_eq!(reader.stats().hp_fallback_reads, hp_before, "no HP fallback taken");
-        assert!(reader.stats().fences_start_op >= 2, "re-arm re-announces the op epoch");
+        assert_eq!(reader.counter(Counter::HpFallbackReads), hp_before, "no HP fallback taken");
+        assert!(reader.counter(Counter::FencesStartOp) >= 2, "re-arm re-announces the op epoch");
 
         // A second advance in the same op exhausts the budget → HP mode.
         let junk2 = writer.alloc_with_index(0u8, 2);
@@ -1246,9 +1246,9 @@ mod tests {
 
         let _ = h.read(&ca, 0); // announce margin over region A in slot 0
         let _ = h.read(&cb, 0); // refno 0 reused far away: A's margin parks
-        let fences = h.stats().fences;
+        let fences = h.counter(Counter::Fences);
         let _ = h.read(&ca2, 1); // back in region A: covered by the parked margin
-        assert_eq!(h.stats().fences, fences, "parked margin keeps region A fence-free");
+        assert_eq!(h.counter(Counter::Fences), fences, "parked margin keeps region A fence-free");
 
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.

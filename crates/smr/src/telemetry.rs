@@ -13,9 +13,10 @@
 //!   running. A full ring drops the newest event and counts the drop;
 //!   tracing never stalls reclamation.
 //! * **Latency histograms** — power-of-two log-bucketed
-//!   [`Histogram`]s (64 buckets, mergeable like `OpStats::merge`) for
-//!   whole-operation latency (timed by [`OpGuard`](crate::OpGuard)) and
-//!   `empty()` scan latency (timed inside each scheme's reclamation pass).
+//!   [`Histogram`]s (64 buckets, merged along with the counters by
+//!   [`TelemetrySnapshot::merge`]) for whole-operation latency (timed by
+//!   [`OpGuard`](crate::OpGuard)) and `empty()` scan latency (timed inside
+//!   each scheme's reclamation pass).
 //! * **Waste time-series** — [`WasteSeries`], a fixed ring of
 //!   (timestamp, pending nodes, pending bytes) samples per scheme, fed by
 //!   [`Smr::sample_waste`](crate::Smr::sample_waste) (the bench driver's
@@ -27,10 +28,11 @@
 //!
 //! # Arming and the zero-cost-off contract
 //!
-//! Counters (the old `OpStats`) are always on: plain per-handle `u64`
-//! bumps, exactly as before. The *timed* and *traced* layers are gated by
-//! a process-global armed flag — the `MP_TELEMETRY` env var (`1` / `on` /
-//! `true` to arm) or [`set_armed`] at runtime. Disarmed, the hot path
+//! Counters are always on: plain per-handle saturating `u64` bumps at
+//! constant indices of one array, declared once in the `counters!` table
+//! below. The *timed* and *traced* layers are gated by a process-global
+//! armed flag — the `MP_TELEMETRY` env var (`1` / `on` / `true` to arm) or
+//! [`set_armed`] at runtime. Disarmed, the hot path
 //! pays one relaxed atomic load and a predictable branch per site: no
 //! clock reads, no ring pushes, and — crucially — no heap allocation, so
 //! `tests/zero_alloc.rs` still witnesses exactly zero steady-state
@@ -45,7 +47,6 @@ use mp_util::hist::Histogram;
 use mp_util::ring::RingBuffer;
 
 use crate::schemes::common::PendingGauge;
-use crate::stats::{FenceSite, OpStats};
 
 pub mod export;
 
@@ -229,139 +230,131 @@ pub type EventRing = RingBuffer<EventRecord>;
 // ---------------------------------------------------------------------------
 // Counters
 
-/// Scheme-agnostic counter identifiers — the typed read surface over what
-/// used to be direct `OpStats` field access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Full memory fences on the protection path (Fig. 5 numerator).
-    Fences,
-    /// Fences issued at operation start.
-    FencesStartOp,
-    /// Fences issued at operation end.
-    FencesEndOp,
-    /// Fences issued by mid-op protection announcements.
-    FencesAnnounce,
-    /// Fences issued by hazard-pointer protection stores.
-    FencesHpProtect,
-    /// Nodes traversed by client structures (Fig. 5 denominator).
-    NodesTraversed,
-    /// Operations started.
-    Ops,
-    /// Sum of retired-list lengths sampled at op start (Fig. 6).
-    RetiredSampledSum,
-    /// Nodes allocated.
-    Allocs,
-    /// Nodes retired.
-    Retires,
-    /// Nodes reclaimed.
-    Frees,
-    /// Reclamation passes executed.
-    Empties,
-    /// MP reads that took the hazard-pointer fallback.
-    HpFallbackReads,
-    /// MP allocations that hit the `USE_HP` collision index.
-    CollisionAllocs,
-    /// Node allocations served a recycled pool block.
-    PoolHits,
-    /// Node allocations served a fresh carve (or an unpoolable layout).
-    PoolMisses,
-    /// Reclamation scans that had to grow a scratch buffer.
-    ScanHeapAllocs,
-    /// Scans that adopted a peer's published protection snapshot.
-    SnapshotReuses,
-    /// Registrations that reused a previously released tid (churn).
-    TidRecycles,
-    /// Wall nanoseconds spent inside `empty()` scans (always on).
-    ScanNanos,
-    /// Backpressure help-scans: reclamation passes this handle ran on
-    /// behalf of laggards because the retired-bytes gauge crossed the
-    /// help watermark.
-    HelpScans,
-    /// Backpressure throttle waits: bounded backoffs taken on the
-    /// allocation path while the gauge sat above the hard cap.
-    ThrottleWaits,
-}
-
-impl Counter {
-    /// Every counter, in stable export order.
-    pub const ALL: [Counter; 22] = [
-        Counter::Fences,
-        Counter::FencesStartOp,
-        Counter::FencesEndOp,
-        Counter::FencesAnnounce,
-        Counter::FencesHpProtect,
-        Counter::NodesTraversed,
-        Counter::Ops,
-        Counter::RetiredSampledSum,
-        Counter::Allocs,
-        Counter::Retires,
-        Counter::Frees,
-        Counter::Empties,
-        Counter::HpFallbackReads,
-        Counter::CollisionAllocs,
-        Counter::PoolHits,
-        Counter::PoolMisses,
-        Counter::ScanHeapAllocs,
-        Counter::SnapshotReuses,
-        Counter::TidRecycles,
-        Counter::ScanNanos,
-        Counter::HelpScans,
-        Counter::ThrottleWaits,
-    ];
-
-    /// Stable snake-case name (Prometheus/JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Fences => "fences",
-            Counter::FencesStartOp => "fences_start_op",
-            Counter::FencesEndOp => "fences_end_op",
-            Counter::FencesAnnounce => "fences_announce",
-            Counter::FencesHpProtect => "fences_hp_protect",
-            Counter::NodesTraversed => "nodes_traversed",
-            Counter::Ops => "ops",
-            Counter::RetiredSampledSum => "retired_sampled_sum",
-            Counter::Allocs => "allocs",
-            Counter::Retires => "retires",
-            Counter::Frees => "frees",
-            Counter::Empties => "empties",
-            Counter::HpFallbackReads => "hp_fallback_reads",
-            Counter::CollisionAllocs => "collision_allocs",
-            Counter::PoolHits => "pool_hits",
-            Counter::PoolMisses => "pool_misses",
-            Counter::ScanHeapAllocs => "scan_heap_allocs",
-            Counter::SnapshotReuses => "snapshot_reuses",
-            Counter::TidRecycles => "tid_recycles",
-            Counter::ScanNanos => "scan_nanos",
-            Counter::HelpScans => "help_scans",
-            Counter::ThrottleWaits => "throttle_waits",
+/// Declares every counter exactly once. Each `Variant => name, "doc";` row
+/// becomes a [`Counter`] variant, its slot in [`Counter::ALL`] (rows are
+/// in export order), its [`Counter::name`], and the `name()` getter on
+/// [`TelemetrySnapshot`]. Adding a counter is one row here plus the
+/// `bump`/`add` at its increment site.
+macro_rules! counters {
+    ($($variant:ident => $name:ident, $doc:literal;)*) => {
+        /// Scheme-agnostic counter identifiers; the discriminant indexes
+        /// the counter arrays of [`HandleTelemetry`] and
+        /// [`TelemetrySnapshot`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $(#[doc = $doc] $variant,)*
         }
-    }
+
+        impl Counter {
+            /// Every counter, in stable export order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),*];
+
+            /// How many counters there are.
+            pub const COUNT: usize = [$(Counter::$variant),*].len();
+
+            /// Stable snake-case name (Prometheus/JSON key).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => stringify!($name),)*
+                }
+            }
+        }
+
+        impl TelemetrySnapshot {
+            $(#[doc = $doc]
+            pub fn $name(&self) -> u64 {
+                self.counter(Counter::$variant)
+            })*
+        }
+    };
 }
 
-fn counter_of(stats: &OpStats, c: Counter) -> u64 {
-    match c {
-        Counter::Fences => stats.fences,
-        Counter::FencesStartOp => stats.fences_start_op,
-        Counter::FencesEndOp => stats.fences_end_op,
-        Counter::FencesAnnounce => stats.fences_announce,
-        Counter::FencesHpProtect => stats.fences_hp_protect,
-        Counter::NodesTraversed => stats.nodes_traversed,
-        Counter::Ops => stats.ops,
-        Counter::RetiredSampledSum => stats.retired_sampled_sum,
-        Counter::Allocs => stats.allocs,
-        Counter::Retires => stats.retires,
-        Counter::Frees => stats.frees,
-        Counter::Empties => stats.empties,
-        Counter::HpFallbackReads => stats.hp_fallback_reads,
-        Counter::CollisionAllocs => stats.collision_allocs,
-        Counter::PoolHits => stats.pool_hits,
-        Counter::PoolMisses => stats.pool_misses,
-        Counter::ScanHeapAllocs => stats.scan_heap_allocs,
-        Counter::SnapshotReuses => stats.snapshot_reuses,
-        Counter::TidRecycles => stats.tid_recycles,
-        Counter::ScanNanos => stats.scan_nanos,
-        Counter::HelpScans => stats.help_scans,
-        Counter::ThrottleWaits => stats.throttle_waits,
+counters! {
+    Fences => fences,
+        "Full memory fences (or sequentially consistent protection stores) on the protection \
+         path; Fig. 5 numerator.";
+    FencesStartOp => fences_start_op,
+        "Fences issued at operation start ([`FenceSite::StartOp`]).";
+    FencesEndOp => fences_end_op,
+        "Fences issued at operation end ([`FenceSite::EndOp`]).";
+    FencesAnnounce => fences_announce,
+        "Fences issued by mid-op protection announcements ([`FenceSite::Announce`]).";
+    FencesHpProtect => fences_hp_protect,
+        "Fences issued by hazard-pointer protection stores ([`FenceSite::HpProtect`]).";
+    NodesTraversed => nodes_traversed,
+        "Nodes visited by client structures during searches; Fig. 5 denominator.";
+    Ops => ops,
+        "Operations started (`start_op` calls).";
+    RetiredSampledSum => retired_sampled_sum,
+        "Sum over operations of the retired-list length at `start_op`; over `ops` it is Fig. 6's \
+         wasted-memory metric.";
+    Allocs => allocs,
+        "Nodes allocated.";
+    Retires => retires,
+        "Nodes retired.";
+    Frees => frees,
+        "Nodes reclaimed by this handle's `empty()` runs.";
+    Empties => empties,
+        "Reclamation passes executed.";
+    HpFallbackReads => hp_fallback_reads,
+        "MP only: `read` calls that took the hazard-pointer fallback (index collision, `USE_HP` \
+         class, or epoch advance).";
+    CollisionAllocs => collision_allocs,
+        "MP only: nodes allocated with the `USE_HP` collision index.";
+    PoolHits => pool_hits,
+        "Node allocations served a recycled block (the thread's magazine or a chunk free list).";
+    PoolMisses => pool_misses,
+        "Node allocations served a fresh carve: memory no node used before, or an unpoolable \
+         layout sent to the system allocator.";
+    ScanHeapAllocs => scan_heap_allocs,
+        "Reclamation scans that had to grow a scratch buffer; zero in steady state (the \
+         zero-allocation-scan witness).";
+    SnapshotReuses => snapshot_reuses,
+        "Scans that adopted a peer's published protection snapshot instead of walking the slot \
+         rows.";
+    TidRecycles => tid_recycles,
+        "Registrations that reused a tid released by an earlier handle (0 or 1 per handle, \
+         summed on merge).";
+    ScanNanos => scan_nanos,
+        "Wall nanoseconds spent inside `empty()` scans. Always on: scans are rare, so two clock \
+         reads per scan are noise.";
+    HelpScans => help_scans,
+        "Backpressure help-scans: reclamation passes run on behalf of laggards because the \
+         retired-bytes gauge crossed the help watermark.";
+    ThrottleWaits => throttle_waits,
+        "Backpressure throttle waits: bounded backoffs on the allocation path while the gauge \
+         sat above the hard cap.";
+}
+
+/// Which protection-path call site issued a fence. The per-site split is
+/// the profiling surface behind the fence-amortization work: ~64 fences/op
+/// is indistinguishable from ~2 fences/op in the aggregate `fences` counter
+/// until you know whether they come from per-op bracketing (`StartOp` /
+/// `EndOp`), per-uncovered-node margin announcements (`Announce`), or the
+/// §4.3.2 hazard-pointer fallback (`HpProtect`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FenceSite {
+    /// Operation-start announcement (epoch / era / reservation publish).
+    StartOp,
+    /// Operation-end slot clearing (HP's single batched fence).
+    EndOp,
+    /// Mid-operation protection announcement: MP margin announce, HE era
+    /// re-publish, IBR upper-bound extension, DTA anchor post.
+    Announce,
+    /// Hazard-pointer protection store: HP's per-node announce and MP's
+    /// §4.3.2 collision/epoch fallback.
+    HpProtect,
+}
+
+impl FenceSite {
+    /// The per-site counter this site's fences are attributed to.
+    const fn counter(self) -> Counter {
+        match self {
+            FenceSite::StartOp => Counter::FencesStartOp,
+            FenceSite::EndOp => Counter::FencesEndOp,
+            FenceSite::Announce => Counter::FencesAnnounce,
+            FenceSite::HpProtect => Counter::FencesHpProtect,
+        }
     }
 }
 
@@ -370,10 +363,11 @@ fn counter_of(stats: &OpStats, c: Counter) -> u64 {
 
 /// Per-handle telemetry state: the counters, both latency histograms, and
 /// (when armed at registration) the event ring. Embedded by every scheme's
-/// handle; schemes record through the typed `record_*` methods, clients
-/// and the bench driver read through [`Telemetry`].
+/// handle; schemes record through [`bump`](Self::bump) / [`add`](Self::add)
+/// and the `record_*` methods that also trace, sample or time, clients and
+/// the bench driver read through [`Telemetry`].
 pub struct HandleTelemetry {
-    stats: OpStats,
+    counters: [u64; Counter::COUNT],
     op_hist: Histogram,
     scan_hist: Histogram,
     ring: Option<Arc<EventRing>>,
@@ -390,7 +384,7 @@ impl HandleTelemetry {
             None
         };
         HandleTelemetry {
-            stats: OpStats::default(),
+            counters: [0; Counter::COUNT],
             op_hist: Histogram::new(),
             scan_hist: Histogram::new(),
             ring,
@@ -398,77 +392,49 @@ impl HandleTelemetry {
         }
     }
 
-    // -- typed recorders (the hot-path write surface) --
+    // -- recorders (the hot-path write surface) --
+
+    /// Adds one to counter `c`.
+    #[inline]
+    pub fn bump(&mut self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Adds `n` to counter `c`, saturating.
+    #[inline]
+    pub fn add(&mut self, c: Counter, n: u64) {
+        let v = &mut self.counters[c as usize];
+        *v = v.saturating_add(n);
+    }
 
     /// Counts one protection-path fence (Fig. 5 numerator), attributed to
     /// the issuing call site so the per-site breakdown can tell per-op
     /// bracketing apart from per-node announcements.
     #[inline]
     pub fn record_fence(&mut self, site: FenceSite) {
-        self.stats.fences = self.stats.fences.saturating_add(1);
-        let per_site = match site {
-            FenceSite::StartOp => &mut self.stats.fences_start_op,
-            FenceSite::EndOp => &mut self.stats.fences_end_op,
-            FenceSite::Announce => &mut self.stats.fences_announce,
-            FenceSite::HpProtect => &mut self.stats.fences_hp_protect,
-        };
-        *per_site = per_site.saturating_add(1);
+        self.bump(Counter::Fences);
+        self.bump(site.counter());
     }
 
     /// Counts an operation start, sampling the retired-list length.
     #[inline]
     pub fn record_op_start(&mut self, retired_len: usize) {
-        self.stats.ops = self.stats.ops.saturating_add(1);
-        self.stats.retired_sampled_sum =
-            self.stats.retired_sampled_sum.saturating_add(retired_len as u64);
-    }
-
-    /// Counts one node allocation (the pool split is recorded separately
-    /// by the node allocator via [`record_pool_hit`](Self::record_pool_hit)
-    /// / [`record_pool_miss`](Self::record_pool_miss)).
-    #[inline]
-    pub fn record_alloc(&mut self) {
-        self.stats.allocs = self.stats.allocs.saturating_add(1);
+        self.bump(Counter::Ops);
+        self.add(Counter::RetiredSampledSum, retired_len as u64);
     }
 
     /// Counts a retire and traces it (payload: node address).
     #[inline]
     pub fn record_retire(&mut self, addr: u64) {
-        self.stats.retires = self.stats.retires.saturating_add(1);
+        self.bump(Counter::Retires);
         self.trace(EventKind::Retire, addr);
     }
 
     /// Counts a reclaimed node and traces it (payload: node address).
     #[inline]
     pub fn record_free(&mut self, addr: u64) {
-        self.stats.frees = self.stats.frees.saturating_add(1);
+        self.bump(Counter::Frees);
         self.trace(EventKind::Free, addr);
-    }
-
-    /// Counts one reclamation pass.
-    #[inline]
-    pub fn record_empty(&mut self) {
-        self.stats.empties = self.stats.empties.saturating_add(1);
-    }
-
-    /// Counts a scan that had to grow a scratch buffer.
-    #[inline]
-    pub fn record_scan_heap_alloc(&mut self) {
-        self.stats.scan_heap_allocs = self.stats.scan_heap_allocs.saturating_add(1);
-    }
-
-    /// Counts a scan that adopted a peer's published protection snapshot
-    /// instead of walking the slot rows.
-    #[inline]
-    pub fn record_snapshot_reuse(&mut self) {
-        self.stats.snapshot_reuses = self.stats.snapshot_reuses.saturating_add(1);
-    }
-
-    /// Marks this handle's tid as recycled from an earlier registration
-    /// (called once, at registration, when the registry says so).
-    #[inline]
-    pub fn record_tid_recycle(&mut self) {
-        self.stats.tid_recycles = self.stats.tid_recycles.saturating_add(1);
     }
 
     /// Counts an MP hazard-pointer fallback read and traces it, sampled.
@@ -480,8 +446,8 @@ impl HandleTelemetry {
     /// sampled.
     #[inline]
     pub fn record_hp_fallback(&mut self, addr: u64) {
-        self.stats.hp_fallback_reads = self.stats.hp_fallback_reads.saturating_add(1);
-        if self.stats.hp_fallback_reads & (HP_FALLBACK_SAMPLE - 1) == 0 {
+        self.bump(Counter::HpFallbackReads);
+        if self.counter(Counter::HpFallbackReads) & (HP_FALLBACK_SAMPLE - 1) == 0 {
             self.trace(EventKind::HpFallback, addr);
         }
     }
@@ -489,47 +455,28 @@ impl HandleTelemetry {
     /// Counts a `USE_HP` collision allocation and traces it.
     #[inline]
     pub fn record_collision_alloc(&mut self, index: u32) {
-        self.stats.collision_allocs = self.stats.collision_allocs.saturating_add(1);
+        self.bump(Counter::CollisionAllocs);
         self.trace(EventKind::ProtectCollision, index as u64);
     }
 
     /// Counts a pool-served node allocation and traces the alloc.
     #[inline]
     pub fn record_pool_hit(&mut self, addr: u64) {
-        self.stats.pool_hits = self.stats.pool_hits.saturating_add(1);
+        self.bump(Counter::PoolHits);
         self.trace(EventKind::Alloc, addr);
     }
 
-    /// Counts a system-allocator node allocation and traces the alloc.
+    /// Counts a fresh-carve node allocation and traces the alloc.
     #[inline]
     pub fn record_pool_miss(&mut self, addr: u64) {
-        self.stats.pool_misses = self.stats.pool_misses.saturating_add(1);
+        self.bump(Counter::PoolMisses);
         self.trace(EventKind::Alloc, addr);
-    }
-
-    /// Counts client node traversals (Fig. 5 denominator).
-    #[inline]
-    pub fn record_nodes_traversed(&mut self, n: u64) {
-        self.stats.nodes_traversed = self.stats.nodes_traversed.saturating_add(n);
     }
 
     /// Traces an epoch/era advance (payload: the new epoch).
     #[inline]
     pub fn record_epoch_advance(&mut self, epoch: u64) {
         self.trace(EventKind::EpochAdvance, epoch);
-    }
-
-    /// Counts a backpressure help-scan this handle ran on behalf of
-    /// laggards (the scan itself is counted separately by `record_empty`).
-    #[inline]
-    pub fn record_help_scan(&mut self) {
-        self.stats.help_scans = self.stats.help_scans.saturating_add(1);
-    }
-
-    /// Counts one bounded throttle wait taken on the allocation path.
-    #[inline]
-    pub fn record_throttle_wait(&mut self) {
-        self.stats.throttle_waits = self.stats.throttle_waits.saturating_add(1);
     }
 
     /// Pushes an event when tracing is armed for this handle; a single
@@ -548,22 +495,14 @@ impl HandleTelemetry {
         self.op_hist.record(nanos);
     }
 
-    /// Records an `empty()` scan latency sample (nanoseconds) into both
-    /// the always-on `scan_nanos` counter and the scan histogram.
-    #[inline]
-    pub fn record_scan_nanos(&mut self, nanos: u64) {
-        self.stats.scan_nanos = self.stats.scan_nanos.saturating_add(nanos);
-        self.scan_hist.record(nanos);
-    }
-
-    /// Folds a scan timer into the always-on `scan_nanos` counter (the
+    /// Folds a scan timer into the always-on `ScanNanos` counter (the
     /// `scan_ns_per_free` bench column) and — when telemetry is armed —
     /// the scan-latency histogram. Scans are watermark-paced, so the two
     /// clock reads per scan are amortized over hundreds of retires.
     #[inline]
     pub fn record_scan_elapsed(&mut self, t0: Instant) {
         let nanos = t0.elapsed().as_nanos() as u64;
-        self.stats.scan_nanos = self.stats.scan_nanos.saturating_add(nanos);
+        self.add(Counter::ScanNanos, nanos);
         if armed() {
             self.scan_hist.record(nanos);
         }
@@ -571,16 +510,10 @@ impl HandleTelemetry {
 
     // -- read surface --
 
-    /// The raw counters.
-    #[inline]
-    pub fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
     /// One counter's current value.
     #[inline]
     pub fn counter(&self, c: Counter) -> u64 {
-        counter_of(&self.stats, c)
+        self.counters[c as usize]
     }
 
     /// The whole-operation latency histogram.
@@ -603,7 +536,7 @@ impl HandleTelemetry {
     /// mergeable across handles.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            stats: self.stats.clone(),
+            counters: self.counters,
             op_latency: self.op_hist.clone(),
             scan_latency: self.scan_hist.clone(),
             events_dropped: self.ring.as_ref().map_or(0, |r| r.dropped()),
@@ -612,7 +545,7 @@ impl HandleTelemetry {
 
     /// Zeroes counters and histograms (the event ring, if any, is kept).
     pub fn reset(&mut self) {
-        self.stats = OpStats::default();
+        self.counters = [0; Counter::COUNT];
         self.op_hist.reset();
         self.scan_hist.reset();
     }
@@ -667,12 +600,7 @@ pub trait Telemetry {
 
     /// Counts one client node traversal (Fig. 5 denominator).
     fn record_node_traversed(&mut self) {
-        self.tele_mut().record_nodes_traversed(1);
-    }
-
-    /// Counts `n` client node traversals at once.
-    fn record_nodes_traversed(&mut self, n: u64) {
-        self.tele_mut().record_nodes_traversed(n);
+        self.tele_mut().bump(Counter::NodesTraversed);
     }
 
     /// Traces a custom event through this handle's ring.
@@ -691,21 +619,39 @@ pub trait Telemetry {
 // Snapshot
 
 /// A self-contained, mergeable copy of one handle's telemetry: counters,
-/// both latency histograms, and the event-drop count. This is the only
-/// read path the bench driver and examples use — `OpStats` fields are no
-/// longer touched directly outside the schemes.
+/// both latency histograms, and the event-drop count. This is the read
+/// path of the bench drivers, the exporters and the examples; every
+/// counter has a getter of its own name (generated by the counter table)
+/// and the ratios the paper's figures plot are derived here, once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    stats: OpStats,
+    counters: [u64; Counter::COUNT],
     op_latency: Histogram,
     scan_latency: Histogram,
     events_dropped: u64,
 }
 
+/// `num / den`, or 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 impl TelemetrySnapshot {
-    /// Merges `other` into `self` (saturating; order-independent).
+    /// Merges `other` into `self` (order-independent).
+    ///
+    /// Every counter accumulates with `u64::saturating_add`: on a soak run
+    /// long enough to approach the counter range, a merged total pins at
+    /// `u64::MAX` instead of wrapping into a small nonsense value (debug
+    /// builds would panic on the wrap; release builds would silently
+    /// corrupt every derived ratio).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        self.stats.merge(&other.stats);
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
+            *a = a.saturating_add(*b);
+        }
         self.op_latency.merge(&other.op_latency);
         self.scan_latency.merge(&other.scan_latency);
         self.events_dropped = self.events_dropped.saturating_add(other.events_dropped);
@@ -713,137 +659,53 @@ impl TelemetrySnapshot {
 
     /// Reads one counter.
     pub fn counter(&self, c: Counter) -> u64 {
-        counter_of(&self.stats, c)
+        self.counters[c as usize]
     }
 
-    /// Protection-path fences.
-    pub fn fences(&self) -> u64 {
-        self.stats.fences
-    }
-
-    /// Fences issued at operation start.
-    pub fn fences_start_op(&self) -> u64 {
-        self.stats.fences_start_op
-    }
-
-    /// Fences issued at operation end.
-    pub fn fences_end_op(&self) -> u64 {
-        self.stats.fences_end_op
-    }
-
-    /// Fences issued by mid-op protection announcements.
-    pub fn fences_announce(&self) -> u64 {
-        self.stats.fences_announce
-    }
-
-    /// Fences issued by hazard-pointer protection stores.
-    pub fn fences_hp_protect(&self) -> u64 {
-        self.stats.fences_hp_protect
-    }
-
-    /// Client node traversals.
-    pub fn nodes_traversed(&self) -> u64 {
-        self.stats.nodes_traversed
-    }
-
-    /// Operations started.
-    pub fn ops(&self) -> u64 {
-        self.stats.ops
-    }
-
-    /// Nodes allocated.
-    pub fn allocs(&self) -> u64 {
-        self.stats.allocs
-    }
-
-    /// Nodes retired.
-    pub fn retires(&self) -> u64 {
-        self.stats.retires
-    }
-
-    /// Nodes reclaimed.
-    pub fn frees(&self) -> u64 {
-        self.stats.frees
-    }
-
-    /// Reclamation passes.
-    pub fn empties(&self) -> u64 {
-        self.stats.empties
-    }
-
-    /// MP hazard-pointer fallback reads.
-    pub fn hp_fallback_reads(&self) -> u64 {
-        self.stats.hp_fallback_reads
-    }
-
-    /// MP `USE_HP` collision allocations.
-    pub fn collision_allocs(&self) -> u64 {
-        self.stats.collision_allocs
-    }
-
-    /// Pool-served node allocations.
-    pub fn pool_hits(&self) -> u64 {
-        self.stats.pool_hits
-    }
-
-    /// System-allocator node allocations.
-    pub fn pool_misses(&self) -> u64 {
-        self.stats.pool_misses
-    }
-
-    /// Scans that grew a scratch buffer.
-    pub fn scan_heap_allocs(&self) -> u64 {
-        self.stats.scan_heap_allocs
-    }
-
-    /// Scans that adopted a peer's published protection snapshot.
-    pub fn snapshot_reuses(&self) -> u64 {
-        self.stats.snapshot_reuses
-    }
-
-    /// Registrations that reused a previously released tid.
-    pub fn tid_recycles(&self) -> u64 {
-        self.stats.tid_recycles
-    }
-
-    /// Wall nanoseconds spent inside `empty()` scans.
-    pub fn scan_nanos(&self) -> u64 {
-        self.stats.scan_nanos
-    }
-
-    /// Backpressure help-scans run on behalf of laggards.
-    pub fn help_scans(&self) -> u64 {
-        self.stats.help_scans
-    }
-
-    /// Bounded backpressure throttle waits on the allocation path.
-    pub fn throttle_waits(&self) -> u64 {
-        self.stats.throttle_waits
-    }
-
-    /// Scan nanoseconds per reclaimed node (amortized reclamation cost).
+    /// Scan nanoseconds per reclaimed node — the amortized cost of the
+    /// reclamation path, which the watermark trigger exists to keep flat
+    /// as threads scale.
     pub fn scan_ns_per_free(&self) -> f64 {
-        self.stats.scan_ns_per_free()
+        ratio(self.counter(Counter::ScanNanos), self.counter(Counter::Frees))
     }
 
     /// Fences per traversed node (Fig. 5 y-axis).
     pub fn fences_per_node(&self) -> f64 {
-        self.stats.fences_per_node()
+        ratio(self.counter(Counter::Fences), self.counter(Counter::NodesTraversed))
+    }
+
+    /// Fences per started operation (the fence-budget metric).
+    pub fn fences_per_op(&self) -> f64 {
+        ratio(self.counter(Counter::Fences), self.counter(Counter::Ops))
+    }
+
+    /// `site`'s share of [`fences_per_op`](Self::fences_per_op); the four
+    /// sites sum to it.
+    pub fn fences_per_op_at(&self, site: FenceSite) -> f64 {
+        ratio(self.counter(site.counter()), self.counter(Counter::Ops))
+    }
+
+    /// Fraction of traversed nodes read through MP's hazard-pointer
+    /// fallback (Fig. 7a discussion).
+    pub fn hp_fallback_rate(&self) -> f64 {
+        ratio(self.counter(Counter::HpFallbackReads), self.counter(Counter::NodesTraversed))
     }
 
     /// Average retired-list length at op start (Fig. 6 y-axis).
     pub fn avg_retired_at_op_start(&self) -> f64 {
-        self.stats.avg_retired_at_op_start()
+        ratio(self.counter(Counter::RetiredSampledSum), self.counter(Counter::Ops))
     }
 
-    /// Fraction of node allocations served by the block pool.
+    /// Fraction of node allocations served a recycled pool block, in
+    /// `[0, 1]`.
     pub fn pool_hit_rate(&self) -> f64 {
-        self.stats.pool_hit_rate()
+        let hits = self.counter(Counter::PoolHits);
+        ratio(hits, hits.saturating_add(self.counter(Counter::PoolMisses)))
     }
 
-    /// Heap allocations per operation.
+    /// Fresh-memory node allocations (pool misses) per operation.
     pub fn allocs_per_op(&self) -> f64 {
-        self.stats.allocs_per_op()
+        ratio(self.counter(Counter::PoolMisses), self.counter(Counter::Ops))
     }
 
     /// The whole-operation latency histogram.
@@ -1056,50 +918,44 @@ mod tests {
     #[test]
     fn recorders_map_to_counters() {
         let mut t = HandleTelemetry::new(3);
-        t.record_fence(FenceSite::StartOp);
         t.record_op_start(5);
         t.record_op_start(7);
-        t.record_alloc();
         t.record_retire(0x10);
         t.record_free(0x10);
-        t.record_empty();
         t.record_hp_fallback(0x20);
         t.record_collision_alloc(9);
         t.record_pool_hit(0x30);
         t.record_pool_miss(0x40);
-        t.record_nodes_traversed(4);
-        t.record_scan_heap_alloc();
-        t.record_snapshot_reuse();
-        t.record_tid_recycle();
-        t.record_scan_nanos(500);
-        t.record_help_scan();
-        t.record_throttle_wait();
-        t.record_fence(FenceSite::EndOp);
-        t.record_fence(FenceSite::Announce);
-        t.record_fence(FenceSite::Announce);
-        t.record_fence(FenceSite::HpProtect);
-        assert_eq!(t.counter(Counter::Fences), 5);
-        assert_eq!(t.counter(Counter::FencesStartOp), 1);
-        assert_eq!(t.counter(Counter::FencesEndOp), 1);
-        assert_eq!(t.counter(Counter::FencesAnnounce), 2);
-        assert_eq!(t.counter(Counter::FencesHpProtect), 1);
-        assert_eq!(t.counter(Counter::Ops), 2);
-        assert_eq!(t.counter(Counter::RetiredSampledSum), 12);
-        assert_eq!(t.counter(Counter::Allocs), 1);
-        assert_eq!(t.counter(Counter::Retires), 1);
-        assert_eq!(t.counter(Counter::Frees), 1);
-        assert_eq!(t.counter(Counter::Empties), 1);
-        assert_eq!(t.counter(Counter::HpFallbackReads), 1);
-        assert_eq!(t.counter(Counter::CollisionAllocs), 1);
-        assert_eq!(t.counter(Counter::PoolHits), 1);
-        assert_eq!(t.counter(Counter::PoolMisses), 1);
-        assert_eq!(t.counter(Counter::NodesTraversed), 4);
-        assert_eq!(t.counter(Counter::ScanHeapAllocs), 1);
-        assert_eq!(t.counter(Counter::SnapshotReuses), 1);
-        assert_eq!(t.counter(Counter::TidRecycles), 1);
-        assert_eq!(t.counter(Counter::ScanNanos), 500);
-        assert_eq!(t.counter(Counter::HelpScans), 1);
-        assert_eq!(t.counter(Counter::ThrottleWaits), 1);
+        t.add(Counter::NodesTraversed, 4);
+        for site in [
+            FenceSite::StartOp,
+            FenceSite::EndOp,
+            FenceSite::Announce,
+            FenceSite::Announce,
+            FenceSite::HpProtect,
+        ] {
+            t.record_fence(site);
+        }
+        let expected = [
+            (Counter::Fences, 5),
+            (Counter::FencesStartOp, 1),
+            (Counter::FencesEndOp, 1),
+            (Counter::FencesAnnounce, 2),
+            (Counter::FencesHpProtect, 1),
+            (Counter::NodesTraversed, 4),
+            (Counter::Ops, 2),
+            (Counter::RetiredSampledSum, 12),
+            (Counter::Retires, 1),
+            (Counter::Frees, 1),
+            (Counter::HpFallbackReads, 1),
+            (Counter::CollisionAllocs, 1),
+            (Counter::PoolHits, 1),
+            (Counter::PoolMisses, 1),
+        ];
+        for c in Counter::ALL {
+            let want = expected.iter().find(|(e, _)| *e == c).map_or(0, |&(_, v)| v);
+            assert_eq!(t.counter(c), want, "{}", c.name());
+        }
 
         let mut snap = t.snapshot();
         snap.merge(&t.snapshot());
@@ -1107,8 +963,90 @@ mod tests {
         assert_eq!(snap.counter(Counter::RetiredSampledSum), 24);
 
         t.reset();
-        assert_eq!(t.counter(Counter::Ops), 0);
+        assert!(Counter::ALL.iter().all(|&c| t.counter(c) == 0));
         assert_eq!(t.op_latency().count(), 0);
+    }
+
+    /// The table drives the test: `bump`/`add` land on their own index,
+    /// the generated getter reads it back, and `merge` accumulates and
+    /// saturates (instead of wrapping on a long soak) at every index.
+    #[test]
+    fn every_counter_bumps_merges_and_saturates() {
+        let mut t = HandleTelemetry::new(0);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "ALL is in declaration order");
+            t.bump(c);
+            t.add(c, i as u64);
+        }
+        let snap = t.snapshot();
+        let mut acc = snap.clone();
+        acc.merge(&snap);
+        let mut near_max = HandleTelemetry::new(0);
+        for c in Counter::ALL {
+            near_max.add(c, u64::MAX - 1);
+        }
+        let mut pinned = near_max.snapshot();
+        pinned.merge(&snap);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(snap.counter(c), 1 + i as u64, "{}", c.name());
+            assert_eq!(acc.counter(c), 2 * (1 + i as u64), "{} accumulates", c.name());
+            assert_eq!(pinned.counter(c), u64::MAX, "{} pins at MAX", c.name());
+        }
+        assert_eq!(snap.fences(), 1, "generated getters read their own index");
+        assert_eq!(snap.throttle_waits(), 1 + Counter::ThrottleWaits as u64);
+        // Ratios remain finite and sane at saturation.
+        assert!(pinned.fences_per_node() <= 1.0 + 1e-12);
+        assert!(pinned.pool_hit_rate() <= 1.0);
+    }
+
+    #[test]
+    fn derived_ratios() {
+        let z = TelemetrySnapshot::default();
+        for r in [
+            z.fences_per_node(),
+            z.fences_per_op(),
+            z.fences_per_op_at(FenceSite::HpProtect),
+            z.hp_fallback_rate(),
+            z.avg_retired_at_op_start(),
+            z.pool_hit_rate(),
+            z.allocs_per_op(),
+            z.scan_ns_per_free(),
+        ] {
+            assert_eq!(r, 0.0, "nothing counted reads as zero, not NaN");
+        }
+        let mut t = HandleTelemetry::new(0);
+        for (c, n) in [
+            (Counter::Fences, 5),
+            (Counter::FencesAnnounce, 3),
+            (Counter::NodesTraversed, 10),
+            (Counter::Ops, 4),
+            (Counter::RetiredSampledSum, 12),
+            (Counter::HpFallbackReads, 2),
+            (Counter::PoolHits, 6),
+            (Counter::PoolMisses, 2),
+            (Counter::Frees, 4),
+            (Counter::ScanNanos, 1000),
+        ] {
+            t.add(c, n);
+        }
+        let s = t.snapshot();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert!(close(s.fences_per_node(), 0.5));
+        assert!(close(s.fences_per_op(), 1.25));
+        assert!(close(s.fences_per_op_at(FenceSite::Announce), 0.75));
+        assert_eq!(s.fences_per_op_at(FenceSite::EndOp), 0.0);
+        assert!(close(s.hp_fallback_rate(), 0.2));
+        assert!(close(s.avg_retired_at_op_start(), 3.0));
+        assert!(close(s.pool_hit_rate(), 0.75));
+        assert!(close(s.allocs_per_op(), 0.5));
+        assert!(close(s.scan_ns_per_free(), 250.0));
+    }
+
+    /// Layout pin (1 264 bytes at 22 counters): a counter costs the handle
+    /// its eight bytes and nothing else.
+    #[test]
+    fn handle_telemetry_size_is_pinned() {
+        assert_eq!(core::mem::size_of::<HandleTelemetry>(), Counter::COUNT * 8 + 1088);
     }
 
     #[test]
@@ -1152,7 +1090,7 @@ mod tests {
         for c in Counter::ALL {
             assert!(seen.insert(c.name()), "duplicate counter name {}", c.name());
         }
-        assert_eq!(seen.len(), 22);
+        assert_eq!(seen.len(), Counter::ALL.len());
         // The per-site counters always sum to the aggregate in recorded
         // state (enforced by `record_fence` taking a site), and their names
         // share the `fences_` prefix for exporter grouping.

@@ -28,9 +28,7 @@ pub fn out_dir() -> PathBuf {
     }
 }
 
-fn metric_prefix() -> &'static str {
-    "mp"
-}
+const METRIC_PREFIX: &str = "mp";
 
 fn push_histogram(
     out: &mut String,
@@ -71,7 +69,7 @@ pub fn prometheus_text(
     waste: &[WasteSample],
     bp: Option<&BackpressureState>,
 ) -> String {
-    let p = metric_prefix();
+    let p = METRIC_PREFIX;
     let mut out = String::with_capacity(4096);
     for c in Counter::ALL {
         let name = format!("{p}_{}_total", c.name());
@@ -485,20 +483,20 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::HandleTelemetry;
+    use super::super::{FenceSite, HandleTelemetry};
     use super::*;
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let mut t = HandleTelemetry::new(0);
         t.record_op_start(3);
-        t.record_fence(crate::stats::FenceSite::StartOp);
-        t.record_alloc();
+        t.record_fence(FenceSite::StartOp);
+        t.bump(Counter::Allocs);
         t.record_pool_hit(0x100);
         t.record_retire(0x100);
         t.record_free(0x100);
         t.record_op_nanos(1_234);
         t.record_op_nanos(999_999);
-        t.record_scan_nanos(50_000);
+        t.add(Counter::ScanNanos, 50_000);
         t.snapshot()
     }
 
@@ -513,9 +511,9 @@ mod tests {
     fn prometheus_output_is_valid_and_complete() {
         let text = prometheus_text("MP", &sample_snapshot(), &sample_waste(), None);
         let samples = validate_prometheus(&text).expect("must validate");
-        // 13 counters + 2 histograms (≥3 lines each) + drops + 2 waste
+        // Every counter + 2 histograms (≥3 lines each) + drops + 2 waste
         // gauges + 3 pool gauges.
-        assert!(samples >= 13 + 6 + 1 + 2 + 3, "got {samples} samples:\n{text}");
+        assert!(samples >= Counter::ALL.len() + 6 + 1 + 2 + 3, "got {samples} samples:\n{text}");
         for gauge in ["mp_pool_reserved_bytes", "mp_pool_blank_chunks", "mp_pool_free_blocks"] {
             assert!(text.contains(&format!("# TYPE {gauge} gauge\n{gauge} ")), "{gauge} missing");
         }
@@ -526,6 +524,27 @@ mod tests {
         assert!(text.contains("le=\"+Inf\"} 2"));
         assert!(text.contains("mp_wasted_nodes{scheme=\"MP\"} 2"), "latest waste sample");
         assert!(!text.contains("backpressure"), "no ladder metrics without state");
+    }
+
+    /// Driven by the counter table: both formats carry every counter
+    /// exactly once, in `Counter::ALL` order.
+    #[test]
+    fn both_formats_export_every_counter_once_in_table_order() {
+        let snap = sample_snapshot();
+        let prom = prometheus_text("MP", &snap, &[], None);
+        let doc = json("MP", &snap, &[], None);
+        assert!(doc.starts_with("{\n  \"schema\": \"mp-telemetry/v1\",\n"));
+        let (mut prom_at, mut json_at) = (0, 0);
+        for c in Counter::ALL {
+            let sample = format!("\nmp_{}_total{{scheme=\"MP\"}} {}\n", c.name(), snap.counter(c));
+            let key = format!("\"{}\": {}", c.name(), snap.counter(c));
+            for (text, needle, at) in [(&prom, &sample, &mut prom_at), (&doc, &key, &mut json_at)] {
+                assert_eq!(text.matches(needle.as_str()).count(), 1, "{needle:?} not exactly once");
+                let pos = text.find(needle.as_str()).unwrap();
+                assert!(pos >= *at, "{} out of table order", c.name());
+                *at = pos;
+            }
+        }
     }
 
     #[test]
@@ -566,7 +585,7 @@ mod tests {
     fn empty_snapshot_still_exports_cleanly() {
         let snap = TelemetrySnapshot::default();
         let text = prometheus_text("HE", &snap, &[], None);
-        assert!(validate_prometheus(&text).unwrap() >= 13);
+        assert!(validate_prometheus(&text).unwrap() >= Counter::ALL.len());
         validate_json(&json("HE", &snap, &[], None)).unwrap();
     }
 

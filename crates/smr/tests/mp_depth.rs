@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use mp_smr::schemes::Mp;
-use mp_smr::{Atomic, Config, IndexPolicy, Shared, Smr, SmrHandle};
+use mp_smr::{Atomic, Config, Counter, IndexPolicy, Shared, Smr, SmrHandle, Telemetry};
 
 fn cfg() -> Config {
     Config::default().with_max_threads(3).with_empty_freq(1).with_scan_watermark(1).with_epoch_freq(1000)
@@ -121,7 +121,7 @@ fn per_reader_epoch_filters() {
     // Safety is preserved because early's read detected the epoch change
     // and fell back to a hazard pointer:
     assert!(
-        early.stats().hp_fallback_reads > 0,
+        early.counter(Counter::HpFallbackReads) > 0,
         "early reader must have taken the HP fallback across the epoch change"
     );
     assert_eq!(writer.retired_len(), 1, "early's hazard still pins the node");

@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 
 use mp_smr::node::{USE_HP, USE_HP_CLASS_START};
 use mp_smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
-use mp_smr::{Atomic, Config, Shared, Smr, SmrHandle};
+use mp_smr::{Atomic, Config, Shared, Smr, SmrHandle, Telemetry};
 
 fn cfg() -> Config {
     Config::default().with_max_threads(3).with_empty_freq(2).with_epoch_freq(4)
@@ -255,11 +255,11 @@ fn stats_account_for_full_life_cycle() {
     // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
     unsafe { h.retire(n) };
     h.force_empty();
-    let s = h.stats();
-    assert_eq!(s.ops, 1);
-    assert_eq!(s.allocs, 1);
-    assert_eq!(s.retires, 1);
-    assert_eq!(s.frees, 1);
-    assert!(s.fences >= 2, "start_op + end_op at minimum");
-    assert!(s.empties >= 1);
+    let s = h.snapshot();
+    assert_eq!(s.ops(), 1);
+    assert_eq!(s.allocs(), 1);
+    assert_eq!(s.retires(), 1);
+    assert_eq!(s.frees(), 1);
+    assert!(s.fences() >= 2, "start_op + end_op at minimum");
+    assert!(s.empties() >= 1);
 }

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `MP_CHECK_CASES` overrides the case count the same way. Generation is
-//! pure integer arithmetic over [`SmallRng`](crate::SmallRng), so a seed
+//! pure integer arithmetic over [`SmallRng`], so a seed
 //! reproduces the same inputs on every platform.
 
 use std::fmt::Debug;

@@ -10,9 +10,9 @@
 //! passing).
 //!
 //! Histograms are plain per-thread values, merged after threads join —
-//! the same aggregation model as `mp-smr`'s `OpStats::merge`. All
-//! accumulation saturates, so a soak run can never wrap a counter into a
-//! nonsense distribution.
+//! the same aggregation model as `mp-smr`'s `TelemetrySnapshot::merge`.
+//! All accumulation saturates, so a soak run can never wrap a counter
+//! into a nonsense distribution.
 
 /// Number of buckets; covers all of `u64`.
 pub const BUCKETS: usize = 64;
@@ -66,7 +66,7 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Merges `other` into `self` (saturating, like `OpStats::merge`).
+    /// Merges `other` into `self` (saturating).
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b = b.saturating_add(*o);

@@ -43,6 +43,11 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: a dangling intra-doc link (to a deleted or private item)
+# fails here instead of rotting in the rendered docs.
+echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds
+
 # Oracle stage: the same tests plus the conformance matrix, negative
 # oracle tests, and mp-smr's oracle unit tests, with shadow lifecycle
 # tracking, freed-memory poisoning, and the waste-bound monitor armed.
@@ -64,6 +69,12 @@ run_oracle cargo test -q --offline --features oracle
 
 echo "==> cargo test -q --offline -p mp-smr --features oracle"
 run_oracle cargo test -q --offline -p mp-smr --features oracle
+# mp-ds has no feature of its own; arming its dependency's oracle runs the
+# skip list's unit tests — its link-after-remove regression among them —
+# with freed nodes poisoned. Only the skip list's: armed, the HE tree
+# stress trips the snapshot-reuse superset check in `SharedSnapshot::fill`
+# about once in twenty runs, on the parent too (ROADMAP, carried forward).
+run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle --lib skiplist
 
 # Happens-before oracle stage: the vector-clock tracker audits every
 # deref/free/adoption against the protocol's claimed synchronization

@@ -34,7 +34,7 @@ use mp_util::{Checker, RngExt, SmallRng};
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
 use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
-use margin_pointers::smr::{Config, OpStats, Smr, SmrError, SmrHandle, Telemetry};
+use margin_pointers::smr::{Config, Smr, SmrError, SmrHandle, Telemetry, TelemetrySnapshot};
 
 /// Keys are drawn from `[0, KEY_SPACE)`; the sequential probe uses a key
 /// above it.
@@ -82,14 +82,17 @@ fn apply<S: Smr, D: ConcurrentSet<S>>(ds: &D, h: &mut S::Handle, kind: u8, key: 
     }
 }
 
-/// Runs one plan under the chosen fault and returns the stats merged over
+/// Runs one plan under the chosen fault and returns the telemetry merged over
 /// every handle that existed (so `retires >= frees` is a true global
 /// invariant: orphan adoption can move a retired node between handles,
 /// but every free corresponds to some handle's retire).
-fn run_case<S: Smr, D: ConcurrentSet<S>>(fault: Fault, plan: &[(u8, u64)]) -> OpStats {
+fn run_case<S: Smr, D: ConcurrentSet<S>>(
+    fault: Fault,
+    plan: &[(u8, u64)],
+) -> TelemetrySnapshot {
     let smr = S::new(cfg());
     let ds = Arc::new(D::new(&smr));
-    let mut merged = OpStats::default();
+    let mut merged = TelemetrySnapshot::default();
 
     // Prefill a few keys so early removes have something to reclaim.
     {
@@ -97,7 +100,7 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(fault: Fault, plan: &[(u8, u64)]) -> Op
         for k in 0..8u64 {
             ds.insert(&mut h, (k * 5) % KEY_SPACE);
         }
-        merged.merge(h.stats());
+        merged.merge(&h.snapshot());
     }
 
     let done = Arc::new(AtomicBool::new(false));
@@ -116,7 +119,7 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(fault: Fault, plan: &[(u8, u64)]) -> Op
                 for (kind, key) in share {
                     apply(&*ds, &mut h, kind, key);
                 }
-                h.stats().clone()
+                h.snapshot()
             }));
         }
 
@@ -162,7 +165,7 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(fault: Fault, plan: &[(u8, u64)]) -> Op
                         }
                     }
                 }
-                h.stats().clone()
+                h.snapshot()
             })
         };
 
@@ -185,7 +188,7 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(fault: Fault, plan: &[(u8, u64)]) -> Op
     for k in 0..KEY_SPACE {
         ds.contains(&mut h, k);
     }
-    merged.merge(h.stats());
+    merged.merge(&h.snapshot());
     merged
 }
 
@@ -196,13 +199,13 @@ fn conformance<S: Smr, D: ConcurrentSet<S>>(fault: Fault, name: &str) {
     oracle::set_replay_seed(checker.base_seed());
     checker.run(name, gen_plan, |plan| {
         let stats = run_case::<S, D>(fault, plan);
-        assert!(stats.ops > 0, "no operations ran");
+        assert!(stats.ops() > 0, "no operations ran");
         assert!(
-            stats.retires >= stats.frees,
+            stats.retires() >= stats.frees(),
             "{}: freed more nodes ({}) than were ever retired ({})",
             S::name(),
-            stats.frees,
-            stats.retires
+            stats.frees(),
+            stats.retires()
         );
     });
 }
@@ -474,7 +477,7 @@ mod scenario_matrix {
                         ds.remove(&mut h, k);
                     }
                     workers_done.fetch_add(1, Ordering::AcqRel);
-                    h.stats().ops
+                    h.snapshot().ops()
                 }));
             }
 

@@ -12,7 +12,7 @@
 
 use margin_pointers::ds::{ConcurrentSet, LinkedList};
 use margin_pointers::smr::schemes::{Ebr, He, Hp, Mp};
-use margin_pointers::smr::{Config, OpStats, Smr, SmrHandle};
+use margin_pointers::smr::{Config, Smr, Telemetry, TelemetrySnapshot};
 
 const PREFILL: usize = 100;
 const KEY_RANGE: u64 = 2 * PREFILL as u64;
@@ -29,9 +29,9 @@ impl Lcg {
 }
 
 /// Prefills `PREFILL` random keys with a throwaway handle, then runs the
-/// read-dominated workload on a fresh handle and returns its stats —
+/// read-dominated workload on a fresh handle and returns its counters —
 /// prefill fences do not pollute the measured budget.
-fn run_workload<S: Smr>(cfg: Config) -> OpStats {
+fn run_workload<S: Smr>(cfg: Config) -> TelemetrySnapshot {
     let smr = S::new(cfg);
     let list: LinkedList<S> = LinkedList::new(&smr);
     let mut rng = Lcg(0x5eed_f00d_fe4c_e001);
@@ -59,31 +59,23 @@ fn run_workload<S: Smr>(cfg: Config) -> OpStats {
             }
         }
     }
-    let stats = h.stats().clone();
-    assert!(stats.ops as usize >= OPS, "workload must have bracketed every op");
-    assert!(stats.nodes_traversed > stats.ops * 10, "traversals must be long enough to matter");
-    stats
+    let snap = h.snapshot();
+    assert!(snap.ops() as usize >= OPS, "workload must have bracketed every op");
+    assert!(snap.nodes_traversed() > snap.ops() * 10, "traversals must be long enough to matter");
+    snap
 }
 
-fn fences_per_op(s: &OpStats) -> f64 {
-    s.fences as f64 / s.ops.max(1) as f64
-}
-
-fn fences_per_hop(s: &OpStats) -> f64 {
-    s.fences as f64 / s.nodes_traversed.max(1) as f64
-}
-
-fn breakdown(s: &OpStats) -> String {
+fn breakdown(s: &TelemetrySnapshot) -> String {
     format!(
         "fences/op = {:.3} over {} ops ({} hops) — per site: start_op {}, end_op {}, \
          announce {}, hp_protect {}",
-        fences_per_op(s),
-        s.ops,
-        s.nodes_traversed,
-        s.fences_start_op,
-        s.fences_end_op,
-        s.fences_announce,
-        s.fences_hp_protect,
+        s.fences_per_op(),
+        s.ops(),
+        s.nodes_traversed(),
+        s.fences_start_op(),
+        s.fences_end_op(),
+        s.fences_announce(),
+        s.fences_hp_protect(),
     )
 }
 
@@ -97,7 +89,7 @@ fn mp_read_dominated_list_stays_under_two_fences_per_op() {
     let cfg = Config::default().with_max_threads(2).with_margin(1 << 30);
     let s = run_workload::<Mp>(cfg);
     assert!(
-        fences_per_op(&s) <= 2.0,
+        s.fences_per_op() <= 2.0,
         "MP fence budget blown: {}",
         breakdown(&s)
     );
@@ -113,14 +105,14 @@ fn mp_read_dominated_list_stays_under_two_fences_per_op() {
 #[test]
 fn hp_pays_about_one_fence_per_hop() {
     let s = run_workload::<Hp>(Config::default().with_max_threads(2));
-    let per_hop = fences_per_hop(&s);
+    let per_hop = s.fences_per_node();
     assert!(
         (0.95..=1.15).contains(&per_hop),
         "HP fences/hop = {per_hop:.3}, expected one per validated hop — {}",
         breakdown(&s)
     );
     assert!(
-        s.fences_hp_protect > s.fences - s.fences_hp_protect,
+        s.fences_hp_protect() > s.fences() - s.fences_hp_protect(),
         "HP's fences must be dominated by the protect site: {}",
         breakdown(&s)
     );
@@ -131,7 +123,7 @@ fn hp_pays_about_one_fence_per_hop() {
 #[test]
 fn ebr_pays_about_one_fence_per_op() {
     let s = run_workload::<Ebr>(Config::default().with_max_threads(2));
-    let per_op = fences_per_op(&s);
+    let per_op = s.fences_per_op();
     assert!(
         (0.5..=1.5).contains(&per_op),
         "EBR fences/op = {per_op:.3}, expected ~1 — {}",
@@ -146,7 +138,7 @@ fn ebr_pays_about_one_fence_per_op() {
 fn he_stays_well_under_one_fence_per_op() {
     let s = run_workload::<He>(Config::default().with_max_threads(2));
     assert!(
-        fences_per_op(&s) <= 0.1,
+        s.fences_per_op() <= 0.1,
         "HE's lazy-era budget regressed: {}",
         breakdown(&s)
     );

@@ -6,7 +6,7 @@
 use margin_pointers::ds::{ConcurrentSet, LinkedList};
 use margin_pointers::smr::node::USE_HP;
 use margin_pointers::smr::schemes::Mp;
-use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
+use margin_pointers::smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
 use std::sync::atomic::Ordering;
 
 #[test]
@@ -25,7 +25,7 @@ fn mp_without_bound_hints_degenerates_to_hp() {
     // Reads of USE_HP nodes are hazard-protected and block reclamation.
     let cell = Atomic::new(n);
     let got = owner.read(&cell, 0);
-    assert!(owner.stats().hp_fallback_reads >= 1);
+    assert!(owner.counter(Counter::HpFallbackReads) >= 1);
 
     cell.store(Shared::null(), Ordering::Release);
     // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
@@ -54,7 +54,7 @@ fn ascending_insert_list_collides_but_stays_correct() {
     for k in 0..N {
         assert!(list.insert(&mut h, k), "insert {k}");
     }
-    assert!(h.stats().collision_allocs > N / 2, "expected mass collisions");
+    assert!(h.counter(Counter::CollisionAllocs) > N / 2, "expected mass collisions");
     // Semantics unaffected by the fallback.
     for k in 0..N {
         assert!(list.contains(&mut h, k));
@@ -67,9 +67,9 @@ fn ascending_insert_list_collides_but_stays_correct() {
         assert_eq!(list.contains(&mut h, k), k % 2 == 1, "key {k}");
     }
     // Reads of colliding nodes report the HP path.
-    let before = h.stats().hp_fallback_reads;
+    let before = h.counter(Counter::HpFallbackReads);
     for k in 0..N {
         list.contains(&mut h, k);
     }
-    assert!(h.stats().hp_fallback_reads > before, "fallback reads must be visible");
+    assert!(h.counter(Counter::HpFallbackReads) > before, "fallback reads must be visible");
 }

@@ -3,11 +3,11 @@
 //! zero. This test runs alone in its own process (one test per integration
 //! binary), so the gauge is not perturbed by parallel tests.
 //!
-//! Each churn round also cross-checks the per-handle [`OpStats`] counters
+//! Each churn round also cross-checks the per-handle telemetry counters
 //! against the scheme's global retired-pending gauge: a node can only be
 //! freed after being retired, so the scheme can never report more pending
 //! than the handles' `retires - frees` — though it may report less, since
-//! every handle runs a final drain scan at Drop after its stats were
+//! every handle runs a final drain scan at Drop after its counters were
 //! sampled (DTA is exempt from the bound — its freezing recovery parks
 //! nodes on the pending gauge without a handle-attributed retire).
 
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
 use margin_pointers::smr::node::gauge;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
-use margin_pointers::smr::{Config, OpStats, Smr, SmrHandle};
+use margin_pointers::smr::{Config, Smr, Telemetry, TelemetrySnapshot};
 
 fn cfg() -> Config {
     Config::default()
@@ -31,7 +31,7 @@ fn cfg() -> Config {
 fn churn<S: Smr, D: ConcurrentSet<S>>() {
     let smr = S::new(cfg());
     let ds = Arc::new(D::new(&smr));
-    let mut merged = OpStats::default();
+    let mut merged = TelemetrySnapshot::default();
     std::thread::scope(|s| {
         let mut joins = Vec::new();
         for t in 0..3u64 {
@@ -57,7 +57,7 @@ fn churn<S: Smr, D: ConcurrentSet<S>>() {
                         }
                     }
                 }
-                h.stats().clone()
+                h.snapshot()
             }));
         }
         for j in joins {
@@ -69,17 +69,17 @@ fn churn<S: Smr, D: ConcurrentSet<S>>() {
     // are dropped, so their leftover retired lists are parked as orphans
     // and still count as pending).
     let combo = format!("{} / {}", S::name(), D::name());
-    assert!(merged.ops > 0, "{combo}: no operations recorded");
+    assert!(merged.ops() > 0, "{combo}: no operations recorded");
     assert!(
-        merged.retires >= merged.frees,
+        merged.retires() >= merged.frees(),
         "{combo}: freed {} nodes but only {} were ever retired",
-        merged.frees,
-        merged.retires
+        merged.frees(),
+        merged.retires()
     );
-    let outstanding = (merged.retires - merged.frees) as usize;
+    let outstanding = (merged.retires() - merged.frees()) as usize;
     let pending = smr.retired_pending();
-    // Handles run a drain scan at Drop, *after* the worker cloned its
-    // stats, so the gauge may read below `retires - frees`; it can never
+    // Handles run a drain scan at Drop, *after* the worker took its
+    // snapshot, so the gauge may read below `retires - frees`; it can never
     // exceed it (for DTA it can — freezing recovery parks nodes on the
     // gauge without a handle-attributed retire, so no bound holds there).
     if S::name() != "DTA" {

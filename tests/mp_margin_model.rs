@@ -17,7 +17,7 @@
 use mp_util::{Checker, RngExt, SmallRng};
 
 use margin_pointers::smr::schemes::Mp;
-use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
+use margin_pointers::smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
 
 /// One shrinkable step. Configuration and topology are steps too, so the
 /// shrinker can minimize them along with the action sequence: the first
@@ -95,10 +95,10 @@ fn run_steps(steps: &[Step]) {
         match step {
             Step::Setup { .. } | Step::Link { .. } => {}
             Step::Read { cell, refno } => {
-                let hp_before = reader.stats().hp_fallback_reads;
+                let hp_before = reader.counter(Counter::HpFallbackReads);
                 let got = reader.read(&cells[cell % cells.len()].0, refno % slots);
                 assert!(!got.is_null(), "cells stay linked for the whole plan");
-                if reader.stats().hp_fallback_reads > hp_before {
+                if reader.counter(Counter::HpFallbackReads) > hp_before {
                     continue; // hazard-protected: interval/epoch need not apply
                 }
                 // SAFETY: [INV-01] the read above returned under an open

@@ -1,9 +1,10 @@
 //! Telemetry integration: armed tracing on a real workload, exporter
 //! validity, and the disarmed zero-ring contract.
 //!
-//! Arming is process-global state, so this binary holds a single `#[test]`
-//! that covers both armed and disarmed phases in a fixed order — the same
-//! discipline as `leak_check` and `zero_alloc`.
+//! Arming is process-global state, so a single `#[test]` covers both armed
+//! and disarmed phases in a fixed order — the same discipline as
+//! `leak_check` and `zero_alloc`. The only other test here registers no
+//! handle: it holds the README's counter table to `Counter::ALL`.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use margin_pointers::ds::{ConcurrentSet, LinkedList};
 use margin_pointers::smr::schemes::{Ebr, Mp};
 use margin_pointers::smr::telemetry::export;
 use margin_pointers::smr::{
-    telemetry, EventKind, Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot,
+    telemetry, Counter, EventKind, Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot,
 };
 
 fn churn<S: Smr>(smr: &Arc<S>, threads: u64, ops: u64) -> TelemetrySnapshot {
@@ -119,4 +120,22 @@ fn armed_run_traces_exports_and_disarmed_run_has_no_ring() {
         assert_eq!(snap.ops(), 1, "counters are always on");
         assert_eq!(snap.op_latency().count(), 0, "no timing when disarmed");
     }
+}
+
+/// README's "Counters" table has exactly one row per counter, in
+/// `Counter::ALL` order: a new table row in `telemetry.rs` without its
+/// README row (or a stale README row) fails here.
+#[test]
+fn readme_counter_table_matches_the_counter_table() {
+    let readme = include_str!("../README.md");
+    let section = readme.split("\n### Counters\n").nth(1).expect("README has a Counters section");
+    let documented: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("|---"))
+        .skip(1)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| row.split('`').nth(1).expect("first cell is a `name`"))
+        .collect();
+    let declared: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+    assert_eq!(documented, declared);
 }
