@@ -1,7 +1,7 @@
 //! Michael's nonblocking sorted linked list (SPAA 2002), paper §5.2.
 //!
 //! Keys are kept sorted between a head sentinel (`-∞`, index 0) and a tail
-//! sentinel (`u64::MAX`, index `max_index` — paper §5.2). Deletion is
+//! sentinel (`u64::MAX`, index `MAX_INDEX` — paper §5.2). Deletion is
 //! two-step: a CAS sets the *deleted* mark bit in the victim's `next`
 //! pointer (logical removal, freezing the field), then the node is spliced
 //! out by a CAS on its predecessor (physical removal) and retired by
@@ -15,6 +15,7 @@
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
+use mp_smr::node::MAX_INDEX;
 use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
 
 use crate::ConcurrentSet;
@@ -232,11 +233,11 @@ impl<S: Smr, V: Send + Sync + 'static> LinkedList<S, V> {
 impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for LinkedList<S, V> {
     fn new(smr: &Arc<S>) -> Self {
         let mut h = smr.register();
-        // Sentinel indices per §5.2: head 0, tail max_index. The tail's key
+        // Sentinel indices per §5.2: head 0, tail MAX_INDEX. The tail's key
         // is u64::MAX; client keys must stay below it.
         let tail = h.alloc_with_index(
             Node { key: u64::MAX, value: V::default(), next: Atomic::null() },
-            u32::MAX - 1,
+            MAX_INDEX,
         );
         let head = h
             .alloc_with_index(Node { key: 0, value: V::default(), next: Atomic::new(tail) }, 0);

@@ -12,7 +12,7 @@
 //!
 //! The initial state (paper Figure 1) has routing sentinels `R` (key ∞₂)
 //! and `S` (key ∞₁) plus three sentinel leaves ∞₀ < ∞₁ < ∞₂; every client
-//! key is `< ∞₀`. Per §5.3, the ∞₀ leaf gets MP index `max_index` and the
+//! key is `< ∞₀`. Per §5.3, the ∞₀ leaf gets MP index `MAX_INDEX` and the
 //! other initial nodes `USE_HP`; `R` and `S` are never removed.
 //!
 //! MP integration (Listing 9): `seek` shrinks the search interval at every
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
-use mp_smr::node::USE_HP;
+use mp_smr::node::{MAX_INDEX, USE_HP};
 use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
 
 use crate::ConcurrentSet;
@@ -384,8 +384,8 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
 impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for NmTree<S, V> {
     fn new(smr: &Arc<S>) -> Self {
         let mut h = smr.register();
-        // Paper §5.3: ∞₀ gets max_index; the other initial nodes USE_HP.
-        let leaf0 = h.alloc_with_index(Node::leaf(INF0, V::default()), u32::MAX - 1);
+        // Paper §5.3: ∞₀ gets MAX_INDEX; the other initial nodes USE_HP.
+        let leaf0 = h.alloc_with_index(Node::leaf(INF0, V::default()), MAX_INDEX);
         let leaf1 = h.alloc_with_index(Node::leaf(INF1, V::default()), USE_HP);
         let leaf2 = h.alloc_with_index(Node::leaf(INF2, V::default()), USE_HP);
         let s = h.alloc_with_index(
@@ -655,7 +655,7 @@ mod tests {
             assert_eq!(s_node.data().key, INF1);
             let l0 = s_node.data().left.load(Ordering::Relaxed).deref();
             assert_eq!(l0.data().key, INF0);
-            assert_eq!(l0.index(), u32::MAX - 1, "∞₀ leaf gets max_index (§5.3)");
+            assert_eq!(l0.index(), MAX_INDEX, "∞₀ leaf gets MAX_INDEX (§5.3)");
             let l1 = s_node.data().right.load(Ordering::Relaxed).deref();
             assert_eq!(l1.data().key, INF1);
             assert_eq!(l1.index(), USE_HP);

@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use mp_smr::node::MAX_INDEX;
 use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
 
 use crate::ConcurrentSet;
@@ -401,9 +402,8 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
 impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S, V> {
     fn new(smr: &Arc<S>) -> Self {
         let mut h = smr.register();
-        // Sentinel indices per §5.2: head 0, tail max_index.
-        let tail =
-            h.alloc_with_index(Node::new(u64::MAX, V::default(), MAX_HEIGHT), u32::MAX - 1);
+        // Sentinel indices per §5.2: head 0, tail MAX_INDEX.
+        let tail = h.alloc_with_index(Node::new(u64::MAX, V::default(), MAX_HEIGHT), MAX_INDEX);
         let head_payload = Node::new(0, V::default(), MAX_HEIGHT);
         for l in 0..MAX_HEIGHT {
             // ORDERING: reason = owned-store — head is unpublished until the

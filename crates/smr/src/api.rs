@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::SmrError;
+use crate::node::MAX_INDEX;
 use crate::packed::{Atomic, Shared};
 use crate::telemetry::{self, SchemeTelemetry, Telemetry};
 
@@ -33,26 +34,15 @@ pub struct Config {
     /// scan triggers when the handle's retired list reaches this length.
     /// `0` (the default) auto-derives HP's classical `k × H` rule —
     /// `max(empty_freq, 2 · max_threads · slots_per_thread)` — so scan
-    /// frequency tracks the retire rate, not the operation rate. When left
-    /// at `0`, the `MP_SCAN_WATERMARK` environment variable (read at scheme
-    /// construction) supplies the value before the auto rule kicks in; an
-    /// explicit non-zero knob always wins over the environment.
+    /// frequency tracks the retire rate, not the operation rate.
     pub scan_watermark: usize,
-    /// Adaptive scan watermark in retired *bytes* per handle: when non-zero,
-    /// a scan also triggers once the handle's buffered retired bytes reach
-    /// this figure (large payloads scan sooner than the node-count rule
-    /// alone would). `0` disables the bytes trigger unless the
-    /// `MP_SCAN_WATERMARK_BYTES` environment variable supplies one; an
-    /// explicit non-zero knob always wins over the environment.
-    pub scan_watermark_bytes: usize,
     /// Events (allocations for HE/IBR/EBR, unlinks for MP) a thread performs
     /// between increments of the global epoch (`epoch_freq`; §6 uses 150·T).
     pub epoch_freq: usize,
     /// MP protection interval size (`margin`; §6 picks 2^20). Must exceed
-    /// 2^16 or the pointer-precision check can never pass (§4.3.1).
+    /// 2^16 or the pointer-precision check can never pass (§4.3.1), and
+    /// `2 · margin` must stay below [`MAX_INDEX`].
     pub margin: u32,
-    /// Maximal assignable index (`max_index`).
-    pub max_index: u32,
     /// DTA: node traversals between anchor updates (the paper uses 100).
     pub anchor_hops: usize,
     /// DTA: reclamation attempts tolerated before a non-advancing thread is
@@ -62,10 +52,7 @@ pub struct Config {
     /// When the scheme's retired-bytes gauge reaches half this figure,
     /// retiring threads escalate onto the help-scan rung (adopt orphans,
     /// scan for laggards); at the full figure allocations additionally
-    /// take a bounded backoff. When left at `0`, the `MP_BP_BYTES`
-    /// environment variable (read at scheme construction) supplies the
-    /// cap; an explicit non-zero knob always wins over the environment.
-    /// See [`crate::backpressure`].
+    /// take a bounded backoff. See [`crate::backpressure`].
     pub backpressure_bytes: usize,
     /// Ablation switch: MP index assignment policy (default midpoint).
     pub index_policy: IndexPolicy,
@@ -90,10 +77,8 @@ impl Default for Config {
             slots_per_thread: 8,
             empty_freq: 30,
             scan_watermark: 0,
-            scan_watermark_bytes: 0,
             epoch_freq: 150,
             margin: 1 << 20,
-            max_index: u32::MAX - 1,
             anchor_hops: 100,
             stall_patience: 8,
             backpressure_bytes: 0,
@@ -112,13 +97,11 @@ pub enum ConfigError {
         /// The rejected margin.
         margin: u32,
     },
-    /// `max_index` is not greater than `2 · margin`: the index space would
-    /// not fit even two disjoint protection intervals, so midpoint
+    /// [`MAX_INDEX`] is not greater than `2 · margin`: the index space
+    /// would not fit even two disjoint protection intervals, so midpoint
     /// assignment degenerates immediately into `USE_HP` collisions.
-    MaxIndexTooSmall {
-        /// The rejected maximal index.
-        max_index: u32,
-        /// The margin it must exceed twice over.
+    MarginTooLarge {
+        /// The rejected margin.
         margin: u32,
     },
     /// `slots_per_thread` is zero: no operation could protect anything.
@@ -135,9 +118,9 @@ impl fmt::Display for ConfigError {
                 "margin ({margin}) must exceed pointer precision (2^16 = {}), §4.3.1",
                 1u32 << 16
             ),
-            ConfigError::MaxIndexTooSmall { max_index, margin } => write!(
+            ConfigError::MarginTooLarge { margin } => write!(
                 f,
-                "max_index ({max_index}) must exceed 2·margin ({})",
+                "MAX_INDEX ({MAX_INDEX}) must exceed 2·margin ({})",
                 2u64 * margin as u64
             ),
             ConfigError::ZeroSlots => write!(f, "slots_per_thread must be > 0"),
@@ -150,9 +133,9 @@ impl std::error::Error for ConfigError {}
 
 impl Config {
     /// Checks every cross-field invariant; every scheme's [`Smr::new`]
-    /// calls this, so an invalid combination (e.g. a `max_index` smaller
-    /// than the margin it is supposed to contain) fails loudly at
-    /// construction instead of silently degrading protection.
+    /// calls this, so an invalid value (e.g. a margin the index space
+    /// cannot hold twice) fails loudly at construction instead of silently
+    /// degrading protection.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_threads == 0 {
             return Err(ConfigError::ZeroThreads);
@@ -163,11 +146,8 @@ impl Config {
         if self.margin <= 1 << 16 {
             return Err(ConfigError::MarginTooSmall { margin: self.margin });
         }
-        if self.max_index as u64 <= 2 * self.margin as u64 {
-            return Err(ConfigError::MaxIndexTooSmall {
-                max_index: self.max_index,
-                margin: self.margin,
-            });
+        if MAX_INDEX as u64 <= 2 * self.margin as u64 {
+            return Err(ConfigError::MarginTooLarge { margin: self.margin });
         }
         Ok(())
     }
@@ -200,13 +180,6 @@ impl Config {
         self
     }
 
-    /// Sets the adaptive scan watermark in retired bytes per handle
-    /// (`0` = bytes trigger disabled).
-    pub fn with_scan_watermark_bytes(mut self, n: usize) -> Self {
-        self.scan_watermark_bytes = n;
-        self
-    }
-
     /// Sets how many allocations/unlinks elapse between epoch increments.
     pub fn with_epoch_freq(mut self, n: usize) -> Self {
         assert!(n > 0);
@@ -218,14 +191,6 @@ impl Config {
     pub fn with_margin(mut self, margin: u32) -> Self {
         assert!(margin > 1 << 16, "margin must exceed pointer precision (2^16)");
         self.margin = margin;
-        self
-    }
-
-    /// Sets the maximal assignable index. Must exceed `2 · margin` (checked
-    /// by [`validate`](Config::validate) at scheme construction).
-    pub fn with_max_index(mut self, n: u32) -> Self {
-        assert!(n > 0);
-        self.max_index = n;
         self
     }
 
@@ -244,7 +209,7 @@ impl Config {
     }
 
     /// Sets the backpressure hard cap in retired payload bytes
-    /// (`0` = ladder disabled unless `MP_BP_BYTES` supplies a cap).
+    /// (`0` = ladder disabled).
     pub fn with_backpressure_bytes(mut self, n: usize) -> Self {
         self.backpressure_bytes = n;
         self
@@ -402,7 +367,11 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// structures that manage bracketing across helper functions.
     fn start_op(&mut self);
 
-    /// Ends the operation and releases all protections (one fence).
+    /// Ends the operation: nothing returned by [`read`](SmrHandle::read)
+    /// since `start_op` may be dereferenced afterwards. What is released,
+    /// and whether a fence is paid, is the scheme's business — HP clears
+    /// its hazard slots, EBR leaves its epoch, MP and HE keep their
+    /// announcements standing and issue no fence at all.
     fn end_op(&mut self);
 
     /// Protected pointer load: dereferencing the returned pointer is safe
@@ -530,7 +499,6 @@ mod tests {
         assert_eq!(c.anchor_hops, 100);
         assert!(c.margin > 1 << 16);
         assert_eq!(c.scan_watermark, 0, "watermark auto-derives k·H by default");
-        assert_eq!(c.scan_watermark_bytes, 0, "bytes trigger off by default");
         assert_eq!(c.backpressure_bytes, 0, "backpressure ladder off by default");
     }
 
@@ -548,22 +516,18 @@ mod tests {
             .with_empty_freq(10)
             .with_epoch_freq(20)
             .with_margin(1 << 18)
-            .with_max_index(1 << 24)
             .with_anchor_hops(50)
             .with_stall_patience(2)
             .with_scan_watermark(128)
-            .with_scan_watermark_bytes(1 << 20)
             .with_backpressure_bytes(1 << 22);
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.slots_per_thread, 3);
         assert_eq!(c.empty_freq, 10);
         assert_eq!(c.epoch_freq, 20);
         assert_eq!(c.margin, 1 << 18);
-        assert_eq!(c.max_index, 1 << 24);
         assert_eq!(c.anchor_hops, 50);
         assert_eq!(c.stall_patience, 2);
         assert_eq!(c.scan_watermark, 128);
-        assert_eq!(c.scan_watermark_bytes, 1 << 20);
         assert_eq!(c.backpressure_bytes, 1 << 22);
     }
 
@@ -581,32 +545,23 @@ mod tests {
         let c = Config { margin: 1 << 16, ..Config::default() };
         assert_eq!(c.validate(), Err(ConfigError::MarginTooSmall { margin: 1 << 16 }));
 
-        // Silently-accepted combination from before this check existed:
-        // a max_index the margin swallows whole.
-        let c = Config::default().with_margin(1 << 20).with_max_index(1 << 20);
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::MaxIndexTooSmall { max_index: 1 << 20, margin: 1 << 20 })
-        );
-        // The boundary itself is rejected (strict inequality)...
-        let c = Config::default().with_margin(1 << 20).with_max_index(1 << 21);
-        assert!(c.validate().is_err());
-        // ... one past it is accepted.
-        let c = Config::default().with_margin(1 << 20).with_max_index((1 << 21) + 1);
-        assert_eq!(c.validate(), Ok(()));
+        // A margin the index space cannot hold twice: 2·2^31 > MAX_INDEX.
+        let c = Config::default().with_margin(1 << 31);
+        assert_eq!(c.validate(), Err(ConfigError::MarginTooLarge { margin: 1 << 31 }));
+        // The largest power of two that fits is accepted.
+        assert_eq!(Config::default().with_margin(1 << 30).validate(), Ok(()));
     }
 
     #[test]
     fn config_error_messages_name_the_fields() {
-        let e = ConfigError::MaxIndexTooSmall { max_index: 5, margin: 70_000 };
-        let msg = e.to_string();
-        assert!(msg.contains("max_index") && msg.contains("140000"), "{msg}");
+        let msg = ConfigError::MarginTooLarge { margin: 70_000 }.to_string();
+        assert!(msg.contains("MAX_INDEX") && msg.contains("140000"), "{msg}");
         assert!(ConfigError::MarginTooSmall { margin: 3 }.to_string().contains("65536"));
     }
 
     #[test]
     fn schemes_reject_invalid_config_at_construction() {
-        let bad = Config::default().with_margin(1 << 20).with_max_index(1 << 19);
+        let bad = Config::default().with_margin(1 << 31);
         for result in [
             std::panic::catch_unwind(|| crate::schemes::Mp::new(bad.clone())).map(drop),
             std::panic::catch_unwind(|| crate::schemes::Hp::new(bad.clone())).map(drop),

@@ -77,8 +77,7 @@ impl BpLevel {
 }
 
 /// The resolved backpressure watermarks, derived from [`Config`] once at
-/// scheme construction (the same knob-beats-env precedence as the scan
-/// watermarks' `ScanPolicy`).
+/// scheme construction.
 #[derive(Debug, Clone)]
 pub struct BackpressurePolicy {
     /// Hard cap in retired payload bytes; `0` disables the ladder.
@@ -91,18 +90,9 @@ pub struct BackpressurePolicy {
 }
 
 impl BackpressurePolicy {
-    /// Resolves the policy: the explicit `Config::backpressure_bytes` knob
-    /// first, then the `MP_BP_BYTES` environment variable (consulted only
-    /// when the knob is 0), else disabled.
+    /// Resolves the policy from `Config::backpressure_bytes` (0 = disabled).
     pub fn from_config(cfg: &Config) -> Self {
-        let mut cap = cfg.backpressure_bytes;
-        if cap == 0 {
-            cap = std::env::var("MP_BP_BYTES")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0);
-        }
-        BackpressurePolicy::with_cap(cap)
+        BackpressurePolicy::with_cap(cfg.backpressure_bytes)
     }
 
     /// A policy with an explicit hard cap in bytes (0 = disabled).

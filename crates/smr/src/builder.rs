@@ -89,12 +89,6 @@ impl SmrBuilder {
         self
     }
 
-    /// Sets the maximal assignable index.
-    pub fn max_index(mut self, n: u32) -> Self {
-        self.cfg = self.cfg.with_max_index(n);
-        self
-    }
-
     /// Sets DTA's anchor distance.
     pub fn anchor_hops(mut self, k: usize) -> Self {
         self.cfg = self.cfg.with_anchor_hops(k);
@@ -113,12 +107,6 @@ impl SmrBuilder {
         self
     }
 
-    /// Sets the retired-bytes scan watermark (0 = disabled).
-    pub fn scan_watermark_bytes(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_scan_watermark_bytes(n);
-        self
-    }
-
     /// Selects MP's index assignment policy (ablation).
     pub fn index_policy(mut self, p: IndexPolicy) -> Self {
         self.cfg = self.cfg.with_index_policy(p);
@@ -126,7 +114,7 @@ impl SmrBuilder {
     }
 
     /// Sets the backpressure hard cap in retired payload bytes
-    /// (`0` = ladder disabled unless `MP_BP_BYTES` supplies a cap).
+    /// (`0` = ladder disabled).
     pub fn backpressure_bytes(mut self, n: usize) -> Self {
         self.cfg = self.cfg.with_backpressure_bytes(n);
         self
@@ -210,11 +198,9 @@ mod tests {
             .empty_freq(11)
             .epoch_freq(22)
             .margin(1 << 18)
-            .max_index(1 << 24)
             .anchor_hops(33)
             .stall_patience(4)
             .scan_watermark(96)
-            .scan_watermark_bytes(1 << 19)
             .index_policy(IndexPolicy::AfterPred);
         let c = b.config();
         assert_eq!(c.max_threads, 3);
@@ -222,11 +208,9 @@ mod tests {
         assert_eq!(c.empty_freq, 11);
         assert_eq!(c.epoch_freq, 22);
         assert_eq!(c.margin, 1 << 18);
-        assert_eq!(c.max_index, 1 << 24);
         assert_eq!(c.anchor_hops, 33);
         assert_eq!(c.stall_patience, 4);
         assert_eq!(c.scan_watermark, 96);
-        assert_eq!(c.scan_watermark_bytes, 1 << 19);
         assert_eq!(c.index_policy, IndexPolicy::AfterPred);
 
         let mp = b.clone().build::<Mp>();

@@ -19,6 +19,11 @@ pub const USE_HP: u32 = u32::MAX;
 /// therefore handled via hazard pointers (see DESIGN.md).
 pub const USE_HP_CLASS_START: u32 = 0xffff_0000;
 
+/// Maximal assignable index (the paper's `max_index`): the last index below
+/// the `USE_HP` class, where the tail sentinels of the list, the skip list
+/// and the NM-tree's `∞₀` leaf sit — margin-protected like any other node.
+pub const MAX_INDEX: u32 = USE_HP_CLASS_START - 1;
+
 /// True if `index` must be protected via the hazard-pointer fallback.
 #[inline]
 pub fn is_use_hp_class(index: u32) -> bool {

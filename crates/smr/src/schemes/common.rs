@@ -5,7 +5,6 @@ use core::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use mp_util::CachePadded;
 
 use crate::api::Config;
-use crate::node::Retired;
 use crate::telemetry::{Counter, FenceSite, HandleTelemetry};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
@@ -88,40 +87,20 @@ impl PendingGauge {
 pub struct ScanPolicy {
     /// Retired-node count per handle that triggers a scan.
     pub watermark_nodes: usize,
-    /// Retired-byte count per handle that triggers a scan (0 = disabled).
-    pub watermark_bytes: usize,
     /// Minimum additional retires between consecutive scans when the
     /// retired list is not shrinking (`Config::empty_freq`).
     pub rearm_floor: usize,
 }
 
 impl ScanPolicy {
-    /// Resolves the effective policy: explicit `Config` knobs first, then
-    /// the `MP_SCAN_WATERMARK` / `MP_SCAN_WATERMARK_BYTES` environment
-    /// overrides (consulted only when the corresponding knob is 0, i.e.
-    /// unset — a stray env var must not repin the many tests that set
-    /// `with_scan_watermark(1)` explicitly), then the `k × H` auto rule.
+    /// Resolves the effective policy: the explicit `Config::scan_watermark`
+    /// if set, else the `k × H` auto rule.
     pub fn from_config(cfg: &Config) -> Self {
-        let env_usize = |key: &str| -> Option<usize> {
-            std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
+        let nodes = match cfg.scan_watermark {
+            0 => cfg.empty_freq.max(2 * cfg.max_threads * cfg.slots_per_thread),
+            n => n,
         };
-        let mut nodes = cfg.scan_watermark;
-        if nodes == 0 {
-            nodes = env_usize("MP_SCAN_WATERMARK").unwrap_or(0);
-        }
-        if nodes == 0 {
-            nodes = cfg.empty_freq.max(2 * cfg.max_threads * cfg.slots_per_thread);
-        }
-        let bytes = if cfg.scan_watermark_bytes != 0 {
-            cfg.scan_watermark_bytes
-        } else {
-            env_usize("MP_SCAN_WATERMARK_BYTES").unwrap_or(0)
-        };
-        ScanPolicy {
-            watermark_nodes: nodes.max(1),
-            watermark_bytes: bytes,
-            rearm_floor: cfg.empty_freq.max(1),
-        }
+        ScanPolicy { watermark_nodes: nodes, rearm_floor: cfg.empty_freq.max(1) }
     }
 }
 
@@ -129,61 +108,30 @@ impl ScanPolicy {
 /// atomics are involved on the retire path.
 #[derive(Debug)]
 pub struct ScanState {
-    retired_bytes: usize,
     next_len: usize,
-    next_bytes: usize,
 }
 
 impl ScanState {
     /// Initial state: the first scan is due at the configured watermark.
+    /// A handle that adopts an orphan backlog needs no seeding —
+    /// [`ScanState::due`] reads the retired list length directly.
     pub fn new(policy: &ScanPolicy) -> Self {
-        ScanState {
-            retired_bytes: 0,
-            next_len: policy.watermark_nodes,
-            next_bytes: if policy.watermark_bytes == 0 {
-                usize::MAX
-            } else {
-                policy.watermark_bytes
-            },
-        }
-    }
-
-    /// Initial state for a handle that seeds its retired list with an
-    /// adopted backlog (orphans parked by churned-out peers): the bytes
-    /// trigger accounts the adopted payload up front instead of only
-    /// discovering it at the first rearm. The node-count trigger needs no
-    /// seeding — [`ScanState::due`] reads the retired list length directly.
-    pub fn with_backlog(policy: &ScanPolicy, backlog: &[Retired]) -> Self {
-        let mut s = ScanState::new(policy);
-        s.retired_bytes = backlog.iter().map(|r| r.bytes() as usize).sum();
-        s
-    }
-
-    /// Accounts one retired node of `bytes` payload.
-    #[inline]
-    pub fn note_retire(&mut self, bytes: u32) {
-        self.retired_bytes = self.retired_bytes.saturating_add(bytes as usize);
+        ScanState { next_len: policy.watermark_nodes }
     }
 
     /// True when a reclamation scan is due.
     #[inline]
     pub fn due(&self, retired_len: usize) -> bool {
-        retired_len >= self.next_len || self.retired_bytes >= self.next_bytes
+        retired_len >= self.next_len
     }
 
-    /// Re-arms the trigger after a scan that kept `kept_len` nodes
-    /// (`kept_bytes` bytes): the next scan fires at the watermark, or —
-    /// when a pinned backlog already exceeds it — after at least
-    /// `rearm_floor` further retires, so a stalled reader costs one slot
-    /// walk per `empty_freq` retires instead of one per retire.
-    pub fn rearm(&mut self, policy: &ScanPolicy, kept_len: usize, kept_bytes: usize) {
-        self.retired_bytes = kept_bytes;
+    /// Re-arms the trigger after a scan that kept `kept_len` nodes: the
+    /// next scan fires at the watermark, or — when a pinned backlog
+    /// already exceeds it — after at least `rearm_floor` further retires,
+    /// so a stalled reader costs one slot walk per `empty_freq` retires
+    /// instead of one per retire.
+    pub fn rearm(&mut self, policy: &ScanPolicy, kept_len: usize) {
         self.next_len = policy.watermark_nodes.max(kept_len + policy.rearm_floor);
-        self.next_bytes = if policy.watermark_bytes == 0 {
-            usize::MAX
-        } else {
-            policy.watermark_bytes.max(kept_bytes + policy.watermark_bytes / 4 + 1)
-        };
     }
 }
 
@@ -263,19 +211,6 @@ impl SharedSnapshot {
         scratch.adopted_last = adopted;
         if adopted {
             tele.bump(Counter::SnapshotReuses);
-            #[cfg(feature = "oracle")]
-            {
-                // The reused snapshot must contain everything a fresh walk
-                // would see (superset check).
-                let mut fresh = Vec::new();
-                walk(&mut fresh);
-                for v in &fresh {
-                    assert!(
-                        scratch.values.binary_search(v).is_ok(),
-                        "snapshot reuse under-approximates: {v:#x} missing"
-                    );
-                }
-            }
         } else {
             walk(&mut scratch.values);
             self.publish_snapshot(&scratch.gens, &scratch.values);
@@ -533,65 +468,20 @@ mod tests {
         let p = ScanPolicy::from_config(&cfg); // watermark = max(30, 4) = 30
         let mut s = ScanState::new(&p);
         for len in 1..30 {
-            s.note_retire(64);
             assert!(!s.due(len), "below watermark at len {len}");
         }
-        s.note_retire(64);
         assert!(s.due(30), "watermark reached");
         // Scan kept everything (stalled reader): next scan waits a full
         // rearm_floor of retires, not one.
-        s.rearm(&p, 30, 30 * 64);
-        assert!(!s.due(30));
-        for len in 31..60 {
-            s.note_retire(64);
+        s.rearm(&p, 30);
+        for len in 30..60 {
             assert!(!s.due(len), "inside rearm window at len {len}");
         }
-        s.note_retire(64);
         assert!(s.due(60), "rearm floor elapsed");
         // Scan freed everything: back to the plain watermark.
-        s.rearm(&p, 0, 0);
+        s.rearm(&p, 0);
         assert!(!s.due(29));
         assert!(s.due(30));
-    }
-
-    #[test]
-    fn scan_state_bytes_watermark_triggers_before_node_watermark() {
-        let cfg = Config::default()
-            .with_max_threads(8)
-            .with_slots_per_thread(8)
-            .with_scan_watermark_bytes(1024);
-        let p = ScanPolicy::from_config(&cfg); // node watermark 128
-        let mut s = ScanState::new(&p);
-        for _ in 0..3 {
-            s.note_retire(512); // large payloads
-        }
-        assert!(s.due(3), "1.5 KiB retired ≥ 1 KiB bytes watermark");
-        s.rearm(&p, 0, 0);
-        assert!(!s.due(3));
-    }
-
-    #[test]
-    fn scan_state_with_backlog_seeds_bytes_trigger() {
-        let cfg = Config::default()
-            .with_max_threads(8)
-            .with_slots_per_thread(8)
-            .with_scan_watermark_bytes(64);
-        let p = ScanPolicy::from_config(&cfg);
-        let node = crate::node::alloc_node([0u8; 64], 0, 0);
-        // SAFETY: [INV-12] test-local node, never published, retired once.
-        let backlog = vec![unsafe { Retired::new(node, 1) }];
-        // A handle adopting a large-byte orphan backlog must see the bytes
-        // watermark immediately, not only after its first rearm.
-        let s = ScanState::with_backlog(&p, &backlog);
-        assert!(s.due(backlog.len()), "adopted bytes reach the watermark");
-        assert!(
-            !ScanState::new(&p).due(backlog.len()),
-            "unseeded state under-counts the same backlog"
-        );
-        for r in backlog {
-            // SAFETY: [INV-05] never protected by any thread.
-            unsafe { r.reclaim() };
-        }
     }
 
     #[test]

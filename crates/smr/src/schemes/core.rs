@@ -101,12 +101,11 @@ impl SchemeCore {
         // their drain scan could not free; this handle frees them at its
         // next scan instead of letting them pile to teardown.
         let retired = if S::ADOPT_ORPHANS { self.registry.adopt_orphans() } else { Vec::new() };
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
         Ok(HandleCore {
             tid: lease.tid,
             retired: CachePadded::new(retired),
             scan_scratch: Vec::new(),
-            scan,
+            scan: ScanState::new(&self.scan_policy),
             bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
@@ -233,7 +232,6 @@ impl HandleCore {
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let mut r = unsafe { shared.capture(node, stamp) };
         r.op_start = op_start;
-        self.scan.note_retire(r.bytes());
         self.retired.push(r);
         if S::RECLAIMS && self.scan.due(self.retired.len()) {
             self.scan(scheme, prot, false);
@@ -284,11 +282,9 @@ impl HandleCore {
         debug_assert!(pending.is_empty());
         std::mem::swap(&mut pending, &mut *self.retired);
         let before = pending.len();
-        let mut kept_bytes = 0usize;
         let mut freed_bytes = 0usize;
         for r in pending.drain(..) {
             if prot.is_protected(&r) {
-                kept_bytes += r.bytes() as usize;
                 self.retired.push(r);
             } else {
                 self.tele.record_free(r.addr());
@@ -303,7 +299,7 @@ impl HandleCore {
         self.scan_scratch = pending;
         let freed = before - self.retired.len();
         shared.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&shared.scan_policy, self.retired.len(), kept_bytes);
+        self.scan.rearm(&shared.scan_policy, self.retired.len());
         let caps_after =
             self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
         if caps_after > caps_before {

@@ -43,12 +43,14 @@
 //!   lifetime contains that epoch — a finite, shrinking set — and the next
 //!   operation whose `start_op` sees an unchanged global epoch issues no
 //!   fence at all.
-//! * **Victim slots + protege re-cover** — reusing a refno parks the
-//!   evicted margin in an idle slot, and any node returned earlier in the
-//!   operation keeps a covering margin in its own slot; all such moves
-//!   happen inside a per-thread seqlock write cycle (`mp_versions`) whose
-//!   trailing announce fence publishes the whole batch, so a reclamation
-//!   scan can never observe a margin mid-move.
+//! * **Margins that never move** — a margin slot's value changes only
+//!   while no refno depends on it. Slots are not tied to refnos: the
+//!   handle records which slot covers the node last returned through each
+//!   refno (`owner`) and how many refnos own each slot (`pins`), and an
+//!   announcement goes into the next unpinned slot of a rotating cursor —
+//!   one store and one fence, as in Listing 10. A reused refno's old
+//!   margin simply stays where it is, so standing coverage survives, and
+//!   a reclamation scan reads every slot on its own, like a hazard slot.
 //!
 //! ## Deviations from Listing 10 (documented in DESIGN.md)
 //!
@@ -56,10 +58,8 @@
 //!   relaxed load, no fence). Without it, a node born *after* the thread's
 //!   announced epoch could be returned under margin protection yet be
 //!   invisible to the reclaimer's epoch filter — a use-after-free window.
-//!   On an observed advance the operation first tries to *re-arm* (one
-//!   fresh epoch announcement per op, valid only while the op has returned
-//!   no margin-protected node) and only then falls back to hazard pointers,
-//!   the §4.3.2 slow path.
+//!   On an observed advance the rest of the operation falls back to
+//!   hazard pointers, the §4.3.2 slow path.
 //! * `empty()` treats the entire top-64K index range as the `USE_HP` class
 //!   (the packed 16 bits cannot distinguish it) and checks *both* HP and MP
 //!   slots for every candidate, which is strictly conservative.
@@ -79,12 +79,8 @@ use crate::schemes::core::{
 };
 use crate::telemetry::{FenceSite, HandleTelemetry};
 
-/// Sentinel for "this refno returned no margin-protected node this op".
-const NO_PROTEGE: u64 = u64::MAX;
-
-/// Scan-side retries for a torn margin-row read before the conservative
-/// sticky-cover fallback.
-const SNAP_RETRIES: usize = 16;
+/// `owner` entry of a refno that depends on no margin slot.
+const NO_OWNER: usize = usize::MAX;
 
 /// Margin-pointers SMR scheme (shared state).
 pub struct Mp {
@@ -96,10 +92,6 @@ pub struct Mp {
     hp_slots: SlotArray,
     /// Per-thread announced start-of-operation epochs (`INACTIVE` idle).
     local_epochs: SlotArray,
-    /// Per-thread seqlock versions over the margin row: odd while the owner
-    /// is moving margins between slots fence-free, bumped even when the
-    /// cycle completes. Reclamation scans retry on a torn read.
-    mp_versions: SlotArray,
     core: SchemeCore,
 }
 
@@ -114,48 +106,37 @@ pub struct MpHandle {
     /// (Listing 5); consumed by [`SmrHandle::alloc`].
     lower_bound: u32,
     upper_bound: u32,
-    /// Epoch announced at `start_op` (or by a mid-op re-arm).
+    /// Epoch announced at `start_op`.
     epoch: u64,
     /// Cached `margin / 2` (avoids chasing the config on every read).
     margin_half: i64,
-    /// Set when the thread observes the epoch advancing mid-operation and
-    /// cannot re-arm; all subsequent reads protect with HPs (old margins
-    /// remain valid).
+    /// Set when the thread observes the epoch advancing mid-operation;
+    /// all subsequent reads protect with HPs (old margins remain valid).
     use_hp_mode: bool,
-    /// Local mirror of this thread's `mp_versions` cell.
-    version: u64,
-    /// Per-refno protege entries, packed as `gen_tag | block_no`: the
-    /// precision-block number (`idx_lo >> 16`, low 16 bits) of the last
-    /// node returned under margin protection this operation, stamped with
-    /// the operation generation (high bits). `0xffff` — the `USE_HP`
-    /// class, never a margin protege — marks "cleared this op", and a
-    /// stale generation means the entry died with its operation, so
-    /// `start_op` invalidates the whole row in O(1) and the hot path
-    /// records a protege with a single store. The API contract keeps a
-    /// protege's node protected until its refno is reused;
-    /// `announce_margin` re-covers any protege its stores would orphan.
-    proteges: Vec<u64>,
-    /// Slot that covered the previous fast-path hit — consecutive hops of
-    /// a traversal almost always stay inside one margin.
-    last_cover: usize,
+    /// Per refno, the margin slot covering the node last returned through
+    /// it, or `NO_OWNER`. The API contract keeps that node protected until
+    /// its refno is reused, so the slot must not change until then.
+    /// Nothing resets an entry between operations: a stale one only keeps
+    /// a standing margin standing until its refno is read again.
+    owner: Vec<usize>,
+    /// Per margin slot, how many refnos own it. `announce_margin` stores
+    /// only into a slot with no pins — the one rule the safety argument
+    /// rests on.
+    pins: Vec<u32>,
+    /// Rotating cursor over the row for the next announcement's slot.
+    cursor: usize,
     /// Cached cover interval `[cover_lo, cover_hi]` (inclusive, empty when
-    /// `cover_lo > cover_hi`): a subset of one currently announced margin,
-    /// capped below the `USE_HP` class, so the hot-path cover check is two
-    /// register compares instead of a slot scan. Only `announce_margin` can
-    /// destroy announced coverage, and it re-primes the cache before
-    /// returning, so the cache never outlives the margin it mirrors.
+    /// `cover_lo > cover_hi`): a subset of the margin announced in slot
+    /// `cover_slot`, capped below the `USE_HP` class, so the hot-path cover
+    /// check is two register compares instead of a slot scan. Only
+    /// `announce_margin` overwrites a slot, and it re-primes the cache
+    /// before returning, so the cache never outlives the margin it mirrors.
     cover_lo: u32,
     cover_hi: u32,
-    /// Current operation's generation stamp, pre-shifted past the packed
-    /// block number (`generation << 16`); bumped by `start_op`.
-    gen_tag: u64,
+    cover_slot: usize,
     /// Whether any hazard slot was published this operation — `end_op`'s
     /// O(slots) hazard clear is owed only then (margin-path ops skip it).
     hps_dirty: bool,
-    /// Rotating cursor for victim-slot selection on refno reuse.
-    victim_next: usize,
-    /// Whether this operation already consumed its one epoch re-arm.
-    rearmed: bool,
     /// Retained per-thread slot snapshots (`ThreadSnap` interval/hazard
     /// buffers), refilled in place by every scan.
     snaps: Vec<ThreadSnap>,
@@ -201,7 +182,6 @@ impl Smr for Mp {
             mp_slots: SlotArray::new(threads, slots, NO_MARGIN),
             hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
             local_epochs: SlotArray::new(threads, 1, INACTIVE),
-            mp_versions: SlotArray::new(threads, 1, 0),
             core,
         }))
     }
@@ -218,17 +198,13 @@ impl Smr for Mp {
             epoch: 0,
             margin_half: (cfg.margin / 2) as i64,
             use_hp_mode: false,
-            // A reused tid continues the previous owner's (even) version.
-            version: self.mp_versions.get(core.tid, 0).load(Ordering::Acquire),
-            // Generation 0 never recurs, so the zeroed entries start dead.
-            proteges: vec![0; cfg.slots_per_thread],
-            last_cover: 0,
+            owner: vec![NO_OWNER; cfg.slots_per_thread],
+            pins: vec![0; cfg.slots_per_thread],
+            cursor: 0,
             cover_lo: 1,
             cover_hi: 0,
-            gen_tag: 1 << 16,
+            cover_slot: 0,
             hps_dirty: false,
-            victim_next: 0,
-            rearmed: false,
             snaps: Vec::new(),
             unlink_counter: 0,
             core,
@@ -257,19 +233,11 @@ struct ThreadSnap {
     prefix_max_hi: Vec<i64>,
     /// Announced hazard addresses, sorted.
     hps: Vec<u64>,
-    /// Set when the margin row could not be read consistently within
-    /// [`SNAP_RETRIES`] seqlock attempts: every index is then treated as
-    /// covered by this thread. Strictly conservative (over-pins, never
-    /// under-protects); the epoch filter still applies.
-    sticky_cover: bool,
 }
 
 impl ThreadSnap {
     /// True if some margin interval of this thread intersects `[lo, hi]`.
     fn covers(&self, lo: i64, hi: i64) -> bool {
-        if self.sticky_cover {
-            return true;
-        }
         // Candidates: intervals starting at or before `hi`; among them the
         // largest end decides.
         let n = self.intervals.partition_point(|&(s, _)| s <= hi);
@@ -289,34 +257,18 @@ impl Mp {
         let half = (self.core.cfg.margin / 2) as i64;
         snaps.resize_with(self.core.cfg.max_threads, ThreadSnap::default);
         for (tid, snap) in snaps.iter_mut().enumerate() {
-            let version = self.mp_versions.get(tid, 0);
-            let mut tries = 0;
-            snap.sticky_cover = loop {
-                // Seqlock read: the owner moves margins between slots
-                // fence-free inside a write cycle (victim moves, protege
-                // re-covers). Accepting the row only when the version is
-                // even and unchanged across the reads guarantees — via the
-                // release/acquire chain through the version cell — that
-                // every store of the last completed cycle is visible, so
-                // the scan can never miss a margin that is mid-move.
-                let v1 = version.load(Ordering::Acquire);
-                snap.intervals.clear();
-                snap.intervals.extend(
-                    self.mp_slots
-                        .row(tid)
-                        .iter()
-                        .map(|s| s.load(Ordering::Acquire))
-                        .filter(|&v| v != NO_MARGIN)
-                        .map(|mp| (mp as i64 - half, mp as i64 + half)),
-                );
-                if version.load(Ordering::Acquire) == v1 && v1.is_multiple_of(2) {
-                    break false;
-                }
-                tries += 1;
-                if tries >= SNAP_RETRIES {
-                    break true;
-                }
-            };
+            // Every slot is read on its own, like a hazard slot: a slot a
+            // returned node depends on does not change until that node's
+            // refno is reused, so there is no move for the read to tear.
+            snap.intervals.clear();
+            snap.intervals.extend(
+                self.mp_slots
+                    .row(tid)
+                    .iter()
+                    .map(|s| s.load(Ordering::Acquire))
+                    .filter(|&v| v != NO_MARGIN)
+                    .map(|mp| (mp as i64 - half, mp as i64 + half)),
+            );
             snap.intervals.sort_unstable();
             snap.prefix_max_hi.clear();
             let mut running = i64::MIN;
@@ -421,181 +373,76 @@ impl MpHandle {
         }
     }
 
-    /// Precision-block base of the protege slot `k` recorded by the
-    /// *current* operation, or `NO_PROTEGE`: entries stamped by earlier
-    /// operations are dead — `start_op` retires them all at once by
-    /// bumping `gen_tag`.
+    /// Ends `refno`'s dependence on its margin slot, if it has one.
     #[inline]
-    fn protege(&self, k: usize) -> u64 {
-        let e = self.proteges[k];
-        if e & !0xffff == self.gen_tag && e & 0xffff != 0xffff {
-            (e & 0xffff) << 16
-        } else {
-            NO_PROTEGE
+    fn release(&mut self, refno: usize) {
+        let slot = self.owner[refno];
+        if slot != NO_OWNER {
+            self.pins[slot] -= 1;
+            self.owner[refno] = NO_OWNER;
         }
     }
 
+    /// Records that the node now returned through `refno` is covered by
+    /// margin slot `slot`.
     #[inline]
-    fn set_protege(&mut self, k: usize, idx_lo: u32) {
-        self.proteges[k] = self.gen_tag | (idx_lo >> 16) as u64;
+    fn set_owner(&mut self, refno: usize, slot: usize) {
+        self.release(refno);
+        self.owner[refno] = slot;
+        self.pins[slot] += 1;
     }
 
-    #[inline]
-    fn clear_protege(&mut self, k: usize) {
-        self.proteges[k] = self.gen_tag | 0xffff;
-    }
-
-    /// Primes the cover cache with the interval of the announced midpoint
-    /// `mid`. The cached bounds saturate *inward* (never widen) and cap
+    /// Primes the cover cache with the interval of the margin announced in
+    /// `slot`. The cached bounds saturate *inward* (never widen) and cap
     /// below the `USE_HP` class, so a cache hit simultaneously proves the
     /// precision block is margin-covered and not `USE_HP`-stamped.
     #[inline]
-    fn cache_cover(&mut self, mid: u64) {
-        let half = self.margin_half as u64;
+    fn cache_cover(&mut self, slot: usize) {
+        let (mid, half) = (self.local_mps[slot], self.margin_half as u64);
         self.cover_lo = u32::try_from(mid.saturating_sub(half)).unwrap_or(u32::MAX);
         self.cover_hi = (mid.saturating_add(half)).min(0xfffe_ffff) as u32;
+        self.cover_slot = slot;
     }
 
     /// Index of a local slot whose margin covers the precision block
-    /// `[idx_lo, idx_hi]`, if any: the refno's own slot first (free when
-    /// the client re-reads through one refno), then the slot that covered
-    /// the previous hit (consecutive traversal hops share a margin), then
-    /// a full scan — the cross-refno cover check that elides
+    /// `[idx_lo, idx_hi]`, if any — the cross-refno cover check that elides
     /// re-announcements when clients rotate refnos per hop.
     #[inline]
-    fn covering_slot(&self, refno: usize, idx_lo: u32, idx_hi: u32) -> Option<usize> {
+    fn covering_slot(&self, idx_lo: u32, idx_hi: u32) -> Option<usize> {
         let half = self.margin_half;
-        if covers(self.local_mps[refno], half, idx_lo, idx_hi) {
-            return Some(refno);
-        }
-        let last = self.last_cover;
-        if last != refno && covers(self.local_mps[last], half, idx_lo, idx_hi) {
-            return Some(last);
-        }
         self.local_mps.iter().position(|&v| covers(v, half, idx_lo, idx_hi))
     }
 
-    /// A slot that can absorb an evicted margin: rotates over the row,
-    /// skipping the announcing refno and any slot bound to a live protege
-    /// (whose own-slot coverage must stay available for re-covering).
-    fn pick_victim(&mut self, refno: usize) -> Option<usize> {
-        let n = self.local_mps.len();
-        for _ in 0..n {
-            let v = self.victim_next;
-            self.victim_next = (self.victim_next + 1) % n;
-            if v != refno && self.protege(v) == NO_PROTEGE {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Opens a seqlock write cycle on this thread's margin row (version
-    /// goes odd). Only the owning thread stores to its version cell, so a
-    /// plain local counter mirrors it — no RMW needed.
-    #[inline]
-    fn seq_begin(&mut self) {
-        self.version = self.version.wrapping_add(1);
-        self.scheme.mp_versions.get(self.core.tid, 0).store(self.version, Ordering::Release);
-    }
-
-    /// Closes the seqlock write cycle (version back to even).
-    #[inline]
-    fn seq_end(&mut self) {
-        self.version = self.version.wrapping_add(1);
-        self.scheme.mp_versions.get(self.core.tid, 0).store(self.version, Ordering::Release);
-    }
-
-    /// Publishes a margin covering the precision block at `idx_lo` into
-    /// `refno`'s slot. Every slot store happens inside one seqlock write
-    /// cycle — a concurrent scan either sees the whole completed move or
-    /// retries — and the single trailing fence publishes the batch; this
-    /// is the only fence the margin path ever issues.
+    /// Publishes a margin covering the precision block at `idx_lo` on
+    /// behalf of `refno`: one slot store and one fence (Listing 10). The
+    /// store goes into a slot no refno owns, so every node this operation
+    /// still holds keeps the announcement it was validated against, and a
+    /// scan reading the row slot by slot needs no more than the hazard
+    /// argument of `hp_protect`: announce, fence, validate.
     fn announce_margin(&mut self, refno: usize, idx_lo: u32) {
-        let half = self.margin_half;
         // Forward-centered midpoint, derived from the configured margin:
         // the interval is [idx_lo, idx_lo + 2·(margin/2)], and margin >
         // 2^16 (Config validation) keeps the whole precision block inside.
-        let mid = idx_lo as u64 + half as u64;
-        self.seq_begin();
-        // Victim move: refno reuse would evict the slot's standing margin —
-        // exactly the coverage amortization accumulates across operations.
-        // Park it in an idle slot (none bound to a live protege) so the
-        // coverage map survives; the value was fenced when first announced
-        // and this cycle's fence re-publishes it before the fast path can
-        // rely on its new location.
-        let old = self.local_mps[refno];
-        if old != NO_MARGIN
-            && old != mid
-            && !self.local_mps.iter().enumerate().any(|(s, &v)| s != refno && v == old)
-        {
-            if let Some(v) = self.pick_victim(refno) {
-                self.scheme.mp_slots.get(self.core.tid, v).store(old, Ordering::Release);
-                self.local_mps[v] = old;
+        let mid = idx_lo as u64 + self.margin_half as u64;
+        self.release(refno);
+        // At most `slots − 1` other refnos own a slot, so the cursor finds
+        // an unpinned one within a lap. The margin `refno` depended on
+        // stays where it is: standing coverage for later operations.
+        let slot = loop {
+            let s = self.cursor;
+            self.cursor = if s + 1 == self.pins.len() { 0 } else { s + 1 };
+            if self.pins[s] == 0 {
+                break s;
             }
-        }
-        self.scheme.mp_slots.get(self.core.tid, refno).store(mid, Ordering::Release);
-        self.local_mps[refno] = mid;
-        // Re-cover orphaned proteges: a node returned under margin
-        // protection earlier this op must stay covered until its refno is
-        // reused (the API contract), but the stores above may have evicted
-        // its covering value. A synthesized forward margin in the
-        // protege's own slot restores coverage; it is published by this
-        // cycle's fence before `read` returns, so the fast path never
-        // trusts an unfenced value. Iterate to a fixpoint: a synthesized
-        // store can orphan a protege checked earlier in the same pass.
-        loop {
-            let mut changed = false;
-            for k in 0..self.proteges.len() {
-                let p = self.protege(k);
-                if k == refno || p == NO_PROTEGE {
-                    continue;
-                }
-                let (p_lo, p_hi) = (p as u32, p as u32 | 0xffff);
-                if self.covering_slot(k, p_lo, p_hi).is_none() {
-                    let pmid = p + half as u64;
-                    self.scheme.mp_slots.get(self.core.tid, k).store(pmid, Ordering::Release);
-                    self.local_mps[k] = pmid;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        self.seq_end();
+        };
+        self.scheme.mp_slots.get(self.core.tid, slot).store(mid, Ordering::Release);
+        self.local_mps[slot] = mid;
+        self.set_owner(refno, slot);
         counted_fence(&mut self.core.tele, FenceSite::Announce);
-        // The stores above are the only place announced coverage can be
-        // destroyed (unparked evictions, victim/protege overwrites), so
-        // re-priming here keeps the cover cache a subset of live coverage.
-        self.cache_cover(mid);
-    }
-
-    /// §4.3.2's fallback trigger, made lazier: when the global epoch
-    /// advances before this operation has returned any margin-protected
-    /// node, the operation re-announces its epoch (exactly the `start_op`
-    /// publication) instead of being condemned to hazard pointers — no
-    /// client-held node depends on the old (margin, epoch) pairing yet,
-    /// and the fast path's epoch equality keeps enforcing birth ≤ epoch
-    /// against the new value. One re-arm per operation: an epoch storm
-    /// must not turn the margin path into a fence-per-read loop. The
-    /// caller restarts its read loop so the returned node is re-validated
-    /// under the new announcement.
-    fn try_rearm(&mut self) -> bool {
-        // "No margin-dependent node returned yet" is derived from the live
-        // proteges rather than a per-read counter the hot path would have
-        // to maintain: a protege entry is live exactly while some node
-        // returned under margin protection this op is still owed coverage
-        // (an HP read or refno reuse retires it). Only consulted on epoch
-        // advances, so the O(slots) scan is off the hot path.
-        if self.rearmed || (0..self.proteges.len()).any(|k| self.protege(k) != NO_PROTEGE) {
-            return false;
-        }
-        self.rearmed = true;
-        self.epoch = self.scheme.global_epoch.load(Ordering::SeqCst);
-        self.scheme.local_epochs.get(self.core.tid, 0).store(self.epoch, Ordering::Release);
-        counted_fence(&mut self.core.tele, FenceSite::StartOp);
-        true
+        // The store above is the only place announced coverage can be
+        // destroyed, so re-priming here keeps the cover cache a subset of
+        // live coverage.
+        self.cache_cover(slot);
     }
 
     /// Condemns the rest of the operation to hazard-pointer protection
@@ -627,9 +474,8 @@ impl MpHandle {
                 self.core.tele.record_hp_fallback(w.addr());
                 match self.hp_protect(src, refno, w) {
                     Some(w) => {
-                        // The hazard slot owns this refno's protection now;
-                        // the margin machinery has nothing to preserve.
-                        self.clear_protege(refno);
+                        // The hazard slot owns this refno's protection now.
+                        self.release(refno);
                         #[cfg(feature = "hb-oracle")]
                         crate::hb::on_protect(None, w.addr());
                         return w;
@@ -645,32 +491,21 @@ impl MpHandle {
 
             // Margin path: fence-free whenever ANY announced margin covers
             // the precision block (the cache above only mirrors one).
-            if let Some(slot) = self.covering_slot(refno, idx_lo, idx_hi) {
+            if let Some(slot) = self.covering_slot(idx_lo, idx_hi) {
                 // ORDERING: pairs = schemes/mp.rs:announce_margin — same
                 // announce-fence/Release-publish pairing argument as the
                 // cached-cover fast path above.
                 if self.scheme.global_epoch.load(Ordering::Relaxed) == self.epoch {
-                    self.last_cover = slot;
-                    self.cache_cover(self.local_mps[slot]);
-                    self.set_protege(refno, idx_lo);
+                    self.cache_cover(slot);
+                    self.set_owner(refno, slot);
                     #[cfg(feature = "hb-oracle")]
                     crate::hb::on_protect(None, w.addr());
                     return w;
                 }
-                // Epoch advanced: re-arm if possible, else §4.3.2 HP mode.
-                // Either way restart the loop so the node is re-validated
-                // under whatever protection applies next.
-                if !self.try_rearm() {
-                    self.enter_hp_mode();
-                }
+                // Epoch advanced: §4.3.2 HP mode. Restart the loop so the
+                // node is re-validated under a hazard pointer.
+                self.enter_hp_mode();
                 continue;
-            }
-
-            // Already protected by this refno's hazard slot?
-            if self.local_hps[refno] != NO_HAZARD && self.local_hps[refno] == w.addr() {
-                #[cfg(feature = "hb-oracle")]
-                crate::hb::on_protect(None, w.addr());
-                return w;
             }
 
             // Announce a margin centered on the traversal direction:
@@ -681,16 +516,11 @@ impl MpHandle {
             // was announced while the node was linked.
             if src.load(Ordering::Acquire) == w {
                 // Listing 10: ensure the epoch did not advance across the
-                // announcement; a fresh advance can be re-armed once per
-                // op (the loop restarts and revalidates), later ones fall
-                // back to HPs (§4.3.2).
+                // announcement; if it did, fall back to HPs (§4.3.2).
                 if self.scheme.global_epoch.load(Ordering::SeqCst) != self.epoch {
-                    if !self.try_rearm() {
-                        self.enter_hp_mode();
-                    }
+                    self.enter_hp_mode();
                     continue;
                 }
-                self.set_protege(refno, idx_lo);
                 #[cfg(feature = "hb-oracle")]
                 crate::hb::on_protect(None, w.addr());
                 return w;
@@ -732,10 +562,6 @@ impl SmrHandle for MpHandle {
         self.lower_bound = 0;
         self.upper_bound = 0;
         self.use_hp_mode = false;
-        self.rearmed = false;
-        // O(1) protege invalidation: a 48-bit generation cannot wrap in
-        // practice, so stale stamps never alias the new operation.
-        self.gen_tag = self.gen_tag.wrapping_add(1 << 16);
         // Amortized epoch announcement (HE's lazy-era discipline): margins
         // and the announced epoch persist across operations, so the
         // op-start fence is owed only when the global epoch moved since
@@ -774,8 +600,9 @@ impl SmrHandle for MpHandle {
     // compares against the cached cover interval (a subset of a standing
     // margin, capped below the USE_HP class — so a hit also proves the
     // node is neither USE_HP-stamped nor read in HP-fallback mode, which
-    // empties the cache) plus the epoch equality check. Everything else
-    // lives in the outlined `read_slow`.
+    // empties the cache), the epoch equality check, and one compare of the
+    // refno's owner against the cached slot. Everything else lives in the
+    // outlined `read_slow`.
     #[inline]
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
         let w = src.load(Ordering::Acquire);
@@ -797,7 +624,9 @@ impl SmrHandle for MpHandle {
             // covering margin and the epoch were fenced when announced.
             && self.scheme.global_epoch.load(Ordering::Relaxed) == self.epoch
         {
-            self.set_protege(refno, idx_lo);
+            if self.owner[refno] != self.cover_slot {
+                self.set_owner(refno, self.cover_slot);
+            }
             #[cfg(feature = "hb-oracle")]
             crate::hb::on_protect(None, w.addr());
             return w;
@@ -816,8 +645,7 @@ impl SmrHandle for MpHandle {
         // the interval has no room (index collision, §4.3.2).
         let lo = self.lower_bound.min(self.upper_bound);
         let hi = self.lower_bound.max(self.upper_bound);
-        let index = if hi - lo <= 1 {
-            self.core.tele.record_collision_alloc(lo);
+        let mut index = if hi - lo <= 1 {
             USE_HP
         } else {
             match self.scheme.core.cfg.index_policy {
@@ -825,6 +653,13 @@ impl SmrHandle for MpHandle {
                 crate::api::IndexPolicy::AfterPred => lo + 1,
             }
         };
+        // A `USE_HP` bound enters the arithmetic as 0xffff_ffff, so the
+        // result can land anywhere in the `USE_HP` class; such a node is
+        // hazard-protected whatever its low bits say — a collision.
+        if is_use_hp_class(index) {
+            self.core.tele.record_collision_alloc(lo);
+            index = USE_HP;
+        }
         self.alloc_with_index(data, index)
     }
 
@@ -878,9 +713,9 @@ impl Drop for MpHandle {
         // and epoch announcement, so this handle's claims die with it.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_handle_drop();
-        // Dropping announcements is removal-only — a torn observation can
-        // only under-protect nodes this thread no longer reads — so no
-        // seqlock cycle or fence is needed.
+        // Dropping announcements is removal-only — a stale observation can
+        // only over-protect nodes this thread no longer reads — so no
+        // fence is needed.
         self.scheme.mp_slots.clear_row(self.core.tid, Ordering::Release);
         self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
         self.scheme.local_epochs.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
@@ -891,6 +726,7 @@ impl Drop for MpHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::MAX_INDEX;
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Mp> {
@@ -1170,8 +1006,7 @@ mod tests {
         let junk = writer.alloc_with_index(0u8, 1);
         unsafe { writer.retire(junk) }; // SAFETY: [INV-12] never published, retired once.
 
-        // The reader already returned a margin-protected node this op, so
-        // the re-arm is not available: the next read must take the HP path.
+        // §4.3.2: the rest of the operation protects with hazard pointers.
         let before = reader.counter(Counter::HpFallbackReads);
         let _ = reader.read(&c2, 1);
         assert!(reader.use_hp_mode, "epoch change must flip the fallback flag");
@@ -1190,51 +1025,10 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advance_before_first_margin_read_rearms_in_place() {
-        let cfg = Config::default().with_max_threads(2).with_empty_freq(1000).with_epoch_freq(1);
-        let smr = Mp::new(cfg);
-        let mut reader = smr.register();
-        let mut writer = smr.register();
-
-        writer.start_op();
-        let (c1, n1) = cell_with(&mut writer, 1u32, 100_000);
-
-        reader.start_op(); // announces epoch e, no reads yet
-
-        // Epoch advances before the reader touches anything.
-        let junk = writer.alloc_with_index(0u8, 1);
-        unsafe { writer.retire(junk) }; // SAFETY: [INV-12] never published, retired once.
-
-        // The lazier §4.3.2 trigger: with no margin-protected node returned
-        // yet, the op re-announces its epoch and stays in margin mode.
-        let hp_before = reader.counter(Counter::HpFallbackReads);
-        let _ = reader.read(&c1, 0);
-        assert!(!reader.use_hp_mode, "transient advance must not condemn the op to HP mode");
-        assert_eq!(reader.counter(Counter::HpFallbackReads), hp_before, "no HP fallback taken");
-        assert!(reader.counter(Counter::FencesStartOp) >= 2, "re-arm re-announces the op epoch");
-
-        // A second advance in the same op exhausts the budget → HP mode.
-        let junk2 = writer.alloc_with_index(0u8, 2);
-        unsafe { writer.retire(junk2) }; // SAFETY: [INV-12] never published, retired once.
-        let (c2, n2) = cell_with(&mut writer, 2u32, 2_000_000);
-        let _ = reader.read(&c2, 1);
-        assert!(reader.use_hp_mode, "second advance falls back to HPs");
-
-        reader.end_op();
-        writer.end_op();
-        // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
-        unsafe {
-            writer.retire(n1);
-            writer.retire(n2);
-        }
-        writer.force_empty();
-        let _ = (c1, c2);
-    }
-
-    #[test]
-    fn evicted_margin_parks_in_victim_slot() {
-        // Refno reuse must not throw away the standing margin: it moves to
-        // an idle slot, and a later read in the old region stays fence-free.
+    fn reused_refno_leaves_its_old_margin_standing() {
+        // Refno reuse must not throw away the standing margin: the new
+        // announcement goes into another slot, and a later read in the old
+        // region stays fence-free.
         let smr = setup(1);
         let mut h = smr.register();
         h.start_op();
@@ -1244,11 +1038,11 @@ mod tests {
         let (cb, nb) = cell_with(&mut h, 1u32, region_b);
         let (ca2, na2) = cell_with(&mut h, 2u32, region_a + (1 << 16));
 
-        let _ = h.read(&ca, 0); // announce margin over region A in slot 0
-        let _ = h.read(&cb, 0); // refno 0 reused far away: A's margin parks
+        let _ = h.read(&ca, 0); // announce margin over region A
+        let _ = h.read(&cb, 0); // refno 0 reused far away: A's margin stays
         let fences = h.counter(Counter::Fences);
-        let _ = h.read(&ca2, 1); // back in region A: covered by the parked margin
-        assert_eq!(h.counter(Counter::Fences), fences, "parked margin keeps region A fence-free");
+        let _ = h.read(&ca2, 1); // back in region A: covered by the standing margin
+        assert_eq!(h.counter(Counter::Fences), fences, "standing margin keeps region A fence-free");
 
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
@@ -1261,10 +1055,11 @@ mod tests {
     }
 
     #[test]
-    fn protege_stays_covered_when_its_margin_is_evicted() {
+    fn node_stays_covered_until_its_own_refno_is_reused() {
         // A node returned under a cross-refno cover must stay protected
-        // until ITS refno is reused, even when the covering slot is
-        // announced over and no victim slot is free (2 slots, both bound).
+        // until ITS refno is reused, even when the refno that announced the
+        // covering margin moves on (2 slots: the other one takes the new
+        // announcement).
         let cfg = Config::default()
             .with_max_threads(2)
             .with_slots_per_thread(2)
@@ -1281,18 +1076,17 @@ mod tests {
         let (cc, nc) = cell_with(&mut writer, 9u64, 1 << 28);
 
         reader.start_op();
-        let _ = reader.read(&ca, 0); // slot 0: margin over region A
-        let got_b = reader.read(&cb, 1); // cross-refno cover: protege of refno 1
-        // Refno 0 reused far away: slot 0's margin is evicted, no idle slot
-        // exists (refno 1 holds a protege), so a synthesized margin in slot
-        // 1 must keep `got_b` covered.
+        let _ = reader.read(&ca, 0); // margin over region A
+        let got_b = reader.read(&cb, 1); // cross-refno cover: refno 1 owns A's slot too
+        // Refno 0 reused far away: A's slot is still pinned by refno 1, so
+        // the announcement must land in the other slot.
         let _ = reader.read(&cc, 0);
 
         cb.store(Shared::null(), Ordering::Release);
         unsafe { writer.retire(nb) }; // SAFETY: [INV-12] unlinked above, retired once.
         writer.force_empty();
-        assert_eq!(writer.retired_len(), 1, "protege must remain margin-pinned");
-        // SAFETY: [INV-12] reader's protege protection is still in force.
+        assert_eq!(writer.retired_len(), 1, "the node must remain margin-pinned");
+        // SAFETY: [INV-12] refno 1's margin protection is still in force.
         assert_eq!(unsafe { *got_b.deref().data() }, 8);
 
         drop(reader);
@@ -1305,6 +1099,38 @@ mod tests {
         }
         writer.end_op();
         let _ = (ca, cc);
+    }
+
+    #[test]
+    fn two_slots_always_leave_one_free_for_the_next_announcement() {
+        // The "a free slot always exists" argument at its tightest: two
+        // slots, two refnos reused alternately, every read far from every
+        // standing margin. Each announcement must find the slot the reused
+        // refno just gave up, and the node held through the other refno
+        // must keep its margin.
+        let cfg = Config::default()
+            .with_max_threads(1)
+            .with_slots_per_thread(2)
+            .with_epoch_freq(1_000_000);
+        let smr = Mp::new(cfg);
+        let mut h = smr.register();
+        h.start_op();
+        let cells: Vec<_> = (0..1_000u32).map(|i| cell_with(&mut h, i, (i + 1) << 22)).collect();
+        let covered = |h: &MpHandle, i: usize| {
+            let idx = ((i as u64) + 1) << 22;
+            h.announced_margins().iter().any(|&(lo, hi)| lo <= idx && idx <= hi)
+        };
+        for (i, (c, n)) in cells.iter().enumerate() {
+            assert_eq!(h.read(c, i % 2), *n);
+            assert_eq!(h.counter(Counter::FencesAnnounce), i as u64 + 1, "every read announces");
+            assert!(covered(&h, i), "read {i}: the node just returned is not covered");
+            assert!(i == 0 || covered(&h, i - 1), "read {i}: the other refno's node lost its margin");
+        }
+        assert_eq!(h.counter(Counter::HpFallbackReads), 0);
+        h.end_op();
+        for (_, n) in cells {
+            unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        }
     }
 
     #[test]
@@ -1358,11 +1184,11 @@ mod tests {
         let mut h = smr.register();
         h.start_op();
         let head = h.alloc_with_index(0u64, 0);
-        let tail = h.alloc_with_index(u64::MAX, u32::MAX - 1);
+        let tail = h.alloc_with_index(u64::MAX, MAX_INDEX);
         // SAFETY: [INV-12] both nodes protected by this test's open span.
         assert_eq!(unsafe { head.deref() }.index(), 0);
         // SAFETY: [INV-12] both nodes protected by this test's open span.
-        assert_eq!(unsafe { tail.deref() }.index(), u32::MAX - 1);
+        assert_eq!(unsafe { tail.deref() }.index(), MAX_INDEX);
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
         unsafe {

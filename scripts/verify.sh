@@ -69,12 +69,10 @@ run_oracle cargo test -q --offline --features oracle
 
 echo "==> cargo test -q --offline -p mp-smr --features oracle"
 run_oracle cargo test -q --offline -p mp-smr --features oracle
-# mp-ds has no feature of its own; arming its dependency's oracle runs the
-# skip list's unit tests — its link-after-remove regression among them —
-# with freed nodes poisoned. Only the skip list's: armed, the HE tree
-# stress trips the snapshot-reuse superset check in `SharedSnapshot::fill`
-# about once in twenty runs, on the parent too (ROADMAP, carried forward).
-run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle --lib skiplist
+# mp-ds has no feature of its own; arming its dependency's oracle runs its
+# unit tests — the skip list's link-after-remove regression among them —
+# with freed nodes poisoned.
+run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle
 
 # Happens-before oracle stage: the vector-clock tracker audits every
 # deref/free/adoption against the protocol's claimed synchronization

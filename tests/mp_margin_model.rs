@@ -1,15 +1,21 @@
 //! Checker-seeded model test for MP's margin fast path.
 //!
-//! The fence-amortization machinery (standing margins, victim parking,
-//! protege re-covering, cross-refno covers, lazy epoch re-announcement)
+//! The fence-amortization machinery (standing margins, cross-refno
+//! covers, slots reused by a rotating cursor, lazy epoch re-announcement)
 //! adds several ways for a *stale* margin or epoch to be consulted. This
-//! model pins the soundness invariant all of them must preserve: a read
+//! model pins the soundness invariants all of them must preserve. A read
 //! that returns under margin protection (i.e. not via the hazard-pointer
 //! fallback) only ever returns a node that is
 //!
 //! 1. **inside one of the thread's announced intervals**, and
 //! 2. **born no later than the thread's announced epoch** — the property
-//!    the reclamation scan's epoch filter relies on (Theorem 4.2).
+//!    the reclamation scan's epoch filter relies on (Theorem 4.2),
+//!
+//! and — the one rule the design rests on, *a margin slot changes only
+//! while no refno depends on it* —
+//!
+//! 3. **stays inside an announced interval after every later step**, until
+//!    its refno is read again or the operation ends.
 //!
 //! Failures shrink to a minimal step sequence; replay with
 //! `MP_CHECK_SEED=<seed> cargo test -q --test mp_margin_model`.
@@ -91,13 +97,17 @@ fn run_steps(steps: &[Step]) {
         .collect();
 
     reader.start_op();
+    // Per refno, the index last returned through it on the margin path.
+    let mut held: Vec<Option<u64>> = vec![None; slots];
     for &step in steps {
         match step {
             Step::Setup { .. } | Step::Link { .. } => {}
             Step::Read { cell, refno } => {
+                let refno = refno % slots;
                 let hp_before = reader.counter(Counter::HpFallbackReads);
-                let got = reader.read(&cells[cell % cells.len()].0, refno % slots);
+                let got = reader.read(&cells[cell % cells.len()].0, refno);
                 assert!(!got.is_null(), "cells stay linked for the whole plan");
+                held[refno] = None;
                 if reader.counter(Counter::HpFallbackReads) > hp_before {
                     continue; // hazard-protected: interval/epoch need not apply
                 }
@@ -105,13 +115,6 @@ fn run_steps(steps: &[Step]) {
                 // protection span, so the node is pinned at least until the
                 // next step.
                 let node = unsafe { got.deref() };
-                let idx = node.index() as u64;
-                let margins = reader.announced_margins();
-                assert!(
-                    margins.iter().any(|&(lo, hi)| lo <= idx && idx <= hi),
-                    "margin-path read of index {idx:#x} not covered by any announced \
-                     interval {margins:x?} (margin 2^{margin_shift})",
-                );
                 assert!(
                     node.birth() <= reader.announced_epoch(),
                     "margin-path read returned a node born at epoch {} after the \
@@ -119,6 +122,7 @@ fn run_steps(steps: &[Step]) {
                     node.birth(),
                     reader.announced_epoch(),
                 );
+                held[refno] = Some(node.index() as u64);
             }
             Step::Churn => {
                 let junk = writer.alloc_with_index(0u64, 1);
@@ -128,7 +132,17 @@ fn run_steps(steps: &[Step]) {
             Step::Reop => {
                 reader.end_op();
                 reader.start_op();
+                held.fill(None);
             }
+        }
+        let margins = reader.announced_margins();
+        for (refno, idx) in held.iter().enumerate() {
+            let Some(idx) = *idx else { continue };
+            assert!(
+                margins.iter().any(|&(lo, hi)| lo <= idx && idx <= hi),
+                "after {step:?}: index {idx:#x}, held through refno {refno}, is inside no \
+                 announced interval {margins:x?} (margin 2^{margin_shift})",
+            );
         }
     }
     reader.end_op();
