@@ -9,17 +9,27 @@
 //! `Node::second_to_finish`) physically unlinks it (via repeated `find`)
 //! and retires it.
 //!
+//! A node carries exactly as many forward pointers as its tower is tall:
+//! they are the node's *tail* ([`SmrHandle::alloc_with_tail`]), allocated
+//! in the same block right after the payload, so a one-level node is 48
+//! bytes, the expected node 59, and only a full-height one 208. The
+//! sentinels are the same type with a tail of [`MAX_HEIGHT`].
+//!
 //! MP integration (§5.2): searches update the MP search interval exactly as
 //! in the single list — each rightward step updates the lower bound, each
-//! descent point updates the upper bound — and two protection slots are
-//! used per level (alternating pred/curr), matching the paper's slot
-//! budget of "two MPs per level".
+//! descent point updates the upper bound. The paper budgets two MPs per
+//! level, re-reading `curr` into the `pred` slot on every step right; this
+//! implementation rotates *three* slots per level (pred / curr / next
+//! change roles instead, so each traversed node costs one protected read,
+//! not two) and keeps one scratch slot for `remove`'s re-reads of the
+//! victim's tower: [`SLOTS_NEEDED`] `= 3 · MAX_HEIGHT + 2`, the last slot
+//! spare.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mp_smr::node::MAX_INDEX;
-use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
+use mp_smr::{Shared, Smr, SmrHandle, Telemetry};
 
 use crate::ConcurrentSet;
 
@@ -46,35 +56,21 @@ fn slot(level: usize, role: usize) -> usize {
     3 * level + role
 }
 
-/// Set in [`Node::state`] by whichever of the node's inserter (done
-/// linking the upper levels) and remover (done marking every level)
-/// finishes first.
-const FIRST_DONE: usize = 1 << 8;
-
-/// Skip-list node payload: immutable key, optional value, tower of links.
+/// Skip-list node payload: immutable key and optional value. The tower of
+/// links is the node's tail, as long as the node is tall.
 pub struct Node<V = ()> {
     key: u64,
     value: V,
-    /// Tower height (immutable) in the low byte, plus [`FIRST_DONE`].
-    state: AtomicUsize,
-    next: [Atomic<Node<V>>; MAX_HEIGHT],
+    /// Set by whichever of the node's inserter (done linking the upper
+    /// levels) and remover (done marking every level) finishes first.
+    first_done: AtomicBool,
 }
 
 impl<V> Node<V> {
     /// A one-level node has no upper levels to link, so its inserter is
     /// done at birth.
     fn new(key: u64, value: V, height: usize) -> Self {
-        let done = if height == 1 { FIRST_DONE } else { 0 };
-        Node {
-            key,
-            value,
-            state: AtomicUsize::new(height | done),
-            next: std::array::from_fn(|_| Atomic::null()),
-        }
-    }
-
-    fn height(&self) -> usize {
-        self.state.load(Ordering::Acquire) & (FIRST_DONE - 1)
+        Node { key, value, first_done: AtomicBool::new(height == 1) }
     }
 
     /// The retire handshake (Fraser's `check_for_full_delete`). A removed
@@ -88,7 +84,7 @@ impl<V> Node<V> {
     /// mark — and only the second caller (`true`) unlinks and retires; the
     /// first leaves the node, marked, to it.
     fn second_to_finish(&self) -> bool {
-        self.state.fetch_or(FIRST_DONE, Ordering::AcqRel) & FIRST_DONE != 0
+        self.first_done.fetch_or(true, Ordering::AcqRel)
     }
 }
 
@@ -118,7 +114,7 @@ unsafe impl<S: Smr, V: Send + Sync> Send for SkipList<S, V> {}
 unsafe impl<S: Smr, V: Send + Sync> Sync for SkipList<S, V> {}
 
 /// Per-level predecessor/successor pairs produced by `find`. Each level's
-/// pair stays protected by that level's two slots until the next `find` or
+/// pair stays protected by that level's slots until the next `find` or
 /// `end_op`.
 struct FindResult<V> {
     preds: [Shared<Node<V>>; MAX_HEIGHT],
@@ -170,23 +166,25 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                 // lower levels — and the caller — do further reads.
                 let (mut pred_s, mut curr_s, mut next_s) =
                     (slot(level, 0), slot(level, 1), slot(level, 2));
-                // SAFETY: [INV-01] pred is protected (sentinel or upper-level slot).
-                let mut pred_node = unsafe { pred.deref() }.data();
-                let mut curr = h.read(&pred_node.next[level], curr_s);
+                // SAFETY: [INV-01] pred is protected (sentinel or upper-level
+                // slot); [INV-15] it is linked at `level`, so taller than it.
+                let mut pred_next = unsafe { pred.tail() };
+                let mut curr = h.read(&pred_next[level], curr_s);
                 if curr.mark() != 0 {
                     continue 'retry; // pred deleted under us
                 }
                 loop {
                     h.record_node_traversed();
                     debug_assert!(!curr.is_null(), "tail bounds every level");
-                    // SAFETY: [INV-01] curr protected under curr_s.
-                    let curr_node = unsafe { curr.deref() }.data();
-                    let next = h.read(&curr_node.next[level], next_s);
+                    // SAFETY: [INV-01] curr protected under curr_s; [INV-15]
+                    // reached through a level-`level` link, so taller than it.
+                    let (curr_node, curr_next) = unsafe { (curr.deref().data(), curr.tail()) };
+                    let next = h.read(&curr_next[level], next_s);
                     if next.mark() != 0 {
                         // curr deleted at this level: splice it out. The
                         // level-0 marker retires, not us.
                         let next_clean = next.unmarked();
-                        if pred_node.next[level]
+                        if pred_next[level]
                             .compare_exchange(
                                 curr,
                                 next_clean,
@@ -206,7 +204,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                         h.update_lower_bound(curr);
                         // Advance right: rotate roles, no extra read.
                         pred = curr;
-                        pred_node = curr_node;
+                        pred_next = curr_next;
                         curr = next;
                         let recycled = pred_s;
                         pred_s = curr_s;
@@ -251,16 +249,17 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
         while level < height {
             // SAFETY: [INV-01] no protected read needed: nobody retires
             // `new` before its inserter — our caller — has called
-            // `second_to_finish` ([INV-04]).
-            let new_node = unsafe { new.deref() }.data();
-            let cur_fwd = new_node.next[level].load(Ordering::Acquire);
+            // `second_to_finish` ([INV-04]); [INV-15] `level < height`, the
+            // length `new` was allocated with.
+            let new_next = unsafe { new.tail() };
+            let cur_fwd = new_next[level].load(Ordering::Acquire);
             if cur_fwd.mark() != 0 {
                 return; // concurrently removed; stop linking
             }
             let succ = r.succs[level];
             // Point our forward pointer at succ before exposing the level.
             if cur_fwd != succ
-                && new_node.next[level]
+                && new_next[level]
                     .compare_exchange(cur_fwd, succ, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
             {
@@ -268,9 +267,10 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             }
             #[cfg(test)]
             tests::pause(new.addr());
-            // SAFETY: [INV-01] pred protected by the most recent find.
-            let pred_node = unsafe { r.preds[level].deref() }.data();
-            if pred_node.next[level]
+            // SAFETY: [INV-01] pred protected by the most recent find, which
+            // recorded it at `level` ([INV-15]: so taller than it).
+            let pred_next = unsafe { r.preds[level].tail() };
+            if pred_next[level]
                 .compare_exchange(succ, new, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -310,20 +310,22 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                 h.end_op();
                 return false;
             }
-            // Midpoint index of the search interval find just maintained.
-            let payload = Node::new(key, value, height);
-            for (l, succ) in r.succs.iter().enumerate().take(height) {
+            // Midpoint index of the search interval find just maintained,
+            // and a tower exactly as tall as the node.
+            let new = h.alloc_with_tail(Node::new(key, value, height), None, height);
+            // SAFETY: [INV-03] not published yet; exclusively ours. [INV-15]
+            // the zip stops at the `height` links just allocated.
+            for (link, succ) in unsafe { new.tail() }.iter().zip(&r.succs) {
                 // ORDERING: reason = owned-store — the node is unpublished;
                 // the level-0 AcqRel CAS below is what publishes these stores.
-                payload.next[l].store(*succ, Ordering::Relaxed);
+                link.store(*succ, Ordering::Relaxed);
             }
-            let new = h.alloc(payload);
 
             // Level-0 link is the linearization point.
-            // SAFETY: [INV-01] preds are protected by find (or sentinels).
-            let pred0 = unsafe { r.preds[0].deref() }.data();
-            if pred0
-                .next[0]
+            // SAFETY: [INV-01] preds are protected by find (or sentinels);
+            // [INV-15] every node has a level 0.
+            let pred0_next = unsafe { r.preds[0].tail() };
+            if pred0_next[0]
                 .compare_exchange(r.succs[0], new, Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
@@ -403,14 +405,19 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
     fn new(smr: &Arc<S>) -> Self {
         let mut h = smr.register();
         // Sentinel indices per §5.2: head 0, tail MAX_INDEX.
-        let tail = h.alloc_with_index(Node::new(u64::MAX, V::default(), MAX_HEIGHT), MAX_INDEX);
-        let head_payload = Node::new(0, V::default(), MAX_HEIGHT);
-        for l in 0..MAX_HEIGHT {
+        // Both are full-height towers; the tail sentinel's links stay null.
+        let sentinel = |h: &mut S::Handle, key, index| {
+            h.alloc_with_tail(Node::new(key, V::default(), MAX_HEIGHT), Some(index), MAX_HEIGHT)
+        };
+        let tail = sentinel(&mut h, u64::MAX, MAX_INDEX);
+        let head = sentinel(&mut h, 0, 0);
+        // SAFETY: [INV-03] head is unpublished until the constructor returns;
+        // [INV-15] the loop visits the `MAX_HEIGHT` links it was given.
+        for link in unsafe { head.tail() } {
             // ORDERING: reason = owned-store — head is unpublished until the
             // constructor returns; it is handed out via &self afterwards.
-            head_payload.next[l].store(tail, Ordering::Relaxed);
+            link.store(tail, Ordering::Relaxed);
         }
-        let head = h.alloc_with_index(head_payload, 0);
         SkipList { head, tail, smr: smr.clone() }
     }
 
@@ -427,17 +434,17 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
         let victim = r.succs[0];
         // SAFETY: [INV-01] victim protected by find: its level-0 slot is
         // untouched until the unlink pass, which only compares addresses.
-        let victim_node = unsafe { victim.deref() }.data();
-        let height = victim_node.height();
+        // [INV-15] the tower's own length is the height: levels 0 and `1..`.
+        let (victim_node, victim_next) = unsafe { (victim.deref().data(), victim.tail()) };
 
         // Mark top-down, levels height-1 .. 1.
-        for level in (1..height).rev() {
+        for link in victim_next[1..].iter().rev() {
             loop {
-                let next = h.read(&victim_node.next[level], SCRATCH);
+                let next = h.read(link, SCRATCH);
                 if next.mark() != 0 {
                     break;
                 }
-                if victim_node.next[level]
+                if link
                     .compare_exchange(
                         next,
                         next.with_mark(DELETED),
@@ -453,12 +460,12 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
 
         // The level-0 mark is the logical deletion; its winner retires.
         loop {
-            let next = h.read(&victim_node.next[0], SCRATCH);
+            let next = h.read(&victim_next[0], SCRATCH);
             if next.mark() != 0 {
                 h.end_op();
                 return false; // another thread won the deletion
             }
-            if victim_node.next[0]
+            if victim_next[0]
                 .compare_exchange(
                     next,
                     next.with_mark(DELETED),
@@ -508,10 +515,11 @@ impl<S: Smr, V> Drop for SkipList<S, V> {
         let mut curr = self.head;
         while !curr.is_null() {
             // SAFETY: [INV-03] exclusive during drop; each node freed once.
-            let node = unsafe { curr.deref() }.data();
+            // [INV-15] every node has a level 0.
+            let links = unsafe { curr.tail() };
             // ORDERING: reason = exclusive — teardown under `&mut self` rules
             // out concurrent writers, so the Relaxed load cannot race.
-            let next = node.next[0].load(Ordering::Relaxed).unmarked();
+            let next = links[0].load(Ordering::Relaxed).unmarked();
             // SAFETY: [INV-03] exclusive access; each node freed exactly once.
             unsafe { curr.drop_owned() };
             curr = next;
@@ -619,12 +627,12 @@ mod tests {
         // Walk each level comparing addresses before dereferencing.
         for level in 0..MAX_HEIGHT {
             // SAFETY: [INV-12] quiescent: both threads joined.
-            let mut curr = unsafe { sl.head.deref() }.data().next[level].load(Ordering::Acquire);
+            let mut curr = unsafe { sl.head.tail() }[level].load(Ordering::Acquire);
             while curr != sl.tail {
                 assert_ne!(curr.addr(), victim_addr, "removed node still linked at level {level}");
                 assert_eq!(curr.mark(), 0);
                 // SAFETY: [INV-12] quiescent, and not the removed node.
-                curr = unsafe { curr.deref() }.data().next[level].load(Ordering::Acquire);
+                curr = unsafe { curr.tail() }[level].load(Ordering::Acquire);
             }
         }
         assert_eq!(smr.retired_pending(), 0, "the removed node was retired and freed");
@@ -642,9 +650,25 @@ mod tests {
         }
     }
 
+    /// A node's block is as big as its tower is tall: header 24 + key 8 +
+    /// flag 8 + 8 per level, in the pool's 16-byte classes. Measured as the
+    /// bytes a retired node holds, so it is the allocation that is pinned,
+    /// not a `size_of`.
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(crate::node_bytes::<Node>(), 200, "header 24 + key 8 + state 8 + 20 links 160");
+        if size_of::<mp_smr::node::Header>() != 24 {
+            return; // mp-smr's oracle is compiled in: its canary widens every node
+        }
+        // No scan before the handle drops, so retired bytes only add up.
+        let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
+        let mut h = smr.register();
+        for (height, block) in [(1, 48), (2, 64), (3, 64), (4, 80), (MAX_HEIGHT, 208)] {
+            let before = smr.telemetry().pending_bytes();
+            let node = h.alloc_with_tail(Node::new(0, (), height), None, height);
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { h.retire(node) };
+            assert_eq!(smr.telemetry().pending_bytes() - before, block, "height {height}");
+        }
     }
 
     fn smoke<S: Smr>() {

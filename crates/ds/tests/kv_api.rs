@@ -154,3 +154,55 @@ fn owned_values_dropped_exactly_once() {
         "each insert_kv call's value drops exactly once (no leak, no double drop)"
     );
 }
+
+#[test]
+fn skiplist_tower_sits_past_an_over_aligned_value() {
+    // A 16-byte-aligned value pads the node past its last field; the tower
+    // must start after that padding, where `Shared::tail` looks for it. If
+    // the two disagreed, storing a link would scribble over a value (or the
+    // reverse), so every value is checked after every tower is linked — and
+    // each value still drops exactly once, tall node or short.
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    #[repr(align(16))]
+    #[derive(Default)]
+    struct Wide {
+        pattern: u128,
+        counted: bool,
+    }
+    impl Clone for Wide {
+        fn clone(&self) -> Self {
+            Wide { pattern: self.pattern, counted: false }
+        }
+    }
+    impl Drop for Wide {
+        fn drop(&mut self) {
+            if self.counted {
+                DROPS.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+    }
+    fn pattern(k: u64) -> u128 {
+        u128::from(k) << 64 | u128::from(!k)
+    }
+    const KEYS: u64 = 2000; // towers up to ~11 levels
+    {
+        let smr = Mp::new(cfg());
+        let map: SkipList<Mp, Wide> = SkipList::new(&smr);
+        let mut h = smr.register();
+        for k in 0..KEYS {
+            assert!(map.insert_kv(&mut h, k, Wide { pattern: pattern(k), counted: true }));
+        }
+        assert!(!map.insert_kv(&mut h, 7, Wide { pattern: 0, counted: true }), "duplicate");
+        for k in 0..KEYS {
+            assert_eq!(map.get(&mut h, k).map(|w| w.pattern), Some(pattern(k)), "key {k}");
+        }
+        for k in (0..KEYS).step_by(2) {
+            assert!(map.remove(&mut h, k));
+        }
+        for k in 0..KEYS {
+            let expect = (k % 2 == 1).then(|| pattern(k));
+            assert_eq!(map.get(&mut h, k).map(|w| w.pattern), expect, "key {k}");
+        }
+    } // handle, map and scheme dropped: every node reclaimed
+    assert_eq!(DROPS.load(Ordering::Acquire), KEYS as usize + 1, "one drop per value");
+}

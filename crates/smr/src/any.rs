@@ -246,12 +246,13 @@ impl SmrHandle for AnyHandle {
         delegate!(AnyHandle, self, h => h.unprotect(refno))
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        delegate!(AnyHandle, self, h => h.alloc(data))
-    }
-
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        delegate!(AnyHandle, self, h => h.alloc_with_index(data, index))
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T> {
+        delegate!(AnyHandle, self, h => h.alloc_with_tail(data, index, tail_len))
     }
 
     // SAFETY: [INV-11] trait contract forwarded verbatim to the wrapped

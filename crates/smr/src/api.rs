@@ -385,28 +385,54 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// schemes; clears the slot in HP.
     fn unprotect(&mut self, _refno: usize) {}
 
-    /// Allocates a node for `data`. For MP the index is the midpoint of the
-    /// current search interval maintained via [`update_lower_bound`] /
-    /// [`update_upper_bound`] (Listing 5); other schemes ignore indices.
+    /// Allocates a node for `data`: [`alloc_with_tail`] with the scheme's
+    /// choice of index and no tail.
+    ///
+    /// [`alloc_with_tail`]: SmrHandle::alloc_with_tail
+    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
+        self.alloc_with_tail(data, None, 0)
+    }
+
+    /// Allocates a node with an explicit index — for sentinel nodes whose
+    /// position in the key space is fixed (paper §5.1 step 3).
+    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
+        self.alloc_with_tail(data, Some(index), 0)
+    }
+
+    /// The one allocation path: a node for `data` followed by a *tail* of
+    /// `tail_len` null links, read back through [`Shared::tail`] — a node
+    /// with as many forward pointers as it needs (a skip-list tower) in one
+    /// block, instead of a payload padded to the tallest case. The length
+    /// lives in the node's header, is fixed for the node's lifetime, and is
+    /// what every free path sizes the block from. Panics if `tail_len`
+    /// exceeds `u32::MAX`.
+    ///
+    /// `index` is the node's MP index: `Some` for a node whose position in
+    /// the key space is fixed (a sentinel); `None` lets the scheme choose —
+    /// MP takes the midpoint of the current search interval maintained via
+    /// [`update_lower_bound`] / [`update_upper_bound`] (Listing 5); other
+    /// schemes ignore indices.
     ///
     /// # Allocation behavior
     ///
-    /// Node memory is served from the slab pool ([`mp_util::pool`]):
-    /// steady-state churn — alloc, retire, reclaim, alloc again — recycles
-    /// blocks through the thread's magazine and performs no heap
-    /// allocations; [`Counter::PoolHits`]/[`Counter::PoolMisses`] record
-    /// the recycled / fresh-carve split. Reclaimed node blocks are returned
-    /// to the same pool.
+    /// Node memory is served from the slab pool ([`mp_util::pool`]), in the
+    /// 16-byte size class of header + payload + tail: steady-state churn —
+    /// alloc, retire, reclaim, alloc again — recycles blocks through the
+    /// thread's magazines and performs no heap allocations;
+    /// [`Counter::PoolHits`]/[`Counter::PoolMisses`] record the recycled /
+    /// fresh-carve split. Reclaimed node blocks are returned to the same
+    /// pool.
     ///
     /// [`update_lower_bound`]: SmrHandle::update_lower_bound
     /// [`update_upper_bound`]: SmrHandle::update_upper_bound
     /// [`Counter::PoolHits`]: crate::telemetry::Counter::PoolHits
     /// [`Counter::PoolMisses`]: crate::telemetry::Counter::PoolMisses
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T>;
-
-    /// Allocates a node with an explicit index — for sentinel nodes whose
-    /// position in the key space is fixed (paper §5.1 step 3).
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T>;
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T>;
 
     /// Retires a removed node: buffers it and reclaims it once unprotected.
     ///

@@ -1,13 +1,20 @@
 //! Node allocation: the per-node SMR header and type-erased reclamation.
 //!
 //! Every node managed by an SMR scheme is allocated as an [`SmrNode<T>`]:
-//! a fixed header (birth epoch, retire epoch, 32-bit index — the paper's
-//! per-node bookkeeping, ≤ 3 words as in Table 1) followed by the client
-//! payload. Retired nodes are stored type-erased (the crate-private `Retired` record) so one
-//! retired list can hold nodes of any client type.
+//! a fixed header (birth epoch, retire epoch, 32-bit index, 32-bit tail
+//! length — the paper's per-node bookkeeping, ≤ 3 words as in Table 1)
+//! followed by the client payload and then by the node's *tail*: an array
+//! of [`Atomic<T>`] links whose length is chosen at allocation time (a
+//! skip-list tower; empty for every other structure). The block's layout is
+//! always derived from the header's tail length, so one allocation and one
+//! free path serve both. Retired nodes are stored type-erased (the
+//! crate-private `Retired` record) so one retired list can hold nodes of
+//! any client type.
 
 use core::alloc::Layout;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::packed::Atomic;
 
 /// Reserved index meaning "protect this node with hazard pointers, not
 /// margin pointers" (paper §4.3.2). Assigned on index collision.
@@ -43,6 +50,10 @@ pub struct Header {
     pub(crate) retire: AtomicU64,
     /// The node's immutable 32-bit MP index.
     pub(crate) index: u32,
+    /// Number of links in the node's tail ([INV-15]): written once by the
+    /// allocation, immutable afterwards. It sits in the four bytes `index`
+    /// leaves before the next word, so the header stays three words.
+    tail_len: u32,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
     /// live, flipped to the poison value on reclamation and validated by
     /// every `Shared::deref`. Only present under `--features oracle`, so
@@ -127,30 +138,65 @@ pub mod gauge {
     }
 }
 
+/// Layout of the block holding a node with payload `T` and `tail_len`
+/// links: the tail starts at `size_of::<SmrNode<T>>()`.
 #[inline]
-fn node_layout<T>() -> Layout {
-    Layout::new::<SmrNode<T>>()
+fn node_layout<T>(tail_len: u32) -> Layout {
+    // The tail's element type is fixed by the node type, so this pins
+    // `Atomic`'s representation rather than a caller's choice: a wider
+    // (more aligned) link would not start where `tail` looks for it, and
+    // one with drop glue would leak, since frees drop the payload only.
+    const {
+        assert!(align_of::<Atomic<T>>() <= align_of::<SmrNode<T>>());
+        assert!(!core::mem::needs_drop::<Atomic<T>>());
+    }
+    let tail = Layout::array::<Atomic<T>>(tail_len as usize).expect("tail size overflows");
+    let (layout, _) = Layout::new::<SmrNode<T>>().extend(tail).expect("node size overflows");
+    layout.pad_to_align()
 }
 
-/// Allocates a node with the given payload, index, and birth epoch.
+/// The tail of the node at `ptr`: the links its allocation placed after
+/// the payload (none unless it asked for some).
+///
+/// # Safety
+/// `ptr` must have come from [`alloc_node`] (so the header's `tail_len` is
+/// the length the block was sized for) and the node must stay allocated
+/// for `'a`.
+// SAFETY: [INV-11] obligation stated in `# Safety` above; `Shared::tail`
+// forwards its own protection contract, the allocator owns the fresh node.
+pub(crate) unsafe fn tail<'a, T>(ptr: *mut SmrNode<T>) -> &'a [Atomic<T>] {
+    // SAFETY: [INV-15] the slice is built from the allocation's own pointer
+    // (not from a `&T`, which covers the payload only), starts one
+    // `SmrNode<T>` past it — aligned, per `node_layout`'s assertions — and
+    // spans the `tail_len` links that allocation sized and null-initialized.
+    unsafe {
+        let len = (*ptr).header.tail_len as usize;
+        // CAST-OK: the tail's element type is fixed by the node type.
+        core::slice::from_raw_parts(ptr.add(1) as *const Atomic<T>, len)
+    }
+}
+
+/// Allocates a tail-less node with the given payload, index, and birth
+/// epoch.
 ///
 /// The block comes from the slab pool (`mp_util::pool`): a recycled block
 /// of the node's size class when the thread's magazine or a chunk holds
 /// one, a fresh carve otherwise.
 pub(crate) fn alloc_node<T>(data: T, index: u32, birth: u64) -> *mut SmrNode<T> {
-    alloc_node_tracked(data, index, birth).0
+    alloc_node_tracked(data, index, birth, 0).0
 }
 
-/// [`alloc_node`] plus per-handle telemetry: records the pool hit/miss
+/// Node allocation plus per-handle telemetry: records the pool hit/miss
 /// split (recycled block / fresh carve) and traces the allocation event.
-/// Every `SmrHandle::alloc` routes here.
+/// Every `SmrHandle::alloc_with_tail` routes here.
 pub(crate) fn alloc_node_in<T>(
     data: T,
     index: u32,
     birth: u64,
+    tail_len: usize,
     tele: &mut crate::telemetry::HandleTelemetry,
 ) -> *mut SmrNode<T> {
-    let (ptr, from_pool) = alloc_node_tracked(data, index, birth);
+    let (ptr, from_pool) = alloc_node_tracked(data, index, birth, tail_len);
     let addr = ptr as u64; // CAST-OK: opaque event payload for telemetry, never decoded back.
     if from_pool {
         tele.record_pool_hit(addr);
@@ -160,24 +206,37 @@ pub(crate) fn alloc_node_in<T>(
     ptr
 }
 
-fn alloc_node_tracked<T>(data: T, index: u32, birth: u64) -> (*mut SmrNode<T>, bool) {
+fn alloc_node_tracked<T>(
+    data: T,
+    index: u32,
+    birth: u64,
+    tail_len: usize,
+) -> (*mut SmrNode<T>, bool) {
+    let tail_len = u32::try_from(tail_len).expect("tail length must fit the header's 32-bit field");
     gauge::LIVE.fetch_add(1, Ordering::AcqRel);
-    let (raw, from_pool) = mp_util::pool::alloc(node_layout::<T>());
-    let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly node_layout::<T>().
-    // SAFETY: [INV-08] `raw` is an exclusively owned block of `SmrNode<T>`'s layout;
-    // `write` fully initializes it (recycled pool blocks may hold stale or
-    // oracle-poisoned bytes, which `write` overwrites without reading).
+    let (raw, from_pool) = mp_util::pool::alloc(node_layout::<T>(tail_len));
+    let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly node_layout::<T>(tail_len).
+    // SAFETY: [INV-08] `raw` is an exclusively owned block of the node's layout;
+    // the writes fully initialize node and tail (recycled pool blocks may
+    // hold stale or oracle-poisoned bytes, overwritten without being read).
+    // [INV-15] `tail_len` is written here, before anyone else can see the
+    // node, and the links are written within the block sized from it.
     unsafe {
         ptr.write(SmrNode {
             header: Header {
                 birth,
                 retire: AtomicU64::new(u64::MAX),
                 index,
+                tail_len,
                 #[cfg(feature = "oracle")]
                 canary: crate::oracle::CANARY_ALIVE,
             },
             data,
         });
+        let links = ptr.add(1) as *mut Atomic<T>; // CAST-OK: the tail's element type is fixed by the node type.
+        for i in 0..tail_len as usize {
+            links.add(i).write(Atomic::null());
+        }
     }
     #[cfg(feature = "oracle")]
     crate::oracle::on_alloc(ptr as u64, birth); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
@@ -186,28 +245,33 @@ fn alloc_node_tracked<T>(data: T, index: u32, birth: u64) -> (*mut SmrNode<T>, b
     (ptr, from_pool)
 }
 
-/// Drops the payload in place, poisons the node, and parks its memory in
-/// the oracle quarantine (instead of returning it to the allocator), so a
-/// later buggy dereference reads the poison canary deterministically.
+/// Poisons a node whose payload was just dropped or moved out — payload
+/// and tail, so a stale tower read sees poison too — and parks its block
+/// in the oracle quarantine (instead of returning it to the allocator), so
+/// a later buggy dereference reads the poison canary deterministically.
 ///
 /// # Safety
 /// Same contract as [`dealloc_node`].
 #[cfg(feature = "oracle")]
 // SAFETY: [INV-11] contract inherited from `dealloc_node` (see `# Safety`);
 // each call site cites its own exclusive-ownership argument.
-unsafe fn poison_and_quarantine<T>(ptr: *mut SmrNode<T>) {
+unsafe fn poison_and_quarantine<T>(ptr: *mut SmrNode<T>, layout: Layout) {
     // SAFETY: [INV-03] the reclaiming thread owns `ptr` exclusively (scan
-    // approved it, per the caller's contract), so dropping the payload and
-    // overwriting the bytes races with nothing; [INV-10] the block then
-    // transfers to quarantine, keeping it mapped for canary validation.
+    // approved it, per the caller's contract), so overwriting the bytes
+    // races with nothing; [INV-15] `layout` is the block's own, so the fill
+    // ends where the block does; [INV-10] the block then transfers to
+    // quarantine, keeping it mapped for canary validation.
     unsafe {
-        let data = core::ptr::addr_of_mut!((*ptr).data);
-        core::ptr::drop_in_place(data);
-        // CAST-OK: byte-wise poison fill of the payload we just dropped.
-        core::ptr::write_bytes(data as *mut u8, crate::oracle::POISON_BYTE, size_of::<T>());
+        let after_header = core::mem::offset_of!(SmrNode<T>, data);
+        core::ptr::write_bytes(
+            // CAST-OK: byte-wise poison fill of everything past the header.
+            (ptr as *mut u8).add(after_header),
+            crate::oracle::POISON_BYTE,
+            layout.size() - after_header,
+        );
         (*ptr).header.canary = crate::oracle::CANARY_POISON;
         // CAST-OK: quarantine parks the block as untyped bytes + layout.
-        crate::oracle::quarantine_node(ptr as *mut u8, core::alloc::Layout::new::<SmrNode<T>>());
+        crate::oracle::quarantine_node(ptr as *mut u8, layout);
     }
 }
 
@@ -221,25 +285,11 @@ unsafe fn poison_and_quarantine<T>(ptr: *mut SmrNode<T>) {
 // SAFETY: [INV-11] obligation stated in `# Safety` above; every caller
 // (Retired::reclaim via dealloc_erased, tests) cites how it is met.
 pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) {
-    gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
-    #[cfg(feature = "oracle")]
     // SAFETY: [INV-03] per this fn's contract the node is scan-approved and
-    // never accessed again — the reclaiming thread has exclusive access.
-    unsafe {
-        // CAST-OK: shadow-table key; oracle tracks addresses as u64.
-        crate::oracle::on_free(ptr as u64, (*ptr).header.birth);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_free(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
-        poison_and_quarantine(ptr);
-    }
-    #[cfg(not(feature = "oracle"))]
-    // SAFETY: [INV-03] exclusive access per this fn's contract; [INV-08] the
-    // block is returned with the exact layout class it was served for.
-    unsafe {
-        core::ptr::drop_in_place(ptr);
-        // CAST-OK: pool stores free blocks as untyped bytes + layout.
-        mp_util::pool::dealloc(ptr as *mut u8, node_layout::<T>());
-    }
+    // never accessed again — the reclaiming thread has exclusive access. The
+    // payload is dropped exactly once, here (the tail has no drop glue, see
+    // `node_layout`).
+    unsafe { free_node(ptr, || core::ptr::drop_in_place(core::ptr::addr_of_mut!((*ptr).data))) }
 }
 
 /// Frees a node, returning its payload to the caller.
@@ -249,36 +299,39 @@ pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) {
 // SAFETY: [INV-11] obligation stated in `# Safety` above, discharged at the
 // call sites (failed-publication paths that still own the fresh node).
 pub(crate) unsafe fn take_node<T>(ptr: *mut SmrNode<T>) -> T {
-    gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
-    #[cfg(feature = "oracle")]
     // SAFETY: [INV-03] exclusive access per this fn's contract: the payload
-    // is moved out exactly once, the bytes poisoned, and the block handed to
-    // quarantine ([INV-10]) without further access through `ptr`.
+    // is moved out exactly once, before the block is given up.
+    unsafe { free_node(ptr, || core::ptr::read(core::ptr::addr_of!((*ptr).data))) }
+}
+
+/// The one free path: disposes of the payload through `take` (drop it, or
+/// move it out), then gives the block up under the layout it was allocated
+/// with — poisoned into quarantine with the oracle, straight back to the
+/// pool without.
+///
+/// # Safety
+/// Same as [`dealloc_node`]; `take` must leave the payload logically
+/// uninitialized.
+// SAFETY: [INV-11] obligation stated in `# Safety` above; the two callers
+// are `dealloc_node` and `take_node`.
+unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
+    gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
+    // SAFETY: [INV-03] exclusive access per this fn's contract, and no
+    // access after the block is given up; [INV-15] the header's `tail_len`
+    // is what the allocation sized the block from, so [INV-08] the pool
+    // gets the block back under the layout class it was served for.
     unsafe {
-        // CAST-OK: shadow-table key; oracle tracks addresses as u64.
-        crate::oracle::on_free(ptr as u64, (*ptr).header.birth);
+        let layout = node_layout::<T>((*ptr).header.tail_len);
+        #[cfg(feature = "oracle")]
+        crate::oracle::on_free(ptr as u64, (*ptr).header.birth); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_free(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
-        let data = core::ptr::read(core::ptr::addr_of!((*ptr).data));
-        core::ptr::write_bytes(
-            // CAST-OK: byte-wise poison fill of the payload just moved out.
-            core::ptr::addr_of_mut!((*ptr).data) as *mut u8,
-            crate::oracle::POISON_BYTE,
-            size_of::<T>(),
-        );
-        (*ptr).header.canary = crate::oracle::CANARY_POISON;
-        // CAST-OK: quarantine parks the block as untyped bytes + layout.
-        crate::oracle::quarantine_node(ptr as *mut u8, core::alloc::Layout::new::<SmrNode<T>>());
-        data
-    }
-    #[cfg(not(feature = "oracle"))]
-    // SAFETY: [INV-03] exclusive access per this fn's contract; the payload
-    // is moved out once and the block ([INV-08], same layout class) freed.
-    unsafe {
-        let data = core::ptr::read(core::ptr::addr_of!((*ptr).data));
-        // CAST-OK: pool stores free blocks as untyped bytes + layout.
-        mp_util::pool::dealloc(ptr as *mut u8, node_layout::<T>());
-        data
+        let out = take();
+        #[cfg(feature = "oracle")]
+        poison_and_quarantine(ptr, layout);
+        #[cfg(not(feature = "oracle"))]
+        mp_util::pool::dealloc(ptr as *mut u8, layout); // CAST-OK: pool stores free blocks as untyped bytes + layout.
+        out
     }
 }
 
@@ -340,7 +393,8 @@ impl Retired {
         let header = ptr as *mut Header; // CAST-OK: [INV-09] header-at-offset-0 pun.
         // SAFETY: [INV-09] in-bounds header reads through the repr(C) pun;
         // [INV-04] the node is removed, so the retiring thread may read it.
-        let (birth, index) = unsafe { ((*header).birth, (*header).index) };
+        let (birth, index, tail_len) =
+            unsafe { ((*header).birth, (*header).index, (*header).tail_len) };
         #[cfg(feature = "oracle")]
         crate::oracle::on_retire(header as u64, birth);
         #[cfg(feature = "hb-oracle")]
@@ -349,7 +403,7 @@ impl Retired {
         // field is atomic — concurrent scans of foreign retired state stay
         // well-defined while this store publishes the retire epoch.
         unsafe { (*header).retire.store(retire_epoch, Ordering::Release) };
-        let bytes = mp_util::pool::block_size(node_layout::<T>()) as u32;
+        let bytes = mp_util::pool::block_size(node_layout::<T>(tail_len)) as u32;
         gauge::RETIRED_BYTES.fetch_add(bytes as usize, Ordering::AcqRel);
         Retired {
             ptr: header,
@@ -438,6 +492,9 @@ mod tests {
         }
     }
 
+    /// Through type erasure a node is freed as what it was allocated as —
+    /// payload dropped once, block and gauge returned — whether or not it
+    /// carries a tail the erased `T` knows nothing about.
     #[test]
     fn retired_reclaims_through_type_erasure() {
         struct DropFlag(std::sync::Arc<AtomicUsize>);
@@ -446,34 +503,70 @@ mod tests {
                 self.0.fetch_add(1, Ordering::AcqRel);
             }
         }
-        let flag = std::sync::Arc::new(AtomicUsize::new(0));
-        let node = alloc_node(DropFlag(flag.clone()), 11, 3);
-        let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
-        assert_eq!(retired.birth, 3);
-        assert_eq!(retired.retire, 8);
-        assert_eq!(retired.index, 11);
-        assert_eq!(retired.bytes as usize, mp_util::pool::block_size(node_layout::<DropFlag>()));
-        unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
-        assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
+        for tail_len in [0, 5] {
+            let flag = std::sync::Arc::new(AtomicUsize::new(0));
+            let node = alloc_node_tracked(DropFlag(flag.clone()), 11, 3, tail_len).0;
+            let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
+            assert_eq!(retired.birth, 3);
+            assert_eq!(retired.retire, 8);
+            assert_eq!(retired.index, 11);
+            let block = mp_util::pool::block_size(node_layout::<DropFlag>(tail_len as u32));
+            assert_eq!(retired.bytes as usize, block);
+            unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+            assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
+        }
     }
 
     /// A retired node is counted as the block it holds, not as its own
-    /// size: one of these two nodes is 40 bytes (which one depends on the
-    /// oracle's canary word) and pins a 48-byte block.
+    /// size: one of the two tail-less nodes is 40 bytes (which one depends
+    /// on the oracle's canary word) and pins a 48-byte block, and a tail
+    /// counts in full, rounded up with the rest. The process-wide gauge
+    /// takes back exactly what it was given (other tests move it too, so
+    /// only the tailed node's own round trip is compared).
     #[test]
     fn retired_bytes_are_the_block_held() {
-        fn node_and_retired_bytes<T: Default>() -> (usize, usize) {
-            let node = alloc_node(T::default(), 0, 0);
+        fn node_and_retired_bytes<T: Default>(tail_len: usize) -> (usize, usize) {
+            let node = alloc_node_tracked(T::default(), 0, 0, tail_len).0;
             let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
             let bytes = retired.bytes() as usize;
             unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
-            (size_of::<SmrNode<T>>(), bytes)
+            (size_of::<SmrNode<T>>() + tail_len * size_of::<Atomic<T>>(), bytes)
         }
-        let sizes = [node_and_retired_bytes::<u64>(), node_and_retired_bytes::<[u64; 2]>()];
+        let sizes = [
+            node_and_retired_bytes::<u64>(0),
+            node_and_retired_bytes::<[u64; 2]>(0),
+            node_and_retired_bytes::<u64>(1),
+            node_and_retired_bytes::<u64>(20),
+        ];
         for (node, bytes) in sizes {
             assert_eq!(bytes, node.next_multiple_of(mp_util::pool::CLASS_GRANULE));
         }
         assert!(sizes.contains(&(40, 48)), "{sizes:?}");
+        assert_eq!(sizes[3].0 - sizes[0].0, 160, "twenty links are twenty words");
+    }
+
+    /// The tail starts where the accessor says for any payload alignment,
+    /// holds `tail_len` null links, and a length the header cannot hold is
+    /// refused before anything is allocated.
+    #[test]
+    fn tail_is_null_links_past_the_payload() {
+        #[repr(align(16))]
+        #[derive(Default)]
+        struct Wide(#[allow(dead_code)] u8);
+        fn check<T: Default>(tail_len: usize) {
+            let node = alloc_node_tracked(T::default(), 0, 0, tail_len).0;
+            // SAFETY: [INV-12] node is live and owned by this test thread.
+            let links = unsafe { tail(node) };
+            assert_eq!(links.len(), tail_len);
+            assert!(links.iter().all(|l| l.load(Ordering::Relaxed).is_null()));
+            assert_eq!(links.as_ptr() as usize, node as usize + size_of::<SmrNode<T>>());
+            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        }
+        check::<u8>(0);
+        check::<u8>(3);
+        check::<Wide>(3);
+        let too_long = std::panic::catch_unwind(|| alloc_node_tracked(0u8, 0, 0, 1 << 32));
+        assert!(too_long.is_err(), "a wrapped length would free the block in the wrong class");
     }
 
     /// Pool recycling round-trip: a reclaimed node's block is served to the
@@ -501,7 +594,7 @@ mod tests {
         // Same thread, same size class: the LIFO free list returns the block.
         use crate::telemetry::{Counter, HandleTelemetry};
         let mut tele = HandleTelemetry::new(0);
-        let b = alloc_node_in(DropFlag(drops.clone()), 2, 0, &mut tele);
+        let b = alloc_node_in(DropFlag(drops.clone()), 2, 0, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
         assert_eq!(tele.counter(Counter::PoolHits), 1);
         assert_eq!(tele.counter(Counter::PoolMisses), 0);

@@ -182,6 +182,36 @@ impl<T> Shared<T> {
     // SAFETY: [INV-11] obligation (protected pointee) stated in `# Safety`
     // above; every call site cites [INV-01] or [INV-03].
     pub unsafe fn deref<'a>(self) -> &'a SmrNode<T> {
+        self.oracle_check();
+        // SAFETY: [INV-02] the word decodes to a live (protected, per this
+        // fn's contract) allocation, so the reference is valid for 'a.
+        unsafe { &*self.as_raw() }
+    }
+
+    /// The node's *tail*: the links [`SmrHandle::alloc_with_tail`] placed
+    /// after the payload, null until stored to; empty for a node allocated
+    /// without one. The length is fixed at allocation, so indexing the
+    /// slice is the bounds check.
+    ///
+    /// # Safety
+    /// Same contract as [`deref`](Shared::deref).
+    ///
+    /// [`SmrHandle::alloc_with_tail`]: crate::SmrHandle::alloc_with_tail
+    #[inline]
+    // SAFETY: [INV-11] obligation (protected pointee) stated in `# Safety`
+    // above; every call site cites [INV-01] or [INV-03].
+    pub unsafe fn tail<'a>(self) -> &'a [Atomic<T>] {
+        self.oracle_check();
+        // SAFETY: [INV-02] the word decodes to a live (protected, per this
+        // fn's contract) allocation; [INV-15] the slice is built from that
+        // allocation's address, not from a reference to the payload.
+        unsafe { crate::node::tail(self.as_raw()) }
+    }
+
+    /// The oracles' toll on every access to the pointee; nothing without
+    /// them.
+    #[inline]
+    fn oracle_check(self) {
         debug_assert!(!self.is_null());
         // Oracle: reclaimed nodes stay mapped (quarantined) with a poisoned
         // header canary, so a protection bug panics here deterministically
@@ -197,9 +227,6 @@ impl<T> Shared<T> {
         // a validated protection record — for dereferencing a retired node.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_deref(self.addr());
-        // SAFETY: [INV-02] the word decodes to a live (protected, per this
-        // fn's contract) allocation, so the reference is valid for 'a.
-        unsafe { &*self.as_raw() }
     }
 
     /// Frees a node the caller *exclusively owns*, bypassing the retire

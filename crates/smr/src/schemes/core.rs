@@ -185,7 +185,8 @@ impl HandleCore {
         crate::hb::on_end_op();
     }
 
-    /// Allocates a node stamped with `index` and the scheme's `birth`.
+    /// Allocates a node stamped with `index` and the scheme's `birth`,
+    /// followed by `tail_len` null links.
     #[inline]
     pub(crate) fn alloc<T: Send + Sync>(
         &mut self,
@@ -193,6 +194,7 @@ impl HandleCore {
         data: T,
         index: u32,
         birth: u64,
+        tail_len: usize,
     ) -> Shared<T> {
         backpressure::before_alloc(
             &shared.bp_policy,
@@ -201,7 +203,7 @@ impl HandleCore {
             &mut self.tele,
         );
         self.tele.bump(Counter::Allocs);
-        let ptr = crate::node::alloc_node_in(data, index, birth, &mut self.tele);
+        let ptr = crate::node::alloc_node_in(data, index, birth, tail_len, &mut self.tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
         unsafe { Shared::from_owned(ptr) }
     }
@@ -446,7 +448,7 @@ mod tests {
         pinned: &mut Pinned,
         pin: bool,
     ) -> u64 {
-        let node = h.core.alloc(&s.core, 0u64, 0, 0);
+        let node = h.core.alloc(&s.core, 0u64, 0, 0, 0);
         if pin {
             pinned.0.push(node.addr());
         }

@@ -193,13 +193,14 @@ impl SmrHandle for HeHandle {
         self.local[refno] = INACTIVE;
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T> {
         let birth = self.scheme.clock.now();
-        self.core.alloc(&self.scheme.core, data, index, birth)
+        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -154,16 +154,17 @@ impl SmrHandle for IbrHandle {
         }
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T> {
         // IBR advances the epoch every constant number of allocations (§3.3).
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
         let birth = self.scheme.clock.now();
-        self.core.alloc(&self.scheme.core, data, index, birth)
+        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

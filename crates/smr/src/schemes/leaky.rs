@@ -90,12 +90,13 @@ impl SmrHandle for LeakyHandle {
         src.load(Ordering::Acquire)
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        self.core.alloc(&self.scheme.core, data, index, 0)
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T> {
+        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), 0, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

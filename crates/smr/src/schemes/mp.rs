@@ -530,6 +530,30 @@ impl MpHandle {
         }
     }
 
+    /// Listing 10's index for a new node: the midpoint of the search
+    /// interval, or `USE_HP` when the interval has no room (index
+    /// collision, §4.3.2).
+    fn interval_index(&mut self) -> u32 {
+        let lo = self.lower_bound.min(self.upper_bound);
+        let hi = self.lower_bound.max(self.upper_bound);
+        let index = if hi - lo <= 1 {
+            USE_HP
+        } else {
+            match self.scheme.core.cfg.index_policy {
+                crate::api::IndexPolicy::Midpoint => lo + (hi - lo) / 2,
+                crate::api::IndexPolicy::AfterPred => lo + 1,
+            }
+        };
+        // A `USE_HP` bound enters the arithmetic as 0xffff_ffff, so the
+        // result can land anywhere in the `USE_HP` class; such a node is
+        // hazard-protected whatever its low bits say — a collision.
+        if is_use_hp_class(index) {
+            self.core.tele.record_collision_alloc(lo);
+            return USE_HP;
+        }
+        index
+    }
+
     /// Test/model introspection: the index intervals `[lo, hi]` this
     /// thread currently announces. Not part of the SMR API surface.
     #[doc(hidden)]
@@ -640,32 +664,15 @@ impl SmrHandle for MpHandle {
         // end_op and margins persist until evicted by refno reuse.
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        // Listing 10 alloc: midpoint of the search interval, or USE_HP when
-        // the interval has no room (index collision, §4.3.2).
-        let lo = self.lower_bound.min(self.upper_bound);
-        let hi = self.lower_bound.max(self.upper_bound);
-        let mut index = if hi - lo <= 1 {
-            USE_HP
-        } else {
-            match self.scheme.core.cfg.index_policy {
-                crate::api::IndexPolicy::Midpoint => lo + (hi - lo) / 2,
-                crate::api::IndexPolicy::AfterPred => lo + 1,
-            }
-        };
-        // A `USE_HP` bound enters the arithmetic as 0xffff_ffff, so the
-        // result can land anywhere in the `USE_HP` class; such a node is
-        // hazard-protected whatever its low bits say — a collision.
-        if is_use_hp_class(index) {
-            self.core.tele.record_collision_alloc(lo);
-            index = USE_HP;
-        }
-        self.alloc_with_index(data, index)
-    }
-
-    fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
+    fn alloc_with_tail<T: Send + Sync>(
+        &mut self,
+        data: T,
+        index: Option<u32>,
+        tail_len: usize,
+    ) -> Shared<T> {
+        let index = index.unwrap_or_else(|| self.interval_index());
         let birth = self.scheme.global_epoch.load(Ordering::SeqCst);
-        self.core.alloc(&self.scheme.core, data, index, birth)
+        self.core.alloc(&self.scheme.core, data, index, birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

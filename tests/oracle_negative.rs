@@ -13,6 +13,7 @@
 #![cfg(feature = "oracle")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 
 use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::Hp;
@@ -147,6 +148,35 @@ fn use_after_free_still_caught_after_the_block_went_home_to_its_chunk() {
         let _ = unsafe { n.deref() };
     });
     assert!(msg.contains("after reclamation"), "the link reached the canary word: {msg}");
+}
+
+#[test]
+fn use_after_free_of_a_tall_tower_trips_the_canary() {
+    // A node with a tail is poisoned and quarantined as the block it is:
+    // reading the top level of a freed 20-level tower dies on the canary
+    // with the usual context, and the tower's own words are poison too, so
+    // even a reader that got past the canary would not follow a stale link.
+    const HEIGHT: usize = 20;
+    let smr = Hp::new(cfg());
+    let mut h = smr.register();
+    h.start_op();
+    let n = h.alloc_with_tail(5u64, None, HEIGHT);
+    h.end_op();
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    let top = unsafe { &n.tail()[HEIGHT - 1] };
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    unsafe { h.retire(n) };
+    h.force_empty();
+    let msg = oracle_panic(|| {
+        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+        let _ = unsafe { n.tail()[HEIGHT - 1].load(Ordering::Acquire) };
+    });
+    assert!(msg.contains("use-after-free"), "wrong diagnosis: {msg}");
+    assert!(msg.contains("after reclamation"), "should name the poison canary: {msg}");
+    assert!(msg.contains(&format!("MP_CHECK_SEED={SEED:#x}")), "missing replay line: {msg}");
+    // The quarantine keeps the block mapped, so the stale reference reads
+    // what the oracle poured over it.
+    assert_eq!(top.load(Ordering::Acquire).into_word(), u64::from_ne_bytes([0x5a; 8]));
 }
 
 #[test]
