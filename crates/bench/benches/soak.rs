@@ -6,9 +6,9 @@
 //! periodic handle churn under load. Optionally adds stalled readers and
 //! a backpressure byte cap, turning the run into the §1 survival scenario
 //! with engagement counts and peak RSS reported per scheme. Emits
-//! `BENCH_soak.json` (schema `mp-bench/soak/v2`) at the workspace root
-//! (or `$MP_BENCH_DIR`). Schemes are selected at runtime through the
-//! `AnySmr` facade, so the whole sweep is one monomorphization.
+//! `BENCH_soak.json` (schema `mp-bench/soak/v3`) under `$MP_BENCH_DIR`
+//! (default `target/bench-results/`). Schemes are selected at runtime
+//! through the `AnySmr` facade, so the whole sweep is one monomorphization.
 //!
 //! Knobs: `MP_SOAK_DURATION_MS` (per scheme), `MP_SOAK_OVERSUB`
 //! (threads = oversub × cores, default 4), `MP_SOAK_PREFILL`,
@@ -18,10 +18,9 @@
 //! cap, default 0 = ladder off).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Duration;
 
-use mp_bench::{json_str, run_soak_kind, KeyDist, SoakParams, SoakResult, Table};
+use mp_bench::{json_path, json_str, run_soak_kind, KeyDist, SoakParams, SoakResult, Table};
 use mp_ds::HashMap;
 use mp_smr::{AnySmr, SchemeKind};
 
@@ -42,7 +41,7 @@ impl Row {
             "{{\"scheme\": {}, \"structure\": \"hashmap\", \"threads\": {}, \
              \"duration_ms\": {}, \"dist\": {}, \"total_ops\": {}, \"mops\": {:.4}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"scan_ns_per_free\": {:.2}, \"snapshot_reuses\": {}, \
+             \"scan_ns_per_free\": {:.2}, \
              \"tid_recycles\": {}, \"handle_churns\": {}, \
              \"peak_pending_nodes\": {}, \"peak_pending_bytes\": {}, \
              \"end_pending_nodes\": {}, \"peak_rss_kb\": {}, \
@@ -59,7 +58,6 @@ impl Row {
             r.p99_ns,
             r.p999_ns,
             r.telemetry.scan_ns_per_free(),
-            r.telemetry.snapshot_reuses(),
             r.telemetry.tid_recycles(),
             r.handle_churns,
             r.peak_pending,
@@ -78,20 +76,6 @@ impl Row {
             r.telemetry.retires().saturating_sub(r.end_pending as u64),
         )
     }
-}
-
-/// Where the soak file lands: `$MP_BENCH_DIR` when set, else the workspace
-/// root (the committed location).
-fn soak_path() -> PathBuf {
-    if let Ok(dir) = std::env::var("MP_BENCH_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir).join("BENCH_soak.json");
-        }
-    }
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|m| PathBuf::from(m).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("BENCH_soak.json")
 }
 
 fn main() {
@@ -151,7 +135,6 @@ fn main() {
             "p99 us",
             "p999 us",
             "scan ns/free",
-            "snap-reuse",
             "tid-recycle",
             "peak-pending",
             "end-pending",
@@ -168,7 +151,6 @@ fn main() {
             format!("{:.1}", r.p99_ns as f64 / 1e3),
             format!("{:.1}", r.p999_ns as f64 / 1e3),
             format!("{:.1}", r.telemetry.scan_ns_per_free()),
-            r.telemetry.snapshot_reuses().to_string(),
             r.telemetry.tid_recycles().to_string(),
             r.peak_pending.to_string(),
             r.end_pending.to_string(),
@@ -180,7 +162,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mp-bench/soak/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"mp-bench/soak/v3\",");
     let _ = writeln!(
         json,
         "  \"config\": {{\"cores\": {}, \"oversub\": {}, \"threads\": {}, \
@@ -203,7 +185,7 @@ fn main() {
     }
     let _ = writeln!(json, "\n  ]\n}}");
 
-    let path = soak_path();
+    let path = json_path("BENCH_soak");
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }

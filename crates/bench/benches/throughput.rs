@@ -4,18 +4,16 @@
 //! throughput (Mops/s), fresh-memory allocations per operation, pool hit
 //! rate, fences per operation, and the number of scans that had to grow a
 //! scratch buffer. The machine-readable result lands in
-//! `BENCH_throughput.json` at the workspace root (or `$MP_BENCH_DIR`), so
-//! the trajectory can be committed alongside the code. The node pool has
-//! no off switch; the `"pool": "on"` column is constant and stays for
-//! readers of schema v3.
+//! `BENCH_throughput.json` under `$MP_BENCH_DIR` (default
+//! `target/bench-results/`). The node pool has no off switch; the
+//! `"pool": "on"` column is constant and stays for readers of schema v3.
 //!
 //! Knobs: `MP_BENCH_THREADS`, `MP_BENCH_DURATION_MS`, `MP_BENCH_PREFILL`,
 //! `MP_BENCH_RUNS`, `MP_BENCH_FULL` (see crate docs).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-use mp_bench::{for_each_scheme, json_str, BenchParams, Table};
+use mp_bench::{for_each_scheme, json_path, json_str, BenchParams, Table};
 use mp_ds::{LinkedList, NmTree, SkipList};
 use mp_smr::{FenceSite, TelemetrySnapshot};
 
@@ -64,20 +62,6 @@ impl Point {
             t.scan_ns_per_free(),
         )
     }
-}
-
-/// Where the trajectory file lands: `$MP_BENCH_DIR` when set, else the
-/// workspace root (the committed location).
-fn trajectory_path() -> PathBuf {
-    if let Ok(dir) = std::env::var("MP_BENCH_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir).join("BENCH_throughput.json");
-        }
-    }
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|m| PathBuf::from(m).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("BENCH_throughput.json")
 }
 
 fn main() {
@@ -153,7 +137,7 @@ fn main() {
     }
     let _ = writeln!(json, "\n  ]\n}}");
 
-    let path = trajectory_path();
+    let path = json_path("BENCH_throughput");
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }

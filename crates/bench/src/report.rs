@@ -115,9 +115,9 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Output directory for bench artifacts: `$MP_BENCH_DIR` when set (used by
-/// the smoke stage to keep throwaway runs away from committed results),
-/// otherwise `<workspace>/target/bench-results/`.
+/// Output directory for bench artifacts: `$MP_BENCH_DIR` when set
+/// (`scripts/bench.sh` points it at `target/bench/` or, for smoke runs,
+/// `target/bench-smoke/`), otherwise `<workspace>/target/bench-results/`.
 pub fn out_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("MP_BENCH_DIR") {
         if !dir.is_empty() {

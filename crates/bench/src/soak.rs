@@ -10,9 +10,9 @@
 //!
 //! Outputs per scheme: throughput, client-side p50/p99/p999 operation
 //! latency (timed around each structure call, so scan pauses surface as
-//! tail latency), amortized scan cost (`scan_ns_per_free`), snapshot
-//! adoptions, tid recycles, peak retired backlog, and peak process RSS
-//! sampled from `/proc/self/statm` while the run is hot.
+//! tail latency), amortized scan cost (`scan_ns_per_free`), tid recycles,
+//! peak retired backlog, and peak process RSS sampled from
+//! `/proc/self/statm` while the run is hot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -119,8 +119,8 @@ pub struct SoakResult {
     pub bp_throttle_engagements: u64,
     /// Times the ladder released back to normal.
     pub bp_releases: u64,
-    /// Merged per-handle telemetry; the soak report's `scan_ns_per_free()`,
-    /// `snapshot_reuses()` and `tid_recycles()` columns are read from it.
+    /// Merged per-handle telemetry; the soak report's `scan_ns_per_free()`
+    /// and `tid_recycles()` columns are read from it.
     pub telemetry: TelemetrySnapshot,
 }
 

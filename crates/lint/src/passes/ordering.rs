@@ -10,7 +10,7 @@
 //!
 //!    ```text
 //!    // ORDERING: pairs = <path-suffix>:<fn> — free prose after the head.
-//!    // ORDERING: reason = exclusive|quiescent|seqlock|owned-store — prose.
+//!    // ORDERING: reason = exclusive|quiescent|owned-store — prose.
 //!    ```
 //!
 //!    Free-text justifications, unknown reasons, and unclassified sites are
@@ -40,9 +40,6 @@ pub enum Reason {
     /// All racing threads are provably quiescent (e.g. collection under a
     /// lock that revalidates with its own fence).
     Quiescent,
-    /// Part of a seqlock read/publish protocol whose version word carries
-    /// the ordering (crossbeam `SeqLock` pattern).
-    Seqlock,
     /// Store to memory not yet published to any other thread.
     OwnedStore,
 }
@@ -52,7 +49,6 @@ impl Reason {
         Some(match s {
             "exclusive" => Reason::Exclusive,
             "quiescent" => Reason::Quiescent,
-            "seqlock" => Reason::Seqlock,
             "owned-store" => Reason::OwnedStore,
             _ => return None,
         })
@@ -63,7 +59,6 @@ impl Reason {
         match self {
             Reason::Exclusive => "exclusive",
             Reason::Quiescent => "quiescent",
-            Reason::Seqlock => "seqlock",
             Reason::OwnedStore => "owned-store",
         }
     }
@@ -201,7 +196,7 @@ pub fn run(
 }
 
 const GRAMMAR_HINT: &str = "use `// ORDERING: pairs = <path-suffix>:<fn>` or \
-     `// ORDERING: reason = exclusive|quiescent|seqlock|owned-store`";
+     `// ORDERING: reason = exclusive|quiescent|owned-store`";
 
 /// Parses the structured head of an `// ORDERING:` annotation out of the
 /// comment text attached to a site. Free prose is allowed after the head.
@@ -240,7 +235,7 @@ fn parse_annotation(comment: &str) -> Result<Annotation, String> {
             let (val, _) = split_word(rest);
             let val = val.trim_end_matches(['.', ',', ';']);
             Reason::parse(val).map(Annotation::Reason).ok_or_else(|| {
-                format!("unknown reason `{val}` — expected exclusive|quiescent|seqlock|owned-store")
+                format!("unknown reason `{val}` — expected exclusive|quiescent|owned-store")
             })
         }
         other => Err(format!(
@@ -526,8 +521,8 @@ mod tests {
         );
         // Trailing punctuation on the value is tolerated.
         assert_eq!(
-            parse_annotation("// ORDERING: reason = seqlock."),
-            Ok(Annotation::Reason(Reason::Seqlock))
+            parse_annotation("// ORDERING: reason = quiescent."),
+            Ok(Annotation::Reason(Reason::Quiescent))
         );
     }
 

@@ -173,27 +173,3 @@ pub fn on_deref(addr: u64) {
         bail(v);
     }
 }
-
-/// Snapshot-publish hook: a completed `publish_snapshot` with its Release
-/// fence — records both the data writes and the release edge at `site`
-/// (the snapshot instance's address).
-pub fn on_snapshot_publish(site: u64) {
-    let Some(id) = tid() else { return };
-    tracker().release(id, site);
-}
-
-/// Fence-dropped publish hook (test-only publish variant): records the
-/// data writes with *no* release edge, so the next adoption must fail.
-pub fn on_snapshot_publish_data_only(site: u64) {
-    let Some(id) = tid() else { return };
-    tracker().release_data_only(id, site);
-}
-
-/// Snapshot-adoption hook (successful `try_adopt_into`): joins the site's
-/// release edge and panics if the adopted data is not ordered by it.
-pub fn on_snapshot_adopt(site: u64) {
-    let Some(id) = tid() else { return };
-    if let Err(v) = tracker().acquire_check(id, site) {
-        bail(v);
-    }
-}

@@ -87,6 +87,24 @@ impl SlotArray {
     pub fn init_value(&self) -> u64 {
         self.init
     }
+
+    /// Snapshots every announced (non-sentinel) value of every row into
+    /// `out`, cleared and refilled in place and sorted for binary search —
+    /// HP's hazard addresses, HE's eras. Call after the scan's SeqCst
+    /// fence; the buffer is the scanning handle's, so steady-state scans
+    /// reuse its capacity.
+    pub fn announced_sorted_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        for tid in 0..self.threads {
+            for slot in self.row(tid) {
+                let v = slot.load(Ordering::Acquire);
+                if v != self.init {
+                    out.push(v);
+                }
+            }
+        }
+        out.sort_unstable();
+    }
 }
 
 /// A claimed thread id plus whether it was ever held by an earlier handle
@@ -280,6 +298,30 @@ mod tests {
                 assert!(gap >= align.max(slots * 8), "rows {t},{} overlap a line", t + 1);
             }
         }
+    }
+
+    #[test]
+    fn announced_sorted_into_collects_every_row_skips_idle_and_reuses_the_buffer() {
+        const IDLE: u64 = u64::MAX;
+        let a = SlotArray::new(3, 4, IDLE);
+        let mut out = vec![99]; // stale content must not survive
+        a.announced_sorted_into(&mut out);
+        assert!(out.is_empty(), "an idle array announces nothing");
+
+        // One value in the last row's last slot, two in the first row, a
+        // duplicate across rows; row 1 stays idle.
+        a.get(2, 3).store(5, Ordering::Relaxed);
+        a.get(0, 0).store(40, Ordering::Relaxed);
+        a.get(0, 2).store(7, Ordering::Relaxed);
+        a.get(2, 0).store(40, Ordering::Relaxed);
+        a.announced_sorted_into(&mut out);
+        assert_eq!(out, [5, 7, 40, 40], "every row, idle slots skipped, sorted");
+
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        a.clear_row(0, Ordering::Relaxed);
+        a.announced_sorted_into(&mut out);
+        assert_eq!(out, [5, 40], "a cleared row drops out of the next walk");
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap), "second walk reallocated");
     }
 
     #[test]

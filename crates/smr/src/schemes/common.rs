@@ -2,10 +2,8 @@
 
 use core::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
-use mp_util::CachePadded;
-
 use crate::api::Config;
-use crate::telemetry::{Counter, FenceSite, HandleTelemetry};
+use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
 pub const INACTIVE: u64 = u64::MAX;
@@ -135,262 +133,6 @@ impl ScanState {
     }
 }
 
-/// A version-stamped shared protection snapshot (hazard addresses for HP,
-/// announced eras for HE), published by whichever handle scanned last and
-/// adopted by peers whose scan begins before any protection-slot
-/// generation bump — those peers skip the `T×H` slot walk entirely.
-///
-/// # Soundness (see DESIGN.md "Scan scalability")
-///
-/// A stale snapshot may only **over**-approximate the protected set. The
-/// per-thread generation counters enforce this: every protection-announcing
-/// store bumps the announcing thread's generation (release-ordered, before
-/// that thread's validation fence), and an adopter compares the generation
-/// vector it loads *after its own scan fence* with the vector stored at
-/// publish time. Equality proves no protection was announced-and-validated
-/// between the publisher's fence and the adopter's fence, so the snapshot
-/// can only contain protections that have since been *released* — retaining
-/// too much, never freeing too little. Any mismatch (or a concurrent
-/// publish, detected by the seqlock version) rejects reuse and falls back
-/// to a fresh walk.
-pub struct SharedSnapshot {
-    /// Seqlock word: odd while a publisher is writing.
-    version: AtomicU64,
-    /// Per-thread protection generations (single writer each; padded so
-    /// the hot-path bump never false-shares).
-    gens: Box<[CachePadded<AtomicU64>]>,
-    /// Generation vector captured by the publisher before its slot walk.
-    snap_gens: Box<[AtomicU64]>,
-    /// Published snapshot length.
-    len: AtomicUsize,
-    /// Published sorted snapshot values (capacity `threads × slots`).
-    data: Box<[AtomicU64]>,
-}
-
-/// A scanning handle's retained buffers for [`SharedSnapshot::fill`]:
-/// refilled in place, so steady-state scans allocate nothing.
-#[derive(Default)]
-pub struct SnapshotScratch {
-    /// The sorted protected set (hazard addresses / announced eras) the
-    /// current scan judges retired nodes against.
-    pub values: Vec<u64>,
-    /// Generation vector loaded after the scan fence.
-    gens: Vec<u64>,
-    /// True if the previous scan adopted the shared snapshot. A handle
-    /// never adopts twice in a row: releases (unprotect/end_op/drop) do not
-    /// bump generations, so the forced fresh walk bounds how long a
-    /// released protection can linger in an adopted snapshot.
-    adopted_last: bool,
-}
-
-impl SnapshotScratch {
-    /// Combined buffer capacity (growth across a scan = a heap allocation).
-    pub fn capacity(&self) -> usize {
-        self.values.capacity() + self.gens.capacity()
-    }
-}
-
-impl SharedSnapshot {
-    /// Fills `scratch.values` with the sorted protected set, after the
-    /// caller's scan fence: adopts the published snapshot when `allow_adopt`
-    /// and its generation vector still equals the one loaded here — no
-    /// protection was announced-and-validated since that snapshot's walk,
-    /// so it only over-approximates (see the type docs) — and otherwise
-    /// runs `walk` over the live slots and publishes the result.
-    pub fn fill(
-        &self,
-        scratch: &mut SnapshotScratch,
-        allow_adopt: bool,
-        tele: &mut HandleTelemetry,
-        walk: impl Fn(&mut Vec<u64>),
-    ) {
-        self.load_gens_into(&mut scratch.gens);
-        let adopted = allow_adopt
-            && !scratch.adopted_last
-            && self.try_adopt_into(&scratch.gens, &mut scratch.values);
-        scratch.adopted_last = adopted;
-        if adopted {
-            tele.bump(Counter::SnapshotReuses);
-        } else {
-            walk(&mut scratch.values);
-            self.publish_snapshot(&scratch.gens, &scratch.values);
-        }
-    }
-
-    /// Pre-sizes every buffer (`threads` generations, `threads × slots`
-    /// snapshot capacity) so publishing and adopting are allocation-free.
-    pub fn new(threads: usize, slots: usize) -> Self {
-        SharedSnapshot {
-            version: AtomicU64::new(0),
-            gens: (0..threads).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            snap_gens: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            len: AtomicUsize::new(0),
-            data: (0..threads * slots).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Marks a new protection announcement by `tid`. Call after the slot
-    /// store and before the announcing thread's validation fence.
-    #[inline]
-    pub fn bump_gen(&self, tid: usize) {
-        // Single-writer counter: only the handle owning `tid` ever bumps
-        // its own generation, so an unsynchronized load+store is exact —
-        // no RMW needed. This sits on HP's per-hop protect path, where a
-        // locked fetch_add would double the per-hop barrier cost.
-        //
-        // ORDERING: reason = exclusive — the Relaxed load reads a cell only
-        // this thread writes (single-writer counter; no RMW needed).
-        // Release on the store: a generation reader that observes this bump
-        // also observes the slot store sequenced before it, so a publisher
-        // whose captured generations include the bump walks a slot array
-        // that already shows the protection.
-        let g = self.gens[tid].load(Ordering::Relaxed);
-        self.gens[tid].store(g.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Loads the full generation vector into `out` (cleared and refilled).
-    /// Call *after* the scanning handle's SeqCst fence.
-    pub fn load_gens_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        for g in self.gens.iter() {
-            out.push(g.load(Ordering::Acquire));
-        }
-    }
-
-    /// Attempts to adopt the published snapshot into `out`. Succeeds only
-    /// if the snapshot is stable (seqlock even and unchanged) and its
-    /// generation vector equals `gens_now`; on success `out` holds the
-    /// published sorted snapshot.
-    pub fn try_adopt_into(&self, gens_now: &[u64], out: &mut Vec<u64>) -> bool {
-        let v1 = self.version.load(Ordering::Acquire);
-        if v1 & 1 == 1 {
-            return false;
-        }
-        for (i, &g) in gens_now.iter().enumerate() {
-            // ORDERING: reason = seqlock — the re-read of `version` below
-            // (with the Acquire fence) rejects any value raced with a
-            // concurrent publish.
-            if self.snap_gens[i].load(Ordering::Relaxed) != g {
-                return false;
-            }
-        }
-        // ORDERING: reason = seqlock — the Acquire fence + version re-read
-        // below reject any value raced with a concurrent publish.
-        let n = self.len.load(Ordering::Relaxed);
-        if n > self.data.len() {
-            return false;
-        }
-        out.clear();
-        for slot in &self.data[..n] {
-            // ORDERING: reason = seqlock — the Acquire fence + version
-            // re-read below reject any slot value raced with a publish.
-            out.push(slot.load(Ordering::Relaxed));
-        }
-        fence(Ordering::Acquire);
-        // ORDERING: reason = seqlock — the Relaxed re-read is the classic
-        // seqlock validation; the Acquire fence above orders it after the
-        // data reads.
-        let ok = self.version.load(Ordering::Relaxed) == v1;
-        #[cfg(feature = "hb-oracle")]
-        if ok {
-            // CAST-OK: hb-ledger site key; the snapshot instance's address
-            // names this seqlock so parallel tests never share a site.
-            crate::hb::on_snapshot_adopt(self as *const Self as u64);
-        }
-        ok
-    }
-
-    /// Publishes a freshly walked snapshot (`snap`, sorted) together with
-    /// the generation vector `gens_now` that was loaded *before* the walk.
-    /// Best-effort: yields to a concurrent publisher instead of blocking.
-    pub fn publish_snapshot(&self, gens_now: &[u64], snap: &[u64]) {
-        if snap.len() > self.data.len() || gens_now.len() != self.snap_gens.len() {
-            return;
-        }
-        // ORDERING: reason = seqlock — pre-read; the Acquire CAS below is
-        // the synchronizing claim, so a stale value only fails the CAS.
-        let v0 = self.version.load(Ordering::Relaxed);
-        if v0 & 1 == 1 {
-            return;
-        }
-        // ORDERING: reason = seqlock — Relaxed on failure publishes nothing
-        // (we yield to the concurrent publisher); Acquire on success pairs
-        // with the closing Release version store of the previous section.
-        if self
-            .version
-            .compare_exchange(v0, v0 + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        // ORDERING: Release fence after the opening CAS (the crossbeam
-        // SeqLock pattern): it orders the odd version store before every
-        // Relaxed data write below, so a reader that observes any write
-        // from this section also observes the odd version on its
-        // validating re-read and rejects the torn snapshot. Without it,
-        // weakly-ordered hardware may let a data store become visible
-        // while both of the reader's version loads still return `v0`.
-        fence(Ordering::Release);
-        for (dst, &g) in self.snap_gens.iter().zip(gens_now) {
-            // ORDERING: reason = seqlock — these Relaxed writes are
-            // published by the Release version store closing the section.
-            dst.store(g, Ordering::Relaxed);
-        }
-        for (dst, &v) in self.data.iter().zip(snap) {
-            // ORDERING: reason = seqlock — published by the closing Release
-            // version store below.
-            dst.store(v, Ordering::Relaxed);
-        }
-        // ORDERING: reason = seqlock — published by the closing Release
-        // version store below.
-        self.len.store(snap.len(), Ordering::Relaxed);
-        self.version.store(v0 + 2, Ordering::Release);
-        #[cfg(feature = "hb-oracle")]
-        // CAST-OK: hb-ledger site key; the snapshot instance's address
-        // names this seqlock so parallel tests never share a site.
-        crate::hb::on_snapshot_publish(self as *const Self as u64);
-    }
-
-    /// `publish_snapshot` with the section-opening `Release` fence
-    /// *deliberately omitted* — the seeded negative for the happens-before
-    /// oracle's adoption check (`tests/hb_oracle.rs`). Kept as a duplicate
-    /// body rather than a flag on the real path so the production publish
-    /// carries zero test plumbing. Never call this outside that test.
-    #[cfg(feature = "hb-oracle")]
-    #[doc(hidden)]
-    pub fn publish_snapshot_skip_release_fence(&self, gens_now: &[u64], snap: &[u64]) {
-        if snap.len() > self.data.len() || gens_now.len() != self.snap_gens.len() {
-            return;
-        }
-        let v0 = self.version.load(Ordering::Relaxed);
-        if v0 & 1 == 1 {
-            return;
-        }
-        if self
-            .version
-            .compare_exchange(v0, v0 + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        // The `fence(Ordering::Release)` that belongs here is the seeded
-        // omission: data writes below may become visible before the odd
-        // version store on weak hardware, the torn-snapshot race the hb
-        // oracle must flag at adoption time.
-        for (dst, &g) in self.snap_gens.iter().zip(gens_now) {
-            dst.store(g, Ordering::Relaxed);
-        }
-        for (dst, &v) in self.data.iter().zip(snap) {
-            dst.store(v, Ordering::Relaxed);
-        }
-        self.len.store(snap.len(), Ordering::Relaxed);
-        self.version.store(v0 + 2, Ordering::Release);
-        // CAST-OK: hb-ledger site key; the snapshot instance's address
-        // names this seqlock so parallel tests never share a site.
-        crate::hb::on_snapshot_publish_data_only(self as *const Self as u64);
-    }
-}
-
 /// A monotone global epoch/era clock.
 #[derive(Default)]
 pub struct EpochClock(AtomicU64);
@@ -428,6 +170,7 @@ impl EpochClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Counter;
 
     #[test]
     fn clock_monotone() {
@@ -482,44 +225,6 @@ mod tests {
         s.rearm(&p, 0);
         assert!(!s.due(29));
         assert!(s.due(30));
-    }
-
-    #[test]
-    fn shared_snapshot_adopts_only_at_equal_generations() {
-        let snap = SharedSnapshot::new(3, 2);
-        let mut gens = Vec::new();
-        let mut out = Vec::new();
-
-        // Nothing published yet: the sentinel generations never match.
-        snap.load_gens_into(&mut gens);
-        assert!(!snap.try_adopt_into(&gens, &mut out));
-
-        snap.publish_snapshot(&gens, &[10, 20, 30]);
-        assert!(snap.try_adopt_into(&gens, &mut out), "same generations ⇒ adopt");
-        assert_eq!(out, vec![10, 20, 30]);
-
-        // A protection announcement by thread 1 invalidates the snapshot…
-        snap.bump_gen(1);
-        snap.load_gens_into(&mut gens);
-        assert!(!snap.try_adopt_into(&gens, &mut out), "bump ⇒ reject");
-
-        // …until a fresh walk is published under the new generations.
-        snap.publish_snapshot(&gens, &[40]);
-        assert!(snap.try_adopt_into(&gens, &mut out));
-        assert_eq!(out, vec![40]);
-    }
-
-    #[test]
-    fn shared_snapshot_rejects_oversized_publish() {
-        let snap = SharedSnapshot::new(1, 2);
-        let mut gens = Vec::new();
-        let mut out = Vec::new();
-        snap.load_gens_into(&mut gens);
-        snap.publish_snapshot(&gens, &[1, 2, 3]); // exceeds capacity: dropped
-        assert!(!snap.try_adopt_into(&gens, &mut out), "truncated publish must not adopt");
-        snap.publish_snapshot(&gens, &[1, 2]);
-        assert!(snap.try_adopt_into(&gens, &mut out));
-        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

@@ -50,11 +50,9 @@ pub(crate) trait Scheme {
 
 /// A scheme's view of who is protected, judged against by one scan.
 pub(crate) trait Protection<S: Scheme> {
-    /// Refills the snapshot from the scheme's announcements. Called once
-    /// per scan, after the scan's SeqCst fence. `fresh` demands the live
-    /// slots (explicit, help and drain scans) where a scheme could
-    /// otherwise reuse a shared snapshot.
-    fn snapshot(&mut self, scheme: &S, tele: &mut HandleTelemetry, fresh: bool);
+    /// Refills the snapshot from the scheme's live announcements. Called
+    /// once per scan, after the scan's SeqCst fence.
+    fn snapshot(&mut self, scheme: &S);
 
     /// True if, per the snapshot, some thread may still reference `r`.
     fn is_protected(&self, r: &Retired) -> bool;
@@ -236,7 +234,7 @@ impl HandleCore {
         r.op_start = op_start;
         self.retired.push(r);
         if S::RECLAIMS && self.scan.due(self.retired.len()) {
-            self.scan(scheme, prot, false);
+            self.scan(scheme, prot);
         }
         // The ladder tracks the gauge for every scheme (Leaky's throttle
         // rung and engagement telemetry included); only schemes that can
@@ -257,12 +255,7 @@ impl HandleCore {
     /// list into kept and freed. Allocation-free in steady state — the
     /// retired list swaps through the retained `scan_scratch` and the
     /// snapshot refills the scheme's own buffers.
-    pub(crate) fn scan<S: Scheme, P: Protection<S>>(
-        &mut self,
-        scheme: &S,
-        prot: &mut P,
-        fresh: bool,
-    ) {
+    pub(crate) fn scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
         self.tele.bump(Counter::Empties);
         if !S::RECLAIMS {
             return;
@@ -276,7 +269,7 @@ impl HandleCore {
         fence(Ordering::SeqCst);
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_fence_sc();
-        prot.snapshot(scheme, &mut self.tele, fresh);
+        prot.snapshot(scheme);
         // `pending` (last scan's scratch) becomes the drain source and the
         // emptied `retired` collects the keepers; `mem::take` leaves a
         // capacity-0 Vec, so nothing allocates.
@@ -315,15 +308,14 @@ impl HandleCore {
     }
 
     /// Backpressure help-scan: adopt whatever retired lists churned-out
-    /// peers parked as orphans, then scan against the live announcements —
-    /// helping exists to free memory now, not to be cheap. The scan's rearm
-    /// re-baselines the backlog, adopted nodes included.
+    /// peers parked as orphans, then scan. The scan's rearm re-baselines
+    /// the backlog, adopted nodes included.
     fn help_scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
         self.tele.bump(Counter::HelpScans);
         if S::ADOPT_ORPHANS {
             self.retired.extend(scheme.core().registry.adopt_orphans());
         }
-        self.scan(scheme, prot, true);
+        self.scan(scheme, prot);
     }
 
     /// Handle teardown, after the scheme withdrew its announcements (so the
@@ -334,7 +326,7 @@ impl HandleCore {
     /// the scan kept go back to the registry. The thread's pool magazine
     /// stays warm: it goes home when the thread exits, not with a handle.
     pub(crate) fn release<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
-        self.scan(scheme, prot, true);
+        self.scan(scheme, prot);
         scheme.core().registry.release(self.tid, std::mem::take(&mut *self.retired));
     }
 
@@ -412,7 +404,7 @@ mod tests {
     struct Pinned(Vec<u64>);
 
     impl<const ADOPT: bool> Protection<Fake<ADOPT>> for Pinned {
-        fn snapshot(&mut self, _: &Fake<ADOPT>, _: &mut HandleTelemetry, _: bool) {}
+        fn snapshot(&mut self, _: &Fake<ADOPT>) {}
 
         fn is_protected(&self, r: &Retired) -> bool {
             self.0.contains(&r.addr())
@@ -468,7 +460,7 @@ mod tests {
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let addrs: Vec<u64> = (0..8).map(|_| retire(&mut h, &s, &mut pinned)).collect();
         pinned.0 = vec![addrs[1], addrs[4], addrs[6]];
-        h.core.scan(&s, &mut pinned, true);
+        h.core.scan(&s, &mut pinned);
         let kept: Vec<u64> = h.core.retired().iter().map(|r| r.addr()).collect();
         assert_eq!(kept, pinned.0, "exactly the protected nodes survive, in order");
         assert_eq!(h.snapshot().frees(), 5);
@@ -478,7 +470,7 @@ mod tests {
         for _ in 0..5 {
             retire(&mut h, &s, &mut pinned);
         }
-        h.core.scan(&s, &mut pinned, true);
+        h.core.scan(&s, &mut pinned);
         assert_eq!(h.snapshot().scan_heap_allocs(), warm, "steady-state scan grew a buffer");
         assert_eq!(h.core.retired_len(), 3);
         pinned.0.clear();
@@ -501,7 +493,7 @@ mod tests {
         assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (3, 3 * node_bytes));
 
         pinned.0 = vec![a, b];
-        h.core.scan(&s, &mut pinned, true);
+        h.core.scan(&s, &mut pinned);
         assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (2, 2 * node_bytes));
 
         // Drop parks only what the drain scan kept.
@@ -517,7 +509,7 @@ mod tests {
         assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (1, node_bytes));
         // …and frees it once nothing pins it.
         pinned.0.clear();
-        h2.core.scan(&s, &mut pinned, true);
+        h2.core.scan(&s, &mut pinned);
         assert_eq!((s.core.tele.pending(), s.core.tele.pending_bytes()), (0, 0));
         h2.core.release(&s, &mut pinned);
     }

@@ -33,7 +33,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 /// Data-structure-specific freezing callback (see module docs).
 ///
@@ -280,7 +280,7 @@ struct DtaScan<'a> {
 }
 
 impl Protection<Dta> for DtaScan<'_> {
-    fn snapshot(&mut self, _scheme: &Dta, _tele: &mut HandleTelemetry, _fresh: bool) {
+    fn snapshot(&mut self, _scheme: &Dta) {
         let scheme = self.scheme;
         let rec = self.rec.get_or_insert_with(|| scheme.recovery.lock().unwrap());
         scheme.classify_threads_into(rec, self.classes);
@@ -411,7 +411,7 @@ impl SmrHandle for DtaHandle {
 
     fn force_empty(&mut self) {
         let (core, scheme, mut scan) = self.scan_parts();
-        core.scan(scheme, &mut scan, true);
+        core.scan(scheme, &mut scan);
     }
 }
 

@@ -24,7 +24,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 /// Epoch-based reclamation scheme (shared state).
 pub struct Ebr {
@@ -100,7 +100,7 @@ impl Ebr {
 struct MinActive(Option<u64>);
 
 impl Protection<Ebr> for MinActive {
-    fn snapshot(&mut self, scheme: &Ebr, _tele: &mut HandleTelemetry, _fresh: bool) {
+    fn snapshot(&mut self, scheme: &Ebr) {
         self.0 = scheme.min_active_epoch();
     }
 
@@ -161,7 +161,7 @@ impl SmrHandle for EbrHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.min_active, true);
+        self.core.scan(&*self.scheme, &mut self.min_active);
     }
 }
 

@@ -22,20 +22,17 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, EpochClock, SharedSnapshot, SnapshotScratch, INACTIVE};
+use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 /// Hazard-eras SMR scheme (shared state).
 pub struct He {
     clock: EpochClock,
     /// Era announcement slots (`INACTIVE` = no era announced).
     era_slots: SlotArray,
-    /// Version-stamped era snapshot shared across scanning handles;
-    /// adopted instead of re-walked when no announcement changed.
-    shared_snap: SharedSnapshot,
     core: SchemeCore,
 }
 
@@ -45,8 +42,8 @@ pub struct HeHandle {
     core: HandleCore,
     /// Local mirror of this thread's announced eras.
     local: Vec<u64>,
-    /// Retained era snapshot, refilled in place per scan.
-    eras: SnapshotScratch,
+    /// Retained era snapshot (sorted), refilled in place per scan.
+    eras: Vec<u64>,
     retire_counter: usize,
 }
 
@@ -85,7 +82,6 @@ impl Smr for He {
         Ok(Arc::new(He {
             clock: EpochClock::new(),
             era_slots: SlotArray::new(threads, slots, INACTIVE),
-            shared_snap: SharedSnapshot::new(threads, slots),
             core,
         }))
     }
@@ -95,7 +91,7 @@ impl Smr for He {
             core: self.core.try_register::<He>()?,
             scheme: self.clone(),
             local: vec![INACTIVE; self.core.cfg.slots_per_thread],
-            eras: SnapshotScratch::default(),
+            eras: Vec::new(),
             retire_counter: 0,
         })
     }
@@ -105,40 +101,22 @@ impl Smr for He {
 
 impl_handle_telemetry!(HeHandle);
 
-impl He {
-    /// Snapshots every announced era into `snap` (cleared and refilled in
-    /// place, sorted) for interval queries; the buffer lives in the handle
-    /// so steady-state scans reuse its capacity.
-    fn snapshot_eras_into(&self, snap: &mut Vec<u64>) {
-        snap.clear();
-        for tid in 0..self.era_slots.threads() {
-            for slot in self.era_slots.row(tid) {
-                let v = slot.load(Ordering::Acquire);
-                if v != INACTIVE {
-                    snap.push(v);
-                }
-            }
-        }
-        snap.sort_unstable();
-    }
-}
-
 /// True if some announced era in sorted `eras` lies in `[birth, retire]`.
 fn interval_hit(eras: &[u64], birth: u64, retire: u64) -> bool {
     let i = eras.partition_point(|&e| e < birth);
     i < eras.len() && eras[i] <= retire
 }
 
-impl Protection<He> for SnapshotScratch {
-    fn snapshot(&mut self, scheme: &He, tele: &mut HandleTelemetry, fresh: bool) {
-        scheme.shared_snap.fill(self, !fresh, tele, |out| scheme.snapshot_eras_into(out));
+impl Protection<He> for Vec<u64> {
+    fn snapshot(&mut self, scheme: &He) {
+        scheme.era_slots.announced_sorted_into(self);
     }
 
     /// No announced era overlaps the node's lifetime, so no thread can have
     /// validated a protection for it (§3.3).
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
-        interval_hit(&self.values, r.birth, r.retire)
+        interval_hit(self, r.birth, r.retire)
     }
 
     fn scratch_capacity(&self) -> usize {
@@ -180,9 +158,6 @@ impl SmrHandle for HeHandle {
             }
             self.scheme.era_slots.get(self.core.tid, refno).store(era, Ordering::Release);
             self.local[refno] = era;
-            // New era announced: invalidate shared era snapshots (after the
-            // slot store, before the validation fence).
-            self.scheme.shared_snap.bump_gen(self.core.tid);
             counted_fence(&mut self.core.tele, FenceSite::Announce);
             prev = era;
         }
@@ -219,7 +194,7 @@ impl SmrHandle for HeHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.eras, true);
+        self.core.scan(&*self.scheme, &mut self.eras);
     }
 }
 
@@ -288,6 +263,32 @@ mod tests {
         drop(reader);
         writer.force_empty();
         assert_eq!(writer.retired_len(), 0);
+        writer.end_op();
+    }
+
+    /// A retire-triggered scan judges against the slots as they are now: an
+    /// era an earlier scan saw, released since, pins nothing.
+    #[test]
+    fn released_era_does_not_outlive_the_next_retire_triggered_scan() {
+        let smr = setup(2);
+        let mut reader = smr.register();
+        let mut writer = smr.register();
+
+        writer.start_op();
+        let n = writer.alloc(1u32);
+        let cell = Atomic::new(n);
+        reader.start_op();
+        let _ = reader.read(&cell, 0);
+
+        cell.store(Shared::null(), Ordering::Release);
+        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        assert_eq!(writer.retired_len(), 1, "the scan saw the era and kept the node");
+
+        reader.unprotect(0);
+        let other = writer.alloc(2u32);
+        unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+        assert_eq!(writer.retired_len(), 0, "no era is announced, yet a node was kept");
+        reader.end_op();
         writer.end_op();
     }
 

@@ -22,18 +22,15 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, SharedSnapshot, SnapshotScratch, NO_HAZARD};
+use crate::schemes::common::{counted_fence, NO_HAZARD};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 /// Hazard-pointer SMR scheme (shared state).
 pub struct Hp {
     hp_slots: SlotArray,
-    /// Version-stamped hazard snapshot shared across scanning handles;
-    /// adopted instead of re-walked when no protection changed underneath.
-    shared_snap: SharedSnapshot,
     core: SchemeCore,
 }
 
@@ -44,8 +41,9 @@ pub struct HpHandle {
     /// Thread-local mirror of this thread's slots (avoids atomic re-loads
     /// when checking whether a node is already protected).
     local: Vec<u64>,
-    /// Retained hazard snapshot, refilled in place per scan.
-    hazards: SnapshotScratch,
+    /// Retained hazard snapshot (sorted addresses), refilled in place per
+    /// scan.
+    hazards: Vec<u64>,
 }
 
 impl Scheme for Hp {
@@ -72,11 +70,7 @@ impl Smr for Hp {
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
         let core = SchemeCore::try_new(cfg)?;
         let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
-        Ok(Arc::new(Hp {
-            hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
-            shared_snap: SharedSnapshot::new(threads, slots),
-            core,
-        }))
+        Ok(Arc::new(Hp { hp_slots: SlotArray::new(threads, slots, NO_HAZARD), core }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
@@ -84,7 +78,7 @@ impl Smr for Hp {
             core: self.core.try_register::<Hp>()?,
             scheme: self.clone(),
             local: vec![NO_HAZARD; self.core.cfg.slots_per_thread],
-            hazards: SnapshotScratch::default(),
+            hazards: Vec::new(),
         })
     }
 
@@ -93,34 +87,16 @@ impl Smr for Hp {
 
 impl_handle_telemetry!(HpHandle);
 
-impl Hp {
-    /// Snapshots every announced hazard address into `snap` (cleared and
-    /// refilled in place; sorted for binary search). The buffer lives in the
-    /// handle so steady-state scans reuse its capacity.
-    fn snapshot_hazards_into(&self, snap: &mut Vec<u64>) {
-        snap.clear();
-        for tid in 0..self.hp_slots.threads() {
-            for slot in self.hp_slots.row(tid) {
-                let v = slot.load(Ordering::Acquire);
-                if v != NO_HAZARD {
-                    snap.push(v);
-                }
-            }
-        }
-        snap.sort_unstable();
-    }
-}
-
-impl Protection<Hp> for SnapshotScratch {
-    fn snapshot(&mut self, scheme: &Hp, tele: &mut HandleTelemetry, fresh: bool) {
-        scheme.shared_snap.fill(self, !fresh, tele, |out| scheme.snapshot_hazards_into(out));
+impl Protection<Hp> for Vec<u64> {
+    fn snapshot(&mut self, scheme: &Hp) {
+        scheme.hp_slots.announced_sorted_into(self);
     }
 
     /// No hazard slot held the address after the scan fence, so no thread
     /// can have validated a protection for it.
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
-        self.values.binary_search(&r.addr()).is_ok()
+        self.binary_search(&r.addr()).is_ok()
     }
 
     fn scratch_capacity(&self) -> usize {
@@ -170,9 +146,6 @@ impl SmrHandle for HpHandle {
             crate::hb::on_unprotect(refno);
             self.scheme.hp_slots.get(self.core.tid, refno).store(addr, Ordering::Release);
             self.local[refno] = addr;
-            // New protection announced: invalidate shared hazard snapshots
-            // (after the slot store, before the validation fence).
-            self.scheme.shared_snap.bump_gen(self.core.tid);
             counted_fence(&mut self.core.tele, FenceSite::HpProtect);
             // Validate the node is still reachable from `src`: success means
             // the announcement happened while the node was linked (§3.1).
@@ -219,7 +192,7 @@ impl SmrHandle for HpHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.hazards, true);
+        self.core.scan(&*self.scheme, &mut self.hazards);
     }
 }
 
@@ -283,6 +256,31 @@ mod tests {
         reader.end_op();
         writer.force_empty();
         assert_eq!(writer.retired_len(), 0);
+        writer.end_op();
+    }
+
+    /// A retire-triggered scan judges against the slots as they are now: a
+    /// hazard an earlier scan saw, released since, pins nothing.
+    #[test]
+    fn released_hazard_does_not_outlive_the_next_retire_triggered_scan() {
+        let smr = setup(2);
+        let mut reader = smr.register();
+        let mut writer = smr.register();
+
+        writer.start_op();
+        let n = writer.alloc(5u64);
+        let cell = Atomic::new(n);
+        reader.start_op();
+        let _ = reader.read(&cell, 0);
+
+        cell.store(Shared::null(), Ordering::Release);
+        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        assert_eq!(writer.retired_len(), 1, "the scan saw the hazard and kept the node");
+
+        reader.end_op();
+        let other = writer.alloc(6u64);
+        unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+        assert_eq!(writer.retired_len(), 0, "no hazard is announced, yet a node was kept");
         writer.end_op();
     }
 

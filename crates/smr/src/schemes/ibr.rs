@@ -32,7 +32,7 @@ use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 const LOWER: usize = 0;
 const UPPER: usize = 1;
@@ -96,7 +96,7 @@ impl_handle_telemetry!(IbrHandle);
 
 impl Protection<Ibr> for Vec<(u64, u64)> {
     /// Snapshots all active reservations once, into the retained buffer.
-    fn snapshot(&mut self, scheme: &Ibr, _tele: &mut HandleTelemetry, _fresh: bool) {
+    fn snapshot(&mut self, scheme: &Ibr) {
         self.clear();
         for tid in 0..scheme.reservations.threads() {
             let lo = scheme.reservations.get(tid, LOWER).load(Ordering::Acquire);
@@ -180,7 +180,7 @@ impl SmrHandle for IbrHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.intervals, true);
+        self.core.scan(&*self.scheme, &mut self.intervals);
     }
 }
 

@@ -16,7 +16,6 @@ use crate::packed::{Atomic, Shared};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::HandleTelemetry;
 
 /// The leaky "scheme": never reclaims (see module docs).
 pub struct Leaky {
@@ -49,7 +48,7 @@ impl Scheme for Leaky {
 struct Everything;
 
 impl Protection<Leaky> for Everything {
-    fn snapshot(&mut self, _scheme: &Leaky, _tele: &mut HandleTelemetry, _fresh: bool) {}
+    fn snapshot(&mut self, _scheme: &Leaky) {}
 
     fn is_protected(&self, _r: &Retired) -> bool {
         true
@@ -111,7 +110,7 @@ impl SmrHandle for LeakyHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut Everything, true);
+        self.core.scan(&*self.scheme, &mut Everything);
     }
 }
 

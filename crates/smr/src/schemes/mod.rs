@@ -19,7 +19,7 @@
 //! referenced?". Registration, allocation accounting, the retire → scan →
 //! free pipeline, backpressure, orphan adoption and drain-on-drop exist
 //! once, in the crate-private `core` module; `common` holds the pieces
-//! several schemes share (scan trigger, epoch clock, shared snapshot).
+//! several schemes share (scan trigger, epoch clock, pending gauge).
 
 pub(crate) mod common;
 pub(crate) mod core;
@@ -39,10 +39,3 @@ pub use hp::{Hp, HpHandle};
 pub use ibr::{Ibr, IbrHandle};
 pub use leaky::{Leaky, LeakyHandle};
 pub use mp::{Mp, MpHandle};
-
-// Exposed for the hb-oracle's seqlock adoption tests (tests/hb_oracle.rs),
-// which drive the shared-snapshot publish/adopt protocol — including the
-// seeded fence-dropped publish — directly. Not part of the public API.
-#[cfg(feature = "hb-oracle")]
-#[doc(hidden)]
-pub use common::SharedSnapshot;

@@ -77,7 +77,7 @@ use crate::schemes::common::{counted_fence, INACTIVE, NO_HAZARD, NO_MARGIN};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::FenceSite;
 
 /// `owner` entry of a refno that depends on no margin slot.
 const NO_OWNER: usize = usize::MAX;
@@ -307,7 +307,7 @@ fn covers(mp: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
 /// The reclamation predicate of Listing 10's `empty`, over the slot
 /// snapshots (the §6 snapshot optimization).
 impl Protection<Mp> for Vec<ThreadSnap> {
-    fn snapshot(&mut self, scheme: &Mp, _tele: &mut HandleTelemetry, _fresh: bool) {
+    fn snapshot(&mut self, scheme: &Mp) {
         scheme.snapshot_into(self);
     }
 
@@ -710,7 +710,7 @@ impl SmrHandle for MpHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.snaps, true);
+        self.core.scan(&*self.scheme, &mut self.snaps);
     }
 }
 

@@ -309,9 +309,6 @@ counters! {
     ScanHeapAllocs => scan_heap_allocs,
         "Reclamation scans that had to grow a scratch buffer; zero in steady state (the \
          zero-allocation-scan witness).";
-    SnapshotReuses => snapshot_reuses,
-        "Scans that adopted a peer's published protection snapshot instead of walking the slot \
-         rows.";
     TidRecycles => tid_recycles,
         "Registrations that reused a tid released by an earlier handle (0 or 1 per handle, \
          summed on merge).";
@@ -1042,7 +1039,7 @@ mod tests {
         assert!(close(s.scan_ns_per_free(), 250.0));
     }
 
-    /// Layout pin (1 264 bytes at 22 counters): a counter costs the handle
+    /// Layout pin (1 256 bytes at 21 counters): a counter costs the handle
     /// its eight bytes and nothing else.
     #[test]
     fn handle_telemetry_size_is_pinned() {

@@ -3,12 +3,10 @@
 //! The substrate of `mp-smr`'s happens-before oracle: a process-global
 //! ledger of the synchronization edges the SMR protocol *claims* exist —
 //! SeqCst fences (which join through a shared clock, modelling their total
-//! order), release/acquire hand-offs at named sites (the shared-snapshot
-//! seqlock), and protection records stamped with the announcing thread's
+//! order) and protection records stamped with the announcing thread's
 //! clock — against which the oracle checks that every dereference of a
-//! retired node, every adopted snapshot, and (where a scheme's validation
-//! protocol makes the check exact) every free is justified by a tracked
-//! happens-before path.
+//! retired node and (where a scheme's validation protocol makes the check
+//! exact) every free is justified by a tracked happens-before path.
 //!
 //! Everything here is plain bookkeeping behind one mutex: the tracker
 //! never touches atomics itself, so it cannot mask the very orderings it
@@ -81,7 +79,7 @@ impl VClock {
 pub struct HbViolation {
     /// Violation class, e.g. `"hb-unjustified deref"`.
     pub what: &'static str,
-    /// Node address or synchronization-site key involved.
+    /// Node address involved.
     pub addr: u64,
     /// Human-readable diagnosis naming the missing edge.
     pub detail: String,
@@ -109,13 +107,6 @@ struct Inner {
     /// The SeqCst-fence join clock: every tracked fence merges through it,
     /// modelling the single total order of SeqCst fences.
     sc: VClock,
-    /// Release clocks per named site — the happens-before edge an acquire
-    /// at the site is entitled to join.
-    site_hb: HashMap<u64, VClock>,
-    /// Data-visibility clocks per named site: what the last writer's data
-    /// writes are stamped with. `site_data ⊄ acquirer` at an acquire means
-    /// data became visible without a release edge ordering it.
-    site_data: HashMap<u64, VClock>,
     /// Addresses currently retired (and not yet freed).
     retired: HashSet<u64>,
     /// Live protection records per node address.
@@ -271,60 +262,6 @@ impl HbTracker {
         g.clocks[tid].tick(tid);
         g.sc.join(&g.clocks[tid]);
         g.clocks[tid].join(&g.sc);
-    }
-
-    /// Records a release edge *and* the data writes at `site` (a completed
-    /// publish with its release fence in place).
-    pub fn release(&self, tid: usize, site: u64) {
-        let g = &mut *self.lock();
-        g.clocks[tid].tick(tid);
-        let c = g.clocks[tid].clone();
-        g.site_hb.insert(site, c.clone());
-        g.site_data.insert(site, c);
-    }
-
-    /// Records only the data writes at `site` — a publish whose release
-    /// fence was omitted. The data clock advances but no happens-before
-    /// edge is offered, so the next acquire-side check must fail.
-    pub fn release_data_only(&self, tid: usize, site: u64) {
-        let g = &mut *self.lock();
-        g.clocks[tid].tick(tid);
-        let c = g.clocks[tid].clone();
-        g.site_data.insert(site, c);
-    }
-
-    /// Records an acquire at `site` (joining whatever release edge exists)
-    /// and checks that the data observed there is ordered by it: every
-    /// component of the site's data clock must be dominated by the
-    /// acquirer's clock after the join.
-    pub fn acquire_check(&self, tid: usize, site: u64) -> Result<(), HbViolation> {
-        let g = &mut *self.lock();
-        if let Some(hb) = g.site_hb.get(&site) {
-            let hb = hb.clone();
-            g.clocks[tid].join(&hb);
-        }
-        g.clocks[tid].tick(tid);
-        let Some(data) = g.site_data.get(&site) else {
-            return Ok(());
-        };
-        if data.le(&g.clocks[tid]) {
-            return Ok(());
-        }
-        let offender = (0..g.clocks.len())
-            .find(|&t| data.get(t) > g.clocks[tid].get(t))
-            .unwrap_or(tid);
-        Err(HbViolation {
-            what: "unordered snapshot adoption",
-            addr: site,
-            detail: format!(
-                "adopted data from site {site:#x} written by thread {offender} is not \
-                 happens-before-ordered with this acquire — missing release edge \
-                 (data stamp {} > acquirer view {}); a publish path likely dropped \
-                 its Release fence",
-                data.get(offender),
-                g.clocks[tid].get(offender),
-            ),
-        })
     }
 
     /// Marks `tid` as inside an operation under the given record policy.
@@ -540,39 +477,6 @@ mod tests {
         t.fence_sc(b);
         let g = t.lock();
         assert!(g.clocks[a].le(&g.clocks[b]), "later fence absorbs the earlier one");
-    }
-
-    #[test]
-    fn release_acquire_transfers_data_visibility() {
-        let t = HbTracker::new();
-        let p = t.register_thread();
-        let c = t.register_thread();
-        t.release(p, 0x10);
-        assert!(t.acquire_check(c, 0x10).is_ok());
-    }
-
-    #[test]
-    fn data_without_release_edge_fails_the_acquire_check() {
-        let t = HbTracker::new();
-        let p = t.register_thread();
-        let c = t.register_thread();
-        t.release_data_only(p, 0x20);
-        let err = t.acquire_check(c, 0x20).expect_err("missing edge must be caught");
-        assert!(err.detail.contains("missing release edge"), "diagnosis: {}", err.detail);
-        // A correct publish at the same site repairs it.
-        t.release(p, 0x20);
-        assert!(t.acquire_check(c, 0x20).is_ok());
-    }
-
-    #[test]
-    fn stale_site_hb_does_not_mask_a_fresh_fenceless_publish() {
-        let t = HbTracker::new();
-        let p = t.register_thread();
-        let c = t.register_thread();
-        t.release(p, 0x30); // old, correct publish
-        assert!(t.acquire_check(c, 0x30).is_ok());
-        t.release_data_only(p, 0x30); // new publish drops the fence
-        assert!(t.acquire_check(c, 0x30).is_err());
     }
 
     #[test]

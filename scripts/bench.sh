@@ -3,14 +3,12 @@
 # BENCH_throughput.json (scheme x structure x thread-count).
 #
 # Usage:
-#   scripts/bench.sh            # CI-scale run, JSON at the repo root
-#                               # (the committed trajectory file)
+#   scripts/bench.sh            # CI-scale run, JSON under target/bench/
 #   scripts/bench.sh --smoke    # seconds-long smoke run into
-#                               # target/bench-smoke/ (never clobbers the
-#                               # committed results); asserts the JSON is
+#                               # target/bench-smoke/; asserts the JSON is
 #                               # produced and well-formed
-#   scripts/bench.sh --soak     # oversubscribed Zipfian soak run, JSON at
-#                               # the repo root (committed BENCH_soak.json)
+#   scripts/bench.sh --soak     # oversubscribed Zipfian soak run,
+#                               # BENCH_soak.json under target/bench/
 #   scripts/bench.sh --soak-smoke   # sub-second soak into
 #                               # target/bench-smoke/ with sanity gates
 #   MP_BENCH_FULL=1 scripts/bench.sh   # paper-scale sweep
@@ -23,12 +21,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Absolute: `cargo bench` sets the CWD to the package directory, so a
+# relative path would land under crates/bench/. Nothing is written to the
+# repo root: results are build products, not committed files.
+case "${1:-}" in
+  --smoke | --soak-smoke) export MP_BENCH_DIR="${MP_BENCH_DIR:-$PWD/target/bench-smoke}" ;;
+  *) export MP_BENCH_DIR="${MP_BENCH_DIR:-$PWD/target/bench}" ;;
+esac
+
 # --- soak modes ------------------------------------------------------------
 if [[ "${1:-}" == "--soak" || "${1:-}" == "--soak-smoke" ]]; then
   if [[ "$1" == "--soak-smoke" ]]; then
-    # Absolute: `cargo bench` sets the CWD to the package directory, so a
-    # relative override would land under crates/bench/.
-    export MP_BENCH_DIR="${MP_BENCH_DIR:-$PWD/target/bench-smoke}"
     export MP_SOAK_DURATION_MS="${MP_SOAK_DURATION_MS:-400}"
     export MP_SOAK_OVERSUB="${MP_SOAK_OVERSUB:-4}"
     export MP_SOAK_PREFILL="${MP_SOAK_PREFILL:-256}"
@@ -39,12 +42,11 @@ if [[ "${1:-}" == "--soak" || "${1:-}" == "--soak-smoke" ]]; then
     export MP_SOAK_STALLED="${MP_SOAK_STALLED:-1}"
     export MP_SOAK_BP_BYTES="${MP_SOAK_BP_BYTES:-32768}"
   fi
-  SOAK_OUT="${MP_BENCH_DIR:-.}/BENCH_soak.json"
-  mkdir -p "$(dirname "$SOAK_OUT")"
+  SOAK_OUT="$MP_BENCH_DIR/BENCH_soak.json"
   echo "==> cargo bench --offline -p mp-bench --bench soak"
   cargo bench --offline -p mp-bench --bench soak
   [[ -s "$SOAK_OUT" ]] || { echo "!! $SOAK_OUT was not produced" >&2; exit 1; }
-  grep -q '"schema": "mp-bench/soak/v2"' "$SOAK_OUT" || {
+  grep -q '"schema": "mp-bench/soak/v3"' "$SOAK_OUT" || {
     echo "!! $SOAK_OUT missing schema marker" >&2
     exit 1
   }
@@ -116,17 +118,13 @@ fi
 SMOKE=0
 if [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
-  # Absolute: `cargo bench` sets the CWD to the package directory, so a
-  # relative override would land under crates/bench/.
-  export MP_BENCH_DIR="${MP_BENCH_DIR:-$PWD/target/bench-smoke}"
   export MP_BENCH_THREADS="${MP_BENCH_THREADS:-1,2}"
   export MP_BENCH_DURATION_MS="${MP_BENCH_DURATION_MS:-40}"
   export MP_BENCH_PREFILL="${MP_BENCH_PREFILL:-256}"
   export MP_BENCH_RUNS="${MP_BENCH_RUNS:-1}"
 fi
 
-OUT="${MP_BENCH_DIR:-.}/BENCH_throughput.json"
-mkdir -p "$(dirname "$OUT")"
+OUT="$MP_BENCH_DIR/BENCH_throughput.json"
 
 echo "==> cargo bench --offline -p mp-bench --bench throughput"
 cargo bench --offline -p mp-bench --bench throughput
@@ -180,5 +178,4 @@ PY
   else
     echo "(python3 unavailable: skipping the smoke fence-budget gate)"
   fi
-  echo "(smoke run: results under $MP_BENCH_DIR, committed trajectory untouched)"
 fi

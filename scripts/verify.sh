@@ -75,8 +75,8 @@ run_oracle cargo test -q --offline -p mp-smr --features oracle
 run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle
 
 # Happens-before oracle stage: the vector-clock tracker audits every
-# deref/free/adoption against the protocol's claimed synchronization
-# edges, and the seeded fence-dropped publish must panic deterministically
+# deref and free against the protocol's claimed synchronization edges,
+# and the seeded deref-after-unprotect must panic deterministically
 # (tests/hb_oracle.rs).
 echo "==> cargo test -q --offline --features 'oracle hb-oracle' (hb oracle armed)"
 run_oracle cargo test -q --offline --features "oracle hb-oracle"
@@ -92,8 +92,7 @@ cargo clippy --offline --all-targets --features "oracle hb-oracle" -- -D warning
 cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: a seconds-long throughput run that must produce a
-# well-formed BENCH_throughput.json (into target/bench-smoke/, never the
-# committed trajectory at the repo root).
+# well-formed BENCH_throughput.json (into target/bench-smoke/).
 echo "==> scripts/bench.sh --smoke"
 ./scripts/bench.sh --smoke
 

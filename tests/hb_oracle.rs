@@ -3,32 +3,35 @@
 //! **Positive half** — every scheme runs a small multi-threaded churn
 //! workload with the vector-clock tracker armed: each `counted_fence` and
 //! raw scan fence joins the tracked SeqCst order, each validated protect
-//! stamps a record, and every `Shared::deref` of a retired node plus every
-//! snapshot adoption must be justified by a tracked edge. A silent run is
-//! the pass: the oracle found no dereference, free, or adoption whose
-//! protection story the protocol cannot back with a happens-before path.
+//! stamps a record, and every `Shared::deref` of a retired node must be
+//! justified by a tracked edge. A silent run is the pass: the oracle found
+//! no dereference or free whose protection story the protocol cannot back
+//! with a happens-before path.
 //!
-//! **Negative half** — the seeded missing-fence bug: a publisher thread
-//! runs `publish_snapshot_skip_release_fence` (the real publish body with
-//! its section-opening `Release` fence deliberately omitted), and the
-//! adopting thread's `try_adopt_into` must panic deterministically, naming
-//! the missing release edge. This pins that the oracle actually *checks*
-//! the seqlock's ordering rather than merely shadowing it.
+//! **Negative half** — the seeded missing protection, driven through the
+//! public API only: an HP reader protects a node, withdraws the hazard,
+//! and dereferences the node after the writer retired it. Nothing is freed
+//! (the scan watermark is out of reach), so the poison canary stays quiet
+//! and the panic can only come from the ledger finding no protection
+//! record of the reader's thread. Its twin keeps the hazard and must stay
+//! silent. This pins that the oracle actually *checks* dereferences rather
+//! than merely shadowing them.
 //!
 //! Compiles to nothing without the feature, so default `cargo test`
 //! wall-clock is unchanged.
 
 #![cfg(feature = "hb-oracle")]
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 
 use margin_pointers::ds::{ConcurrentSet, LinkedList, SkipList};
-use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp, SharedSnapshot};
-use margin_pointers::smr::{Config, Smr};
+use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
+use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
 
 const KEY_SPACE: u64 = 32;
 
-/// Aggressive cadences so scans (and thus fence/adopt/free hooks) run many
+/// Aggressive cadences so scans (and thus fence/free hooks) run many
 /// times within a short plan.
 fn cfg() -> Config {
     Config::default()
@@ -112,60 +115,73 @@ fn leaky_churn_is_hb_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Seqlock publish/adopt: the oracle's release-edge check.
+// The deref check: a retired node needs a live protection record.
 // ---------------------------------------------------------------------------
 
-/// Same-thread publish → adopt: trivially ordered, must stay silent.
-#[test]
-fn same_thread_publish_then_adopt_is_hb_clean() {
-    let snap = SharedSnapshot::new(2, 2);
-    snap.publish_snapshot(&[0, 0], &[1, 2, 3]);
-    let mut gens = Vec::new();
-    let mut out = Vec::new();
-    snap.load_gens_into(&mut gens);
-    assert!(snap.try_adopt_into(&gens, &mut out));
-    assert_eq!(out, vec![1, 2, 3]);
+/// An HP reader protects `n` and — when `release_first` — withdraws the
+/// hazard again; the writer then unlinks and retires `n`, and the reader
+/// dereferences it. The scan watermark is never reached and both handles
+/// outlive the dereference, so nothing is freed: the reclamation oracle's
+/// poison canary has nothing to say and only the hb ledger judges. The
+/// reader runs on its own thread because the ledger keys claims by thread;
+/// its panic, if any, is re-raised on the caller's.
+fn hp_reader_derefs_a_retired_node(release_first: bool) {
+    let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
+    let mut writer = smr.register();
+    writer.start_op();
+    let n = writer.alloc(7u64);
+    let cell = Atomic::new(n);
+    let step = Barrier::new(2);
+    let read = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut reader = smr.register();
+            reader.start_op();
+            let got = reader.read(&cell, 0);
+            if release_first {
+                reader.unprotect(0);
+            }
+            step.wait(); // hazard validated (and, in the negative, withdrawn)
+            step.wait(); // node retired
+            // SAFETY: [INV-12] nothing is freed in this test (see above), so
+            // the read is of live memory whether or not the hazard stands —
+            // the missing protection is what the oracle is asked to notice.
+            let v = unsafe { *got.deref().data() };
+            reader.end_op();
+            v
+        });
+        step.wait();
+        cell.store(Shared::null(), Ordering::Release);
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
+        step.wait();
+        reader.join()
+    });
+    writer.end_op();
+    assert_eq!(writer.retired_len(), 1, "the watermark must keep the scan away");
+    match read {
+        Ok(v) => assert_eq!(v, 7),
+        Err(panic) => {
+            let msg = panic.downcast_ref::<String>().expect("oracle panics carry a String");
+            // Not quoted in the failure text: that would satisfy the
+            // caller's `should_panic(expected = …)` by itself.
+            assert!(msg.contains("MP_CHECK_SEED"), "the report lost its replay context");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
-/// Cross-thread publish → adopt through the *correct* publish path: the
-/// tracked release edge justifies the adoption — exactly the control for
-/// the negative twin below, which differs only in the dropped fence.
+/// The control: the hazard stands across the retirement, so the validated
+/// protection record justifies the dereference and the run is silent.
 #[test]
-fn cross_thread_publish_with_release_fence_is_hb_clean() {
-    let snap = Arc::new(SharedSnapshot::new(2, 2));
-    let p = snap.clone();
-    std::thread::spawn(move || p.publish_snapshot(&[0, 0], &[4, 5, 6]))
-        .join()
-        .expect("publisher thread");
-    let mut gens = Vec::new();
-    let mut out = Vec::new();
-    snap.load_gens_into(&mut gens);
-    assert!(snap.try_adopt_into(&gens, &mut out));
-    assert_eq!(out, vec![4, 5, 6]);
+fn deref_of_a_retired_node_under_a_standing_hazard_is_hb_clean() {
+    hp_reader_derefs_a_retired_node(false);
 }
 
-/// The seeded negative: the publisher omits the section-opening `Release`
-/// fence, so no tracked release edge exists at the site. Joining the
-/// publisher thread is deliberately *not* a tracked edge — the oracle
-/// models only the synchronization the SMR protocol itself claims — so
-/// the adoption must panic, naming the missing edge.
+/// The seeded negative: the same run with the hazard withdrawn before the
+/// retirement. No record of the reader's thread covers the node any more,
+/// so the dereference must panic and name the missing protection.
 #[test]
-#[should_panic(expected = "missing release edge")]
-fn adopting_a_fence_dropped_publish_panics() {
-    // Pin this thread's tracker registration before the publisher spawns:
-    // tracker tids of exited threads are recycled (reuse is a real edge —
-    // TLS destructor → tracker mutex → registration), so without this the
-    // adopting thread could inherit the dead publisher's tid and clock,
-    // trivially covering the unordered stamp.
-    mp_smr::hb::on_fence_sc();
-    let snap = Arc::new(SharedSnapshot::new(2, 2));
-    let p = snap.clone();
-    std::thread::spawn(move || p.publish_snapshot_skip_release_fence(&[0, 0], &[7, 8, 9]))
-        .join()
-        .expect("publisher thread");
-    let mut gens = Vec::new();
-    let mut out = Vec::new();
-    snap.load_gens_into(&mut gens);
-    let _ = snap.try_adopt_into(&gens, &mut out);
-    unreachable!("the hb oracle must flag the unordered adoption");
+#[should_panic(expected = "hb-unjustified deref")]
+fn deref_of_a_retired_node_after_unprotect_panics() {
+    hp_reader_derefs_a_retired_node(true);
 }

@@ -16,8 +16,8 @@
 //!
 //! Both run against the *real* `INVARIANTS.md` registry and
 //! `crates/lint/ordering.rules`, so the fixtures also pin those files'
-//! contracts (e.g. `schemes/hp.rs  read  publish` must keep existing for
-//! the ordering fixture to fire).
+//! contracts (e.g. `smr/src/registry.rs  announced_sorted_into  retire_load`
+//! must keep existing for the ordering fixture to fire).
 
 use std::path::{Path, PathBuf};
 
@@ -120,9 +120,11 @@ fn safety_pass_fires_on_uncited_unsafe() {
 
 #[test]
 fn ordering_pass_fires_on_gated_relaxed_and_unclassified_sites() {
-    // Linted as schemes/hp.rs so the real rule file classifies `read` as
-    // publish and `snapshot_hazards_into` as retire_load.
-    check_negative("ordering_relaxed.rs", "crates/smr/src/schemes/hp.rs", PASS_ORDERING);
+    // Linted as smr/src/registry.rs so the real rule file classifies
+    // `release` as publish, `announced_sorted_into` as retire_load and
+    // `try_acquire` as cas — the last one annotated `reason = seqlock`,
+    // which must be rejected as an unknown reason.
+    check_negative("ordering_relaxed.rs", "crates/smr/src/registry.rs", PASS_ORDERING);
 }
 
 #[test]
@@ -153,7 +155,7 @@ fn positive_corpus_is_clean() {
     // of the pass it exercises, same as the negative twins above.
     let corpus = [
         ("positive/safety_ok.rs", "crates/smr/src/safety_ok.rs"),
-        ("positive/ordering_ok.rs", "crates/smr/src/schemes/hp.rs"),
+        ("positive/ordering_ok.rs", "crates/smr/src/registry.rs"),
         ("positive/ordering_counter_ok.rs", "crates/smr/src/schemes/common.rs"),
         ("positive/ordering_pairing_ok.rs", "crates/smr/src/schemes/mp.rs"),
         ("positive/scope_ok.rs", "crates/ds/src/scope_ok.rs"),
