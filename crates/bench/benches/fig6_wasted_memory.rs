@@ -7,18 +7,17 @@
 //! an explicitly stalled thread (§1's scenario), which makes EBR-family
 //! waste grow without bound while MP's stays bounded.
 
-use mp_bench::{for_each_scheme, BenchParams, StallMode, Table};
+use mp_bench::{for_each_scheme, BenchParams, Table};
 use mp_ds::{DtaList, LinkedList, NmTree, SkipList};
 use mp_smr::schemes::Dta;
 
 fn main() {
     let runs = mp_bench::runs();
     let mix = mp_bench::READ_DOMINATED;
-    for stall in [StallMode::None, StallMode::OneStalledThread] {
-        let suffix = match stall {
-            StallMode::None => "natural stalls only",
-            StallMode::OneStalledThread => "one thread parked mid-operation",
-        };
+    for (stalled, suffix, slug) in [
+        (0, "natural stalls only", "fig6_wasted_memory"),
+        (1, "one thread parked mid-operation", "fig6_wasted_memory_stalled"),
+    ] {
         let mut table = Table::new(
             &format!("Figure 6: wasted memory, read-dominated ({suffix})"),
             &["structure", "threads", "scheme", "avg-retired", "peak-pending"],
@@ -26,8 +25,7 @@ fn main() {
         for threads in mp_bench::thread_sweep() {
             macro_rules! ds_point {
                 ($ds:ident, $label:expr, $paper:expr) => {{
-                    let mut p = BenchParams::paper(threads, $paper, mix);
-                    p.stall = stall;
+                    let p = BenchParams::paper(threads, $paper, mix).with_stalled(stalled);
                     for_each_scheme!($ds, &p, runs, |name, res| {
                         table.row(vec![
                             $label.to_string(),
@@ -43,8 +41,7 @@ fn main() {
             ds_point!(SkipList, "skiplist", 500_000);
             ds_point!(LinkedList, "list", 5_000);
             // DTA on its list (§6: little waste; freezing rarely fires).
-            let mut p = BenchParams::paper(threads, 5_000, mix);
-            p.stall = stall;
+            let p = BenchParams::paper(threads, 5_000, mix).with_stalled(stalled);
             let res = mp_bench::driver::run_avg::<Dta, DtaList>(&p, runs);
             table.row(vec![
                 "list".into(),
@@ -54,10 +51,6 @@ fn main() {
                 res.peak_pending.to_string(),
             ]);
         }
-        let slug = match stall {
-            StallMode::None => "fig6_wasted_memory",
-            StallMode::OneStalledThread => "fig6_wasted_memory_stalled",
-        };
         table.emit(slug);
     }
 }

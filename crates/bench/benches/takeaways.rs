@@ -17,7 +17,7 @@
 //! 3. *"MP wastes less memory than EBR-based schemes, not only in theory
 //!    but in practice"* — avg retired-at-op-start, read-dominated.
 
-use mp_bench::{BenchParams, StallMode, Table};
+use mp_bench::{BenchParams, Table};
 use mp_ds::{LinkedList, NmTree};
 use mp_smr::schemes::{Ebr, He, Hp, Ibr, Mp};
 
@@ -55,8 +55,7 @@ fn main() {
 
     // 2. Under a stall, MP stays bounded while EBR-family waste explodes.
     {
-        let mut p = BenchParams::paper(threads, 5_000, mp_bench::READ_DOMINATED);
-        p.stall = StallMode::OneStalledThread;
+        let p = BenchParams::paper(threads, 5_000, mp_bench::READ_DOMINATED).with_stalled(1);
         let mp = mp_bench::driver::run_avg::<Mp, LinkedList<Mp>>(&p, runs);
         let ebr = mp_bench::driver::run_avg::<Ebr, LinkedList<Ebr>>(&p, runs);
         let ibr = mp_bench::driver::run_avg::<Ibr, LinkedList<Ibr>>(&p, runs);

@@ -1,48 +1,31 @@
-//! The fixed-duration measurement driver (§6 experimental setup).
+//! The fixed-duration measurement driver (§6 experimental setup): the one
+//! loop behind every figure, Table 1 and the soak. A robustness run —
+//! skewed keys, handle churn, stalled readers — is a parameter point of
+//! the same loop, not a second harness.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mp_ds::ConcurrentSet;
 use mp_smr::{AnySmr, Config, SchemeKind, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_util::hist::Histogram;
 
-use crate::workload::{draw_key, thread_rng, Mix, Op};
+use crate::workload::{thread_rng, KeyDist, KeySampler, Mix, Op};
+
+/// One operation in this many is timed (as `benchmark/` does): a pair of
+/// clock reads is a quarter of a tree lookup if taken on every operation.
+const LATENCY_SAMPLE_EVERY: u64 = 16;
 
 /// How the structure is prefilled before measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prefill {
-    /// `S` uniformly random keys from a range of size `2S` (§6 default).
+    /// `S` distinct keys drawn from [`BenchParams::dist`] over a range of
+    /// size `2S` (§6 default: uniform).
     Random,
     /// Keys `0..S` inserted in ascending order — the index-collision
     /// worst case of Figure 7a (§6 "Key Distribution").
     Ascending,
-}
-
-/// Whether to park a thread mid-operation for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallMode {
-    /// No artificial stalls (context-switch stalls still occur naturally
-    /// once threads exceed the host's cores, as in the paper).
-    None,
-    /// One extra registered thread announces an operation (pinning its
-    /// epoch/interval under epoch-based schemes) and sleeps to the end —
-    /// the §1 scenario motivating bounded wasted memory.
-    OneStalledThread,
-}
-
-/// Fault injection applied during the measured window — a testing aid for
-/// the reclamation oracle and conformance suites, `None` for real
-/// measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// No injected faults.
-    None,
-    /// One extra registered thread alternates real operations with a panic
-    /// raised *inside* a pinned operation (caught within the thread), so
-    /// the RAII guard's unwind path — `end_op`, protection release, retired
-    /// handoff — is exercised repeatedly under concurrent load.
-    MidOpPanic,
 }
 
 /// Parameters of one measurement point.
@@ -60,10 +43,19 @@ pub struct BenchParams {
     pub mix: Mix,
     /// RNG seed (runs are reproducible per seed).
     pub seed: u64,
-    /// Stall injection.
-    pub stall: StallMode,
-    /// Fault injection (mid-operation panics).
-    pub fault: FaultMode,
+    /// Key popularity (§6 and every figure: uniform).
+    pub dist: KeyDist,
+    /// A worker drops its handle and re-registers after this many
+    /// operations, exercising tid recycling and orphan handoff under load
+    /// (0 = never, the figures' value).
+    pub churn_every: u64,
+    /// Extra registered threads that pin an operation at the start of the
+    /// measured window and hold it to the end — the §1 scenario motivating
+    /// bounded wasted memory. Set through
+    /// [`with_stalled`](BenchParams::with_stalled), which also grows the
+    /// registry to fit them. (Context-switch stalls still occur naturally
+    /// once threads exceed the host's cores, as in the paper.)
+    pub stalled: usize,
     /// SMR configuration (margin, cadences, slots).
     pub config: Config,
 }
@@ -93,7 +85,8 @@ impl BenchParams {
         p
     }
 
-    /// Raw parameters: exact prefill, default margin, no stalls.
+    /// Raw parameters: exact prefill, default margin, uniform keys, no
+    /// churn, no stalled threads.
     pub fn new(threads: usize, prefill: usize, mix: Mix) -> Self {
         // Slot budget: the skip list needs the most (2 per level + 2).
         let slots = mp_ds::skiplist::SLOTS_NEEDED;
@@ -104,18 +97,43 @@ impl BenchParams {
             prefill_mode: Prefill::Random,
             mix,
             seed: 0x5eed_cafe_f00d_0001,
-            stall: StallMode::None,
-            fault: FaultMode::None,
+            dist: KeyDist::Uniform,
+            churn_every: 0,
+            stalled: 0,
             config: Config::default()
-                .with_max_threads(threads + 3) // +setup, +staller, +faulter
+                .with_max_threads(threads + 2) // +setup, +churn slack
                 .with_slots_per_thread(slots)
                 .with_epoch_freq(150 * threads.max(1)),
         }
     }
+
+    /// The soak point: `threads` workers (pick more than the host has
+    /// cores) on Zipfian(0.99) keys, 30 % writes, handle churn every 20 K
+    /// operations — the conditions the adaptive scan watermarks were built
+    /// for. Meant for the hash map, whose shards delegate to the list (3
+    /// slots): the tight slot budget keeps the auto watermark (k·H) low
+    /// enough that scans fire between churn points.
+    pub fn soak(threads: usize, prefill: usize) -> Self {
+        let mix = Mix { contains: 70, insert: 15, remove: 15, name: "soak-70-15-15" };
+        let mut p = Self::new(threads, prefill, mix);
+        p.dist = KeyDist::Zipfian(0.99);
+        p.churn_every = 20_000;
+        p.config = p.config.with_slots_per_thread(4);
+        p
+    }
+
+    /// Sets the number of stalled threads, growing `Config::max_threads`
+    /// to fit them.
+    pub fn with_stalled(mut self, n: usize) -> Self {
+        let max = self.config.max_threads + n - self.stalled;
+        self.stalled = n;
+        self.config = self.config.with_max_threads(max);
+        self
+    }
 }
 
 /// Aggregated outcome of one measurement point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchResult {
     /// Total completed operations across threads.
     pub total_ops: u64,
@@ -125,34 +143,40 @@ pub struct BenchResult {
     /// ratios the figures plot (`fences_per_node()`,
     /// `avg_retired_at_op_start()`, `hp_fallback_rate()`, …).
     pub telemetry: TelemetrySnapshot,
-    /// Peak global retired-pending observed by a 10 ms poller.
+    /// Client-side operation latency in nanoseconds, timed around one
+    /// structure call in 16, so scan pauses surface as tail latency.
+    pub latency: Histogram,
+    /// Handle drop + re-register cycles performed by workers.
+    pub handle_churns: u64,
+    /// Peak scheme-wide retired-but-unreclaimed nodes (5 ms poller).
     pub peak_pending: usize,
+    /// Peak scheme-wide retired bytes (same poller) — the figure the
+    /// backpressure watermarks act on.
+    pub peak_pending_bytes: usize,
+    /// Retired-but-unreclaimed nodes after every worker handle dropped and
+    /// a fresh handle adopted and scanned what they left. With
+    /// drain-on-drop and orphan adoption this is the *net* unreclaimed
+    /// residue, unlike the merged telemetry's `frees()`, which misses
+    /// Drop-path scans (their telemetry dies with the handle).
+    pub end_pending: usize,
+    /// Peak resident set size in KiB while the run was hot (same poller).
+    pub peak_rss_kb: u64,
+    /// Times the backpressure ladder engaged its help-scan rung.
+    pub bp_help_engagements: u64,
+    /// Times the backpressure ladder engaged its throttle rung.
+    pub bp_throttle_engagements: u64,
+    /// Times the ladder released back to normal.
+    pub bp_releases: u64,
 }
 
-/// Message carried by [`FaultMode::MidOpPanic`]'s injected panics; the
-/// panic hook filter below matches on it.
-pub const INJECTED_PANIC: &str = "injected mid-op fault";
-
-/// Installs (once, process-wide) a panic hook that swallows the injected
-/// fault panics — they fire on every fault-thread iteration and would
-/// otherwise flood stderr, since spawned-thread output is not captured by
-/// the test harness. All other panics still reach the previous hook.
-pub fn silence_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .is_some_and(|m| m.contains(INJECTED_PANIC));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
+/// Resident set size in KiB from `/proc/self/statm` (0 where unsupported).
+fn rss_kb() -> u64 {
+    let Ok(statm) = std::fs::read_to_string("/proc/self/statm") else {
+        return 0;
+    };
+    let resident_pages: u64 =
+        statm.split_whitespace().nth(1).and_then(|f| f.parse().ok()).unwrap_or(0);
+    resident_pages * 4 // 4 KiB pages
 }
 
 /// Runs one measurement point of scheme `S` on structure `D`.
@@ -178,20 +202,25 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
 ) -> BenchResult {
     p.mix.check();
     let smr = make(p.config.clone());
-    let ds = Arc::new(D::new(&smr));
-    let key_range = (2 * p.prefill.max(1)) as u64;
+    let ds = D::new(&smr);
+    let sampler = KeySampler::new(p.dist, (2 * p.prefill.max(1)) as u64);
 
     // Prefill (single-threaded, outside the measured window).
     {
         let mut h = smr.register();
         match p.prefill_mode {
             Prefill::Random => {
+                // Drawn from the run's own distribution, so hot keys
+                // exist. A skewed draw may never produce `S` distinct
+                // keys; a uniform one stays far below the attempt cap.
                 let mut rng = thread_rng(p.seed, usize::MAX);
                 let mut added = 0;
-                while added < p.prefill {
-                    if ds.insert(&mut h, draw_key(&mut rng, key_range)) {
+                let mut attempts = 0;
+                while added < p.prefill && attempts < 50 * p.prefill {
+                    if ds.insert(&mut h, sampler.draw(&mut rng)) {
                         added += 1;
                     }
+                    attempts += 1;
                 }
             }
             Prefill::Ascending => {
@@ -202,66 +231,75 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
         }
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(
-        p.threads
-            + 1
-            + matches!(p.stall, StallMode::OneStalledThread) as usize
-            + matches!(p.fault, FaultMode::MidOpPanic) as usize,
-    ));
-    let total_ops = Arc::new(AtomicU64::new(0));
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(p.threads + 1 + p.stalled);
 
-    let mut merged = TelemetrySnapshot::default();
-    let mut peak_pending = 0usize;
+    let mut res = BenchResult::default();
 
     std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for tid in 0..p.threads {
-            let smr = smr.clone();
-            let ds = ds.clone();
-            let stop = stop.clone();
-            let barrier = barrier.clone();
-            let total_ops = total_ops.clone();
-            let mix = p.mix;
-            let seed = p.seed;
-            joins.push(scope.spawn(move || {
-                let mut h = smr.register();
-                let mut rng = thread_rng(seed, tid);
-                barrier.wait();
-                let mut ops = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = draw_key(&mut rng, key_range);
-                    match mix.draw(&mut rng) {
-                        Op::Contains => {
-                            ds.contains(&mut h, key);
+        let (smr, ds, sampler, stop, barrier) = (&smr, &ds, &sampler, &stop, &barrier);
+        let workers: Vec<_> = (0..p.threads)
+            .map(|tid| {
+                scope.spawn(move || {
+                    let mut h = smr.register();
+                    let mut telemetry = TelemetrySnapshot::default();
+                    let mut latency = Histogram::new();
+                    let mut rng = thread_rng(p.seed, tid);
+                    barrier.wait();
+                    let (mut ops, mut churns) = (0u64, 0u64);
+                    let mut next_churn = p.churn_every; // 0 is never reached
+                    while !stop.load(Ordering::Relaxed) {
+                        let key = sampler.draw(&mut rng);
+                        let op = p.mix.draw(&mut rng);
+                        let t0 = (ops % LATENCY_SAMPLE_EVERY == 0).then(Instant::now);
+                        match op {
+                            Op::Contains => {
+                                ds.contains(&mut h, key);
+                            }
+                            Op::Insert => {
+                                ds.insert(&mut h, key);
+                            }
+                            Op::Remove => {
+                                ds.remove(&mut h, key);
+                            }
                         }
-                        Op::Insert => {
-                            ds.insert(&mut h, key);
+                        if let Some(t0) = t0 {
+                            latency.record(t0.elapsed().as_nanos() as u64);
                         }
-                        Op::Remove => {
-                            ds.remove(&mut h, key);
+                        ops += 1;
+                        if ops == next_churn {
+                            // Handle churn under load: leftovers park as
+                            // orphans (adopted by a later register), the
+                            // tid goes back to the bitmap, and the
+                            // re-register must observe a recycled lease.
+                            // Scan before the snapshot, as at the end of
+                            // the run.
+                            h.force_empty();
+                            telemetry.merge(&h.snapshot());
+                            drop(h);
+                            h = smr.register();
+                            churns += 1;
+                            next_churn += p.churn_every;
                         }
                     }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::AcqRel);
-                // Drain before the final snapshot so the scan cost and
-                // frees of batches still below the watermark are counted —
-                // the Drop-path drain records into telemetry nobody reads.
-                h.force_empty();
-                h.snapshot()
-            }));
-        }
+                    // Drain before the final snapshot so the scan cost and
+                    // frees of batches still below the watermark are
+                    // counted — the Drop-path drain records into telemetry
+                    // nobody reads.
+                    h.force_empty();
+                    telemetry.merge(&h.snapshot());
+                    (ops, churns, telemetry, latency)
+                })
+            })
+            .collect();
 
-        if matches!(p.stall, StallMode::OneStalledThread) {
-            let smr = smr.clone();
-            let stop = stop.clone();
-            let barrier = barrier.clone();
+        for _ in 0..p.stalled {
             scope.spawn(move || {
                 let mut h = smr.register();
                 barrier.wait();
-                // Enter an operation and stop taking steps (§1's scenario);
-                // the guard ends the operation when the thread exits.
+                // Enter an operation and stop taking steps (§1's scenario):
+                // epoch-based schemes pin every later retiree. The guard
+                // ends the operation when the thread exits.
                 let _op = h.pin();
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(5));
@@ -269,65 +307,52 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
             });
         }
 
-        if matches!(p.fault, FaultMode::MidOpPanic) {
-            let smr = smr.clone();
-            let ds = ds.clone();
-            let stop = stop.clone();
-            let barrier = barrier.clone();
-            let seed = p.seed;
-            silence_injected_panics();
-            scope.spawn(move || {
-                let mut h = smr.register();
-                let mut rng = thread_rng(seed, usize::MAX - 1);
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    // A few real operations so protections and retires are
-                    // live around the injected fault...
-                    for _ in 0..8 {
-                        let key = draw_key(&mut rng, key_range);
-                        ds.insert(&mut h, key);
-                        ds.remove(&mut h, key);
-                    }
-                    // ...then a panic raised inside a *bare* pinned
-                    // operation (no data-structure call inside, so the
-                    // oracle's pin-nesting check stays quiet). The RAII
-                    // guard must end the operation on the unwind path.
-                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let _op = h.pin();
-                        panic!("{INJECTED_PANIC}");
-                    }));
-                    assert!(unwound.is_err(), "injected panic must unwind");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
-
         barrier.wait();
         let deadline = Instant::now() + p.duration;
         while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10).min(p.duration));
-            peak_pending = peak_pending.max(smr.retired_pending());
+            std::thread::sleep(Duration::from_millis(5).min(p.duration));
+            res.peak_pending = res.peak_pending.max(smr.retired_pending());
+            res.peak_pending_bytes =
+                res.peak_pending_bytes.max(smr.telemetry().pending_bytes());
+            res.peak_rss_kb = res.peak_rss_kb.max(rss_kb());
             smr.sample_waste();
         }
         stop.store(true, Ordering::Release);
-        for j in joins {
-            merged.merge(&j.join().expect("worker panicked"));
+        for w in workers {
+            let (ops, churns, telemetry, latency) = w.join().expect("worker panicked");
+            res.total_ops += ops;
+            res.handle_churns += churns;
+            res.telemetry.merge(&telemetry);
+            res.latency.merge(&latency);
         }
     });
+    res.mops = res.total_ops as f64 / p.duration.as_secs_f64() / 1e6;
 
-    let total = total_ops.load(Ordering::Acquire);
-    BenchResult {
-        total_ops: total,
-        mops: total as f64 / p.duration.as_secs_f64() / 1e6,
-        telemetry: merged,
-        peak_pending,
+    // Post-stall drain: a stalled thread unpins only as it exits, which
+    // can be after the workers' final scans — so without this,
+    // `end_pending` would report the stall's pile-up rather than whether
+    // the backlog is recoverable. A fresh handle adopts the orphans and
+    // scans with no pins left standing; what remains is truly stranded.
+    {
+        let mut h = smr.register();
+        for _ in 0..4 {
+            h.force_empty();
+        }
     }
+    res.end_pending = smr.retired_pending();
+    let bp = smr.telemetry().backpressure();
+    res.bp_help_engagements = bp.help_engagements();
+    res.bp_throttle_engagements = bp.throttle_engagements();
+    res.bp_releases = bp.releases();
+    res
 }
 
 /// `n` repetitions of the same point (the paper reports the mean of 10
-/// runs): `mops` is the mean over runs, the telemetry snapshots are merged
-/// — so every ratio read from the result is pooled over all runs' counts
-/// rather than a mean of per-run ratios — and `peak_pending` is the max.
+/// runs): `mops` is the mean over runs; the telemetry snapshots and
+/// latency histograms are merged — so every ratio or quantile read from
+/// the result is pooled over all runs' counts rather than a mean of
+/// per-run figures; counts are summed and peaks (and `end_pending`) are
+/// the max.
 pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchResult {
     let n = n.max(1);
     let mut runs = (0..n).map(|i| {
@@ -339,8 +364,16 @@ pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchR
     for r in runs {
         acc.total_ops += r.total_ops;
         acc.mops += r.mops;
-        acc.peak_pending = acc.peak_pending.max(r.peak_pending);
         acc.telemetry.merge(&r.telemetry);
+        acc.latency.merge(&r.latency);
+        acc.handle_churns += r.handle_churns;
+        acc.peak_pending = acc.peak_pending.max(r.peak_pending);
+        acc.peak_pending_bytes = acc.peak_pending_bytes.max(r.peak_pending_bytes);
+        acc.end_pending = acc.end_pending.max(r.end_pending);
+        acc.peak_rss_kb = acc.peak_rss_kb.max(r.peak_rss_kb);
+        acc.bp_help_engagements += r.bp_help_engagements;
+        acc.bp_throttle_engagements += r.bp_throttle_engagements;
+        acc.bp_releases += r.bp_releases;
     }
     acc.mops /= n as f64;
     acc
@@ -350,7 +383,7 @@ pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchR
 mod tests {
     use super::*;
     use crate::workload::{READ_DOMINATED, READ_ONLY};
-    use mp_ds::{LinkedList, NmTree, SkipList};
+    use mp_ds::{HashMap, LinkedList, NmTree, SkipList};
     use mp_smr::schemes::{Ebr, Hp, Mp};
 
     fn quick(threads: usize, prefill: usize, mix: Mix) -> BenchParams {
@@ -389,8 +422,7 @@ mod tests {
 
     #[test]
     fn stalled_thread_grows_ebr_waste_but_not_mp() {
-        let mut p = quick(2, 200, READ_DOMINATED);
-        p.stall = StallMode::OneStalledThread;
+        let mut p = quick(2, 200, READ_DOMINATED).with_stalled(1);
         p.duration = Duration::from_millis(150);
         let ebr = run::<Ebr, LinkedList<Ebr>>(&p);
         let mp = run::<Mp, LinkedList<Mp>>(&p);
@@ -403,19 +435,104 @@ mod tests {
     }
 
     #[test]
-    fn mid_op_panic_fault_keeps_workers_progressing() {
-        let mut p = quick(2, 100, READ_DOMINATED);
-        p.fault = FaultMode::MidOpPanic;
-        let r = run::<Mp, LinkedList<Mp>>(&p);
-        assert!(r.total_ops > 0, "workers stalled under fault injection: {r:?}");
-        assert!(r.telemetry.ops() >= r.total_ops);
-    }
-
-    #[test]
     fn ascending_prefill_populates() {
         let mut p = quick(1, 64, READ_ONLY);
         p.prefill_mode = Prefill::Ascending;
         let r = run::<Mp, LinkedList<Mp>>(&p);
         assert!(r.total_ops > 0);
+    }
+
+    /// HP's waste is bounded by its thread count, MP's by Theorem 4.2;
+    /// epoch/era schemes legitimately pile up when oversubscription parks
+    /// a reader, so the waste caps below exempt them.
+    fn bounded(kind: SchemeKind) -> bool {
+        matches!(kind, SchemeKind::Mp | SchemeKind::Hp)
+    }
+
+    fn soak_smoke() -> BenchParams {
+        let mut p = BenchParams::soak(4, 128);
+        p.duration = Duration::from_millis(150);
+        p.churn_every = 500; // churn quickly at smoke scale
+        p
+    }
+
+    #[test]
+    fn soak_reclaims_under_churn_for_every_scheme() {
+        let p = soak_smoke();
+        for kind in crate::COMPARISON_SET {
+            let r = run_kind::<HashMap<AnySmr>>(kind, &p);
+            let who = kind.name();
+            assert!(r.total_ops > 0, "{who}: no progress: {r:?}");
+            let [p50, p99, p999] = [0.50, 0.99, 0.999].map(|q| r.latency.quantile(q));
+            assert!(0 < p50 && p50 <= p99 && p99 <= p999, "{who}: broken latency quantiles");
+            assert!(r.handle_churns > 0, "{who}: workers never churned handles");
+            assert!(
+                r.telemetry.tid_recycles() >= r.handle_churns,
+                "{who}: each churn re-register must observe a recycled tid \
+                 (recycles {}, churns {})",
+                r.telemetry.tid_recycles(),
+                r.handle_churns
+            );
+            // Net progress under churn: a handle that dies before its
+            // watermark must drain at Drop, and parked orphans must be
+            // adopted, not pile up to teardown.
+            assert!(
+                r.telemetry.retires() > r.end_pending as u64,
+                "{who}: {} retires but zero net frees (drain/adoption dead)",
+                r.telemetry.retires()
+            );
+            // Sized to catch unbounded orphan growth (which scales with
+            // duration) while tolerating stall-pinned transients on an
+            // oversubscribed host.
+            assert!(
+                !bounded(kind) || r.peak_pending <= 50_000,
+                "{who}: peak pending {} blows the robust-scheme waste cap",
+                r.peak_pending
+            );
+            assert!(r.peak_rss_kb > 0 || !cfg!(target_os = "linux"));
+        }
+    }
+
+    #[test]
+    fn soak_survives_a_stalled_reader_under_a_byte_cap() {
+        // "Throttle, never OOM": the ceiling the survival gate has always
+        // used, far above anything a 150 ms run should reach.
+        const RSS_CEILING_KB: u64 = 1_572_864; // 1.5 GiB
+        let mut p = soak_smoke().with_stalled(1);
+        p.config = p.config.with_backpressure_bytes(32 << 10);
+        for kind in crate::COMPARISON_SET {
+            let r = run_kind::<HashMap<AnySmr>>(kind, &p);
+            let who = kind.name();
+            assert!(r.total_ops > 0, "{who}: writers must stay live under backpressure: {r:?}");
+            assert!(r.peak_pending_bytes > 0, "{who}: poller never saw the gauge move");
+            // HP is exempt from the engagement check: its per-slot hazard
+            // bound keeps the backlog at a few hundred nodes under a
+            // bare-pin stall, so its ladder legitimately never has
+            // anything to push back on.
+            assert!(
+                kind == SchemeKind::Hp || r.bp_help_engagements + r.bp_throttle_engagements >= 1,
+                "{who}: stalled reader and a 32 KiB cap but the ladder never engaged: {r:?}"
+            );
+            // The bounded-waste schemes must drain their backlog once the
+            // stall ends (epoch/era schemes legitimately strand pinned
+            // retirees until teardown).
+            assert!(
+                !bounded(kind) || r.end_pending <= 10_000,
+                "{who}: end pending {} did not drain after the stall",
+                r.end_pending
+            );
+            assert!(
+                r.peak_rss_kb <= RSS_CEILING_KB,
+                "{who}: peak RSS {} KiB exceeds the survival ceiling",
+                r.peak_rss_kb
+            );
+        }
+    }
+
+    #[test]
+    fn rss_probe_reads_something_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(rss_kb() > 0);
+        }
     }
 }

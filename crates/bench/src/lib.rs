@@ -4,9 +4,12 @@
 //! runs in which every thread repeatedly invokes a random operation on a
 //! uniformly random key, reporting aggregate throughput, wasted memory
 //! (average retired-list length at operation start), and memory-fence
-//! counts. One `harness = false` bench target per paper table/figure
-//! regenerates the corresponding rows (see DESIGN.md's per-experiment
-//! index); Criterion micro-latency benches complement them.
+//! counts. One loop ([`driver`]) runs every point and one writer
+//! ([`report::Table::emit`]) records it; one `harness = false` bench
+//! target per paper table/figure regenerates the corresponding rows (see
+//! DESIGN.md's per-experiment index), and the `soak` target drives the
+//! same loop oversubscribed, with skewed keys, handle churn and optional
+//! stalled readers.
 //!
 //! ## Scaling
 //!
@@ -14,23 +17,19 @@
 //! 88-hardware-thread machine. Defaults here are CI-sized; set
 //! `MP_BENCH_FULL=1` for paper-scale parameters, or override individual
 //! knobs: `MP_BENCH_THREADS` (comma list), `MP_BENCH_DURATION_MS`,
-//! `MP_BENCH_PREFILL`, `MP_BENCH_RUNS`.
+//! `MP_BENCH_PREFILL`, `MP_BENCH_RUNS`. `MP_BENCH_DIR` redirects the
+//! CSV/JSON output.
 
 #![warn(missing_docs)]
 
 pub mod driver;
 pub mod linearize;
 pub mod report;
-pub mod soak;
 pub mod workload;
 
-pub use driver::{
-    run, run_kind, silence_injected_panics, BenchParams, BenchResult, FaultMode, Prefill,
-    StallMode, INJECTED_PANIC,
-};
-pub use report::{csv_path, json_path, json_str, out_dir, Table};
-pub use soak::{rss_kb, run_soak, run_soak_kind, SoakParams, SoakResult};
-pub use workload::{KeyDist, KeySampler, Mix, READ_DOMINATED, READ_ONLY, WRITE_DOMINATED};
+pub use driver::{run, run_kind, BenchParams, BenchResult, Prefill};
+pub use report::Table;
+pub use workload::{KeyDist, Mix, READ_DOMINATED, READ_ONLY, WRITE_DOMINATED};
 
 /// Reads the thread counts to sweep (env `MP_BENCH_THREADS`, e.g. "1,2,4").
 pub fn thread_sweep() -> Vec<usize> {
@@ -81,6 +80,14 @@ pub fn runs() -> usize {
 pub fn full_scale() -> bool {
     std::env::var("MP_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
+
+/// The §6 comparison set in [`for_each_scheme!`]'s order, for sweeps that
+/// select the scheme at run time ([`run_kind`]). DTA is list-specific
+/// (without its freezer it degenerates to EBR) and not part of it.
+pub const COMPARISON_SET: [mp_smr::SchemeKind; 5] = {
+    use mp_smr::SchemeKind::{Ebr, He, Hp, Ibr, Mp};
+    [Mp, Ibr, He, Hp, Ebr]
+};
 
 /// Runs `$body` once per SMR scheme (the §6 comparison set: MP, IBR, HE,
 /// HP, EBR), binding `$scheme_ty`/`$name`/a freshly computed [`BenchResult`]

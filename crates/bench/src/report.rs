@@ -1,11 +1,13 @@
-//! Plain-text table + CSV output for the figure/table benches.
+//! Plain-text table + CSV + JSON output: the one place a bench result is
+//! formatted or written.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::PathBuf;
 
-/// A simple aligned text table, also dumpable as CSV under
-/// `target/bench-results/` for EXPERIMENTS.md bookkeeping.
+use mp_smr::telemetry::export::validate_json;
+
+/// A simple aligned text table, also dumped as CSV and JSON under
+/// [`out_dir`] for EXPERIMENTS.md bookkeeping and scripts.
 pub struct Table {
     title: String,
     header: Vec<String>,
@@ -55,28 +57,27 @@ impl Table {
     }
 
     /// Prints the table to stdout and writes `<slug>.csv` plus a
-    /// machine-readable `<slug>.json` next to the build artifacts.
+    /// machine-readable `<slug>.json` into [`out_dir`].
     pub fn emit(&self, slug: &str) {
         print!("{}", self.render());
-        let path = csv_path(slug);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = writeln!(f, "{}", self.header.join(","));
-            for row in &self.rows {
-                let _ = writeln!(f, "{}", row.join(","));
+        let dir = out_dir();
+        let _ = std::fs::create_dir_all(&dir);
+        let csv: String = std::iter::once(&self.header)
+            .chain(&self.rows)
+            .map(|cells| cells.join(",") + "\n")
+            .collect();
+        for (ext, body) in [("csv", csv), ("json", self.to_json())] {
+            let path = dir.join(format!("{slug}.{ext}"));
+            if std::fs::write(&path, body).is_ok() {
+                eprintln!("[{ext}] {}", path.display());
             }
-            eprintln!("[csv] {}", path.display());
-        }
-        let jpath = json_path(slug);
-        if let Ok(mut f) = std::fs::File::create(&jpath) {
-            let _ = f.write_all(self.to_json().as_bytes());
-            eprintln!("[json] {}", jpath.display());
         }
     }
 
-    /// Renders the table as a JSON object: header names become row keys.
+    /// Renders the table as a JSON object: header names become row keys,
+    /// and a cell that is itself a JSON number (`3.590`, `65535`) is
+    /// written as one, so a script needs no schema to compare values —
+    /// anything else (`MP`, `2^20`, `nan`, `12.5%`) stays a string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\n  \"title\": {},\n  \"rows\": [", json_str(&self.title));
@@ -85,7 +86,10 @@ impl Table {
             let _ = write!(out, "{sep}\n    {{");
             for (j, (key, cell)) in self.header.iter().zip(row).enumerate() {
                 let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}{}: {}", json_str(key), json_str(cell));
+                let number = cell.starts_with(|c: char| c == '-' || c.is_ascii_digit())
+                    && validate_json(cell).is_ok();
+                let value = if number { cell.clone() } else { json_str(cell) };
+                let _ = write!(out, "{comma}{}: {value}", json_str(key));
             }
             let _ = write!(out, "}}");
         }
@@ -95,7 +99,7 @@ impl Table {
 }
 
 /// Escapes a string as a JSON string literal (no external deps).
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -116,8 +120,10 @@ pub fn json_str(s: &str) -> String {
 }
 
 /// Output directory for bench artifacts: `$MP_BENCH_DIR` when set
-/// (`scripts/bench.sh` points it at `target/bench/` or, for smoke runs,
-/// `target/bench-smoke/`), otherwise `<workspace>/target/bench-results/`.
+/// (`scripts/verify.sh` points its smoke stage at `target/bench-smoke/`),
+/// otherwise `<workspace>/target/bench-results/`. (`cargo bench` sets the
+/// CWD to the package directory, so a relative default would bury the
+/// files under `crates/bench/`.)
 pub fn out_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("MP_BENCH_DIR") {
         if !dir.is_empty() {
@@ -128,23 +134,6 @@ pub fn out_dir() -> PathBuf {
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."));
     root.join("target/bench-results")
-}
-
-/// Where a bench's CSV lands (see [`out_dir`]). (`cargo bench` sets the CWD
-/// to the package directory, so a relative path would bury the CSVs under
-/// `crates/bench/`.)
-pub fn csv_path(slug: &str) -> PathBuf {
-    out_dir().join(format!("{slug}.csv"))
-}
-
-/// Where a bench's JSON twin lands (see [`out_dir`]).
-pub fn json_path(slug: &str) -> PathBuf {
-    out_dir().join(format!("{slug}.json"))
-}
-
-/// Formats a float with 3 significant decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 #[cfg(test)]
@@ -161,6 +150,25 @@ mod tests {
         assert!(s.contains("scheme"));
         assert!(s.contains("MP"));
         assert!(s.lines().count() >= 5);
+    }
+
+    #[test]
+    fn json_numbers_are_bare_and_everything_else_is_quoted() {
+        let mut t = Table::new("demo", &["scheme", "margin", "Mops/s", "peak", "frees", "ratio"]);
+        t.row(["MP", "2^20", "3.590", "65535", "0", "nan"].map(String::from).to_vec());
+        t.row(["HP", "-", "-0.5", "1e3", "007", "12.5%"].map(String::from).to_vec());
+        let json = t.to_json();
+        validate_json(&json).expect("well-formed JSON");
+        // The same rows, key for key, in header order.
+        let rows: Vec<&str> =
+            json.lines().map(str::trim).filter(|l| l.starts_with('{') && l.len() > 1).collect();
+        assert_eq!(
+            rows,
+            [
+                r#"{"scheme": "MP", "margin": "2^20", "Mops/s": 3.590, "peak": 65535, "frees": 0, "ratio": "nan"},"#,
+                r#"{"scheme": "HP", "margin": "-", "Mops/s": -0.5, "peak": 1e3, "frees": "007", "ratio": "12.5%"}"#,
+            ]
+        );
     }
 
     #[test]

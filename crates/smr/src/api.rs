@@ -54,20 +54,6 @@ pub struct Config {
     /// scan for laggards); at the full figure allocations additionally
     /// take a bounded backoff. See [`crate::backpressure`].
     pub backpressure_bytes: usize,
-    /// Ablation switch: MP index assignment policy (default midpoint).
-    pub index_policy: IndexPolicy,
-}
-
-/// MP's new-node index assignment policy (§4.1 mentions the midpoint as one
-/// of several possible policies; this knob enables the ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexPolicy {
-    /// `(pred.index + succ.index) / 2` — the paper's choice.
-    #[default]
-    Midpoint,
-    /// `pred.index + 1` — clusters indices toward the predecessor; collides
-    /// as soon as a gap fills from the left.
-    AfterPred,
 }
 
 impl Default for Config {
@@ -82,7 +68,6 @@ impl Default for Config {
             anchor_hops: 100,
             stall_patience: 8,
             backpressure_bytes: 0,
-            index_policy: IndexPolicy::Midpoint,
         }
     }
 }
@@ -214,12 +199,6 @@ impl Config {
         self.backpressure_bytes = n;
         self
     }
-
-    /// Selects MP's index assignment policy (ablation).
-    pub fn with_index_policy(mut self, p: IndexPolicy) -> Self {
-        self.index_policy = p;
-        self
-    }
 }
 
 /// Shared state of an SMR scheme.
@@ -293,9 +272,7 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// waste time-series. Allocation-free and lock-free; call it from a
     /// poller loop or hand the scheme to a
     /// [`WasteSampler`](crate::telemetry::WasteSampler). Both figures are
-    /// scheme-wide (this instance only): the bytes no longer read the
-    /// process-global node gauge, which conflated concurrently live
-    /// schemes.
+    /// scheme-wide (this instance only).
     fn sample_waste(&self) {
         let t = self.telemetry();
         t.waste().record(t.pending() as u64, t.pending_bytes() as u64);

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use crate::any::{AnySmr, SchemeKind};
-use crate::api::{Config, IndexPolicy, Smr};
+use crate::api::{Config, Smr};
 use crate::error::SmrError;
 use crate::telemetry;
 
@@ -104,12 +104,6 @@ impl SmrBuilder {
     /// Sets the retired-count scan watermark (0 = auto-derive `k·H`).
     pub fn scan_watermark(mut self, n: usize) -> Self {
         self.cfg = self.cfg.with_scan_watermark(n);
-        self
-    }
-
-    /// Selects MP's index assignment policy (ablation).
-    pub fn index_policy(mut self, p: IndexPolicy) -> Self {
-        self.cfg = self.cfg.with_index_policy(p);
         self
     }
 
@@ -200,8 +194,7 @@ mod tests {
             .margin(1 << 18)
             .anchor_hops(33)
             .stall_patience(4)
-            .scan_watermark(96)
-            .index_policy(IndexPolicy::AfterPred);
+            .scan_watermark(96);
         let c = b.config();
         assert_eq!(c.max_threads, 3);
         assert_eq!(c.slots_per_thread, 5);
@@ -211,7 +204,6 @@ mod tests {
         assert_eq!(c.anchor_hops, 33);
         assert_eq!(c.stall_patience, 4);
         assert_eq!(c.scan_watermark, 96);
-        assert_eq!(c.index_policy, IndexPolicy::AfterPred);
 
         let mp = b.clone().build::<Mp>();
         let mut h = mp.register();

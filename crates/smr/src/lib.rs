@@ -58,7 +58,7 @@ pub mod schemes;
 pub mod telemetry;
 
 pub use any::{AnyHandle, AnySmr, SchemeKind};
-pub use api::{Config, ConfigError, IndexPolicy, OpGuard, Smr, SmrHandle};
+pub use api::{Config, ConfigError, OpGuard, Smr, SmrHandle};
 pub use backpressure::{BackpressurePolicy, BackpressureState, BpLevel};
 pub use builder::SmrBuilder;
 pub use error::{BackpressureError, SmrError};

@@ -119,22 +119,10 @@ pub mod gauge {
 
     pub(crate) static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-    /// Bytes held by retired-but-unreclaimed nodes (headers + payloads),
-    /// process-wide. Maintained by `Retired::new` / `Retired::reclaim`,
-    /// so every scheme's waste is measured in bytes without per-scheme
-    /// size bookkeeping; the telemetry waste time-series samples it.
-    pub(crate) static RETIRED_BYTES: AtomicUsize = AtomicUsize::new(0);
-
     /// Number of SMR nodes currently allocated and not yet reclaimed
     /// (linked + retired-pending), across all schemes in the process.
     pub fn live_nodes() -> usize {
         LIVE.load(Ordering::Acquire)
-    }
-
-    /// Bytes of retired-but-unreclaimed node memory, process-wide (the
-    /// paper's wasted memory, in bytes instead of node counts).
-    pub fn retired_bytes() -> usize {
-        RETIRED_BYTES.load(Ordering::Acquire)
     }
 }
 
@@ -370,7 +358,7 @@ pub(crate) struct Retired {
     pub(crate) op_start: u64,
     pub(crate) index: u32,
     /// Bytes the node holds — the pool block it occupies, not only its
-    /// header + payload — so the retired-bytes gauges count what is held.
+    /// header + payload — so the pending gauge counts what is held.
     bytes: u32,
     // SAFETY: [INV-11] unsafe fn *type*: the pointee-type obligation is
     // carried by `dealloc_erased`, the only value ever stored here.
@@ -404,7 +392,6 @@ impl Retired {
         // well-defined while this store publishes the retire epoch.
         unsafe { (*header).retire.store(retire_epoch, Ordering::Release) };
         let bytes = mp_util::pool::block_size(node_layout::<T>(tail_len)) as u32;
-        gauge::RETIRED_BYTES.fetch_add(bytes as usize, Ordering::AcqRel);
         Retired {
             ptr: header,
             birth,
@@ -423,7 +410,6 @@ impl Retired {
     // SAFETY: [INV-11] obligation stated above; every scheme's `empty()`
     // call site points at the scan that approved the node ([INV-05]).
     pub(crate) unsafe fn reclaim(self) {
-        gauge::RETIRED_BYTES.fetch_sub(self.bytes as usize, Ordering::AcqRel);
         // SAFETY: [INV-05] caller's scan approved the node; `drop_fn` is the
         // monomorphized eraser recorded by `Retired::new` for this node.
         unsafe { (self.drop_fn)(self.ptr) };
@@ -520,9 +506,7 @@ mod tests {
     /// A retired node is counted as the block it holds, not as its own
     /// size: one of the two tail-less nodes is 40 bytes (which one depends
     /// on the oracle's canary word) and pins a 48-byte block, and a tail
-    /// counts in full, rounded up with the rest. The process-wide gauge
-    /// takes back exactly what it was given (other tests move it too, so
-    /// only the tailed node's own round trip is compared).
+    /// counts in full, rounded up with the rest.
     #[test]
     fn retired_bytes_are_the_block_held() {
         fn node_and_retired_bytes<T: Default>(tail_len: usize) -> (usize, usize) {

@@ -536,14 +536,7 @@ impl MpHandle {
     fn interval_index(&mut self) -> u32 {
         let lo = self.lower_bound.min(self.upper_bound);
         let hi = self.lower_bound.max(self.upper_bound);
-        let index = if hi - lo <= 1 {
-            USE_HP
-        } else {
-            match self.scheme.core.cfg.index_policy {
-                crate::api::IndexPolicy::Midpoint => lo + (hi - lo) / 2,
-                crate::api::IndexPolicy::AfterPred => lo + 1,
-            }
-        };
+        let index = if hi - lo <= 1 { USE_HP } else { lo + (hi - lo) / 2 };
         // A `USE_HP` bound enters the arithmetic as 0xffff_ffff, so the
         // result can land anywhere in the `USE_HP` class; such a node is
         // hazard-protected whatever its low bits say — a collision.

@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use mp_smr::schemes::Mp;
-use mp_smr::{Atomic, Config, Counter, IndexPolicy, Shared, Smr, SmrHandle, Telemetry};
+use mp_smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
 
 fn cfg() -> Config {
     Config::default().with_max_threads(3).with_empty_freq(1).with_scan_watermark(1).with_epoch_freq(1000)
@@ -188,38 +188,31 @@ fn dual_protection_released_in_order() {
     writer.end_op();
 }
 
-/// The AfterPred index policy produces in-gap indices too, just clustered;
-/// order consistency must hold for both policies.
+/// A new node's index is the midpoint of the announced search interval
+/// (§4.1, Listing 10).
 #[test]
-fn index_policies_respect_interval() {
-    for policy in [IndexPolicy::Midpoint, IndexPolicy::AfterPred] {
-        let smr = Mp::new(cfg().with_index_policy(policy));
-        let mut h = smr.register();
-        h.start_op();
-        let lo = h.alloc_with_index(0u8, 1000);
-        let hi = h.alloc_with_index(0u8, 2000);
-        let cl = Atomic::new(lo);
-        let ch = Atomic::new(hi);
-        let rl = h.read(&cl, 0);
-        let rh = h.read(&ch, 1);
-        h.update_lower_bound(rl);
-        h.update_upper_bound(rh);
-        let n = h.alloc(0u8);
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        let idx = unsafe { n.deref() }.index();
-        assert!(1000 < idx && idx < 2000, "{policy:?} gave {idx}");
-        if policy == IndexPolicy::AfterPred {
-            assert_eq!(idx, 1001);
-        } else {
-            assert_eq!(idx, 1500);
-        }
-        h.end_op();
-        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe {
-            h.retire(n);
-            h.retire(lo);
-            h.retire(hi);
-        }
-        h.force_empty();
+fn new_node_takes_the_interval_midpoint() {
+    let smr = Mp::new(cfg());
+    let mut h = smr.register();
+    h.start_op();
+    let lo = h.alloc_with_index(0u8, 1000);
+    let hi = h.alloc_with_index(0u8, 2000);
+    let cl = Atomic::new(lo);
+    let ch = Atomic::new(hi);
+    let rl = h.read(&cl, 0);
+    let rh = h.read(&ch, 1);
+    h.update_lower_bound(rl);
+    h.update_upper_bound(rh);
+    let n = h.alloc(0u8);
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    let idx = unsafe { n.deref() }.index();
+    assert_eq!(idx, 1500);
+    h.end_op();
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    unsafe {
+        h.retire(n);
+        h.retire(lo);
+        h.retire(hi);
     }
+    h.force_empty();
 }

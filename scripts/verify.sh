@@ -91,16 +91,25 @@ cargo clippy --offline -p mp-smr --all-targets --features oracle -- -D warnings
 cargo clippy --offline --all-targets --features "oracle hb-oracle" -- -D warnings
 cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
-# Bench smoke: a seconds-long throughput run that must produce a
-# well-formed BENCH_throughput.json (into target/bench-smoke/).
-echo "==> scripts/bench.sh --smoke"
-./scripts/bench.sh --smoke
-
-# Soak smoke: a sub-second oversubscribed churn run per scheme that must
-# produce a well-formed BENCH_soak.json and pass the reclamation gates
-# (ordered latency quantiles, nonzero effective frees, bounded pending).
-echo "==> scripts/bench.sh --soak-smoke"
-./scripts/bench.sh --soak-smoke
+# Bench smoke: every mp-bench target — each figure, Table 1, the
+# collision analysis, the takeaways and the soak (one stalled reader, a
+# 32 KiB backpressure cap) — runs to completion at smoke scale and writes
+# its tables into target/bench-smoke/. The files must parse; pass/fail on
+# their *values* lives in `cargo test -p mp-bench` (the driver's soak
+# tests) and tests/fence_budget.rs. Absolute path: `cargo bench` sets the
+# CWD to the package directory.
+echo "==> cargo bench --offline -p mp-bench (smoke scale, every figure)"
+BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
+rm -rf "$BENCH_SMOKE_DIR"
+MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_THREADS=1,2 MP_BENCH_DURATION_MS=40 \
+  MP_BENCH_PREFILL=256 MP_BENCH_RUNS=1 \
+  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 MP_SOAK_BP_BYTES=32768 \
+  cargo bench --offline -p mp-bench >/dev/null
+ls "$BENCH_SMOKE_DIR"/*.json >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c 'import json, sys; [json.load(open(f)) for f in sys.argv[1:]]' \
+    "$BENCH_SMOKE_DIR"/*.json
+fi
 
 # Telemetry smoke: run the exporter example with telemetry armed and
 # check the artifacts parse — Prometheus text exposition with the

@@ -28,7 +28,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use mp_bench::{silence_injected_panics, INJECTED_PANIC};
 use mp_util::{Checker, RngExt, SmallRng};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
@@ -39,6 +38,32 @@ use margin_pointers::smr::{Config, Smr, SmrError, SmrHandle, Telemetry, Telemetr
 /// Keys are drawn from `[0, KEY_SPACE)`; the sequential probe uses a key
 /// above it.
 const KEY_SPACE: u64 = 48;
+
+/// Message carried by the injected panics; the hook filter below matches
+/// on it.
+const INJECTED_PANIC: &str = "injected mid-op fault";
+
+/// Installs (once, process-wide) a panic hook that swallows the injected
+/// fault panics — they fire on every fault-thread iteration and would
+/// otherwise flood stderr, since spawned-thread output is not captured by
+/// the test harness. All other panics still reach the previous hook.
+fn silence_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let injected = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .is_some_and(|m| m.contains(INJECTED_PANIC));
+            if !injected {
+                prev(info);
+            }
+        }));
+    });
+}
 
 /// Which misbehaving third thread accompanies the two workers.
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -56,7 +56,7 @@ fn retired_block_sizes<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<usize> {
 
 #[test]
 fn every_structure_allocates_the_block_it_is_pinned_to() {
-    assert_eq!((gauge::live_nodes(), gauge::retired_bytes()), (0, 0), "gauges start clean");
+    assert_eq!(gauge::live_nodes(), 0, "gauge starts clean");
 
     // Header 24 + key 8 + one link 8 (list, hash bucket) or two child
     // links 16 (NM-tree): the 48-byte class.
@@ -97,6 +97,6 @@ fn every_structure_allocates_the_block_it_is_pinned_to() {
     std::thread::spawn(move || drop(list)).join().expect("dropping thread panicked");
     drop(smr);
 
-    assert_eq!((gauge::live_nodes(), gauge::retired_bytes()), (0, 0), "gauges end clean");
+    assert_eq!(gauge::live_nodes(), 0, "gauge ends clean");
     assert_eq!(mp_util::pool::stats().live_blocks, 0, "a block did not go back to its chunk");
 }
