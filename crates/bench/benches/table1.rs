@@ -10,7 +10,6 @@ use mp_ds::NmTree;
 use mp_smr::schemes::{Ebr, He, Hp, Ibr, Leaky, Mp};
 
 fn main() {
-    let _prefill = mp_bench::prefill_size(500_000);
     let runs = mp_bench::runs();
     let threads = *mp_bench::thread_sweep().last().unwrap_or(&2);
     let p = BenchParams::paper(threads, 500_000, mp_bench::READ_ONLY);
@@ -28,9 +27,12 @@ fn main() {
             "hdr-words",
         ],
     );
-    // Per-node header: birth + retire epochs + index — 3 words, used by the
-    // epoch-based schemes and MP; HP/EBR ignore the fields but the unified
-    // allocator still reserves them (an implementation simplification).
+    // Per-node header: birth epoch, then index and tail length sharing a
+    // word — 2 words. The paper's third, the retire epoch, is known only
+    // once a node is retired, so it lives in the retired-list record and
+    // only while the node is pending. HP/EBR ignore the fields but the
+    // unified allocator still reserves them (an implementation
+    // simplification).
     let hdr_words = std::mem::size_of::<mp_smr::node::Header>().div_ceil(8);
 
     macro_rules! row {

@@ -74,7 +74,27 @@ pub trait ConcurrentSet<S: Smr>: Send + Sync + Sized + 'static {
 /// before it shows up in the benchmark's `setup_rss_anon_kb`.
 #[cfg(test)]
 fn node_bytes<T>() -> usize {
+    size_of::<mp_smr::SmrNode<T>>() - canary_bytes()
+}
+
+/// The word the oracle's canary adds to every header, when compiled in.
+#[cfg(test)]
+fn canary_bytes() -> usize {
     let header = size_of::<mp_smr::node::Header>();
-    assert!(header == 24 || header == 32, "3 words, 4 with the oracle's canary: {header}");
-    size_of::<mp_smr::SmrNode<T>>() - (header - 24)
+    assert!(header == 16 || header == 24, "2 words, 3 with the oracle's canary: {header}");
+    header - 16
+}
+
+/// Bytes a retired node with payload `data` and `tail_len` links holds,
+/// less the canary word: the allocation that is pinned, not a `size_of`.
+#[cfg(test)]
+fn retired_block_bytes<T: Send + Sync>(data: T, tail_len: usize) -> usize {
+    use mp_smr::SmrHandle;
+    // One retire, far below any scan trigger: the gauge reads this node.
+    let smr = <mp_smr::schemes::Hp as Smr>::new(mp_smr::Config::default().with_max_threads(1));
+    let mut h = smr.register();
+    let node = h.alloc_with_tail(data, None, tail_len);
+    // SAFETY: [INV-12] never published, retired once.
+    unsafe { h.retire(node) };
+    smr.telemetry().pending_bytes() - canary_bytes()
 }

@@ -17,12 +17,21 @@
 //!
 //! MP integration (Listing 9): `seek` shrinks the search interval at every
 //! internal node it navigates — the two bolded `update_*_bound` lines.
+//!
+//! Layout: a node is `{ key, value }`, and the two child edges of an
+//! *internal* node are its tail ([`SmrHandle::alloc_with_tail`] with two
+//! links, `tail()[LEFT]` and `tail()[RIGHT]`), in the same block right
+//! after the payload. A *leaf* is allocated with no tail, so half the
+//! tree's nodes carry no child words at all: 24 bytes a leaf, 40 an
+//! internal node. "Is this a leaf" is therefore "is its tail empty" — a
+//! fact fixed at allocation — and the descent ends on the node that answers
+//! yes, without reading a child edge of it.
 
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
 use mp_smr::node::{MAX_INDEX, USE_HP};
-use mp_smr::{Atomic, Shared, Smr, SmrHandle, Telemetry};
+use mp_smr::{Shared, Smr, SmrHandle, Telemetry};
 
 use crate::ConcurrentSet;
 
@@ -31,9 +40,13 @@ const FLAG: u64 = 0b01;
 /// Edge mark: this edge is immutable (its tail node is being unlinked).
 const TAG: u64 = 0b10;
 
+/// Positions of an internal node's two child edges in its tail.
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
 /// A severed edge: null with both marks set — a combination no live edge
-/// ever carries (flagged/tagged edges always hold real pointers, leaf child
-/// edges are null and unmarked). `retire_region` overwrites every edge of a
+/// ever carries (every edge of a linked internal node holds a real pointer,
+/// marked or not). `retire_region` overwrites every edge of a
 /// detached node with this word *before* retiring the node, so a reader
 /// re-validating (HP/MP) or re-reading (IBR/HE) the edge observes a change
 /// instead of a frozen pointer into freed memory; `seek` restarts when it
@@ -58,19 +71,30 @@ const INF2: u64 = u64::MAX;
 /// one in-flight read + one spare).
 pub const SLOTS_NEEDED: usize = 6;
 
-/// Tree node payload. Leaves have both children null; only leaves carry
-/// meaningful values (internal nodes route searches).
+/// Tree node payload. Only leaves carry meaningful values (internal nodes
+/// route searches); only internal nodes carry child edges, as their tail.
 pub struct Node<V = ()> {
     key: u64,
     value: V,
-    left: Atomic<Node<V>>,
-    right: Atomic<Node<V>>,
 }
 
-impl<V> Node<V> {
-    fn leaf(key: u64, value: V) -> Self {
-        Node { key, value, left: Atomic::null(), right: Atomic::null() }
-    }
+/// Allocates an internal node routing at `key` with both child edges set.
+fn internal<H: SmrHandle, V: Send + Sync + Default>(
+    h: &mut H,
+    key: u64,
+    index: u32,
+    left: Shared<Node<V>>,
+    right: Shared<Node<V>>,
+) -> Shared<Node<V>> {
+    let node = h.alloc_with_tail(Node { key, value: V::default() }, Some(index), 2);
+    // SAFETY: [INV-03] not published yet; exclusively ours. [INV-15] the two
+    // links just allocated.
+    let links = unsafe { node.tail() };
+    // ORDERING: reason = owned-store — the node is unpublished; the AcqRel
+    // CAS that links it (or the constructor's return) publishes these stores.
+    links[LEFT].store(left, Ordering::Relaxed);
+    links[RIGHT].store(right, Ordering::Relaxed); // ORDERING: reason = owned-store — as above.
+    node
 }
 
 /// The Natarajan–Mittal lock-free external BST set.
@@ -172,58 +196,54 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
             let mut ancestor = Prot { node: self.root, slot: None };
             let mut successor = Prot { node: self.s, slot: None };
             let mut parent = Prot { node: self.s, slot: None };
-            // SAFETY: [INV-01] S is a sentinel, never reclaimed.
-            let s_node = unsafe { self.s.deref() }.data();
             let lslot = pool.acquire();
-            // parent (S) → leaf edge.
-            let mut parent_edge = h.read(&s_node.left, lslot as usize);
+            // parent (S) → leaf edge. S is never detached, so this edge is
+            // never severed and always leads to a node.
+            // SAFETY: [INV-01] S is a sentinel, never reclaimed; [INV-15] it
+            // is internal.
+            let mut parent_edge = h.read(&unsafe { self.s.tail() }[LEFT], lslot as usize);
             let mut leaf = Prot { node: parent_edge.unmarked(), slot: Some(lslot) };
             let mut successor_edge = parent_edge;
 
-            // current = leaf.left (unconditionally: the subtree root under S
-            // always carries key ∞₀, greater than every client key).
-            if is_dead(parent_edge) {
-                continue 'restart;
-            }
-            let cslot = pool.acquire();
-            // SAFETY: [INV-01] leaf protected under lslot.
-            let mut current_edge =
-                h.read(&unsafe { leaf.node.deref() }.data().left, cslot as usize);
-            let mut current = Prot { node: current_edge.unmarked(), slot: Some(cslot) };
-
-            while !current.node.is_null() {
-                h.record_node_traversed();
+            // The subtree root under S always carries key ∞₀, greater than
+            // every client key: the step through it is left unconditionally,
+            // and it is no bound of the search interval.
+            let mut under_s = true;
+            loop {
+                // SAFETY: [INV-01] leaf protected under its slot.
+                let (leaf_node, leaf_links) =
+                    unsafe { (leaf.node.deref().data(), leaf.node.tail()) };
+                let side = if under_s || key < leaf_node.key { LEFT } else { RIGHT };
+                if !under_s {
+                    h.record_node_traversed();
+                    if side == LEFT {
+                        h.update_upper_bound(leaf.node);
+                    } else {
+                        h.update_lower_bound(leaf.node);
+                    }
+                }
+                under_s = false;
+                // [INV-15] A node allocated without child edges is a leaf:
+                // the descent ends on it.
+                let Some(child_field) = leaf_links.get(side) else { break };
+                let next_slot = pool.acquire();
+                let next_edge = h.read(child_field, next_slot as usize);
+                // A severed (dead) edge: the node we stand on was detached
+                // and retired, so the record is garbage. Start over.
+                if is_dead(next_edge) {
+                    continue 'restart;
+                }
+                let next = Prot { node: next_edge.unmarked(), slot: Some(next_slot) };
                 if parent_edge.mark() & TAG == 0 {
                     pool.assign(&mut ancestor, parent);
                     pool.assign(&mut successor, leaf);
                     successor_edge = parent_edge;
                 }
                 pool.assign(&mut parent, leaf);
-                pool.assign(&mut leaf, current);
-                parent_edge = current_edge;
-
-                // SAFETY: [INV-01] current protected under its slot.
-                let cur_node = unsafe { current.node.deref() }.data();
-                let next_slot = pool.acquire();
-                let next_edge = if key < cur_node.key {
-                    h.update_upper_bound(current.node);
-                    h.read(&cur_node.left, next_slot as usize)
-                } else {
-                    h.update_lower_bound(current.node);
-                    h.read(&cur_node.right, next_slot as usize)
-                };
-                current_edge = next_edge;
-                let next = Prot { node: next_edge.unmarked(), slot: Some(next_slot) };
-                pool.release(current);
-                current = next;
+                pool.assign(&mut leaf, next);
+                pool.release(next);
+                parent_edge = next_edge;
             }
-            // A severed (dead) edge unmarks to null and ends the descent
-            // here: the node we stood on was detached and retired, so the
-            // record is garbage. Start over.
-            if is_dead(current_edge) {
-                continue 'restart;
-            }
-            pool.release(current);
             return SeekRecord {
                 ancestor,
                 successor,
@@ -245,12 +265,15 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     // PROTECTION: caller — runs inside the caller's start_op span; all seek
     // record roles stay protected under their slots until the next seek.
     fn cleanup(&self, h: &mut S::Handle, key: u64, sr: &SeekRecord<V>) -> bool {
-        // SAFETY: [INV-01] all record roles are protected (or sentinels).
-        let parent_node = unsafe { sr.parent.node.deref() }.data();
+        // SAFETY: [INV-01] all record roles are protected (or sentinels);
+        // [INV-15] the parent role is a node the seek stepped through, so
+        // internal.
+        let (parent_node, parent_links) =
+            unsafe { (sr.parent.node.deref().data(), sr.parent.node.tail()) };
         let (child_field, sibling_field) = if key < parent_node.key {
-            (&parent_node.left, &parent_node.right)
+            (&parent_links[LEFT], &parent_links[RIGHT])
         } else {
-            (&parent_node.right, &parent_node.left)
+            (&parent_links[RIGHT], &parent_links[LEFT])
         };
         let mut sibling_field = sibling_field;
         let child_edge = child_field.load(Ordering::Acquire);
@@ -266,13 +289,11 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
         // leaf may itself be under deletion), TAG cleared.
         let new_edge = sibling.with_mark(prev.mark() & FLAG);
 
-        // SAFETY: [INV-01] ancestor protected by the seek record (or root).
-        let ancestor_node = unsafe { sr.ancestor.node.deref() }.data();
-        let anc_field = if key < ancestor_node.key {
-            &ancestor_node.left
-        } else {
-            &ancestor_node.right
-        };
+        // SAFETY: [INV-01] ancestor protected by the seek record (or root);
+        // [INV-15] stepped through by the seek, so internal.
+        let (ancestor_node, ancestor_links) =
+            unsafe { (sr.ancestor.node.deref().data(), sr.ancestor.node.tail()) };
+        let anc_field = &ancestor_links[if key < ancestor_node.key { LEFT } else { RIGHT }];
         let expected = sr.successor_edge.unmarked();
         if anc_field
             .compare_exchange(expected, new_edge, Ordering::AcqRel, Ordering::Acquire)
@@ -291,7 +312,8 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     /// `region_root` down to the deletion parent plus the flagged leaves
     /// hanging off it — everything reachable without entering `keep`.
     ///
-    /// Each node's outgoing edges are severed (overwritten with [`dead`])
+    /// Each node's outgoing edges — an internal node's two, a leaf's none —
+    /// are severed (overwritten with [`dead`])
     /// *before* the node is retired. The region's edges would otherwise be
     /// frozen forever, and a reader standing on a region node it protected
     /// in time could follow an unchanged edge to a child that was already
@@ -323,17 +345,13 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 continue; // the surviving sibling subtree
             }
             // SAFETY: [INV-01] region nodes cannot be reclaimed before *we*
-            // retire them — we are the unique retirer.
-            let node = unsafe { n.deref() }.data();
-            let l = node.left.load(Ordering::Acquire);
-            let r = node.right.load(Ordering::Acquire);
-            node.left.store(dead(), Ordering::Release);
-            node.right.store(dead(), Ordering::Release);
-            if !l.is_null() {
-                stack.push(l.unmarked());
-            }
-            if !r.is_null() {
-                stack.push(r.unmarked());
+            // retire them — we are the unique retirer. [INV-15] the loop
+            // visits the edges the node has.
+            for edge in unsafe { n.tail() } {
+                let child = edge.load(Ordering::Acquire);
+                debug_assert!(!child.is_null(), "only this walk severs, once per node");
+                edge.store(dead(), Ordering::Release);
+                stack.push(child.unmarked());
             }
             // SAFETY: [INV-04] detached region: each node retired exactly
             // once by the unique swing winner (this fn's contract).
@@ -349,26 +367,18 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     pub fn collect_quiescent(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
         // SAFETY: [INV-03] exclusive access; no mutation in flight.
-        let s_node = unsafe { self.s.deref() }.data();
-        let sub = s_node.left.load(Ordering::Acquire);
+        let sub = unsafe { self.s.tail() }[LEFT].load(Ordering::Acquire);
         let mut stack = vec![sub.unmarked()];
         while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
             // SAFETY: [INV-03] exclusive access; the tree is quiescent.
-            let node = unsafe { n.deref() }.data();
-            // ORDERING: reason = quiescent — `&mut self` enforces quiescence;
-            // these loads have no concurrent writer to race with.
-            let l = node.left.load(Ordering::Relaxed);
-            let r = node.right.load(Ordering::Relaxed); // ORDERING: reason = quiescent — as above.
-            if l.is_null() && r.is_null() {
-                if node.key < INF0 {
-                    out.push(node.key);
-                }
-            } else {
-                stack.push(l.unmarked());
-                stack.push(r.unmarked());
+            let (node, links) = unsafe { (n.deref().data(), n.tail()) };
+            if links.is_empty() && node.key < INF0 {
+                out.push(node.key);
+            }
+            for link in links {
+                // ORDERING: reason = quiescent — `&mut self` enforces quiescence;
+                // this load has no concurrent writer to race with.
+                stack.push(link.load(Ordering::Relaxed).unmarked());
             }
         }
         out.sort_unstable();
@@ -385,27 +395,10 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for NmTree<S, 
     fn new(smr: &Arc<S>) -> Self {
         let mut h = smr.register();
         // Paper §5.3: ∞₀ gets MAX_INDEX; the other initial nodes USE_HP.
-        let leaf0 = h.alloc_with_index(Node::leaf(INF0, V::default()), MAX_INDEX);
-        let leaf1 = h.alloc_with_index(Node::leaf(INF1, V::default()), USE_HP);
-        let leaf2 = h.alloc_with_index(Node::leaf(INF2, V::default()), USE_HP);
-        let s = h.alloc_with_index(
-            Node {
-                key: INF1,
-                value: V::default(),
-                left: Atomic::new(leaf0),
-                right: Atomic::new(leaf1),
-            },
-            USE_HP,
-        );
-        let root = h.alloc_with_index(
-            Node {
-                key: INF2,
-                value: V::default(),
-                left: Atomic::new(s),
-                right: Atomic::new(leaf2),
-            },
-            USE_HP,
-        );
+        let mut leaf = |key, index| h.alloc_with_index(Node { key, value: V::default() }, index);
+        let (leaf0, leaf1, leaf2) = (leaf(INF0, MAX_INDEX), leaf(INF1, USE_HP), leaf(INF2, USE_HP));
+        let s = internal(&mut h, INF1, USE_HP, leaf0, leaf1);
+        let root = internal(&mut h, INF2, USE_HP, s, leaf2);
         NmTree { root, s, smr: smr.clone() }
     }
 
@@ -453,29 +446,22 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
             // Allocate the new leaf with the search interval's midpoint
             // index, and give the routing internal the same index (they are
             // adjacent in key order).
-            let new_leaf = h.alloc(Node::leaf(key, value));
+            let new_leaf = h.alloc(Node { key, value });
             // SAFETY: [INV-02] just allocated, exclusively ours.
             let leaf_idx = unsafe { new_leaf.deref() }.index();
             let leaf_edge_clean = sr.leaf_edge.unmarked();
             let (lc, rc) =
                 if key < leaf_key { (new_leaf, leaf_edge_clean) } else { (leaf_edge_clean, new_leaf) };
-            let internal = h.alloc_with_index(
-                Node {
-                    key: key.max(leaf_key),
-                    value: V::default(),
-                    left: Atomic::new(lc),
-                    right: Atomic::new(rc),
-                },
-                leaf_idx,
-            );
+            let router = internal(h, key.max(leaf_key), leaf_idx, lc, rc);
 
-            // SAFETY: [INV-01] parent protected by the seek record (or S).
-            let parent_node = unsafe { sr.parent.node.deref() }.data();
-            let edge =
-                if key < parent_node.key { &parent_node.left } else { &parent_node.right };
+            // SAFETY: [INV-01] parent protected by the seek record (or S);
+            // [INV-15] the seek stepped through it, so it is internal.
+            let (parent_node, parent_links) =
+                unsafe { (sr.parent.node.deref().data(), sr.parent.node.tail()) };
+            let edge = &parent_links[if key < parent_node.key { LEFT } else { RIGHT }];
             match edge.compare_exchange(
                 leaf_edge_clean,
-                internal,
+                router,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -488,7 +474,7 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                     // for the retry.
                     unsafe {
                         value = new_leaf.take_owned().value;
-                        internal.drop_owned();
+                        router.drop_owned();
                     }
                     // If the edge still leads to our leaf but is marked, a
                     // deletion is pending there: help it finish.
@@ -529,10 +515,11 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                     h.end_op();
                     return false;
                 }
-                // SAFETY: [INV-01] parent protected by the seek record.
-                let parent_node = unsafe { sr.parent.node.deref() }.data();
-                let edge =
-                    if key < parent_node.key { &parent_node.left } else { &parent_node.right };
+                // SAFETY: [INV-01] parent protected by the seek record (or S);
+                // [INV-15] the seek stepped through it, so it is internal.
+                let (parent_node, parent_links) =
+                    unsafe { (sr.parent.node.deref().data(), sr.parent.node.tail()) };
+                let edge = &parent_links[if key < parent_node.key { LEFT } else { RIGHT }];
                 let expected = sr.leaf_edge.unmarked();
                 match edge.compare_exchange(
                     expected,
@@ -579,16 +566,14 @@ impl<S: Smr, V> Drop for NmTree<S, V> {
         // Exclusive access: free the whole tree.
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
-            if n.is_null() {
-                continue;
-            }
             // SAFETY: [INV-03] exclusive during drop; nodes freed once
-            // (tree shape: every node has a single parent edge).
-            let node = unsafe { n.deref() }.data();
-            // ORDERING: reason = exclusive — teardown under `&mut self` rules
-            // out concurrent writers, so the Relaxed loads cannot race.
-            stack.push(node.left.load(Ordering::Relaxed).unmarked());
-            stack.push(node.right.load(Ordering::Relaxed).unmarked()); // ORDERING: reason = exclusive — as above.
+            // (tree shape: every node has a single parent edge). [INV-15]
+            // the loop visits the edges the node has.
+            for link in unsafe { n.tail() } {
+                // ORDERING: reason = exclusive — teardown under `&mut self` rules
+                // out concurrent writers, so the Relaxed load cannot race.
+                stack.push(link.load(Ordering::Relaxed).unmarked());
+            }
             // SAFETY: [INV-03] exclusive access; each node freed exactly once.
             unsafe { n.drop_owned() };
         }
@@ -606,9 +591,14 @@ mod tests {
         Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
     }
 
+    /// A leaf is the bare node; an internal node adds its two child edges.
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(crate::node_bytes::<Node>(), 48, "header 24 + key 8 + two children 16");
+        assert_eq!(crate::node_bytes::<Node>(), 24, "header 16 + key 8");
+        for (tail_len, block) in [(0, 24), (2, 40)] {
+            let held = crate::retired_block_bytes(Node { key: 0, value: () }, tail_len);
+            assert_eq!(held, block, "{tail_len} links");
+        }
     }
 
     fn smoke<S: Smr>() {
@@ -647,21 +637,123 @@ mod tests {
         let tree = NmTree::<Mp>::new(&smr);
         // SAFETY: [INV-12] test-controlled: quiescent, nothing retired.
         unsafe {
-            let r = tree.root.deref();
-            assert_eq!(r.data().key, INF2);
-            let s = r.data().left.load(Ordering::Relaxed);
+            assert_eq!(tree.root.deref().data().key, INF2);
+            let r_links = tree.root.tail();
+            let s = r_links[LEFT].load(Ordering::Relaxed);
             assert_eq!(s.as_raw(), tree.s.as_raw());
-            let s_node = s.deref();
-            assert_eq!(s_node.data().key, INF1);
-            let l0 = s_node.data().left.load(Ordering::Relaxed).deref();
-            assert_eq!(l0.data().key, INF0);
-            assert_eq!(l0.index(), MAX_INDEX, "∞₀ leaf gets MAX_INDEX (§5.3)");
-            let l1 = s_node.data().right.load(Ordering::Relaxed).deref();
-            assert_eq!(l1.data().key, INF1);
-            assert_eq!(l1.index(), USE_HP);
-            let l2 = r.data().right.load(Ordering::Relaxed).deref();
-            assert_eq!(l2.data().key, INF2);
+            assert_eq!(s.deref().data().key, INF1);
+            let s_links = s.tail();
+            let l0 = s_links[LEFT].load(Ordering::Relaxed);
+            assert_eq!(l0.deref().data().key, INF0);
+            assert_eq!(l0.deref().index(), MAX_INDEX, "∞₀ leaf gets MAX_INDEX (§5.3)");
+            let l1 = s_links[RIGHT].load(Ordering::Relaxed);
+            assert_eq!(l1.deref().data().key, INF1);
+            assert_eq!(l1.deref().index(), USE_HP);
+            let l2 = r_links[RIGHT].load(Ordering::Relaxed);
+            assert_eq!(l2.deref().data().key, INF2);
+            assert_eq!((r_links.len(), s_links.len()), (2, 2), "R and S route");
+            assert!([l0, l1, l2].iter().all(|l| l.tail().is_empty()), "leaves have no edges");
         }
+    }
+
+    /// The empty tree is where a search ends on a node it never stepped
+    /// *from*: `S.left` is the tail-less ∞₀ leaf itself.
+    #[test]
+    fn empty_tree_operations_end_on_the_sentinel_leaf() {
+        let smr = Hp::new(cfg());
+        let mut tree: NmTree<Hp, u32> = NmTree::new(&smr);
+        let mut h = smr.register();
+        for round in 0..2 {
+            assert!(!tree.contains(&mut h, 7), "round {round}");
+            assert!(!tree.remove(&mut h, 7), "round {round}");
+            assert_eq!(tree.get(&mut h, 7), None, "round {round}");
+            // Back to empty through a real removal for the second round.
+            assert!(tree.insert_kv(&mut h, 7, 70));
+            assert_eq!(tree.get(&mut h, 7), Some(70));
+            assert!(tree.remove(&mut h, 7));
+        }
+        drop(h);
+        assert!(tree.collect_quiescent().is_empty());
+    }
+
+    /// Counts (leaves, internal nodes) reachable from the root, checking on
+    /// the way that a node either routes — two links, both set, neither
+    /// marked once the tree is quiescent — or has no link at all.
+    // PROTECTION: quiescent — `&mut` tree: no operation in flight.
+    fn shape<S: Smr>(tree: &mut NmTree<S>) -> (usize, usize) {
+        let (mut leaves, mut internals) = (0, 0);
+        let mut stack = vec![tree.root];
+        while let Some(n) = stack.pop() {
+            // SAFETY: [INV-12] quiescent walk over linked nodes.
+            let links = unsafe { n.tail() };
+            match links.len() {
+                0 => leaves += 1,
+                2 => internals += 1,
+                len => panic!("a tree node with {len} links"),
+            }
+            for link in links {
+                let child = link.load(Ordering::Acquire);
+                assert!(!child.is_null() && child.mark() == 0, "edge {child:?} of a linked node");
+                stack.push(child);
+            }
+        }
+        (leaves, internals)
+    }
+
+    #[test]
+    fn every_node_is_a_two_link_router_or_a_link_less_leaf() {
+        use mp_util::RngExt;
+        let smr = Mp::new(cfg());
+        let mut tree: NmTree<Mp> = NmTree::new(&smr);
+        assert_eq!(shape(&mut tree), (3, 2), "Figure 1");
+        let mut h = smr.register();
+        let mut model = std::collections::BTreeSet::new();
+        let mut rng = mp_util::rng();
+        for _ in 0..600 {
+            let key = rng.random_range(0..256u64);
+            assert_eq!(tree.insert(&mut h, key), model.insert(key));
+        }
+        for _ in 0..300 {
+            let key = rng.random_range(0..256u64);
+            assert_eq!(tree.remove(&mut h, key), model.remove(&key));
+        }
+        drop(h);
+        assert_eq!(shape(&mut tree), (model.len() + 3, model.len() + 2));
+        assert_eq!(tree.collect_quiescent(), model.iter().copied().collect::<Vec<_>>());
+    }
+
+    /// What a removal leaves behind for a reader still standing on the
+    /// detached nodes: the parent's two edges are severed, and the leaf has
+    /// no edge to sever — nothing leads out of the region.
+    // PROTECTION: caller — the reader's handle stays inside its operation,
+    // holding the seek record's slots, until the last deref below.
+    #[test]
+    fn removal_severs_the_parents_edges_and_a_leaf_has_none() {
+        // No scan before the handles drop: the retired nodes stay allocated
+        // whatever the scheme would have decided.
+        let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
+        let tree: NmTree<Hp> = NmTree::new(&smr);
+        let (mut reader, mut remover) = (smr.register(), smr.register());
+        for key in [10u64, 5, 20] {
+            assert!(tree.insert(&mut remover, key));
+        }
+        reader.start_op();
+        let sr = tree.seek(&mut reader, 5);
+        let (parent, leaf) = (sr.parent.node, sr.leaf.node);
+        assert!(tree.remove(&mut remover, 5));
+        assert_eq!(smr.retired_pending(), 2, "the parent and the leaf");
+        // SAFETY: [INV-12] both nodes are protected by the reader's seek
+        // record and, with scans held off, not reclaimed.
+        unsafe {
+            assert_eq!(leaf.deref().data().key, 5);
+            assert!(leaf.tail().is_empty());
+            let edges = parent.tail();
+            assert_eq!(edges.len(), 2);
+            assert!(edges.iter().all(|e| is_dead(e.load(Ordering::Acquire))));
+        }
+        reader.end_op();
+        assert!(!tree.contains(&mut reader, 5));
+        assert!(tree.contains(&mut reader, 10) && tree.contains(&mut reader, 20));
     }
 
     #[test]

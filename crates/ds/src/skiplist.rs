@@ -11,8 +11,8 @@
 //!
 //! A node carries exactly as many forward pointers as its tower is tall:
 //! they are the node's *tail* ([`SmrHandle::alloc_with_tail`]), allocated
-//! in the same block right after the payload, so a one-level node is 48
-//! bytes, the expected node 59, and only a full-height one 208. The
+//! in the same block right after the payload, so a one-level node is 40
+//! bytes, the expected node 48, and only a full-height one 192. The
 //! sentinels are the same type with a tail of [`MAX_HEIGHT`].
 //!
 //! MP integration (§5.2): searches update the MP search interval exactly as
@@ -650,24 +650,13 @@ mod tests {
         }
     }
 
-    /// A node's block is as big as its tower is tall: header 24 + key 8 +
-    /// flag 8 + 8 per level, in the pool's 16-byte classes. Measured as the
-    /// bytes a retired node holds, so it is the allocation that is pinned,
-    /// not a `size_of`.
+    /// A node's block is as big as its tower is tall: header 16 + key 8 +
+    /// flag 8 + 8 per level, exactly — the pool's classes are a word apart.
     #[test]
     fn node_size_is_pinned() {
-        if size_of::<mp_smr::node::Header>() != 24 {
-            return; // mp-smr's oracle is compiled in: its canary widens every node
-        }
-        // No scan before the handle drops, so retired bytes only add up.
-        let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
-        let mut h = smr.register();
-        for (height, block) in [(1, 48), (2, 64), (3, 64), (4, 80), (MAX_HEIGHT, 208)] {
-            let before = smr.telemetry().pending_bytes();
-            let node = h.alloc_with_tail(Node::new(0, (), height), None, height);
-            // SAFETY: [INV-12] never published, retired once.
-            unsafe { h.retire(node) };
-            assert_eq!(smr.telemetry().pending_bytes() - before, block, "height {height}");
+        for (height, block) in [(1, 40), (2, 48), (3, 56), (4, 64), (MAX_HEIGHT, 192)] {
+            let held = crate::retired_block_bytes(Node::new(0, (), height), height);
+            assert_eq!(held, block, "height {height}");
         }
     }
 

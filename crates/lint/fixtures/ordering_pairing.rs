@@ -1,10 +1,9 @@
 //! Negative fixture — pass 2 (ordering): pairing-graph *resolution* errors.
-//! Linted by `tests/lint_fixtures.rs` under the display path
-//! `crates/smr/src/node.rs`, so the real `crates/lint/ordering.rules`
-//! classifications apply: `new`/`reclaim` are gated `retire_load` sites,
-//! `live_nodes` is `counter`, and `Drop::drop` is `exempt`. Every
-//! annotation head below parses — the errors come from resolving the
-//! `pairs` references against the file's site table.
+//! Linted by `tests/lint_fixtures.rs` under its own path, which the last
+//! four rows of `crates/lint/ordering.rules` classify: `new`/`reclaim` are
+//! gated `retire_load` sites, `live_nodes` is `counter`, and `Drop::drop`
+//! is `exempt`. Every annotation head below parses — the errors come from
+//! resolving the `pairs` references against the file's site table.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,17 +23,17 @@ impl Hdr {
     }
 
     pub fn new(&self) {
-        // ORDERING: pairs = node.rs:drop — cites the exempt Drop site.
+        // ORDERING: pairs = ordering_pairing.rs:drop — cites the exempt Drop site.
         let _ = self.0.load(Ordering::Relaxed); //~ ERROR[ordering]: cites a site classified `exempt`
-        // ORDERING: pairs = node.rs:reclaim — that fn holds only Relaxed
+        // ORDERING: pairs = ordering_pairing.rs:reclaim — that fn holds only Relaxed
         // sites, so there is nothing to pair with.
         let _ = self.0.load(Ordering::Relaxed); //~ ERROR[ordering]: role-incompatible pair
     }
 
     pub fn reclaim(&self) {
-        // ORDERING: pairs = node.rs:nonexistent_fn — no such site anywhere.
-        let _ = self.0.load(Ordering::Relaxed); //~ ERROR[ordering]: dangling `pairs = node.rs:nonexistent_fn`
-        // ORDERING: pairs = node.rs:live_nodes — cites the counter site.
+        // ORDERING: pairs = ordering_pairing.rs:nonexistent_fn — no such site anywhere.
+        let _ = self.0.load(Ordering::Relaxed); //~ ERROR[ordering]: dangling `pairs = ordering_pairing.rs:nonexistent_fn`
+        // ORDERING: pairs = ordering_pairing.rs:live_nodes — cites the counter site.
         let _ = self.0.load(Ordering::Relaxed); //~ ERROR[ordering]: cites a site classified `counter`
     }
 }

@@ -378,8 +378,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
 
     /// The one allocation path: a node for `data` followed by a *tail* of
     /// `tail_len` null links, read back through [`Shared::tail`] — a node
-    /// with as many forward pointers as it needs (a skip-list tower) in one
-    /// block, instead of a payload padded to the tallest case. The length
+    /// with as many forward pointers as it needs (a skip-list tower, a tree
+    /// node's child edges — none for a leaf) in one block, instead of a
+    /// payload padded to the tallest case. The length
     /// lives in the node's header, is fixed for the node's lifetime, and is
     /// what every free path sizes the block from. Panics if `tail_len`
     /// exceeds `u32::MAX`.
@@ -393,7 +394,8 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// # Allocation behavior
     ///
     /// Node memory is served from the slab pool ([`mp_util::pool`]), in the
-    /// 16-byte size class of header + payload + tail: steady-state churn —
+    /// 8-byte size class of header + payload + tail — for a node, which is
+    /// a whole number of words, exactly its size: steady-state churn —
     /// alloc, retire, reclaim, alloc again — recycles blocks through the
     /// thread's magazines and performs no heap allocations;
     /// [`Counter::PoolHits`]/[`Counter::PoolMisses`] record the recycled /

@@ -1,18 +1,20 @@
 //! Node allocation: the per-node SMR header and type-erased reclamation.
 //!
 //! Every node managed by an SMR scheme is allocated as an [`SmrNode<T>`]:
-//! a fixed header (birth epoch, retire epoch, 32-bit index, 32-bit tail
-//! length — the paper's per-node bookkeeping, ≤ 3 words as in Table 1)
-//! followed by the client payload and then by the node's *tail*: an array
-//! of [`Atomic<T>`] links whose length is chosen at allocation time (a
-//! skip-list tower; empty for every other structure). The block's layout is
+//! a fixed two-word header (birth epoch, 32-bit index, 32-bit tail length —
+//! one word under the paper's Table 1 budget: the retire epoch is known
+//! only once a node is retired, and lives in the retired-list record for
+//! exactly that long) followed by the client payload and then by the
+//! node's *tail*: an array of [`Atomic<T>`] links whose length is chosen at
+//! allocation time (a skip-list tower, an internal tree node's two child
+//! edges; empty for a list node and a tree leaf). The block's layout is
 //! always derived from the header's tail length, so one allocation and one
 //! free path serve both. Retired nodes are stored type-erased (the
-//! crate-private `Retired` record) so one retired list can hold nodes of
-//! any client type.
+//! crate-private `Retired` record, which carries the retire epoch the scans
+//! judge) so one retired list can hold nodes of any client type.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::packed::Atomic;
 
@@ -37,27 +39,24 @@ pub fn is_use_hp_class(index: u32) -> bool {
     index >= USE_HP_CLASS_START
 }
 
-/// The per-node SMR header (paper Listing 10's added `Node` fields).
+/// The per-node SMR header (paper Listing 10's added `Node` fields, less
+/// the retire epoch: that one is `Retired::retire`, held only while the
+/// node is pending).
 #[repr(C)]
 #[derive(Debug)]
 pub struct Header {
     /// Global epoch at allocation time.
     pub(crate) birth: u64,
-    /// Global epoch at retirement; `u64::MAX` while the node is live.
-    /// Written once by the retiring thread; only that thread's `empty()`
-    /// reads it afterwards, but it is atomic so concurrent scans of foreign
-    /// retired state (DTA recovery) stay well-defined.
-    pub(crate) retire: AtomicU64,
     /// The node's immutable 32-bit MP index.
     pub(crate) index: u32,
     /// Number of links in the node's tail ([INV-15]): written once by the
-    /// allocation, immutable afterwards. It sits in the four bytes `index`
-    /// leaves before the next word, so the header stays three words.
+    /// allocation, immutable afterwards. It shares a word with `index`, so
+    /// the header is two words.
     tail_len: u32,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
     /// live, flipped to the poison value on reclamation and validated by
     /// every `Shared::deref`. Only present under `--features oracle`, so
-    /// the default header stays within Table 1's 3-word budget.
+    /// the default header stays two words.
     #[cfg(feature = "oracle")]
     pub(crate) canary: u64,
 }
@@ -213,7 +212,6 @@ fn alloc_node_tracked<T>(
         ptr.write(SmrNode {
             header: Header {
                 birth,
-                retire: AtomicU64::new(u64::MAX),
                 index,
                 tail_len,
                 #[cfg(feature = "oracle")]
@@ -387,10 +385,6 @@ impl Retired {
         crate::oracle::on_retire(header as u64, birth);
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_retire(header as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
-        // SAFETY: [INV-04] exactly one thread retires the node, and the
-        // field is atomic — concurrent scans of foreign retired state stay
-        // well-defined while this store publishes the retire epoch.
-        unsafe { (*header).retire.store(retire_epoch, Ordering::Release) };
         let bytes = mp_util::pool::block_size(node_layout::<T>(tail_len)) as u32;
         Retired {
             ptr: header,
@@ -442,13 +436,13 @@ mod tests {
     }
 
     /// Zero-cost-when-off witness: without the oracle feature the header
-    /// carries no canary and stays within Table 1's 3-word budget — any
-    /// oracle field leaking onto the hot path fails this at compile/test
-    /// time.
+    /// is birth epoch plus index and tail length, two words exactly — an
+    /// oracle field leaking onto the hot path, or a per-node field nothing
+    /// reads, fails this at test time.
     #[cfg(not(feature = "oracle"))]
     #[test]
-    fn header_is_three_words_without_the_oracle() {
-        assert!(core::mem::size_of::<Header>() <= 3 * core::mem::size_of::<u64>());
+    fn header_is_two_words_without_the_oracle() {
+        assert_eq!(core::mem::size_of::<Header>(), 16);
     }
 
     /// Counterpart: under the oracle the canary widens the header by one
@@ -456,7 +450,7 @@ mod tests {
     #[cfg(feature = "oracle")]
     #[test]
     fn header_gains_exactly_one_canary_word_under_the_oracle() {
-        assert_eq!(core::mem::size_of::<Header>(), 4 * core::mem::size_of::<u64>());
+        assert_eq!(core::mem::size_of::<Header>(), 24);
         let node = alloc_node(7u32, 0, 0);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(unsafe { (*node).header.canary }, crate::oracle::CANARY_ALIVE);
@@ -503,10 +497,11 @@ mod tests {
         }
     }
 
-    /// A retired node is counted as the block it holds, not as its own
-    /// size: one of the two tail-less nodes is 40 bytes (which one depends
-    /// on the oracle's canary word) and pins a 48-byte block, and a tail
-    /// counts in full, rounded up with the rest.
+    /// A retired node is counted as the block it holds — its size in the
+    /// pool's word-sized classes, which for a node (a whole number of words)
+    /// is its own size: 24 bytes for a header and a `u64`, or 32 for header
+    /// and two (which one depends on the oracle's canary word). A tail
+    /// counts in full.
     #[test]
     fn retired_bytes_are_the_block_held() {
         fn node_and_retired_bytes<T: Default>(tail_len: usize) -> (usize, usize) {
@@ -525,7 +520,7 @@ mod tests {
         for (node, bytes) in sizes {
             assert_eq!(bytes, node.next_multiple_of(mp_util::pool::CLASS_GRANULE));
         }
-        assert!(sizes.contains(&(40, 48)), "{sizes:?}");
+        assert!(sizes.contains(&(32, 32)), "{sizes:?}");
         assert_eq!(sizes[3].0 - sizes[0].0, 160, "twenty links are twenty words");
     }
 

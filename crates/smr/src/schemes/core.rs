@@ -485,7 +485,7 @@ mod tests {
         let a = retire(&mut h, &s, &mut pinned);
         let node_bytes = s.core.tele.pending_bytes();
         // The gauge counts the pool block a node holds: a header + `u64`
-        // (32 bytes, 40 with the oracle's canary) sits in a 16-byte class.
+        // (24 bytes, 32 with the oracle's canary) is its own 8-byte class.
         let node_size = size_of::<crate::node::SmrNode<u64>>();
         assert_eq!(node_bytes, node_size.next_multiple_of(mp_util::pool::CLASS_GRANULE));
         let b = retire(&mut h, &s, &mut pinned);

@@ -21,7 +21,7 @@
 //!   bounded queue) carrying fixed-size telemetry event records.
 //! * [`hist`] / [`Histogram`] — a 64-bucket power-of-two latency
 //!   histogram, mergeable and allocation-free.
-//! * [`pool`] — slab-backed block pool (16-byte size classes carved from
+//! * [`pool`] — slab-backed block pool (8-byte size classes carved from
 //!   64 KiB chunks, per-thread magazines, chunk-level recycling) serving
 //!   SMR node memory.
 //! * [`shadow`] — a sharded shadow table (key → state record with atomic

@@ -13,12 +13,16 @@
 //!   recycled blocks in a LIFO and one *span*: a run of never-used blocks
 //!   its chunk granted it, consumed by bump pointer. A full magazine spills
 //!   half its blocks to the slab; an empty one refills from it.
-//! * **The slab**, under one mutex. Block sizes are rounded up to a
-//!   [`CLASS_GRANULE`]-byte class (up to [`MAX_POOLED_SIZE`]). Blocks are
-//!   carved from [`CHUNK`]-byte chunks, each serving one class at a time;
-//!   chunks are cut from [`REGION`]-byte regions obtained from the system
-//!   allocator at chunk alignment, so a block carries no allocator header
-//!   and its chunk is found by masking its address. A chunk starts with an
+//! * **The slab**, under one mutex. A layout's size is padded to its
+//!   alignment and then rounded up to a [`CLASS_GRANULE`]-byte class (up to
+//!   [`MAX_POOLED_SIZE`]), so an 8-aligned node holds exactly the words it
+//!   is made of. Blocks are carved from [`CHUNK`]-byte chunks, each serving
+//!   one class at a time; chunks are cut from [`REGION`]-byte regions
+//!   obtained from the system allocator at chunk alignment, so a block
+//!   carries no allocator header and its chunk is found by masking its
+//!   address. Block `k` of a chunk sits `64 + k · size` bytes into it, so a
+//!   block is aligned to the largest power of two dividing its class size
+//!   (capped at 64, at least 8). A chunk starts with an
 //!   in-band header: how many of its blocks are out (`live`), how many the
 //!   bump pointer has carved, and an intrusive list (link in each block's
 //!   first word) of the blocks that came home.
@@ -54,13 +58,15 @@ use std::sync::{Mutex, MutexGuard};
 /// straight to the system allocator.
 pub const MAX_POOLED_SIZE: usize = 2048;
 
-/// Largest alignment served from the pool. Every pooled block sits at this
-/// alignment, so any request with `align <= MAX_POOLED_ALIGN` is satisfied
-/// by any block of its size class.
+/// Largest alignment served from the pool. Not the alignment of every
+/// block: a block is aligned to the largest power of two dividing its class
+/// size, and a layout's class size is a multiple of the layout's alignment
+/// (see `class_of`), which is what a request needs.
 pub const MAX_POOLED_ALIGN: usize = 16;
 
-/// Size-class granule: block sizes are rounded up to the next multiple.
-pub const CLASS_GRANULE: usize = 16;
+/// Size-class granule: block sizes are rounded up to the next multiple —
+/// one word, the alignment of every SMR node and the least any block gets.
+pub const CLASS_GRANULE: usize = 8;
 
 /// Number of size classes (`MAX_POOLED_SIZE / CLASS_GRANULE`).
 pub const NUM_CLASSES: usize = MAX_POOLED_SIZE / CLASS_GRANULE;
@@ -93,7 +99,11 @@ fn class_of(layout: Layout) -> Option<usize> {
     {
         return None;
     }
-    Some(layout.size().div_ceil(CLASS_GRANULE) - 1)
+    // Padded to the alignment first: the class size is then a multiple of
+    // it, and so is every block offset `64 + k · size` in the chunk.
+    // `MAX_POOLED_SIZE` is itself a multiple of `MAX_POOLED_ALIGN`, so the
+    // padding cannot push a pooled size past the last class.
+    Some(layout.pad_to_align().size().div_ceil(CLASS_GRANULE) - 1)
 }
 
 #[inline]
@@ -142,6 +152,13 @@ struct ChunkHeader {
     /// Blocks the bump pointer has handed out at least once (a prefix).
     carved: u32,
 }
+
+// What `class_of`'s alignment argument stands on: the first block of a chunk
+// is as aligned as any request, and padding never leaves the pooled range.
+const _: () = assert!(
+    size_of::<ChunkHeader>().is_multiple_of(MAX_POOLED_ALIGN)
+        && MAX_POOLED_SIZE.is_multiple_of(MAX_POOLED_ALIGN)
+);
 
 /// The chunk holding `block`, by address mask.
 #[inline]
@@ -600,15 +617,22 @@ mod tests {
     }
 
     #[test]
-    fn class_boundaries_at_16_17_2048_and_2049_bytes() {
-        assert_eq!(class_of(layout(16)), Some(0));
-        assert_eq!(class_of(layout(17)), Some(1));
+    fn class_boundaries_at_8_9_16_17_2048_and_2049_bytes() {
+        assert_eq!(class_of(layout(8)), Some(0));
+        assert_eq!(class_of(layout(9)), Some(1));
+        assert_eq!(class_of(layout(16)), Some(1));
+        assert_eq!(class_of(layout(17)), Some(2));
         assert_eq!(class_of(layout(2048)), Some(NUM_CLASSES - 1));
         assert_eq!(class_of(layout(2049)), None);
-        assert_eq!(block_size(layout(16)), 16);
-        assert_eq!(block_size(layout(17)), 32);
+        assert_eq!(block_size(layout(8)), 8);
+        assert_eq!(block_size(layout(9)), 16);
+        assert_eq!(block_size(layout(17)), 24);
         assert_eq!(block_size(layout(2048)), 2048);
         assert_eq!(block_size(layout(2049)), 2049, "a bypassed layout holds its own size");
+        // A 16-aligned layout is padded to its alignment before it is
+        // classed, so its blocks sit 16 apart however odd its size.
+        assert_eq!(block_size(Layout::from_size_align(17, 16).unwrap()), 32);
+        assert_eq!(block_size(Layout::from_size_align(2041, 16).unwrap()), 2048);
         isolated(|| {
             let (small, next) = (alloc_addr(16), alloc_addr(17));
             assert_ne!(chunk_addr(small), chunk_addr(next), "one class per chunk");
@@ -623,11 +647,11 @@ mod tests {
     #[test]
     fn different_sizes_in_same_class_share_blocks() {
         isolated(|| {
-            // 33 and 48 both round up to the 48-byte class.
-            let (a, b) = (layout(33), Layout::from_size_align(48, 16).unwrap());
+            // 33 and 40 both round up to the 40-byte class.
+            let (a, b) = (layout(33), layout(40));
             assert_eq!(class_of(a), class_of(b));
             let (p1, _) = alloc(a);
-            assert_eq!(p1.addr() % MAX_POOLED_ALIGN, 0);
+            assert_eq!(p1.addr() % 8, 0);
             // SAFETY: [INV-12] test-owned block served by `alloc(a)`, freed once.
             unsafe { dealloc(p1, a) };
             let (p2, recycled) = alloc(b);
@@ -712,7 +736,7 @@ mod tests {
             assert_eq!(
                 b,
                 chunk_addr(a) + size_of::<ChunkHeader>(),
-                "the 208-byte class re-carves, from its start, the chunk the 48-byte class left"
+                "the 200-byte class re-carves, from its start, the chunk the 48-byte class left"
             );
             free_all([b], 200);
         });
@@ -754,6 +778,42 @@ mod tests {
             assert!(recycled, "a third thread refills from that chunk's free list");
             assert_eq!(chunk_addr(again), chunk_addr(blocks[0]));
         });
+    }
+
+    /// Any layout the pool serves — sizes that are not a multiple of their
+    /// alignment included — gets a block aligned as asked, at least as big
+    /// as asked and disjoint from every other live block; `isolated` then
+    /// checks that freeing them all leaves no live block and no chunk in use.
+    #[test]
+    fn any_pooled_layout_is_served_aligned_sized_and_disjoint() {
+        Checker::new().cases(8).run(
+            "any_pooled_layout_is_served_aligned_sized_and_disjoint",
+            |rng| {
+                (0..400)
+                    .map(|_| (rng.random_range(1..MAX_POOLED_SIZE + 1), 1 << rng.random_range(0..5u32)))
+                    .collect()
+            },
+            |requests: &[(usize, usize)]| {
+                isolated(|| {
+                    let mut live: Vec<(usize, usize, Layout)> = Vec::new();
+                    for &(size, align) in requests {
+                        let layout = Layout::from_size_align(size, align).unwrap();
+                        let (addr, held) = (alloc(layout).0.addr(), block_size(layout));
+                        assert_eq!(addr % align, 0, "{layout:?} served at {addr:#x}");
+                        assert!(held >= size, "{layout:?} holds {held} bytes");
+                        live.push((addr, addr + held, layout));
+                    }
+                    live.sort_unstable_by_key(|&(start, ..)| start);
+                    for w in live.windows(2) {
+                        assert!(w[0].1 <= w[1].0, "{:?} overlaps {:?}", w[0], w[1]);
+                    }
+                    for (start, _, layout) in live {
+                        // SAFETY: [INV-12] test-owned block served by `alloc(layout)`, freed once.
+                        unsafe { dealloc(start as *mut u8, layout) };
+                    }
+                });
+            },
+        );
     }
 
     /// Checker-seeded interleaving of alloc and free over three threads and

@@ -1,9 +1,9 @@
 //! Footprint pins: the pool block behind every node each structure
 //! allocates, measured — as the bytes a retired node holds — rather than
-//! computed from a `size_of`. The benchmark's `setup_rss_anon_kb` is these
-//! numbers times the prefill, so a field that crosses a 16-byte class
-//! fails here, with the structure's name, instead of surfacing as a memory
-//! regression some PRs later.
+//! computed from a `size_of`, and stated in bytes per key. The benchmark's
+//! `setup_rss_anon_kb` is these numbers times the prefill, so a word added
+//! to a node fails here, with the structure's name, instead of surfacing as
+//! a memory regression some PRs later.
 //!
 //! Without the oracle only: its canary word widens every header. One
 //! `#[test]` in this binary, and every pool access on a thread that has
@@ -28,9 +28,9 @@ fn cfg() -> Config {
         .with_scan_watermark(1 << 20)
 }
 
-/// Inserts `keys` keys, removes them one at a time, and returns the bytes
-/// held per node retired by each removal. Runs on a thread of its own.
-fn retired_block_sizes<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<usize> {
+/// Inserts `keys` keys, removes them one at a time, and returns what each
+/// removal retired: (nodes, bytes held). Runs on a thread of its own.
+fn retired_per_removal<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<(usize, usize)> {
     std::thread::spawn(move || {
         let smr = Hp::new(cfg());
         let ds = D::new(&smr);
@@ -43,10 +43,7 @@ fn retired_block_sizes<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<usize> {
             .map(|key| {
                 let (nodes, bytes) = held();
                 assert!(ds.remove(&mut h, key));
-                let (nodes, bytes) = (held().0 - nodes, held().1 - bytes);
-                assert!(nodes > 0, "{}: a removal retires what it unlinked", D::name());
-                assert_eq!(bytes % nodes, 0, "{}: one node type per structure", D::name());
-                bytes / nodes
+                (held().0 - nodes, held().1 - bytes)
             })
             .collect()
     })
@@ -58,26 +55,35 @@ fn retired_block_sizes<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<usize> {
 fn every_structure_allocates_the_block_it_is_pinned_to() {
     assert_eq!(gauge::live_nodes(), 0, "gauge starts clean");
 
-    // Header 24 + key 8 + one link 8 (list, hash bucket) or two child
-    // links 16 (NM-tree): the 48-byte class.
-    for (name, blocks) in [
-        ("list", retired_block_sizes::<LinkedList<Hp>>(256)),
-        ("hashmap", retired_block_sizes::<HashMap<Hp>>(256)),
-        ("nmtree", retired_block_sizes::<NmTree<Hp>>(256)),
+    // What one removal retires, per structure — the structure's bytes per
+    // key. List and hash bucket: one node of header 16 + key 8 + link 8.
+    // NM-tree: the 24-byte leaf (header 16 + key 8) and the 40-byte internal
+    // node that routed to it (the same plus two child edges).
+    for (name, removals, per_key) in [
+        ("list", retired_per_removal::<LinkedList<Hp>>(256), (1, 32)),
+        ("hashmap", retired_per_removal::<HashMap<Hp>>(256), (1, 32)),
+        ("nmtree", retired_per_removal::<NmTree<Hp>>(256), (2, 24 + 40)),
     ] {
-        assert!(blocks.iter().all(|&b| b == 48), "{name}: a node is no longer 48 bytes");
+        assert!(
+            removals.iter().all(|&r| r == per_key),
+            "{name}: a key is no longer {per_key:?} (nodes, bytes): {removals:?}"
+        );
     }
 
-    // Skip list: header 24 + key 8 + flag 8 + 8 per level — 48 B at height
-    // 1, 64 B at 2 and 3, … 208 B at `MAX_HEIGHT` — so with heights drawn
-    // at p = 1/2 a key costs Σ 2⁻ʰ·⌈40 + 8h⌉₁₆ = 58.7 bytes on average.
-    let table: Vec<usize> = (1..=MAX_HEIGHT).map(|h| (40 + 8 * h).next_multiple_of(16)).collect();
-    assert_eq!((table[0], table[1], table[2], table[MAX_HEIGHT - 1]), (48, 64, 64, 208));
-    let blocks = retired_block_sizes::<SkipList<Hp>>(KEYS);
-    assert!(blocks.iter().all(|b| table.contains(b)), "skiplist: a block outside the table");
-    assert_eq!(blocks.iter().min(), Some(&48), "skiplist: a one-level node is 48 bytes");
-    let mean = blocks.iter().sum::<usize>() as f64 / blocks.len() as f64;
-    assert!((56.0..62.0).contains(&mean), "skiplist: {mean:.1} bytes per key, expected 58.7");
+    // Skip list: header 16 + key 8 + flag 8 + 8 per level, no rounding —
+    // 40 B at height 1, 48 B at 2, … 192 B at `MAX_HEIGHT` — so with heights
+    // drawn at p = 1/2 a key costs Σ 2⁻ʰ·(32 + 8h) = 48.0 bytes on average.
+    let table: Vec<usize> = (1..=MAX_HEIGHT).map(|h| 32 + 8 * h).collect();
+    assert_eq!((table[0], table[1], table[2], table[MAX_HEIGHT - 1]), (40, 48, 56, 192));
+    let removals = retired_per_removal::<SkipList<Hp>>(KEYS);
+    assert!(
+        removals.iter().all(|(nodes, bytes)| *nodes == 1 && table.contains(bytes)),
+        "skiplist: a block outside the table"
+    );
+    let blocks = removals.iter().map(|&(_, bytes)| bytes);
+    assert_eq!(blocks.clone().min(), Some(40), "skiplist: a one-level node is 40 bytes");
+    let mean = blocks.sum::<usize>() as f64 / removals.len() as f64;
+    assert!((46.0..50.0).contains(&mean), "skiplist: {mean:.1} bytes per key, expected 48.0");
 
     // A mixed-height list built on one thread and dropped on another: every
     // block finds its way home to the chunk of its own height class.

@@ -129,10 +129,15 @@ fn ordering_pass_fires_on_gated_relaxed_and_unclassified_sites() {
 
 #[test]
 fn pairing_resolution_fires_on_dangling_exempt_counter_and_relaxed_only_refs() {
-    // Linted as smr/src/node.rs so the real rules gate `new`/`reclaim`
-    // (retire_load) and classify `live_nodes` as counter, `drop` as exempt
-    // — the four resolution error classes in one file.
-    check_negative("ordering_pairing.rs", "crates/smr/src/node.rs", PASS_ORDERING);
+    // Linted under its own path: the rule file's closing section gates
+    // its `new`/`reclaim` (retire_load) and classifies `live_nodes` as
+    // counter, `drop` as exempt — the four resolution error classes in one
+    // file, which no protocol file offers.
+    check_negative(
+        "ordering_pairing.rs",
+        "crates/lint/fixtures/ordering_pairing.rs",
+        PASS_ORDERING,
+    );
 }
 
 #[test]
