@@ -25,3 +25,10 @@ pub fn unknown_id(p: *const u64) -> u64 {
 pub struct Token(*const u8);
 
 unsafe impl Send for Token {} //~ ERROR[safety]: without an attached
+
+/// A citation trailing one block covers that block only.
+pub fn two_blocks(p: *const u64) -> u64 {
+    let a = unsafe { *p }; // SAFETY: [INV-12] caller passes a live pointer.
+    let b = unsafe { *p }; //~ ERROR[safety]: without an attached
+    a + b
+}

@@ -101,12 +101,23 @@ impl LexFile {
     /// #[inline]
     /// pub unsafe fn f() { … }
     /// ```
+    ///
+    /// A comment that follows a token on its own line *trails* that line
+    /// (`a.store(1, Relaxed); // ORDERING: …`) and is skipped: it sits after
+    /// the previous statement's `;` in the stream, and must not justify the
+    /// statement below it as well.
     pub fn attached_comment(&self, code_i: usize) -> String {
         let mut out = Vec::new();
         let stop = self.code[code_i];
-        for item in self.items[..stop].iter().rev() {
+        for (k, item) in self.items[..stop].iter().enumerate().rev() {
             match item {
-                Item::Comment(c) => out.push(c.text.as_str()),
+                Item::Comment(c) => {
+                    let trails = k > 0
+                        && matches!(&self.items[k - 1], Item::Tok { line, .. } if *line == c.line);
+                    if !trails {
+                        out.push(c.text.as_str());
+                    }
+                }
                 Item::Tok { tok: Tok::Punct(';' | '{' | '}'), .. } => break,
                 Item::Tok { .. } => {}
             }
@@ -132,6 +143,13 @@ impl LexFile {
             }
         }
         out
+    }
+
+    /// Everything a site at code position `i` can be annotated with: the
+    /// comments attached above its statement, then the one trailing its
+    /// line, newline-separated so neither text runs into the other.
+    pub fn site_comment(&self, code_i: usize) -> String {
+        format!("{}\n{}", self.attached_comment(code_i), self.trailing_comment(code_i))
     }
 }
 
@@ -579,6 +597,24 @@ pub unsafe fn f() {}\n";
         });
         let c = f.attached_comment(pos.unwrap());
         assert!(!c.contains("SAFETY"), "comment beyond `;` must not attach: {c}");
+    }
+
+    #[test]
+    fn trailing_comment_does_not_attach_to_the_next_statement() {
+        let src = "\
+a.store(1, Ordering::Relaxed); // ORDERING: reason = exclusive\n\
+// above the second\n\
+b.store(2, Ordering::Relaxed); // ORDERING: reason = quiescent\n";
+        let f = lex(src);
+        let sites: Vec<usize> = (0..f.code.len()).filter(|&i| f.is_ident(i, "Ordering")).collect();
+        assert_eq!(f.attached_comment(sites[0]), "");
+        assert_eq!(f.attached_comment(sites[1]), "// above the second");
+        // Each site still sees its own line's comment, on a line of its own.
+        assert_eq!(f.site_comment(sites[0]), "\n// ORDERING: reason = exclusive\n");
+        assert_eq!(
+            f.site_comment(sites[1]),
+            "// above the second\n// ORDERING: reason = quiescent\n"
+        );
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //!
 //! 1. **unsafe-invariant audit** — every `unsafe` site cites a named
 //!    invariant from `INVARIANTS.md` via `// SAFETY: [INV-xx]`.
-//! 2. **memory-ordering gate** — `Ordering::*` call sites are classified by
-//!    role in `crates/lint/ordering.rules`; `Relaxed` at publish / CAS /
-//!    retire-load sites requires a structured `// ORDERING:` annotation
-//!    (`pairs = <path-suffix>:<fn>` or `reason = …`), every `pairs`
-//!    reference is resolved against the whole-tree site table, and the
-//!    resolved protocol graph is emittable as a JSON/DOT artifact.
+//! 2. **memory-ordering gate** — in the protocol crates (`crates/smr/src/`,
+//!    `crates/ds/src/`) every non-test `Ordering::Relaxed` carries a
+//!    structured `// ORDERING:` annotation at the site
+//!    (`pairs = <path-suffix>:<fn>` or `reason = …`), and every `pairs`
+//!    reference is resolved against the whole-tree site table.
 //! 3. **protection-scope heuristic** — `deref()` outside a lexical
 //!    `pin()` / `start_op()` span needs a `// PROTECTION:` annotation.
 //! 4. **forbidden-API pass** — `mem::forget`, `todo!`/`unimplemented!` in
@@ -25,7 +24,6 @@
 pub mod lexer;
 pub mod passes;
 pub mod registry;
-pub mod rules;
 
 use std::path::{Path, PathBuf};
 
@@ -56,18 +54,14 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Linter configuration: where the registry and rule file live.
+/// Linter configuration: where the invariant registry lives.
 pub struct LintConfig {
     pub invariants: PathBuf,
-    pub ordering_rules: PathBuf,
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
-        LintConfig {
-            invariants: PathBuf::from("INVARIANTS.md"),
-            ordering_rules: PathBuf::from("crates/lint/ordering.rules"),
-        }
+        LintConfig { invariants: PathBuf::from("INVARIANTS.md") }
     }
 }
 
@@ -103,29 +97,27 @@ fn walk(p: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints one already-lexed file, including same-file pairing resolution.
-/// Separated out so fixture tests can drive single files with a custom rule
-/// set; `pairs =` references must resolve within the file in this mode.
+/// Lints one file, including same-file pairing resolution. Separated out so
+/// fixture tests can drive single files under a synthetic display path;
+/// `pairs =` references must resolve within the file in this mode.
 pub fn lint_file(
     path_display: &str,
     src: &str,
     reg: &registry::Registry,
-    rules: &rules::RuleSet,
     out: &mut Vec<Diagnostic>,
 ) {
     let mut sites = Vec::new();
-    lint_file_collect(path_display, src, reg, rules, &mut sites, out);
+    lint_file_collect(path_display, src, reg, &mut sites, out);
     passes::ordering::resolve(&sites, out);
 }
 
 /// Phase 1 of [`lint_file`]: runs the per-file passes and appends the file's
-/// classified ordering sites to `sites` without resolving `pairs`
-/// references — the whole-tree walk resolves once over all files.
-pub fn lint_file_collect(
+/// ordering sites to `sites` without resolving `pairs` references — the
+/// whole-tree walk resolves once over all files.
+fn lint_file_collect(
     path_display: &str,
     src: &str,
     reg: &registry::Registry,
-    rules: &rules::RuleSet,
     sites: &mut Vec<OrderingSite>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -133,107 +125,30 @@ pub fn lint_file_collect(
     let spans = lexer::fn_spans(&f);
     let tspans = lexer::test_spans(&f);
     passes::safety::run(path_display, &f, reg, out);
-    passes::ordering::run(path_display, &f, &spans, &tspans, rules, sites, out);
+    passes::ordering::run(path_display, &f, &spans, &tspans, sites, out);
     passes::scope::run(path_display, &f, &spans, out);
     passes::forbidden::run(path_display, &f, &tspans, out);
 }
 
-/// Runs all passes over every `.rs` file under `paths`. Returns the sorted
-/// diagnostics; configuration errors (missing registry / rule file) are
-/// `Err` — they must fail the build, not read as a clean run.
+/// Runs all passes over every `.rs` file under `paths`, then resolves the
+/// `pairs` references over the merged site table. Returns the sorted
+/// diagnostics; a configuration error (missing registry) is `Err` — it must
+/// fail the build, not read as a clean run.
 pub fn lint_paths(paths: &[PathBuf], cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
-    lint_paths_with_sites(paths, cfg).map(|(diags, _)| diags)
-}
-
-/// Like [`lint_paths`], but also returns the whole-tree ordering site table
-/// (the data model behind the committed pairing-graph artifact).
-///
-/// This is where the two cross-file checks run: the `ordering.rules`
-/// shadowed-rule self-check (reported against the rule file itself) and
-/// pairing resolution over the merged site table.
-pub fn lint_paths_with_sites(
-    paths: &[PathBuf],
-    cfg: &LintConfig,
-) -> Result<(Vec<Diagnostic>, Vec<OrderingSite>), String> {
     let reg = registry::Registry::load(&cfg.invariants)?;
-    let rules = rules::RuleSet::load(&cfg.ordering_rules)?;
     let files = collect_rs_files(paths).map_err(|e| format!("walking inputs: {e}"))?;
     if files.is_empty() {
         return Err("no .rs files found under the given paths".to_string());
     }
     let mut out = Vec::new();
-    let rules_display = cfg.ordering_rules.display().to_string().replace('\\', "/");
-    for (a, b) in rules.shadowed() {
-        out.push(Diagnostic {
-            file: rules_display.clone(),
-            line: b.line as u32,
-            col: 1,
-            pass: PASS_ORDERING,
-            msg: format!(
-                "rule `{} {} {}` is shadowed by earlier rule `{} {} {}` (line {}) — \
-                 first match wins, so this rule can never apply",
-                b.path_suffix,
-                b.fn_glob,
-                b.role.name(),
-                a.path_suffix,
-                a.fn_glob,
-                a.role.name(),
-                a.line,
-            ),
-        });
-    }
     let mut sites = Vec::new();
     for file in &files {
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         let display = file.display().to_string().replace('\\', "/");
-        lint_file_collect(&display, &src, &reg, &rules, &mut sites, &mut out);
+        lint_file_collect(&display, &src, &reg, &mut sites, &mut out);
     }
     passes::ordering::resolve(&sites, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    Ok((out, sites))
-}
-
-/// Serializes diagnostics as a JSON array (schema `mp-lint/v1`) for CI
-/// annotation tooling: `{"file", "line", "col", "pass", "msg"}` per entry.
-pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
-    let mut s = String::from("[\n");
-    let lines: Vec<String> = diags
-        .iter()
-        .map(|d| {
-            format!(
-                "  {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"pass\": \"{}\", \
-                 \"msg\": \"{}\"}}",
-                json_escape(&d.file),
-                d.line,
-                d.col,
-                json_escape(d.pass),
-                json_escape(&d.msg),
-            )
-        })
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    if !diags.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// Minimal JSON string escaping (the only JSON writer this zero-dependency
-/// crate needs).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    Ok(out)
 }

@@ -2,49 +2,29 @@
 //!
 //! ```text
 //! cargo run -p mp-lint -- crates/ tests/ examples/ src/
-//! cargo run -p mp-lint -- --json crates/                     # CI annotations
-//! cargo run -p mp-lint -- --emit-graph ORDERING_GRAPH.json \
-//!                         --emit-dot ORDERING_GRAPH.dot crates/
+//! cargo run -p mp-lint -- --invariants path/to/INVARIANTS.md crates/
 //! ```
 //!
 //! Exits 0 on a clean tree, 1 on any diagnostic, 2 on configuration errors
-//! (missing registry / rule file — those must fail the gate loudly, never
-//! read as "no findings"). Graph artifacts are written even when
-//! diagnostics exist, so a drift check can still compare them.
+//! (a missing registry — that must fail the gate loudly, never read as "no
+//! findings").
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mp_lint::{diagnostics_json, lint_paths_with_sites, passes::ordering, LintConfig};
+use mp_lint::{lint_paths, LintConfig};
 
-const USAGE: &str = "usage: mp-lint [--invariants <path>] [--rules <path>] [--json] \
-     [--emit-graph <path>] [--emit-dot <path>] <path>...";
+const USAGE: &str = "usage: mp-lint [--invariants <path>] <path>...";
 
 fn main() -> ExitCode {
     let mut cfg = LintConfig::default();
     let mut paths = Vec::new();
-    let mut json = false;
-    let mut emit_graph: Option<PathBuf> = None;
-    let mut emit_dot: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--invariants" => match args.next() {
                 Some(p) => cfg.invariants = PathBuf::from(p),
                 None => return usage_error("--invariants needs a path"),
-            },
-            "--rules" => match args.next() {
-                Some(p) => cfg.ordering_rules = PathBuf::from(p),
-                None => return usage_error("--rules needs a path"),
-            },
-            "--json" => json = true,
-            "--emit-graph" => match args.next() {
-                Some(p) => emit_graph = Some(PathBuf::from(p)),
-                None => return usage_error("--emit-graph needs a path"),
-            },
-            "--emit-dot" => match args.next() {
-                Some(p) => emit_dot = Some(PathBuf::from(p)),
-                None => return usage_error("--emit-dot needs a path"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -56,28 +36,13 @@ fn main() -> ExitCode {
     if paths.is_empty() {
         return usage_error("no input paths");
     }
-    let (diags, sites) = match lint_paths_with_sites(&paths, &cfg) {
+    let diags = match lint_paths(&paths, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mp-lint: configuration error: {e}");
             return ExitCode::from(2);
         }
     };
-    for (path, contents) in [
-        (emit_graph, ordering::graph_json(&sites)),
-        (emit_dot, ordering::graph_dot(&sites)),
-    ] {
-        if let Some(p) = path {
-            if let Err(e) = std::fs::write(&p, contents) {
-                eprintln!("mp-lint: cannot write {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if json {
-        print!("{}", diagnostics_json(&diags));
-        return if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
     if diags.is_empty() {
         println!("mp-lint: clean (0 diagnostics)");
         return ExitCode::SUCCESS;

@@ -108,7 +108,7 @@ fn ptr_cast_shape(f: &LexFile, i: usize) -> Option<&'static str> {
 }
 
 fn escaped(f: &LexFile, i: usize, marker: &str) -> bool {
-    (f.attached_comment(i) + &f.trailing_comment(i)).contains(marker)
+    f.site_comment(i).contains(marker)
 }
 
 fn diag(file: &str, f: &LexFile, i: usize, msg: &str) -> Diagnostic {

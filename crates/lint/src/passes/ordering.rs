@@ -1,39 +1,43 @@
-//! Pass 2 — memory-ordering gate and pairing-graph resolution.
+//! Pass 2 — memory-ordering gate.
 //!
-//! Re-derives the paper's §4.3 fence placement mechanically, in two phases:
+//! The paper's safety argument is fence placement (§4.3): announce → fence →
+//! validate, against a scan that fences before it reads the slots. One rule
+//! keeps every weakening of it honest:
 //!
-//! 1. **Collection** ([`run`], per file): every `Ordering::*` call site in a
-//!    rule-scoped file is classified by protocol role via `ordering.rules`
-//!    and recorded as an [`OrderingSite`]. `Relaxed` at a gated role
-//!    (`publish`, `cas`, `retire_load`) must carry a *structured*
-//!    `// ORDERING:` annotation:
+//! > In the protocol crates (`crates/smr/src/`, `crates/ds/src/`) every
+//! > `Ordering::Relaxed` outside test code carries a structured
+//! > `// ORDERING:` annotation on or directly above its own statement.
 //!
-//!    ```text
-//!    // ORDERING: pairs = <path-suffix>:<fn> — free prose after the head.
-//!    // ORDERING: reason = exclusive|quiescent|owned-store — prose.
-//!    ```
+//! ```text
+//! // ORDERING: pairs = <path-suffix>:<fn> — free prose after the head.
+//! // ORDERING: reason = exclusive|quiescent|owned-store|diagnostic — prose.
+//! ```
 //!
-//!    Free-text justifications, unknown reasons, and unclassified sites are
-//!    errors. Code inside `#[cfg(test)]` modules or `#[test]` functions is
-//!    auto-exempt (no per-test rows in `ordering.rules` needed).
+//! 1. **Collection** ([`run`], per file): every `Ordering::*` site (and every
+//!    `counted_fence` call) is recorded as an [`OrderingSite`]; a `Relaxed`
+//!    one whose annotation is missing, free text or an unknown reason is an
+//!    error. Stronger orderings are recorded and not judged: whether an
+//!    `Acquire` is strong *enough* is the oracles' and the model tests'
+//!    question, not a lexical one. `#[cfg(test)]` modules and `#[test]`
+//!    functions are skipped.
+//! 2. **Resolution** ([`resolve`], whole tree): each `pairs` reference must
+//!    name a function that holds an ordering site (else it is *dangling*),
+//!    that holds one stronger than `Relaxed` (else there is *nothing to pair
+//!    with*), and that declares no `diagnostic` site (statistics are outside
+//!    the fence-placement argument and cannot carry it).
 //!
-//! 2. **Resolution** ([`resolve`], whole tree): each `pairs` reference is
-//!    resolved against the collected site table. Dangling references,
-//!    references to `exempt`/`counter` sites, and role-incompatible pairs
-//!    (the cited function provides only `Relaxed` sites — no
-//!    Acquire/Release/SeqCst ordering or fence to pair with) are errors.
-//!
-//! The resolved table is also the data model for the committed protocol
-//! graph ([`graph_json`] / [`graph_dot`]) that DESIGN.md embeds.
+//! `mp-util`'s ring and pool are out of scope: their protocols are
+//! self-contained and pinned by their own property tests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{enclosing_fn, in_spans, FnSpan, LexFile, Tok};
+use crate::{Diagnostic, PASS_ORDERING};
 
-use crate::lexer::{enclosing_fn, in_spans, FnSpan, LexFile};
-use crate::rules::{Role, RuleSet};
-use crate::{json_escape, Diagnostic, PASS_ORDERING};
+/// Path infixes of the crates the rule covers (normalized `/` paths, so an
+/// absolute checkout path matches too).
+const SCOPE_INFIXES: &[&str] = &["crates/smr/src/", "crates/ds/src/"];
 
-/// Structural reason a gated `Relaxed` needs no pairing fence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Structural reason a `Relaxed` needs no pairing fence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reason {
     /// Single-owner access: `&mut self`, single-writer cell, teardown.
     Exclusive,
@@ -42,6 +46,9 @@ pub enum Reason {
     Quiescent,
     /// Store to memory not yet published to any other thread.
     OwnedStore,
+    /// Statistics, arming flags, `Debug` output: a stale value mis-reports,
+    /// it never frees or publishes.
+    Diagnostic,
 }
 
 impl Reason {
@@ -50,28 +57,19 @@ impl Reason {
             "exclusive" => Reason::Exclusive,
             "quiescent" => Reason::Quiescent,
             "owned-store" => Reason::OwnedStore,
+            "diagnostic" => Reason::Diagnostic,
             _ => return None,
         })
-    }
-
-    /// The grammar keyword for this reason.
-    pub fn name(self) -> &'static str {
-        match self {
-            Reason::Exclusive => "exclusive",
-            Reason::Quiescent => "quiescent",
-            Reason::OwnedStore => "owned-store",
-        }
     }
 }
 
 /// Parsed head of a structured `// ORDERING:` annotation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Annotation {
-    /// `pairs = <path-suffix>:<fn>` — names the site holding the pairing
-    /// fence / release edge.
+    /// `pairs = <path-suffix>:<fn>` — names the function holding the
+    /// pairing fence / release edge.
     Pairs {
-        /// Path suffix of the file holding the cited site (same matching
-        /// semantics as `ordering.rules`).
+        /// Matched against the end of the cited site's normalized path.
         path_suffix: String,
         /// Function name of the cited site.
         target_fn: String,
@@ -80,9 +78,9 @@ pub enum Annotation {
     Reason(Reason),
 }
 
-/// One classified ordering site: an `Ordering::*` token (or a call to the
-/// `counted_fence` SeqCst helper, recorded as a fence site) in a rule-scoped
-/// file, outside test code.
+/// One ordering site: an `Ordering::*` token (or a call to the
+/// `counted_fence` SeqCst helper, recorded as a fence site) in a protocol
+/// crate, outside test code.
 #[derive(Debug, Clone)]
 pub struct OrderingSite {
     /// Normalized (forward-slash) path the site was linted under.
@@ -96,107 +94,71 @@ pub struct OrderingSite {
     pub line: u32,
     /// 1-based source column.
     pub col: u32,
-    /// Protocol role from the first matching `ordering.rules` rule.
-    pub role: Role,
-    /// Parsed annotation — populated only for gated `Relaxed` sites whose
+    /// Parsed annotation — populated only for `Relaxed` sites whose
     /// annotation parsed cleanly.
     pub annotation: Option<Annotation>,
 }
 
-/// Phase 1: collects and gate-checks one file's ordering sites.
+impl OrderingSite {
+    fn diag(&self, msg: String) -> Diagnostic {
+        Diagnostic {
+            file: self.file.clone(),
+            line: self.line,
+            col: self.col,
+            pass: PASS_ORDERING,
+            msg,
+        }
+    }
+}
+
+/// Phase 1: collects one file's ordering sites and checks every `Relaxed`.
 pub fn run(
     file: &str,
     f: &LexFile,
     spans: &[FnSpan],
     tspans: &[(usize, usize)],
-    rules: &RuleSet,
     sites: &mut Vec<OrderingSite>,
     out: &mut Vec<Diagnostic>,
 ) {
-    if !rules.in_scope(file) {
+    if !SCOPE_INFIXES.iter().any(|p| file.contains(p)) {
         return;
     }
     for i in 0..f.code.len() {
         // `counted_fence(...)` calls are fence sites pairable by `pairs =`
         // references even though no `Ordering::` token appears at the call.
-        if f.is_ident(i, "counted_fence") && f.is_punct(i + 1, '(') && !in_spans(tspans, i) {
-            let fn_name = enclosing_fn(spans, i).map(|s| s.name.clone());
-            if let Some(rule) = rules.classify(file, fn_name.as_deref()) {
-                sites.push(OrderingSite {
-                    file: file.to_string(),
-                    fn_name,
-                    ordering: "counted_fence".to_string(),
-                    line: f.line_of(i),
-                    col: f.col_of(i),
-                    role: rule.role,
-                    annotation: None,
-                });
+        let ordering = if f.is_ident(i, "counted_fence") && f.is_punct(i + 1, '(') {
+            "counted_fence".to_string()
+        } else if f.is_ident(i, "Ordering") && f.is_punct(i + 1, ':') && f.is_punct(i + 2, ':') {
+            match f.tok(i + 3) {
+                Some(Tok::Ident(id)) => id.clone(),
+                _ => continue,
             }
+        } else {
             continue;
-        }
-        if !(f.is_ident(i, "Ordering") && f.is_punct(i + 1, ':') && f.is_punct(i + 2, ':')) {
-            continue;
-        }
-        let name = match f.tok(i + 3) {
-            Some(crate::lexer::Tok::Ident(id)) => id.clone(),
-            _ => continue,
         };
-        // Auto-exemption: `#[cfg(test)]` modules and `#[test]` functions are
-        // out of protocol scope — no rule rows, no diagnostics, no sites.
         if in_spans(tspans, i) {
             continue;
         }
-        let fn_name = enclosing_fn(spans, i).map(|s| s.name.clone());
-        let rule = match rules.classify(file, fn_name.as_deref()) {
-            Some(r) => r,
-            None => {
-                out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: f.line_of(i),
-                    col: f.col_of(i),
-                    pass: PASS_ORDERING,
-                    msg: format!(
-                        "unclassified Ordering::{name} site in `{}` — add a \
-                         (path, fn, role) rule to crates/lint/ordering.rules",
-                        fn_name.as_deref().unwrap_or("<no fn>"),
-                    ),
-                });
-                continue;
-            }
-        };
-        let mut annotation = None;
-        if name == "Relaxed" && rule.role.gates_relaxed() {
-            let just = f.attached_comment(i) + &f.trailing_comment(i);
-            match parse_annotation(&just) {
-                Ok(a) => annotation = Some(a),
-                Err(why) => out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: f.line_of(i),
-                    col: f.col_of(i),
-                    pass: PASS_ORDERING,
-                    msg: format!(
-                        "Ordering::Relaxed at a {} site (rule {}:{}) — {why}",
-                        rule.role.name(),
-                        rule.path_suffix,
-                        rule.line,
-                    ),
-                }),
-            }
-        }
-        sites.push(OrderingSite {
+        let mut site = OrderingSite {
             file: file.to_string(),
-            fn_name,
-            ordering: name,
+            fn_name: enclosing_fn(spans, i).map(|s| s.name.clone()),
+            ordering,
             line: f.line_of(i),
             col: f.col_of(i),
-            role: rule.role,
-            annotation,
-        });
+            annotation: None,
+        };
+        if site.ordering == "Relaxed" {
+            match parse_annotation(&f.site_comment(i)) {
+                Ok(a) => site.annotation = Some(a),
+                Err(why) => out.push(site.diag(format!("Ordering::Relaxed — {why}"))),
+            }
+        }
+        sites.push(site);
     }
 }
 
 const GRAMMAR_HINT: &str = "use `// ORDERING: pairs = <path-suffix>:<fn>` or \
-     `// ORDERING: reason = exclusive|quiescent|owned-store`";
+     `// ORDERING: reason = exclusive|quiescent|owned-store|diagnostic`";
 
 /// Parses the structured head of an `// ORDERING:` annotation out of the
 /// comment text attached to a site. Free prose is allowed after the head.
@@ -234,12 +196,12 @@ fn parse_annotation(comment: &str) -> Result<Annotation, String> {
             let rest = expect_eq(rest, "reason")?;
             let (val, _) = split_word(rest);
             let val = val.trim_end_matches(['.', ',', ';']);
-            Reason::parse(val).map(Annotation::Reason).ok_or_else(|| {
-                format!("unknown reason `{val}` — expected exclusive|quiescent|owned-store")
-            })
+            Reason::parse(val)
+                .map(Annotation::Reason)
+                .ok_or_else(|| format!("unknown reason `{val}` — {GRAMMAR_HINT}"))
         }
         other => Err(format!(
-            "free-text `// ORDERING:` annotation (starts `{other}`) is no longer accepted — \
+            "free-text `// ORDERING:` annotation (starts `{other}`) is not accepted — \
              {GRAMMAR_HINT}"
         )),
     }
@@ -282,224 +244,25 @@ pub fn resolve(sites: &[OrderingSite], out: &mut Vec<Diagnostic>) {
             })
             .collect();
         if targets.is_empty() {
-            out.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                col: s.col,
-                pass: PASS_ORDERING,
-                msg: format!(
-                    "dangling `pairs = {label}` reference — no classified Ordering/fence \
-                     site matches (check the path suffix, the fn name, and that the target \
-                     is covered by crates/lint/ordering.rules)"
-                ),
-            });
-            continue;
-        }
-        if targets.iter().all(|t| matches!(t.role, Role::Exempt | Role::Counter)) {
-            out.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                col: s.col,
-                pass: PASS_ORDERING,
-                msg: format!(
-                    "`pairs = {label}` cites a site classified `{}` — exempt/counter sites \
-                     are outside the fence-placement argument and cannot justify a gated \
-                     Relaxed",
-                    targets[0].role.name(),
-                ),
-            });
-            continue;
-        }
-        if !targets.iter().any(|t| t.ordering != "Relaxed") {
-            out.push(Diagnostic {
-                file: s.file.clone(),
-                line: s.line,
-                col: s.col,
-                pass: PASS_ORDERING,
-                msg: format!(
-                    "role-incompatible pair: `pairs = {label}` cites only Relaxed sites — \
-                     the cited fn provides no Acquire/Release/SeqCst ordering or fence to \
-                     pair with"
-                ),
-            });
+            out.push(s.diag(format!(
+                "dangling `pairs = {label}` reference — no function with an Ordering/fence \
+                 site in a protocol crate matches (check the path suffix and the fn name)"
+            )));
+        } else if targets
+            .iter()
+            .any(|t| t.annotation == Some(Annotation::Reason(Reason::Diagnostic)))
+        {
+            out.push(s.diag(format!(
+                "`pairs = {label}` cites a `diagnostic` site — statistics are outside the \
+                 fence-placement argument and cannot justify a Relaxed"
+            )));
+        } else if targets.iter().all(|t| t.ordering == "Relaxed") {
+            out.push(s.diag(format!(
+                "nothing to pair with: `pairs = {label}` cites only Relaxed sites — the \
+                 cited fn provides no Acquire/Release/SeqCst ordering or fence"
+            )));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol-graph emission (committed JSON/DOT artifact)
-// ---------------------------------------------------------------------------
-
-/// Aggregated node of the protocol graph: one (file, fn) bucket.
-struct GraphNode<'a> {
-    role: Role,
-    orderings: BTreeSet<&'a str>,
-    sites: usize,
-}
-
-type NodeKey<'a> = (&'a str, &'a str); // (file, fn)
-
-/// Edge of the protocol graph, from a gated-Relaxed bucket.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum GraphEdge<'a> {
-    Pairs { from: NodeKey<'a>, to: NodeKey<'a>, reference: String },
-    Reason { from: NodeKey<'a>, reason: Reason },
-}
-
-fn build_graph<'a>(
-    sites: &'a [OrderingSite],
-) -> (BTreeMap<NodeKey<'a>, GraphNode<'a>>, BTreeSet<GraphEdge<'a>>) {
-    let mut edges = BTreeSet::new();
-    let mut keep: BTreeSet<NodeKey<'a>> = BTreeSet::new();
-    for s in sites {
-        let from = (s.file.as_str(), s.fn_name.as_deref().unwrap_or("<static>"));
-        match &s.annotation {
-            Some(Annotation::Pairs { path_suffix, target_fn }) => {
-                keep.insert(from);
-                for t in sites.iter().filter(|t| {
-                    t.file.ends_with(path_suffix.as_str())
-                        && t.fn_name.as_deref() == Some(target_fn)
-                }) {
-                    let to = (t.file.as_str(), t.fn_name.as_deref().unwrap_or("<static>"));
-                    keep.insert(to);
-                    edges.insert(GraphEdge::Pairs {
-                        from,
-                        to,
-                        reference: format!("{path_suffix}:{target_fn}"),
-                    });
-                }
-            }
-            Some(Annotation::Reason(r)) => {
-                keep.insert(from);
-                edges.insert(GraphEdge::Reason { from, reason: *r });
-            }
-            None => {}
-        }
-    }
-    let mut nodes: BTreeMap<NodeKey<'a>, GraphNode<'a>> = BTreeMap::new();
-    for s in sites {
-        let key = (s.file.as_str(), s.fn_name.as_deref().unwrap_or("<static>"));
-        if !keep.contains(&key) {
-            continue;
-        }
-        let n = nodes.entry(key).or_insert_with(|| GraphNode {
-            role: s.role,
-            orderings: BTreeSet::new(),
-            sites: 0,
-        });
-        n.orderings.insert(s.ordering.as_str());
-        n.sites += 1;
-    }
-    (nodes, edges)
-}
-
-/// Renders the protocol graph as deterministic JSON (schema
-/// `mp-ordering-graph/v1`). Only buckets that carry a gated-Relaxed
-/// annotation, or are cited by one, appear — this is the fence-placement
-/// argument, not a census of every atomic. Line numbers are deliberately
-/// omitted so the committed artifact does not churn on unrelated edits.
-pub fn graph_json(sites: &[OrderingSite]) -> String {
-    let (nodes, edges) = build_graph(sites);
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"mp-ordering-graph/v1\",\n  \"nodes\": [\n");
-    let node_lines: Vec<String> = nodes
-        .iter()
-        .map(|((file, f), n)| {
-            let ords: Vec<String> =
-                n.orderings.iter().map(|o| format!("\"{}\"", json_escape(o))).collect();
-            format!(
-                "    {{\"id\": \"{}:{}\", \"file\": \"{}\", \"fn\": \"{}\", \"role\": \"{}\", \
-                 \"orderings\": [{}], \"sites\": {}}}",
-                json_escape(file),
-                json_escape(f),
-                json_escape(file),
-                json_escape(f),
-                n.role.name(),
-                ords.join(", "),
-                n.sites,
-            )
-        })
-        .collect();
-    s.push_str(&node_lines.join(",\n"));
-    s.push_str("\n  ],\n  \"edges\": [\n");
-    let edge_lines: Vec<String> = edges
-        .iter()
-        .map(|e| match e {
-            GraphEdge::Pairs { from, to, reference } => format!(
-                "    {{\"from\": \"{}:{}\", \"kind\": \"pairs\", \"to\": \"{}:{}\", \
-                 \"reference\": \"{}\"}}",
-                json_escape(from.0),
-                json_escape(from.1),
-                json_escape(to.0),
-                json_escape(to.1),
-                json_escape(reference),
-            ),
-            GraphEdge::Reason { from, reason } => format!(
-                "    {{\"from\": \"{}:{}\", \"kind\": \"reason\", \"reason\": \"{}\"}}",
-                json_escape(from.0),
-                json_escape(from.1),
-                reason.name(),
-            ),
-        })
-        .collect();
-    s.push_str(&edge_lines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// Renders the protocol graph as Graphviz DOT (same node set as
-/// [`graph_json`]; `reason` edges point at synthetic ellipse nodes).
-pub fn graph_dot(sites: &[OrderingSite]) -> String {
-    let (nodes, edges) = build_graph(sites);
-    fn short(file: &str) -> &str {
-        file.rsplit("/src/").next().unwrap_or(file)
-    }
-    let mut s = String::new();
-    s.push_str("digraph ordering_pairings {\n  rankdir=LR;\n");
-    s.push_str("  node [shape=box, fontsize=10, fontname=\"monospace\"];\n");
-    for ((file, f), n) in &nodes {
-        let color = match n.role {
-            Role::Publish => "#1f77b4",
-            Role::Cas => "#d62728",
-            Role::RetireLoad => "#2ca02c",
-            Role::Counter | Role::Exempt => "#7f7f7f",
-        };
-        let ords: Vec<&str> = n.orderings.iter().copied().collect();
-        s.push_str(&format!(
-            "  \"{file}:{f}\" [label=\"{}\\n{f} ({})\\n[{}]\", color=\"{color}\"];\n",
-            short(file),
-            n.role.name(),
-            ords.join(", "),
-        ));
-    }
-    let mut reasons: BTreeSet<Reason> = BTreeSet::new();
-    for e in &edges {
-        if let GraphEdge::Reason { reason, .. } = e {
-            reasons.insert(*reason);
-        }
-    }
-    for r in &reasons {
-        s.push_str(&format!(
-            "  \"reason:{}\" [shape=ellipse, style=dashed, label=\"{}\"];\n",
-            r.name(),
-            r.name(),
-        ));
-    }
-    for e in &edges {
-        match e {
-            GraphEdge::Pairs { from, to, .. } => s.push_str(&format!(
-                "  \"{}:{}\" -> \"{}:{}\" [label=\"pairs\"];\n",
-                from.0, from.1, to.0, to.1
-            )),
-            GraphEdge::Reason { from, reason } => s.push_str(&format!(
-                "  \"{}:{}\" -> \"reason:{}\" [style=dashed];\n",
-                from.0, from.1,
-                reason.name()
-            )),
-        }
-    }
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
@@ -519,6 +282,10 @@ mod tests {
             parse_annotation("// ORDERING: reason = exclusive — caller holds &mut."),
             Ok(Annotation::Reason(Reason::Exclusive))
         );
+        assert_eq!(
+            parse_annotation("// ORDERING: reason = diagnostic"),
+            Ok(Annotation::Reason(Reason::Diagnostic))
+        );
         // Trailing punctuation on the value is tolerated.
         assert_eq!(
             parse_annotation("// ORDERING: reason = quiescent."),
@@ -535,88 +302,46 @@ mod tests {
         assert!(parse_annotation("// ORDERING: pairs schemes/mp.rs:f").is_err());
     }
 
-    fn site(file: &str, fn_name: &str, ordering: &str, role: Role, ann: Option<Annotation>) -> OrderingSite {
+    fn site(fn_name: &str, ordering: &str, ann: Option<Annotation>) -> OrderingSite {
         OrderingSite {
-            file: file.into(),
+            file: "crates/smr/src/a.rs".into(),
             fn_name: Some(fn_name.into()),
             ordering: ordering.into(),
             line: 1,
             col: 1,
-            role,
             annotation: ann,
         }
     }
 
+    fn pairs(f: &str) -> Option<Annotation> {
+        Some(Annotation::Pairs { path_suffix: "a.rs".into(), target_fn: f.into() })
+    }
+
     #[test]
-    fn resolve_flags_dangling_exempt_and_relaxed_only_targets() {
-        let pairs = |s: &str, f: &str| {
-            Some(Annotation::Pairs { path_suffix: s.into(), target_fn: f.into() })
-        };
+    fn resolve_flags_dangling_diagnostic_and_relaxed_only_targets() {
         let sites = vec![
-            site("crates/smr/src/a.rs", "announce", "Release", Role::Publish, None),
-            site("crates/smr/src/a.rs", "dbg", "Acquire", Role::Exempt, None),
-            site("crates/smr/src/a.rs", "weak", "Relaxed", Role::Cas, Some(Annotation::Reason(Reason::Exclusive))),
+            site("announce", "Release", None),
+            site("stats", "Relaxed", Some(Annotation::Reason(Reason::Diagnostic))),
+            site("weak", "Relaxed", Some(Annotation::Reason(Reason::Exclusive))),
             // ok: cites a Release site
-            site("crates/smr/src/a.rs", "ok", "Relaxed", Role::Publish, pairs("a.rs", "announce")),
-            // dangling
-            site("crates/smr/src/a.rs", "d", "Relaxed", Role::Publish, pairs("a.rs", "nope")),
-            // exempt target
-            site("crates/smr/src/a.rs", "e", "Relaxed", Role::Publish, pairs("a.rs", "dbg")),
-            // relaxed-only target
-            site("crates/smr/src/a.rs", "r", "Relaxed", Role::Publish, pairs("a.rs", "weak")),
+            site("ok", "Relaxed", pairs("announce")),
+            site("d", "Relaxed", pairs("nope")),
+            site("e", "Relaxed", pairs("stats")),
+            site("r", "Relaxed", pairs("weak")),
         ];
         let mut out = Vec::new();
         resolve(&sites, &mut out);
         assert_eq!(out.len(), 3, "{out:?}");
         assert!(out.iter().any(|d| d.msg.contains("dangling `pairs = a.rs:nope`")));
-        assert!(out.iter().any(|d| d.msg.contains("classified `exempt`")));
-        assert!(out.iter().any(|d| d.msg.contains("role-incompatible")));
+        assert!(out.iter().any(|d| d.msg.contains("cites a `diagnostic` site")));
+        assert!(out.iter().any(|d| d.msg.contains("nothing to pair with")));
     }
 
     #[test]
     fn counted_fence_call_is_a_pairable_fence_site() {
-        let sites = vec![
-            site("crates/smr/src/a.rs", "hot", "counted_fence", Role::Publish, None),
-            site(
-                "crates/smr/src/a.rs",
-                "rd",
-                "Relaxed",
-                Role::Publish,
-                Some(Annotation::Pairs { path_suffix: "a.rs".into(), target_fn: "hot".into() }),
-            ),
-        ];
+        let sites = vec![site("hot", "counted_fence", None), site("rd", "Relaxed", pairs("hot"))];
         let mut out = Vec::new();
         resolve(&sites, &mut out);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn graph_emission_is_deterministic_and_scoped_to_the_argument() {
-        let sites = vec![
-            site("crates/smr/src/a.rs", "announce", "Release", Role::Publish, None),
-            site("crates/smr/src/a.rs", "unrelated", "SeqCst", Role::RetireLoad, None),
-            site(
-                "crates/smr/src/a.rs",
-                "rd",
-                "Relaxed",
-                Role::Publish,
-                Some(Annotation::Pairs {
-                    path_suffix: "a.rs".into(),
-                    target_fn: "announce".into(),
-                }),
-            ),
-            site("crates/smr/src/a.rs", "own", "Relaxed", Role::Cas, Some(Annotation::Reason(Reason::OwnedStore))),
-        ];
-        let j1 = graph_json(&sites);
-        let j2 = graph_json(&sites);
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\"mp-ordering-graph/v1\""));
-        assert!(j1.contains("rd"), "{j1}");
-        assert!(j1.contains("announce"));
-        assert!(!j1.contains("unrelated"), "uncited buckets stay out of the artifact: {j1}");
-        let d = graph_dot(&sites);
-        assert!(d.contains("digraph"));
-        assert!(d.contains("reason:owned-store"));
-        assert!(d.contains("-> \"crates/smr/src/a.rs:announce\""));
     }
 }

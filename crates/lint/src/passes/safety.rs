@@ -30,7 +30,7 @@ pub fn run(file: &str, f: &LexFile, registry: &Registry, out: &mut Vec<Diagnosti
             },
             _ => "unsafe item",
         };
-        let comment = f.attached_comment(i) + &f.trailing_comment(i);
+        let comment = f.site_comment(i);
         if !comment.contains("SAFETY:") {
             out.push(Diagnostic {
                 file: file.to_string(),

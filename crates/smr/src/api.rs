@@ -93,6 +93,14 @@ pub enum ConfigError {
     ZeroSlots,
     /// `max_threads` is zero: no handle could ever register.
     ZeroThreads,
+    /// An "every `n` events" field is zero, i.e. never: with `epoch_freq`
+    /// the epoch stops advancing (Theorem 4.2's `F` is infinite; HE and IBR
+    /// pin everything ever retired), with `anchor_hops` a DTA traversal
+    /// never re-posts its anchor and outruns the segment the freezer covers.
+    ZeroFrequency {
+        /// The offending [`Config`] field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -110,6 +118,7 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::ZeroSlots => write!(f, "slots_per_thread must be > 0"),
             ConfigError::ZeroThreads => write!(f, "max_threads must be > 0"),
+            ConfigError::ZeroFrequency { field } => write!(f, "{field} must be > 0"),
         }
     }
 }
@@ -133,6 +142,16 @@ impl Config {
         }
         if MAX_INDEX as u64 <= 2 * self.margin as u64 {
             return Err(ConfigError::MarginTooLarge { margin: self.margin });
+        }
+        for (field, every) in [
+            ("epoch_freq", self.epoch_freq),
+            ("empty_freq", self.empty_freq),
+            ("anchor_hops", self.anchor_hops),
+            ("stall_patience", self.stall_patience),
+        ] {
+            if every == 0 {
+                return Err(ConfigError::ZeroFrequency { field });
+            }
         }
         Ok(())
     }
@@ -218,8 +237,8 @@ pub trait Smr: Send + Sync + Sized + 'static {
 
     /// Constructs the scheme with the given configuration.
     ///
-    /// Panicking shim over [`try_new`](Smr::try_new), kept for one release;
-    /// new code should prefer the fallible constructor.
+    /// The panicking convenience over [`try_new`](Smr::try_new): an invalid
+    /// [`Config`] is a bug in the caller, reported with the error's message.
     fn new(cfg: Config) -> Arc<Self> {
         match Self::try_new(cfg) {
             Ok(smr) => smr,
@@ -230,8 +249,8 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// Registers the calling context as a participating thread and returns
     /// its handle. Panics if `Config::max_threads` handles are already live.
     ///
-    /// Panicking shim over [`try_register`](Smr::try_register), kept for
-    /// one release; new code should prefer the fallible constructor.
+    /// The panicking convenience over [`try_register`](Smr::try_register);
+    /// code that can wait for a peer to drop its handle calls that instead.
     fn register(self: &Arc<Self>) -> Self::Handle {
         match self.try_register() {
             Ok(h) => h,
@@ -555,6 +574,16 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::MarginTooLarge { margin: 1 << 31 }));
         // The largest power of two that fits is accepted.
         assert_eq!(Config::default().with_margin(1 << 30).validate(), Ok(()));
+
+        // "Every 0 events" is never: the public fields bypass the setters' asserts.
+        for (field, c) in [
+            ("epoch_freq", Config { epoch_freq: 0, ..Config::default() }),
+            ("empty_freq", Config { empty_freq: 0, ..Config::default() }),
+            ("anchor_hops", Config { anchor_hops: 0, ..Config::default() }),
+            ("stall_patience", Config { stall_patience: 0, ..Config::default() }),
+        ] {
+            assert_eq!(c.validate(), Err(ConfigError::ZeroFrequency { field }));
+        }
     }
 
     #[test]
@@ -562,6 +591,8 @@ mod tests {
         let msg = ConfigError::MarginTooLarge { margin: 70_000 }.to_string();
         assert!(msg.contains("MAX_INDEX") && msg.contains("140000"), "{msg}");
         assert!(ConfigError::MarginTooSmall { margin: 3 }.to_string().contains("65536"));
+        let msg = ConfigError::ZeroFrequency { field: "epoch_freq" }.to_string();
+        assert!(msg.contains("epoch_freq"), "{msg}");
     }
 
     #[test]

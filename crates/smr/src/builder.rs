@@ -148,8 +148,7 @@ impl SmrBuilder {
     /// Applies the process-global switches and constructs the scheme
     /// (which validates the accumulated [`Config`]).
     ///
-    /// Panicking shim over [`try_build`](SmrBuilder::try_build), kept for
-    /// one release; new code should prefer the fallible constructor.
+    /// The panicking convenience over [`try_build`](SmrBuilder::try_build).
     pub fn build<S: Smr>(self) -> Arc<S> {
         match self.try_build() {
             Ok(smr) => smr,
@@ -243,5 +242,14 @@ mod tests {
         let cfg = Config { max_threads: 0, ..Config::default() };
         let res = SmrBuilder::from_config(cfg).try_build::<Mp>();
         assert!(matches!(res, Err(crate::error::SmrError::Config(_))));
+
+        let cfg = Config { epoch_freq: 0, ..Config::default() };
+        let res = SmrBuilder::from_config(cfg).try_build::<Mp>();
+        assert!(matches!(
+            res,
+            Err(crate::error::SmrError::Config(crate::ConfigError::ZeroFrequency {
+                field: "epoch_freq"
+            }))
+        ));
     }
 }

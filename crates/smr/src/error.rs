@@ -8,8 +8,7 @@
 //! callers that want to recover — retry registration after a peer churns
 //! out, shed load while the retired-bytes gauge is above its cap — can
 //! match on a variant instead of catching a panic. The panicking entry
-//! points ([`Smr::new`], [`Smr::register`]) remain as thin wrappers for
-//! one release.
+//! points ([`Smr::new`], [`Smr::register`]) are thin conveniences over them.
 //!
 //! [`Smr::try_new`]: crate::Smr::try_new
 //! [`Smr::try_register`]: crate::Smr::try_register

@@ -349,7 +349,7 @@ impl<T> Default for Atomic<T> {
 
 impl<T> fmt::Debug for Atomic<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.load(Ordering::Relaxed).fmt(f)
+        self.load(Ordering::Relaxed).fmt(f) // ORDERING: reason = diagnostic
     }
 }
 

@@ -25,6 +25,15 @@ pub fn counted_fence(tele: &mut HandleTelemetry, site: FenceSite) {
     tele.record_fence(site);
 }
 
+/// True if some value of `sorted` lies in `[lo, hi]` — HE's "an announced
+/// era inside the node's lifetime", MP's "a margin midpoint within half a
+/// margin of the node's precision block".
+#[inline]
+pub fn interval_hit(sorted: &[u64], lo: u64, hi: u64) -> bool {
+    let i = sorted.partition_point(|&v| v < lo);
+    i < sorted.len() && sorted[i] <= hi
+}
+
 /// Global gauge shared by every scheme instance: retired-but-unreclaimed
 /// node count and payload bytes (the paper's wasted memory).
 ///
@@ -98,7 +107,7 @@ impl ScanPolicy {
             0 => cfg.empty_freq.max(2 * cfg.max_threads * cfg.slots_per_thread),
             n => n,
         };
-        ScanPolicy { watermark_nodes: nodes, rearm_floor: cfg.empty_freq.max(1) }
+        ScanPolicy { watermark_nodes: nodes, rearm_floor: cfg.empty_freq }
     }
 }
 
@@ -179,6 +188,17 @@ mod tests {
         let b = c.advance();
         assert!(b > a);
         assert_eq!(c.now(), b);
+    }
+
+    #[test]
+    fn interval_hit_logic() {
+        assert!(interval_hit(&[5], 5, 5));
+        assert!(interval_hit(&[3, 9], 4, 9));
+        assert!(!interval_hit(&[3, 9], 4, 8));
+        assert!(!interval_hit(&[], 0, u64::MAX));
+        assert!(interval_hit(&[0], 0, 0));
+        assert!(!interval_hit(&[10], 0, 9));
+        assert!(!interval_hit(&[10], 11, 20));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
+use crate::schemes::common::{counted_fence, interval_hit, EpochClock, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -100,12 +100,6 @@ impl Smr for He {
 }
 
 impl_handle_telemetry!(HeHandle);
-
-/// True if some announced era in sorted `eras` lies in `[birth, retire]`.
-fn interval_hit(eras: &[u64], birth: u64, retire: u64) -> bool {
-    let i = eras.partition_point(|&e| e < birth);
-    i < eras.len() && eras[i] <= retire
-}
 
 impl Protection<He> for Vec<u64> {
     fn snapshot(&mut self, scheme: &He) {
@@ -223,17 +217,6 @@ mod tests {
                 .with_epoch_freq(1)
                 .with_scan_watermark(1),
         )
-    }
-
-    #[test]
-    fn interval_hit_logic() {
-        assert!(interval_hit(&[5], 5, 5));
-        assert!(interval_hit(&[3, 9], 4, 9));
-        assert!(!interval_hit(&[3, 9], 4, 8));
-        assert!(!interval_hit(&[], 0, u64::MAX));
-        assert!(interval_hit(&[0], 0, 0));
-        assert!(!interval_hit(&[10], 0, 9));
-        assert!(!interval_hit(&[10], 11, 20));
     }
 
     #[test]

@@ -73,7 +73,7 @@ use crate::error::SmrError;
 use crate::node::{is_use_hp_class, Retired, USE_HP};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, INACTIVE, NO_HAZARD, NO_MARGIN};
+use crate::schemes::common::{counted_fence, interval_hit, INACTIVE, NO_HAZARD, NO_MARGIN};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -137,9 +137,9 @@ pub struct MpHandle {
     /// Whether any hazard slot was published this operation — `end_op`'s
     /// O(slots) hazard clear is owed only then (margin-path ops skip it).
     hps_dirty: bool,
-    /// Retained per-thread slot snapshots (`ThreadSnap` interval/hazard
+    /// Retained slot snapshot (`MpSnapshot` margin/hazard
     /// buffers), refilled in place by every scan.
-    snaps: Vec<ThreadSnap>,
+    snap: MpSnapshot,
     unlink_counter: usize,
 }
 
@@ -205,7 +205,7 @@ impl Smr for Mp {
             cover_hi: 0,
             cover_slot: 0,
             hps_dirty: false,
-            snaps: Vec::new(),
+            snap: MpSnapshot::default(),
             unlink_counter: 0,
             core,
         })
@@ -216,85 +216,57 @@ impl Smr for Mp {
 
 impl_handle_telemetry!(MpHandle);
 
-/// One thread's protection state, snapshotted by each scan (the paper's
-/// snapshot optimization, §6), with the margins preprocessed into a
-/// stabbing structure (the "interval tree" optimization §4.3 suggests):
-/// intervals sorted by start with a running maximum of ends, so an
-/// intersection query is one binary search instead of a slot scan.
-/// The buffers live in the *handle* (`MpHandle::snaps`) and are refilled in
-/// place by [`Mp::snapshot_into`], so steady-state scans reuse their
-/// capacity instead of allocating.
+/// Every thread's protection state as one scan sees it (the paper's
+/// snapshot optimization, §6). Every margin is `2 · half` wide, so "some
+/// margin of a thread meets the block `[lo, hi]`" is "some midpoint lies in
+/// `[lo − half, hi + half]`": one binary search over the thread's sorted
+/// midpoints, where §4.3 suggests an interval tree. Hazards are judged
+/// without the epoch filter, so whose they are does not matter and they
+/// share one sorted list. The buffers live in the *handle*
+/// (`MpHandle::snap`) and are refilled in place, so steady-state scans
+/// reuse their capacity instead of allocating.
 #[derive(Default)]
-struct ThreadSnap {
+struct MpSnapshot {
+    /// `margin / 2`.
+    half: u64,
+    /// Every announced hazard address, sorted.
+    hazards: Vec<u64>,
+    /// One entry per thread row.
+    threads: Vec<ThreadMargins>,
+}
+
+#[derive(Default)]
+struct ThreadMargins {
+    /// The thread's announced start-of-operation epoch (`INACTIVE` idle).
     epoch: u64,
-    /// Margin intervals `(lo, hi)` sorted by `lo`.
-    intervals: Vec<(i64, i64)>,
-    /// `prefix_max_hi[i] = max(intervals[..=i].hi)`.
-    prefix_max_hi: Vec<i64>,
-    /// Announced hazard addresses, sorted.
-    hps: Vec<u64>,
+    /// Its announced margin midpoints, sorted.
+    margins: Vec<u64>,
 }
 
-impl ThreadSnap {
-    /// True if some margin interval of this thread intersects `[lo, hi]`.
-    fn covers(&self, lo: i64, hi: i64) -> bool {
-        // Candidates: intervals starting at or before `hi`; among them the
-        // largest end decides.
-        let n = self.intervals.partition_point(|&(s, _)| s <= hi);
-        n > 0 && self.prefix_max_hi[n - 1] >= lo
-    }
-
-    /// True if `addr` is hazard-announced by this thread.
-    fn hazards(&self, addr: u64) -> bool {
-        self.hps.binary_search(&addr).is_ok()
-    }
-}
-
-impl Mp {
-    /// Refills `snaps` (one entry per registered thread) in place; after
-    /// warm-up every buffer reuses its retained capacity.
-    fn snapshot_into(&self, snaps: &mut Vec<ThreadSnap>) {
-        let half = (self.core.cfg.margin / 2) as i64;
-        snaps.resize_with(self.core.cfg.max_threads, ThreadSnap::default);
-        for (tid, snap) in snaps.iter_mut().enumerate() {
-            // Every slot is read on its own, like a hazard slot: a slot a
-            // returned node depends on does not change until that node's
-            // refno is reused, so there is no move for the read to tear.
-            snap.intervals.clear();
-            snap.intervals.extend(
-                self.mp_slots
-                    .row(tid)
-                    .iter()
-                    .map(|s| s.load(Ordering::Acquire))
-                    .filter(|&v| v != NO_MARGIN)
-                    .map(|mp| (mp as i64 - half, mp as i64 + half)),
-            );
-            snap.intervals.sort_unstable();
-            snap.prefix_max_hi.clear();
-            let mut running = i64::MIN;
-            for &(_, hi) in &snap.intervals {
-                running = running.max(hi);
-                snap.prefix_max_hi.push(running);
-            }
-            snap.hps.clear();
-            snap.hps.extend(
-                self.hp_slots
-                    .row(tid)
-                    .iter()
-                    .map(|s| s.load(Ordering::Acquire))
-                    .filter(|&v| v != NO_HAZARD),
-            );
-            snap.hps.sort_unstable();
-            snap.epoch = self.local_epochs.get(tid, 0).load(Ordering::Acquire);
+impl MpSnapshot {
+    /// True if a margin of some thread whose epoch lies in `[birth, retire]`
+    /// meets the precision block of `index`.
+    fn margin_covers(&self, index: u32, birth: u64, retire: u64) -> bool {
+        if is_use_hp_class(index) {
+            return false;
         }
+        let (lo, hi) = precision_range(index);
+        let (lo, hi) = (lo.saturating_sub(self.half), hi + self.half);
+        // The epoch filter applies to margins only: a thread whose announced
+        // epoch lies outside the node's lifetime cannot have (validly)
+        // margin-protected it — Theorem 4.2's key step, bounding same-index
+        // retiree pileups.
+        self.threads
+            .iter()
+            .any(|t| birth <= t.epoch && t.epoch <= retire && interval_hit(&t.margins, lo, hi))
     }
 }
 
 /// The *pointer-precision range* of `index`: due to the 16-bit packing
 /// loss, protection must be judged against the full
 /// `[index & !0xffff, index | 0xffff]` block (Listing 10, note 7).
-fn precision_range(index: u32) -> (i64, i64) {
-    ((index & 0xffff_0000) as i64, (index | 0xffff) as i64)
+fn precision_range(index: u32) -> (u64, u64) {
+    ((index & 0xffff_0000) as u64, (index | 0xffff) as u64)
 }
 
 /// True when margin midpoint `mp` covers the whole precision block
@@ -305,10 +277,30 @@ fn covers(mp: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
 }
 
 /// The reclamation predicate of Listing 10's `empty`, over the slot
-/// snapshots (the §6 snapshot optimization).
-impl Protection<Mp> for Vec<ThreadSnap> {
+/// snapshot.
+impl Protection<Mp> for MpSnapshot {
+    /// Refills the snapshot in place; after warm-up every buffer reuses its
+    /// retained capacity.
     fn snapshot(&mut self, scheme: &Mp) {
-        scheme.snapshot_into(self);
+        self.half = (scheme.core.cfg.margin / 2) as u64;
+        scheme.hp_slots.announced_sorted_into(&mut self.hazards);
+        self.threads.resize_with(scheme.core.cfg.max_threads, ThreadMargins::default);
+        for (tid, t) in self.threads.iter_mut().enumerate() {
+            // Every slot is read on its own, like a hazard slot: a slot a
+            // returned node depends on does not change until that node's
+            // refno is reused, so there is no move for the read to tear.
+            t.margins.clear();
+            t.margins.extend(
+                scheme
+                    .mp_slots
+                    .row(tid)
+                    .iter()
+                    .map(|s| s.load(Ordering::Acquire))
+                    .filter(|&v| v != NO_MARGIN),
+            );
+            t.margins.sort_unstable();
+            t.epoch = scheme.local_epochs.get(tid, 0).load(Ordering::Acquire);
+        }
     }
 
     /// A node is free when no HP holds its address and no margin (of a
@@ -316,36 +308,23 @@ impl Protection<Mp> for Vec<ThreadSnap> {
     /// then no thread can have validated protection for it (Theorem 4.3).
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
-        let (range_lo, range_hi) = precision_range(r.index);
-        self.iter().any(|snap| {
-            // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters the
-            // hazard slots too, but a thread that observed the epoch
-            // advancing protects *newer-born* nodes with HPs (the
-            // §4.3.2 fallback) precisely while its announced epoch
-            // predates their birth — epoch-filtering hazards would
-            // reclaim under those protections (caught by
-            // tests/mp_depth.rs). Address protection is epoch-free and
-            // the waste bound's #HP term is unaffected.
-            snap.hazards(r.addr())
-                // Epoch filter applies to margins only: a thread whose
-                // announced epoch lies outside the node's lifetime cannot
-                // have (validly) margin-protected it — Theorem 4.2's key
-                // step, bounding same-index retiree pileups.
-                || (snap.epoch >= r.birth
-                    && snap.epoch <= r.retire
-                    && !is_use_hp_class(r.index)
-                    && snap.covers(range_lo, range_hi))
-        })
+        // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters the hazard
+        // slots too, but a thread that observed the epoch advancing protects
+        // *newer-born* nodes with HPs (the §4.3.2 fallback) precisely while
+        // its announced epoch predates their birth — epoch-filtering hazards
+        // would reclaim under those protections (caught by
+        // tests/mp_depth.rs). Address protection is epoch-free and the waste
+        // bound's #HP term is unaffected.
+        self.hazards.binary_search(&r.addr()).is_ok()
+            || self.margin_covers(r.index, r.birth, r.retire)
     }
 
     /// Every per-thread buffer counts: a scan that grows one touched the
     /// heap (`scan_heap_allocs`, zero in steady state).
     fn scratch_capacity(&self) -> usize {
-        self.capacity()
-            + self
-                .iter()
-                .map(|s| s.intervals.capacity() + s.prefix_max_hi.capacity() + s.hps.capacity())
-                .sum::<usize>()
+        self.hazards.capacity()
+            + self.threads.capacity()
+            + self.threads.iter().map(|t| t.margins.capacity()).sum::<usize>()
     }
 }
 
@@ -680,7 +659,7 @@ impl SmrHandle for MpHandle {
             self.core.tele.record_epoch_advance(e);
         }
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        unsafe { self.core.retire(&*self.scheme, &mut self.snaps, node, stamp, stamp) }
+        unsafe { self.core.retire(&*self.scheme, &mut self.snap, node, stamp, stamp) }
     }
 
     // PROTECTION: caller — the client passes a node it protected during the
@@ -703,7 +682,7 @@ impl SmrHandle for MpHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.snaps);
+        self.core.scan(&*self.scheme, &mut self.snap);
     }
 }
 
@@ -719,7 +698,7 @@ impl Drop for MpHandle {
         self.scheme.mp_slots.clear_row(self.core.tid, Ordering::Release);
         self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
         self.scheme.local_epochs.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
-        self.core.release(&*self.scheme, &mut self.snaps);
+        self.core.release(&*self.scheme, &mut self.snap);
     }
 }
 
@@ -1176,6 +1155,31 @@ mod tests {
         worker.end_op();
         worker.force_empty();
         assert_eq!(worker.retired_len(), 0);
+    }
+
+    #[test]
+    fn margins_at_both_ends_of_the_index_space_protect_their_blocks_only() {
+        let smr = setup(2);
+        let (margin, half) = (1u32 << 20, 1u64 << 19);
+        // Thread 1, epoch 5: one margin whose lower edge falls below index 0
+        // and one whose upper edge passes `MAX_INDEX`, stored out of order.
+        smr.mp_slots.get(1, 0).store(MAX_INDEX as u64, Ordering::Release);
+        smr.mp_slots.get(1, 1).store(0x8000, Ordering::Release);
+        smr.local_epochs.get(1, 0).store(5, Ordering::Release);
+        let mut snap = MpSnapshot::default();
+        snap.snapshot(&smr);
+        assert_eq!(snap.half, half);
+
+        assert!(snap.margin_covers(0x0001_0000, 5, 5), "block above the low midpoint");
+        assert!(snap.margin_covers(MAX_INDEX, 1, 9), "MAX_INDEX's own block");
+        assert!(snap.margin_covers(MAX_INDEX - margin / 2, 5, 7), "half a margin below the top");
+        assert!(!snap.margin_covers(0x0001_0000 + 2 * margin, 5, 5), "a margin past the low one");
+        assert!(!snap.margin_covers(MAX_INDEX - 2 * margin, 5, 5), "a margin short of the high one");
+        // The epoch filter: a lifetime the announced epoch lies outside of.
+        assert!(!snap.margin_covers(0x0001_0000, 6, 9));
+        assert!(!snap.margin_covers(MAX_INDEX, 1, 4));
+        // The USE_HP class is never margin-protected, whatever the margins.
+        assert!(!snap.margin_covers(USE_HP, 5, 5));
     }
 
     #[test]

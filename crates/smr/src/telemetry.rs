@@ -65,7 +65,7 @@ static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 /// always collected.
 #[inline]
 pub fn armed() -> bool {
-    match ARMED.load(Ordering::Relaxed) {
+    match ARMED.load(Ordering::Relaxed) { // ORDERING: reason = diagnostic
         STATE_ON => true,
         STATE_OFF => false,
         _ => {
@@ -73,7 +73,7 @@ pub fn armed() -> bool {
                 std::env::var("MP_TELEMETRY").as_deref(),
                 Ok("1") | Ok("on") | Ok("true")
             );
-            ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+            ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed); // ORDERING: reason = diagnostic
             on
         }
     }
@@ -85,7 +85,7 @@ pub fn armed() -> bool {
 ///
 /// [`SmrBuilder::telemetry`]: crate::SmrBuilder::telemetry
 pub fn set_armed(on: bool) {
-    ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed); // ORDERING: reason = diagnostic
 }
 
 static EVENT_CAPACITY: AtomicUsize = AtomicUsize::new(1024);
@@ -93,7 +93,7 @@ static EVENT_CAPACITY: AtomicUsize = AtomicUsize::new(1024);
 /// Sets the per-handle event-ring capacity used for handles registered
 /// from now on (rounded up to a power of two by the ring).
 pub fn set_event_capacity(records: usize) {
-    EVENT_CAPACITY.store(records.max(2), Ordering::Relaxed);
+    EVENT_CAPACITY.store(records.max(2), Ordering::Relaxed); // ORDERING: reason = diagnostic
 }
 
 /// Microseconds since the process's telemetry epoch (first call). 40 bits
@@ -376,7 +376,7 @@ impl HandleTelemetry {
     /// event ring only if tracing is armed right now.
     pub fn new(tid: usize) -> HandleTelemetry {
         let ring = if armed() {
-            Some(Arc::new(EventRing::new(EVENT_CAPACITY.load(Ordering::Relaxed))))
+            Some(Arc::new(EventRing::new(EVENT_CAPACITY.load(Ordering::Relaxed)))) // ORDERING: reason = diagnostic
         } else {
             None
         };
@@ -772,11 +772,11 @@ impl WasteSeries {
 
     /// Appends a sample (overwrites the oldest once full). Allocation-free.
     pub fn record(&self, pending_nodes: u64, pending_bytes: u64) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len(); // ORDERING: reason = diagnostic
         let slot = &self.slots[i];
-        slot.stamp.store(now_micros().saturating_add(1), Ordering::Relaxed);
-        slot.nodes.store(pending_nodes, Ordering::Relaxed);
-        slot.bytes.store(pending_bytes, Ordering::Relaxed);
+        slot.stamp.store(now_micros().saturating_add(1), Ordering::Relaxed); // ORDERING: reason = diagnostic
+        slot.nodes.store(pending_nodes, Ordering::Relaxed); // ORDERING: reason = diagnostic
+        slot.bytes.store(pending_bytes, Ordering::Relaxed); // ORDERING: reason = diagnostic
     }
 
     /// The retained samples in chronological order.
@@ -785,14 +785,14 @@ impl WasteSeries {
             .slots
             .iter()
             .filter_map(|s| {
-                let stamp = s.stamp.load(Ordering::Relaxed);
+                let stamp = s.stamp.load(Ordering::Relaxed); // ORDERING: reason = diagnostic
                 if stamp == 0 {
                     return None;
                 }
                 Some(WasteSample {
                     t_micros: stamp - 1,
-                    pending_nodes: s.nodes.load(Ordering::Relaxed),
-                    pending_bytes: s.bytes.load(Ordering::Relaxed),
+                    pending_nodes: s.nodes.load(Ordering::Relaxed), // ORDERING: reason = diagnostic
+                    pending_bytes: s.bytes.load(Ordering::Relaxed), // ORDERING: reason = diagnostic
                 })
             })
             .collect();

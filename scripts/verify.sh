@@ -11,28 +11,10 @@ cargo build --release --offline
 # Lint gate: the in-tree SMR protocol linter (unsafe-invariant audit,
 # memory-ordering gate, protection-scope heuristic, forbidden-API pass)
 # must report zero diagnostics before any test runs. Exit 1 = findings,
-# exit 2 = configuration error (missing INVARIANTS.md / ordering.rules);
-# both abort the gate.
+# exit 2 = configuration error (missing INVARIANTS.md); both abort the
+# gate.
 echo "==> mp-lint (SMR protocol linter over crates/ tests/ examples/ src/)"
 cargo run -q --release --offline -p mp-lint -- crates tests examples src
-
-# Pairing-graph drift gate: the committed ORDERING_GRAPH.{json,dot}
-# artifacts (embedded in DESIGN.md) must match what the linter derives
-# from the tree right now. Regenerate into a scratch dir and diff.
-echo "==> mp-lint pairing-graph artifacts are fresh"
-GRAPH_TMP=target/ordering-graph-check
-mkdir -p "$GRAPH_TMP"
-cargo run -q --release --offline -p mp-lint -- \
-  --emit-graph "$GRAPH_TMP/ORDERING_GRAPH.json" \
-  --emit-dot "$GRAPH_TMP/ORDERING_GRAPH.dot" \
-  crates tests examples src
-for artifact in ORDERING_GRAPH.json ORDERING_GRAPH.dot; do
-  diff -u "$artifact" "$GRAPH_TMP/$artifact" || {
-    echo "!! $artifact is stale — regenerate with:" >&2
-    echo "!!   cargo run -p mp-lint -- --emit-graph ORDERING_GRAPH.json --emit-dot ORDERING_GRAPH.dot crates tests examples src" >&2
-    exit 1
-  }
-done
 
 # Includes mp-util's slab-pool tests (blank-chunk rule, cross-thread
 # `live` exactness, thread-exit release); they run again below with

@@ -14,28 +14,29 @@
 //! * **Positive fixtures** (`positive/`) — correctly annotated code
 //!   exercising every accepted escape hatch; zero diagnostics allowed.
 //!
-//! Both run against the *real* `INVARIANTS.md` registry and
-//! `crates/lint/ordering.rules`, so the fixtures also pin those files'
-//! contracts (e.g. `smr/src/registry.rs  announced_sorted_into  retire_load`
-//! must keep existing for the ordering fixture to fire).
+//! Both run against the *real* `INVARIANTS.md` registry, so the fixtures
+//! also pin that file's contract (`[INV-12]` must keep existing for the
+//! safety fixtures to cite).
 
 use std::path::{Path, PathBuf};
 
 use mp_lint::{
-    lint_file, registry::Registry, rules::RuleSet, Diagnostic, LintConfig, PASS_FORBIDDEN,
-    PASS_ORDERING, PASS_SAFETY, PASS_SCOPE,
+    lint_file, registry::Registry, Diagnostic, LintConfig, PASS_FORBIDDEN, PASS_ORDERING,
+    PASS_SAFETY, PASS_SCOPE,
 };
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn load_config() -> (Registry, RuleSet) {
+/// Lints `src` as if it lived at `display_path`.
+fn lint_source(src: &str, display_path: &str) -> Vec<Diagnostic> {
     let reg = Registry::load(&repo_root().join("INVARIANTS.md"))
         .expect("INVARIANTS.md must parse as an invariant registry");
-    let rules = RuleSet::load(&repo_root().join("crates/lint/ordering.rules"))
-        .expect("ordering.rules must parse");
-    (reg, rules)
+    let mut out = Vec::new();
+    lint_file(display_path, src, &reg, &mut out);
+    out.sort_by_key(|d| (d.line, d.col));
+    out
 }
 
 /// Lints fixture `name` as if it lived at `display_path`.
@@ -43,11 +44,8 @@ fn lint_fixture(name: &str, display_path: &str) -> (String, Vec<Diagnostic>) {
     let path = repo_root().join("crates/lint/fixtures").join(name);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
-    let (reg, rules) = load_config();
-    let mut out = Vec::new();
-    lint_file(display_path, &src, &reg, &rules, &mut out);
-    out.sort_by_key(|d| (d.line, d.col));
-    (src, out)
+    let diags = lint_source(&src, display_path);
+    (src, diags)
 }
 
 /// An expected diagnostic parsed from a `//~ ERROR[pass]: substring` marker.
@@ -119,25 +117,36 @@ fn safety_pass_fires_on_uncited_unsafe() {
 }
 
 #[test]
-fn ordering_pass_fires_on_gated_relaxed_and_unclassified_sites() {
-    // Linted as smr/src/registry.rs so the real rule file classifies
-    // `release` as publish, `announced_sorted_into` as retire_load and
-    // `try_acquire` as cas — the last one annotated `reason = seqlock`,
-    // which must be rejected as an unknown reason.
+fn ordering_pass_fires_on_relaxed_without_a_structured_annotation() {
+    // Bare, free-text, `reason = seqlock` (an unknown reason), and a store
+    // sitting under another statement's trailing annotation; the `Acquire`
+    // in the same file is not judged.
     check_negative("ordering_relaxed.rs", "crates/smr/src/registry.rs", PASS_ORDERING);
 }
 
 #[test]
-fn pairing_resolution_fires_on_dangling_exempt_counter_and_relaxed_only_refs() {
-    // Linted under its own path: the rule file's closing section gates
-    // its `new`/`reclaim` (retire_load) and classifies `live_nodes` as
-    // counter, `drop` as exempt — the four resolution error classes in one
-    // file, which no protocol file offers.
-    check_negative(
-        "ordering_pairing.rs",
-        "crates/lint/fixtures/ordering_pairing.rs",
-        PASS_ORDERING,
-    );
+fn pairing_resolution_fires_on_dangling_diagnostic_and_relaxed_only_refs() {
+    check_negative("ordering_pairing.rs", "crates/smr/src/fixture_pairing.rs", PASS_ORDERING);
+}
+
+#[test]
+fn ordering_gate_covers_the_protocol_crates_and_nothing_else() {
+    let src = "\
+use core::sync::atomic::{AtomicU64, Ordering};
+pub fn peek(a: &AtomicU64) -> u64 {
+    a.load(Ordering::Relaxed)
+}
+";
+    // Absolute paths too: `merged_tree_lints_clean` passes them.
+    for gated in ["crates/smr/src/x.rs", "crates/ds/src/x.rs", "/abs/checkout/crates/ds/src/x.rs"] {
+        let diags = lint_source(src, gated);
+        assert_eq!(diags.len(), 1, "{gated}: {diags:?}");
+        assert_eq!((diags[0].pass, diags[0].line), (PASS_ORDERING, 3), "{gated}");
+    }
+    for free in ["crates/util/src/ring.rs", "crates/bench/src/x.rs", "tests/x.rs", "examples/x.rs"] {
+        let diags = lint_source(src, free);
+        assert!(diags.is_empty(), "{free}: {diags:?}");
+    }
 }
 
 #[test]
@@ -161,7 +170,7 @@ fn positive_corpus_is_clean() {
     let corpus = [
         ("positive/safety_ok.rs", "crates/smr/src/safety_ok.rs"),
         ("positive/ordering_ok.rs", "crates/smr/src/registry.rs"),
-        ("positive/ordering_counter_ok.rs", "crates/smr/src/schemes/common.rs"),
+        ("positive/ordering_diagnostic_ok.rs", "crates/smr/src/schemes/common.rs"),
         ("positive/ordering_pairing_ok.rs", "crates/smr/src/schemes/mp.rs"),
         ("positive/scope_ok.rs", "crates/ds/src/scope_ok.rs"),
         ("positive/forbidden_ok.rs", "crates/smr/src/forbidden_ok.rs"),
@@ -191,7 +200,7 @@ fn every_positive_fixture_is_in_the_corpus() {
         on_disk,
         vec![
             "forbidden_ok.rs",
-            "ordering_counter_ok.rs",
+            "ordering_diagnostic_ok.rs",
             "ordering_ok.rs",
             "ordering_pairing_ok.rs",
             "safety_ok.rs",
@@ -234,46 +243,11 @@ fn merged_tree_lints_clean() {
         .iter()
         .map(|p| root.join(p))
         .collect();
-    let cfg = LintConfig {
-        invariants: root.join("INVARIANTS.md"),
-        ordering_rules: root.join("crates/lint/ordering.rules"),
-    };
+    let cfg = LintConfig { invariants: root.join("INVARIANTS.md") };
     let diags = mp_lint::lint_paths(&paths, &cfg).expect("lint configuration must load");
     assert!(
         diags.is_empty(),
         "merged tree must lint clean; found:\n  {}",
         diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n  ")
     );
-}
-
-#[test]
-fn committed_ordering_graph_artifacts_are_fresh() {
-    // ORDERING_GRAPH.{json,dot} are committed so DESIGN.md can reference a
-    // stable artifact; converting/adding an annotation without regenerating
-    // them fails here. Paths are repo-relative (cargo runs integration
-    // tests from the package root) to match how verify.sh invokes the
-    // linter, so the buckets carry identical `crates/...` file keys.
-    let paths: Vec<PathBuf> = ["crates", "tests", "examples", "src"]
-        .iter()
-        .map(PathBuf::from)
-        .collect();
-    let cfg = LintConfig {
-        invariants: PathBuf::from("INVARIANTS.md"),
-        ordering_rules: PathBuf::from("crates/lint/ordering.rules"),
-    };
-    let (_, sites) =
-        mp_lint::lint_paths_with_sites(&paths, &cfg).expect("lint configuration must load");
-    for (artifact, want) in [
-        ("ORDERING_GRAPH.json", mp_lint::passes::ordering::graph_json(&sites)),
-        ("ORDERING_GRAPH.dot", mp_lint::passes::ordering::graph_dot(&sites)),
-    ] {
-        let committed = std::fs::read_to_string(repo_root().join(artifact))
-            .unwrap_or_else(|e| panic!("{artifact} must exist at the repo root: {e}"));
-        assert_eq!(
-            committed, want,
-            "{artifact} is stale — regenerate with `cargo run -p mp-lint -- \
-             --emit-graph ORDERING_GRAPH.json --emit-dot ORDERING_GRAPH.dot \
-             crates tests examples src`"
-        );
-    }
 }
