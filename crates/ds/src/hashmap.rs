@@ -1,12 +1,17 @@
 //! Michael's lock-free hash table (SPAA 2002 — the same paper as the
-//! list): a fixed array of lock-free sorted list buckets.
+//! list): a fixed array of bucket head links.
 //!
 //! This is the "hash tables" half of the paper the linked list came from,
 //! and a natural MP client beyond the three structures the paper
-//! evaluates: each bucket is an independent search structure, so MP's
-//! search-interval maintenance and midpoint index assignment apply
-//! per-bucket unchanged. One SMR scheme instance protects all buckets —
-//! margins/hazards are index/address based and bucket-agnostic.
+//! evaluates. As in Michael's table, a bucket is one link word: the head
+//! of a sorted chain run by the list's own operations. Every chain ends at
+//! one tail sentinel the whole table shares, so a table's fixed cost is one
+//! word per bucket plus one node, allocated with the one handle
+//! [`with_buckets`](HashMap::with_buckets) registers. MP's search interval
+//! and midpoint index assignment apply per chain unchanged: the interval
+//! opens at 0 in every bucket, and the shared tail keeps `MAX_INDEX`. One
+//! SMR scheme instance protects all buckets — margins/hazards are
+//! index/address based and bucket-agnostic.
 //!
 //! The table is not resizable (Michael's original; resizing lock-free hash
 //! tables is a separate line of work). Pick `buckets` for the expected
@@ -14,9 +19,9 @@
 
 use std::sync::Arc;
 
-use mp_smr::Smr;
+use mp_smr::{Atomic, Shared, Smr};
 
-use crate::list::LinkedList;
+use crate::list::{self, Node};
 use crate::ConcurrentSet;
 
 /// Fibonacci multiplicative hash: spreads sequential keys uniformly.
@@ -39,30 +44,46 @@ fn bucket_of(key: u64, buckets: usize) -> usize {
 /// assert!(map.remove(&mut h, 7));
 /// ```
 pub struct HashMap<S: Smr, V = ()> {
-    buckets: Box<[LinkedList<S, V>]>,
+    /// One head link per bucket.
+    heads: Box<[Atomic<Node<V>>]>,
+    /// The tail sentinel every bucket's chain ends at; never removed.
+    tail: Shared<Node<V>>,
+    smr: Arc<S>,
 }
+
+// SAFETY: [INV-07] all node access goes through `Shared`/`Atomic` words under
+// an SMR handle, and the payload type is required `Send + Sync`.
+unsafe impl<S: Smr, V: Send + Sync> Send for HashMap<S, V> {}
+// SAFETY: [INV-07] see above.
+unsafe impl<S: Smr, V: Send + Sync> Sync for HashMap<S, V> {}
 
 /// Default bucket count used by [`ConcurrentSet::new`].
 pub const DEFAULT_BUCKETS: usize = 256;
 
 impl<S: Smr, V: Send + Sync + Default + 'static> HashMap<S, V> {
-    /// Creates a table with `buckets` independent list buckets, all managed
-    /// by `smr`.
+    /// Creates a table with `buckets` empty buckets, all managed by `smr`.
+    ///
+    /// # Panics
+    /// If `buckets` is 0, or if `smr`'s registry has no free slot for the
+    /// one handle that allocates the shared tail sentinel.
     pub fn with_buckets(smr: &Arc<S>, buckets: usize) -> Self {
         assert!(buckets > 0);
+        let tail = list::new_tail(smr);
         HashMap {
-            buckets: (0..buckets).map(|_| LinkedList::new(smr)).collect(),
+            heads: (0..buckets).map(|_| Atomic::new(tail)).collect(),
+            tail,
+            smr: smr.clone(),
         }
     }
 
     #[inline]
-    fn bucket(&self, key: u64) -> &LinkedList<S, V> {
-        &self.buckets[bucket_of(key, self.buckets.len())]
+    fn head(&self, key: u64) -> &Atomic<Node<V>> {
+        &self.heads[bucket_of(key, self.heads.len())]
     }
 
     /// Adds `key` mapped to `value`; returns `false` if present.
     pub fn insert_kv(&self, h: &mut S::Handle, key: u64, value: V) -> bool {
-        self.bucket(key).insert_kv(h, key, value)
+        list::insert(self.head(key), h, key, value)
     }
 
     /// Returns a copy of the value stored under `key`, if present.
@@ -70,22 +91,22 @@ impl<S: Smr, V: Send + Sync + Default + 'static> HashMap<S, V> {
     where
         V: Clone,
     {
-        self.bucket(key).get(h, key)
+        list::get(self.head(key), h, key)
     }
 
     /// Number of elements (test helper; not linearizable).
     pub fn len(&self, h: &mut S::Handle) -> usize {
-        self.buckets.iter().map(|b| b.len(h)).sum()
+        self.heads.iter().map(|head| list::collect(head, h).len()).sum()
     }
 
     /// True if no element is present (test helper).
     pub fn is_empty(&self, h: &mut S::Handle) -> bool {
-        self.buckets.iter().all(|b| b.is_empty(h))
+        self.heads.iter().all(|head| list::is_empty(head, h))
     }
 
-    /// Collects all keys in unspecified order (test helper).
+    /// Collects all keys in ascending order (test helper).
     pub fn collect(&self, h: &mut S::Handle) -> Vec<u64> {
-        let mut out: Vec<u64> = self.buckets.iter().flat_map(|b| b.collect(h)).collect();
+        let mut out: Vec<u64> = self.heads.iter().flat_map(|head| list::collect(head, h)).collect();
         out.sort_unstable();
         out
     }
@@ -97,15 +118,15 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for HashMap<S,
     }
 
     fn insert(&self, h: &mut S::Handle, key: u64) -> bool {
-        self.bucket(key).insert(h, key)
+        list::insert(self.head(key), h, key, V::default())
     }
 
     fn remove(&self, h: &mut S::Handle, key: u64) -> bool {
-        self.bucket(key).remove(h, key)
+        list::remove(self.head(key), h, key)
     }
 
     fn contains(&self, h: &mut S::Handle, key: u64) -> bool {
-        self.bucket(key).contains(h, key)
+        list::contains(self.head(key), h, key)
     }
 
     fn name() -> &'static str {
@@ -113,10 +134,25 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for HashMap<S,
     }
 }
 
+impl<S: Smr, V> Drop for HashMap<S, V> {
+    fn drop(&mut self) {
+        // SAFETY: [INV-03] `&mut self` in drop: no handle can still hold a
+        // protected reference. Every chain ends at the shared tail, which is
+        // freed once, after the last chain.
+        unsafe {
+            for head in self.heads.iter() {
+                list::drop_chain(head, self.tail);
+            }
+            self.tail.drop_owned();
+        }
+        let _ = &self.smr; // scheme owned at least as long as its nodes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_smr::schemes::{Ebr, Hp, Mp};
+    use mp_smr::schemes::{Ebr, He, Hp, Ibr, Mp};
     use mp_smr::Config;
 
     fn cfg() -> Config {
@@ -172,55 +208,77 @@ mod tests {
         assert!(*max < 2 * *min, "sequential keys must spread: min {min} max {max}");
     }
 
+    /// Bucket counts for the tests below: at 1 and 2 buckets most splices
+    /// and front inserts CAS a table slot rather than a node's link.
+    const BUCKETS: [usize; 3] = [32, 1, 2];
+
     #[test]
     fn sequential_model_check() {
-        use mp_util::RngExt;
-        let smr = Mp::new(cfg());
-        let map: HashMap<Mp> = HashMap::with_buckets(&smr, 32);
-        let mut h = smr.register();
-        let mut model = std::collections::BTreeSet::new();
-        let mut rng = mp_util::rng();
-        for _ in 0..4000 {
-            let key = rng.random_range(0..256u64);
-            match rng.random_range(0..3) {
-                0 => assert_eq!(map.insert(&mut h, key), model.insert(key)),
-                1 => assert_eq!(map.remove(&mut h, key), model.remove(&key)),
-                _ => assert_eq!(map.contains(&mut h, key), model.contains(&key)),
-            }
+        for buckets in BUCKETS {
+            let smr = Mp::new(cfg());
+            let map: HashMap<Mp> = HashMap::with_buckets(&smr, buckets);
+            crate::model_check(&map, HashMap::collect, &smr, 256);
         }
-        assert_eq!(map.collect(&mut h), model.iter().copied().collect::<Vec<_>>());
+    }
+
+    fn stress_table<S: Smr>(buckets: usize) {
+        let smr = S::new(cfg());
+        let map: HashMap<S> = HashMap::with_buckets(&smr, buckets);
+        crate::stress(&map, &smr, 128, 2500);
+        let mut h = smr.register();
+        let keys = map.collect(&mut h);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{buckets} buckets: duplicate key");
+        let mut per_bucket = vec![0; buckets];
+        for &key in &keys {
+            per_bucket[bucket_of(key, buckets)] += 1;
+        }
+        let chains: Vec<usize> =
+            map.heads.iter().map(|head| list::collect(head, &mut h).len()).collect();
+        assert_eq!(chains, per_bucket, "{buckets} buckets: a key in the wrong chain");
     }
 
     #[test]
     fn concurrent_stress() {
-        use mp_util::RngExt;
-        let smr = Mp::new(cfg());
-        let map: Arc<HashMap<Mp>> = Arc::new(HashMap::with_buckets(&smr, 32));
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let (smr, map) = (smr.clone(), map.clone());
-                s.spawn(move || {
-                    let mut h = smr.register();
-                    let mut rng = mp_util::rng();
-                    for i in 0..2500usize {
-                        let key = rng.random_range(0..128u64);
-                        match (i + t) % 3 {
-                            0 => {
-                                map.insert(&mut h, key);
-                            }
-                            1 => {
-                                map.remove(&mut h, key);
-                            }
-                            _ => {
-                                map.contains(&mut h, key);
-                            }
-                        }
-                    }
-                });
+        for buckets in BUCKETS {
+            stress_table::<Mp>(buckets);
+            stress_table::<Hp>(buckets);
+            stress_table::<He>(buckets);
+            stress_table::<Ebr>(buckets);
+            stress_table::<Ibr>(buckets);
+        }
+    }
+
+    #[test]
+    fn drop_frees_every_chain_and_the_shared_tail_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every `Counted` drop counts, the tail's default value included.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Default)]
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
             }
-        });
-        let mut h = smr.register();
-        let keys = map.collect(&mut h);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        }
+        const KEYS: u64 = 64;
+        {
+            let smr = Mp::new(cfg());
+            let map: HashMap<Mp, Counted> = HashMap::with_buckets(&smr, 4);
+            let mut h = smr.register();
+            for key in 0..KEYS {
+                assert!(map.insert_kv(&mut h, key, Counted));
+            }
+            assert!((0..4).all(|b| (0..KEYS).any(|k| bucket_of(k, 4) == b)), "a bucket is empty");
+            // Removed nodes go through retire and the scheme; linked ones
+            // through the table's drop.
+            for key in (0..KEYS).step_by(3) {
+                assert!(map.remove(&mut h, key));
+            }
+        } // handle, map and scheme dropped: every node reclaimed
+        assert_eq!(
+            DROPS.load(Ordering::Relaxed),
+            KEYS as usize + 1,
+            "each value once, and the shared tail's once"
+        );
     }
 }

@@ -3,16 +3,19 @@
 //! The three client data structures the margin-pointers paper evaluates
 //! (§5), each parameterized by the reclamation scheme `S: Smr`:
 //!
-//! * [`LinkedList`] — Michael's lock-free sorted linked list (SPAA 2002)
-//!   with a tail sentinel, §5.2 Listing 7.
+//! * [`LinkedList`] — Michael's lock-free sorted linked list (SPAA 2002),
+//!   §5.2 Listing 7: a head link (a word, not a node) and a tail sentinel.
+//!   MP's search interval opens at index 0, where the paper's head
+//!   sentinel sat.
 //! * [`SkipList`] — Fraser's lock-free skip list (2004), §5.2.
 //! * [`NmTree`] — the Natarajan–Mittal external binary search tree
 //!   (PPoPP 2014), §5.3 Listings 8–9.
 //! * [`DtaList`] — the list specialized for Drop-the-Anchor, providing the
 //!   freezing procedure DTA's recovery requires (§3.1).
 //! * [`HashMap`] — Michael's lock-free hash table (same SPAA 2002 paper as
-//!   the list): fixed list buckets, a further MP client beyond the paper's
-//!   three.
+//!   the list), a further MP client beyond the paper's three: one head link
+//!   per bucket, every chain ending at one shared tail sentinel, run by
+//!   the list's own operations.
 //!
 //! All structures implement the common [`ConcurrentSet`] interface over
 //! `u64` keys. Keys must be `< MAX_KEY` (the top values are reserved for
@@ -53,6 +56,10 @@ pub const MAX_KEY: u64 = u64::MAX - 3;
 /// scheme instance the structure was built with.
 pub trait ConcurrentSet<S: Smr>: Send + Sync + Sized + 'static {
     /// Creates an empty set managed by `smr`.
+    ///
+    /// # Panics
+    /// Registers one handle to allocate the structure's sentinels, so this
+    /// panics if `smr`'s registry has no free slot (see [`Smr::register`]).
     fn new(smr: &Arc<S>) -> Self;
 
     /// Adds `key`; returns `false` if it was already present.
@@ -83,6 +90,59 @@ fn canary_bytes() -> usize {
     let header = size_of::<mp_smr::node::Header>();
     assert!(header == 16 || header == 24, "2 words, 3 with the oracle's canary: {header}");
     header - 16
+}
+
+/// Random insert/remove/contains against a `BTreeSet` under MP, keys drawn
+/// from `0..keys`; `collect` lists the structure's keys in order at the end.
+#[cfg(test)]
+fn model_check<D: ConcurrentSet<mp_smr::schemes::Mp>>(
+    ds: &D,
+    collect: impl Fn(&D, &mut <mp_smr::schemes::Mp as Smr>::Handle) -> Vec<u64>,
+    smr: &Arc<mp_smr::schemes::Mp>,
+    keys: u64,
+) {
+    use mp_util::RngExt;
+    let mut h = smr.register();
+    let mut model = std::collections::BTreeSet::new();
+    let mut rng = mp_util::rng();
+    for _ in 0..4000 {
+        let key = rng.random_range(0..keys);
+        match rng.random_range(0..3) {
+            0 => assert_eq!(ds.insert(&mut h, key), model.insert(key)),
+            1 => assert_eq!(ds.remove(&mut h, key), model.remove(&key)),
+            _ => assert_eq!(ds.contains(&mut h, key), model.contains(&key)),
+        }
+    }
+    assert_eq!(collect(ds, &mut h), model.iter().copied().collect::<Vec<_>>());
+}
+
+/// Four threads of `ops` mixed insert/remove/contains each, keys drawn from
+/// `0..keys`.
+#[cfg(test)]
+fn stress<S: Smr, D: ConcurrentSet<S>>(ds: &D, smr: &Arc<S>, keys: u64, ops: usize) {
+    use mp_util::RngExt;
+    std::thread::scope(|s| {
+        for t in 0..4usize {
+            s.spawn(move || {
+                let mut h = smr.register();
+                let mut rng = mp_util::rng();
+                for i in 0..ops {
+                    let key = rng.random_range(0..keys);
+                    match (i + t) % 3 {
+                        0 => {
+                            ds.insert(&mut h, key);
+                        }
+                        1 => {
+                            ds.remove(&mut h, key);
+                        }
+                        _ => {
+                            ds.contains(&mut h, key);
+                        }
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// Bytes a retired node with payload `data` and `tail_len` links holds,

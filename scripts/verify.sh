@@ -112,6 +112,14 @@ done
 grep -q '"schema": *"mp-telemetry/v1"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
   || { echo "!! telemetry smoke: JSON schema marker missing" >&2; exit 1; }
 
+# Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
+# the log histogram, the JSON writer and parser, `agree`'s bounds, the
+# ledger's row names, a smoke run against BENCHMARK.json). It is not a
+# workspace member, so the workspace stage above does not run them. Builds
+# into benchmark/target, as the smoke stage below does.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml (benchmark self-tests)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # Benchmark smoke: the frozen benchmark (BENCHMARK.json, benchmark/) is a
 # separate package built only against the library's public surface, so
 # this stage is what notices a PR that breaks that surface or the

@@ -1,9 +1,11 @@
 //! Footprint pins: the pool block behind every node each structure
 //! allocates, measured — as the bytes a retired node holds — rather than
-//! computed from a `size_of`, and stated in bytes per key. The benchmark's
-//! `setup_rss_anon_kb` is these numbers times the prefill, so a word added
-//! to a node fails here, with the structure's name, instead of surfacing as
-//! a memory regression some PRs later.
+//! computed from a `size_of`, and stated in bytes per key; and the nodes a
+//! structure allocates before its first key. The benchmark's
+//! `setup_rss_anon_kb` is these numbers times the prefill, plus one word
+//! per bucket, so a word added to a node, or a sentinel added to a bucket,
+//! fails here, with the structure's name, instead of surfacing as a memory
+//! regression some PRs later.
 //!
 //! Without the oracle only: its canary word widens every header. One
 //! `#[test]` in this binary, and every pool access on a thread that has
@@ -54,6 +56,24 @@ fn retired_per_removal<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<(usize, usize)> {
 #[test]
 fn every_structure_allocates_the_block_it_is_pinned_to() {
     assert_eq!(gauge::live_nodes(), 0, "gauge starts clean");
+
+    // A structure's fixed cost: the nodes it holds with no key in it. A
+    // table's buckets are link words, so 4 096 of them share one tail
+    // sentinel; a list is a head link and a tail sentinel.
+    std::thread::spawn(|| {
+        let smr = Hp::new(cfg());
+        let table = HashMap::<Hp>::with_buckets(&smr, 4096);
+        assert_eq!(gauge::live_nodes(), 1, "hashmap: 4 096 buckets hold one sentinel");
+        drop(table);
+        assert_eq!(gauge::live_nodes(), 0, "hashmap: its drop frees the shared tail");
+        let list = LinkedList::<Hp>::new(&smr);
+        assert_eq!(gauge::live_nodes(), 1, "list: one sentinel");
+        drop(list);
+        assert_eq!(gauge::live_nodes(), 0, "list: its drop frees the tail");
+    })
+    .join()
+    .expect("fixed-cost thread panicked");
+    assert_eq!(mp_util::pool::stats().live_blocks, 0, "a sentinel's block did not go home");
 
     // What one removal retires, per structure — the structure's bytes per
     // key. List and hash bucket: one node of header 16 + key 8 + link 8.
