@@ -20,11 +20,9 @@
 //!
 //! De-escalation is hysteretic: the ladder only returns to `Normal` once
 //! the gauge falls to `cap/4`, so it does not flap around a watermark.
-//! Every scheme-wide transition is counted in [`BackpressureState`] and
-//! traced as a [`EventKind::BackpressureEngage`] /
-//! [`EventKind::BackpressureRelease`] event, and the per-handle work is
-//! visible in the `help_scans` / `throttle_waits` counters — all of which
-//! flow into the Prometheus/JSON exporters.
+//! Every scheme-wide transition is counted in [`BackpressureState`], and
+//! the per-handle work is visible in the `help_scans` / `throttle_waits`
+//! counters — all of which flow into the Prometheus/JSON exporters.
 //!
 //! Within a single operation a handle's *applied* rung is monotone: once
 //! an op has helped (or throttled) it does not drop back to a lower rung
@@ -32,14 +30,12 @@
 //! is pinned by a property test in `tests/backpressure.rs`.
 //!
 //! [`Registry::adopt_orphans`]: crate::registry::Registry
-//! [`EventKind::BackpressureEngage`]: crate::telemetry::EventKind::BackpressureEngage
-//! [`EventKind::BackpressureRelease`]: crate::telemetry::EventKind::BackpressureRelease
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::api::Config;
 use crate::error::BackpressureError;
-use crate::telemetry::{Counter, EventKind, HandleTelemetry};
+use crate::telemetry::{Counter, HandleTelemetry};
 
 /// A rung of the backpressure ladder, ordered by severity.
 #[repr(u8)]
@@ -195,10 +191,10 @@ impl BackpressureState {
         self.help_engagements().saturating_add(self.throttle_engagements())
     }
 
-    /// Moves the scheme-wide rung to `target`, counting and tracing the
-    /// transition through the observing handle's ring. Racing observers
-    /// are serialized by the CAS: each actual change is counted once.
-    pub(crate) fn observe(&self, target: BpLevel, tele: &mut HandleTelemetry) {
+    /// Moves the scheme-wide rung to `target`, counting the transition.
+    /// Racing observers are serialized by the CAS: each actual change is
+    /// counted once.
+    pub(crate) fn observe(&self, target: BpLevel) {
         let mut cur = self.level.load(Ordering::Acquire);
         loop {
             if cur == target as u8 {
@@ -223,10 +219,8 @@ impl BackpressureState {
                     self.help_engagements.fetch_add(1, Ordering::AcqRel);
                 }
             }
-            tele.trace(EventKind::BackpressureEngage, target as u64);
         } else {
             self.releases.fetch_add(1, Ordering::AcqRel);
-            tele.trace(EventKind::BackpressureRelease, target as u64);
         }
     }
 }
@@ -243,13 +237,12 @@ pub(crate) fn after_retire(
     state: &BackpressureState,
     pending_bytes: usize,
     rung: &mut BpLevel,
-    tele: &mut HandleTelemetry,
 ) -> bool {
     if !policy.enabled() {
         return false;
     }
     let target = policy.assess(pending_bytes, state.level());
-    state.observe(target, tele);
+    state.observe(target);
     let applied = target.max(*rung);
     *rung = applied;
     applied >= BpLevel::HelpScan
@@ -335,14 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn observe_counts_each_transition_once_and_traces() {
+    fn observe_counts_each_transition_once() {
         let state = BackpressureState::new();
-        let mut tele = HandleTelemetry::new(0);
         assert_eq!(state.level(), BpLevel::Normal);
-        state.observe(BpLevel::HelpScan, &mut tele);
-        state.observe(BpLevel::HelpScan, &mut tele); // no-op: same rung
-        state.observe(BpLevel::Throttle, &mut tele);
-        state.observe(BpLevel::Normal, &mut tele);
+        state.observe(BpLevel::HelpScan);
+        state.observe(BpLevel::HelpScan); // no-op: same rung
+        state.observe(BpLevel::Throttle);
+        state.observe(BpLevel::Normal);
         assert_eq!(state.help_engagements(), 1);
         assert_eq!(state.throttle_engagements(), 1);
         assert_eq!(state.releases(), 1);
@@ -354,18 +346,17 @@ mod tests {
     fn after_retire_is_monotone_within_an_op() {
         let p = BackpressurePolicy::with_cap(1000);
         let state = BackpressureState::new();
-        let mut tele = HandleTelemetry::new(0);
         let mut rung = BpLevel::Normal;
-        assert!(after_retire(&p, &state, 1200, &mut rung, &mut tele), "throttle rung helps too");
+        assert!(after_retire(&p, &state, 1200, &mut rung), "throttle rung helps too");
         assert_eq!(rung, BpLevel::Throttle);
         // Gauge collapsed mid-op (a help-scan freed everything): the
         // scheme-wide ladder releases but the in-op rung stays pinned.
-        assert!(after_retire(&p, &state, 0, &mut rung, &mut tele));
+        assert!(after_retire(&p, &state, 0, &mut rung));
         assert_eq!(rung, BpLevel::Throttle, "applied rung is monotone within the op");
         assert_eq!(state.level(), BpLevel::Normal, "scheme-wide ladder tracked the gauge down");
         // Next op starts from a fresh rung.
         let mut rung = BpLevel::Normal;
-        assert!(!after_retire(&p, &state, 0, &mut rung, &mut tele));
+        assert!(!after_retire(&p, &state, 0, &mut rung));
         assert_eq!(rung, BpLevel::Normal);
     }
 

@@ -11,16 +11,15 @@
 //!     .max_threads(8)
 //!     .slots_per_thread(4)
 //!     .margin(1 << 20)
-//!     .telemetry(false) // disarm tracing/timing for this process
+//!     .telemetry(false) // disarm latency timing for this process
 //!     .build::<Mp>();
 //! let _h = smr.register();
 //! ```
 //!
-//! The telemetry switch is **process-global** (it gates per-handle state
-//! shared by every scheme instance); the builder applies it before
-//! construction so handles registered from the new scheme see the
-//! requested state. Leaving it unset keeps whatever the process already
-//! chose (env var or a previous override).
+//! The telemetry switch is **process-global** (one flag gates the latency
+//! timing of every handle of every scheme instance); the builder applies
+//! it before construction. Leaving it unset keeps whatever the process
+//! already chose (env var or a previous override).
 
 use std::sync::Arc;
 
@@ -40,7 +39,6 @@ pub struct SmrBuilder {
     cfg: Config,
     kind: Option<SchemeKind>,
     telemetry: Option<bool>,
-    event_capacity: Option<usize>,
 }
 
 impl SmrBuilder {
@@ -121,19 +119,12 @@ impl SmrBuilder {
         self
     }
 
-    /// Arms (or disarms) timed/traced telemetry process-wide before
-    /// construction, overriding `MP_TELEMETRY`. Handles registered from
-    /// the built scheme then carry event rings and record latencies.
+    /// Arms (or disarms) timed telemetry process-wide at `build`,
+    /// overriding `MP_TELEMETRY`. The switch takes effect at the next
+    /// pinned operation or scan of *every* handle in the process, not only
+    /// of handles registered from the built scheme.
     pub fn telemetry(mut self, armed: bool) -> Self {
         self.telemetry = Some(armed);
-        self
-    }
-
-    /// Event-ring capacity (records) for handles registered after
-    /// `build`. Implies nothing about arming; combine with
-    /// [`telemetry(true)`](SmrBuilder::telemetry).
-    pub fn event_capacity(mut self, records: usize) -> Self {
-        self.event_capacity = Some(records);
         self
     }
 
@@ -167,9 +158,6 @@ impl SmrBuilder {
     }
 
     fn apply_globals(&self) {
-        if let Some(cap) = self.event_capacity {
-            telemetry::set_event_capacity(cap);
-        }
         if let Some(armed) = self.telemetry {
             telemetry::set_armed(armed);
         }

@@ -65,6 +65,6 @@ pub use error::{BackpressureError, SmrError};
 pub use node::{gauge, SmrNode};
 pub use packed::{Atomic, Shared};
 pub use telemetry::{
-    Counter, EventKind, EventRecord, EventRing, FenceSite, HandleTelemetry, SchemeTelemetry,
-    Telemetry, TelemetrySnapshot, WasteSample, WasteSampler, WasteSeries,
+    Counter, FenceSite, HandleTelemetry, SchemeTelemetry, Telemetry, TelemetrySnapshot,
+    WasteSample, WasteSampler, WasteSeries,
 };

@@ -17,6 +17,7 @@ use core::alloc::Layout;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::packed::Atomic;
+use crate::telemetry::{Counter, HandleTelemetry};
 
 /// Reserved index meaning "protect this node with hazard pointers, not
 /// margin pointers" (paper §4.3.2). Assigned on index collision.
@@ -173,23 +174,18 @@ pub(crate) fn alloc_node<T>(data: T, index: u32, birth: u64) -> *mut SmrNode<T> 
     alloc_node_tracked(data, index, birth, 0).0
 }
 
-/// Node allocation plus per-handle telemetry: records the pool hit/miss
-/// split (recycled block / fresh carve) and traces the allocation event.
-/// Every `SmrHandle::alloc_with_tail` routes here.
+/// Node allocation plus per-handle telemetry: counts the pool hit/miss
+/// split (recycled block / fresh carve). Every `SmrHandle::alloc_with_tail`
+/// routes here.
 pub(crate) fn alloc_node_in<T>(
     data: T,
     index: u32,
     birth: u64,
     tail_len: usize,
-    tele: &mut crate::telemetry::HandleTelemetry,
+    tele: &mut HandleTelemetry,
 ) -> *mut SmrNode<T> {
     let (ptr, from_pool) = alloc_node_tracked(data, index, birth, tail_len);
-    let addr = ptr as u64; // CAST-OK: opaque event payload for telemetry, never decoded back.
-    if from_pool {
-        tele.record_pool_hit(addr);
-    } else {
-        tele.record_pool_miss(addr);
-    }
+    tele.bump(if from_pool { Counter::PoolHits } else { Counter::PoolMisses });
     ptr
 }
 
@@ -571,8 +567,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
-        use crate::telemetry::{Counter, HandleTelemetry};
-        let mut tele = HandleTelemetry::new(0);
+        let mut tele = HandleTelemetry::new();
         let b = alloc_node_in(DropFlag(drops.clone()), 2, 0, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
         assert_eq!(tele.counter(Counter::PoolHits), 1);

@@ -168,10 +168,10 @@ impl EpochClock {
     /// Counts one event on `counter` and advances the clock on every
     /// `freq`-th (the paper's per-thread `epoch_freq` cadence).
     #[inline]
-    pub fn tick(&self, counter: &mut usize, freq: usize, tele: &mut HandleTelemetry) {
+    pub fn tick(&self, counter: &mut usize, freq: usize) {
         *counter += 1;
         if counter.is_multiple_of(freq) {
-            tele.record_epoch_advance(self.advance());
+            self.advance();
         }
     }
 }
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn fence_counted() {
-        let mut t = HandleTelemetry::new(0);
+        let mut t = HandleTelemetry::new();
         counted_fence(&mut t, FenceSite::StartOp);
         counted_fence(&mut t, FenceSite::Announce);
         assert_eq!(t.counter(Counter::Fences), 2);

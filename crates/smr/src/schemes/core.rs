@@ -91,7 +91,7 @@ impl SchemeCore {
             .registry
             .try_acquire()
             .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
+        let mut tele = HandleTelemetry::new();
         if lease.recycled {
             tele.bump(Counter::TidRecycles);
         }
@@ -228,7 +228,7 @@ impl HandleCore {
         P: Protection<S>,
     {
         let shared = scheme.core();
-        self.tele.record_retire(node.addr());
+        self.tele.bump(Counter::Retires);
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let mut r = unsafe { shared.capture(node, stamp) };
         r.op_start = op_start;
@@ -244,7 +244,6 @@ impl HandleCore {
             shared.tele.backpressure(),
             shared.tele.pending_bytes(),
             &mut self.bp_rung,
-            &mut self.tele,
         ) && S::RECLAIMS
         {
             self.help_scan(scheme, prot);
@@ -282,7 +281,7 @@ impl HandleCore {
             if prot.is_protected(&r) {
                 self.retired.push(r);
             } else {
-                self.tele.record_free(r.addr());
+                self.tele.bump(Counter::Frees);
                 freed_bytes += r.bytes() as usize;
                 // SAFETY: [INV-05] the node is retired (unreachable) and the
                 // scheme's snapshot, taken after the SeqCst fence above,

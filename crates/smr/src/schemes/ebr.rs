@@ -143,7 +143,7 @@ impl SmrHandle for EbrHandle {
         tail_len: usize,
     ) -> Shared<T> {
         let freq = self.scheme.core.cfg.epoch_freq;
-        self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
+        self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
         self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
     }

@@ -178,7 +178,7 @@ impl SmrHandle for HeHandle {
         let stamp = self.scheme.clock.now();
         // HE advances the era every constant number of deletions (§3.3).
         let freq = self.scheme.core.cfg.epoch_freq;
-        self.scheme.clock.tick(&mut self.retire_counter, freq, &mut self.core.tele);
+        self.scheme.clock.tick(&mut self.retire_counter, freq);
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         unsafe { self.core.retire(&*self.scheme, &mut self.eras, node, stamp, stamp) }
     }

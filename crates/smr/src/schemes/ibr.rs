@@ -162,7 +162,7 @@ impl SmrHandle for IbrHandle {
     ) -> Shared<T> {
         // IBR advances the epoch every constant number of allocations (§3.3).
         let freq = self.scheme.core.cfg.epoch_freq;
-        self.scheme.clock.tick(&mut self.alloc_counter, freq, &mut self.core.tele);
+        self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
         self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
     }

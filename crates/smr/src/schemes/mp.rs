@@ -77,7 +77,7 @@ use crate::schemes::common::{counted_fence, interval_hit, INACTIVE, NO_HAZARD, N
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
-use crate::telemetry::FenceSite;
+use crate::telemetry::{Counter, FenceSite};
 
 /// `owner` entry of a refno that depends on no margin slot.
 const NO_OWNER: usize = usize::MAX;
@@ -450,7 +450,7 @@ impl MpHandle {
             // Collision / USE_HP-class / fallback-mode reads go through HP
             // (§4.3.2).
             if idx_hi == USE_HP || self.use_hp_mode {
-                self.core.tele.record_hp_fallback(w.addr());
+                self.core.tele.bump(Counter::HpFallbackReads);
                 match self.hp_protect(src, refno, w) {
                     Some(w) => {
                         // The hazard slot owns this refno's protection now.
@@ -520,7 +520,7 @@ impl MpHandle {
         // result can land anywhere in the `USE_HP` class; such a node is
         // hazard-protected whatever its low bits say — a collision.
         if is_use_hp_class(index) {
-            self.core.tele.record_collision_alloc(lo);
+            self.core.tele.bump(Counter::CollisionAllocs);
             return USE_HP;
         }
         index
@@ -655,8 +655,7 @@ impl SmrHandle for MpHandle {
         // §4.3.2: each thread increments the global epoch once every
         // `epoch_freq` node unlinks — the F of Theorem 4.2's bound.
         if self.unlink_counter.is_multiple_of(self.scheme.core.cfg.epoch_freq) {
-            let e = self.scheme.global_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.core.tele.record_epoch_advance(e);
+            self.scheme.global_epoch.fetch_add(1, Ordering::SeqCst);
         }
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         unsafe { self.core.retire(&*self.scheme, &mut self.snap, node, stamp, stamp) }

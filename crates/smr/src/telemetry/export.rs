@@ -91,10 +91,6 @@ pub fn prometheus_text(
         "empty() reclamation-scan latency in nanoseconds (armed runs only).",
         snap.scan_latency(),
     );
-    let name = format!("{p}_events_dropped_total");
-    let _ = writeln!(out, "# HELP {name} Trace events rejected by full rings.");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name}{{scheme=\"{scheme}\"}} {}", snap.events_dropped());
     if let Some(last) = waste.last() {
         for (gauge, v) in [
             ("wasted_nodes", last.pending_nodes),
@@ -156,8 +152,8 @@ fn json_hist(out: &mut String, h: &Histogram) {
 }
 
 /// Renders the snapshot as a self-contained JSON document (schema
-/// `mp-telemetry/v1`): counters, derived ratios, both histograms (sparse
-/// buckets), the waste time-series, the event-drop count, a `pool` object
+/// `mp-telemetry/v2`): counters, derived ratios, both histograms (sparse
+/// buckets), the waste time-series, a `pool` object
 /// (the process-wide node pool's [`mp_util::pool::stats`]), and — when
 /// `bp` is given — a `backpressure` object with the ladder state.
 pub fn json(
@@ -167,7 +163,7 @@ pub fn json(
     bp: Option<&BackpressureState>,
 ) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"mp-telemetry/v1\",\n");
+    out.push_str("{\n  \"schema\": \"mp-telemetry/v2\",\n");
     let _ = writeln!(out, "  \"scheme\": \"{scheme}\",");
     out.push_str("  \"counters\": {");
     for (i, c) in Counter::ALL.iter().enumerate() {
@@ -190,7 +186,6 @@ pub fn json(
     json_hist(&mut out, snap.op_latency());
     out.push_str(",\n  \"scan_latency\": ");
     json_hist(&mut out, snap.scan_latency());
-    let _ = write!(out, ",\n  \"events_dropped\": {}", snap.events_dropped());
     let pool = mp_util::pool::stats();
     let _ = write!(
         out,
@@ -487,13 +482,12 @@ mod tests {
     use super::*;
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let mut t = HandleTelemetry::new(0);
+        let mut t = HandleTelemetry::new();
         t.record_op_start(3);
         t.record_fence(FenceSite::StartOp);
-        t.bump(Counter::Allocs);
-        t.record_pool_hit(0x100);
-        t.record_retire(0x100);
-        t.record_free(0x100);
+        for c in [Counter::Allocs, Counter::PoolHits, Counter::Retires, Counter::Frees] {
+            t.bump(c);
+        }
         t.record_op_nanos(1_234);
         t.record_op_nanos(999_999);
         t.add(Counter::ScanNanos, 50_000);
@@ -511,9 +505,9 @@ mod tests {
     fn prometheus_output_is_valid_and_complete() {
         let text = prometheus_text("MP", &sample_snapshot(), &sample_waste(), None);
         let samples = validate_prometheus(&text).expect("must validate");
-        // Every counter + 2 histograms (≥3 lines each) + drops + 2 waste
-        // gauges + 3 pool gauges.
-        assert!(samples >= Counter::ALL.len() + 6 + 1 + 2 + 3, "got {samples} samples:\n{text}");
+        // Every counter + 2 histograms (≥3 lines each) + 2 waste gauges +
+        // 3 pool gauges.
+        assert!(samples >= Counter::ALL.len() + 6 + 2 + 3, "got {samples} samples:\n{text}");
         for gauge in ["mp_pool_reserved_bytes", "mp_pool_blank_chunks", "mp_pool_free_blocks"] {
             assert!(text.contains(&format!("# TYPE {gauge} gauge\n{gauge} ")), "{gauge} missing");
         }
@@ -533,7 +527,7 @@ mod tests {
         let snap = sample_snapshot();
         let prom = prometheus_text("MP", &snap, &[], None);
         let doc = json("MP", &snap, &[], None);
-        assert!(doc.starts_with("{\n  \"schema\": \"mp-telemetry/v1\",\n"));
+        assert!(doc.starts_with("{\n  \"schema\": \"mp-telemetry/v2\",\n"));
         let (mut prom_at, mut json_at) = (0, 0);
         for c in Counter::ALL {
             let sample = format!("\nmp_{}_total{{scheme=\"MP\"}} {}\n", c.name(), snap.counter(c));
@@ -562,7 +556,7 @@ mod tests {
     fn json_output_is_valid_and_complete() {
         let doc = json("MP", &sample_snapshot(), &sample_waste(), None);
         validate_json(&doc).expect("must be well-formed JSON");
-        assert!(doc.contains("\"schema\": \"mp-telemetry/v1\""));
+        assert!(doc.contains("\"schema\": \"mp-telemetry/v2\""));
         assert!(doc.contains("\"scheme\": \"MP\""));
         assert!(doc.contains("\"ops\": 1"));
         assert!(doc.contains("\"t_micros\": 20"));

@@ -17,8 +17,6 @@
 //! * [`Backoff`] — exponential spin backoff for contended retry loops.
 //! * [`check`] — a seeded, shrinking property-test runner whose failures
 //!   replay from a printed seed.
-//! * [`ring`] / [`RingBuffer`] — a bounded lock-free MPMC ring (Vyukov's
-//!   bounded queue) carrying fixed-size telemetry event records.
 //! * [`hist`] / [`Histogram`] — a 64-bucket power-of-two latency
 //!   histogram, mergeable and allocation-free.
 //! * [`pool`] — slab-backed block pool (8-byte size classes carved from
@@ -39,7 +37,6 @@ pub mod check;
 pub mod hb;
 pub mod hist;
 pub mod pool;
-pub mod ring;
 pub mod rng;
 pub mod shadow;
 
@@ -47,6 +44,5 @@ pub use backoff::Backoff;
 pub use cache_padded::CachePadded;
 pub use check::Checker;
 pub use hist::Histogram;
-pub use ring::RingBuffer;
 pub use shadow::{ShadowSlot, ShadowTable};
 pub use rng::{rng, RngCore, RngExt, SeedableRng, SmallRng, SplitMix64, UniformInt, Xoshiro256pp};

@@ -1,8 +1,8 @@
-//! End-to-end telemetry tour: armed tracing, latency histograms, waste
+//! End-to-end telemetry tour: counters, armed latency histograms, waste
 //! sampling, and both exporters.
 //!
-//! Runs a short churn workload on MP with telemetry armed, drains the
-//! per-handle event ring, prints a counter/latency digest, and writes the
+//! Runs a short churn workload on MP with telemetry armed, prints a
+//! counter/latency digest, and writes the
 //! Prometheus + JSON artifacts under `MP_BENCH_DIR` (default
 //! `target/bench-results`), validating both before reporting their paths.
 //!
@@ -29,8 +29,7 @@ fn main() {
         .max_threads(THREADS as usize + 2) // workers + setup + final reader
         .slots_per_thread(skiplist::SLOTS_NEEDED)
         .margin(1 << 20)
-        .telemetry(true) // arm tracing, timing, and event rings
-        .event_capacity(4096)
+        .telemetry(true) // arm op and scan latency timing
         .build::<Mp>();
     let set: Arc<SkipList<Mp>> = Arc::new(SkipList::new(&smr));
 
@@ -39,7 +38,6 @@ fn main() {
     let sampler = WasteSampler::spawn(smr.clone(), Duration::from_millis(5));
 
     let mut merged = TelemetrySnapshot::default();
-    let mut events_by_kind: Vec<(String, u64)> = Vec::new();
     std::thread::scope(|s| {
         let mut joins = Vec::new();
         for t in 0..THREADS {
@@ -64,26 +62,11 @@ fn main() {
                         }
                     }
                 }
-                // Drain this handle's event ring before the handle dies.
-                let mut kinds = std::collections::BTreeMap::new();
-                if let Some(ring) = h.events() {
-                    ring.drain(|rec| {
-                        let name = rec.kind().map(|k| k.name()).unwrap_or("unknown");
-                        *kinds.entry(name.to_string()).or_insert(0u64) += 1;
-                    });
-                }
-                (h.snapshot(), kinds)
+                h.snapshot()
             }));
         }
         for j in joins {
-            let (snap, kinds) = j.join().expect("worker panicked");
-            merged.merge(&snap);
-            for (k, n) in kinds {
-                match events_by_kind.iter_mut().find(|(name, _)| *name == k) {
-                    Some((_, total)) => *total += n,
-                    None => events_by_kind.push((k, n)),
-                }
-            }
+            merged.merge(&j.join().expect("worker panicked"));
         }
     });
     // Raw-API phase: `pin()` guards are what the op-latency histogram
@@ -129,13 +112,6 @@ fn main() {
         scans.quantile(0.99),
         scans.max()
     );
-
-    println!("== traced events (ring capacity 4096/handle; drops counted) ==");
-    events_by_kind.sort();
-    for (kind, n) in &events_by_kind {
-        println!("  {kind:<18} {n:>10}");
-    }
-    println!("  dropped            {:>10}", merged.events_dropped());
 
     let waste = smr.telemetry().waste().samples();
     println!("== waste series ({} samples) ==", waste.len());

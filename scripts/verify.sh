@@ -109,7 +109,11 @@ for family in mp_ops_total mp_op_latency_nanos_bucket mp_scan_latency_nanos_buck
   grep -q "^$family" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom" \
     || { echo "!! telemetry smoke: $family missing from Prometheus output" >&2; exit 1; }
 done
-grep -q '"schema": *"mp-telemetry/v1"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
+# Telemetry exports counts, not an event log: no `mp_events_*` family.
+if grep -q "^mp_events_" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom"; then
+  echo "!! telemetry smoke: an mp_events_* family is exported" >&2; exit 1
+fi
+grep -q '"schema": *"mp-telemetry/v2"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
   || { echo "!! telemetry smoke: JSON schema marker missing" >&2; exit 1; }
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
