@@ -151,7 +151,7 @@ pub struct BenchResult {
     /// Peak scheme-wide retired-but-unreclaimed nodes (5 ms poller).
     pub peak_pending: usize,
     /// Peak scheme-wide retired bytes (same poller) — the figure the
-    /// backpressure watermarks act on.
+    /// byte scan watermark acts on.
     pub peak_pending_bytes: usize,
     /// Retired-but-unreclaimed nodes after every worker handle dropped and
     /// a fresh handle adopted and scanned what they left. With
@@ -161,12 +161,6 @@ pub struct BenchResult {
     pub end_pending: usize,
     /// Peak resident set size in KiB while the run was hot (same poller).
     pub peak_rss_kb: u64,
-    /// Times the backpressure ladder engaged its help-scan rung.
-    pub bp_help_engagements: u64,
-    /// Times the backpressure ladder engaged its throttle rung.
-    pub bp_throttle_engagements: u64,
-    /// Times the ladder released back to normal.
-    pub bp_releases: u64,
 }
 
 /// Resident set size in KiB from `/proc/self/statm` (0 where unsupported).
@@ -340,10 +334,6 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
         }
     }
     res.end_pending = smr.retired_pending();
-    let bp = smr.telemetry().backpressure();
-    res.bp_help_engagements = bp.help_engagements();
-    res.bp_throttle_engagements = bp.throttle_engagements();
-    res.bp_releases = bp.releases();
     res
 }
 
@@ -371,9 +361,6 @@ pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchR
         acc.peak_pending_bytes = acc.peak_pending_bytes.max(r.peak_pending_bytes);
         acc.end_pending = acc.end_pending.max(r.end_pending);
         acc.peak_rss_kb = acc.peak_rss_kb.max(r.peak_rss_kb);
-        acc.bp_help_engagements += r.bp_help_engagements;
-        acc.bp_throttle_engagements += r.bp_throttle_engagements;
-        acc.bp_releases += r.bp_releases;
     }
     acc.mops /= n as f64;
     acc
@@ -495,24 +482,16 @@ mod tests {
 
     #[test]
     fn soak_survives_a_stalled_reader_under_a_byte_cap() {
-        // "Throttle, never OOM": the ceiling the survival gate has always
-        // used, far above anything a 150 ms run should reach.
+        // "Never OOM": the ceiling the survival gate has always used, far
+        // above anything a 150 ms run should reach.
         const RSS_CEILING_KB: u64 = 1_572_864; // 1.5 GiB
         let mut p = soak_smoke().with_stalled(1);
-        p.config = p.config.with_backpressure_bytes(32 << 10);
+        p.config = p.config.with_scan_watermark_bytes(32 << 10);
         for kind in crate::COMPARISON_SET {
             let r = run_kind::<HashMap<AnySmr>>(kind, &p);
             let who = kind.name();
-            assert!(r.total_ops > 0, "{who}: writers must stay live under backpressure: {r:?}");
+            assert!(r.total_ops > 0, "{who}: writers must stay live under a stall: {r:?}");
             assert!(r.peak_pending_bytes > 0, "{who}: poller never saw the gauge move");
-            // HP is exempt from the engagement check: its per-slot hazard
-            // bound keeps the backlog at a few hundred nodes under a
-            // bare-pin stall, so its ladder legitimately never has
-            // anything to push back on.
-            assert!(
-                kind == SchemeKind::Hp || r.bp_help_engagements + r.bp_throttle_engagements >= 1,
-                "{who}: stalled reader and a 32 KiB cap but the ladder never engaged: {r:?}"
-            );
             // The bounded-waste schemes must drain their backlog once the
             // stall ends (epoch/era schemes legitimately strand pinned
             // retirees until teardown).

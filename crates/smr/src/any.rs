@@ -34,7 +34,6 @@
 use std::sync::Arc;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::packed::{Atomic, Shared};
 use crate::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
@@ -212,10 +211,6 @@ impl Smr for AnySmr {
 
     fn telemetry(&self) -> &SchemeTelemetry {
         delegate!(AnySmr, self, s => s.telemetry())
-    }
-
-    fn backpressure_policy(&self) -> &BackpressurePolicy {
-        delegate!(AnySmr, self, s => s.backpressure_policy())
     }
 }
 

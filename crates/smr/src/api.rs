@@ -48,12 +48,14 @@ pub struct Config {
     /// DTA: reclamation attempts tolerated before a non-advancing thread is
     /// declared stalled and its anchored segment is frozen.
     pub stall_patience: usize,
-    /// Backpressure hard cap in retired payload bytes (0 = disabled).
-    /// When the scheme's retired-bytes gauge reaches half this figure,
-    /// retiring threads escalate onto the help-scan rung (adopt orphans,
-    /// scan for laggards); at the full figure allocations additionally
-    /// take a bounded backoff. See [`crate::backpressure`].
-    pub backpressure_bytes: usize,
+    /// Scan watermark in retired bytes, scheme-wide (`0`, the default,
+    /// turns it off). While the scheme's retired-bytes gauge is at or
+    /// above this figure, a retire scans early — once its handle's list
+    /// has grown by `empty_freq` since the last scan — without waiting
+    /// for `scan_watermark`. Under a stalled thread it keeps what the
+    /// other handles could free from piling up behind their own node
+    /// watermarks; it cannot free what the stalled thread protects.
+    pub scan_watermark_bytes: usize,
 }
 
 impl Default for Config {
@@ -67,7 +69,7 @@ impl Default for Config {
             margin: 1 << 20,
             anchor_hops: 100,
             stall_patience: 8,
-            backpressure_bytes: 0,
+            scan_watermark_bytes: 0,
         }
     }
 }
@@ -212,10 +214,9 @@ impl Config {
         self
     }
 
-    /// Sets the backpressure hard cap in retired payload bytes
-    /// (`0` = ladder disabled).
-    pub fn with_backpressure_bytes(mut self, n: usize) -> Self {
-        self.backpressure_bytes = n;
+    /// Sets the scheme-wide scan watermark in retired bytes (`0` = off).
+    pub fn with_scan_watermark_bytes(mut self, n: usize) -> Self {
+        self.scan_watermark_bytes = n;
         self
     }
 }
@@ -269,22 +270,10 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// same state, so consumers never match on scheme types.
     fn telemetry(&self) -> &SchemeTelemetry;
 
-    /// The backpressure watermarks this scheme instance resolved at
-    /// construction (see [`crate::backpressure`]).
-    fn backpressure_policy(&self) -> &crate::backpressure::BackpressurePolicy;
-
     /// Global gauge: retired nodes not yet reclaimed, across all handles
     /// (the paper's *wasted memory*). Includes orphaned retired nodes.
     fn retired_pending(&self) -> usize {
         self.telemetry().pending()
-    }
-
-    /// Whether the scheme is at or above its backpressure hard cap right
-    /// now — `Err` carries the gauge reading and the cap. For producers
-    /// that prefer shedding load over being throttled; always `Ok` when
-    /// backpressure is disabled.
-    fn check_backpressure(&self) -> Result<(), crate::error::BackpressureError> {
-        crate::backpressure::check(self.backpressure_policy(), self.telemetry().pending_bytes())
     }
 
     /// Appends one sample — (now, pending nodes, pending bytes) — to the
@@ -523,7 +512,7 @@ mod tests {
         assert_eq!(c.anchor_hops, 100);
         assert!(c.margin > 1 << 16);
         assert_eq!(c.scan_watermark, 0, "watermark auto-derives k·H by default");
-        assert_eq!(c.backpressure_bytes, 0, "backpressure ladder off by default");
+        assert_eq!(c.scan_watermark_bytes, 0, "byte scan watermark off by default");
     }
 
     #[test]
@@ -543,7 +532,7 @@ mod tests {
             .with_anchor_hops(50)
             .with_stall_patience(2)
             .with_scan_watermark(128)
-            .with_backpressure_bytes(1 << 22);
+            .with_scan_watermark_bytes(1 << 22);
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.slots_per_thread, 3);
         assert_eq!(c.empty_freq, 10);
@@ -552,7 +541,7 @@ mod tests {
         assert_eq!(c.anchor_hops, 50);
         assert_eq!(c.stall_patience, 2);
         assert_eq!(c.scan_watermark, 128);
-        assert_eq!(c.backpressure_bytes, 1 << 22);
+        assert_eq!(c.scan_watermark_bytes, 1 << 22);
     }
 
     #[test]

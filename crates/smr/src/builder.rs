@@ -105,10 +105,9 @@ impl SmrBuilder {
         self
     }
 
-    /// Sets the backpressure hard cap in retired payload bytes
-    /// (`0` = ladder disabled).
-    pub fn backpressure_bytes(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_backpressure_bytes(n);
+    /// Sets the scheme-wide scan watermark in retired bytes (`0` = off).
+    pub fn scan_watermark_bytes(mut self, n: usize) -> Self {
+        self.cfg = self.cfg.with_scan_watermark_bytes(n);
         self
     }
 
@@ -181,7 +180,8 @@ mod tests {
             .margin(1 << 18)
             .anchor_hops(33)
             .stall_patience(4)
-            .scan_watermark(96);
+            .scan_watermark(96)
+            .scan_watermark_bytes(4096);
         let c = b.config();
         assert_eq!(c.max_threads, 3);
         assert_eq!(c.slots_per_thread, 5);
@@ -191,6 +191,7 @@ mod tests {
         assert_eq!(c.anchor_hops, 33);
         assert_eq!(c.stall_patience, 4);
         assert_eq!(c.scan_watermark, 96);
+        assert_eq!(c.scan_watermark_bytes, 4096);
 
         let mp = b.clone().build::<Mp>();
         let mut h = mp.register();

@@ -2,12 +2,11 @@
 //!
 //! Historically each failure had its own shape: `Config::validate`
 //! returned [`ConfigError`], registry slot exhaustion panicked inside
-//! `register`, and backpressure had no surface at all. [`SmrError`] folds
-//! them into one hierarchy returned by the fallible constructors
-//! ([`Smr::try_new`], [`Smr::try_register`], `SmrBuilder::try_build`), so
-//! callers that want to recover — retry registration after a peer churns
-//! out, shed load while the retired-bytes gauge is above its cap — can
-//! match on a variant instead of catching a panic. The panicking entry
+//! `register`. [`SmrError`] folds them into one hierarchy returned by the
+//! fallible constructors ([`Smr::try_new`], [`Smr::try_register`],
+//! `SmrBuilder::try_build`), so callers that want to recover — retry
+//! registration after a peer churns out — can match on a variant instead
+//! of catching a panic. The panicking entry
 //! points ([`Smr::new`], [`Smr::register`]) are thin conveniences over them.
 //!
 //! [`Smr::try_new`]: crate::Smr::try_new
@@ -18,31 +17,6 @@
 use std::fmt;
 
 use crate::api::ConfigError;
-
-/// Why the scheme's backpressure machinery reports distress: the
-/// retired-bytes gauge sits at or above the configured hard cap, so the
-/// ladder is (or would be) on its throttle rung. Returned by
-/// [`Smr::check_backpressure`](crate::Smr::check_backpressure) for callers
-/// that prefer shedding load over being throttled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackpressureError {
-    /// The scheme's retired-but-unreclaimed payload bytes at check time.
-    pub pending_bytes: usize,
-    /// The configured hard cap (`Config::backpressure_bytes`).
-    pub cap_bytes: usize,
-}
-
-impl fmt::Display for BackpressureError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "backpressure engaged: {} retired bytes pending >= cap of {}",
-            self.pending_bytes, self.cap_bytes
-        )
-    }
-}
-
-impl std::error::Error for BackpressureError {}
 
 /// Any failure the SMR crate reports through its fallible constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +29,6 @@ pub enum SmrError {
         /// The configured handle capacity that is fully claimed.
         max_threads: usize,
     },
-    /// The scheme is above its backpressure hard cap.
-    Backpressure(BackpressureError),
 }
 
 impl fmt::Display for SmrError {
@@ -67,7 +39,6 @@ impl fmt::Display for SmrError {
                 f,
                 "SMR: more handles registered than Config::max_threads ({max_threads})"
             ),
-            SmrError::Backpressure(e) => write!(f, "{e}"),
         }
     }
 }
@@ -76,7 +47,6 @@ impl std::error::Error for SmrError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SmrError::Config(e) => Some(e),
-            SmrError::Backpressure(e) => Some(e),
             SmrError::RegistryExhausted { .. } => None,
         }
     }
@@ -85,12 +55,6 @@ impl std::error::Error for SmrError {
 impl From<ConfigError> for SmrError {
     fn from(e: ConfigError) -> Self {
         SmrError::Config(e)
-    }
-}
-
-impl From<BackpressureError> for SmrError {
-    fn from(e: BackpressureError) -> Self {
-        SmrError::Backpressure(e)
     }
 }
 
@@ -108,10 +72,6 @@ mod tests {
         assert!(e.to_string().contains("invalid SMR Config"), "{e}");
         assert!(e.source().is_some(), "config cause is chained");
 
-        let bp = BackpressureError { pending_bytes: 2048, cap_bytes: 1024 };
-        let e = SmrError::from(bp);
-        assert!(e.to_string().contains("2048") && e.to_string().contains("1024"), "{e}");
-        assert!(e.source().is_some());
         assert!(SmrError::RegistryExhausted { max_threads: 1 }.source().is_none());
     }
 }

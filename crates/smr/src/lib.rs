@@ -44,7 +44,6 @@
 
 pub mod any;
 pub mod api;
-pub mod backpressure;
 pub mod builder;
 pub mod error;
 #[cfg(feature = "hb-oracle")]
@@ -59,9 +58,8 @@ pub mod telemetry;
 
 pub use any::{AnyHandle, AnySmr, SchemeKind};
 pub use api::{Config, ConfigError, OpGuard, Smr, SmrHandle};
-pub use backpressure::{BackpressurePolicy, BackpressureState, BpLevel};
 pub use builder::SmrBuilder;
-pub use error::{BackpressureError, SmrError};
+pub use error::SmrError;
 pub use node::{gauge, SmrNode};
 pub use packed::{Atomic, Shared};
 pub use telemetry::{

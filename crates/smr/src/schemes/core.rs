@@ -2,8 +2,8 @@
 //!
 //! The schemes differ in what a thread announces and which retired nodes
 //! an announcement pins; everything around that predicate — registration,
-//! allocation accounting, the retire → scan → free pipeline, backpressure
-//! hooks, orphan adoption, drain-on-drop — is the same and lives here, once.
+//! allocation accounting, the retire → scan → free pipeline, orphan
+//! adoption, drain-on-drop — is the same and lives here, once.
 //! A scheme embeds a [`SchemeCore`] in its shared state and a
 //! [`HandleCore`] in its handle, names itself through [`Scheme`], and hands
 //! the scan a [`Protection`]: a snapshot of its announcements plus the
@@ -16,7 +16,6 @@ use std::time::Instant;
 use mp_util::CachePadded;
 
 use crate::api::Config;
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::Shared;
@@ -31,7 +30,7 @@ pub(crate) trait Scheme {
     /// How the scheme's protection claims map onto hb-tracker records.
     #[cfg(feature = "hb-oracle")]
     const HB: crate::hb::HbPolicy;
-    /// Whether new handles and help-scans adopt the registry's orphan list.
+    /// Whether new handles adopt the registry's orphan list.
     /// DTA parks its frozen nodes there until teardown; Leaky frees nothing.
     const ADOPT_ORPHANS: bool = true;
     /// Whether retired nodes are ever scanned (false only for Leaky).
@@ -67,19 +66,17 @@ pub(crate) trait Protection<S: Scheme> {
 pub(crate) struct SchemeCore {
     pub(crate) registry: Registry,
     scan_policy: ScanPolicy,
-    pub(crate) bp_policy: BackpressurePolicy,
     pub(crate) cfg: Config,
     pub(crate) tele: SchemeTelemetry,
 }
 
 impl SchemeCore {
-    /// Validates `cfg` and resolves the scan and backpressure policies.
+    /// Validates `cfg` and resolves the scan policy.
     pub(crate) fn try_new(cfg: Config) -> Result<Self, SmrError> {
         cfg.validate()?;
         Ok(SchemeCore {
             registry: Registry::new(cfg.max_threads),
             scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
             cfg,
             tele: SchemeTelemetry::new(),
         })
@@ -104,7 +101,6 @@ impl SchemeCore {
             retired: CachePadded::new(retired),
             scan_scratch: Vec::new(),
             scan: ScanState::new(&self.scan_policy),
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -158,20 +154,17 @@ pub(crate) struct HandleCore {
     /// keep destination of the next, so steady-state scans never allocate.
     scan_scratch: Vec<Retired>,
     scan: ScanState,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
     pub(crate) tele: CachePadded<HandleTelemetry>,
 }
 
 impl HandleCore {
-    /// `start_op` prologue: oracle/hb context, rung reset, op accounting.
+    /// `start_op` prologue: oracle/hb context, op accounting.
     #[inline]
     pub(crate) fn start_op<S: Scheme>(&mut self) {
         #[cfg(feature = "oracle")]
         crate::oracle::enter_scheme(S::NAME);
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(S::HB);
-        self.bp_rung = BpLevel::Normal;
         let retired_len = self.retired.len();
         self.tele.record_op_start(retired_len);
     }
@@ -188,18 +181,11 @@ impl HandleCore {
     #[inline]
     pub(crate) fn alloc<T: Send + Sync>(
         &mut self,
-        shared: &SchemeCore,
         data: T,
         index: u32,
         birth: u64,
         tail_len: usize,
     ) -> Shared<T> {
-        backpressure::before_alloc(
-            &shared.bp_policy,
-            shared.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
         self.tele.bump(Counter::Allocs);
         let ptr = crate::node::alloc_node_in(data, index, birth, tail_len, &mut self.tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
@@ -207,8 +193,7 @@ impl HandleCore {
     }
 
     /// Buffers `node` as retired at `stamp` (by an operation that began at
-    /// `op_start`), scans when the trigger is due, and climbs the
-    /// backpressure ladder.
+    /// `op_start`) and scans when the trigger is due.
     ///
     /// # Safety
     /// `node` must be removed, non-null and retired at most once — the
@@ -233,20 +218,10 @@ impl HandleCore {
         let mut r = unsafe { shared.capture(node, stamp) };
         r.op_start = op_start;
         self.retired.push(r);
-        if S::RECLAIMS && self.scan.due(self.retired.len()) {
-            self.scan(scheme, prot);
-        }
-        // The ladder tracks the gauge for every scheme (Leaky's throttle
-        // rung and engagement telemetry included); only schemes that can
-        // free something answer the help rung.
-        if backpressure::after_retire(
-            &shared.bp_policy,
-            shared.tele.backpressure(),
-            shared.tele.pending_bytes(),
-            &mut self.bp_rung,
-        ) && S::RECLAIMS
+        if S::RECLAIMS
+            && self.scan.due(&shared.scan_policy, self.retired.len(), || shared.tele.pending_bytes())
         {
-            self.help_scan(scheme, prot);
+            self.scan(scheme, prot);
         }
     }
 
@@ -306,17 +281,6 @@ impl HandleCore {
         }
     }
 
-    /// Backpressure help-scan: adopt whatever retired lists churned-out
-    /// peers parked as orphans, then scan. The scan's rearm re-baselines
-    /// the backlog, adopted nodes included.
-    fn help_scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
-        self.tele.bump(Counter::HelpScans);
-        if S::ADOPT_ORPHANS {
-            self.retired.extend(scheme.core().registry.adopt_orphans());
-        }
-        self.scan(scheme, prot);
-    }
-
     /// Handle teardown, after the scheme withdrew its announcements (so the
     /// handle's own stale slots cannot pin its leftovers): a drain scan —
     /// with watermark-batched triggers a short-lived handle may never have
@@ -342,7 +306,7 @@ impl HandleCore {
     }
 }
 
-/// The three `Smr` accessors every scheme answers from its embedded core;
+/// The two `Smr` accessors every scheme answers from its embedded core;
 /// invoke inside the scheme's `impl Smr` block.
 macro_rules! smr_core_accessors {
     () => {
@@ -352,10 +316,6 @@ macro_rules! smr_core_accessors {
 
         fn telemetry(&self) -> &$crate::telemetry::SchemeTelemetry {
             &self.core.tele
-        }
-
-        fn backpressure_policy(&self) -> &$crate::backpressure::BackpressurePolicy {
-            &self.core.bp_policy
         }
     };
 }
@@ -439,7 +399,7 @@ mod tests {
         pinned: &mut Pinned,
         pin: bool,
     ) -> u64 {
-        let node = h.core.alloc(&s.core, 0u64, 0, 0, 0);
+        let node = h.core.alloc(0u64, 0, 0, 0);
         if pin {
             pinned.0.push(node.addr());
         }
@@ -531,33 +491,26 @@ mod tests {
         h.core.release(&s, &mut pinned);
     }
 
-    /// Parks one pinned orphan while a second handle is live, drives that
-    /// handle onto the help rung, then registers a third. Returns the
-    /// orphan counts the help-scan and the registration left behind.
-    fn orphans_after_help_and_register<const ADOPT: bool>() -> (usize, usize) {
-        let s = fake::<ADOPT>(manual().with_backpressure_bytes(64));
-        let (mut h, mut h2, mut pinned) = (register(&s), register(&s), Pinned(Vec::new()));
+    /// Parks one pinned orphan, then registers a second handle. Returns
+    /// the orphan count the registration left behind.
+    fn orphans_after_register<const ADOPT: bool>() -> usize {
+        let s = fake::<ADOPT>(manual());
+        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         retire_if(&mut h, &s, &mut pinned, true);
         h.core.release(&s, &mut pinned);
         assert_eq!(s.core.registry.orphan_count(), 1);
 
-        retire_if(&mut h2, &s, &mut pinned, true);
-        assert!(h2.snapshot().help_scans() > 0, "a 64-byte cap must engage the help rung");
-        let after_help = s.core.registry.orphan_count();
-        assert_eq!(h2.core.retired_len(), 2 - after_help, "adopted orphans join the helper's list");
-
-        let mut h3 = register(&s);
+        let mut h2 = register(&s);
         let after_register = s.core.registry.orphan_count();
-        assert_eq!(h3.core.retired_len(), after_help - after_register);
+        assert_eq!(h2.core.retired_len(), 1 - after_register, "adopted orphans join its list");
         pinned.0.clear();
-        h3.core.release(&s, &mut pinned);
         h2.core.release(&s, &mut pinned);
-        (after_help, after_register)
+        after_register
     }
 
     #[test]
     fn orphans_are_adopted_only_when_the_scheme_says_so() {
-        assert_eq!(orphans_after_help_and_register::<true>(), (0, 0), "help-scan drains them");
-        assert_eq!(orphans_after_help_and_register::<false>(), (1, 1), "DTA-style: left parked");
+        assert_eq!(orphans_after_register::<true>(), 0, "registration adopts them");
+        assert_eq!(orphans_after_register::<false>(), 1, "DTA-style: left parked");
     }
 }

@@ -107,8 +107,7 @@ pub struct DtaHandle {
 /// Its orphan list doubles as the frozen-node park (see
 /// [`Dta::park_frozen`]), and frozen nodes must stay parked until scheme
 /// teardown: adopting them would shuttle permanently-pinned nodes through
-/// every scan. A help-scan still helps by re-classifying stalled peers
-/// (possibly freezing them) and draining the helper's own backlog.
+/// every scan.
 impl Scheme for Dta {
     const NAME: &'static str = "DTA";
     #[cfg(feature = "hb-oracle")]
@@ -390,7 +389,7 @@ impl SmrHandle for DtaHandle {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
-        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
+        self.core.alloc(data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -164,7 +164,7 @@ impl SmrHandle for IbrHandle {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
-        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), birth, tail_len)
+        self.core.alloc(data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -28,10 +28,9 @@ pub struct LeakyHandle {
     core: HandleCore,
 }
 
-/// No scan ever runs, so no waste bound applies and the help rung cannot
-/// free anything — but allocations and retires are still lifecycle-tracked
-/// and the ladder still tracks the gauge, keeping the no-reclamation
-/// baseline honest about its memory pressure.
+/// No scan ever runs, so no waste bound applies — but allocations and
+/// retires are still lifecycle-tracked and counted in the pending gauge,
+/// keeping the no-reclamation baseline honest about its memory pressure.
 impl Scheme for Leaky {
     const NAME: &'static str = "Leaky";
     #[cfg(feature = "hb-oracle")]
@@ -95,7 +94,7 @@ impl SmrHandle for LeakyHandle {
         index: Option<u32>,
         tail_len: usize,
     ) -> Shared<T> {
-        self.core.alloc(&self.scheme.core, data, index.unwrap_or(0), 0, tail_len)
+        self.core.alloc(data, index.unwrap_or(0), 0, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

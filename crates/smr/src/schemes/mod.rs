@@ -17,9 +17,9 @@
 //! stamps it gives nodes, and a `Protection` — a snapshot of the
 //! announcements plus the predicate "may this retired node still be
 //! referenced?". Registration, allocation accounting, the retire → scan →
-//! free pipeline, backpressure, orphan adoption and drain-on-drop exist
-//! once, in the crate-private `core` module; `common` holds the pieces
-//! several schemes share (scan trigger, epoch clock, pending gauge).
+//! free pipeline, orphan adoption and drain-on-drop exist once, in the
+//! crate-private `core` module; `common` holds the pieces several schemes
+//! share (scan trigger, epoch clock, pending gauge).
 
 pub(crate) mod common;
 pub(crate) mod core;

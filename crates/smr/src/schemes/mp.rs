@@ -644,7 +644,7 @@ impl SmrHandle for MpHandle {
     ) -> Shared<T> {
         let index = index.unwrap_or_else(|| self.interval_index());
         let birth = self.scheme.global_epoch.load(Ordering::SeqCst);
-        self.core.alloc(&self.scheme.core, data, index, birth, tail_len)
+        self.core.alloc(data, index, birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -188,12 +188,6 @@ counters! {
     ScanNanos => scan_nanos,
         "Wall nanoseconds spent inside `empty()` scans. Always on: scans are rare, so two clock \
          reads per scan are noise.";
-    HelpScans => help_scans,
-        "Backpressure help-scans: reclamation passes run on behalf of laggards because the \
-         retired-bytes gauge crossed the help watermark.";
-    ThrottleWaits => throttle_waits,
-        "Backpressure throttle waits: bounded backoffs on the allocation path while the gauge \
-         sat above the hard cap.";
 }
 
 /// Which protection-path call site issued a fence. The per-site split is
@@ -585,13 +579,11 @@ impl WasteSeries {
 }
 
 /// Scheme-wide telemetry: the pending-waste gauge every scheme already
-/// kept (now tracking bytes alongside nodes), the waste time-series, and
-/// the backpressure ladder state. Returned by
-/// [`Smr::telemetry`](crate::Smr::telemetry).
+/// kept (now tracking bytes alongside nodes) and the waste time-series.
+/// Returned by [`Smr::telemetry`](crate::Smr::telemetry).
 pub struct SchemeTelemetry {
     pub(crate) pending: PendingGauge,
     waste: WasteSeries,
-    backpressure: crate::backpressure::BackpressureState,
 }
 
 impl Default for SchemeTelemetry {
@@ -606,7 +598,6 @@ impl SchemeTelemetry {
         SchemeTelemetry {
             pending: PendingGauge::default(),
             waste: WasteSeries::new(),
-            backpressure: crate::backpressure::BackpressureState::new(),
         }
     }
 
@@ -617,8 +608,8 @@ impl SchemeTelemetry {
     }
 
     /// Retired-but-unreclaimed payload bytes right now, for this scheme
-    /// instance only (orphans included). This is the gauge backpressure
-    /// decisions read.
+    /// instance only (orphans included). This is the gauge the byte scan
+    /// watermark (`Config::scan_watermark_bytes`) reads.
     pub fn pending_bytes(&self) -> usize {
         self.pending.bytes()
     }
@@ -626,12 +617,6 @@ impl SchemeTelemetry {
     /// The waste time-series.
     pub fn waste(&self) -> &WasteSeries {
         &self.waste
-    }
-
-    /// The backpressure ladder state: current rung plus engagement /
-    /// release counters (see [`crate::backpressure`]).
-    pub fn backpressure(&self) -> &crate::backpressure::BackpressureState {
-        &self.backpressure
     }
 }
 
@@ -741,7 +726,7 @@ mod tests {
             assert_eq!(pinned.counter(c), u64::MAX, "{} pins at MAX", c.name());
         }
         assert_eq!(snap.fences(), 1, "generated getters read their own index");
-        assert_eq!(snap.throttle_waits(), 1 + Counter::ThrottleWaits as u64);
+        assert_eq!(snap.scan_nanos(), 1 + Counter::ScanNanos as u64);
         // Ratios remain finite and sane at saturation.
         assert!(pinned.fences_per_node() <= 1.0 + 1e-12);
         assert!(pinned.pool_hit_rate() <= 1.0);
@@ -790,7 +775,7 @@ mod tests {
         assert!(close(s.scan_ns_per_free(), 250.0));
     }
 
-    /// Layout pin (1 240 bytes at 21 counters): the two histograms plus
+    /// Layout pin (1 224 bytes at 19 counters): the two histograms plus
     /// eight bytes per counter and nothing else.
     #[test]
     fn handle_telemetry_size_is_pinned() {

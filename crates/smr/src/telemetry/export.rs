@@ -15,8 +15,6 @@ use std::path::{Path, PathBuf};
 
 use mp_util::hist::{bucket_bound, Histogram};
 
-use crate::backpressure::BackpressureState;
-
 use super::{Counter, TelemetrySnapshot, WasteSample};
 
 /// Output directory for exporter artifacts: `MP_BENCH_DIR` if set (the
@@ -59,16 +57,9 @@ fn push_histogram(
 /// Renders the snapshot in Prometheus text exposition format: one
 /// `mp_<counter>_total` counter per [`Counter`], both latency histograms
 /// with cumulative power-of-two buckets, the waste gauges (latest sample
-/// of the series), the process-wide node-pool gauges (`mp_pool_*`, no
-/// `scheme` label: every scheme shares the one pool), and — when `bp` is
-/// given — the scheme's backpressure ladder state (current level plus
-/// engagement/release totals).
-pub fn prometheus_text(
-    scheme: &str,
-    snap: &TelemetrySnapshot,
-    waste: &[WasteSample],
-    bp: Option<&BackpressureState>,
-) -> String {
+/// of the series), and the process-wide node-pool gauges (`mp_pool_*`, no
+/// `scheme` label: every scheme shares the one pool).
+pub fn prometheus_text(scheme: &str, snap: &TelemetrySnapshot, waste: &[WasteSample]) -> String {
     let p = METRIC_PREFIX;
     let mut out = String::with_capacity(4096);
     for c in Counter::ALL {
@@ -113,25 +104,6 @@ pub fn prometheus_text(
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {v}");
     }
-    if let Some(bp) = bp {
-        let name = format!("{p}_backpressure_level");
-        let _ = writeln!(
-            out,
-            "# HELP {name} Backpressure ladder level (0 normal, 1 help-scan, 2 throttle)."
-        );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name}{{scheme=\"{scheme}\"}} {}", bp.level() as u8);
-        for (metric, help, v) in [
-            ("help_engagements", "help-scan rung", bp.help_engagements()),
-            ("throttle_engagements", "throttle rung", bp.throttle_engagements()),
-            ("releases", "drops back to normal", bp.releases()),
-        ] {
-            let name = format!("{p}_backpressure_{metric}_total");
-            let _ = writeln!(out, "# HELP {name} Backpressure ladder transitions: {help}.");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}{{scheme=\"{scheme}\"}} {v}");
-        }
-    }
     out
 }
 
@@ -152,18 +124,12 @@ fn json_hist(out: &mut String, h: &Histogram) {
 }
 
 /// Renders the snapshot as a self-contained JSON document (schema
-/// `mp-telemetry/v2`): counters, derived ratios, both histograms (sparse
-/// buckets), the waste time-series, a `pool` object
-/// (the process-wide node pool's [`mp_util::pool::stats`]), and — when
-/// `bp` is given — a `backpressure` object with the ladder state.
-pub fn json(
-    scheme: &str,
-    snap: &TelemetrySnapshot,
-    waste: &[WasteSample],
-    bp: Option<&BackpressureState>,
-) -> String {
+/// `mp-telemetry/v3`): counters, derived ratios, both histograms (sparse
+/// buckets), the waste time-series, and a `pool` object (the process-wide
+/// node pool's [`mp_util::pool::stats`]).
+pub fn json(scheme: &str, snap: &TelemetrySnapshot, waste: &[WasteSample]) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"mp-telemetry/v2\",\n");
+    out.push_str("{\n  \"schema\": \"mp-telemetry/v3\",\n");
     let _ = writeln!(out, "  \"scheme\": \"{scheme}\",");
     out.push_str("  \"counters\": {");
     for (i, c) in Counter::ALL.iter().enumerate() {
@@ -198,19 +164,6 @@ pub fn json(
         pool.free_blocks,
         pool.live_blocks
     );
-    if let Some(bp) = bp {
-        let level = bp.level();
-        let _ = write!(
-            out,
-            ",\n  \"backpressure\": {{\"level\": {}, \"level_name\": \"{}\", \
-             \"help_engagements\": {}, \"throttle_engagements\": {}, \"releases\": {}}}",
-            level as u8,
-            level.name(),
-            bp.help_engagements(),
-            bp.throttle_engagements(),
-            bp.releases()
-        );
-    }
     out.push_str(",\n  \"waste\": [");
     for (i, s) in waste.iter().enumerate() {
         if i > 0 {
@@ -233,15 +186,14 @@ pub fn write_artifacts(
     scheme: &str,
     snap: &TelemetrySnapshot,
     waste: &[WasteSample],
-    bp: Option<&BackpressureState>,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
     let dir = out_dir();
     std::fs::create_dir_all(&dir)?;
     let stem = scheme.to_lowercase().replace([' ', '/'], "_");
     let prom_path = dir.join(format!("telemetry_{stem}.prom"));
     let json_path = dir.join(format!("telemetry_{stem}.json"));
-    std::fs::write(&prom_path, prometheus_text(scheme, snap, waste, bp))?;
-    std::fs::write(&json_path, json(scheme, snap, waste, bp))?;
+    std::fs::write(&prom_path, prometheus_text(scheme, snap, waste))?;
+    std::fs::write(&json_path, json(scheme, snap, waste))?;
     Ok((prom_path, json_path))
 }
 
@@ -503,7 +455,7 @@ mod tests {
 
     #[test]
     fn prometheus_output_is_valid_and_complete() {
-        let text = prometheus_text("MP", &sample_snapshot(), &sample_waste(), None);
+        let text = prometheus_text("MP", &sample_snapshot(), &sample_waste());
         let samples = validate_prometheus(&text).expect("must validate");
         // Every counter + 2 histograms (≥3 lines each) + 2 waste gauges +
         // 3 pool gauges.
@@ -517,7 +469,6 @@ mod tests {
         assert!(text.contains("mp_op_latency_nanos_count{scheme=\"MP\"} 2"));
         assert!(text.contains("le=\"+Inf\"} 2"));
         assert!(text.contains("mp_wasted_nodes{scheme=\"MP\"} 2"), "latest waste sample");
-        assert!(!text.contains("backpressure"), "no ladder metrics without state");
     }
 
     /// Driven by the counter table: both formats carry every counter
@@ -525,9 +476,9 @@ mod tests {
     #[test]
     fn both_formats_export_every_counter_once_in_table_order() {
         let snap = sample_snapshot();
-        let prom = prometheus_text("MP", &snap, &[], None);
-        let doc = json("MP", &snap, &[], None);
-        assert!(doc.starts_with("{\n  \"schema\": \"mp-telemetry/v2\",\n"));
+        let prom = prometheus_text("MP", &snap, &[]);
+        let doc = json("MP", &snap, &[]);
+        assert!(doc.starts_with("{\n  \"schema\": \"mp-telemetry/v3\",\n"));
         let (mut prom_at, mut json_at) = (0, 0);
         for c in Counter::ALL {
             let sample = format!("\nmp_{}_total{{scheme=\"MP\"}} {}\n", c.name(), snap.counter(c));
@@ -542,21 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exports_the_backpressure_ladder() {
-        let bp = BackpressureState::new();
-        let text = prometheus_text("MP", &sample_snapshot(), &sample_waste(), Some(&bp));
-        validate_prometheus(&text).expect("must validate");
-        assert!(text.contains("mp_backpressure_level{scheme=\"MP\"} 0"));
-        assert!(text.contains("mp_backpressure_help_engagements_total{scheme=\"MP\"} 0"));
-        assert!(text.contains("mp_backpressure_throttle_engagements_total{scheme=\"MP\"} 0"));
-        assert!(text.contains("mp_backpressure_releases_total{scheme=\"MP\"} 0"));
-    }
-
-    #[test]
     fn json_output_is_valid_and_complete() {
-        let doc = json("MP", &sample_snapshot(), &sample_waste(), None);
+        let doc = json("MP", &sample_snapshot(), &sample_waste());
         validate_json(&doc).expect("must be well-formed JSON");
-        assert!(doc.contains("\"schema\": \"mp-telemetry/v2\""));
+        assert!(doc.contains("\"schema\": \"mp-telemetry/v3\""));
         assert!(doc.contains("\"scheme\": \"MP\""));
         assert!(doc.contains("\"ops\": 1"));
         assert!(doc.contains("\"t_micros\": 20"));
@@ -567,20 +507,11 @@ mod tests {
     }
 
     #[test]
-    fn json_exports_the_backpressure_ladder() {
-        let bp = BackpressureState::new();
-        let doc = json("MP", &sample_snapshot(), &sample_waste(), Some(&bp));
-        validate_json(&doc).expect("must be well-formed JSON");
-        assert!(doc.contains("\"backpressure\": {\"level\": 0, \"level_name\": \"normal\""));
-        assert!(doc.contains("\"help_engagements\": 0"));
-    }
-
-    #[test]
     fn empty_snapshot_still_exports_cleanly() {
         let snap = TelemetrySnapshot::default();
-        let text = prometheus_text("HE", &snap, &[], None);
+        let text = prometheus_text("HE", &snap, &[]);
         assert!(validate_prometheus(&text).unwrap() >= Counter::ALL.len());
-        validate_json(&json("HE", &snap, &[], None)).unwrap();
+        validate_json(&json("HE", &snap, &[])).unwrap();
     }
 
     #[test]
@@ -604,7 +535,7 @@ mod tests {
         // and restore carefully around the call.
         let prev = std::env::var_os("MP_BENCH_DIR");
         std::env::set_var("MP_BENCH_DIR", &dir);
-        let result = write_artifacts("MP", &sample_snapshot(), &sample_waste(), None);
+        let result = write_artifacts("MP", &sample_snapshot(), &sample_waste());
         match prev {
             Some(v) => std::env::set_var("MP_BENCH_DIR", v),
             None => std::env::remove_var("MP_BENCH_DIR"),

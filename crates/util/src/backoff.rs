@@ -4,10 +4,7 @@
 /// replacement for `crossbeam_utils::Backoff`).
 ///
 /// Each [`spin`](Backoff::spin) doubles the number of `spin_loop` hints
-/// issued, up to `2^SPIN_LIMIT`; past that point the contended section is
-/// long enough that burning more cycles only steals them from the thread
-/// holding things up, so [`is_completed`](Backoff::is_completed) reports
-/// that the caller should yield or park instead.
+/// issued, up to `2^SPIN_LIMIT`, then keeps spinning at that ceiling.
 #[derive(Debug, Default)]
 pub struct Backoff {
     step: u32,
@@ -21,12 +18,6 @@ impl Backoff {
         Backoff { step: 0 }
     }
 
-    /// Resets to the initial state (call after the contended operation
-    /// finally succeeds, if the `Backoff` is reused).
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Spins `2^step` times and escalates the step, saturating at
     /// 2^6 = 64 hint instructions per call.
     #[inline]
@@ -38,27 +29,6 @@ impl Backoff {
             self.step += 1;
         }
     }
-
-    /// True once spinning has saturated and the caller should stop burning
-    /// CPU (e.g. `std::thread::yield_now` or a parking primitive).
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        self.step > SPIN_LIMIT
-    }
-
-    /// One backoff step that is polite past saturation: spins while the
-    /// ramp is still short, yields the scheduler slice once
-    /// [`is_completed`](Backoff::is_completed) — the building block for
-    /// bounded throttle waits (SMR backpressure) and other loops that must
-    /// wait on another thread's progress without ever parking.
-    #[inline]
-    pub fn snooze(&mut self) {
-        if self.is_completed() {
-            std::thread::yield_now();
-        } else {
-            self.spin();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,30 +38,13 @@ mod tests {
     #[test]
     fn escalates_then_saturates() {
         let mut b = Backoff::new();
-        assert!(!b.is_completed());
-        for _ in 0..=SPIN_LIMIT {
+        assert_eq!(b.step, 0);
+        for i in 1..=SPIN_LIMIT + 1 {
             b.spin();
+            assert_eq!(b.step, i, "each spin escalates one step");
         }
-        assert!(b.is_completed());
         // Further spins stay saturated and keep working.
         b.spin();
-        assert!(b.is_completed());
-        b.reset();
-        assert!(!b.is_completed());
-    }
-
-    #[test]
-    fn snooze_spins_then_yields() {
-        let mut b = Backoff::new();
-        // Below saturation snooze behaves like spin (escalates the step)...
-        b.snooze();
-        assert!(!b.is_completed());
-        for _ in 0..=SPIN_LIMIT {
-            b.snooze();
-        }
-        // ...and past it it only yields, never un-saturating.
-        assert!(b.is_completed());
-        b.snooze();
-        assert!(b.is_completed());
+        assert_eq!(b.step, SPIN_LIMIT + 1);
     }
 }

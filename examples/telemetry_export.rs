@@ -119,9 +119,7 @@ fn main() {
         println!("  peak: {} nodes / {} bytes pending", peak.pending_nodes, peak.pending_bytes);
     }
 
-    let bp = smr.telemetry().backpressure();
-    let (prom, json) =
-        export::write_artifacts("MP", &merged, &waste, Some(bp)).expect("write artifacts");
+    let (prom, json) = export::write_artifacts("MP", &merged, &waste).expect("write artifacts");
     let samples = export::validate_artifact_files(&prom, &json).expect("artifacts must validate");
     println!("== exporters ==");
     println!("  {} ({samples} Prometheus samples)", prom.display());

@@ -75,7 +75,7 @@ cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warni
 
 # Bench smoke: every mp-bench target — each figure, Table 1, the
 # collision analysis, the takeaways and the soak (one stalled reader, a
-# 32 KiB backpressure cap) — runs to completion at smoke scale and writes
+# 32 KiB byte scan watermark) — runs to completion at smoke scale and writes
 # its tables into target/bench-smoke/. The files must parse; pass/fail on
 # their *values* lives in `cargo test -p mp-bench` (the driver's soak
 # tests) and tests/fence_budget.rs. Absolute path: `cargo bench` sets the
@@ -85,7 +85,7 @@ BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
 MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_THREADS=1,2 MP_BENCH_DURATION_MS=40 \
   MP_BENCH_PREFILL=256 MP_BENCH_RUNS=1 \
-  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 MP_SOAK_BP_BYTES=32768 \
+  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 MP_SOAK_SCAN_BYTES=32768 \
   cargo bench --offline -p mp-bench >/dev/null
 ls "$BENCH_SMOKE_DIR"/*.json >/dev/null
 if command -v python3 >/dev/null 2>&1; then
@@ -109,11 +109,12 @@ for family in mp_ops_total mp_op_latency_nanos_bucket mp_scan_latency_nanos_buck
   grep -q "^$family" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom" \
     || { echo "!! telemetry smoke: $family missing from Prometheus output" >&2; exit 1; }
 done
-# Telemetry exports counts, not an event log: no `mp_events_*` family.
-if grep -q "^mp_events_" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom"; then
-  echo "!! telemetry smoke: an mp_events_* family is exported" >&2; exit 1
+# Telemetry exports counts, not an event log or a ladder state: neither
+# the event ring's nor the removed backpressure ladder's families appear.
+if grep -qE '^mp_(events|backpressure)_' "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom"; then
+  echo "!! telemetry smoke: an event-ring or ladder family is exported" >&2; exit 1
 fi
-grep -q '"schema": *"mp-telemetry/v2"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
+grep -q '"schema": *"mp-telemetry/v3"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
   || { echo "!! telemetry smoke: JSON schema marker missing" >&2; exit 1; }
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,

@@ -84,20 +84,18 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
     assert!(!waste.is_empty(), "sample_waste records into the series");
 
     // Exporters round-trip through their own validators on real data.
-    let bp = smr.telemetry().backpressure();
-    let prom = export::prometheus_text("MP", &merged, &waste, Some(bp));
+    let prom = export::prometheus_text("MP", &merged, &waste);
     let n = export::validate_prometheus(&prom).expect("valid Prometheus exposition");
     assert!(n > 10, "expected a full metric family set, got {n} samples");
     assert!(prom.contains("mp_ops_total"), "counter families present");
     assert!(prom.contains("mp_scan_latency_nanos_bucket"), "histogram families present");
-    assert!(prom.contains("mp_backpressure_level"), "ladder gauge present");
     // The list's nodes came from the pool, so it reserved at least a region.
     let reserved = prom
         .lines()
         .find_map(|l| l.strip_prefix("mp_pool_reserved_bytes "))
         .expect("pool gauges present");
     assert!(reserved.parse::<usize>().unwrap() >= mp_util::pool::REGION);
-    let json = export::json("MP", &merged, &waste, Some(bp));
+    let json = export::json("MP", &merged, &waste);
     export::validate_json(&json).expect("valid JSON");
     assert!(json.contains("\"pool\": {\"regions\": "), "pool object present");
 
