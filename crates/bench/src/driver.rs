@@ -163,14 +163,19 @@ pub struct BenchResult {
     pub peak_rss_kb: u64,
 }
 
-/// Resident set size in KiB from `/proc/self/statm` (0 where unsupported).
+/// Resident set size in KiB from `/proc/self/status` (0 where unsupported).
 fn rss_kb() -> u64 {
-    let Ok(statm) = std::fs::read_to_string("/proc/self/statm") else {
-        return 0;
-    };
-    let resident_pages: u64 =
-        statm.split_whitespace().nth(1).and_then(|f| f.parse().ok()).unwrap_or(0);
-    resident_pages * 4 // 4 KiB pages
+    std::fs::read_to_string("/proc/self/status").map_or(0, |status| vm_rss_kb(&status))
+}
+
+/// The `VmRSS` line of a `/proc/<pid>/status` text, which the kernel
+/// states in kB whatever its page size; 0 if the line is missing.
+fn vm_rss_kb(status: &str) -> u64 {
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or(0)
 }
 
 /// Runs one measurement point of scheme `S` on structure `D`.
@@ -309,7 +314,6 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
             res.peak_pending_bytes =
                 res.peak_pending_bytes.max(smr.telemetry().pending_bytes());
             res.peak_rss_kb = res.peak_rss_kb.max(rss_kb());
-            smr.sample_waste();
         }
         stop.store(true, Ordering::Release);
         for w in workers {
@@ -506,6 +510,13 @@ mod tests {
                 r.peak_rss_kb
             );
         }
+    }
+
+    #[test]
+    fn vm_rss_is_read_in_kib_from_the_status_text() {
+        let status = "Name:\tbench\nVmPeak:\t  912 kB\nVmRSS:\t   45056 kB\nRssAnon:\t 40000 kB\n";
+        assert_eq!(vm_rss_kb(status), 45056, "kB as stated, not pages times 4");
+        assert_eq!(vm_rss_kb("Name:\tbench\n"), 0, "no VmRSS line");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `MP_BENCH_FULL=1` for paper-scale parameters, or override individual
 //! knobs: `MP_BENCH_THREADS` (comma list), `MP_BENCH_DURATION_MS`,
 //! `MP_BENCH_PREFILL`, `MP_BENCH_RUNS`. `MP_BENCH_DIR` redirects the
-//! CSV/JSON output.
+//! CSV output.
 
 #![warn(missing_docs)]
 

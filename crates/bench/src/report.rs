@@ -1,13 +1,11 @@
-//! Plain-text table + CSV + JSON output: the one place a bench result is
+//! Plain-text table + CSV output: the one place a bench result is
 //! formatted or written.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mp_smr::telemetry::export::validate_json;
-
-/// A simple aligned text table, also dumped as CSV and JSON under
-/// [`out_dir`] for EXPERIMENTS.md bookkeeping and scripts.
+/// A simple aligned text table, also dumped as CSV under [`out_dir`] for
+/// EXPERIMENTS.md bookkeeping and scripts.
 pub struct Table {
     title: String,
     header: Vec<String>,
@@ -56,8 +54,8 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout and writes `<slug>.csv` plus a
-    /// machine-readable `<slug>.json` into [`out_dir`].
+    /// Prints the table to stdout and writes `<slug>.csv` into
+    /// [`out_dir`].
     pub fn emit(&self, slug: &str) {
         print!("{}", self.render());
         let dir = out_dir();
@@ -66,57 +64,11 @@ impl Table {
             .chain(&self.rows)
             .map(|cells| cells.join(",") + "\n")
             .collect();
-        for (ext, body) in [("csv", csv), ("json", self.to_json())] {
-            let path = dir.join(format!("{slug}.{ext}"));
-            if std::fs::write(&path, body).is_ok() {
-                eprintln!("[{ext}] {}", path.display());
-            }
+        let path = dir.join(format!("{slug}.csv"));
+        if std::fs::write(&path, csv).is_ok() {
+            eprintln!("[csv] {}", path.display());
         }
     }
-
-    /// Renders the table as a JSON object: header names become row keys,
-    /// and a cell that is itself a JSON number (`3.590`, `65535`) is
-    /// written as one, so a script needs no schema to compare values —
-    /// anything else (`MP`, `2^20`, `nan`, `12.5%`) stays a string.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\n  \"title\": {},\n  \"rows\": [", json_str(&self.title));
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {{");
-            for (j, (key, cell)) in self.header.iter().zip(row).enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let number = cell.starts_with(|c: char| c == '-' || c.is_ascii_digit())
-                    && validate_json(cell).is_ok();
-                let value = if number { cell.clone() } else { json_str(cell) };
-                let _ = write!(out, "{comma}{}: {value}", json_str(key));
-            }
-            let _ = write!(out, "}}");
-        }
-        let _ = writeln!(out, "\n  ]\n}}");
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal (no external deps).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Output directory for bench artifacts: `$MP_BENCH_DIR` when set
@@ -150,25 +102,6 @@ mod tests {
         assert!(s.contains("scheme"));
         assert!(s.contains("MP"));
         assert!(s.lines().count() >= 5);
-    }
-
-    #[test]
-    fn json_numbers_are_bare_and_everything_else_is_quoted() {
-        let mut t = Table::new("demo", &["scheme", "margin", "Mops/s", "peak", "frees", "ratio"]);
-        t.row(["MP", "2^20", "3.590", "65535", "0", "nan"].map(String::from).to_vec());
-        t.row(["HP", "-", "-0.5", "1e3", "007", "12.5%"].map(String::from).to_vec());
-        let json = t.to_json();
-        validate_json(&json).expect("well-formed JSON");
-        // The same rows, key for key, in header order.
-        let rows: Vec<&str> =
-            json.lines().map(str::trim).filter(|l| l.starts_with('{') && l.len() > 1).collect();
-        assert_eq!(
-            rows,
-            [
-                r#"{"scheme": "MP", "margin": "2^20", "Mops/s": 3.590, "peak": 65535, "frees": 0, "ratio": "nan"},"#,
-                r#"{"scheme": "HP", "margin": "-", "Mops/s": -0.5, "peak": 1e3, "frees": "007", "ratio": "12.5%"}"#,
-            ]
-        );
     }
 
     #[test]

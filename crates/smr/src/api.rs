@@ -265,25 +265,15 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// Human-readable scheme name (used by the benchmark harness).
     fn name() -> &'static str;
 
-    /// Scheme-wide telemetry: the pending-waste gauge and the waste
-    /// time-series (Fig. 6 as a live curve). Every scheme exposes the
-    /// same state, so consumers never match on scheme types.
+    /// Scheme-wide telemetry: the live waste gauges, in nodes and bytes.
+    /// Every scheme exposes the same state, so consumers never match on
+    /// scheme types.
     fn telemetry(&self) -> &SchemeTelemetry;
 
     /// Global gauge: retired nodes not yet reclaimed, across all handles
     /// (the paper's *wasted memory*). Includes orphaned retired nodes.
     fn retired_pending(&self) -> usize {
         self.telemetry().pending()
-    }
-
-    /// Appends one sample — (now, pending nodes, pending bytes) — to the
-    /// waste time-series. Allocation-free and lock-free; call it from a
-    /// poller loop or hand the scheme to a
-    /// [`WasteSampler`](crate::telemetry::WasteSampler). Both figures are
-    /// scheme-wide (this instance only).
-    fn sample_waste(&self) {
-        let t = self.telemetry();
-        t.waste().record(t.pending() as u64, t.pending_bytes() as u64);
     }
 }
 
@@ -445,11 +435,8 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     ///
     /// Scans are allocation-free in steady state: the retired list swaps
     /// through a handle-retained scratch `Vec` and protection snapshots
-    /// refill handle-owned buffers in place. [`Counter::ScanHeapAllocs`]
-    /// counts the scans that still had to grow a buffer (warm-up or a new
-    /// high-water mark).
-    ///
-    /// [`Counter::ScanHeapAllocs`]: crate::telemetry::Counter::ScanHeapAllocs
+    /// refill handle-owned buffers in place (`tests/zero_alloc.rs` counts
+    /// the heap calls).
     fn force_empty(&mut self);
 }
 

@@ -1,8 +1,8 @@
 //! One fluent constructor for every scheme: [`SmrBuilder`].
 //!
-//! Standing up a scheme takes a [`Config`] value and the `MP_TELEMETRY`
-//! arming flag. `SmrBuilder` folds them into one chain that ends in the
-//! scheme's `new`:
+//! Standing up a scheme takes a [`Config`] value and, for a scheme chosen
+//! at run time, a [`SchemeKind`]. `SmrBuilder` folds them into one chain
+//! that ends in the scheme's `new`:
 //!
 //! ```
 //! use mp_smr::{schemes::Mp, SmrBuilder, Smr};
@@ -11,24 +11,20 @@
 //!     .max_threads(8)
 //!     .slots_per_thread(4)
 //!     .margin(1 << 20)
-//!     .telemetry(false) // disarm latency timing for this process
 //!     .build::<Mp>();
 //! let _h = smr.register();
 //! ```
 //!
-//! The telemetry switch is **process-global** (one flag gates the latency
-//! timing of every handle of every scheme instance); the builder applies
-//! it before construction. Leaving it unset keeps whatever the process
-//! already chose (env var or a previous override).
+//! Latency timing is not a builder setting: it is one process-global
+//! switch, [`telemetry::set_armed`](crate::telemetry::set_armed).
 
 use std::sync::Arc;
 
 use crate::any::{AnySmr, SchemeKind};
 use crate::api::{Config, Smr};
 use crate::error::SmrError;
-use crate::telemetry;
 
-/// Fluent builder unifying [`Config`] and the telemetry arming switch.
+/// Fluent builder over [`Config`] and the runtime scheme choice.
 /// Construct with [`SmrBuilder::new`] (paper §6 defaults) or
 /// [`SmrBuilder::from_config`], chain setters, finish with
 /// [`try_build`](SmrBuilder::try_build) for a statically chosen scheme or
@@ -38,7 +34,6 @@ use crate::telemetry;
 pub struct SmrBuilder {
     cfg: Config,
     kind: Option<SchemeKind>,
-    telemetry: Option<bool>,
 }
 
 impl SmrBuilder {
@@ -118,25 +113,13 @@ impl SmrBuilder {
         self
     }
 
-    /// Arms (or disarms) timed telemetry process-wide at `build`,
-    /// overriding `MP_TELEMETRY`. The switch takes effect at the next
-    /// pinned operation or scan of *every* handle in the process, not only
-    /// of handles registered from the built scheme.
-    pub fn telemetry(mut self, armed: bool) -> Self {
-        self.telemetry = Some(armed);
-        self
-    }
-
-    /// Applies the process-global switches and constructs the scheme,
-    /// reporting an invalid accumulated [`Config`] as
-    /// [`SmrError::Config`].
+    /// Constructs the scheme, reporting an invalid accumulated [`Config`]
+    /// as [`SmrError::Config`].
     pub fn try_build<S: Smr>(self) -> Result<Arc<S>, SmrError> {
-        self.apply_globals();
         S::try_new(self.cfg)
     }
 
-    /// Applies the process-global switches and constructs the scheme
-    /// (which validates the accumulated [`Config`]).
+    /// Constructs the scheme (which validates the accumulated [`Config`]).
     ///
     /// The panicking convenience over [`try_build`](SmrBuilder::try_build).
     pub fn build<S: Smr>(self) -> Arc<S> {
@@ -152,14 +135,7 @@ impl SmrBuilder {
     pub fn try_build_any(self) -> Result<Arc<AnySmr>, SmrError> {
         let kind =
             self.kind.or_else(SchemeKind::from_env).unwrap_or(SchemeKind::Mp);
-        self.apply_globals();
         AnySmr::try_with_kind(kind, self.cfg)
-    }
-
-    fn apply_globals(&self) {
-        if let Some(armed) = self.telemetry {
-            telemetry::set_armed(armed);
-        }
     }
 }
 

@@ -64,5 +64,4 @@ pub use node::{gauge, SmrNode};
 pub use packed::{Atomic, Shared};
 pub use telemetry::{
     Counter, FenceSite, HandleTelemetry, SchemeTelemetry, Telemetry, TelemetrySnapshot,
-    WasteSample, WasteSampler, WasteSeries,
 };

@@ -207,12 +207,6 @@ impl Registry {
         }
     }
 
-    /// Parks one retired node directly in the orphan list (reclaimed only
-    /// at scheme teardown).
-    pub(crate) fn park_orphan(&self, r: Retired) {
-        self.orphans_locked().push(r);
-    }
-
     /// Takes the whole orphan list for adoption by a newly registered
     /// handle, which appends it to its own retired list and frees the nodes
     /// at its next scan under the scheme's usual safety predicate. Orphans

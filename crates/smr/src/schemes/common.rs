@@ -1,6 +1,6 @@
 //! Shared building blocks for scheme implementations.
 
-use core::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::api::Config;
 use crate::telemetry::{FenceSite, HandleTelemetry};
@@ -32,48 +32,6 @@ pub fn counted_fence(tele: &mut HandleTelemetry, site: FenceSite) {
 pub fn interval_hit(sorted: &[u64], lo: u64, hi: u64) -> bool {
     let i = sorted.partition_point(|&v| v < lo);
     i < sorted.len() && sorted[i] <= hi
-}
-
-/// Global gauge shared by every scheme instance: retired-but-unreclaimed
-/// node count and payload bytes (the paper's wasted memory).
-///
-/// Both dimensions are kept on the *scheme* (not process-wide like
-/// [`crate::node::gauge`]) so waste sampling and the byte scan watermark
-/// attribute memory to the scheme that actually holds it — several scheme
-/// instances in one process (the conformance matrix, the bench harness) no
-/// longer read each other's bytes.
-#[derive(Default)]
-pub struct PendingGauge {
-    nodes: AtomicUsize,
-    bytes: AtomicUsize,
-}
-
-impl PendingGauge {
-    /// Records `n` newly retired nodes carrying `bytes` total payload.
-    #[inline]
-    pub fn add(&self, n: usize, bytes: usize) {
-        self.nodes.fetch_add(n, Ordering::AcqRel);
-        self.bytes.fetch_add(bytes, Ordering::AcqRel);
-    }
-
-    /// Records `n` reclaimed nodes releasing `bytes` total payload.
-    #[inline]
-    pub fn sub(&self, n: usize, bytes: usize) {
-        self.nodes.fetch_sub(n, Ordering::AcqRel);
-        self.bytes.fetch_sub(bytes, Ordering::AcqRel);
-    }
-
-    /// Current wasted-memory count in nodes.
-    #[inline]
-    pub fn get(&self) -> usize {
-        self.nodes.load(Ordering::Acquire)
-    }
-
-    /// Current wasted-memory total in bytes.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Acquire)
-    }
 }
 
 /// When a scheme's next reclamation scan should run, derived from
@@ -231,15 +189,6 @@ mod tests {
         assert!(interval_hit(&[0], 0, 0));
         assert!(!interval_hit(&[10], 0, 9));
         assert!(!interval_hit(&[10], 11, 20));
-    }
-
-    #[test]
-    fn gauge_add_sub() {
-        let g = PendingGauge::default();
-        g.add(5, 320);
-        g.sub(2, 128);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.bytes(), 192);
     }
 
     #[test]

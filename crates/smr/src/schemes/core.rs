@@ -30,9 +30,6 @@ pub(crate) trait Scheme {
     /// How the scheme's protection claims map onto hb-tracker records.
     #[cfg(feature = "hb-oracle")]
     const HB: crate::hb::HbPolicy;
-    /// Whether new handles adopt the registry's orphan list.
-    /// DTA parks its frozen nodes there until teardown; Leaky frees nothing.
-    const ADOPT_ORPHANS: bool = true;
     /// Whether retired nodes are ever scanned (false only for Leaky).
     const RECLAIMS: bool = true;
 
@@ -55,10 +52,6 @@ pub(crate) trait Protection<S: Scheme> {
 
     /// True if, per the snapshot, some thread may still reference `r`.
     fn is_protected(&self, r: &Retired) -> bool;
-
-    /// Combined capacity of the snapshot's buffers; growth across a scan
-    /// counts as a scan heap allocation.
-    fn scratch_capacity(&self) -> usize;
 }
 
 /// The shared half: everything a scheme instance owns besides its
@@ -78,12 +71,12 @@ impl SchemeCore {
             registry: Registry::new(cfg.max_threads),
             scan_policy: ScanPolicy::from_config(&cfg),
             cfg,
-            tele: SchemeTelemetry::new(),
+            tele: SchemeTelemetry::default(),
         })
     }
 
     /// Leases a tid and builds the per-handle half for it.
-    pub(crate) fn try_register<S: Scheme>(&self) -> Result<HandleCore, SmrError> {
+    pub(crate) fn try_register(&self) -> Result<HandleCore, SmrError> {
         let lease = self
             .registry
             .try_acquire()
@@ -95,10 +88,9 @@ impl SchemeCore {
         // Adopt parked orphans: churned-out handles leave behind whatever
         // their drain scan could not free; this handle frees them at its
         // next scan instead of letting them pile to teardown.
-        let retired = if S::ADOPT_ORPHANS { self.registry.adopt_orphans() } else { Vec::new() };
         Ok(HandleCore {
             tid: lease.tid,
-            retired: CachePadded::new(retired),
+            retired: CachePadded::new(self.registry.adopt_orphans()),
             scan_scratch: Vec::new(),
             scan: ScanState::new(&self.scan_policy),
             tele: CachePadded::new(tele),
@@ -111,25 +103,12 @@ impl SchemeCore {
     /// # Safety
     /// `node` must be removed, non-null and captured at most once.
     // SAFETY: [INV-11] obligation stated in `# Safety` above; forwarded by
-    // `HandleCore::retire` and `park` from their own contracts.
-    unsafe fn capture<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) -> Retired {
+    // `HandleCore::retire` and DTA's `park_frozen` from their own contracts.
+    pub(crate) unsafe fn capture<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) -> Retired {
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.tele.pending.add(1, r.bytes() as usize);
+        self.tele.add(1, r.bytes() as usize);
         r
-    }
-
-    /// Parks a removed node straight in the orphan list, bypassing every
-    /// retired list: it is reclaimed only at scheme teardown.
-    ///
-    /// # Safety
-    /// As for `SmrHandle::retire`: removed, non-null, never retired before.
-    // SAFETY: [INV-11] obligation stated in `# Safety` above; the caller
-    // (DTA's `park_frozen`) forwards its own contract.
-    pub(crate) unsafe fn park<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) {
-        // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { self.capture(node, stamp) };
-        self.registry.park_orphan(r);
     }
 }
 
@@ -236,8 +215,6 @@ impl HandleCore {
         }
         let shared = scheme.core();
         let scan_t0 = Instant::now();
-        let caps_before =
-            self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
         // Retirements about to be judged are ordered after any protection
         // announcement the snapshot will observe.
         fence(Ordering::SeqCst);
@@ -267,13 +244,8 @@ impl HandleCore {
         }
         self.scan_scratch = pending;
         let freed = before - self.retired.len();
-        shared.tele.pending.sub(freed, freed_bytes);
+        shared.tele.sub(freed, freed_bytes);
         self.scan.rearm(&shared.scan_policy, self.retired.len());
-        let caps_after =
-            self.retired.capacity() + self.scan_scratch.capacity() + prot.scratch_capacity();
-        if caps_after > caps_before {
-            self.tele.bump(Counter::ScanHeapAllocs);
-        }
         self.tele.record_scan_elapsed(scan_t0);
         #[cfg(feature = "oracle")]
         if let Some(bound) = scheme.waste_bound() {
@@ -343,17 +315,15 @@ mod tests {
     use crate::telemetry::Telemetry;
 
     /// Everything a scheme must write for the skeleton: here the protected
-    /// set is a list of addresses the test edits. `ADOPT` is the
-    /// orphan-adoption constant (off for DTA).
-    struct Fake<const ADOPT: bool> {
+    /// set is a list of addresses the test edits.
+    struct Fake {
         core: SchemeCore,
     }
 
-    impl<const ADOPT: bool> Scheme for Fake<ADOPT> {
+    impl Scheme for Fake {
         const NAME: &'static str = "FAKE";
         #[cfg(feature = "hb-oracle")]
         const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
-        const ADOPT_ORPHANS: bool = ADOPT;
 
         fn core(&self) -> &SchemeCore {
             &self.core
@@ -362,15 +332,11 @@ mod tests {
 
     struct Pinned(Vec<u64>);
 
-    impl<const ADOPT: bool> Protection<Fake<ADOPT>> for Pinned {
-        fn snapshot(&mut self, _: &Fake<ADOPT>) {}
+    impl Protection<Fake> for Pinned {
+        fn snapshot(&mut self, _: &Fake) {}
 
         fn is_protected(&self, r: &Retired) -> bool {
             self.0.contains(&r.addr())
-        }
-
-        fn scratch_capacity(&self) -> usize {
-            self.0.capacity()
         }
     }
 
@@ -379,26 +345,21 @@ mod tests {
     }
     impl_handle_telemetry!(Handle);
 
-    fn fake<const ADOPT: bool>(cfg: Config) -> Fake<ADOPT> {
+    fn fake(cfg: Config) -> Fake {
         Fake { core: SchemeCore::try_new(cfg.with_max_threads(2)).unwrap() }
     }
 
-    fn register<const ADOPT: bool>(s: &Fake<ADOPT>) -> Handle {
-        Handle { core: s.core.try_register::<Fake<ADOPT>>().unwrap() }
+    fn register(s: &Fake) -> Handle {
+        Handle { core: s.core.try_register().unwrap() }
     }
 
     /// Allocates and retires one node; returns its address.
-    fn retire<const ADOPT: bool>(h: &mut Handle, s: &Fake<ADOPT>, pinned: &mut Pinned) -> u64 {
+    fn retire(h: &mut Handle, s: &Fake, pinned: &mut Pinned) -> u64 {
         retire_if(h, s, pinned, false)
     }
 
     /// As [`retire`], pinning the node first when `pin` is set.
-    fn retire_if<const ADOPT: bool>(
-        h: &mut Handle,
-        s: &Fake<ADOPT>,
-        pinned: &mut Pinned,
-        pin: bool,
-    ) -> u64 {
+    fn retire_if(h: &mut Handle, s: &Fake, pinned: &mut Pinned, pin: bool) -> u64 {
         let node = h.core.alloc(0u64, 0, 0, 0);
         if pin {
             pinned.0.push(node.addr());
@@ -415,7 +376,7 @@ mod tests {
 
     #[test]
     fn scan_partitions_exactly_and_the_second_scan_allocates_nothing() {
-        let s = fake::<true>(manual());
+        let s = fake(manual());
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let addrs: Vec<u64> = (0..8).map(|_| retire(&mut h, &s, &mut pinned)).collect();
         pinned.0 = vec![addrs[1], addrs[4], addrs[6]];
@@ -425,12 +386,16 @@ mod tests {
         assert_eq!(h.snapshot().frees(), 5);
         assert_eq!(s.core.tele.pending(), 3);
 
-        let warm = h.snapshot().scan_heap_allocs();
         for _ in 0..5 {
             retire(&mut h, &s, &mut pinned);
         }
+        // The scan swaps the retired list through its scratch buffer, so
+        // the two capacities only trade places; a sum that grew means the
+        // scan allocated.
+        let capacity = |h: &Handle| h.core.retired.capacity() + h.core.scan_scratch.capacity();
+        let warm = capacity(&h);
         h.core.scan(&s, &mut pinned);
-        assert_eq!(h.snapshot().scan_heap_allocs(), warm, "steady-state scan grew a buffer");
+        assert_eq!(capacity(&h), warm, "steady-state scan grew a buffer");
         assert_eq!(h.core.retired_len(), 3);
         pinned.0.clear();
         h.core.release(&s, &mut pinned);
@@ -439,7 +404,7 @@ mod tests {
 
     #[test]
     fn gauge_is_exact_across_retire_scan_drop_park_adopt_and_free() {
-        let s = fake::<true>(manual());
+        let s = fake(manual());
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let a = retire(&mut h, &s, &mut pinned);
         let node_bytes = s.core.tele.pending_bytes();
@@ -475,7 +440,7 @@ mod tests {
 
     #[test]
     fn an_all_kept_scan_rearms_at_kept_plus_empty_freq() {
-        let s = fake::<true>(Config::default().with_scan_watermark(2).with_empty_freq(4));
+        let s = fake(Config::default().with_scan_watermark(2).with_empty_freq(4));
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let scans_after: Vec<u64> = (0..10)
             .map(|_| {
@@ -489,28 +454,5 @@ mod tests {
         assert_eq!(scans_after, [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]);
         pinned.0.clear();
         h.core.release(&s, &mut pinned);
-    }
-
-    /// Parks one pinned orphan, then registers a second handle. Returns
-    /// the orphan count the registration left behind.
-    fn orphans_after_register<const ADOPT: bool>() -> usize {
-        let s = fake::<ADOPT>(manual());
-        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
-        retire_if(&mut h, &s, &mut pinned, true);
-        h.core.release(&s, &mut pinned);
-        assert_eq!(s.core.registry.orphan_count(), 1);
-
-        let mut h2 = register(&s);
-        let after_register = s.core.registry.orphan_count();
-        assert_eq!(h2.core.retired_len(), 1 - after_register, "adopted orphans join its list");
-        pinned.0.clear();
-        h2.core.release(&s, &mut pinned);
-        after_register
-    }
-
-    #[test]
-    fn orphans_are_adopted_only_when_the_scheme_says_so() {
-        assert_eq!(orphans_after_register::<true>(), 0, "registration adopts them");
-        assert_eq!(orphans_after_register::<false>(), 1, "DTA-style: left parked");
     }
 }

@@ -17,7 +17,8 @@
 //!
 //! Frozen nodes are never reclaimed while the scheme lives, reproducing
 //! DTA's documented weakness (Table 1 footnote: frozen memory can grow
-//! arbitrarily large).
+//! arbitrarily large): the originals the freezer unlinks wait in a park of
+//! the scheme's own until it drops.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -65,6 +66,10 @@ pub struct Dta {
     /// Stall bookkeeping: per-tid (last observed stamp, misses) plus the
     /// global set of frozen node addresses.
     recovery: Mutex<RecoveryState>,
+    /// Originals the freezer unlinked ([`Dta::park_frozen`]), freed when
+    /// the scheme drops. Not behind `recovery`: the freezer parks while a
+    /// scan holds that lock.
+    frozen_park: Mutex<Vec<Retired>>,
 }
 
 struct RecoveryState {
@@ -104,15 +109,10 @@ pub struct DtaHandle {
 
 /// DTA's waste depends on freeze timing and the anchored-segment size, not
 /// a predetermined formula — exempt from the oracle's waste-bound monitor.
-/// Its orphan list doubles as the frozen-node park (see
-/// [`Dta::park_frozen`]), and frozen nodes must stay parked until scheme
-/// teardown: adopting them would shuttle permanently-pinned nodes through
-/// every scan.
 impl Scheme for Dta {
     const NAME: &'static str = "DTA";
     #[cfg(feature = "hb-oracle")]
     const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
-    const ADOPT_ORPHANS: bool = false;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -135,6 +135,7 @@ impl Smr for Dta {
                 neutralized: vec![None; threads],
                 frozen: HashSet::new(),
             }),
+            frozen_park: Mutex::new(Vec::new()),
             core,
             freezer: RwLock::new(None),
         }))
@@ -142,7 +143,7 @@ impl Smr for Dta {
 
     fn try_register(self: &Arc<Self>) -> Result<DtaHandle, SmrError> {
         Ok(DtaHandle {
-            core: self.core.try_register::<Dta>()?,
+            core: self.core.try_register()?,
             scheme: self.clone(),
             stamp: 0,
             class_scratch: Vec::new(),
@@ -181,7 +182,8 @@ impl Dta {
     pub unsafe fn park_frozen<T: Send + Sync>(&self, node: Shared<T>) {
         // SAFETY: [INV-04] forwarded from this fn's own contract (removed,
         // never retired before).
-        unsafe { self.core.park(node, u64::MAX) };
+        let r = unsafe { self.core.capture(node, u64::MAX) };
+        self.frozen_park.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(r);
     }
 
     /// Number of nodes currently frozen (for tests and Table 1).
@@ -309,10 +311,6 @@ impl Protection<Dta> for DtaScan<'_> {
                 }
             })
     }
-
-    fn scratch_capacity(&self) -> usize {
-        self.classes.capacity()
-    }
 }
 
 impl DtaHandle {
@@ -414,6 +412,18 @@ impl SmrHandle for DtaHandle {
     }
 }
 
+impl Drop for Dta {
+    fn drop(&mut self) {
+        let parked = self.frozen_park.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for r in parked.drain(..) {
+            // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
+            // scheme, so `&mut self` here proves none is left to reference
+            // a frozen original.
+            unsafe { r.reclaim() };
+        }
+    }
+}
+
 impl Drop for DtaHandle {
     fn drop(&mut self) {
         self.scheme.announce.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
@@ -460,6 +470,28 @@ mod tests {
         worker.end_op();
         worker.force_empty();
         assert_eq!(worker.retired_len(), 0);
+    }
+
+    /// A handle that drops while a peer is mid-operation leaves its drain
+    /// scan's keepers as orphans; the next registrant adopts and frees them
+    /// instead of holding them to teardown.
+    #[test]
+    fn a_dropped_handles_leftovers_are_adopted_and_freed() {
+        let smr = setup(3);
+        let mut a = smr.register();
+        let mut b = smr.register();
+        b.start_op();
+        a.start_op();
+        let n = a.alloc(0u32);
+        unsafe { a.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+        a.end_op();
+        drop(a);
+        assert_eq!(smr.core.registry.orphan_count(), 1, "b's stamp pins the node past a's drop");
+        b.end_op();
+        let mut c = smr.register();
+        c.force_empty();
+        assert_eq!(smr.telemetry().pending(), 0);
+        assert_eq!(smr.core.registry.orphan_count(), 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl Smr for Ebr {
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, SmrError> {
         Ok(EbrHandle {
-            core: self.core.try_register::<Ebr>()?,
+            core: self.core.try_register()?,
             scheme: self.clone(),
             min_active: MinActive(None),
             alloc_counter: 0,
@@ -110,10 +110,6 @@ impl Protection<Ebr> for MinActive {
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
         self.0.is_some_and(|m| r.retire >= m)
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        0
     }
 }
 

@@ -88,7 +88,7 @@ impl Smr for He {
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
         Ok(HeHandle {
-            core: self.core.try_register::<He>()?,
+            core: self.core.try_register()?,
             scheme: self.clone(),
             local: vec![INACTIVE; self.core.cfg.slots_per_thread],
             eras: Vec::new(),
@@ -111,10 +111,6 @@ impl Protection<He> for Vec<u64> {
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
         interval_hit(self, r.birth, r.retire)
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        self.capacity()
     }
 }
 

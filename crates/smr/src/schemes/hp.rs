@@ -75,7 +75,7 @@ impl Smr for Hp {
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
         Ok(HpHandle {
-            core: self.core.try_register::<Hp>()?,
+            core: self.core.try_register()?,
             scheme: self.clone(),
             local: vec![NO_HAZARD; self.core.cfg.slots_per_thread],
             hazards: Vec::new(),
@@ -97,10 +97,6 @@ impl Protection<Hp> for Vec<u64> {
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
         self.binary_search(&r.addr()).is_ok()
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        self.capacity()
     }
 }
 

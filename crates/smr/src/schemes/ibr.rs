@@ -81,7 +81,7 @@ impl Smr for Ibr {
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
         Ok(IbrHandle {
-            core: self.core.try_register::<Ibr>()?,
+            core: self.core.try_register()?,
             scheme: self.clone(),
             upper_local: INACTIVE,
             intervals: Vec::new(),
@@ -113,10 +113,6 @@ impl Protection<Ibr> for Vec<(u64, u64)> {
     #[inline]
     fn is_protected(&self, r: &Retired) -> bool {
         self.iter().any(|&(lo, hi)| !(r.retire < lo || r.birth > hi))
-    }
-
-    fn scratch_capacity(&self) -> usize {
-        self.capacity()
     }
 }
 

@@ -35,7 +35,6 @@ impl Scheme for Leaky {
     const NAME: &'static str = "Leaky";
     #[cfg(feature = "hb-oracle")]
     const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
-    const ADOPT_ORPHANS: bool = false;
     const RECLAIMS: bool = false;
 
     fn core(&self) -> &SchemeCore {
@@ -52,10 +51,6 @@ impl Protection<Leaky> for Everything {
     fn is_protected(&self, _r: &Retired) -> bool {
         true
     }
-
-    fn scratch_capacity(&self) -> usize {
-        0
-    }
 }
 
 impl Smr for Leaky {
@@ -66,7 +61,7 @@ impl Smr for Leaky {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, SmrError> {
-        Ok(LeakyHandle { core: self.core.try_register::<Leaky>()?, scheme: self.clone() })
+        Ok(LeakyHandle { core: self.core.try_register()?, scheme: self.clone() })
     }
 
     smr_core_accessors!();

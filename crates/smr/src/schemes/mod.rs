@@ -19,7 +19,7 @@
 //! referenced?". Registration, allocation accounting, the retire → scan →
 //! free pipeline, orphan adoption and drain-on-drop exist once, in the
 //! crate-private `core` module; `common` holds the pieces several schemes
-//! share (scan trigger, epoch clock, pending gauge).
+//! share (scan trigger, epoch clock, counted fence).
 
 pub(crate) mod common;
 pub(crate) mod core;

@@ -187,7 +187,7 @@ impl Smr for Mp {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<MpHandle, SmrError> {
-        let core = self.core.try_register::<Mp>()?;
+        let core = self.core.try_register()?;
         let cfg = &self.core.cfg;
         Ok(MpHandle {
             scheme: self.clone(),
@@ -317,14 +317,6 @@ impl Protection<Mp> for MpSnapshot {
         // bound's #HP term is unaffected.
         self.hazards.binary_search(&r.addr()).is_ok()
             || self.margin_covers(r.index, r.birth, r.retire)
-    }
-
-    /// Every per-thread buffer counts: a scan that grows one touched the
-    /// heap (`scan_heap_allocs`, zero in steady state).
-    fn scratch_capacity(&self) -> usize {
-        self.hazards.capacity()
-            + self.threads.capacity()
-            + self.threads.iter().map(|t| t.margins.capacity()).sum::<usize>()
     }
 }
 

@@ -1,92 +1,53 @@
-//! Scheme-agnostic observability: counters, latency histograms, and the
-//! waste time-series, surfaced through the [`Telemetry`] trait.
+//! Scheme-agnostic observability: counters, two latency histograms and the
+//! live waste gauges, surfaced through the [`Telemetry`] trait and rendered
+//! one way, by [`export::prometheus_text`].
 //!
 //! The paper's whole argument is quantitative — fences per operation
-//! (Fig. 5), wasted memory over time (Fig. 6), collision/fallback rates
-//! (§4.3) — and this module keeps those signals as counts:
+//! (Fig. 5), wasted memory (Fig. 6), collision/fallback rates (§4.3) — and
+//! this module keeps those signals as counts:
 //!
 //! * **Counters** — one exact `u64` per [`Counter`] per handle, merged
-//!   across handles by [`TelemetrySnapshot::merge`].
-//! * **Latency histograms** — power-of-two log-bucketed
-//!   [`Histogram`]s (64 buckets, merged along with the counters by
-//!   [`TelemetrySnapshot::merge`]) for whole-operation latency (timed by
-//!   [`OpGuard`](crate::OpGuard)) and `empty()` scan latency (timed inside
-//!   each scheme's reclamation pass).
-//! * **Waste time-series** — [`WasteSeries`], a fixed ring of
-//!   (timestamp, pending nodes, pending bytes) samples per scheme, fed by
-//!   [`Smr::sample_waste`](crate::Smr::sample_waste) (the bench driver's
-//!   poller and the optional [`WasteSampler`] thread call it), so Fig. 6
-//!   becomes a live curve instead of a post-hoc sum.
-//! * **Exporters** — [`export`] renders a merged snapshot as Prometheus
-//!   text exposition or JSON, honoring the same `MP_BENCH_DIR` output
-//!   convention as the bench reports.
+//!   across handles by [`TelemetrySnapshot::merge`]. Fig. 6's
+//!   wasted-memory average is one of them: `retired_sampled_sum / ops`.
+//! * **Latency histograms** — power-of-two log-bucketed [`Histogram`]s
+//!   (64 buckets, merged along with the counters) for the operations a
+//!   [`pin`](crate::SmrHandle::pin) guard brackets and for `empty()` scans.
+//! * **Waste gauges** — [`SchemeTelemetry`], the scheme's retired-but-
+//!   unreclaimed nodes and bytes right now, read at render time.
 //!
 //! # Arming and the zero-cost-off contract
 //!
 //! Counters are always on: plain per-handle saturating `u64` bumps at
 //! constant indices of one array, declared once in the `counters!` table
-//! below. The *timed* layer (the two histograms) is gated by a
-//! process-global armed flag — the `MP_TELEMETRY` env var (`1` / `on` /
-//! `true` to arm) or [`set_armed`] at runtime. Disarmed, the hot path
+//! below. The *timed* layer (the two histograms) is gated by one
+//! process-global flag, switched by [`set_armed`]. Disarmed, the hot path
 //! pays one relaxed atomic load and a predictable branch per site: no
 //! clock reads and no heap allocation, and armed it allocates nothing
 //! either, so `tests/zero_alloc.rs` witnesses exactly zero steady-state
 //! allocations in both states.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mp_util::hist::Histogram;
 
-use crate::schemes::common::PendingGauge;
-
 pub mod export;
 
-// ---------------------------------------------------------------------------
-// Arming (env default, runtime override)
+static ARMED: AtomicBool = AtomicBool::new(false);
 
-const STATE_UNINIT: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Whether timed telemetry is armed. First call consults the
-/// `MP_TELEMETRY` env var (`1` / `on` / `true` arm it; anything else —
-/// including unset — leaves it off). Counters are unaffected: they are
-/// always collected.
+/// Whether timed telemetry is armed (off until [`set_armed`] turns it
+/// on). Counters are unaffected: they are always collected.
 #[inline]
 pub fn armed() -> bool {
-    match ARMED.load(Ordering::Relaxed) { // ORDERING: reason = diagnostic
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => {
-            let on = matches!(
-                std::env::var("MP_TELEMETRY").as_deref(),
-                Ok("1") | Ok("on") | Ok("true")
-            );
-            ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed); // ORDERING: reason = diagnostic
-            on
-        }
-    }
+    ARMED.load(Ordering::Relaxed) // ORDERING: reason = diagnostic
 }
 
-/// Runtime override of the armed flag (see [`SmrBuilder::telemetry`]).
-/// Handles hold no per-arming state, so the change takes effect at the
-/// next pinned operation or scan of *every* handle, including handles
-/// registered before the call.
-///
-/// [`SmrBuilder::telemetry`]: crate::SmrBuilder::telemetry
+/// Arms or disarms timed telemetry process-wide. Handles hold no
+/// per-arming state, so the change takes effect at the next pinned
+/// operation or scan of *every* handle, including handles registered
+/// before the call.
 pub fn set_armed(on: bool) {
-    ARMED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed); // ORDERING: reason = diagnostic
-}
-
-/// Microseconds since the process's telemetry epoch (first call); the
-/// [`WasteSeries`] timestamps.
-pub fn now_micros() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+    ARMED.store(on, Ordering::Relaxed); // ORDERING: reason = diagnostic
 }
 
 /// Starts a latency timer iff telemetry is armed (one relaxed load and a
@@ -179,9 +140,6 @@ counters! {
     PoolMisses => pool_misses,
         "Node allocations served a fresh carve: memory no node used before, or an unpoolable \
          layout sent to the system allocator.";
-    ScanHeapAllocs => scan_heap_allocs,
-        "Reclamation scans that had to grow a scratch buffer; zero in steady state (the \
-         zero-allocation-scan witness).";
     TidRecycles => tid_recycles,
         "Registrations that reused a tid released by an earlier handle (0 or 1 per handle, \
          summed on merge).";
@@ -228,8 +186,8 @@ impl FenceSite {
 /// Per-handle telemetry state: the counters and both latency histograms.
 /// Embedded by every scheme's handle; schemes record through
 /// [`bump`](Self::bump) / [`add`](Self::add) and the `record_*` methods
-/// that also sample or time, clients and the bench driver read through
-/// [`Telemetry`].
+/// that also sample or time, clients and the bench driver read a
+/// [`snapshot`](Self::snapshot).
 pub struct HandleTelemetry {
     counters: [u64; Counter::COUNT],
     op_hist: Histogram,
@@ -310,16 +268,6 @@ impl HandleTelemetry {
         self.counters[c as usize]
     }
 
-    /// The whole-operation latency histogram.
-    pub fn op_latency(&self) -> &Histogram {
-        &self.op_hist
-    }
-
-    /// The `empty()` scan latency histogram.
-    pub fn scan_latency(&self) -> &Histogram {
-        &self.scan_hist
-    }
-
     /// A self-contained copy of counters and histograms, mergeable across
     /// handles.
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -342,8 +290,8 @@ impl HandleTelemetry {
 // The trait
 
 /// The scheme-agnostic observability surface of every [`SmrHandle`]
-/// (and, via `Deref`, every [`OpGuard`]): typed recorders for writers and
-/// a snapshot/counter read surface for consumers. Handles implement the
+/// (and, via `Deref`, every [`OpGuard`]): a snapshot/counter read surface
+/// for consumers plus the one recorder clients call. Handles implement the
 /// two accessors; everything else is provided.
 ///
 /// [`SmrHandle`]: crate::SmrHandle
@@ -363,21 +311,6 @@ pub trait Telemetry {
     /// Reads one counter.
     fn counter(&self, c: Counter) -> u64 {
         self.tele().counter(c)
-    }
-
-    /// The whole-operation latency histogram (samples only when armed).
-    fn op_latency(&self) -> &Histogram {
-        self.tele().op_latency()
-    }
-
-    /// The `empty()` scan latency histogram (samples only when armed).
-    fn scan_latency(&self) -> &Histogram {
-        self.tele().scan_latency()
-    }
-
-    /// Counts one protection-path fence, attributed to its call site.
-    fn record_fence(&mut self, site: FenceSite) {
-        self.tele_mut().record_fence(site);
     }
 
     /// Counts one client node traversal (Fig. 5 denominator).
@@ -482,12 +415,15 @@ impl TelemetrySnapshot {
         ratio(self.counter(Counter::PoolMisses), self.counter(Counter::Ops))
     }
 
-    /// The whole-operation latency histogram.
+    /// The latency histogram of operations bracketed by a
+    /// [`pin`](crate::SmrHandle::pin) guard (samples only when armed).
+    /// Raw `start_op`/`end_op` brackets, which every `mp-ds` structure
+    /// uses, are not timed.
     pub fn op_latency(&self) -> &Histogram {
         &self.op_latency
     }
 
-    /// The scan latency histogram.
+    /// The `empty()` scan latency histogram (samples only when armed).
     pub fn scan_latency(&self) -> &Histogram {
         &self.scan_latency
     }
@@ -496,163 +432,44 @@ impl TelemetrySnapshot {
 // ---------------------------------------------------------------------------
 // Per-scheme state
 
-/// One waste-series sample: wasted memory at an instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WasteSample {
-    /// Microseconds since the telemetry epoch.
-    pub t_micros: u64,
-    /// Retired-but-unreclaimed nodes (scheme-wide, incl. orphans).
-    pub pending_nodes: u64,
-    /// Retired-but-unreclaimed bytes (scheme-wide, incl. orphans).
-    pub pending_bytes: u64,
-}
-
-struct WasteSlot {
-    /// `t_micros + 1`; 0 marks an empty slot.
-    stamp: AtomicU64,
-    nodes: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// A fixed-capacity overwrite ring of [`WasteSample`]s — the Fig. 6 curve
-/// as a live time-series. Writers ([`Smr::sample_waste`]) are lock-free
-/// (three relaxed stores); readers may observe a torn in-flight sample,
-/// which is acceptable for a monitoring series.
-///
-/// [`Smr::sample_waste`]: crate::Smr::sample_waste
-pub struct WasteSeries {
-    slots: Box<[WasteSlot]>,
-    next: AtomicUsize,
-}
-
-/// Samples kept per scheme (oldest overwritten first).
-pub const WASTE_SERIES_CAPACITY: usize = 256;
-
-impl WasteSeries {
-    fn new() -> WasteSeries {
-        WasteSeries {
-            slots: (0..WASTE_SERIES_CAPACITY)
-                .map(|_| WasteSlot {
-                    stamp: AtomicU64::new(0),
-                    nodes: AtomicU64::new(0),
-                    bytes: AtomicU64::new(0),
-                })
-                .collect(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    /// Appends a sample (overwrites the oldest once full). Allocation-free.
-    pub fn record(&self, pending_nodes: u64, pending_bytes: u64) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len(); // ORDERING: reason = diagnostic
-        let slot = &self.slots[i];
-        slot.stamp.store(now_micros().saturating_add(1), Ordering::Relaxed); // ORDERING: reason = diagnostic
-        slot.nodes.store(pending_nodes, Ordering::Relaxed); // ORDERING: reason = diagnostic
-        slot.bytes.store(pending_bytes, Ordering::Relaxed); // ORDERING: reason = diagnostic
-    }
-
-    /// The retained samples in chronological order.
-    pub fn samples(&self) -> Vec<WasteSample> {
-        let mut out: Vec<WasteSample> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                let stamp = s.stamp.load(Ordering::Relaxed); // ORDERING: reason = diagnostic
-                if stamp == 0 {
-                    return None;
-                }
-                Some(WasteSample {
-                    t_micros: stamp - 1,
-                    pending_nodes: s.nodes.load(Ordering::Relaxed), // ORDERING: reason = diagnostic
-                    pending_bytes: s.bytes.load(Ordering::Relaxed), // ORDERING: reason = diagnostic
-                })
-            })
-            .collect();
-        out.sort_by_key(|s| s.t_micros);
-        out
-    }
-
-    /// The most recent sample, if any were recorded.
-    pub fn latest(&self) -> Option<WasteSample> {
-        self.samples().into_iter().next_back()
-    }
-}
-
-/// Scheme-wide telemetry: the pending-waste gauge every scheme already
-/// kept (now tracking bytes alongside nodes) and the waste time-series.
-/// Returned by [`Smr::telemetry`](crate::Smr::telemetry).
+/// Scheme-wide telemetry: the retired-but-unreclaimed node and byte
+/// gauges (the paper's wasted memory), including orphans. Kept per scheme
+/// instance, not process-wide like [`crate::node::gauge`], so several
+/// instances in one process (the conformance matrix, the bench harness)
+/// never read each other's waste. Returned by
+/// [`Smr::telemetry`](crate::Smr::telemetry).
+#[derive(Default)]
 pub struct SchemeTelemetry {
-    pub(crate) pending: PendingGauge,
-    waste: WasteSeries,
-}
-
-impl Default for SchemeTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
+    nodes: AtomicUsize,
+    bytes: AtomicUsize,
 }
 
 impl SchemeTelemetry {
-    /// Fresh state (constructed by each scheme's `new`).
-    pub fn new() -> SchemeTelemetry {
-        SchemeTelemetry {
-            pending: PendingGauge::default(),
-            waste: WasteSeries::new(),
-        }
+    /// Records `n` newly retired nodes carrying `bytes` in total.
+    #[inline]
+    pub(crate) fn add(&self, n: usize, bytes: usize) {
+        self.nodes.fetch_add(n, Ordering::AcqRel);
+        self.bytes.fetch_add(bytes, Ordering::AcqRel);
+    }
+
+    /// Records `n` reclaimed nodes releasing `bytes` in total.
+    #[inline]
+    pub(crate) fn sub(&self, n: usize, bytes: usize) {
+        self.nodes.fetch_sub(n, Ordering::AcqRel);
+        self.bytes.fetch_sub(bytes, Ordering::AcqRel);
     }
 
     /// Retired-but-unreclaimed nodes right now (the paper's wasted
     /// memory), including orphans.
     pub fn pending(&self) -> usize {
-        self.pending.get()
+        self.nodes.load(Ordering::Acquire)
     }
 
-    /// Retired-but-unreclaimed payload bytes right now, for this scheme
-    /// instance only (orphans included). This is the gauge the byte scan
-    /// watermark (`Config::scan_watermark_bytes`) reads.
+    /// Retired-but-unreclaimed bytes right now, for this scheme instance
+    /// only (orphans included). This is the gauge the byte scan watermark
+    /// (`Config::scan_watermark_bytes`) reads.
     pub fn pending_bytes(&self) -> usize {
-        self.pending.bytes()
-    }
-
-    /// The waste time-series.
-    pub fn waste(&self) -> &WasteSeries {
-        &self.waste
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Background sampler
-
-/// A background thread that periodically calls
-/// [`Smr::sample_waste`](crate::Smr::sample_waste), turning the Fig. 6
-/// wasted-memory metric into a live curve without any instrumentation in
-/// the workload. Stops and joins on drop.
-pub struct WasteSampler {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl WasteSampler {
-    /// Samples `smr`'s waste gauge every `interval` until dropped.
-    pub fn spawn<S: crate::Smr>(smr: Arc<S>, interval: std::time::Duration) -> WasteSampler {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                smr.sample_waste();
-                std::thread::sleep(interval);
-            }
-        });
-        WasteSampler { stop, join: Some(join) }
-    }
-}
-
-impl Drop for WasteSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        self.bytes.load(Ordering::Acquire)
     }
 }
 
@@ -697,7 +514,7 @@ mod tests {
 
         t.reset();
         assert!(Counter::ALL.iter().all(|&c| t.counter(c) == 0));
-        assert_eq!(t.op_latency().count(), 0);
+        assert_eq!(t.snapshot().op_latency().count(), 0);
     }
 
     /// The table drives the test: `bump`/`add` land on their own index,
@@ -775,7 +592,7 @@ mod tests {
         assert!(close(s.scan_ns_per_free(), 250.0));
     }
 
-    /// Layout pin (1 224 bytes at 19 counters): the two histograms plus
+    /// Layout pin (1 216 bytes at 18 counters): the two histograms plus
     /// eight bytes per counter and nothing else.
     #[test]
     fn handle_telemetry_size_is_pinned() {
@@ -783,21 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn waste_series_retains_in_order_and_overwrites() {
-        let w = WasteSeries::new();
-        assert!(w.samples().is_empty());
-        assert_eq!(w.latest(), None);
-        for i in 0..(WASTE_SERIES_CAPACITY as u64 + 10) {
-            w.record(i, i * 64);
-        }
-        let samples = w.samples();
-        assert_eq!(samples.len(), WASTE_SERIES_CAPACITY, "ring overwrites, never grows");
-        // Chronological and the newest value survived.
-        for pair in samples.windows(2) {
-            assert!(pair[0].t_micros <= pair[1].t_micros);
-        }
-        assert!(samples.iter().any(|s| s.pending_nodes == WASTE_SERIES_CAPACITY as u64 + 9));
-        assert_eq!(w.latest().unwrap().pending_bytes % 64, 0);
+    fn waste_gauges_add_and_sub() {
+        let g = SchemeTelemetry::default();
+        g.add(5, 320);
+        g.sub(2, 128);
+        assert_eq!((g.pending(), g.pending_bytes()), (3, 192));
     }
 
     #[test]

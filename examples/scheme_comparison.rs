@@ -85,7 +85,6 @@ fn bench(kind: SchemeKind) -> (f64, usize, TelemetrySnapshot) {
         while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
             peak_pending = peak_pending.max(smr.retired_pending());
-            smr.sample_waste();
         }
         stop.store(true, Ordering::Release);
         for j in joins {
@@ -109,22 +108,20 @@ fn main() {
          (paper §6 in miniature)\n"
     );
     println!(
-        "{:>6}  {:>8}  {:>12}  {:>12}  {:>9}  {:>10}  {:>11}",
-        "scheme", "Mops/s", "fences/node", "peak wasted", "pool-hit", "allocs/op", "scan-allocs"
+        "{:>6}  {:>8}  {:>12}  {:>12}  {:>9}  {:>10}",
+        "scheme", "Mops/s", "fences/node", "peak wasted", "pool-hit", "allocs/op"
     );
     for kind in kinds {
         let (mops, peak, snap) = bench(kind);
         let name = kind.name();
         let fpn = snap.fences_per_node();
         println!(
-            "{name:>6}  {mops:>8.3}  {fpn:>12.4}  {peak:>12}  {:>9.3}  {:>10.4}  {:>11}",
+            "{name:>6}  {mops:>8.3}  {fpn:>12.4}  {peak:>12}  {:>9.3}  {:>10.4}",
             snap.pool_hit_rate(),
             snap.allocs_per_op(),
-            snap.scan_heap_allocs(),
         );
     }
     println!("\nMP: bounded wasted memory at epoch-scheme-like cost (Table 1).");
     println!("pool-hit: node allocations served a recycled pool block;");
-    println!("allocs/op: fresh-memory node allocations per operation (pool misses / ops);");
-    println!("scan-allocs: reclamation scans that had to grow a scratch buffer.");
+    println!("allocs/op: fresh-memory node allocations per operation (pool misses / ops).");
 }

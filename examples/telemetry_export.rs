@@ -1,41 +1,32 @@
-//! End-to-end telemetry tour: counters, armed latency histograms, waste
-//! sampling, and both exporters.
+//! End-to-end telemetry tour: counters, armed latency histograms, the live
+//! waste gauges, and the Prometheus exposition.
 //!
 //! Runs a short churn workload on MP with telemetry armed, prints a
-//! counter/latency digest, and writes the
-//! Prometheus + JSON artifacts under `MP_BENCH_DIR` (default
-//! `target/bench-results`), validating both before reporting their paths.
+//! counter/latency digest to stderr and the validated Prometheus text
+//! exposition to stdout, so the output can go straight to a file:
 //!
 //! ```sh
-//! MP_TELEMETRY=1 cargo run --release --example telemetry_export
+//! cargo run --release --example telemetry_export > telemetry_mp.prom
 //! ```
-//!
-//! (The example arms telemetry itself via [`SmrBuilder::telemetry`], so the
-//! env var is optional.)
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use margin_pointers::ds::{skiplist, ConcurrentSet, SkipList};
 use margin_pointers::smr::schemes::Mp;
-use margin_pointers::smr::telemetry::export;
-use margin_pointers::smr::{Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot, WasteSampler};
+use margin_pointers::smr::telemetry::{self, export};
+use margin_pointers::smr::{Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot};
 
 const THREADS: u64 = 4;
 const OPS_PER_THREAD: u64 = 30_000;
 
 fn main() {
+    telemetry::set_armed(true); // time pin() guards and scans
     let smr = SmrBuilder::new()
         .max_threads(THREADS as usize + 2) // workers + setup + final reader
         .slots_per_thread(skiplist::SLOTS_NEEDED)
         .margin(1 << 20)
-        .telemetry(true) // arm op and scan latency timing
         .build::<Mp>();
     let set: Arc<SkipList<Mp>> = Arc::new(SkipList::new(&smr));
-
-    // Background waste sampler: snapshots retired-but-unreclaimed nodes and
-    // bytes into the scheme's time series every 5 ms until dropped.
-    let sampler = WasteSampler::spawn(smr.clone(), Duration::from_millis(5));
 
     let mut merged = TelemetrySnapshot::default();
     std::thread::scope(|s| {
@@ -82,20 +73,19 @@ fn main() {
         }
         merged.merge(&h.snapshot());
     }
-    drop(sampler); // stop + join the sampler thread
 
-    println!("== counters ==");
-    println!("  ops            {:>10}", merged.ops());
-    println!("  allocs         {:>10}", merged.allocs());
-    println!("  retires        {:>10}", merged.retires());
-    println!("  frees          {:>10}", merged.frees());
-    println!("  fences         {:>10}", merged.fences());
-    println!("  fences/node    {:>10.4}", merged.fences_per_node());
-    println!("  pool hit rate  {:>10.3}", merged.pool_hit_rate());
+    eprintln!("== counters ==");
+    eprintln!("  ops            {:>10}", merged.ops());
+    eprintln!("  allocs         {:>10}", merged.allocs());
+    eprintln!("  retires        {:>10}", merged.retires());
+    eprintln!("  frees          {:>10}", merged.frees());
+    eprintln!("  fences         {:>10}", merged.fences());
+    eprintln!("  fences/node    {:>10.4}", merged.fences_per_node());
+    eprintln!("  pool hit rate  {:>10.3}", merged.pool_hit_rate());
 
     let ops = merged.op_latency();
-    println!("== op latency (ns) ==");
-    println!(
+    eprintln!("== pin() op latency (ns) ==");
+    eprintln!(
         "  count {}  mean {:.0}  p50 {}  p99 {}  max {}",
         ops.count(),
         ops.mean(),
@@ -104,8 +94,8 @@ fn main() {
         ops.max()
     );
     let scans = merged.scan_latency();
-    println!("== empty() scan latency (ns) ==");
-    println!(
+    eprintln!("== empty() scan latency (ns) ==");
+    eprintln!(
         "  count {}  mean {:.0}  p99 {}  max {}",
         scans.count(),
         scans.mean(),
@@ -113,15 +103,12 @@ fn main() {
         scans.max()
     );
 
-    let waste = smr.telemetry().waste().samples();
-    println!("== waste series ({} samples) ==", waste.len());
-    if let Some(peak) = waste.iter().max_by_key(|s| s.pending_bytes) {
-        println!("  peak: {} nodes / {} bytes pending", peak.pending_nodes, peak.pending_bytes);
-    }
+    let waste = smr.telemetry();
+    eprintln!("== waste now ==");
+    eprintln!("  {} nodes / {} bytes pending", waste.pending(), waste.pending_bytes());
 
-    let (prom, json) = export::write_artifacts("MP", &merged, &waste).expect("write artifacts");
-    let samples = export::validate_artifact_files(&prom, &json).expect("artifacts must validate");
-    println!("== exporters ==");
-    println!("  {} ({samples} Prometheus samples)", prom.display());
-    println!("  {}", json.display());
+    let text = export::prometheus_text("MP", &merged, waste);
+    let samples = export::validate_prometheus(&text).expect("exposition must validate");
+    eprintln!("== exposition: {samples} Prometheus samples on stdout ==");
+    print!("{text}");
 }

@@ -76,10 +76,11 @@ cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warni
 # Bench smoke: every mp-bench target — each figure, Table 1, the
 # collision analysis, the takeaways and the soak (one stalled reader, a
 # 32 KiB byte scan watermark) — runs to completion at smoke scale and writes
-# its tables into target/bench-smoke/. The files must parse; pass/fail on
-# their *values* lives in `cargo test -p mp-bench` (the driver's soak
-# tests) and tests/fence_budget.rs. Absolute path: `cargo bench` sets the
-# CWD to the package directory.
+# its tables into target/bench-smoke/. Each CSV must hold a header and at
+# least one row of the header's width; pass/fail on their *values* lives
+# in `cargo test -p mp-bench` (the driver's soak tests) and
+# tests/fence_budget.rs. Absolute path: `cargo bench` sets the CWD to the
+# package directory.
 echo "==> cargo bench --offline -p mp-bench (smoke scale, every figure)"
 BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
@@ -87,35 +88,16 @@ MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_THREADS=1,2 MP_BENCH_DURATION_MS=40 \
   MP_BENCH_PREFILL=256 MP_BENCH_RUNS=1 \
   MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 MP_SOAK_SCAN_BYTES=32768 \
   cargo bench --offline -p mp-bench >/dev/null
-ls "$BENCH_SMOKE_DIR"/*.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c 'import json, sys; [json.load(open(f)) for f in sys.argv[1:]]' \
-    "$BENCH_SMOKE_DIR"/*.json
-fi
-
-# Telemetry smoke: run the exporter example with telemetry armed and
-# check the artifacts parse — Prometheus text exposition with the
-# expected metric families, and JSON accepted by a strict parser (the
-# example runs both through mp-smr's validators and exits nonzero on
-# any malformed output).
-echo "==> telemetry smoke (exporters must emit parseable artifacts)"
-TELEMETRY_SMOKE_DIR=target/telemetry-smoke
-rm -rf "$TELEMETRY_SMOKE_DIR"
-MP_TELEMETRY=1 MP_BENCH_DIR="$TELEMETRY_SMOKE_DIR" \
-  cargo run -q --release --offline --example telemetry_export >/dev/null
-for family in mp_ops_total mp_op_latency_nanos_bucket mp_scan_latency_nanos_bucket \
-              mp_wasted_nodes mp_wasted_bytes \
-              mp_pool_reserved_bytes mp_pool_blank_chunks mp_pool_free_blocks; do
-  grep -q "^$family" "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom" \
-    || { echo "!! telemetry smoke: $family missing from Prometheus output" >&2; exit 1; }
+for table in "$BENCH_SMOKE_DIR"/*.csv; do
+  awk -F, 'NR == 1 { width = NF; next } NF == width { rows++ } END { exit !(width && rows) }' \
+    "$table" || { echo "!! bench smoke: $table lacks a header plus a row of its width" >&2; exit 1; }
 done
-# Telemetry exports counts, not an event log or a ladder state: neither
-# the event ring's nor the removed backpressure ladder's families appear.
-if grep -qE '^mp_(events|backpressure)_' "$TELEMETRY_SMOKE_DIR/telemetry_mp.prom"; then
-  echo "!! telemetry smoke: an event-ring or ladder family is exported" >&2; exit 1
-fi
-grep -q '"schema": *"mp-telemetry/v3"' "$TELEMETRY_SMOKE_DIR/telemetry_mp.json" \
-  || { echo "!! telemetry smoke: JSON schema marker missing" >&2; exit 1; }
+
+# Telemetry smoke: the exporter example runs a workload armed, validates
+# its Prometheus exposition and prints it. Which metric families the
+# exposition carries is tier-1's contract (tests/telemetry.rs).
+echo "==> telemetry smoke (the exporter example emits a valid exposition)"
+cargo run -q --release --offline --example telemetry_export >/dev/null
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
 # the log histogram, the JSON writer and parser, `agree`'s bounds, the

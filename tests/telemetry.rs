@@ -1,10 +1,11 @@
-//! Telemetry integration: armed timing on a real workload, exporter
-//! validity, and the disarmed counters-only contract.
+//! Telemetry integration: armed timing on a real workload, the exposition
+//! contract, and the disarmed counters-only contract.
 //!
 //! Arming is process-global state, so a single `#[test]` covers both armed
 //! and disarmed phases in a fixed order — the same discipline as
-//! `leak_check` and `zero_alloc`. The only other test here registers no
-//! handle: it holds the README's counter table to `Counter::ALL`.
+//! `leak_check` and `zero_alloc`. The other tests assert nothing about
+//! timing: one holds the exposition to its metric families and live waste
+//! gauges, one holds the README's counter table to `Counter::ALL`.
 
 use std::sync::Arc;
 
@@ -50,12 +51,9 @@ fn churn<S: Smr>(smr: &Arc<S>, threads: u64, ops: u64) -> TelemetrySnapshot {
 
 #[test]
 fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
-    // --- Phase 1: armed. Ops and scans are timed, waste sampled.
-    let smr = SmrBuilder::new()
-        .max_threads(4)
-        .empty_freq(32)
-        .telemetry(true)
-        .build::<Mp>();
+    // --- Phase 1: armed. Ops and scans are timed.
+    telemetry::set_armed(true);
+    let smr = SmrBuilder::new().max_threads(4).empty_freq(32).build::<Mp>();
 
     // Counter sanity on a single handle before the multithreaded churn.
     {
@@ -74,17 +72,13 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
     }
 
     let merged = churn(&smr, 3, 4_000);
-    smr.sample_waste();
     assert!(merged.ops() >= 3 * 4_000, "every op counted");
     assert!(merged.op_latency().count() == 0, "ds ops use raw start_op, not pin()");
     assert!(merged.retires() > 0 && merged.frees() > 0, "churn reclaims");
     assert!(merged.scan_latency().count() > 0, "armed scans are timed");
 
-    let waste = smr.telemetry().waste().samples();
-    assert!(!waste.is_empty(), "sample_waste records into the series");
-
-    // Exporters round-trip through their own validators on real data.
-    let prom = export::prometheus_text("MP", &merged, &waste);
+    // The exposition round-trips through its validator on real data.
+    let prom = export::prometheus_text("MP", &merged, smr.telemetry());
     let n = export::validate_prometheus(&prom).expect("valid Prometheus exposition");
     assert!(n > 10, "expected a full metric family set, got {n} samples");
     assert!(prom.contains("mp_ops_total"), "counter families present");
@@ -95,9 +89,6 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
         .find_map(|l| l.strip_prefix("mp_pool_reserved_bytes "))
         .expect("pool gauges present");
     assert!(reserved.parse::<usize>().unwrap() >= mp_util::pool::REGION);
-    let json = export::json("MP", &merged, &waste);
-    export::validate_json(&json).expect("valid JSON");
-    assert!(json.contains("\"pool\": {\"regions\": "), "pool object present");
 
     // --- Phase 2: disarmed. Counters still tick; no timing.
     telemetry::set_armed(false);
@@ -113,6 +104,59 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
         assert_eq!(snap.ops(), 1, "counters are always on");
         assert_eq!(snap.op_latency().count(), 0, "no timing when disarmed");
     }
+}
+
+/// The exposition's contract, on a scheme no one polled: every metric
+/// family an operator scrapes is present, the waste gauges are the live
+/// gauges as they read at render time, and no family of a removed
+/// mechanism (event ring, backpressure ladder, scan-growth counter) is.
+#[test]
+fn exposition_carries_every_family_and_reads_waste_live() {
+    let smr = Ebr::new(Default::default());
+    let mut h = smr.register();
+    {
+        // Ten retires stay far below the scan watermark: all ten pend.
+        let mut op = h.pin();
+        for i in 0..10u64 {
+            let n = op.alloc(i);
+            // SAFETY: [INV-12] test-controlled: never published, retired once.
+            unsafe { op.retire(n) };
+        }
+    }
+    let waste = smr.telemetry();
+    assert_eq!(waste.pending(), 10);
+    let prom = export::prometheus_text("EBR", &h.snapshot(), waste);
+    export::validate_prometheus(&prom).expect("valid Prometheus exposition");
+    for family in [
+        "mp_ops_total",
+        "mp_op_latency_nanos_bucket",
+        "mp_scan_latency_nanos_bucket",
+        "mp_wasted_nodes",
+        "mp_wasted_bytes",
+        "mp_pool_reserved_bytes",
+        "mp_pool_blank_chunks",
+        "mp_pool_free_blocks",
+    ] {
+        assert!(prom.lines().any(|l| l.starts_with(family)), "{family} missing:\n{prom}");
+    }
+    for (gauge, live) in
+        [("mp_wasted_nodes", waste.pending()), ("mp_wasted_bytes", waste.pending_bytes())]
+    {
+        let sample = format!("\n{gauge}{{scheme=\"EBR\"}} {live}\n");
+        assert!(prom.contains(&sample), "{gauge} is not the live gauge {live}:\n{prom}");
+    }
+    for gone in ["mp_events_", "mp_backpressure_"] {
+        assert!(!prom.contains(gone), "a {gone} family is exported");
+    }
+    // The counter families are exactly the counter table: a removed
+    // counter (the scan-growth one among them) is not exported.
+    let counters: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+        .collect();
+    let declared: Vec<String> =
+        Counter::ALL.iter().map(|c| format!("mp_{}_total", c.name())).collect();
+    assert_eq!(counters, declared);
 }
 
 /// README's "Counters" table has exactly one row per counter, in
