@@ -122,27 +122,16 @@ struct FindResult<V> {
     found: bool,
 }
 
-/// Pseudorandom tower height with p = 1/2 from a thread-local xorshift
-/// (allocation-free, no external RNG on the hot path).
-fn random_height() -> usize {
-    use std::cell::Cell;
-    thread_local! {
-        static STATE: Cell<u64> = const { Cell::new(0) };
-    }
-    STATE.with(|s| {
-        let mut x = s.get();
-        if x == 0 {
-            // First use on this thread: derive a distinct stream from the
-            // TLS slot's address.
-            // CAST-OK: the address is a seed (entropy only), never decoded.
-            x = 0x9e37_79b9_7f4a_7c15 ^ (s as *const _ as u64);
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        s.set(x);
-        ((x.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
-    })
+/// `key`'s tower height, geometric with p = 1/2: one plus the trailing
+/// ones of the key's splitmix64 hash, capped at [`MAX_HEIGHT`]. A function
+/// of the key alone, so one key stream builds the same towers on every
+/// run, on every thread and under every scheme.
+fn random_height(key: u64) -> usize {
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
 }
 
 impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
@@ -302,7 +291,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     pub fn insert_kv(&self, h: &mut S::Handle, key: u64, value: V) -> bool {
         assert!(key < u64::MAX, "key space reserved for the tail sentinel");
         h.start_op();
-        let height = random_height();
+        let height = random_height(key);
         let mut value = value;
         loop {
             let r = self.find(h, key);
@@ -689,13 +678,19 @@ mod tests {
 
     #[test]
     fn random_height_distribution() {
+        // Consecutive keys, the worst stream for a weak hash.
         let mut counts = [0usize; MAX_HEIGHT + 1];
-        for _ in 0..10_000 {
-            let ht = random_height();
+        for key in 0..16_384u64 {
+            let ht = random_height(key);
             assert!((1..=MAX_HEIGHT).contains(&ht));
+            assert_eq!(random_height(key), ht, "a key's height is fixed");
             counts[ht] += 1;
         }
-        assert!(counts[1] > counts[3], "geometric decay expected");
+        // p = 1/2 per level: 8 192, 4 096, 2 048, … expected.
+        for (ht, want) in [(1, 8_192.0), (2, 4_096.0), (3, 2_048.0), (4, 1_024.0)] {
+            let got = counts[ht] as f64;
+            assert!((got / want - 1.0).abs() < 0.1, "height {ht}: {got} keys, expected ≈ {want}");
+        }
     }
 
     #[test]

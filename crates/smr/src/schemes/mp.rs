@@ -36,7 +36,10 @@
 //! * **Cross-refno cover** — a read is fence-free when *any* of the
 //!   thread's announced margins covers the precision block, not just the
 //!   slot named by `refno`; refno rotation in clients no longer defeats
-//!   standing coverage.
+//!   standing coverage. The inlined read tests one cached interval; past
+//!   it, an exact region index over the row's midpoints (`MarginRow`)
+//!   names the covering slot in O(1). Rows of up to 8 slots, one cache
+//!   line of midpoints, are scanned instead, which costs them less.
 //! * **Persistent announcements** — `end_op` releases hazard slots only.
 //!   Margins and the announced epoch stay published (HE's lazy-era
 //!   discipline): a standing (margin, epoch) pair pins only nodes whose
@@ -82,6 +85,117 @@ use crate::telemetry::{Counter, FenceSite};
 /// `owner` entry of a refno that depends on no margin slot.
 const NO_OWNER: usize = usize::MAX;
 
+/// Rows of at most this many slots are scanned, not indexed. Their
+/// midpoints fit one cache line, and scanning them costs less than the
+/// index's lookup plus its upkeep on every announcement: indexing the
+/// 4-slot rows of the list and the hash map cost MP 25 % and 10 % of its
+/// throughput there (EXPERIMENTS.md, "A region index over the margin row").
+const SCANNED_ROW: usize = 8;
+
+/// Most regions a [`MarginRow`]'s index has. A row of `s` slots gets the
+/// power of two at or above `4·s`, up to this, so that up to 64 slots a
+/// lookup meets about `2·s / regions ≤ ½` aliased candidates.
+const MAX_REGIONS: usize = 256;
+
+/// One thread's announced margins, as its handle mirrors them, with an
+/// exact index over their midpoints by region when the row is longer than
+/// [`SCANNED_ROW`].
+///
+/// Region `r` holds the midpoints `m` with `(m >> shift) % regions == r`,
+/// where `2^shift` is the least power of two `≥ margin`; its mask has a bit
+/// for each slot whose midpoint lies there. A margin covers a precision
+/// block exactly when its midpoint lies in the block's *covering window*
+/// `[idx_hi − half, idx_lo + half]`. The window is narrower than `2^shift`,
+/// so it meets at most two regions: a lookup ORs their two masks and range-
+/// checks only the slots named. Aliased regions add candidates but never
+/// hide one, so the lookup is exact.
+struct MarginRow {
+    /// Per slot, the announced midpoint, or `NO_MARGIN`.
+    mids: Box<[u64]>,
+    /// `margin / 2`.
+    half: u64,
+    /// log2 of a region's width.
+    shift: u32,
+    /// `regions − 1`; `regions` is a power of two.
+    region_mask: u32,
+    /// Mask words per region, `⌈slots / 64⌉`.
+    words: u32,
+    /// `regions × words` words: bit `s % 64` of word `r · words + s / 64`
+    /// is slot `s` in region `r`. Empty for a scanned row.
+    masks: Box<[u64]>,
+}
+
+impl MarginRow {
+    fn new(slots: usize, margin: u32) -> Self {
+        let (regions, words) = if slots <= SCANNED_ROW {
+            (1, 0)
+        } else {
+            ((4 * slots).next_power_of_two().min(MAX_REGIONS), slots.div_ceil(64))
+        };
+        MarginRow {
+            mids: vec![NO_MARGIN; slots].into_boxed_slice(),
+            half: u64::from(margin / 2),
+            shift: u64::from(margin).next_power_of_two().trailing_zeros(),
+            region_mask: (regions - 1) as u32,
+            words: words as u32,
+            masks: vec![0; regions * words].into_boxed_slice(),
+        }
+    }
+
+    /// Offset of the masks of the region holding midpoint `mid`.
+    #[inline]
+    fn region(&self, mid: u64) -> usize {
+        ((mid >> self.shift) as usize & self.region_mask as usize) * self.words as usize
+    }
+
+    /// Records that `slot` now announces `mid`: in an indexed row, two bit
+    /// operations besides the store.
+    #[inline]
+    fn set(&mut self, slot: usize, mid: u64) {
+        debug_assert_ne!(mid, NO_MARGIN);
+        let old = std::mem::replace(&mut self.mids[slot], mid);
+        if self.masks.is_empty() {
+            return;
+        }
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if old != NO_MARGIN {
+            let r = self.region(old);
+            self.masks[r + word] &= !bit;
+        }
+        let r = self.region(mid);
+        self.masks[r + word] |= bit;
+    }
+
+    /// The lowest-index slot whose margin covers the precision block
+    /// `[idx_lo, idx_hi]`, if any: the cross-refno cover check that elides
+    /// re-announcements when clients rotate refnos per hop. In an indexed
+    /// row it costs two mask loads per 64 slots and one range check per
+    /// candidate: O(1) for rows of up to 64 slots. The candidates are all
+    /// checked, without a branch on each, and the lowest hit is taken.
+    #[inline]
+    fn covering(&self, idx_lo: u32, idx_hi: u32) -> Option<usize> {
+        let lo = u64::from(idx_hi).saturating_sub(self.half);
+        let hi = u64::from(idx_lo) + self.half;
+        if self.masks.is_empty() {
+            return self.mids.iter().position(|mid| (lo..=hi).contains(mid));
+        }
+        let (a, b) = (self.region(lo), self.region(hi));
+        for w in 0..self.words as usize {
+            let (mut candidates, mut hits) = (self.masks[a + w] | self.masks[b + w], 0u64);
+            while candidates != 0 {
+                let bit = candidates.trailing_zeros();
+                let mid = self.mids[w * 64 + bit as usize];
+                hits |= u64::from((lo..=hi).contains(&mid)) << bit;
+                candidates &= candidates - 1;
+            }
+            if hits != 0 {
+                return Some(w * 64 + hits.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+}
+
 /// Margin-pointers SMR scheme (shared state).
 pub struct Mp {
     /// Global epoch, advanced every `epoch_freq` unlinks per thread (§4.3.2).
@@ -99,8 +213,9 @@ pub struct Mp {
 pub struct MpHandle {
     scheme: Arc<Mp>,
     core: HandleCore,
-    /// Local mirrors of this thread's announced slots.
-    local_mps: Vec<u64>,
+    /// Local mirrors of this thread's announced slots; the margins carry
+    /// their region index.
+    margins: MarginRow,
     local_hps: Vec<u64>,
     /// Search-interval endpoints maintained by the client's insert
     /// (Listing 5); consumed by [`SmrHandle::alloc`].
@@ -108,8 +223,6 @@ pub struct MpHandle {
     upper_bound: u32,
     /// Epoch announced at `start_op`.
     epoch: u64,
-    /// Cached `margin / 2` (avoids chasing the config on every read).
-    margin_half: i64,
     /// Set when the thread observes the epoch advancing mid-operation;
     /// all subsequent reads protect with HPs (old margins remain valid).
     use_hp_mode: bool,
@@ -191,12 +304,11 @@ impl Smr for Mp {
         let cfg = &self.core.cfg;
         Ok(MpHandle {
             scheme: self.clone(),
-            local_mps: vec![NO_MARGIN; cfg.slots_per_thread],
+            margins: MarginRow::new(cfg.slots_per_thread, cfg.margin),
             local_hps: vec![NO_HAZARD; cfg.slots_per_thread],
             lower_bound: 0,
             upper_bound: 0,
             epoch: 0,
-            margin_half: (cfg.margin / 2) as i64,
             use_hp_mode: false,
             owner: vec![NO_OWNER; cfg.slots_per_thread],
             pins: vec![0; cfg.slots_per_thread],
@@ -267,13 +379,6 @@ impl MpSnapshot {
 /// `[index & !0xffff, index | 0xffff]` block (Listing 10, note 7).
 fn precision_range(index: u32) -> (u64, u64) {
     ((index & 0xffff_0000) as u64, (index | 0xffff) as u64)
-}
-
-/// True when margin midpoint `mp` covers the whole precision block
-/// `[idx_lo, idx_hi]` under half-width `half`.
-#[inline]
-fn covers(mp: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
-    mp != NO_MARGIN && mp as i64 - half <= idx_lo as i64 && (idx_hi as i64) <= mp as i64 + half
 }
 
 /// The reclamation predicate of Listing 10's `empty`, over the slot
@@ -369,19 +474,10 @@ impl MpHandle {
     /// precision block is margin-covered and not `USE_HP`-stamped.
     #[inline]
     fn cache_cover(&mut self, slot: usize) {
-        let (mid, half) = (self.local_mps[slot], self.margin_half as u64);
+        let (mid, half) = (self.margins.mids[slot], self.margins.half);
         self.cover_lo = u32::try_from(mid.saturating_sub(half)).unwrap_or(u32::MAX);
         self.cover_hi = (mid.saturating_add(half)).min(0xfffe_ffff) as u32;
         self.cover_slot = slot;
-    }
-
-    /// Index of a local slot whose margin covers the precision block
-    /// `[idx_lo, idx_hi]`, if any — the cross-refno cover check that elides
-    /// re-announcements when clients rotate refnos per hop.
-    #[inline]
-    fn covering_slot(&self, idx_lo: u32, idx_hi: u32) -> Option<usize> {
-        let half = self.margin_half;
-        self.local_mps.iter().position(|&v| covers(v, half, idx_lo, idx_hi))
     }
 
     /// Publishes a margin covering the precision block at `idx_lo` on
@@ -394,7 +490,7 @@ impl MpHandle {
         // Forward-centered midpoint, derived from the configured margin:
         // the interval is [idx_lo, idx_lo + 2·(margin/2)], and margin >
         // 2^16 (Config validation) keeps the whole precision block inside.
-        let mid = idx_lo as u64 + self.margin_half as u64;
+        let mid = idx_lo as u64 + self.margins.half;
         self.release(refno);
         // At most `slots − 1` other refnos own a slot, so the cursor finds
         // an unpinned one within a lap. The margin `refno` depended on
@@ -407,9 +503,11 @@ impl MpHandle {
             }
         };
         self.scheme.mp_slots.get(self.core.tid, slot).store(mid, Ordering::Release);
-        self.local_mps[slot] = mid;
         self.set_owner(refno, slot);
         counted_fence(&mut self.core.tele, FenceSite::Announce);
+        // The local mirror and its index are updated after the fence, so
+        // the fence does not wait on the index's stores.
+        self.margins.set(slot, mid);
         // The store above is the only place announced coverage can be
         // destroyed, so re-priming here keeps the cover cache a subset of
         // live coverage.
@@ -462,7 +560,7 @@ impl MpHandle {
 
             // Margin path: fence-free whenever ANY announced margin covers
             // the precision block (the cache above only mirrors one).
-            if let Some(slot) = self.covering_slot(idx_lo, idx_hi) {
+            if let Some(slot) = self.margins.covering(idx_lo, idx_hi) {
                 // ORDERING: pairs = schemes/mp.rs:announce_margin — same
                 // announce-fence/Release-publish pairing argument as the
                 // cached-cover fast path above.
@@ -522,8 +620,9 @@ impl MpHandle {
     /// thread currently announces. Not part of the SMR API surface.
     #[doc(hidden)]
     pub fn announced_margins(&self) -> Vec<(u64, u64)> {
-        let half = self.margin_half as u64;
-        self.local_mps
+        let half = self.margins.half;
+        self.margins
+            .mids
             .iter()
             .filter(|&&v| v != NO_MARGIN)
             .map(|&v| (v.saturating_sub(half), v + half))
@@ -1171,6 +1270,84 @@ mod tests {
         assert!(!snap.margin_covers(MAX_INDEX, 1, 4));
         // The USE_HP class is never margin-protected, whatever the margins.
         assert!(!snap.margin_covers(USE_HP, 5, 5));
+    }
+
+    /// The linear definition the region index replaced: midpoint `mid`
+    /// covers the whole precision block `[idx_lo, idx_hi]` under half-width
+    /// `half`.
+    fn covers(mid: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
+        mid != NO_MARGIN
+            && mid as i64 - half <= idx_lo as i64
+            && (idx_hi as i64) <= mid as i64 + half
+    }
+
+    #[test]
+    fn region_index_finds_the_slot_the_linear_scan_finds() {
+        use mp_util::{RngExt, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0x6d70_5f72_6567_696f);
+        let block = |idx: u32| (idx & 0xffff_0000, idx | 0xffff);
+        let (mut hits, mut misses) = (0u32, 0u32);
+        // A scanned row, the shortest indexed row, and indexed rows of one
+        // and of two mask words.
+        for slots in [4usize, 9, 62, 70] {
+            for shift in 17..=31u32 {
+                // A power of two, and an odd margin just above the next
+                // lower one, whose region is still `2^shift` wide.
+                let odd = (1u32 << (shift - 1)) + 1 + 2 * rng.random_range(0..1u32 << (shift - 2));
+                for margin in [1u32 << shift, odd] {
+                    let mut row = MarginRow::new(slots, margin);
+                    let half = row.half;
+                    let top = MAX_INDEX as u64 + half;
+                    // A few hot spots, so that several slots cover one block
+                    // and share or alias regions.
+                    let hot: Vec<u64> = (0..3).map(|_| rng.random_range(0..top)).collect();
+                    for _ in 0..300 {
+                        let mid = match rng.random_range(0..6u8) {
+                            0 => 0,
+                            1 => MAX_INDEX as u64,
+                            2 => top,
+                            3 => rng.random_range(0..top + 1),
+                            _ => {
+                                let c = hot[rng.random_range(0..hot.len())];
+                                (c + rng.random_range(0..2 * half)).saturating_sub(half)
+                            }
+                        };
+                        // Any slot, so slots are re-announced elsewhere.
+                        row.set(rng.random_range(0..slots), mid);
+                        let near = |rng: &mut SmallRng, m: u64| {
+                            let d = rng.random_range(0..2 * half + (1 << 17));
+                            (m + d).saturating_sub(half + (1 << 16)).min(u64::from(u32::MAX)) as u32
+                        };
+                        let known = row.mids[rng.random_range(0..slots)];
+                        let queries = [
+                            0,
+                            MAX_INDEX,
+                            rng.random_range(0..u32::MAX),
+                            near(&mut rng, mid),
+                            near(&mut rng, if known == NO_MARGIN { mid } else { known }),
+                        ];
+                        for (idx_lo, idx_hi) in queries.map(block) {
+                            let linear = row
+                                .mids
+                                .iter()
+                                .position(|&v| covers(v, half as i64, idx_lo, idx_hi));
+                            assert_eq!(
+                                row.covering(idx_lo, idx_hi),
+                                linear,
+                                "{slots} slots, margin {margin:#x}, block {idx_lo:#x}, mids {:x?}",
+                                row.mids
+                            );
+                            if linear.is_some() {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(hits > 10_000 && misses > 10_000, "{hits} hits, {misses} misses");
     }
 
     #[test]

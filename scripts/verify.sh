@@ -99,6 +99,12 @@ done
 echo "==> telemetry smoke (the exporter example emits a valid exposition)"
 cargo run -q --release --offline --example telemetry_export >/dev/null
 
+# Set-up split smoke: the per-scheme prefill breakdown (seconds, ns and
+# counters per insert for every structure under MP, HE and HP) runs to
+# completion at 1/64 of the benchmark's prefill sizes.
+echo "==> set-up split smoke (examples/setup_split at prefill / 64)"
+cargo run -q --release --offline --example setup_split -- 64 >/dev/null
+
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
 # the log histogram, the JSON writer and parser, `agree`'s bounds, the
 # ledger's row names, a smoke run against BENCHMARK.json). It is not a

@@ -7,9 +7,10 @@
 
 use mp_util::{Checker, RngCore, RngExt, SeedableRng, SmallRng};
 
-use margin_pointers::ds::{ConcurrentSet, LinkedList};
+use margin_pointers::ds::skiplist::SLOTS_NEEDED;
+use margin_pointers::ds::{ConcurrentSet, LinkedList, SkipList};
 use margin_pointers::smr::schemes::{Ebr, Hp, Mp};
-use margin_pointers::smr::{Config, Smr};
+use margin_pointers::smr::{Config, Counter, Smr, Telemetry};
 
 const SEED: u64 = 0xd5ea_5eed_0000_0001;
 
@@ -84,6 +85,51 @@ fn final_contents_agree_across_schemes() {
     let mp = final_contents::<Mp>();
     assert_eq!(mp, final_contents::<Hp>(), "MP and HP diverged on one op stream");
     assert_eq!(mp, final_contents::<Ebr>(), "MP and EBR diverged on one op stream");
+}
+
+/// Replays the `SEED` op stream single-threaded on a skip list under MP.
+/// Returns the final contents, then the announce fences and collision
+/// allocations the stream cost.
+fn skiplist_under_mp() -> (Vec<u64>, u64, u64) {
+    let smr = Mp::new(Config::default().with_max_threads(2).with_slots_per_thread(SLOTS_NEEDED));
+    let list: SkipList<Mp> = SkipList::new(&smr);
+    let mut h = smr.register();
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    for _ in 0..6_000 {
+        let key = rng.random_range(0..8_192u64);
+        match rng.random_range(0..4u8) {
+            0 | 1 => {
+                list.insert(&mut h, key);
+            }
+            2 => {
+                list.remove(&mut h, key);
+            }
+            _ => {
+                list.contains(&mut h, key);
+            }
+        }
+    }
+    // Ascending keys past the end halve the last interval per insert, so
+    // after ≈ 32 of them every new index collides.
+    for key in 8_192..8_256 {
+        list.insert(&mut h, key);
+    }
+    let counts = (h.counter(Counter::FencesAnnounce), h.counter(Counter::CollisionAllocs));
+    (list.collect(&mut h), counts.0, counts.1)
+}
+
+/// A skip list's shape is a function of its key stream: tower heights come
+/// from the keys, MP's indices from the towers, and MP's announcements and
+/// collisions from both. So one stream gives one structure and one
+/// fence count. The pinned counts move only when the index assignment, the
+/// margin lookup or the tower heights change.
+#[test]
+fn same_key_stream_same_skiplist_and_same_mp_counters() {
+    let (keys, announces, collisions) = skiplist_under_mp();
+    let (again, announces_again, collisions_again) = skiplist_under_mp();
+    assert!(keys == again && !keys.is_empty(), "one key stream built two different sets");
+    assert_eq!((announces, collisions), (announces_again, collisions_again), "two builds");
+    assert_eq!((announces, collisions), (36_861, 42), "fences_announce, collision_allocs");
 }
 
 /// Golden stream for the exact seed the bench driver defaults to: any

@@ -15,15 +15,27 @@
 //! while no refno depends on it* —
 //!
 //! 3. **stays inside an announced interval after every later step**, until
-//!    its refno is read again or the operation ends.
+//!    its refno is read again or the operation ends;
+//!
+//! and, because the read looks past its one-interval cache through a
+//! region index over the row (a scan only on rows of up to 8 slots),
+//!
+//! 4. **announces only when it must**: the read issues an announcement
+//!    (`FencesAnnounce` rises) only if no announced interval covered the
+//!    node's precision block just before it. A lookup that misses a
+//!    covering slot fails here.
 //!
 //! Failures shrink to a minimal step sequence; replay with
 //! `MP_CHECK_SEED=<seed> cargo test -q --test mp_margin_model`.
 
 use mp_util::{Checker, RngExt, SmallRng};
 
+use margin_pointers::smr::node::MAX_INDEX;
 use margin_pointers::smr::schemes::Mp;
 use margin_pointers::smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
+
+/// The widest margin `Config` accepts: the index space must hold two.
+const MAX_MARGIN: u64 = (MAX_INDEX as u64 - 1) / 2;
 
 /// One shrinkable step. Configuration and topology are steps too, so the
 /// shrinker can minimize them along with the action sequence: the first
@@ -40,9 +52,9 @@ enum Step {
 
 fn gen_steps(rng: &mut SmallRng) -> Vec<Step> {
     let n_cells = rng.random_range(2..10usize);
-    let slots = rng.random_range(2..6usize);
+    let slots = rng.random_range(2..71usize);
     let mut steps = vec![Step::Setup {
-        margin_shift: rng.random_range(17..27u32),
+        margin_shift: rng.random_range(17..32u32),
         epoch_freq: rng.random_range(1..16usize),
         slots,
     }];
@@ -80,7 +92,8 @@ fn run_steps(steps: &[Step]) {
     let cfg = Config::default()
         .with_max_threads(2)
         .with_slots_per_thread(slots)
-        .with_margin(1 << margin_shift)
+        // 2^31 does not fit twice; its nearest valid margin stands in.
+        .with_margin((1u64 << margin_shift).min(MAX_MARGIN) as u32)
         .with_empty_freq(4)
         .with_epoch_freq(epoch_freq);
     let smr = Mp::new(cfg);
@@ -104,13 +117,27 @@ fn run_steps(steps: &[Step]) {
             Step::Setup { .. } | Step::Link { .. } => {}
             Step::Read { cell, refno } => {
                 let refno = refno % slots;
+                let cell = cell % cells.len();
+                let (block_lo, block_hi) =
+                    (u64::from(indices[cell] & 0xffff_0000), u64::from(indices[cell] | 0xffff));
+                let covered = reader
+                    .announced_margins()
+                    .iter()
+                    .any(|&(lo, hi)| lo <= block_lo && block_hi <= hi);
                 let hp_before = reader.counter(Counter::HpFallbackReads);
-                let got = reader.read(&cells[cell % cells.len()].0, refno);
+                let announced_before = reader.counter(Counter::FencesAnnounce);
+                let got = reader.read(&cells[cell].0, refno);
                 assert!(!got.is_null(), "cells stay linked for the whole plan");
                 held[refno] = None;
                 if reader.counter(Counter::HpFallbackReads) > hp_before {
                     continue; // hazard-protected: interval/epoch need not apply
                 }
+                assert!(
+                    !covered || reader.counter(Counter::FencesAnnounce) == announced_before,
+                    "read of index {:#x} announced although a standing margin covered its \
+                     block (margin 2^{margin_shift}, {slots} slots)",
+                    indices[cell],
+                );
                 // SAFETY: [INV-01] the read above returned under an open
                 // protection span, so the node is pinned at least until the
                 // next step.
