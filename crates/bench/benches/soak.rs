@@ -4,16 +4,15 @@
 //! the hash map under deliberately hostile conditions: worker threads at
 //! a multiple of the host's cores, Zipfian(0.99) key popularity, and
 //! periodic handle churn under load ([`BenchParams::soak`]). Optionally
-//! adds stalled readers and a byte scan watermark, turning the run into
-//! the §1 survival scenario with peak waste and peak RSS reported per
-//! scheme. Schemes are selected at runtime through the `AnySmr`
-//! facade, so the whole sweep is one monomorphization.
+//! adds stalled readers, turning the run into the §1 survival scenario
+//! with peak waste and peak RSS reported per scheme. Schemes are selected
+//! at runtime through the `AnySmr` facade, so the whole sweep is one
+//! monomorphization.
 //!
 //! Knobs: `MP_BENCH_DURATION_MS` (per scheme; a real soak wants 20 000),
 //! `MP_BENCH_PREFILL`, `MP_SOAK_OVERSUB` (threads = oversub × cores,
 //! default 4), `MP_SOAK_CHURN` (ops between handle re-registrations),
-//! `MP_SOAK_STALLED` (stalled readers, default 0), `MP_SOAK_SCAN_BYTES`
-//! (`Config::scan_watermark_bytes`, default 0 = off).
+//! `MP_SOAK_STALLED` (stalled readers, default 0).
 
 use mp_bench::{run_kind, BenchParams, Table};
 use mp_ds::HashMap;
@@ -27,18 +26,15 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let oversub = env_u64("MP_SOAK_OVERSUB", 4) as usize;
     let threads = (cores * oversub).max(2);
-    let scan_bytes = env_u64("MP_SOAK_SCAN_BYTES", 0) as usize;
 
     // 2 048 keys at CI scale.
     let mut p = BenchParams::soak(threads, mp_bench::prefill_size(51_200))
         .with_stalled(env_u64("MP_SOAK_STALLED", 0) as usize);
     p.churn_every = env_u64("MP_SOAK_CHURN", p.churn_every);
-    p.config = p.config.with_scan_watermark_bytes(scan_bytes);
 
     eprintln!(
         "[soak] {} workers on {} core(s) ({}x oversubscribed), {} ms per scheme, \
-         {:?} keys, prefill {}, churn every {} ops, {} stalled reader(s), \
-         scan watermark {} bytes",
+         {:?} keys, prefill {}, churn every {} ops, {} stalled reader(s)",
         threads,
         cores,
         oversub,
@@ -46,15 +42,11 @@ fn main() {
         p.dist,
         p.prefill,
         p.churn_every,
-        p.stalled,
-        scan_bytes
+        p.stalled
     );
 
     let mut table = Table::new(
-        &format!(
-            "Oversubscribed soak (hashmap, {threads} workers, {} stalled, scan at {scan_bytes} B)",
-            p.stalled
-        ),
+        &format!("Oversubscribed soak (hashmap, {threads} workers, {} stalled)", p.stalled),
         &[
             "scheme",
             "Mops/s",

@@ -109,10 +109,10 @@ impl BenchParams {
 
     /// The soak point: `threads` workers (pick more than the host has
     /// cores) on Zipfian(0.99) keys, 30 % writes, handle churn every 20 K
-    /// operations — the conditions the adaptive scan watermarks were built
-    /// for. Meant for the hash map, whose shards delegate to the list (3
-    /// slots): the tight slot budget keeps the auto watermark (k·H) low
-    /// enough that scans fire between churn points.
+    /// operations — the conditions the scan watermark was built for. Meant
+    /// for the hash map, whose shards delegate to the list (3 slots): the
+    /// tight slot budget keeps the watermark (k·H) low enough that scans
+    /// fire between churn points.
     pub fn soak(threads: usize, prefill: usize) -> Self {
         let mix = Mix { contains: 70, insert: 15, remove: 15, name: "soak-70-15-15" };
         let mut p = Self::new(threads, prefill, mix);
@@ -150,8 +150,7 @@ pub struct BenchResult {
     pub handle_churns: u64,
     /// Peak scheme-wide retired-but-unreclaimed nodes (5 ms poller).
     pub peak_pending: usize,
-    /// Peak scheme-wide retired bytes (same poller) — the figure the
-    /// byte scan watermark acts on.
+    /// Peak scheme-wide retired bytes (same poller).
     pub peak_pending_bytes: usize,
     /// Retired-but-unreclaimed nodes after every worker handle dropped and
     /// a fresh handle adopted and scanned what they left. With
@@ -485,12 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn soak_survives_a_stalled_reader_under_a_byte_cap() {
+    fn soak_survives_a_stalled_reader() {
         // "Never OOM": the ceiling the survival gate has always used, far
         // above anything a 150 ms run should reach.
         const RSS_CEILING_KB: u64 = 1_572_864; // 1.5 GiB
-        let mut p = soak_smoke().with_stalled(1);
-        p.config = p.config.with_scan_watermark_bytes(32 << 10);
+        let p = soak_smoke().with_stalled(1);
         for kind in crate::COMPARISON_SET {
             let r = run_kind::<HashMap<AnySmr>>(kind, &p);
             let who = kind.name();

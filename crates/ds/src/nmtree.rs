@@ -731,7 +731,7 @@ mod tests {
     fn removal_severs_the_parents_edges_and_a_leaf_has_none() {
         // No scan before the handles drop: the retired nodes stay allocated
         // whatever the scheme would have decided.
-        let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
+        let smr = Hp::new(cfg().with_empty_freq(1 << 20));
         let tree: NmTree<Hp> = NmTree::new(&smr);
         let (mut reader, mut remover) = (smr.register(), smr.register());
         for key in [10u64, 5, 20] {

@@ -2,8 +2,8 @@
 //!
 //! The seven schemes are distinct types, which is right for benchmarks
 //! (static dispatch, no accidental cross-scheme state) but wrong for
-//! operators: a binary that wants "the scheme named in `MP_SCHEME`" had to
-//! carry a hand-written match in every driver. `AnySmr` is that match,
+//! operators: a binary that takes the scheme's name on its command line
+//! had to carry a hand-written match in every driver. `AnySmr` is that match,
 //! written once — an enum-dispatched facade implementing [`Smr`] whose
 //! handles ([`AnyHandle`]) implement [`SmrHandle`], so every generic client
 //! (data structures, the bench driver, the examples) runs unchanged over a
@@ -20,10 +20,11 @@
 //! unsafe { op.retire(node) };
 //! ```
 //!
-//! Selection precedence when no kind is given explicitly
-//! ([`AnySmr::try_new`], [`SmrBuilder::try_build_any`]): the `MP_SCHEME`
-//! environment variable if set (`mp`, `hp`, `ebr`, `he`, `ibr`, `dta`,
-//! `leaky`, case-insensitive), else MP.
+//! A name parses through `FromStr` (`mp`, `hp`, `ebr`, `he`, `ibr`, `dta`,
+//! `leaky`, case-insensitive; anything else is an error naming the
+//! choices). The library reads no environment variable: when no kind is
+//! given ([`AnySmr::try_new`], [`SmrBuilder::try_build_any`] without
+//! [`scheme`](crate::builder::SmrBuilder::scheme)), the scheme is MP.
 //!
 //! The cost is one enum discriminant branch per handle call — noise next
 //! to the fences the calls themselves issue. Benchmarks that measure those
@@ -42,7 +43,7 @@ use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
 /// The scheme table: one row per scheme — enum variant, scheme type, handle
 /// type, display name (identical to the scheme's [`Smr::name`]) and
-/// `MP_SCHEME` spelling. Generates [`SchemeKind`] with its `ALL`, `name`
+/// parsed spelling. Generates [`SchemeKind`] with its `ALL`, `name`
 /// and `FromStr`, [`AnySmr`] and [`AnyHandle`] with their constructors and
 /// `kind()`s, and the `delegate!` match the trait impls below forward
 /// through. Adding a scheme is adding a row.
@@ -149,26 +150,6 @@ scheme_table! { $
     (Leaky, Leaky, LeakyHandle, "Leaky", "leaky"),
 }
 
-impl SchemeKind {
-    /// The kind named by the `MP_SCHEME` environment variable, or `None`
-    /// when the variable is unset or empty.
-    ///
-    /// # Panics
-    /// On an unrecognized value — an operator typo should fail the process
-    /// at startup, not silently benchmark the wrong scheme.
-    pub fn from_env() -> Option<SchemeKind> {
-        let raw = std::env::var("MP_SCHEME").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
-        match raw.parse() {
-            Ok(kind) => Some(kind),
-            Err(e) => panic!("MP_SCHEME: {e}"),
-        }
-    }
-}
-
 impl std::fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -195,10 +176,10 @@ impl AnySmr {
 impl Smr for AnySmr {
     type Handle = AnyHandle;
 
-    /// Constructs the scheme named by `MP_SCHEME` (default: MP).
+    /// Constructs MP behind the facade; [`AnySmr::try_with_kind`] picks
+    /// another scheme.
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        let kind = SchemeKind::from_env().unwrap_or(SchemeKind::Mp);
-        AnySmr::try_with_kind(kind, cfg)
+        AnySmr::try_with_kind(SchemeKind::Mp, cfg)
     }
 
     fn try_register(self: &Arc<Self>) -> Result<AnyHandle, SmrError> {

@@ -25,17 +25,15 @@ pub struct Config {
     /// Protection slots per thread (`MPs_per_thread`); each `refno` passed
     /// to [`SmrHandle::read`] must be `< slots_per_thread`.
     pub slots_per_thread: usize,
-    /// Retire calls between reclamation attempts (`empty_freq`; §6 uses 30).
-    /// Under the adaptive watermark trigger this is the *re-arm floor*: the
-    /// minimum number of further retires before the next scan when the
-    /// previous one could not shrink the list (stalled reader).
+    /// The scan cadence (`empty_freq`; §6 uses 30), the one knob of the
+    /// scan trigger. A handle scans when its retired list reaches the
+    /// watermark `W = max(empty_freq, 2 · max_threads · slots_per_thread)`
+    /// (HP's `k × H` rule, `k = 2`); a scan that kept `kept` nodes re-arms
+    /// the trigger at `max(W, kept + empty_freq)`, so under a stalled
+    /// reader the handle scans once per `empty_freq` further retires.
+    /// Nothing else triggers a scan but [`SmrHandle::force_empty`] and a
+    /// handle's drop.
     pub empty_freq: usize,
-    /// Adaptive scan watermark in retired nodes per handle: a reclamation
-    /// scan triggers when the handle's retired list reaches this length.
-    /// `0` (the default) auto-derives HP's classical `k × H` rule —
-    /// `max(empty_freq, 2 · max_threads · slots_per_thread)` — so scan
-    /// frequency tracks the retire rate, not the operation rate.
-    pub scan_watermark: usize,
     /// Events (allocations for HE/IBR/EBR, unlinks for MP) a thread performs
     /// between increments of the global epoch (`epoch_freq`; §6 uses 150·T).
     pub epoch_freq: usize,
@@ -48,14 +46,6 @@ pub struct Config {
     /// DTA: reclamation attempts tolerated before a non-advancing thread is
     /// declared stalled and its anchored segment is frozen.
     pub stall_patience: usize,
-    /// Scan watermark in retired bytes, scheme-wide (`0`, the default,
-    /// turns it off). While the scheme's retired-bytes gauge is at or
-    /// above this figure, a retire scans early — once its handle's list
-    /// has grown by `empty_freq` since the last scan — without waiting
-    /// for `scan_watermark`. Under a stalled thread it keeps what the
-    /// other handles could free from piling up behind their own node
-    /// watermarks; it cannot free what the stalled thread protects.
-    pub scan_watermark_bytes: usize,
 }
 
 impl Default for Config {
@@ -64,12 +54,10 @@ impl Default for Config {
             max_threads: 32,
             slots_per_thread: 8,
             empty_freq: 30,
-            scan_watermark: 0,
             epoch_freq: 150,
             margin: 1 << 20,
             anchor_hops: 100,
             stall_patience: 8,
-            scan_watermark_bytes: 0,
         }
     }
 }
@@ -172,17 +160,10 @@ impl Config {
         self
     }
 
-    /// Sets how many retires elapse between reclamation attempts.
+    /// Sets the scan cadence (see [`Config::empty_freq`]).
     pub fn with_empty_freq(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.empty_freq = n;
-        self
-    }
-
-    /// Sets the adaptive scan watermark in retired nodes per handle
-    /// (`0` = auto-derive `max(empty_freq, 2·T·H)` at scheme construction).
-    pub fn with_scan_watermark(mut self, n: usize) -> Self {
-        self.scan_watermark = n;
         self
     }
 
@@ -211,12 +192,6 @@ impl Config {
     pub fn with_stall_patience(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.stall_patience = n;
-        self
-    }
-
-    /// Sets the scheme-wide scan watermark in retired bytes (`0` = off).
-    pub fn with_scan_watermark_bytes(mut self, n: usize) -> Self {
-        self.scan_watermark_bytes = n;
         self
     }
 }
@@ -498,8 +473,6 @@ mod tests {
         assert_eq!(c.margin, 1 << 20);
         assert_eq!(c.anchor_hops, 100);
         assert!(c.margin > 1 << 16);
-        assert_eq!(c.scan_watermark, 0, "watermark auto-derives k·H by default");
-        assert_eq!(c.scan_watermark_bytes, 0, "byte scan watermark off by default");
     }
 
     #[test]
@@ -517,9 +490,7 @@ mod tests {
             .with_epoch_freq(20)
             .with_margin(1 << 18)
             .with_anchor_hops(50)
-            .with_stall_patience(2)
-            .with_scan_watermark(128)
-            .with_scan_watermark_bytes(1 << 22);
+            .with_stall_patience(2);
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.slots_per_thread, 3);
         assert_eq!(c.empty_freq, 10);
@@ -527,8 +498,6 @@ mod tests {
         assert_eq!(c.margin, 1 << 18);
         assert_eq!(c.anchor_hops, 50);
         assert_eq!(c.stall_patience, 2);
-        assert_eq!(c.scan_watermark, 128);
-        assert_eq!(c.scan_watermark_bytes, 1 << 22);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::error::SmrError;
 /// [`SmrBuilder::from_config`], chain setters, finish with
 /// [`try_build`](SmrBuilder::try_build) for a statically chosen scheme or
 /// [`try_build_any`](SmrBuilder::try_build_any) for one selected at
-/// runtime via [`scheme`](SmrBuilder::scheme) / `MP_SCHEME`.
+/// runtime via [`scheme`](SmrBuilder::scheme).
 #[derive(Debug, Clone, Default)]
 pub struct SmrBuilder {
     cfg: Config,
@@ -64,7 +64,7 @@ impl SmrBuilder {
         self
     }
 
-    /// Sets how many retires elapse between reclamation attempts.
+    /// Sets the scan cadence (see [`Config::empty_freq`]).
     pub fn empty_freq(mut self, n: usize) -> Self {
         self.cfg = self.cfg.with_empty_freq(n);
         self
@@ -94,20 +94,8 @@ impl SmrBuilder {
         self
     }
 
-    /// Sets the retired-count scan watermark (0 = auto-derive `k·H`).
-    pub fn scan_watermark(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_scan_watermark(n);
-        self
-    }
-
-    /// Sets the scheme-wide scan watermark in retired bytes (`0` = off).
-    pub fn scan_watermark_bytes(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_scan_watermark_bytes(n);
-        self
-    }
-
     /// Selects the scheme [`try_build_any`](SmrBuilder::try_build_any)
-    /// constructs, overriding the `MP_SCHEME` environment variable.
+    /// constructs (MP when never called).
     pub fn scheme(mut self, kind: SchemeKind) -> Self {
         self.kind = Some(kind);
         self
@@ -131,11 +119,9 @@ impl SmrBuilder {
 
     /// Constructs the scheme selected at runtime behind the [`AnySmr`]
     /// facade: the kind set via [`scheme`](SmrBuilder::scheme) if any,
-    /// else the `MP_SCHEME` environment variable, else MP.
+    /// else MP.
     pub fn try_build_any(self) -> Result<Arc<AnySmr>, SmrError> {
-        let kind =
-            self.kind.or_else(SchemeKind::from_env).unwrap_or(SchemeKind::Mp);
-        AnySmr::try_with_kind(kind, self.cfg)
+        AnySmr::try_with_kind(self.kind.unwrap_or(SchemeKind::Mp), self.cfg)
     }
 }
 
@@ -155,9 +141,7 @@ mod tests {
             .epoch_freq(22)
             .margin(1 << 18)
             .anchor_hops(33)
-            .stall_patience(4)
-            .scan_watermark(96)
-            .scan_watermark_bytes(4096);
+            .stall_patience(4);
         let c = b.config();
         assert_eq!(c.max_threads, 3);
         assert_eq!(c.slots_per_thread, 5);
@@ -166,8 +150,6 @@ mod tests {
         assert_eq!(c.margin, 1 << 18);
         assert_eq!(c.anchor_hops, 33);
         assert_eq!(c.stall_patience, 4);
-        assert_eq!(c.scan_watermark, 96);
-        assert_eq!(c.scan_watermark_bytes, 4096);
 
         let mp = b.clone().build::<Mp>();
         let mut h = mp.register();

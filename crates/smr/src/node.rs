@@ -411,8 +411,7 @@ impl Retired {
         self.ptr as u64 // CAST-OK: compared against announced slot words, never decoded.
     }
 
-    /// Bytes the node holds (its pool block), for the retired-bytes scan
-    /// watermark and the pending gauge.
+    /// Bytes the node holds (its pool block), for the pending-bytes gauge.
     #[inline]
     pub(crate) fn bytes(&self) -> u32 {
         self.bytes

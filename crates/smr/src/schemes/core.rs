@@ -197,9 +197,7 @@ impl HandleCore {
         let mut r = unsafe { shared.capture(node, stamp) };
         r.op_start = op_start;
         self.retired.push(r);
-        if S::RECLAIMS
-            && self.scan.due(&shared.scan_policy, self.retired.len(), || shared.tele.pending_bytes())
-        {
+        if S::RECLAIMS && self.scan.due(self.retired.len()) {
             self.scan(scheme, prot);
         }
     }
@@ -371,7 +369,7 @@ mod tests {
 
     /// No trigger fires on its own: scans happen where the test asks.
     fn manual() -> Config {
-        Config::default().with_scan_watermark(1 << 20)
+        Config::default().with_empty_freq(1 << 20)
     }
 
     #[test]
@@ -440,7 +438,7 @@ mod tests {
 
     #[test]
     fn an_all_kept_scan_rearms_at_kept_plus_empty_freq() {
-        let s = fake(Config::default().with_scan_watermark(2).with_empty_freq(4));
+        let s = fake(Config::default().with_slots_per_thread(1).with_empty_freq(3));
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let scans_after: Vec<u64> = (0..10)
             .map(|_| {
@@ -448,10 +446,10 @@ mod tests {
                 h.snapshot().empties()
             })
             .collect();
-        // Watermark 2 fires on the 2nd retire and keeps both; the trigger
-        // re-arms at kept + 4 = 6, then 6 + 4 = 10: three scans in ten
-        // retires, not nine.
-        assert_eq!(scans_after, [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]);
+        // The watermark max(3, 2·2·1) = 4 fires on the 4th retire and keeps
+        // all four; the trigger re-arms at kept + 3 = 7, then 7 + 3 = 10:
+        // three scans in ten retires, not seven.
+        assert_eq!(scans_after, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
         pinned.0.clear();
         h.core.release(&s, &mut pinned);
     }

@@ -439,13 +439,10 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Dta> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
         Dta::new(
             Config::default()
                 .with_max_threads(threads)
-                .with_empty_freq(1)
                 .with_epoch_freq(1)
-                .with_scan_watermark(1)
                 .with_anchor_hops(3)
                 .with_stall_patience(2),
         )
@@ -543,13 +540,15 @@ mod tests {
         // Freezer will claim the anchor node as frozen.
         smr.set_freezer(Arc::new(FakeFreezer { to_freeze: vec![anchor_node.addr()] }));
 
-        // Churn with short operations until stall detection (patience=2)
-        // kicks in; the worker's own fresh stamps never pin old nodes.
+        // Churn with short operations, scanning after each, until stall
+        // detection (patience=2) kicks in; the worker's own fresh stamps
+        // never pin old nodes.
         for i in 0..50u32 {
             worker.end_op();
             worker.start_op();
             let n = worker.alloc(i);
             unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            worker.force_empty();
         }
         assert!(
             worker.retired_len() < 50,

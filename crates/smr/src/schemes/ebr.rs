@@ -173,14 +173,7 @@ mod tests {
     use super::*;
 
     fn setup(threads: usize) -> Arc<Ebr> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
-        Ebr::new(
-            Config::default()
-                .with_max_threads(threads)
-                .with_empty_freq(1)
-                .with_epoch_freq(1)
-                .with_scan_watermark(1),
-        )
+        Ebr::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
     }
 
     #[test]
@@ -191,6 +184,7 @@ mod tests {
         let n = h.alloc(1u32);
         h.end_op(); // no active threads now
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        h.force_empty();
         assert_eq!(h.retired_len(), 0);
     }
 
@@ -206,6 +200,7 @@ mod tests {
         let n = worker.alloc(5u64); // advances epoch (epoch_freq=1)
         unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
         worker.end_op();
+        worker.force_empty();
         assert!(
             worker.retired_len() >= 1,
             "node retired at >= stalled thread's epoch must be pinned"

@@ -205,14 +205,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<He> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
-        He::new(
-            Config::default()
-                .with_max_threads(threads)
-                .with_empty_freq(1)
-                .with_epoch_freq(1)
-                .with_scan_watermark(1),
-        )
+        He::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
     }
 
     #[test]
@@ -249,9 +242,23 @@ mod tests {
     /// era an earlier scan saw, released since, pins nothing.
     #[test]
     fn released_era_does_not_outlive_the_next_retire_triggered_scan() {
-        let smr = setup(2);
+        // Watermark max(1, 2·2·1) = 4; after a scan that kept one node the
+        // trigger re-arms at max(4, 1 + 1) = 4 again.
+        let smr = He::new(
+            Config::default()
+                .with_max_threads(2)
+                .with_slots_per_thread(1)
+                .with_empty_freq(1)
+                .with_epoch_freq(1),
+        );
         let mut reader = smr.register();
         let mut writer = smr.register();
+        fn retire_fresh(writer: &mut HeHandle, count: u32) {
+            for i in 0..count {
+                let other = writer.alloc(i);
+                unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+            }
+        }
 
         writer.start_op();
         let n = writer.alloc(1u32);
@@ -261,11 +268,13 @@ mod tests {
 
         cell.store(Shared::null(), Ordering::Release);
         unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        retire_fresh(&mut writer, 3);
+        assert_eq!(writer.counter(Counter::Empties), 1, "the fourth retire scans");
         assert_eq!(writer.retired_len(), 1, "the scan saw the era and kept the node");
 
         reader.unprotect(0);
-        let other = writer.alloc(2u32);
-        unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+        retire_fresh(&mut writer, 3);
+        assert_eq!(writer.counter(Counter::Empties), 2);
         assert_eq!(writer.retired_len(), 0, "no era is announced, yet a node was kept");
         reader.end_op();
         writer.end_op();

@@ -209,8 +209,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Hp> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
-        Hp::new(Config::default().with_max_threads(threads).with_empty_freq(1).with_scan_watermark(1))
+        Hp::new(Config::default().with_max_threads(threads))
     }
 
     #[test]
@@ -220,7 +219,8 @@ mod tests {
         h.start_op();
         let n = h.alloc(1u32);
         // SAFETY: [INV-12] never published, retired once by the test.
-        unsafe { h.retire(n) }; // empty_freq=1 → immediate empty()
+        unsafe { h.retire(n) };
+        h.force_empty();
         assert_eq!(h.retired_len(), 0);
         assert_eq!(smr.retired_pending(), 0);
         h.end_op();
@@ -259,9 +259,18 @@ mod tests {
     /// hazard an earlier scan saw, released since, pins nothing.
     #[test]
     fn released_hazard_does_not_outlive_the_next_retire_triggered_scan() {
-        let smr = setup(2);
+        // Watermark max(1, 2·2·1) = 4; after a scan that kept one node the
+        // trigger re-arms at max(4, 1 + 1) = 4 again.
+        let smr =
+            Hp::new(Config::default().with_max_threads(2).with_slots_per_thread(1).with_empty_freq(1));
         let mut reader = smr.register();
         let mut writer = smr.register();
+        fn retire_fresh(writer: &mut HpHandle, count: u64) {
+            for i in 0..count {
+                let other = writer.alloc(i);
+                unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+            }
+        }
 
         writer.start_op();
         let n = writer.alloc(5u64);
@@ -271,11 +280,13 @@ mod tests {
 
         cell.store(Shared::null(), Ordering::Release);
         unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        retire_fresh(&mut writer, 3);
+        assert_eq!(writer.counter(Counter::Empties), 1, "the fourth retire scans");
         assert_eq!(writer.retired_len(), 1, "the scan saw the hazard and kept the node");
 
         reader.end_op();
-        let other = writer.alloc(6u64);
-        unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+        retire_fresh(&mut writer, 3);
+        assert_eq!(writer.counter(Counter::Empties), 2);
         assert_eq!(writer.retired_len(), 0, "no hazard is announced, yet a node was kept");
         writer.end_op();
     }
@@ -323,11 +334,7 @@ mod tests {
     #[test]
     fn wasted_memory_bounded_by_hazards() {
         // A stalled reader pins at most slots_per_thread nodes.
-        let cfg = Config::default()
-            .with_max_threads(2)
-            .with_slots_per_thread(4)
-            .with_empty_freq(1)
-            .with_scan_watermark(1);
+        let cfg = Config::default().with_max_threads(2).with_slots_per_thread(4);
         let smr = Hp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();

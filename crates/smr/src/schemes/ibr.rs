@@ -193,14 +193,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Ibr> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
-        Ibr::new(
-            Config::default()
-                .with_max_threads(threads)
-                .with_empty_freq(1)
-                .with_epoch_freq(1)
-                .with_scan_watermark(1),
-        )
+        Ibr::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
     }
 
     #[test]

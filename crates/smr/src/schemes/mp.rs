@@ -799,12 +799,9 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Mp> {
-        // watermark 1: scan on every retire, as the old empty_freq=1 did.
         Mp::new(
             Config::default()
                 .with_max_threads(threads)
-                .with_empty_freq(1)
-                .with_scan_watermark(1)
                 .with_epoch_freq(1000), // avoid mid-test epoch churn unless wanted
         )
     }
@@ -896,12 +893,7 @@ mod tests {
         // direction and scaled by the *configured* margin.
         let margin = 1u32 << 22;
         let smr = Mp::new(
-            Config::default()
-                .with_max_threads(1)
-                .with_empty_freq(1)
-                .with_scan_watermark(1)
-                .with_epoch_freq(1000)
-                .with_margin(margin),
+            Config::default().with_max_threads(1).with_epoch_freq(1000).with_margin(margin),
         );
         let mut h = smr.register();
         h.start_op();
@@ -1129,12 +1121,8 @@ mod tests {
         // until ITS refno is reused, even when the refno that announced the
         // covering margin moves on (2 slots: the other one takes the new
         // announcement).
-        let cfg = Config::default()
-            .with_max_threads(2)
-            .with_slots_per_thread(2)
-            .with_empty_freq(1)
-            .with_scan_watermark(1)
-            .with_epoch_freq(1000);
+        let cfg =
+            Config::default().with_max_threads(2).with_slots_per_thread(2).with_epoch_freq(1000);
         let smr = Mp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -1208,12 +1196,8 @@ mod tests {
         // #HP + #MP·M + #MP·M·F·T nodes; churned nodes born after its epoch
         // must be reclaimed. We churn same-index nodes — the worst case the
         // epoch filter exists for.
-        let cfg = Config::default()
-            .with_max_threads(2)
-            .with_slots_per_thread(2)
-            .with_empty_freq(1)
-            .with_scan_watermark(1)
-            .with_epoch_freq(10);
+        let cfg =
+            Config::default().with_max_threads(2).with_slots_per_thread(2).with_epoch_freq(10);
         let smr = Mp::new(cfg);
         let mut stalled = smr.register();
         let mut worker = smr.register();
@@ -1228,6 +1212,7 @@ mod tests {
             let n = worker.alloc_with_index(i, 800_001);
             unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
         }
+        worker.force_empty();
         // Bound: #HP + #MP·M + #MP·M·F·T is astronomically larger than what
         // we expect in practice; empirically only nodes retired while the
         // stalled epoch admits them stay pinned — a couple of epochs' worth.

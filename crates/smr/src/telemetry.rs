@@ -466,8 +466,9 @@ impl SchemeTelemetry {
     }
 
     /// Retired-but-unreclaimed bytes right now, for this scheme instance
-    /// only (orphans included). This is the gauge the byte scan watermark
-    /// (`Config::scan_watermark_bytes`) reads.
+    /// only (orphans included), counted as the pool blocks the nodes hold.
+    /// Read by the Prometheus exposition (`mp_wasted_bytes`) and by
+    /// callers; the scan trigger counts nodes and never reads it.
     pub fn pending_bytes(&self) -> usize {
         self.bytes.load(Ordering::Acquire)
     }

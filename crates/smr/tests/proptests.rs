@@ -67,12 +67,8 @@ fn margin_interval_protection() {
         let protected_index: u32 = rng.random_range(0..0xfff0_0000);
         let probe_index: u32 = rng.random_range(0..0xfff0_0000);
         let margin = 1u32 << 20;
-        let cfg = Config::default()
-            .with_max_threads(2)
-            .with_empty_freq(1)
-            .with_scan_watermark(1) // judge every retire immediately
-            .with_epoch_freq(1_000_000)
-            .with_margin(margin);
+        let cfg =
+            Config::default().with_max_threads(2).with_epoch_freq(1_000_000).with_margin(margin);
         let smr = Mp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -86,7 +82,8 @@ fn margin_interval_protection() {
 
         let probe = writer.alloc_with_index(1u32, probe_index);
         // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-        unsafe { writer.retire(probe) }; // empty_freq = 1 → judged now
+        unsafe { writer.retire(probe) };
+        writer.force_empty();
 
         // The announced margin is forward-centered on the anchor's
         // precision-block base (mid = base + margin/2, so the interval is
@@ -123,8 +120,7 @@ fn margin_interval_protection() {
 #[test]
 fn hp_protection_is_exact() {
     for protect in [false, true] {
-        let cfg = Config::default().with_max_threads(2).with_empty_freq(1).with_scan_watermark(1);
-        let smr = Hp::new(cfg);
+        let smr = Hp::new(Config::default().with_max_threads(2));
         let mut reader = smr.register();
         let mut writer = smr.register();
         writer.start_op();
@@ -137,6 +133,7 @@ fn hp_protection_is_exact() {
         cell.store(Shared::null(), std::sync::atomic::Ordering::Release);
         // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
         unsafe { writer.retire(n) };
+        writer.force_empty();
         assert_eq!(writer.retired_len() == 1, protect);
         reader.end_op();
         writer.end_op();

@@ -67,7 +67,7 @@ fn leaky_lifecycle_defers_to_scheme_drop() {
 fn tid_recycling_clears_protection() {
     // A dropped handle must not leave protections behind for its successor
     // tid, or retired nodes would be pinned forever.
-    let smr = Hp::new(Config::default().with_max_threads(1).with_empty_freq(1).with_scan_watermark(1));
+    let smr = Hp::new(Config::default().with_max_threads(1));
     let cell;
     {
         let mut h1 = smr.register();
@@ -144,7 +144,7 @@ fn two_schemes_coexist_in_one_process() {
 fn mp_class_boundary_index_is_hazard_protected() {
     // Index exactly at the USE_HP class boundary: packed bits collide with
     // USE_HP, so reads must take the hazard path and empty() must honor it.
-    let smr = Mp::new(Config::default().with_max_threads(2).with_empty_freq(1).with_scan_watermark(1));
+    let smr = Mp::new(Config::default().with_max_threads(2));
     let mut reader = smr.register();
     let mut writer = smr.register();
     writer.start_op();
@@ -177,19 +177,21 @@ fn mp_class_boundary_index_is_hazard_protected() {
 fn ibr_extends_interval_for_late_born_nodes() {
     // A node born *after* an operation started must still be protected by
     // the reader's reservation once read (the 2GE upper-bound extension).
-    let cfg = Config::default().with_max_threads(2).with_empty_freq(1).with_scan_watermark(1).with_epoch_freq(1);
+    let cfg = Config::default().with_max_threads(2).with_epoch_freq(1);
     let smr = Ibr::new(cfg);
     let mut reader = smr.register();
     let mut writer = smr.register();
 
     reader.start_op(); // reserves [e, e]
     writer.start_op();
-    // Advance the epoch well past the reader's reservation.
+    // Advance the epoch well past the reader's reservation, and free the
+    // churn before the reservation is extended over its lifetimes.
     for i in 0..5u32 {
         let churn = writer.alloc(i);
         // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
         unsafe { writer.retire(churn) };
     }
+    writer.force_empty();
     let late = writer.alloc(99u32); // birth > reader's initial upper bound
     let cell = Atomic::new(late);
     let got = reader.read(&cell, 0); // must extend upper to cover it
@@ -213,7 +215,7 @@ fn ibr_extends_interval_for_late_born_nodes() {
 
 #[test]
 fn hp_unprotect_releases_exactly_one_slot() {
-    let smr = Hp::new(Config::default().with_max_threads(2).with_empty_freq(1).with_scan_watermark(1));
+    let smr = Hp::new(Config::default().with_max_threads(2));
     let mut reader = smr.register();
     let mut writer = smr.register();
     writer.start_op();

@@ -71,8 +71,13 @@ pub const CLASS_GRANULE: usize = 8;
 /// Number of size classes (`MAX_POOLED_SIZE / CLASS_GRANULE`).
 pub const NUM_CLASSES: usize = MAX_POOLED_SIZE / CLASS_GRANULE;
 
-/// Per-thread, per-class magazine capacity. Must comfortably exceed a
-/// scheme's `empty_freq` so one reclamation batch recycles without spilling.
+/// Per-thread, per-class magazine capacity: the most recycled blocks of
+/// one size class a thread keeps to itself. A free that finds the magazine
+/// full sends half of it (64 blocks) home under one slab lock, so a thread
+/// that only frees takes the lock once per 64 frees.
+/// It is not sized to hold a scan's frees: an `mp-smr` scan frees up to
+/// its node watermark (512 nodes at `Config::default()`), and the overflow
+/// goes back to the slab, where any thread's refill finds it.
 pub const THREAD_CLASS_CAP: usize = 128;
 
 /// Bytes per chunk: the unit that serves one size class and goes blank as a

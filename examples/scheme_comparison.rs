@@ -4,11 +4,11 @@
 //! scheme and prints throughput, fences per traversed node, and wasted
 //! memory — a miniature of the paper's evaluation (§6). The schemes are
 //! selected at runtime through the [`AnySmr`] facade, so the whole table
-//! is one monomorphization; set `MP_SCHEME=<name>` to run a single row:
+//! is one monomorphization; name a scheme to run a single row:
 //!
 //! ```sh
 //! cargo run --release --example scheme_comparison
-//! MP_SCHEME=ebr cargo run --release --example scheme_comparison
+//! cargo run --release --example scheme_comparison -- ebr
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,8 +99,8 @@ fn bench(kind: SchemeKind) -> (f64, usize, TelemetrySnapshot) {
 fn main() {
     // DTA is excluded from the sweep: without its list-specific freezer it
     // degenerates to EBR and the row would mislead.
-    let kinds: Vec<SchemeKind> = match SchemeKind::from_env() {
-        Some(k) => vec![k],
+    let kinds: Vec<SchemeKind> = match std::env::args().nth(1) {
+        Some(name) => vec![name.parse().unwrap_or_else(|e| panic!("{e}"))],
         None => SchemeKind::ALL.into_iter().filter(|k| *k != SchemeKind::Dta).collect(),
     };
     println!(

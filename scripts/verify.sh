@@ -30,9 +30,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds
 
-# Oracle stage: the same tests plus the conformance matrix, negative
-# oracle tests, and mp-smr's oracle unit tests, with shadow lifecycle
-# tracking, freed-memory poisoning, and the waste-bound monitor armed.
+# Oracle stage: the same tests (the conformance matrix among them) plus
+# the negative oracle tests and mp-smr's oracle unit tests, with shadow
+# lifecycle tracking, freed-memory poisoning, and the waste-bound monitor
+# armed.
 # Only here (and in the hb-oracle stage, which reruns it) is the
 # quarantine → pool hand-off exercised: tests/oracle_negative.rs drives a
 # block through eviction, a magazine and its chunk's free list and still
@@ -74,8 +75,8 @@ cargo clippy --offline --all-targets --features "oracle hb-oracle" -- -D warning
 cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: every mp-bench target — each figure, Table 1, the
-# collision analysis, the takeaways and the soak (one stalled reader, a
-# 32 KiB byte scan watermark) — runs to completion at smoke scale and writes
+# collision analysis, the takeaways and the soak (one stalled reader) —
+# runs to completion at smoke scale and writes
 # its tables into target/bench-smoke/. Each CSV must hold a header and at
 # least one row of the header's width; pass/fail on their *values* lives
 # in `cargo test -p mp-bench` (the driver's soak tests) and
@@ -86,7 +87,7 @@ BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
 MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_THREADS=1,2 MP_BENCH_DURATION_MS=40 \
   MP_BENCH_PREFILL=256 MP_BENCH_RUNS=1 \
-  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 MP_SOAK_SCAN_BYTES=32768 \
+  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 \
   cargo bench --offline -p mp-bench >/dev/null
 for table in "$BENCH_SMOKE_DIR"/*.csv; do
   awk -F, 'NR == 1 { width = NF; next } NF == width { rows++ } END { exit !(width && rows) }' \

@@ -1,6 +1,5 @@
-//! Oracle-supervised conformance matrix (`--features oracle`): every SMR
-//! scheme on every structure it supports, run under fault injection with
-//! the reclamation oracle armed.
+//! Conformance matrix: every SMR scheme on every structure it supports,
+//! run under fault injection.
 //!
 //! Each combo runs seeded random operation plans on two worker threads
 //! while a third thread misbehaves in one of the two ways the paper's
@@ -14,16 +13,15 @@
 //!   operation (caught in-thread), exercising the RAII guard's unwind
 //!   path under concurrent load.
 //!
-//! The oracle converts any lifecycle violation (double retire, double
-//! free, use-after-free via the poisoned-canary check on every `deref`)
-//! into an immediate panic carrying the replay seed; the `Checker` then
-//! shrinks the operation plan. A run that completes silently is the
-//! conformance pass.
-//!
-//! This file compiles to nothing without the `oracle` feature so the
-//! default `cargo test` wall-clock is unchanged.
-
-#![cfg(feature = "oracle")]
+//! Every test runs in the default `cargo test`, where it checks progress,
+//! the structure's answers after the fault, and the waste caps. Under
+//! `--features oracle` the same tests also run with the reclamation
+//! oracle armed: it converts any lifecycle violation (double retire,
+//! double free, use-after-free via the poisoned-canary check on every
+//! `deref`) into an immediate panic carrying the replay seed, and checks
+//! each scheme's waste bound inside every scan. The `Checker` then shrinks
+//! the operation plan. A run that completes silently is the conformance
+//! pass.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -31,6 +29,7 @@ use std::sync::{Arc, Barrier};
 use mp_util::{Checker, RngExt, SmallRng};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
+#[cfg(feature = "oracle")]
 use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use margin_pointers::smr::{Config, Smr, SmrError, SmrHandle, Telemetry, TelemetrySnapshot};
@@ -221,6 +220,7 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(
 /// combo; `name` labels the shrink report.
 fn conformance<S: Smr, D: ConcurrentSet<S>>(fault: Fault, name: &str) {
     let checker = Checker::new().cases(3);
+    #[cfg(feature = "oracle")]
     oracle::set_replay_seed(checker.base_seed());
     checker.run(name, gen_plan, |plan| {
         let stats = run_case::<S, D>(fault, plan);
@@ -265,8 +265,8 @@ macro_rules! conformance_suite {
 /// stalled thread pins intervals it announced in *earlier, completed*
 /// operations — a wider exposure than the pre-amortization design, where
 /// `end_op` withdrew every margin. Writers churn exactly the covered
-/// range; the oracle's waste-bound monitor (armed inside every `empty()`)
-/// plus the explicit Theorem 4.2 formula check below must both hold: the
+/// range; the explicit Theorem 4.2 formula check below, and under the
+/// oracle its waste-bound monitor inside every `empty()`, must hold: the
 /// epoch filter, not margin withdrawal, is what caps the pile-up.
 mod mp_stalled_wide_margin {
     use super::*;
@@ -296,8 +296,8 @@ mod mp_stalled_wide_margin {
     /// Runs the §1 scenario — a reader stalls inside a pinned op with
     /// standing margins tiling the key range while two writers churn the
     /// covered keys — and returns the peak global pending waste.
-    fn stalled_wide_margin_peak(config: Config) -> usize {
-        let smr = Mp::new(config);
+    fn stalled_wide_margin_peak() -> usize {
+        let smr = Mp::new(stall_config());
         let ds = Arc::new(LinkedList::<Mp>::new(&smr));
         {
             let mut h = smr.register();
@@ -365,9 +365,9 @@ mod mp_stalled_wide_margin {
 
     #[test]
     fn waste_stays_in_theorem_4_2_bound_under_covered_churn() {
-        let peak_pending = stalled_wide_margin_peak(stall_config());
-        // The oracle enforces the Theorem 4.2 bound inside every scan; the
-        // explicit check documents the satellite contract.
+        let peak_pending = stalled_wide_margin_peak();
+        // Under the oracle the Theorem 4.2 bound is also enforced inside
+        // every scan.
         let bound = theorem_bound();
         assert!(
             (peak_pending as u128) <= bound,
@@ -377,66 +377,39 @@ mod mp_stalled_wide_margin {
         // range, so without the epoch filter the pile-up would track the
         // total churn (~tens of thousands of retires). The filter caps the
         // margin-pinned set at nodes whose lifetime contains the stalled
-        // epoch, leaving only scan-cadence backlog on top.
+        // epoch, leaving only scan-cadence backlog (each writer's unscanned
+        // list, up to the 2·5·62 = 620-node watermark) on top.
         assert!(
             peak_pending <= 2_000,
             "stalled wide margin pinned {peak_pending} nodes; epoch filter ineffective"
-        );
-    }
-
-    /// Same scenario with watermark-batched scans: deferring the scan to a
-    /// retired-count watermark W adds at most W unscanned nodes per thread
-    /// on top of the Theorem 4.2 pile, and the stall itself must not defeat
-    /// the trigger (a stalled *reader* retires nothing; the writers keep
-    /// crossing their own watermarks).
-    #[test]
-    fn waste_bound_survives_watermark_batched_scans() {
-        const WATERMARK: usize = 256;
-        let peak_pending = stalled_wide_margin_peak(
-            stall_config().with_scan_watermark(WATERMARK),
-        );
-        let bound = theorem_bound() + 5 * WATERMARK as u128;
-        assert!(
-            (peak_pending as u128) <= bound,
-            "peak waste {peak_pending} exceeds watermark-adjusted bound {bound}"
-        );
-        // Sharpness: the fixed-cadence sibling stays under 2 000; batching
-        // may add at most T·W on top of that.
-        assert!(
-            peak_pending <= 2_000 + 5 * WATERMARK,
-            "watermark batching pinned {peak_pending} nodes; scans not firing under stall"
         );
     }
 }
 
 /// Robustness scenario matrix: four thread-misbehavior scenarios × the
 /// four schemes the paper's comparison leans on, at a higher thread count
-/// than the base suite. The scan trigger carries a deliberately tiny byte
-/// watermark (`Config::scan_watermark_bytes`): once the scheme-wide
-/// retired-bytes gauge reaches it, every retire that has grown its list
-/// by `empty_freq` since the last scan scans early. Each scenario must
-/// (a) complete — no deadlock, no OOM, workers make progress, (b) keep the
-/// structure usable afterwards (sequential probe routes survivors through
-/// the oracle's canary check), and (d) for the bounded-waste schemes (MP,
-/// HP, HE) keep the peak retired-bytes gauge within a small multiple of
-/// the watermark. EBR is exempt from (d) by design — a stalled or leaked
-/// pin defeats epoch reclamation (§1), which is exactly the paper's
-/// motivation; survival is still asserted. Without the byte watermark
-/// the capped schemes overshoot (d) by an order of magnitude: each handle
-/// then waits for its own list to reach `k × H` before scanning.
+/// than the base suite. Each scenario must (a) complete — no deadlock, no
+/// OOM, workers make progress, (b) keep the structure usable afterwards
+/// (a sequential probe, which under the oracle routes survivors through
+/// its canary check), and (d) for the bounded-waste schemes (MP, HP, HE)
+/// keep the scheme's retired-node gauge under the cap the scan trigger
+/// implies: no handle holds more than a watermark plus `empty_freq`
+/// unscanned or kept nodes. EBR is exempt from (d) by design — a stalled
+/// or leaked pin defeats epoch reclamation (§1), which is exactly the
+/// paper's motivation; survival is still asserted.
 mod scenario_matrix {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
     const WORKERS: usize = 6;
     const OPS_PER_WORKER: u64 = 1_500;
-    /// Tiny byte watermark (a few dozen list nodes), far below what the
-    /// node watermark alone lets six handles hold.
-    const CAP_BYTES: usize = 4 << 10;
-    /// Robustness multiple for the capped schemes: the gauge may overshoot
-    /// the watermark by in-flight batches and the `empty_freq` re-arm
-    /// floor, but a bounded-waste scheme must stay within this.
-    const CAP_SLACK: usize = 16;
+    /// The list's slot row, as the benchmark's `list-read` sizes it. The
+    /// trigger's watermark grows with the row: a skip list's 62 slots would
+    /// let each handle hold 1 240 unscanned nodes.
+    const LIST_SLOTS: usize = 4;
+    /// Handles that retire: the workers and the misbehaver (the prefill
+    /// only inserts).
+    const RETIRING_HANDLES: usize = WORKERS + 1;
 
     /// Which way the extra thread misbehaves.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -458,19 +431,29 @@ mod scenario_matrix {
         KilledThread,
     }
 
-    /// Aggressive cadences plus the byte watermark. `max_threads` leaves
-    /// exactly a couple of spare slots so `SlotExhaustion` reaches the
-    /// limit quickly while the other scenarios keep their probe slot.
+    /// Aggressive cadences. `max_threads` leaves exactly a couple of spare
+    /// slots so `SlotExhaustion` reaches the limit quickly while the other
+    /// scenarios keep their probe slot.
     fn matrix_cfg() -> Config {
         Config::default()
             .with_max_threads(WORKERS + 4)
-            .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
+            .with_slots_per_thread(LIST_SLOTS)
             .with_empty_freq(64)
             .with_epoch_freq(16)
-            .with_scan_watermark_bytes(CAP_BYTES)
+    }
+
+    /// Check (d)'s cap in nodes: a handle scans once its list reaches the
+    /// watermark `max(empty_freq, 2·T·H)` and re-arms at `kept +
+    /// empty_freq`, so each retiring handle holds at most a watermark plus
+    /// `empty_freq` — 7 × (80 + 64) = 1 008 nodes here.
+    fn node_cap() -> usize {
+        let c = matrix_cfg();
+        let watermark = c.empty_freq.max(2 * c.max_threads * c.slots_per_thread);
+        RETIRING_HANDLES * (watermark + c.empty_freq)
     }
 
     fn run_scenario<S: Smr>(scenario: Scenario, waste_capped: bool) {
+        #[cfg(feature = "oracle")]
         oracle::set_replay_seed(0x5ce9_a210);
         let smr = S::new(matrix_cfg());
         let ds = Arc::new(LinkedList::<S>::new(&smr));
@@ -484,7 +467,7 @@ mod scenario_matrix {
         let done = Arc::new(AtomicBool::new(false));
         let workers_done = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(WORKERS + 2)); // workers + misbehaver + poller
-        let mut peak_bytes = 0usize;
+        let mut peak_nodes = 0usize;
         let mut total_ops = 0u64;
 
         std::thread::scope(|s| {
@@ -594,10 +577,10 @@ mod scenario_matrix {
 
             barrier.wait();
             while workers_done.load(Ordering::Acquire) < WORKERS {
-                peak_bytes = peak_bytes.max(smr.telemetry().pending_bytes());
+                peak_nodes = peak_nodes.max(smr.retired_pending());
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            peak_bytes = peak_bytes.max(smr.telemetry().pending_bytes());
+            peak_nodes = peak_nodes.max(smr.retired_pending());
             done.store(true, Ordering::Release);
             for j in joins {
                 total_ops += j.join().expect("worker panicked");
@@ -609,18 +592,18 @@ mod scenario_matrix {
             total_ops >= WORKERS as u64 * OPS_PER_WORKER,
             "workers did not complete their plans: {total_ops}"
         );
-        // (d) Bounded-waste schemes keep the gauge near the cap even while
-        // a thread misbehaves; EBR is exempt (§1).
+        // (d) Bounded-waste schemes keep the gauge under the trigger's cap
+        // even while a thread misbehaves; EBR is exempt (§1).
         if waste_capped {
             assert!(
-                peak_bytes <= CAP_BYTES * CAP_SLACK,
-                "{}: peak retired bytes {peak_bytes} exceeded {CAP_SLACK}x the \
-                 {CAP_BYTES}-byte scan watermark",
-                S::name()
+                peak_nodes <= node_cap(),
+                "{}: peak retired nodes {peak_nodes} exceeded the trigger's cap of {}",
+                S::name(),
+                node_cap()
             );
         }
-        // (b) The structure still works; the scan routes survivors through
-        // the oracle's canary check.
+        // (b) The structure still works; under the oracle the scan routes
+        // survivors through its canary check.
         let mut h = smr.register();
         let probe = KEY_SPACE + 7;
         assert!(ds.insert(&mut h, probe));

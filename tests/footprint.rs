@@ -27,7 +27,7 @@ fn cfg() -> Config {
     Config::default()
         .with_max_threads(2)
         .with_slots_per_thread(SLOTS_NEEDED)
-        .with_scan_watermark(1 << 20)
+        .with_empty_freq(1 << 20)
 }
 
 /// Inserts `keys` keys, removes them one at a time, and returns what each

@@ -126,7 +126,7 @@ fn leaky_churn_is_hb_clean() {
 /// reader runs on its own thread because the ledger keys claims by thread;
 /// its panic, if any, is re-raised on the caller's.
 fn hp_reader_derefs_a_retired_node(release_first: bool) {
-    let smr = Hp::new(cfg().with_scan_watermark(1 << 20));
+    let smr = Hp::new(cfg().with_empty_freq(1 << 20));
     let mut writer = smr.register();
     writer.start_op();
     let n = writer.alloc(7u64);

@@ -13,15 +13,17 @@ use margin_pointers::smr::{Config, Smr, SmrHandle};
 const CHURN_PER_WORKER: u64 = 5_000;
 const WORKERS: u64 = 2;
 
-fn cfg() -> Config {
-    Config::default().with_max_threads(4).with_empty_freq(8).with_epoch_freq(32)
+const DEFAULT_MARGIN: u32 = 1 << 20;
+
+fn cfg(margin: u32) -> Config {
+    Config::default().with_max_threads(4).with_empty_freq(8).with_epoch_freq(32).with_margin(margin)
 }
 
 /// Runs churn against a structure while one registered thread sits parked
 /// inside an operation; returns the scheme-wide retired-pending count right
 /// before the straggler wakes up.
-fn waste_under_stall<S: Smr>() -> usize {
-    let smr = S::new(cfg());
+fn waste_under_stall<S: Smr>(margin: u32) -> usize {
+    let smr = S::new(cfg(margin));
     let list = Arc::new(LinkedList::<S>::new(&smr));
     {
         let mut h = smr.register();
@@ -75,7 +77,7 @@ fn waste_under_stall<S: Smr>() -> usize {
 
 #[test]
 fn mp_waste_is_bounded_under_stall() {
-    let waste = waste_under_stall::<Mp>();
+    let waste = waste_under_stall::<Mp>(DEFAULT_MARGIN);
     // Theorem 4.2 bound: #HP + #MP·M + #MP·M·F·T — astronomically loose;
     // the practical bound is a couple of epochs of same-margin churn. The
     // stalled thread holds no slots here, so waste must be near zero.
@@ -84,13 +86,13 @@ fn mp_waste_is_bounded_under_stall() {
 
 #[test]
 fn hp_waste_is_bounded_under_stall() {
-    let waste = waste_under_stall::<Hp>();
+    let waste = waste_under_stall::<Hp>(DEFAULT_MARGIN);
     assert!(waste <= 64, "HP wasted {waste} nodes under a stall");
 }
 
 #[test]
 fn ebr_waste_grows_with_churn_under_stall() {
-    let waste = waste_under_stall::<Ebr>();
+    let waste = waste_under_stall::<Ebr>(DEFAULT_MARGIN);
     assert!(
         waste >= 1_000,
         "EBR should have pinned thousands of nodes, pinned only {waste}"
@@ -101,7 +103,12 @@ fn ebr_waste_grows_with_churn_under_stall() {
 fn mp_bound_scales_with_margin_not_churn() {
     // Same churn, two margins: MP's waste must not scale with the churn
     // volume either way (it may scale with the margin).
-    let w = waste_under_stall::<Mp>();
     let churn_total = (CHURN_PER_WORKER * WORKERS) as usize;
-    assert!(w * 20 < churn_total, "waste {w} looks proportional to churn {churn_total}");
+    for margin in [DEFAULT_MARGIN, 1 << 24] {
+        let w = waste_under_stall::<Mp>(margin);
+        assert!(
+            w * 20 < churn_total,
+            "margin {margin:#x}: waste {w} looks proportional to churn {churn_total}"
+        );
+    }
 }

@@ -137,7 +137,7 @@ fn steady_state_churn_does_not_allocate() {
     // retired-count watermark on the retire path, so the adaptive trigger
     // machinery itself is proven to stay off the heap in steady state.
     let smr = Hp::new(
-        Config::default().with_max_threads(2).with_slots_per_thread(4).with_scan_watermark(64),
+        Config::default().with_max_threads(2).with_slots_per_thread(4).with_empty_freq(64),
     );
     let mut h = smr.register();
     for _ in 0..8 {
