@@ -22,6 +22,13 @@
 //! passing a node with a smaller key updates the search interval's lower
 //! endpoint; the stopping node updates the upper endpoint. `insert` then
 //! allocates with the midpoint index of the final `(pred, succ)` interval.
+//!
+//! A search protects a node only before dereferencing it. `seek`'s stopping
+//! node needs only the mark bit of its `next` link, so `seek` tests it with
+//! a plain load and reads the successor under protection only to advance or
+//! to splice a marked node. A mark is permanent (a marked `next` is never
+//! re-pointed, and every CAS on a link expects an unmarked word), so the
+//! plain load decides what the protected read would have.
 
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
@@ -106,6 +113,11 @@ pub(crate) fn new_tail<S: Smr, V: Send + Sync + Default + 'static>(
 /// `prev` is the head link.
 // PROTECTION: caller — seek runs inside the caller's start_op/end_op
 // span; every deref below is of a slot-protected read made in this op.
+//
+// Out of line on purpose: inlined through `contains` into a caller's loop,
+// seek lost the hot-loop inlining bonus for its per-hop `read`, and HE's
+// `read` (over the default threshold) became a call on every hop.
+#[inline(never)]
 fn seek<'a, H: SmrHandle, V: Send + Sync + 'static>(
     head: &'a Atomic<Node<V>>,
     h: &mut H,
@@ -122,6 +134,15 @@ fn seek<'a, H: SmrHandle, V: Send + Sync + 'static>(
             debug_assert!(!curr.is_null(), "tail sentinel bounds every traversal");
             // SAFETY: [INV-01] curr was returned by a protected read this op.
             let curr_node = unsafe { curr.deref() }.data();
+            let ckey = curr_node.key;
+            // The stopping node: its successor is only mark-checked, so a
+            // plain load does (module docs).
+            if ckey >= key && curr_node.next.load(Ordering::Acquire).mark() == 0 {
+                h.update_upper_bound(curr);
+                // next_s protects nothing the caller needs; hand it back
+                // as scratch.
+                return Position { prev, curr, curr_key: ckey, free_slot: next_s };
+            }
             let next = h.read(&curr_node.next, next_s);
             if next.mark() != 0 {
                 // curr is logically deleted: splice it out of the list.
@@ -139,13 +160,9 @@ fn seek<'a, H: SmrHandle, V: Send + Sync + 'static>(
                 curr = next_clean;
                 continue;
             }
-            let ckey = curr_node.key;
-            if ckey >= key {
-                h.update_upper_bound(curr);
-                // next_s protected curr's successor, which the caller
-                // does not need; hand it back as scratch.
-                return Position { prev, curr, curr_key: ckey, free_slot: next_s };
-            }
+            // A stopping node reaches the read only with a marked link,
+            // and a mark is never cleared: an unmarked one means advance.
+            debug_assert!(ckey < key, "a mark is never cleared");
             h.update_lower_bound(curr);
             // Advance: curr's link becomes prev, next becomes curr; the
             // slot that protected the old prev's owner is recycled.

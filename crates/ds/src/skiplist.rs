@@ -24,6 +24,13 @@
 //! not two) and keeps one scratch slot for `remove`'s re-reads of the
 //! victim's tower: [`SLOTS_NEEDED`] `= 3 · MAX_HEIGHT + 2`, the last slot
 //! spare.
+//!
+//! A search protects a node only before dereferencing it. At a descent
+//! point `find` needs only the mark bit of the node's successor link, so it
+//! tests it with a plain load; the protected read is taken only to step
+//! right or to splice a marked node. A mark is permanent — a marked link is
+//! never re-pointed, and every CAS on a link expects an unmarked word — so
+//! the plain load decides what the protected read would have.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -150,7 +157,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             let mut pred = self.head;
             for level in (0..MAX_HEIGHT).rev() {
                 // Three-slot rotation (as in the list seek): one protected
-                // read per traversed node. Each level owns its three slots,
+                // read per node stepped onto. Each level owns its three slots,
                 // so the recorded (pred, succ) pair stays protected while
                 // lower levels — and the caller — do further reads.
                 let (mut pred_s, mut curr_s, mut next_s) =
@@ -168,6 +175,17 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                     // SAFETY: [INV-01] curr protected under curr_s; [INV-15]
                     // reached through a level-`level` link, so taller than it.
                     let (curr_node, curr_next) = unsafe { (curr.deref().data(), curr.tail()) };
+                    // Descend: record this level's pair; its slots are never
+                    // reused below this level or by the caller. The
+                    // successor is only mark-checked, so a plain load does
+                    // (module docs).
+                    if curr_node.key >= key && curr_next[level].load(Ordering::Acquire).mark() == 0
+                    {
+                        h.update_upper_bound(curr);
+                        preds[level] = pred;
+                        succs[level] = curr;
+                        break;
+                    }
                     let next = h.read(&curr_next[level], next_s);
                     if next.mark() != 0 {
                         // curr deleted at this level: splice it out. The
@@ -189,24 +207,18 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                         curr = next_clean;
                         continue;
                     }
-                    if curr_node.key < key {
-                        h.update_lower_bound(curr);
-                        // Advance right: rotate roles, no extra read.
-                        pred = curr;
-                        pred_next = curr_next;
-                        curr = next;
-                        let recycled = pred_s;
-                        pred_s = curr_s;
-                        curr_s = next_s;
-                        next_s = recycled;
-                        continue;
-                    }
-                    // Descend: record this level's pair; its slots are never
-                    // reused below this level or by the caller.
-                    h.update_upper_bound(curr);
-                    preds[level] = pred;
-                    succs[level] = curr;
-                    break;
+                    // A descent point reaches the read only with a marked
+                    // link, and a mark is never cleared: unmarked means
+                    // advance right. Rotate roles, no extra read.
+                    debug_assert!(curr_node.key < key, "a mark is never cleared");
+                    h.update_lower_bound(curr);
+                    pred = curr;
+                    pred_next = curr_next;
+                    curr = next;
+                    let recycled = pred_s;
+                    pred_s = curr_s;
+                    curr_s = next_s;
+                    next_s = recycled;
                 }
             }
             let found = {

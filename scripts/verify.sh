@@ -22,6 +22,13 @@ cargo run -q --release --offline -p mp-lint -- crates tests examples src
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# The data structures' unit tests again, optimised: their concurrent
+# stress tests and the skip list's link-after-remove regression race
+# differently in release, and the searches' unsafe derefs rest on which
+# reads those races leave protected.
+echo "==> cargo test -q --release --offline -p mp-ds"
+cargo test -q --release --offline -p mp-ds
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -9,8 +9,12 @@
 //!
 //! The workload is the canonical single-thread read-dominated list
 //! traversal: ~100 midpoint-indexed keys, 90% `contains` / 10% churn.
+//! One exact pin builds the list, the hash map and the skip list instead.
 
-use margin_pointers::ds::{ConcurrentSet, LinkedList};
+use std::sync::Arc;
+
+use margin_pointers::ds::skiplist::SLOTS_NEEDED;
+use margin_pointers::ds::{ConcurrentSet, HashMap, LinkedList, SkipList};
 use margin_pointers::smr::schemes::{Ebr, He, Hp, Mp};
 use margin_pointers::smr::{Config, Smr, Telemetry, TelemetrySnapshot};
 
@@ -116,6 +120,54 @@ fn hp_pays_about_one_fence_per_hop() {
         "HP's fences must be dominated by the protect site: {}",
         breakdown(&s)
     );
+}
+
+/// Inserts `keys` distinct keys drawn from `[0, 2·keys)` into a fresh
+/// structure on one HP handle and returns that handle's counters.
+fn hp_build<D: ConcurrentSet<Hp>>(
+    slots: usize,
+    keys: u64,
+    new: impl Fn(&Arc<Hp>) -> D,
+) -> TelemetrySnapshot {
+    let smr = Hp::new(Config::default().with_max_threads(2).with_slots_per_thread(slots));
+    let set = new(&smr);
+    let mut h = smr.register();
+    let mut rng = Lcg(0x5eed_f00d_fe4c_e002);
+    let mut added = 0;
+    while added < keys {
+        if set.insert(&mut h, rng.next() % (2 * keys)) {
+            added += 1;
+        }
+    }
+    h.snapshot()
+}
+
+/// Exact pin: a search protects a node only before dereferencing it. On
+/// one HP handle an insert-only build pays one protect fence per node it
+/// steps onto, on every structure that runs the list's `seek` or the skip
+/// list's `find`: the successor of a stopping node or a descent point is
+/// only mark-checked, with a plain load. Single-threaded and insert-only,
+/// so no validation retries and no marked node: equality, not a band.
+#[test]
+fn hp_build_pays_one_protect_fence_per_node_stepped_onto() {
+    let builds = [
+        ("list", hp_build(4, 1_000, LinkedList::<Hp>::new)),
+        ("hashmap", hp_build(4, 16_384, |smr| HashMap::<Hp>::with_buckets(smr, 4_096))),
+        ("skiplist", hp_build(SLOTS_NEEDED, 8_192, SkipList::<Hp>::new)),
+    ];
+    let per_insert = |n: u64, s: &TelemetrySnapshot| n as f64 / s.ops() as f64;
+    let wrong: Vec<String> = builds
+        .iter()
+        .filter(|(_, s)| s.fences_hp_protect() != s.nodes_traversed())
+        .map(|(name, s)| {
+            format!(
+                "{name}: {:.2} protect fences for {:.2} hops per insert",
+                per_insert(s.fences_hp_protect(), s),
+                per_insert(s.nodes_traversed(), s)
+            )
+        })
+        .collect();
+    assert!(wrong.is_empty(), "a search protected what it only mark-checks: {}", wrong.join("; "));
 }
 
 /// Companion pin: EBR fences once per operation (the start_op epoch

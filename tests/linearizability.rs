@@ -90,11 +90,13 @@ linearizability_tests! {
     list_ebr_histories_linearizable     => Ebr on LinkedList<Ebr>;
     list_he_histories_linearizable      => He  on LinkedList<He>;
     skiplist_mp_histories_linearizable  => Mp  on SkipList<Mp>;
+    skiplist_hp_histories_linearizable  => Hp  on SkipList<Hp>;
     skiplist_ibr_histories_linearizable => Ibr on SkipList<Ibr>;
     skiplist_he_histories_linearizable  => He  on SkipList<He>;
     nmtree_mp_histories_linearizable    => Mp  on NmTree<Mp>;
     nmtree_hp_histories_linearizable    => Hp  on NmTree<Hp>;
     hashmap_mp_histories_linearizable   => Mp  on HashMap<Mp>;
+    hashmap_hp_histories_linearizable   => Hp  on HashMap<Hp>;
     hashmap_he_histories_linearizable   => He  on HashMap<He>;
     dta_list_histories_linearizable     => Dta on DtaList;
 }
