@@ -4,14 +4,16 @@
 //! the same loop, not a second harness.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use mp_ds::ConcurrentSet;
-use mp_smr::{AnySmr, Config, SchemeKind, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
+use mp_smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
+use mp_smr::{Config, SchemeKind, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
 use mp_util::hist::Histogram;
 
 use crate::workload::{thread_rng, KeyDist, KeySampler, Mix, Op};
+use crate::Scale;
 
 /// One operation in this many is timed (as `benchmark/` does): a pair of
 /// clock reads is a quarter of a tree lookup if taken on every operation.
@@ -29,7 +31,7 @@ pub enum Prefill {
 }
 
 /// Parameters of one measurement point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchParams {
     /// Worker thread count.
     pub threads: usize,
@@ -61,16 +63,17 @@ pub struct BenchParams {
 }
 
 impl BenchParams {
-    /// Parameters for reproducing a paper experiment: `paper_prefill` is the
-    /// paper's S (500 K for BST/skip list, 5 K for the list); the actual
-    /// prefill is CI-scaled via [`crate::prefill_size`] and MP's margin is
-    /// scaled to keep *margin × index density* at the paper's operating
-    /// point — midpoint indices spread over the whole 32-bit space, so a
-    /// 2^20 margin over a 25×-smaller structure covers 25× fewer neighbors
-    /// unless rescaled.
-    pub fn paper(threads: usize, paper_prefill: usize, mix: Mix) -> Self {
-        let prefill = crate::prefill_size(paper_prefill);
+    /// Parameters for reproducing a paper experiment at `scale`:
+    /// `paper_prefill` is the paper's S (500 K for BST/skip list, 5 K for
+    /// the list); the actual prefill and the run length come from
+    /// [`Scale`], and MP's margin is scaled to keep *margin × index
+    /// density* at the paper's operating point — midpoint indices spread
+    /// over the whole 32-bit space, so a 2^20 margin over a 25×-smaller
+    /// structure covers 25× fewer neighbors unless rescaled.
+    pub fn paper(scale: Scale, threads: usize, paper_prefill: usize, mix: Mix) -> Self {
+        let prefill = scale.prefill(paper_prefill);
         let mut p = Self::new(threads, prefill, mix);
+        p.duration = scale.duration();
         let scale = (paper_prefill as u64).div_ceil(prefill as u64).max(1);
         // Quadratic margin scaling: midpoint assignment splits index gaps
         // binarily, so a `scale`×-smaller structure not only spreads nodes
@@ -85,14 +88,14 @@ impl BenchParams {
         p
     }
 
-    /// Raw parameters: exact prefill, default margin, uniform keys, no
-    /// churn, no stalled threads.
+    /// Raw parameters: exact prefill, [`Scale::Ci`]'s run length, default
+    /// margin, uniform keys, no churn, no stalled threads.
     pub fn new(threads: usize, prefill: usize, mix: Mix) -> Self {
         // Slot budget: the skip list needs the most (2 per level + 2).
         let slots = mp_ds::skiplist::SLOTS_NEEDED;
         BenchParams {
             threads,
-            duration: crate::duration(),
+            duration: Scale::Ci.duration(),
             prefill,
             prefill_mode: Prefill::Random,
             mix,
@@ -177,29 +180,61 @@ fn vm_rss_kb(status: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The data structures a [`Point`] can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Structure {
+    /// Michael's linked list ([`LinkedList`]); under DTA, the co-designed
+    /// [`DtaList`] (§6 evaluates DTA only there).
+    List,
+    /// Fraser's skip list ([`SkipList`]).
+    SkipList,
+    /// The Natarajan–Mittal tree ([`NmTree`]).
+    NmTree,
+    /// Michael's hash table ([`HashMap`]).
+    HashMap,
+}
+
+/// One measurement point: a structure, a scheme and the parameters to
+/// run them at.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point {
+    /// The structure under test.
+    pub structure: Structure,
+    /// The reclamation scheme.
+    pub scheme: SchemeKind,
+    /// Threads, mix, prefill, duration, seed and `Config`.
+    pub params: BenchParams,
+}
+
+/// Runs one measurement point. The scheme and structure are data; this
+/// match turns them into concrete types, so every point runs statically
+/// dispatched, as a hand-written `run::<Mp, NmTree<Mp>>` would.
+pub fn run_point(point: &Point) -> BenchResult {
+    fn on<S: Smr>(structure: Structure, p: &BenchParams) -> BenchResult {
+        match structure {
+            Structure::List => run::<S, LinkedList<S>>(p),
+            Structure::SkipList => run::<S, SkipList<S>>(p),
+            Structure::NmTree => run::<S, NmTree<S>>(p),
+            Structure::HashMap => run::<S, HashMap<S>>(p),
+        }
+    }
+    let (structure, p) = (point.structure, &point.params);
+    match point.scheme {
+        SchemeKind::Mp => on::<Mp>(structure, p),
+        SchemeKind::Hp => on::<Hp>(structure, p),
+        SchemeKind::Ebr => on::<Ebr>(structure, p),
+        SchemeKind::He => on::<He>(structure, p),
+        SchemeKind::Ibr => on::<Ibr>(structure, p),
+        SchemeKind::Dta if structure == Structure::List => run::<Dta, DtaList>(p),
+        SchemeKind::Dta => on::<Dta>(structure, p),
+        SchemeKind::Leaky => on::<Leaky>(structure, p),
+    }
+}
+
 /// Runs one measurement point of scheme `S` on structure `D`.
-pub fn run<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams) -> BenchResult {
-    run_with::<S, D>(p, |cfg| S::new(cfg))
-}
-
-/// Runs one measurement point of the runtime-selected `kind` on structure
-/// `D` through the [`AnySmr`] facade — one monomorphization for the whole
-/// scheme sweep, at enum-dispatch cost on the hot path (fine for
-/// comparisons, use [`run`] for absolute numbers).
-pub fn run_kind<D: ConcurrentSet<AnySmr>>(kind: SchemeKind, p: &BenchParams) -> BenchResult {
-    run_with::<AnySmr, D>(p, |cfg| {
-        AnySmr::try_with_kind(kind, cfg).expect("valid bench config")
-    })
-}
-
-/// [`run`] with an explicit scheme constructor (the facade entry point
-/// injects the selected kind through `make`).
-fn run_with<S: Smr, D: ConcurrentSet<S>>(
-    p: &BenchParams,
-    make: impl FnOnce(Config) -> Arc<S>,
-) -> BenchResult {
+fn run<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams) -> BenchResult {
     p.mix.check();
-    let smr = make(p.config.clone());
+    let smr = S::new(p.config.clone());
     let ds = D::new(&smr);
     let sampler = KeySampler::new(p.dist, (2 * p.prefill.max(1)) as u64);
 
@@ -340,40 +375,11 @@ fn run_with<S: Smr, D: ConcurrentSet<S>>(
     res
 }
 
-/// `n` repetitions of the same point (the paper reports the mean of 10
-/// runs): `mops` is the mean over runs; the telemetry snapshots and
-/// latency histograms are merged — so every ratio or quantile read from
-/// the result is pooled over all runs' counts rather than a mean of
-/// per-run figures; counts are summed and peaks (and `end_pending`) are
-/// the max.
-pub fn run_avg<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams, n: usize) -> BenchResult {
-    let n = n.max(1);
-    let mut runs = (0..n).map(|i| {
-        let mut p = p.clone();
-        p.seed = p.seed.wrapping_add(i as u64);
-        run::<S, D>(&p)
-    });
-    let mut acc = runs.next().expect("at least one run");
-    for r in runs {
-        acc.total_ops += r.total_ops;
-        acc.mops += r.mops;
-        acc.telemetry.merge(&r.telemetry);
-        acc.latency.merge(&r.latency);
-        acc.handle_churns += r.handle_churns;
-        acc.peak_pending = acc.peak_pending.max(r.peak_pending);
-        acc.peak_pending_bytes = acc.peak_pending_bytes.max(r.peak_pending_bytes);
-        acc.end_pending = acc.end_pending.max(r.end_pending);
-        acc.peak_rss_kb = acc.peak_rss_kb.max(r.peak_rss_kb);
-    }
-    acc.mops /= n as f64;
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{READ_DOMINATED, READ_ONLY};
-    use mp_ds::{HashMap, LinkedList, NmTree, SkipList};
+    use mp_ds::{LinkedList, NmTree, SkipList};
     use mp_smr::schemes::{Ebr, Hp, Mp};
 
     fn quick(threads: usize, prefill: usize, mix: Mix) -> BenchParams {
@@ -392,14 +398,6 @@ mod tests {
             assert!(r.total_ops > 0, "no progress: {r:?}");
             assert!(r.telemetry.ops() >= r.total_ops, "every op brackets start/end");
         }
-    }
-
-    #[test]
-    fn facade_run_matches_the_static_path() {
-        let p = quick(2, 100, READ_DOMINATED);
-        let r = run_kind::<LinkedList<AnySmr>>(SchemeKind::Hp, &p);
-        assert!(r.total_ops > 0, "no progress through the facade: {r:?}");
-        assert!(r.telemetry.ops() >= r.total_ops);
     }
 
     #[test]
@@ -439,18 +437,17 @@ mod tests {
         matches!(kind, SchemeKind::Mp | SchemeKind::Hp)
     }
 
-    fn soak_smoke() -> BenchParams {
-        let mut p = BenchParams::soak(4, 128);
-        p.duration = Duration::from_millis(150);
-        p.churn_every = 500; // churn quickly at smoke scale
-        p
+    fn soak_smoke(scheme: SchemeKind, stalled: usize) -> Point {
+        let mut params = BenchParams::soak(4, 128).with_stalled(stalled);
+        params.duration = Duration::from_millis(150);
+        params.churn_every = 500; // churn quickly at smoke scale
+        Point { structure: Structure::HashMap, scheme, params }
     }
 
     #[test]
     fn soak_reclaims_under_churn_for_every_scheme() {
-        let p = soak_smoke();
         for kind in crate::COMPARISON_SET {
-            let r = run_kind::<HashMap<AnySmr>>(kind, &p);
+            let r = run_point(&soak_smoke(kind, 0));
             let who = kind.name();
             assert!(r.total_ops > 0, "{who}: no progress: {r:?}");
             let [p50, p99, p999] = [0.50, 0.99, 0.999].map(|q| r.latency.quantile(q));
@@ -488,9 +485,8 @@ mod tests {
         // "Never OOM": the ceiling the survival gate has always used, far
         // above anything a 150 ms run should reach.
         const RSS_CEILING_KB: u64 = 1_572_864; // 1.5 GiB
-        let p = soak_smoke().with_stalled(1);
         for kind in crate::COMPARISON_SET {
-            let r = run_kind::<HashMap<AnySmr>>(kind, &p);
+            let r = run_point(&soak_smoke(kind, 1));
             let who = kind.name();
             assert!(r.total_ops > 0, "{who}: writers must stay live under a stall: {r:?}");
             assert!(r.peak_pending_bytes > 0, "{who}: poller never saw the gauge move");

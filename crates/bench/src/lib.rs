@@ -4,129 +4,136 @@
 //! runs in which every thread repeatedly invokes a random operation on a
 //! uniformly random key, reporting aggregate throughput, wasted memory
 //! (average retired-list length at operation start), and memory-fence
-//! counts. One loop ([`driver`]) runs every point and one writer
-//! ([`report::Table::emit`]) records it; one `harness = false` bench
-//! target per paper table/figure regenerates the corresponding rows (see
-//! DESIGN.md's per-experiment index), and the `soak` target drives the
-//! same loop oversubscribed, with skewed keys, handle churn and optional
-//! stalled readers.
+//! counts. One loop ([`driver`]) runs every point, one match
+//! ([`driver::run_point`]) picks its concrete scheme and structure, and
+//! one writer ([`report::Table::emit`]) records it. The `figures` bench
+//! target regenerates every table — the paper's figures and Table 1, the
+//! collision analysis, the takeaways and the oversubscribed soak — from
+//! one sweep ([`figures`]) that measures each distinct point once.
 //!
 //! ## Scaling
 //!
 //! The paper ran 5-second, 10-repetition sweeps to 100 threads on an
-//! 88-hardware-thread machine. Defaults here are CI-sized; set
-//! `MP_BENCH_FULL=1` for paper-scale parameters, or override individual
-//! knobs: `MP_BENCH_THREADS` (comma list), `MP_BENCH_DURATION_MS`,
-//! `MP_BENCH_PREFILL`, `MP_BENCH_RUNS`. `MP_BENCH_DIR` redirects the
-//! CSV output.
+//! 88-hardware-thread machine. One variable sizes the sweep:
+//! `MP_BENCH_SCALE` is `smoke`, `ci` (the default) or `paper` ([`Scale`]).
+//! `MP_BENCH_DIR` redirects the CSV output.
 
 #![warn(missing_docs)]
 
+use std::time::Duration;
+
 pub mod driver;
+pub mod figures;
 pub mod linearize;
 pub mod report;
 pub mod workload;
 
-pub use driver::{run, run_kind, BenchParams, BenchResult, Prefill};
+pub use driver::{run_point, BenchParams, BenchResult, Point, Prefill, Structure};
 pub use report::Table;
 pub use workload::{KeyDist, Mix, READ_DOMINATED, READ_ONLY, WRITE_DOMINATED};
 
-/// Reads the thread counts to sweep (env `MP_BENCH_THREADS`, e.g. "1,2,4").
-pub fn thread_sweep() -> Vec<usize> {
-    if let Ok(s) = std::env::var("MP_BENCH_THREADS") {
-        return s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-    }
-    if full_scale() {
-        vec![1, 2, 4, 8, 16, 32, 48, 64, 80, 100]
-    } else {
-        vec![1, 2, 4]
-    }
+/// How large a figure sweep is: thread counts, run length, structure
+/// size and repetitions, chosen together by `MP_BENCH_SCALE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Every table in seconds: threads {1, 2}, 40 ms points, structures of
+    /// about 200 keys (`scripts/verify.sh`'s bench stage).
+    Smoke,
+    /// The default: threads {1, 2, 4}, 250 ms points, structures 1/25 of
+    /// the paper's (500 K → 20 K, 5 K → 200).
+    Ci,
+    /// The paper's §6 parameters: threads 1..100, 5 s points, 10
+    /// repetitions, full-size structures. Hours.
+    Paper,
 }
 
-/// Per-point run duration.
-pub fn duration() -> std::time::Duration {
-    let ms = std::env::var("MP_BENCH_DURATION_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if full_scale() { 5_000 } else { 250 });
-    std::time::Duration::from_millis(ms)
-}
-
-/// Structure prefill size (`S`); the key range is `2S` (§6). The paper uses
-/// S = 500 K for the BST/skip list and 5 K for the list.
-pub fn prefill_size(paper_default: usize) -> usize {
-    if let Ok(s) = std::env::var("MP_BENCH_PREFILL") {
-        if let Ok(v) = s.parse() {
-            return v;
+impl Scale {
+    /// The scale `MP_BENCH_SCALE` names; [`Scale::Ci`] when it is unset.
+    ///
+    /// # Panics
+    ///
+    /// On a value that names no scale, listing the choices.
+    pub fn from_env() -> Scale {
+        match std::env::var("MP_BENCH_SCALE") {
+            Ok(v) => v.parse().unwrap_or_else(|e| panic!("MP_BENCH_SCALE: {e}")),
+            Err(_) => Scale::Ci,
         }
     }
-    if full_scale() {
-        paper_default
-    } else {
-        // CI scale: shrink 500 K → 20 K and 5 K → 1 K.
-        (paper_default / 25).max(200)
+
+    /// The thread counts to sweep.
+    pub fn threads(self) -> Vec<usize> {
+        match self {
+            Scale::Smoke => vec![1, 2],
+            Scale::Ci => vec![1, 2, 4],
+            Scale::Paper => vec![1, 2, 4, 8, 16, 32, 48, 64, 80, 100],
+        }
+    }
+
+    /// The largest swept thread count, where the single-thread-count
+    /// figures (5, 7b, 7c, Table 1, the takeaways) run.
+    pub fn max_threads(self) -> usize {
+        *self.threads().last().expect("every scale sweeps a thread count")
+    }
+
+    /// Per-point run duration.
+    pub fn duration(self) -> Duration {
+        Duration::from_millis(match self {
+            Scale::Smoke => 40,
+            Scale::Ci => 250,
+            Scale::Paper => 5_000,
+        })
+    }
+
+    /// Structure prefill size `S` for an experiment the paper ran at
+    /// `paper` keys; the key range is `2S` (§6).
+    pub fn prefill(self, paper: usize) -> usize {
+        match self {
+            Scale::Smoke => (paper / 2_000).max(200),
+            Scale::Ci => (paper / 25).max(200),
+            Scale::Paper => paper,
+        }
+    }
+
+    /// Repetitions per point (paper: 10).
+    pub fn runs(self) -> usize {
+        match self {
+            Scale::Smoke | Scale::Ci => 1,
+            Scale::Paper => 10,
+        }
     }
 }
 
-/// Repetitions per data point (paper: 10).
-pub fn runs() -> usize {
-    std::env::var("MP_BENCH_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if full_scale() { 10 } else { 1 })
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "smoke" => Ok(Scale::Smoke),
+            "ci" => Ok(Scale::Ci),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(format!("unknown scale {s:?} (expected one of: smoke, ci, paper)")),
+        }
+    }
 }
 
-/// True when `MP_BENCH_FULL=1`: reproduce at the paper's scale.
-pub fn full_scale() -> bool {
-    std::env::var("MP_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
-}
-
-/// The §6 comparison set in [`for_each_scheme!`]'s order, for sweeps that
-/// select the scheme at run time ([`run_kind`]). DTA is list-specific
-/// (without its freezer it degenerates to EBR) and not part of it.
+/// The §6 comparison set, in the order every table lists it. DTA is
+/// list-specific (without its freezer it degenerates to EBR) and joins
+/// only the list's rows.
 pub const COMPARISON_SET: [mp_smr::SchemeKind; 5] = {
     use mp_smr::SchemeKind::{Ebr, He, Hp, Ibr, Mp};
     [Mp, Ibr, He, Hp, Ebr]
 };
 
-/// Runs `$body` once per SMR scheme (the §6 comparison set: MP, IBR, HE,
-/// HP, EBR), binding `$scheme_ty`/`$name`/a freshly computed [`BenchResult`]
-/// for the data-structure family `$ds` (a generic type constructor such as
-/// `LinkedList`). DTA is list-specific and handled separately (Figure 4).
-#[macro_export]
-macro_rules! for_each_scheme {
-    ($ds:ident, $p:expr, $runs:expr, |$name:ident, $res:ident| $body:block) => {{
-        {
-            let $name = "MP";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::Mp, $ds<mp_smr::schemes::Mp>>($p, $runs);
-            $body
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scales_parse_by_name_and_reject_anything_else() {
+        for (name, scale) in [("smoke", Scale::Smoke), ("ci", Scale::Ci), ("paper", Scale::Paper)] {
+            assert_eq!(name.parse::<Scale>(), Ok(scale));
         }
-        {
-            let $name = "IBR";
-            let $res = $crate::driver::run_avg::<mp_smr::schemes::Ibr, $ds<mp_smr::schemes::Ibr>>(
-                $p, $runs,
-            );
-            $body
-        }
-        {
-            let $name = "HE";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::He, $ds<mp_smr::schemes::He>>($p, $runs);
-            $body
-        }
-        {
-            let $name = "HP";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::Hp, $ds<mp_smr::schemes::Hp>>($p, $runs);
-            $body
-        }
-        {
-            let $name = "EBR";
-            let $res = $crate::driver::run_avg::<mp_smr::schemes::Ebr, $ds<mp_smr::schemes::Ebr>>(
-                $p, $runs,
-            );
-            $body
-        }
-    }};
+        let err = "full".parse::<Scale>().unwrap_err();
+        assert!(err.contains("smoke, ci, paper"), "{err}");
+    }
 }

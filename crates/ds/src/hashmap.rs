@@ -153,7 +153,7 @@ impl<S: Smr, V> Drop for HashMap<S, V> {
 mod tests {
     use super::*;
     use mp_smr::schemes::{Ebr, He, Hp, Ibr, Mp};
-    use mp_smr::Config;
+    use mp_smr::{AnySmr, Config};
 
     fn cfg() -> Config {
         Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
@@ -245,6 +245,8 @@ mod tests {
             stress_table::<He>(buckets);
             stress_table::<Ebr>(buckets);
             stress_table::<Ibr>(buckets);
+            // MP again, through the runtime-selected facade.
+            stress_table::<AnySmr>(buckets);
         }
     }
 

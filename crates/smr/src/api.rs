@@ -17,7 +17,7 @@ use crate::packed::{Atomic, Shared};
 use crate::telemetry::{self, SchemeTelemetry, Telemetry};
 
 /// Tunable SMR parameters (paper §4.3 Listing 2 constants + §6 defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Capacity of per-thread slot arrays; at most this many handles may be
     /// registered concurrently (`thread_cnt`).

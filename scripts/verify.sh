@@ -34,8 +34,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: a dangling intra-doc link (to a deleted or private item)
 # fails here instead of rotting in the rendered docs.
-echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds (rustdoc warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds
+echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench
 
 # Oracle stage: the same tests (the conformance matrix among them) plus
 # the negative oracle tests and mp-smr's oracle unit tests, with shadow
@@ -81,21 +81,20 @@ cargo clippy --offline -p mp-smr --all-targets --features oracle -- -D warnings
 cargo clippy --offline --all-targets --features "oracle hb-oracle" -- -D warnings
 cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
-# Bench smoke: every mp-bench target — each figure, Table 1, the
-# collision analysis, the takeaways and the soak (one stalled reader) —
-# runs to completion at smoke scale and writes
-# its tables into target/bench-smoke/. Each CSV must hold a header and at
-# least one row of the header's width; pass/fail on their *values* lives
-# in `cargo test -p mp-bench` (the driver's soak tests) and
+# Bench smoke: the figure sweep — each figure, Table 1, the collision
+# analysis, the takeaways and the soak with and without a stalled reader —
+# runs to completion at smoke scale and writes its tables into
+# target/bench-smoke/. Each CSV must hold a header and at least one row of
+# the header's width; which tables the sweep writes is pinned by
+# `mp_bench::figures`'s tests, and pass/fail on their *values* lives in
+# `cargo test -p mp-bench` (the driver's soak tests) and
 # tests/fence_budget.rs. Absolute path: `cargo bench` sets the CWD to the
 # package directory.
-echo "==> cargo bench --offline -p mp-bench (smoke scale, every figure)"
+echo "==> cargo bench --offline -p mp-bench --bench figures (smoke scale)"
 BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
-MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_THREADS=1,2 MP_BENCH_DURATION_MS=40 \
-  MP_BENCH_PREFILL=256 MP_BENCH_RUNS=1 \
-  MP_SOAK_CHURN=1000 MP_SOAK_STALLED=1 \
-  cargo bench --offline -p mp-bench >/dev/null
+MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_SCALE=smoke \
+  cargo bench --offline -p mp-bench --bench figures >/dev/null
 for table in "$BENCH_SMOKE_DIR"/*.csv; do
   awk -F, 'NR == 1 { width = NF; next } NF == width { rows++ } END { exit !(width && rows) }' \
     "$table" || { echo "!! bench smoke: $table lacks a header plus a row of its width" >&2; exit 1; }
