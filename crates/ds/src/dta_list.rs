@@ -499,52 +499,17 @@ mod tests {
 
     #[test]
     fn sequential_model_check() {
-        use mp_util::RngExt;
         let smr = Dta::new(cfg());
         let list = DtaList::new(&smr);
-        let mut h = smr.register();
-        let mut model = std::collections::BTreeSet::new();
-        let mut rng = mp_util::rng();
-        for _ in 0..3000 {
-            let key = rng.random_range(0..64u64);
-            match rng.random_range(0..3) {
-                0 => assert_eq!(list.insert(&mut h, key), model.insert(key)),
-                1 => assert_eq!(list.remove(&mut h, key), model.remove(&key)),
-                _ => assert_eq!(list.contains(&mut h, key), model.contains(&key)),
-            }
-        }
-        assert_eq!(list.collect(&mut h), model.iter().copied().collect::<Vec<_>>());
+        let model = crate::model_check(&list, &smr, 64, 3000);
+        assert_eq!(list.collect(&mut smr.register()), model);
     }
 
     #[test]
     fn concurrent_stress() {
-        use mp_util::RngExt;
         let smr = Dta::new(cfg());
-        let list = Arc::new(DtaList::new(&smr));
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let list = list.clone();
-                let smr = smr.clone();
-                s.spawn(move || {
-                    let mut h = smr.register();
-                    let mut rng = mp_util::rng();
-                    for i in 0..2500usize {
-                        let key = rng.random_range(0..32u64);
-                        match (i + t) % 3 {
-                            0 => {
-                                list.insert(&mut h, key);
-                            }
-                            1 => {
-                                list.remove(&mut h, key);
-                            }
-                            _ => {
-                                list.contains(&mut h, key);
-                            }
-                        }
-                    }
-                });
-            }
-        });
+        let list = DtaList::new(&smr);
+        crate::stress(&list, &smr, 32, 2500);
         let mut h = smr.register();
         let keys = list.collect(&mut h);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));

@@ -217,7 +217,8 @@ mod tests {
         for buckets in BUCKETS {
             let smr = Mp::new(cfg());
             let map: HashMap<Mp> = HashMap::with_buckets(&smr, buckets);
-            crate::model_check(&map, HashMap::collect, &smr, 256);
+            let model = crate::model_check(&map, &smr, 256, 4000);
+            assert_eq!(map.collect(&mut smr.register()), model);
         }
     }
 

@@ -92,28 +92,30 @@ fn canary_bytes() -> usize {
     header - 16
 }
 
-/// Random insert/remove/contains against a `BTreeSet` under MP, keys drawn
-/// from `0..keys`; `collect` lists the structure's keys in order at the end.
+/// `ops` random inserts, removes and lookups on one handle, each checked
+/// against a `BTreeSet`, keys drawn from `0..keys`. Returns the model's
+/// keys in order, for the caller to compare with the structure's; the
+/// handle is dropped by then, so a quiescent walk may follow.
 #[cfg(test)]
-fn model_check<D: ConcurrentSet<mp_smr::schemes::Mp>>(
+fn model_check<S: Smr, D: ConcurrentSet<S>>(
     ds: &D,
-    collect: impl Fn(&D, &mut <mp_smr::schemes::Mp as Smr>::Handle) -> Vec<u64>,
-    smr: &Arc<mp_smr::schemes::Mp>,
+    smr: &Arc<S>,
     keys: u64,
-) {
+    ops: usize,
+) -> Vec<u64> {
     use mp_util::RngExt;
     let mut h = smr.register();
     let mut model = std::collections::BTreeSet::new();
     let mut rng = mp_util::rng();
-    for _ in 0..4000 {
+    for _ in 0..ops {
         let key = rng.random_range(0..keys);
         match rng.random_range(0..3) {
-            0 => assert_eq!(ds.insert(&mut h, key), model.insert(key)),
-            1 => assert_eq!(ds.remove(&mut h, key), model.remove(&key)),
-            _ => assert_eq!(ds.contains(&mut h, key), model.contains(&key)),
+            0 => assert_eq!(ds.insert(&mut h, key), model.insert(key), "insert {key}"),
+            1 => assert_eq!(ds.remove(&mut h, key), model.remove(&key), "remove {key}"),
+            _ => assert_eq!(ds.contains(&mut h, key), model.contains(&key), "contains {key}"),
         }
     }
-    assert_eq!(collect(ds, &mut h), model.iter().copied().collect::<Vec<_>>());
+    model.into_iter().collect()
 }
 
 /// Four threads of `ops` mixed insert/remove/contains each, keys drawn from

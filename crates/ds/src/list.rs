@@ -465,7 +465,8 @@ mod tests {
     fn sequential_model_check_mp() {
         let smr = Mp::new(cfg());
         let list: LinkedList<Mp> = LinkedList::new(&smr);
-        crate::model_check(&list, LinkedList::collect, &smr, 64);
+        let model = crate::model_check(&list, &smr, 64, 4000);
+        assert_eq!(list.collect(&mut smr.register()), model);
     }
 
     #[test]

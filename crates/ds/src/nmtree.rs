@@ -384,11 +384,6 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
         out.sort_unstable();
         out
     }
-
-    /// Number of client keys (quiescent test helper).
-    pub fn len_quiescent(&mut self) -> usize {
-        self.collect_quiescent().len()
-    }
 }
 
 impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for NmTree<S, V> {
@@ -758,26 +753,10 @@ mod tests {
 
     #[test]
     fn sequential_model_check_mp() {
-        use mp_util::RngExt;
         let smr = Mp::new(cfg());
         let mut tree: NmTree<Mp> = NmTree::new(&smr);
-        let mut h = smr.register();
-        let mut model = std::collections::BTreeSet::new();
-        let mut rng = mp_util::rng();
-        for _ in 0..4000 {
-            let key = rng.random_range(0..128u64);
-            match rng.random_range(0..3) {
-                0 => assert_eq!(tree.insert(&mut h, key), model.insert(key), "insert {key}"),
-                1 => assert_eq!(tree.remove(&mut h, key), model.remove(&key), "remove {key}"),
-                _ => assert_eq!(
-                    tree.contains(&mut h, key),
-                    model.contains(&key),
-                    "contains {key}"
-                ),
-            }
-        }
-        drop(h);
-        assert_eq!(tree.collect_quiescent(), model.iter().copied().collect::<Vec<_>>());
+        let model = crate::model_check(&tree, &smr, 128, 4000);
+        assert_eq!(tree.collect_quiescent(), model);
     }
 
     #[test]
@@ -796,34 +775,9 @@ mod tests {
     }
 
     fn concurrent_stress<S: Smr>() {
-        use mp_util::RngExt;
         let smr = S::new(cfg());
-        let tree = Arc::new(NmTree::<S>::new(&smr));
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let tree = tree.clone();
-                let smr = smr.clone();
-                s.spawn(move || {
-                    let mut h = smr.register();
-                    let mut rng = mp_util::rng();
-                    for i in 0..2500usize {
-                        let key = rng.random_range(0..64u64);
-                        match (i + t) % 3 {
-                            0 => {
-                                tree.insert(&mut h, key);
-                            }
-                            1 => {
-                                tree.remove(&mut h, key);
-                            }
-                            _ => {
-                                tree.contains(&mut h, key);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let mut tree = Arc::into_inner(tree).expect("all workers joined");
+        let mut tree = NmTree::<S>::new(&smr);
+        crate::stress(&tree, &smr, 64, 2500);
         let keys = tree.collect_quiescent();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
     }

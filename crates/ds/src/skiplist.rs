@@ -707,23 +707,10 @@ mod tests {
 
     #[test]
     fn sequential_model_check_mp() {
-        use mp_util::RngExt;
         let smr = Mp::new(cfg());
         let sl: SkipList<Mp> = SkipList::new(&smr);
-        let mut h = smr.register();
-        let mut model = std::collections::BTreeSet::new();
-        let mut rng = mp_util::rng();
-        for _ in 0..4000 {
-            let key = rng.random_range(0..128u64);
-            match rng.random_range(0..3) {
-                0 => assert_eq!(sl.insert(&mut h, key), model.insert(key), "insert {key}"),
-                1 => assert_eq!(sl.remove(&mut h, key), model.remove(&key), "remove {key}"),
-                _ => {
-                    assert_eq!(sl.contains(&mut h, key), model.contains(&key), "contains {key}")
-                }
-            }
-        }
-        assert_eq!(sl.collect(&mut h), model.iter().copied().collect::<Vec<_>>());
+        let model = crate::model_check(&sl, &smr, 128, 4000);
+        assert_eq!(sl.collect(&mut smr.register()), model);
     }
 
     #[test]
@@ -742,33 +729,9 @@ mod tests {
     }
 
     fn concurrent_stress<S: Smr>() {
-        use mp_util::RngExt;
         let smr = S::new(cfg());
-        let sl = Arc::new(SkipList::<S>::new(&smr));
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let sl = sl.clone();
-                let smr = smr.clone();
-                s.spawn(move || {
-                    let mut h = smr.register();
-                    let mut rng = mp_util::rng();
-                    for i in 0..2500usize {
-                        let key = rng.random_range(0..64u64);
-                        match (i + t) % 3 {
-                            0 => {
-                                sl.insert(&mut h, key);
-                            }
-                            1 => {
-                                sl.remove(&mut h, key);
-                            }
-                            _ => {
-                                sl.contains(&mut h, key);
-                            }
-                        }
-                    }
-                });
-            }
-        });
+        let sl = SkipList::<S>::new(&smr);
+        crate::stress(&sl, &smr, 64, 2500);
         let mut h = smr.register();
         let keys = sl.collect(&mut h);
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");

@@ -162,15 +162,6 @@ impl AnySmr {
     pub fn scheme_name(&self) -> &'static str {
         self.kind().name()
     }
-
-    /// The wrapped [`Dta`] instance, when this facade selected DTA — for
-    /// clients that need the scheme-specific freezer hook.
-    pub fn as_dta(&self) -> Option<&Arc<Dta>> {
-        match self {
-            AnySmr::Dta(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl Smr for AnySmr {
@@ -304,15 +295,5 @@ mod tests {
         }
         drop(h);
         assert!(smr.try_register().is_ok(), "slot recycles after handle drop");
-    }
-
-    #[test]
-    fn dta_accessor_exposes_the_freezer_hook() {
-        let smr =
-            AnySmr::try_with_kind(SchemeKind::Dta, Config::default().with_max_threads(1)).unwrap();
-        assert!(smr.as_dta().is_some());
-        let smr =
-            AnySmr::try_with_kind(SchemeKind::Mp, Config::default().with_max_threads(1)).unwrap();
-        assert!(smr.as_dta().is_none());
     }
 }

@@ -278,11 +278,6 @@ pub(crate) fn pin_exit() {
     PIN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
 }
 
-/// Number of addresses currently tracked (live + quarantined nodes).
-pub fn tracked_nodes() -> usize {
-    table().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,12 +48,6 @@ impl SlotArray {
         SlotArray { cells, base, stride, slots, threads, init }
     }
 
-    /// Number of slots per thread.
-    #[inline]
-    pub fn slots_per_thread(&self) -> usize {
-        self.slots
-    }
-
     /// Number of thread rows.
     #[inline]
     pub fn threads(&self) -> usize {
@@ -75,17 +69,11 @@ impl SlotArray {
         &self.cells[start..start + self.slots]
     }
 
-    /// Resets every slot of `tid` to the "no protection" sentinel.
-    pub fn clear_row(&self, tid: usize, order: Ordering) {
+    /// Resets every slot of `tid` to the "no protection" sentinel (Release).
+    pub fn clear_row(&self, tid: usize) {
         for s in self.row(tid) {
-            s.store(self.init, order);
+            s.store(self.init, Ordering::Release);
         }
-    }
-
-    /// The sentinel value this array was initialized with.
-    #[inline]
-    pub fn init_value(&self) -> u64 {
-        self.init
     }
 
     /// Snapshots every announced (non-sentinel) value of every row into
@@ -263,7 +251,7 @@ mod tests {
     fn slot_array_layout_and_clear() {
         let a = SlotArray::new(3, 4, u64::MAX);
         assert_eq!(a.threads(), 3);
-        assert_eq!(a.slots_per_thread(), 4);
+        assert_eq!(a.row(2).len(), 4);
         for t in 0..3 {
             for s in 0..4 {
                 assert_eq!(a.get(t, s).load(Ordering::Relaxed), u64::MAX);
@@ -273,7 +261,7 @@ mod tests {
         assert_eq!(a.get(1, 2).load(Ordering::Relaxed), 7);
         // Other rows untouched.
         assert_eq!(a.get(0, 2).load(Ordering::Relaxed), u64::MAX);
-        a.clear_row(1, Ordering::Relaxed);
+        a.clear_row(1);
         assert_eq!(a.get(1, 2).load(Ordering::Relaxed), u64::MAX);
     }
 
@@ -312,7 +300,7 @@ mod tests {
         assert_eq!(out, [5, 7, 40, 40], "every row, idle slots skipped, sorted");
 
         let (ptr, cap) = (out.as_ptr(), out.capacity());
-        a.clear_row(0, Ordering::Relaxed);
+        a.clear_row(0);
         a.announced_sorted_into(&mut out);
         assert_eq!(out, [5, 40], "a cleared row drops out of the next walk");
         assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap), "second walk reallocated");

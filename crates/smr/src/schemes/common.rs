@@ -3,6 +3,8 @@
 use core::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::api::Config;
+use crate::packed::{Atomic, Shared};
+use crate::registry::SlotArray;
 use crate::telemetry::{FenceSite, HandleTelemetry};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
@@ -23,6 +25,98 @@ pub fn counted_fence(tele: &mut HandleTelemetry, site: FenceSite) {
     #[cfg(feature = "hb-oracle")]
     crate::hb::on_fence_sc();
     tele.record_fence(site);
+}
+
+/// One handle's row of a [`SlotArray`] whose idle value is `IDLE`, and the
+/// handle's mirror of it: the per-read announce step of HP, HE, IBR and
+/// MP's hazard fallback, written once. Only this handle writes the row, so
+/// the mirror is exact; `dirty` says some slot may be non-idle.
+pub struct MirroredRow<const IDLE: u64> {
+    tid: usize,
+    mirror: Box<[u64]>,
+    dirty: bool,
+}
+
+impl<const IDLE: u64> MirroredRow<IDLE> {
+    /// Mirrors row `tid` of `slots`, which must be idle.
+    pub fn new(slots: &SlotArray, tid: usize) -> Self {
+        MirroredRow { tid, mirror: vec![IDLE; slots.row(tid).len()].into(), dirty: false }
+    }
+
+    /// Publishes `value` in `slot` — a Release store, then a SeqCst fence
+    /// counted at `site` — unless it stands there already, fenced when it
+    /// was stored. Returns whether it stored.
+    #[inline]
+    pub fn announce(
+        &mut self,
+        slots: &SlotArray,
+        tele: &mut HandleTelemetry,
+        slot: usize,
+        value: u64,
+        site: FenceSite,
+    ) -> bool {
+        if self.mirror[slot] == value {
+            return false;
+        }
+        slots.get(self.tid, slot).store(value, Ordering::Release);
+        self.mirror[slot] = value;
+        self.dirty = true;
+        counted_fence(tele, site);
+        true
+    }
+
+    /// Hazard-pointer protection of non-null `w` (§3.1): announce its
+    /// address, then validate that `src` still holds `w`, so the node was
+    /// linked when the announcement became visible. A failed validation
+    /// returns the re-read word, the caller's next candidate.
+    #[inline]
+    pub fn protect<T: Send + Sync>(
+        &mut self,
+        slots: &SlotArray,
+        tele: &mut HandleTelemetry,
+        slot: usize,
+        src: &Atomic<T>,
+        w: Shared<T>,
+    ) -> Result<Shared<T>, Shared<T>> {
+        let addr = w.addr();
+        if self.mirror[slot] != addr {
+            // Hb-oracle: the overwritten slot's claim dies; the new one is
+            // recorded only once validated.
+            #[cfg(feature = "hb-oracle")]
+            crate::hb::on_unprotect(slot);
+            self.announce(slots, tele, slot, addr, FenceSite::HpProtect);
+            let now = src.load(Ordering::Acquire);
+            if now != w {
+                return Err(now);
+            }
+        }
+        // Hb-oracle: validated by the re-read above or, for a standing
+        // address, by the caller's load of `w`, made after its fence.
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_protect(Some(slot), addr);
+        Ok(w)
+    }
+
+    /// Withdraws `slot`'s announcement, unfenced: a scan that still sees
+    /// it only keeps a node one scan longer.
+    #[inline]
+    pub fn withdraw(&mut self, slots: &SlotArray, slot: usize) {
+        slots.get(self.tid, slot).store(IDLE, Ordering::Release);
+        self.mirror[slot] = IDLE;
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_unprotect(slot);
+    }
+
+    /// Withdraws the whole row, unfenced, if anything was announced since
+    /// the last clear.
+    #[inline]
+    pub fn clear(&mut self, slots: &SlotArray) {
+        if self.dirty {
+            slots.clear_row(self.tid);
+            self.mirror.fill(IDLE);
+            self.dirty = false;
+        }
+    }
 }
 
 /// True if some value of `sorted` lies in `[lo, hi]` — HE's "an announced
@@ -198,6 +292,84 @@ mod tests {
         assert!(!s.due(63) && s.due(64));
         s.rearm(&p, 60);
         assert!(!s.due(69) && s.due(70));
+    }
+
+    /// A row of `slots` slots for tid 1 of a two-thread hazard array.
+    fn hazard_row(slots: usize) -> (SlotArray, MirroredRow<NO_HAZARD>, HandleTelemetry) {
+        let array = SlotArray::new(2, slots, NO_HAZARD);
+        let row = MirroredRow::new(&array, 1);
+        (array, row, HandleTelemetry::new())
+    }
+
+    #[test]
+    fn re_announcing_the_standing_value_neither_stores_nor_fences() {
+        let array = SlotArray::new(2, 3, INACTIVE);
+        let mut row = MirroredRow::<INACTIVE>::new(&array, 1);
+        let mut t = HandleTelemetry::new();
+        assert!(row.announce(&array, &mut t, 2, 7, FenceSite::Announce));
+        assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 7);
+        assert_eq!(t.counter(Counter::FencesAnnounce), 1);
+        // Overwrite the slot behind the mirror's back, so a second store
+        // would show.
+        array.get(1, 2).store(99, Ordering::Relaxed);
+        assert!(!row.announce(&array, &mut t, 2, 7, FenceSite::Announce));
+        assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 99, "the standing value was stored again");
+        assert_eq!(t.counter(Counter::Fences), 1, "the standing value was fenced again");
+        // A new value stores and fences.
+        assert!(row.announce(&array, &mut t, 2, 8, FenceSite::Announce));
+        assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 8);
+        assert_eq!(t.counter(Counter::Fences), 2);
+    }
+
+    #[test]
+    fn failed_protect_returns_the_re_read_word() {
+        let (array, mut row, mut t) = hazard_row(2);
+        let (a, b) = (Shared::<u64>::from_word(0x1000), Shared::from_word(0x2000));
+        // The candidate `a` was loaded before `src` moved on to `b`.
+        let src = Atomic::new(b);
+        assert_eq!(row.protect(&array, &mut t, 1, &src, a), Err(b));
+        assert_eq!(array.get(1, 1).load(Ordering::Relaxed), 0x1000, "the candidate was announced");
+        assert_eq!(t.counter(Counter::FencesHpProtect), 1);
+        // The re-read word is the next candidate, and it validates.
+        assert_eq!(row.protect(&array, &mut t, 1, &src, b), Ok(b));
+        assert_eq!(array.get(1, 1).load(Ordering::Relaxed), 0x2000);
+        assert_eq!(t.counter(Counter::FencesHpProtect), 2);
+        // Once it stands, protecting it again costs no fence.
+        assert_eq!(row.protect(&array, &mut t, 1, &src, b), Ok(b));
+        assert_eq!(t.counter(Counter::Fences), 2);
+    }
+
+    #[test]
+    fn clear_after_withdrawing_every_slot_leaves_the_row_idle() {
+        let (array, mut row, mut t) = hazard_row(3);
+        for (slot, addr) in [0x100, 0x200, 0x300].into_iter().enumerate() {
+            assert!(row.announce(&array, &mut t, slot, addr, FenceSite::HpProtect));
+        }
+        for slot in 0..3 {
+            row.withdraw(&array, slot);
+        }
+        row.clear(&array);
+        assert!(array.row(1).iter().all(|s| s.load(Ordering::Relaxed) == NO_HAZARD));
+        assert!(row.mirror.iter().all(|&v| v == NO_HAZARD) && !row.dirty, "the mirror is idle too");
+        // The mirror forgot the old values: announcing one stores and fences.
+        assert!(row.announce(&array, &mut t, 0, 0x100, FenceSite::HpProtect));
+        assert_eq!(t.counter(Counter::Fences), 4);
+    }
+
+    #[test]
+    fn clear_with_nothing_announced_touches_no_slot() {
+        let (array, mut row, mut t) = hazard_row(2);
+        // A value the clear would overwrite if it stored anything.
+        array.get(1, 0).store(0x40, Ordering::Relaxed);
+        row.clear(&array);
+        assert_eq!(array.get(1, 0).load(Ordering::Relaxed), 0x40, "an idle row's clear stored");
+        // After an announcement the clear runs, and the row is idle again.
+        row.announce(&array, &mut t, 1, 0x80, FenceSite::HpProtect);
+        row.clear(&array);
+        assert!(array.row(1).iter().all(|s| s.load(Ordering::Relaxed) == NO_HAZARD));
+        array.get(1, 0).store(0x40, Ordering::Relaxed);
+        row.clear(&array);
+        assert_eq!(array.get(1, 0).load(Ordering::Relaxed), 0x40, "a cleared row's clear stored");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, interval_hit, EpochClock, INACTIVE};
+use crate::schemes::common::{interval_hit, EpochClock, MirroredRow, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -40,10 +40,10 @@ pub struct He {
 pub struct HeHandle {
     scheme: Arc<He>,
     core: HandleCore,
-    /// Local mirror of this thread's announced eras.
-    local: Vec<u64>,
+    /// This thread's era slots and their local mirror.
+    eras: MirroredRow<INACTIVE>,
     /// Retained era snapshot (sorted), refilled in place per scan.
-    eras: Vec<u64>,
+    snap: Vec<u64>,
     retire_counter: usize,
 }
 
@@ -87,11 +87,12 @@ impl Smr for He {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
+        let core = self.core.try_register()?;
         Ok(HeHandle {
-            core: self.core.try_register()?,
+            eras: MirroredRow::new(&self.era_slots, core.tid),
+            core,
             scheme: self.clone(),
-            local: vec![INACTIVE; self.core.cfg.slots_per_thread],
-            eras: Vec::new(),
+            snap: Vec::new(),
             retire_counter: 0,
         })
     }
@@ -133,11 +134,11 @@ impl SmrHandle for HeHandle {
         // Published HE get_protected loop: (re)announce the era until it is
         // stable across the pointer load. A stable era proves any node seen
         // by the load has birth ≤ era ≤ retire w.r.t. our announcement.
-        let mut prev = self.local[refno];
         loop {
             let w = src.load(Ordering::Acquire);
             let era = self.scheme.clock.now();
-            if era == prev {
+            let (slots, tele) = (&self.scheme.era_slots, &mut self.core.tele);
+            if !self.eras.announce(slots, tele, refno, era, FenceSite::Announce) {
                 // Hb-oracle: era stable across the load — the node's
                 // lifetime overlaps this handle's validated announcement.
                 #[cfg(feature = "hb-oracle")]
@@ -146,16 +147,11 @@ impl SmrHandle for HeHandle {
                 }
                 return w;
             }
-            self.scheme.era_slots.get(self.core.tid, refno).store(era, Ordering::Release);
-            self.local[refno] = era;
-            counted_fence(&mut self.core.tele, FenceSite::Announce);
-            prev = era;
         }
     }
 
     fn unprotect(&mut self, refno: usize) {
-        self.scheme.era_slots.get(self.core.tid, refno).store(INACTIVE, Ordering::Release);
-        self.local[refno] = INACTIVE;
+        self.eras.withdraw(&self.scheme.era_slots, refno);
     }
 
     fn alloc_with_tail<T: Send + Sync>(
@@ -176,7 +172,7 @@ impl SmrHandle for HeHandle {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.retire_counter, freq);
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        unsafe { self.core.retire(&*self.scheme, &mut self.eras, node, stamp, stamp) }
+        unsafe { self.core.retire(&*self.scheme, &mut self.snap, node, stamp, stamp) }
     }
 
     fn retired_len(&self) -> usize {
@@ -184,7 +180,7 @@ impl SmrHandle for HeHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.eras);
+        self.core.scan(&*self.scheme, &mut self.snap);
     }
 }
 
@@ -194,8 +190,8 @@ impl Drop for HeHandle {
         // this handle made, so its protection claims must die with it.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_handle_drop();
-        self.scheme.era_slots.clear_row(self.core.tid, Ordering::Release);
-        self.core.release(&*self.scheme, &mut self.eras);
+        self.eras.clear(&self.scheme.era_slots);
+        self.core.release(&*self.scheme, &mut self.snap);
     }
 }
 

@@ -22,7 +22,7 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, NO_HAZARD};
+use crate::schemes::common::{counted_fence, MirroredRow, NO_HAZARD};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -38,12 +38,11 @@ pub struct Hp {
 pub struct HpHandle {
     scheme: Arc<Hp>,
     core: HandleCore,
-    /// Thread-local mirror of this thread's slots (avoids atomic re-loads
-    /// when checking whether a node is already protected).
-    local: Vec<u64>,
+    /// This thread's hazard slots and their local mirror.
+    hazards: MirroredRow<NO_HAZARD>,
     /// Retained hazard snapshot (sorted addresses), refilled in place per
     /// scan.
-    hazards: Vec<u64>,
+    snap: Vec<u64>,
 }
 
 impl Scheme for Hp {
@@ -74,11 +73,12 @@ impl Smr for Hp {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
+        let core = self.core.try_register()?;
         Ok(HpHandle {
-            core: self.core.try_register()?,
+            hazards: MirroredRow::new(&self.hp_slots, core.tid),
+            core,
             scheme: self.clone(),
-            local: vec![NO_HAZARD; self.core.cfg.slots_per_thread],
-            hazards: Vec::new(),
+            snap: Vec::new(),
         })
     }
 
@@ -108,63 +108,33 @@ impl SmrHandle for HpHandle {
     fn end_op(&mut self) {
         self.core.end_op();
         // Paper optimization: clear all slots, then a single fence.
-        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
-        self.local.fill(NO_HAZARD);
+        self.hazards.clear(&self.scheme.hp_slots);
         counted_fence(&mut self.core.tele, FenceSite::EndOp);
     }
 
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
         let mut backoff = mp_util::Backoff::new();
-        // The candidate is loaded once up front; on a failed validation the
-        // validating re-read *becomes* the next candidate instead of being
-        // discarded and re-loaded at the top of the loop. A fence is paid
-        // only per newly announced address — if a retry lands back on an
-        // address this slot already protects (A→B→A churn), the dedup check
-        // returns without re-fencing.
+        // On a failed validation the re-read *becomes* the next candidate.
+        // A fence is paid only per newly announced address: a retry that
+        // lands back on the slot's standing address (A→B→A churn) is free.
         let mut w = src.load(Ordering::Acquire);
         loop {
-            let addr = w.addr();
-            if addr == 0 {
+            if w.is_null() {
                 return w; // null (possibly marked-null): nothing to protect
             }
-            if self.local[refno] == addr {
-                // Hb-oracle: this load *is* the (possibly delayed) validating
-                // re-read of the standing announcement — the slot was stored
-                // and fenced before it — so the protection is validated here
-                // even when the original attempt's re-read failed.
-                #[cfg(feature = "hb-oracle")]
-                crate::hb::on_protect(Some(refno), addr);
-                return w; // already protected by this slot
+            match self.hazards.protect(&self.scheme.hp_slots, &mut self.core.tele, refno, src, w) {
+                Ok(w) => return w,
+                Err(now) => {
+                    // A writer is churning `src`: back off before fencing again.
+                    backoff.spin();
+                    w = now;
+                }
             }
-            // Hb-oracle: overwriting the slot withdraws whatever claim it
-            // held; the new candidate earns a record only once validated.
-            #[cfg(feature = "hb-oracle")]
-            crate::hb::on_unprotect(refno);
-            self.scheme.hp_slots.get(self.core.tid, refno).store(addr, Ordering::Release);
-            self.local[refno] = addr;
-            counted_fence(&mut self.core.tele, FenceSite::HpProtect);
-            // Validate the node is still reachable from `src`: success means
-            // the announcement happened while the node was linked (§3.1).
-            let w2 = src.load(Ordering::Acquire);
-            if w2 == w {
-                // Hb-oracle: announcement validated — the node was linked
-                // while the hazard was visible to every later scan fence.
-                #[cfg(feature = "hb-oracle")]
-                crate::hb::on_protect(Some(refno), addr);
-                return w;
-            }
-            // `src` moved under us: a writer is churning this cell, so back
-            // off before re-announcing instead of fencing at full speed.
-            backoff.spin();
-            w = w2;
         }
     }
 
     fn unprotect(&mut self, refno: usize) {
-        self.scheme.hp_slots.get(self.core.tid, refno).store(NO_HAZARD, Ordering::Release);
-        self.local[refno] = NO_HAZARD;
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_unprotect(refno);
+        self.hazards.withdraw(&self.scheme.hp_slots, refno);
     }
 
     fn alloc_with_tail<T: Send + Sync>(
@@ -180,7 +150,7 @@ impl SmrHandle for HpHandle {
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        unsafe { self.core.retire(&*self.scheme, &mut self.hazards, node, 0, 0) }
+        unsafe { self.core.retire(&*self.scheme, &mut self.snap, node, 0, 0) }
     }
 
     fn retired_len(&self) -> usize {
@@ -188,7 +158,7 @@ impl SmrHandle for HpHandle {
     }
 
     fn force_empty(&mut self) {
-        self.core.scan(&*self.scheme, &mut self.hazards);
+        self.core.scan(&*self.scheme, &mut self.snap);
     }
 }
 
@@ -198,8 +168,8 @@ impl Drop for HpHandle {
         // handle made, so its protection claims must die with it.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_handle_drop();
-        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
-        self.core.release(&*self.scheme, &mut self.hazards);
+        self.hazards.clear(&self.scheme.hp_slots);
+        self.core.release(&*self.scheme, &mut self.snap);
     }
 }
 

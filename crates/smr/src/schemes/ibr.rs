@@ -28,7 +28,7 @@ use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
+use crate::schemes::common::{EpochClock, MirroredRow, INACTIVE};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -49,7 +49,9 @@ pub struct Ibr {
 pub struct IbrHandle {
     scheme: Arc<Ibr>,
     core: HandleCore,
-    upper_local: u64,
+    /// This thread's `[lower, upper]` row; only `upper` is announced
+    /// through the mirror, `lower` is stored directly.
+    bounds: MirroredRow<INACTIVE>,
     /// Retained reservation snapshot, refilled in place per scan.
     intervals: Vec<(u64, u64)>,
     alloc_counter: usize,
@@ -80,10 +82,11 @@ impl Smr for Ibr {
     }
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
+        let core = self.core.try_register()?;
         Ok(IbrHandle {
-            core: self.core.try_register()?,
+            bounds: MirroredRow::new(&self.reservations, core.tid),
+            core,
             scheme: self.clone(),
-            upper_local: INACTIVE,
             intervals: Vec::new(),
             alloc_counter: 0,
         })
@@ -120,33 +123,31 @@ impl SmrHandle for IbrHandle {
     fn start_op(&mut self) {
         self.core.start_op::<Ibr>();
         let e = self.scheme.clock.now();
-        self.scheme.reservations.get(self.core.tid, LOWER).store(e, Ordering::Release);
-        self.scheme.reservations.get(self.core.tid, UPPER).store(e, Ordering::Release);
-        self.upper_local = e;
-        // Reservation must be visible before any data-structure read.
-        counted_fence(&mut self.core.tele, FenceSite::StartOp);
+        let slots = &self.scheme.reservations;
+        slots.get(self.core.tid, LOWER).store(e, Ordering::Release);
+        // The reservation must be visible before any data-structure read:
+        // `end_op` left `UPPER` idle, so this always stores and fences.
+        self.bounds.announce(slots, &mut self.core.tele, UPPER, e, FenceSite::StartOp);
     }
 
     fn end_op(&mut self) {
         self.core.end_op();
-        self.scheme.reservations.get(self.core.tid, UPPER).store(INACTIVE, Ordering::Release);
-        self.scheme.reservations.get(self.core.tid, LOWER).store(INACTIVE, Ordering::Release);
-        self.upper_local = INACTIVE;
+        let slots = &self.scheme.reservations;
+        self.bounds.withdraw(slots, UPPER);
+        slots.get(self.core.tid, LOWER).store(INACTIVE, Ordering::Release);
     }
 
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, _refno: usize) -> Shared<T> {
         // 2GE loop: extend the reserved upper bound until it is stable
         // across the load, guaranteeing any node seen has birth ≤ upper.
+        // Only an epoch change under us announces: IBR's rare per-read cost.
         loop {
             let w = src.load(Ordering::Acquire);
             let e = self.scheme.clock.now();
-            if e == self.upper_local {
+            let (slots, tele) = (&self.scheme.reservations, &mut self.core.tele);
+            if !self.bounds.announce(slots, tele, UPPER, e, FenceSite::Announce) {
                 return w;
             }
-            self.scheme.reservations.get(self.core.tid, UPPER).store(e, Ordering::Release);
-            self.upper_local = e;
-            // The epoch changed under us — IBR's rare per-read cost.
-            counted_fence(&mut self.core.tele, FenceSite::Announce);
         }
     }
 
@@ -182,7 +183,7 @@ impl SmrHandle for IbrHandle {
 
 impl Drop for IbrHandle {
     fn drop(&mut self) {
-        self.scheme.reservations.clear_row(self.core.tid, Ordering::Release);
+        self.bounds.clear(&self.scheme.reservations);
         self.core.release(&*self.scheme, &mut self.intervals);
     }
 }

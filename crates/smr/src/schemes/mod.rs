@@ -19,7 +19,9 @@
 //! referenced?". Registration, allocation accounting, the retire → scan →
 //! free pipeline, orphan adoption and drain-on-drop exist once, in the
 //! crate-private `core` module; `common` holds the pieces several schemes
-//! share (scan trigger, epoch clock, counted fence).
+//! share (scan trigger, epoch clock, counted fence, and `MirroredRow`, the
+//! one announce → fence → validate kernel behind HP's, HE's and IBR's reads
+//! and MP's hazard fallback).
 
 pub(crate) mod common;
 pub(crate) mod core;

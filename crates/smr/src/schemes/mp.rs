@@ -14,7 +14,8 @@
 //!    protection can be checked without dereferencing ([`crate::packed`]).
 //! 2. **`USE_HP` fallback** — when a new node's search interval leaves no
 //!    room for a fresh index ( |upper − lower| ≤ 1 ), the node is stamped
-//!    `USE_HP` and protected with an ordinary hazard pointer. This keeps the
+//!    `USE_HP` and protected with an ordinary hazard pointer: HP's own
+//!    [`MirroredRow::protect`], on MP's hazard row. This keeps the
 //!    indices of all MP-protected *linked* nodes unique.
 //! 3. **Epoch filter** — retired nodes may still collide (same position
 //!    re-inserted/re-deleted repeatedly). An HE-style birth/retire epoch
@@ -62,7 +63,7 @@
 //!   announced epoch could be returned under margin protection yet be
 //!   invisible to the reclaimer's epoch filter — a use-after-free window.
 //!   On an observed advance the rest of the operation falls back to
-//!   hazard pointers, the §4.3.2 slow path.
+//!   HP's `protect`, the §4.3.2 slow path.
 //! * `empty()` treats the entire top-64K index range as the `USE_HP` class
 //!   (the packed 16 bits cannot distinguish it) and checks *both* HP and MP
 //!   slots for every candidate, which is strictly conservative.
@@ -76,7 +77,8 @@ use crate::error::SmrError;
 use crate::node::{is_use_hp_class, Retired, USE_HP};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, interval_hit, INACTIVE, NO_HAZARD, NO_MARGIN};
+use crate::schemes::common::{counted_fence, interval_hit, MirroredRow};
+use crate::schemes::common::{INACTIVE, NO_HAZARD, NO_MARGIN};
 use crate::schemes::core::{
     impl_handle_telemetry, smr_core_accessors, HandleCore, Protection, Scheme, SchemeCore,
 };
@@ -213,10 +215,11 @@ pub struct Mp {
 pub struct MpHandle {
     scheme: Arc<Mp>,
     core: HandleCore,
-    /// Local mirrors of this thread's announced slots; the margins carry
-    /// their region index.
+    /// Local mirror of this thread's announced margins, with their region
+    /// index.
     margins: MarginRow,
-    local_hps: Vec<u64>,
+    /// This thread's hazard fallback slots and their local mirror.
+    hazards: MirroredRow<NO_HAZARD>,
     /// Search-interval endpoints maintained by the client's insert
     /// (Listing 5); consumed by [`SmrHandle::alloc`].
     lower_bound: u32,
@@ -247,9 +250,6 @@ pub struct MpHandle {
     cover_lo: u32,
     cover_hi: u32,
     cover_slot: usize,
-    /// Whether any hazard slot was published this operation — `end_op`'s
-    /// O(slots) hazard clear is owed only then (margin-path ops skip it).
-    hps_dirty: bool,
     /// Retained slot snapshot (`MpSnapshot` margin/hazard
     /// buffers), refilled in place by every scan.
     snap: MpSnapshot,
@@ -305,7 +305,7 @@ impl Smr for Mp {
         Ok(MpHandle {
             scheme: self.clone(),
             margins: MarginRow::new(cfg.slots_per_thread, cfg.margin),
-            local_hps: vec![NO_HAZARD; cfg.slots_per_thread],
+            hazards: MirroredRow::new(&self.hp_slots, core.tid),
             lower_bound: 0,
             upper_bound: 0,
             epoch: 0,
@@ -316,7 +316,6 @@ impl Smr for Mp {
             cover_lo: 1,
             cover_hi: 0,
             cover_slot: 0,
-            hps_dirty: false,
             snap: MpSnapshot::default(),
             unlink_counter: 0,
             core,
@@ -426,29 +425,6 @@ impl Protection<Mp> for MpSnapshot {
 }
 
 impl MpHandle {
-    /// Hazard-pointer protection of `w`'s target, with validation.
-    /// Returns the validated word or `None` if `src` changed.
-    fn hp_protect<T: Send + Sync>(
-        &mut self,
-        src: &Atomic<T>,
-        refno: usize,
-        w: Shared<T>,
-    ) -> Option<Shared<T>> {
-        let addr = w.addr();
-        if self.local_hps[refno] == addr {
-            return Some(w); // already protected by this slot
-        }
-        self.scheme.hp_slots.get(self.core.tid, refno).store(addr, Ordering::Release);
-        self.local_hps[refno] = addr;
-        self.hps_dirty = true;
-        counted_fence(&mut self.core.tele, FenceSite::HpProtect);
-        if src.load(Ordering::Acquire) == w {
-            Some(w)
-        } else {
-            None
-        }
-    }
-
     /// Ends `refno`'s dependence on its margin slot, if it has one.
     #[inline]
     fn release(&mut self, refno: usize) {
@@ -485,7 +461,7 @@ impl MpHandle {
     /// store goes into a slot no refno owns, so every node this operation
     /// still holds keeps the announcement it was validated against, and a
     /// scan reading the row slot by slot needs no more than the hazard
-    /// argument of `hp_protect`: announce, fence, validate.
+    /// argument of [`MirroredRow::protect`]: announce, fence, validate.
     fn announce_margin(&mut self, refno: usize, idx_lo: u32) {
         // Forward-centered midpoint, derived from the configured margin:
         // the interval is [idx_lo, idx_lo + 2·(margin/2)], and margin >
@@ -537,25 +513,19 @@ impl MpHandle {
             }
             let (idx_lo, idx_hi) = w.index_bounds();
 
-            // Collision / USE_HP-class / fallback-mode reads go through HP
-            // (§4.3.2).
+            // Collision / USE_HP-class / fallback-mode reads go through
+            // HP's own protect (§4.3.2), on the refno's hazard slot.
             if idx_hi == USE_HP || self.use_hp_mode {
                 self.core.tele.bump(Counter::HpFallbackReads);
-                match self.hp_protect(src, refno, w) {
-                    Some(w) => {
-                        // The hazard slot owns this refno's protection now.
-                        self.release(refno);
-                        #[cfg(feature = "hb-oracle")]
-                        crate::hb::on_protect(None, w.addr());
-                        return w;
-                    }
-                    None => {
-                        // Validation raced a writer; back off before the
-                        // next announce + fence.
-                        backoff.spin();
-                        continue;
-                    }
+                let (slots, tele) = (&self.scheme.hp_slots, &mut self.core.tele);
+                if self.hazards.protect(slots, tele, refno, src, w).is_ok() {
+                    // The hazard slot owns this refno's protection now.
+                    self.release(refno);
+                    return w;
                 }
+                // Validation raced a writer; back off before re-announcing.
+                backoff.spin();
+                continue;
             }
 
             // Margin path: fence-free whenever ANY announced margin covers
@@ -634,13 +604,6 @@ impl MpHandle {
     pub fn announced_epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// Test/model introspection: whether the current operation has fallen
-    /// back to hazard-pointer protection (§4.3.2).
-    #[doc(hidden)]
-    pub fn in_hp_fallback_mode(&self) -> bool {
-        self.use_hp_mode
-    }
 }
 
 impl SmrHandle for MpHandle {
@@ -676,11 +639,7 @@ impl SmrHandle for MpHandle {
         // the stale hazard merely keeps a node one scan longer. The clear
         // itself is owed only when this operation published a hazard —
         // pure margin-path operations end in O(1).
-        if self.hps_dirty {
-            self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
-            self.local_hps.fill(NO_HAZARD);
-            self.hps_dirty = false;
-        }
+        self.hazards.clear(&self.scheme.hp_slots);
     }
 
     // Inlined into traversal loops: the steady-state hop costs two
@@ -785,8 +744,8 @@ impl Drop for MpHandle {
         // Dropping announcements is removal-only — a stale observation can
         // only over-protect nodes this thread no longer reads — so no
         // fence is needed.
-        self.scheme.mp_slots.clear_row(self.core.tid, Ordering::Release);
-        self.scheme.hp_slots.clear_row(self.core.tid, Ordering::Release);
+        self.scheme.mp_slots.clear_row(self.core.tid);
+        self.hazards.clear(&self.scheme.hp_slots);
         self.scheme.local_epochs.get(self.core.tid, 0).store(INACTIVE, Ordering::Release);
         self.core.release(&*self.scheme, &mut self.snap);
     }

@@ -108,9 +108,19 @@ cargo run -q --release --offline --example telemetry_export >/dev/null
 
 # Set-up split smoke: the per-scheme prefill breakdown (seconds, ns and
 # counters per insert for every structure under MP, HE and HP) runs to
-# completion at 1/64 of the benchmark's prefill sizes.
-echo "==> set-up split smoke (examples/setup_split at prefill / 64)"
-cargo run -q --release --offline --example setup_split -- 64 >/dev/null
+# completion at 1/64 of the benchmark's prefill sizes, twice. Its counter
+# columns are a function of the code alone, so the two runs must print
+# them identically: every column but the timings (`prefill_s`, `ns/ins`,
+# and the per-structure `sum` rows, which hold only timings).
+echo "==> set-up split smoke (examples/setup_split at prefill / 64, counters run-to-run identical)"
+setup_split_counters() {
+  cargo run -q --release --offline --example setup_split -- 64 |
+    awk 'NR == 1 { print; next } $2 != "sum" { $4 = ""; $5 = ""; print }'
+}
+first_split=$(setup_split_counters)
+second_split=$(setup_split_counters)
+diff <(echo "$first_split") <(echo "$second_split") ||
+  { echo "!! set-up split: counter columns differ between two runs of the same code" >&2; exit 1; }
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
 # the log histogram, the JSON writer and parser, `agree`'s bounds, the
