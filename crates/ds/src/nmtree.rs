@@ -16,7 +16,19 @@
 //! other initial nodes `USE_HP`; `R` and `S` are never removed.
 //!
 //! MP integration (Listing 9): `seek` shrinks the search interval at every
-//! internal node it navigates — the two bolded `update_*_bound` lines.
+//! internal node it navigates — the two bolded `update_*_bound` lines. The
+//! interval opens under the ∞₀ leaf, whose `MAX_INDEX` is every search's
+//! first upper bound; the ∞₀ router under `S` is stepped through without
+//! bounding anything (it shares the index of the first leaf inserted).
+//!
+//! Descent prefetch: at each internal node, as soon as its two child edges
+//! are loaded and before its key is compared, `seek` prefetches both
+//! children ([`Shared::prefetch`]: the block start and the line of link
+//! `RIGHT`, since a 40-byte internal node can straddle a cache line). Left
+//! or right is a coin flip the branch predictor often loses, and without
+//! the hint the next miss starts only once the key has arrived and the
+//! branch has resolved. A prefetch reads nothing, so it needs no
+//! protection; the child is still taken by a protected `read`.
 //!
 //! Layout: a node is `{ key, value }`, and the two child edges of an
 //! *internal* node are its tail ([`SmrHandle::alloc_with_tail`] with two
@@ -103,6 +115,9 @@ pub struct NmTree<S: Smr, V = ()> {
     root: Shared<Node<V>>,
     /// Routing node `S` (= `R.left`); never removed.
     s: Shared<Node<V>>,
+    /// The ∞₀ leaf, index `MAX_INDEX`: the rightmost leaf under `S`, never
+    /// removed (no client key reaches it), so every search's upper bound.
+    inf0: Shared<Node<V>>,
     smr: Arc<S>,
 }
 
@@ -192,6 +207,9 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     // span; every deref below is of a slot-protected read made in this op.
     fn seek(&self, h: &mut S::Handle, key: u64) -> SeekRecord<V> {
         'restart: loop {
+            // Every client key is below ∞₀, so the search interval opens
+            // under the ∞₀ leaf's `MAX_INDEX` (§5.3); the descent narrows it.
+            h.update_upper_bound(self.inf0);
             let pool = &mut SlotPool::new();
             let mut ancestor = Prot { node: self.root, slot: None };
             let mut successor = Prot { node: self.s, slot: None };
@@ -213,6 +231,13 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 // SAFETY: [INV-01] leaf protected under its slot.
                 let (leaf_node, leaf_links) =
                     unsafe { (leaf.node.deref().data(), leaf.node.tail()) };
+                // Fetch both children before the comparison picks one
+                // (module docs): a block start and link `RIGHT` each, since
+                // an internal node can straddle a cache line. A leaf has no
+                // links, so nothing is fetched below it.
+                for link in leaf_links {
+                    link.load(Ordering::Acquire).prefetch(RIGHT);
+                }
                 let side = if under_s || key < leaf_node.key { LEFT } else { RIGHT };
                 if !under_s {
                     h.record_node_traversed();
@@ -394,7 +419,7 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for NmTree<S, 
         let (leaf0, leaf1, leaf2) = (leaf(INF0, MAX_INDEX), leaf(INF1, USE_HP), leaf(INF2, USE_HP));
         let s = internal(&mut h, INF1, USE_HP, leaf0, leaf1);
         let root = internal(&mut h, INF2, USE_HP, s, leaf2);
-        NmTree { root, s, smr: smr.clone() }
+        NmTree { root, s, inf0: leaf0, smr: smr.clone() }
     }
 
     fn insert(&self, h: &mut S::Handle, key: u64) -> bool {
@@ -497,6 +522,7 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     }
 
     fn remove_inner(&self, h: &mut S::Handle, key: u64) -> bool {
+        assert!(key < INF0, "key space reserved for tree sentinels");
         h.start_op();
         let mut injected = false;
         let mut victim: Shared<Node<V>> = Shared::null();

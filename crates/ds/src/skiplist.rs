@@ -31,6 +31,13 @@
 //! right or to splice a marked node. A mark is permanent — a marked link is
 //! never re-pointed, and every CAS on a link expects an unmarked word — so
 //! the plain load decides what the protected read would have.
+//!
+//! Descent prefetch: at each `curr`, before its key is compared, `find`
+//! prefetches both nodes the next step may land on ([`Shared::prefetch`]:
+//! block start plus the link that step reads) — the successor at this
+//! level, and the first node after `pred` one level down. A prefetch reads
+//! nothing, so it needs no protection; either node is still taken by a
+//! protected `read` before it is dereferenced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -175,12 +182,19 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                     // SAFETY: [INV-01] curr protected under curr_s; [INV-15]
                     // reached through a level-`level` link, so taller than it.
                     let (curr_node, curr_next) = unsafe { (curr.deref().data(), curr.tail()) };
+                    // Fetch both ways before the comparison picks one
+                    // (module docs): right, the successor at this level;
+                    // down, the first node after `pred` one level below.
+                    let right = curr_next[level].load(Ordering::Acquire);
+                    right.prefetch(level);
+                    if level > 0 {
+                        pred_next[level - 1].load(Ordering::Acquire).prefetch(level - 1);
+                    }
                     // Descend: record this level's pair; its slots are never
                     // reused below this level or by the caller. The
-                    // successor is only mark-checked, so a plain load does
-                    // (module docs).
-                    if curr_node.key >= key && curr_next[level].load(Ordering::Acquire).mark() == 0
-                    {
+                    // successor is only mark-checked, so the plain load
+                    // above does (module docs).
+                    if curr_node.key >= key && right.mark() == 0 {
                         h.update_upper_bound(curr);
                         preds[level] = pred;
                         succs[level] = curr;

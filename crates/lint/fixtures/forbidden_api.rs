@@ -16,3 +16,8 @@ pub fn unfinished() {
 pub fn pun(node_ptr: *const u8) -> usize {
     node_ptr as usize //~ ERROR[forbidden]: raw pointer-width
 }
+
+pub fn warm(line: *const i8) {
+    // SAFETY: [INV-16] only the hint is issued.
+    unsafe { core::arch::x86_64::_mm_prefetch::<3>(line) } //~ ERROR[forbidden]: prefetch intrinsic outside packed.rs
+}

@@ -14,6 +14,10 @@
 //!   and integers may be punned. Detected shapes: `as *const` / `as *mut`,
 //!   `as_raw() as …`, and `<ident ending in ptr/addr> as usize|u64`.
 //!   Escape hatch: `// CAST-OK:` with a reason.
+//! * prefetch intrinsics (`_mm_prefetch`, `core::arch`'s `_prefetch`,
+//!   `core::intrinsics::prefetch_*`) outside `packed.rs` — a prefetch is a
+//!   hint that may name a freed address ([INV-16]), and `Shared::prefetch`
+//!   is the one audited place that issues it. No escape hatch.
 
 use crate::lexer::{in_spans, LexFile, Tok};
 use crate::{Diagnostic, PASS_FORBIDDEN};
@@ -74,9 +78,26 @@ pub fn run(
                     }
                 }
             }
+            _ if is_prefetch_intrinsic(id) && !file.ends_with(CAST_SANCTUM) => {
+                out.push(diag(
+                    file,
+                    f,
+                    i,
+                    "prefetch intrinsic outside packed.rs — prefetch through \
+                     Shared::prefetch, the one site that issues the hint ([INV-16])",
+                ));
+            }
             _ => {}
         }
     }
+}
+
+/// The prefetch intrinsics of `core::arch` (`_mm_prefetch`, AArch64's
+/// `_prefetch`) and of `core::intrinsics` (`prefetch_read_data` and kin).
+fn is_prefetch_intrinsic(id: &str) -> bool {
+    matches!(id, "_mm_prefetch" | "_prefetch")
+        || id.starts_with("prefetch_read")
+        || id.starts_with("prefetch_write")
 }
 
 /// Classifies the `as` at code position `i` as a pointer-width pun, if any.

@@ -208,6 +208,38 @@ impl<T> Shared<T> {
         unsafe { crate::node::tail(self.as_raw()) }
     }
 
+    /// Asks the CPU to start fetching the cache line of the pointee's first
+    /// byte and the line of its tail link `link` — the two lines a descent
+    /// reads when it steps onto the node. Null and marked words are
+    /// skipped.
+    ///
+    /// A hint, not an access: nothing is dereferenced, so the word needs no
+    /// protection and may name a retired, freed or never-mapped block, and
+    /// the prefetch protects nothing either. `link` need not be below the
+    /// node's tail length; the address is computed, never read. On targets
+    /// without a prefetch instruction (anything but x86-64 here) it
+    /// compiles to nothing.
+    #[inline]
+    pub fn prefetch(self, link: usize) {
+        if self.mark() != 0 || self.is_null() {
+            return;
+        }
+        let block = self.as_raw().cast::<i8>().cast_const();
+        let offset = size_of::<SmrNode<T>>() + link * size_of::<Atomic<T>>();
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: [INV-16] only the hint is issued — no load, no reference,
+        // no pointer kept — so both lines may belong to any block, live or
+        // not; `wrapping_add` keeps the address arithmetic defined
+        // whatever the block is.
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(block);
+            _mm_prefetch::<_MM_HINT_T0>(block.wrapping_add(offset));
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (block, offset);
+    }
+
     /// The oracles' toll on every access to the pointee; nothing without
     /// them.
     #[inline]
@@ -401,6 +433,26 @@ mod tests {
         let s: Shared<u32> = Shared::null().with_mark(1);
         assert!(s.is_null());
         assert_eq!(s.mark(), 1);
+    }
+
+    #[test]
+    fn prefetch_dereferences_nothing() {
+        // Each word below would fault if read through: null, the NM-tree's
+        // severed edge (null with both marks), and an address in the first
+        // pages, which user space never maps. A prefetch names them and
+        // returns.
+        Shared::<u64>::null().prefetch(0);
+        Shared::<u64>::null().with_mark(MARK_MASK).prefetch(1);
+        let dangling = Shared::<u64>::pack(core::ptr::without_provenance_mut(0x1000), 0);
+        dangling.prefetch(0);
+        dangling.prefetch(1);
+        dangling.prefetch(1 << 20);
+        dangling.with_mark(1).prefetch(0);
+        // A freed block: its address may be recycled or unmapped.
+        let ptr = alloc_node(9u64, 0, 0);
+        let freed = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
+        unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
+        freed.prefetch(0);
     }
 
     #[test]

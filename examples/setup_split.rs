@@ -12,9 +12,14 @@
 //! counters run different protocols.
 //!
 //! ```sh
-//! cargo run --release --example setup_split        # the benchmark's sizes
-//! cargo run --release --example setup_split -- 64  # every prefill ÷ 64
+//! cargo run --release --example setup_split                # the benchmark's sizes
+//! cargo run --release --example setup_split -- 64          # every prefill ÷ 64
+//! cargo run --release --example setup_split -- 1 nmtree    # one structure only
 //! ```
+//!
+//! The optional second argument names one of `list`, `nmtree`, `hashmap`
+//! or `skiplist`; only that structure's rows are printed, in the same
+//! columns.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -127,11 +132,24 @@ impl Family for Skip {
     type Set<S: Smr> = SkipList<S>;
 }
 
+/// The benchmark's workloads in print order: name, slots per thread,
+/// prefill size, and the function that builds and prints them.
+type Row = (&'static str, usize, u64, fn(&str, usize, u64));
+const STRUCTURES: [Row; 4] = [
+    ("list", 4, 5_000, structure::<List>),
+    ("nmtree", nmtree::SLOTS_NEEDED, 500_000, structure::<Tree>),
+    ("hashmap", 4, 16_384, structure::<Hash>),
+    ("skiplist", skiplist::SLOTS_NEEDED, 131_072, structure::<Skip>),
+];
+
 fn main() {
-    let div: u64 = match std::env::args().nth(1) {
-        Some(arg) => arg.parse().expect("usage: setup_split [prefill divisor]"),
-        None => 1,
-    };
+    const USAGE: &str = "usage: setup_split [prefill divisor] [list|nmtree|hashmap|skiplist]";
+    let mut args = std::env::args().skip(1);
+    let div: u64 = args.next().map_or(1, |arg| arg.parse().expect(USAGE));
+    let only = args.next();
+    if let Some(name) = &only {
+        assert!(STRUCTURES.iter().any(|&(s, ..)| s == name), "unknown structure {name:?}; {USAGE}");
+    }
     println!(
         "{:<10} {:<3} {:>8} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "structure",
@@ -145,9 +163,9 @@ fn main() {
         "hpr/ins",
         "coll/ins"
     );
-    // The benchmark's workloads: size and slots per thread.
-    structure::<List>("list", 4, 5_000 / div);
-    structure::<Tree>("nmtree", nmtree::SLOTS_NEEDED, 500_000 / div);
-    structure::<Hash>("hashmap", 4, 16_384 / div);
-    structure::<Skip>("skiplist", skiplist::SLOTS_NEEDED, 131_072 / div);
+    for (name, slots, keys, run) in STRUCTURES {
+        if only.as_deref().is_none_or(|o| o == name) {
+            run(name, slots, keys / div);
+        }
+    }
 }

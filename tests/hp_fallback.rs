@@ -1,9 +1,10 @@
 //! MP's compatibility claim (§4.1): a client that never calls the optional
 //! `update_*_bound` extension gets plain hazard-pointer behavior — same
 //! interface, same safety, bounded waste — and an ascending-insert list
-//! (the index-collision worst case) stays correct while falling back.
+//! (the index-collision worst case) stays correct while falling back. A
+//! client that does supply bounds pays no fallback it did not earn.
 
-use margin_pointers::ds::{ConcurrentSet, LinkedList};
+use margin_pointers::ds::{nmtree, ConcurrentSet, LinkedList, NmTree};
 use margin_pointers::smr::node::USE_HP;
 use margin_pointers::smr::schemes::Mp;
 use margin_pointers::smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
@@ -72,4 +73,24 @@ fn ascending_insert_list_collides_but_stays_correct() {
         list.contains(&mut h, k);
     }
     assert!(h.counter(Counter::HpFallbackReads) > before, "fallback reads must be visible");
+}
+
+#[test]
+fn fresh_tree_first_inserts_collide_nowhere() {
+    // The tree's search interval opens under the ∞₀ leaf's `MAX_INDEX`
+    // (§5.3), so an empty tree's first leaf — and the router that shares
+    // its index, the subtree root every later search starts from — is
+    // born with a margin index, not as a `USE_HP` collision.
+    let smr = Mp::new(
+        Config::default().with_max_threads(1).with_slots_per_thread(nmtree::SLOTS_NEEDED),
+    );
+    let tree: NmTree<Mp> = NmTree::new(&smr);
+    let mut h = smr.register();
+    for k in [500u64, 250, 750] {
+        assert!(tree.insert(&mut h, k), "insert {k}");
+    }
+    assert_eq!(h.counter(Counter::CollisionAllocs), 0, "first three inserts collided");
+    for k in [500u64, 250, 750] {
+        assert!(tree.contains(&mut h, k), "contains {k}");
+    }
 }

@@ -174,6 +174,7 @@ fn positive_corpus_is_clean() {
         ("positive/ordering_pairing_ok.rs", "crates/smr/src/schemes/mp.rs"),
         ("positive/scope_ok.rs", "crates/ds/src/scope_ok.rs"),
         ("positive/forbidden_ok.rs", "crates/smr/src/forbidden_ok.rs"),
+        ("positive/prefetch_ok.rs", "crates/smr/src/packed.rs"),
     ];
     for (name, display) in corpus {
         let (_, diags) = lint_fixture(name, display);
@@ -203,6 +204,7 @@ fn every_positive_fixture_is_in_the_corpus() {
             "ordering_diagnostic_ok.rs",
             "ordering_ok.rs",
             "ordering_pairing_ok.rs",
+            "prefetch_ok.rs",
             "safety_ok.rs",
             "scope_ok.rs"
         ],

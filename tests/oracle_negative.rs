@@ -180,6 +180,34 @@ fn use_after_free_of_a_tall_tower_trips_the_canary() {
 }
 
 #[test]
+fn prefetching_a_freed_node_trips_nothing() {
+    // The control for the use-after-free tests above: `Shared::prefetch`
+    // names the same poisoned, quarantined block a deref dies on — its
+    // first line and every tail link's line, and a link past the tail —
+    // and returns, because a prefetch reads nothing ([INV-16]). The deref
+    // at the end proves the block really was reclaimed.
+    let smr = Hp::new(cfg());
+    let mut h = smr.register();
+    h.start_op();
+    let n = h.alloc_with_tail(4u64, None, 2);
+    h.end_op();
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    unsafe { h.retire(n) };
+    h.force_empty();
+    assert_eq!(h.retired_len(), 0, "the scan freed the node");
+    oracle::set_replay_seed(SEED);
+    for link in 0..4 {
+        n.prefetch(link);
+        n.with_mark(1).prefetch(link);
+    }
+    let msg = oracle_panic(|| {
+        // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+        let _ = unsafe { n.deref() };
+    });
+    assert!(msg.contains("after reclamation"), "the block was not reclaimed: {msg}");
+}
+
+#[test]
 fn retire_after_free_trips_the_oracle() {
     let smr = Hp::new(cfg());
     let mut h = smr.register();
