@@ -360,9 +360,10 @@ fn fig7c(sweep: &mut Sweep) -> Tables {
 }
 
 /// Table 1 — the paper's qualitative scheme comparison, with its two
-/// quantifiable columns measured: per-node SMR header words actually
-/// allocated, and a run-time overhead proxy (read-only BST throughput
-/// against the leaky baseline, plus fences per node).
+/// quantifiable columns measured: per-node SMR words each scheme's nodes
+/// actually carry ([`header_words`]), and a run-time overhead proxy
+/// (read-only BST throughput against the leaky baseline, plus fences per
+/// node).
 fn table1(sweep: &mut Sweep) -> Tables {
     let threads = sweep.scale.max_threads();
     let mut tree = |scheme| sweep.paper(Structure::NmTree, scheme, threads, 500_000, READ_ONLY);
@@ -378,13 +379,6 @@ fn table1(sweep: &mut Sweep) -> Tables {
             "hdr-words",
         ],
     );
-    // Per-node header: birth epoch, then index and tail length sharing a
-    // word — 2 words. The paper's third, the retire epoch, is known only
-    // once a node is retired, so it lives in the retired-list record and
-    // only while the node is pending. HP/EBR ignore the fields but the
-    // unified allocator still reserves them (an implementation
-    // simplification).
-    let hdr_words = std::mem::size_of::<mp_smr::node::Header>().div_ceil(8).to_string();
     for (scheme, bound, effort) in [
         (Hp, "bounded", "per-reference"),
         (Ebr, "unbounded", "per-operation"),
@@ -399,17 +393,37 @@ fn table1(sweep: &mut Sweep) -> Tables {
             format!("{:.4}", r.telemetry.fences_per_node()),
             bound.into(),
             effort.into(),
-            hdr_words.clone(),
+            header_words(scheme).to_string(),
         ]);
     }
     for (scheme, overhead, fences, bound, effort) in [
-        ("DTA", "(list only)", "-", "robust (frozen leak)", "DS-specific freezing"),
-        ("Leaky", "1.00x", "0.0000", "none (never frees)", "-"),
+        (Dta, "(list only)", "-", "robust (frozen leak)", "DS-specific freezing"),
+        (Leaky, "1.00x", "0.0000", "none (never frees)", "-"),
     ] {
-        let cells = [scheme, overhead, fences, bound, effort, &hdr_words];
+        let words = header_words(scheme).to_string();
+        let cells = [scheme.name(), overhead, fences, bound, effort, &words];
         table.row(cells.map(String::from).to_vec());
     }
     vec![("table1".into(), table)]
+}
+
+/// Words of SMR metadata `scheme` puts in each node, read off the
+/// allocator: the pool block a payload-less, tail-less node holds once
+/// retired. Every node has the one-word header (index, shape, client
+/// flag); HE, IBR, MP and DTA add the birth word their scans judge. The
+/// paper's retire epoch is in no node: it is known only once a node is
+/// retired, so it lives in the retired-list record while the node is
+/// pending.
+fn header_words(scheme: SchemeKind) -> usize {
+    use mp_smr::{Smr, SmrHandle};
+    let cfg = mp_smr::Config::default().with_max_threads(1);
+    let smr = mp_smr::AnySmr::try_with_kind(scheme, cfg).expect("a default config is valid");
+    let mut h = smr.try_register().expect("a fresh registry has a slot");
+    let mut op = h.pin();
+    let node = op.alloc(());
+    unsafe { op.retire(node) }; // SAFETY: [INV-04] never published, retired once.
+    drop(op);
+    smr.telemetry().pending_bytes() / size_of::<u64>()
 }
 
 /// Index collisions by structure, size and insertion order (the paper's
@@ -654,5 +668,17 @@ mod tests {
     fn an_unknown_figure_is_refused_before_anything_runs() {
         let err = emit(Scale::Smoke, &["fig8".to_string()]).unwrap_err();
         assert!(err.contains("fig8") && err.contains("fig7c, table1"), "{err}");
+    }
+
+    /// Table 1's `hdr-words`: the one-word header for every scheme, plus
+    /// a birth word for the schemes whose scans judge a node's lifetime.
+    #[test]
+    fn a_node_carries_a_birth_word_only_where_its_scheme_reads_one() {
+        let bare = header_words(Hp);
+        assert_eq!(bare, size_of::<mp_smr::node::Header>() / size_of::<u64>());
+        for scheme in SchemeKind::ALL {
+            let birth = matches!(scheme, He | Ibr | Mp | Dta);
+            assert_eq!(header_words(scheme), bare + usize::from(birth), "{}", scheme.name());
+        }
     }
 }

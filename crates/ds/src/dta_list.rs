@@ -87,8 +87,7 @@ impl Freezer for ListFreezer {
                 break;
             }
             // SAFETY: [INV-01] pinned as argued above (or an immortal sentinel).
-            let node_smr = unsafe { node.deref() };
-            let node_ref = node_smr.data();
+            let node_ref = unsafe { node.deref() }.data();
             if node.as_raw() == self.head.as_raw() {
                 // Never freeze the head: it has no predecessor to splice a
                 // replacement from, and being immortal it needs none. It
@@ -105,7 +104,8 @@ impl Freezer for ListFreezer {
             }
             let prev_word = node_ref.next.fetch_or_mark(FROZEN, Ordering::AcqRel);
             frozen.push(node.addr());
-            if node_smr.birth() < older_than {
+            // SAFETY: [INV-01] pinned as `node_ref` is, above.
+            if unsafe { node.birth() }.is_some_and(|birth| birth < older_than) {
                 old_frozen += 1;
             }
             node = prev_word.unmarked();

@@ -88,8 +88,8 @@ fn node_bytes<T>() -> usize {
 #[cfg(test)]
 fn canary_bytes() -> usize {
     let header = size_of::<mp_smr::node::Header>();
-    assert!(header == 16 || header == 24, "2 words, 3 with the oracle's canary: {header}");
-    header - 16
+    assert!(header == 8 || header == 16, "1 word, 2 with the oracle's canary: {header}");
+    header - 8
 }
 
 /// `ops` random inserts, removes and lookups on one handle, each checked
@@ -147,8 +147,9 @@ fn stress<S: Smr, D: ConcurrentSet<S>>(ds: &D, smr: &Arc<S>, keys: u64, ops: usi
     });
 }
 
-/// Bytes a retired node with payload `data` and `tail_len` links holds,
-/// less the canary word: the allocation that is pinned, not a `size_of`.
+/// Bytes a retired node with payload `data` and `tail_len` links holds
+/// under HP, which stamps no birth word, less the canary word: the
+/// allocation that is pinned, not a `size_of`.
 #[cfg(test)]
 fn retired_block_bytes<T: Send + Sync>(data: T, tail_len: usize) -> usize {
     use mp_smr::SmrHandle;

@@ -421,7 +421,7 @@ mod tests {
 
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(crate::node_bytes::<Node>(), 32, "header 16 + key 8 + next 8");
+        assert_eq!(crate::node_bytes::<Node>(), 24, "header 8 + key 8 + next 8");
     }
 
     fn smoke<S: Smr>() {

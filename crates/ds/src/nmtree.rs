@@ -24,7 +24,8 @@
 //! Descent prefetch: at each internal node, as soon as its two child edges
 //! are loaded and before its key is compared, `seek` prefetches both
 //! children ([`Shared::prefetch`]: the block start and the line of link
-//! `RIGHT`, since a 40-byte internal node can straddle a cache line). Left
+//! `RIGHT`, since a 40-byte internal node — MP's or HE's, with its birth
+//! word — can straddle a cache line; HP's 32-byte one never does). Left
 //! or right is a coin flip the branch predictor often loses, and without
 //! the hint the next miss starts only once the key has arrived and the
 //! branch has resolved. A prefetch reads nothing, so it needs no
@@ -34,8 +35,9 @@
 //! *internal* node are its tail ([`SmrHandle::alloc_with_tail`] with two
 //! links, `tail()[LEFT]` and `tail()[RIGHT]`), in the same block right
 //! after the payload. A *leaf* is allocated with no tail, so half the
-//! tree's nodes carry no child words at all: 24 bytes a leaf, 40 an
-//! internal node. "Is this a leaf" is therefore "is its tail empty" — a
+//! tree's nodes carry no child words at all: under HP 16 bytes a leaf, 32
+//! an internal node (24 and 40 under a scheme that stamps births). "Is
+//! this a leaf" is therefore "is its tail empty" — a
 //! fact fixed at allocation — and the descent ends on the node that answers
 //! yes, without reading a child edge of it.
 
@@ -615,8 +617,8 @@ mod tests {
     /// A leaf is the bare node; an internal node adds its two child edges.
     #[test]
     fn node_size_is_pinned() {
-        assert_eq!(crate::node_bytes::<Node>(), 24, "header 16 + key 8");
-        for (tail_len, block) in [(0, 24), (2, 40)] {
+        assert_eq!(crate::node_bytes::<Node>(), 16, "header 8 + key 8");
+        for (tail_len, block) in [(0, 16), (2, 32)] {
             let held = crate::retired_block_bytes(Node { key: 0, value: () }, tail_len);
             assert_eq!(held, block, "{tail_len} links");
         }

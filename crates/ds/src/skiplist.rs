@@ -6,14 +6,15 @@
 //! per-level `(pred, succ)` pairs; `insert` links bottom-up; `remove` marks
 //! every level's next pointer top-down, and the later of the level-0 mark's
 //! winner and the node's inserter (the retire handshake,
-//! `Node::second_to_finish`) physically unlinks it (via repeated `find`)
-//! and retires it.
+//! `second_to_finish`, on the node header's client flag) physically
+//! unlinks it (via repeated `find`) and retires it.
 //!
 //! A node carries exactly as many forward pointers as its tower is tall:
 //! they are the node's *tail* ([`SmrHandle::alloc_with_tail`]), allocated
-//! in the same block right after the payload, so a one-level node is 40
-//! bytes, the expected node 48, and only a full-height one 192. The
-//! sentinels are the same type with a tail of [`MAX_HEIGHT`].
+//! in the same block right after the payload, so under HP a one-level node
+//! is 24 bytes, the expected node 32, and only a full-height one 176; a
+//! scheme that stamps births (MP, HE, IBR, DTA) adds its one word to each.
+//! The sentinels are the same type with a tail of [`MAX_HEIGHT`].
 //!
 //! MP integration (§5.2): searches update the MP search interval exactly as
 //! in the single list — each rightward step updates the lower bound, each
@@ -39,11 +40,11 @@
 //! nothing, so it needs no protection; either node is still taken by a
 //! protected `read` before it is dereferenced.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mp_smr::node::MAX_INDEX;
-use mp_smr::{Shared, Smr, SmrHandle, Telemetry};
+use mp_smr::{Shared, Smr, SmrHandle, SmrNode, Telemetry};
 
 use crate::ConcurrentSet;
 
@@ -71,35 +72,28 @@ fn slot(level: usize, role: usize) -> usize {
 }
 
 /// Skip-list node payload: immutable key and optional value. The tower of
-/// links is the node's tail, as long as the node is tall.
+/// links is the node's tail, as long as the node is tall, and the retire
+/// handshake's flag is the node header's (`second_to_finish`).
 pub struct Node<V = ()> {
     key: u64,
     value: V,
-    /// Set by whichever of the node's inserter (done linking the upper
-    /// levels) and remover (done marking every level) finishes first.
-    first_done: AtomicBool,
 }
 
-impl<V> Node<V> {
-    /// A one-level node has no upper levels to link, so its inserter is
-    /// done at birth.
-    fn new(key: u64, value: V, height: usize) -> Self {
-        Node { key, value, first_done: AtomicBool::new(height == 1) }
-    }
-
-    /// The retire handshake (Fraser's `check_for_full_delete`). A removed
-    /// node may be unlinked for good and retired only once its inserter
-    /// has stopped linking it: an inserter that read a level's forward
-    /// pointer as unmarked can still link that level after the remover has
-    /// marked every level and run an unlinking `find`, and a node retired
-    /// before that link would be reachable again with no scheme protecting
-    /// its new readers. So both parties call this when they are done — the
-    /// inserter after `link_upper_levels`, the remover after the level-0
-    /// mark — and only the second caller (`true`) unlinks and retires; the
-    /// first leaves the node, marked, to it.
-    fn second_to_finish(&self) -> bool {
-        self.first_done.fetch_or(true, Ordering::AcqRel)
-    }
+/// The retire handshake (Fraser's `check_for_full_delete`). A removed node
+/// may be unlinked for good and retired only once its inserter has stopped
+/// linking it: an inserter that read a level's forward pointer as unmarked
+/// can still link that level after the remover has marked every level and
+/// run an unlinking `find`, and a node retired before that link would be
+/// reachable again with no scheme protecting its new readers. So both
+/// parties call this when they are done — the inserter after
+/// `link_upper_levels`, the remover after the level-0 mark — and only the
+/// second caller (`true`) unlinks and retires; the first leaves the node,
+/// marked, to it. The flag is the header's client flag
+/// ([`SmrNode::raise_flag`], an `AcqRel` read-modify-write). A one-level
+/// node has no upper levels to link, so its inserter is done at birth and
+/// never calls this: its remover is second without asking.
+fn second_to_finish<V>(node: &SmrNode<Node<V>>, height: usize) -> bool {
+    height == 1 || node.raise_flag()
 }
 
 /// Fraser's lock-free skip-list set.
@@ -140,7 +134,7 @@ struct FindResult<V> {
 /// ones of the key's splitmix64 hash, capped at [`MAX_HEIGHT`]. A function
 /// of the key alone, so one key stream builds the same towers on every
 /// run, on every thread and under every scheme.
-fn random_height(key: u64) -> usize {
+pub fn random_height(key: u64) -> usize {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -248,7 +242,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     /// removed. The mark check is only an early exit: a remover can mark
     /// the level right after it, and the `pred` CAS then links a marked
     /// node — which is why `new` is not unlinked and retired before its
-    /// inserter's [`Node::second_to_finish`].
+    /// inserter's [`second_to_finish`].
     // PROTECTION: caller — runs inside the caller's start_op span; `new` is
     // the caller's own node, unretired until its `second_to_finish`, and
     // preds stay protected by the most recent find.
@@ -327,7 +321,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             }
             // Midpoint index of the search interval find just maintained,
             // and a tower exactly as tall as the node.
-            let new = h.alloc_with_tail(Node::new(key, value, height), None, height);
+            let new = h.alloc_with_tail(Node { key, value }, None, height);
             // SAFETY: [INV-03] not published yet; exclusively ours. [INV-15]
             // the zip stops at the `height` links just allocated.
             for (link, succ) in unsafe { new.tail() }.iter().zip(&r.succs) {
@@ -354,7 +348,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             // only a tall node's inserter takes part in the handshake.
             // SAFETY: [INV-01] a tall node is not retired before this very
             // call returns ([INV-04]), so no protected read is needed.
-            if height > 1 && unsafe { new.deref() }.data().second_to_finish() {
+            if height > 1 && second_to_finish(unsafe { new.deref() }, height) {
                 // Removed while we were linking, and the remover is done
                 // marking: it left the node to us.
                 self.unlink(h, new, key);
@@ -422,7 +416,7 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
         // Sentinel indices per §5.2: head 0, tail MAX_INDEX.
         // Both are full-height towers; the tail sentinel's links stay null.
         let sentinel = |h: &mut S::Handle, key, index| {
-            h.alloc_with_tail(Node::new(key, V::default(), MAX_HEIGHT), Some(index), MAX_HEIGHT)
+            h.alloc_with_tail(Node { key, value: V::default() }, Some(index), MAX_HEIGHT)
         };
         let tail = sentinel(&mut h, u64::MAX, MAX_INDEX);
         let head = sentinel(&mut h, 0, 0);
@@ -450,7 +444,7 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
         // SAFETY: [INV-01] victim protected by find: its level-0 slot is
         // untouched until the unlink pass, which only compares addresses.
         // [INV-15] the tower's own length is the height: levels 0 and `1..`.
-        let (victim_node, victim_next) = unsafe { (victim.deref().data(), victim.tail()) };
+        let (victim_node, victim_next) = unsafe { (victim.deref(), victim.tail()) };
 
         // Mark top-down, levels height-1 .. 1.
         for link in victim_next[1..].iter().rev() {
@@ -495,7 +489,7 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
 
         #[cfg(test)]
         tests::pause(victim.addr());
-        if victim_node.second_to_finish() {
+        if second_to_finish(victim_node, victim_next.len()) {
             // The inserter is done (a one-level node's was at birth), so
             // nothing links the node again once this pass has unlinked it.
             // Otherwise the inserter, finishing second, does both.
@@ -665,12 +659,13 @@ mod tests {
         }
     }
 
-    /// A node's block is as big as its tower is tall: header 16 + key 8 +
-    /// flag 8 + 8 per level, exactly — the pool's classes are a word apart.
+    /// A node's block is as big as its tower is tall: header 8 + key 8 +
+    /// 8 per level under HP, exactly — the pool's classes are a word apart,
+    /// and the handshake flag lives in the header.
     #[test]
     fn node_size_is_pinned() {
-        for (height, block) in [(1, 40), (2, 48), (3, 56), (4, 64), (MAX_HEIGHT, 192)] {
-            let held = crate::retired_block_bytes(Node::new(0, (), height), height);
+        for (height, block) in [(1, 24), (2, 32), (3, 40), (4, 48), (MAX_HEIGHT, 176)] {
+            let held = crate::retired_block_bytes(Node { key: 0, value: () }, height);
             assert_eq!(held, block, "height {height}");
         }
     }

@@ -21,3 +21,12 @@ pub fn warm(line: *const i8) {
     // SAFETY: [INV-16] only the hint is issued.
     unsafe { core::arch::x86_64::_mm_prefetch::<3>(line) } //~ ERROR[forbidden]: prefetch intrinsic outside packed.rs
 }
+
+pub fn born(node: &SmrNode<u64>) -> u64 {
+    node.header.index as u64 //~ ERROR[forbidden]: node header field access outside node.rs
+}
+
+pub fn shape(header: *const Header) -> u16 {
+    // SAFETY: [INV-15] the header is live.
+    unsafe { (*header).shape } //~ ERROR[forbidden]: node header field access outside node.rs
+}

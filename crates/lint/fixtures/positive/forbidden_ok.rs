@@ -9,6 +9,15 @@ pub fn entropy(seed_addr: *const u8) -> usize {
     seed_addr as usize
 }
 
+pub fn width(table: &Table) -> usize {
+    // A method call on some other `header` is not a node header field.
+    table.header.len() + table.header.iter().count()
+}
+
+pub fn index(node: &SmrNode<u64>) -> u32 {
+    node.index()
+}
+
 pub fn hand_off(buf: IoBuf) {
     // FORBID-OK: ownership moved to the device; drop must not run.
     mem::forget(buf);

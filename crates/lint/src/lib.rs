@@ -16,7 +16,8 @@
 //! 3. **protection-scope heuristic** — `deref()` outside a lexical
 //!    `pin()` / `start_op()` span needs a `// PROTECTION:` annotation.
 //! 4. **forbidden-API pass** — `mem::forget`, `todo!`/`unimplemented!` in
-//!    non-test code, and raw pointer-width `as` casts outside `packed.rs`.
+//!    non-test code, raw pointer-width `as` casts and prefetch intrinsics
+//!    outside `packed.rs`, and node `Header` field access outside `node.rs`.
 //!
 //! Zero dependencies, a hand-rolled lexer (tokens + brace tree, no full
 //! parser), run as `cargo run -p mp-lint -- crates/ tests/ examples/ src/`.

@@ -18,12 +18,22 @@
 //!   `core::intrinsics::prefetch_*`) outside `packed.rs` — a prefetch is a
 //!   hint that may name a freed address ([INV-16]), and `Shared::prefetch`
 //!   is the one audited place that issues it. No escape hatch.
+//! * `Header` field access outside `node.rs` — `<expr>.header.<field>` or
+//!   `(*header).<field>`. A node's birth word is present only when its
+//!   header's shape says so, and the tail's length is the shape's too, so
+//!   only the module that reads the shape may read the header; everything
+//!   else goes through `SmrNode`'s and `Shared`'s accessors. Method calls
+//!   (`.header.iter()`, on some other `header`) are not field accesses.
+//!   No escape hatch.
 
 use crate::lexer::{in_spans, LexFile, Tok};
 use crate::{Diagnostic, PASS_FORBIDDEN};
 
 /// The one module allowed to pun pointers and integers freely.
 const CAST_SANCTUM: &str = "crates/smr/src/packed.rs";
+
+/// The one module allowed to touch a node header's fields.
+const HEADER_SANCTUM: &str = "crates/smr/src/node.rs";
 
 pub fn run(
     file: &str,
@@ -78,6 +88,16 @@ pub fn run(
                     }
                 }
             }
+            "header" if is_header_field_access(f, i) && !file.ends_with(HEADER_SANCTUM) => {
+                out.push(diag(
+                    file,
+                    f,
+                    i,
+                    "node header field access outside node.rs — the shape decides \
+                     whether a birth word exists; read through SmrNode's and \
+                     Shared's accessors ([INV-15])",
+                ));
+            }
             _ if is_prefetch_intrinsic(id) && !file.ends_with(CAST_SANCTUM) => {
                 out.push(diag(
                     file,
@@ -98,6 +118,24 @@ fn is_prefetch_intrinsic(id: &str) -> bool {
     matches!(id, "_mm_prefetch" | "_prefetch")
         || id.starts_with("prefetch_read")
         || id.starts_with("prefetch_write")
+}
+
+/// True if the `header` at code position `i` has a field read or written
+/// through it: `.header.<field>` or `(*header).<field>`, where `<field>`
+/// is not called.
+fn is_header_field_access(f: &LexFile, i: usize) -> bool {
+    let field_at = if f.is_punct(i.wrapping_sub(1), '.') && f.is_punct(i + 1, '.') {
+        i + 2
+    } else if f.is_punct(i.wrapping_sub(1), '*')
+        && f.is_punct(i.wrapping_sub(2), '(')
+        && f.is_punct(i + 1, ')')
+        && f.is_punct(i + 2, '.')
+    {
+        i + 3
+    } else {
+        return false;
+    };
+    matches!(f.tok(field_at), Some(Tok::Ident(_))) && !f.is_punct(field_at + 1, '(')
 }
 
 /// Classifies the `as` at code position `i` as a pointer-width pun, if any.

@@ -356,7 +356,7 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// payload padded to the tallest case. The length
     /// lives in the node's header, is fixed for the node's lifetime, and is
     /// what every free path sizes the block from. Panics if `tail_len`
-    /// exceeds `u32::MAX`.
+    /// exceeds [`MAX_TAIL_LEN`](crate::node::MAX_TAIL_LEN).
     ///
     /// `index` is the node's MP index: `Some` for a node whose position in
     /// the key space is fixed (a sentinel); `None` lets the scheme choose —
@@ -367,7 +367,8 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// # Allocation behavior
     ///
     /// Node memory is served from the slab pool ([`mp_util::pool`]), in the
-    /// 8-byte size class of header + payload + tail — for a node, which is
+    /// 8-byte size class of header + payload + tail (+ the birth word, for
+    /// the schemes that stamp one) — for a node, which is
     /// a whole number of words, exactly its size: steady-state churn —
     /// alloc, retire, reclaim, alloc again — recycles blocks through the
     /// thread's magazines and performs no heap allocations;

@@ -1,20 +1,25 @@
 //! Node allocation: the per-node SMR header and type-erased reclamation.
 //!
 //! Every node managed by an SMR scheme is allocated as an [`SmrNode<T>`]:
-//! a fixed two-word header (birth epoch, 32-bit index, 32-bit tail length —
-//! one word under the paper's Table 1 budget: the retire epoch is known
-//! only once a node is retired, and lives in the retired-list record for
-//! exactly that long) followed by the client payload and then by the
-//! node's *tail*: an array of [`Atomic<T>`] links whose length is chosen at
-//! allocation time (a skip-list tower, an internal tree node's two child
-//! edges; empty for a list node and a tree leaf). The block's layout is
-//! always derived from the header's tail length, so one allocation and one
-//! free path serve both. Retired nodes are stored type-erased (the
-//! crate-private `Retired` record, which carries the retire epoch the scans
-//! judge) so one retired list can hold nodes of any client type.
+//! a one-word [`Header`] (32-bit index, 16-bit shape, 16-bit client flag)
+//! followed by the client payload, then by the node's *tail*: an array of
+//! [`Atomic<T>`] links whose length is chosen at allocation time (a
+//! skip-list tower, an internal tree node's two child edges; empty for a
+//! list node and a tree leaf), and last, for the schemes that judge a
+//! retired node by its lifetime (HE, IBR, MP, DTA), by the node's *birth
+//! word*. A node carries only the words its scheme reads (the paper's
+//! Table 1): HP, EBR and Leaky nodes have no birth word, and no node holds
+//! a retire epoch — that is known only once the node is retired, and lives
+//! in the retired-list record for exactly that long. The header's shape
+//! records the tail length and whether the birth word is there, and every
+//! layout the block is handled under is derived from it ([INV-15]), so one
+//! allocation and one free path serve every node. Retired nodes are stored
+//! type-erased (the crate-private `Retired` record, which carries the
+//! retire epoch the scans judge) so one retired list can hold nodes of any
+//! client type.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
 
 use crate::packed::Atomic;
 use crate::telemetry::{Counter, HandleTelemetry};
@@ -40,26 +45,50 @@ pub fn is_use_hp_class(index: u32) -> bool {
     index >= USE_HP_CLASS_START
 }
 
-/// The per-node SMR header (paper Listing 10's added `Node` fields, less
-/// the retire epoch: that one is `Retired::retire`, held only while the
-/// node is pending).
-#[repr(C)]
+/// Top bit of [`Header`]'s shape: the block ends in a birth word.
+const BIRTH_WORD: u16 = 1 << 15;
+
+/// The longest tail a header's shape can record.
+pub const MAX_TAIL_LEN: usize = (BIRTH_WORD - 1) as usize;
+
+/// The per-node SMR header: one word, whatever the scheme (paper Listing
+/// 10's added `Node` fields, less the birth epoch — a word after the tail,
+/// present only where the scheme reads it — and the retire epoch, which is
+/// `Retired::retire`, held only while the node is pending).
+///
+/// Its fields are this module's alone (the linter's forbidden-API pass
+/// denies `.header.<field>` anywhere else): the shape decides whether the
+/// birth word exists, so only the code that reads the shape may read it.
+#[repr(C, align(8))]
 #[derive(Debug)]
 pub struct Header {
-    /// Global epoch at allocation time.
-    pub(crate) birth: u64,
     /// The node's immutable 32-bit MP index.
-    pub(crate) index: u32,
-    /// Number of links in the node's tail ([INV-15]): written once by the
-    /// allocation, immutable afterwards. It shares a word with `index`, so
-    /// the header is two words.
-    tail_len: u32,
+    index: u32,
+    /// The tail length in the low 15 bits, [`BIRTH_WORD`] on top: what the
+    /// block's layout is derived from ([INV-15]). Written once by the
+    /// allocation, immutable afterwards.
+    shape: u16,
+    /// The client flag: 0 at birth, raised once by
+    /// [`SmrNode::raise_flag`], never lowered.
+    flag: AtomicU16,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
     /// live, flipped to the poison value on reclamation and validated by
     /// every `Shared::deref`. Only present under `--features oracle`, so
-    /// the default header stays two words.
+    /// the default header stays one word.
     #[cfg(feature = "oracle")]
-    pub(crate) canary: u64,
+    canary: u64,
+}
+
+impl Header {
+    #[inline]
+    fn tail_len(&self) -> usize {
+        usize::from(self.shape & !BIRTH_WORD)
+    }
+
+    #[inline]
+    fn has_birth(&self) -> bool {
+        self.shape & BIRTH_WORD != 0
+    }
 }
 
 /// Canary validation for `Shared::deref`: reads the header through a raw
@@ -87,7 +116,7 @@ pub(crate) unsafe fn oracle_check_canary(h: *const Header) {
 /// `*mut Header` can be recovered from any `*mut SmrNode<T>`.
 #[repr(C)]
 pub struct SmrNode<T> {
-    pub(crate) header: Header,
+    header: Header,
     data: T,
 }
 
@@ -104,10 +133,15 @@ impl<T> SmrNode<T> {
         self.header.index
     }
 
-    /// The node's birth epoch.
+    /// Raises the node's client flag and returns whether it was already
+    /// raised. The flag starts lowered and is never lowered again, so of
+    /// any number of callers exactly one — the first — gets `false`. The
+    /// read-modify-write is `AcqRel`: a `true` caller sees everything the
+    /// first caller did before raising it. What the flag means is the
+    /// client's; the skip list's retire handshake is its one use.
     #[inline]
-    pub fn birth(&self) -> u64 {
-        self.header.birth
+    pub fn raise_flag(&self) -> bool {
+        self.header.flag.fetch_or(1, Ordering::AcqRel) != 0
     }
 }
 
@@ -126,10 +160,13 @@ pub mod gauge {
     }
 }
 
-/// Layout of the block holding a node with payload `T` and `tail_len`
-/// links: the tail starts at `size_of::<SmrNode<T>>()`.
+/// The block behind a node with payload `T`, `tail_len` links and, if
+/// `birth`, a birth word: its layout, and the birth word's offset (0 when
+/// there is none). The tail starts at `size_of::<SmrNode<T>>()`; the birth
+/// word follows it, so a prefetch or a tail index computes the same
+/// addresses with or without one.
 #[inline]
-fn node_layout<T>(tail_len: u32) -> Layout {
+fn block<T>(tail_len: usize, birth: bool) -> (Layout, usize) {
     // The tail's element type is fixed by the node type, so this pins
     // `Atomic`'s representation rather than a caller's choice: a wider
     // (more aligned) link would not start where `tail` looks for it, and
@@ -138,39 +175,74 @@ fn node_layout<T>(tail_len: u32) -> Layout {
         assert!(align_of::<Atomic<T>>() <= align_of::<SmrNode<T>>());
         assert!(!core::mem::needs_drop::<Atomic<T>>());
     }
-    let tail = Layout::array::<Atomic<T>>(tail_len as usize).expect("tail size overflows");
-    let (layout, _) = Layout::new::<SmrNode<T>>().extend(tail).expect("node size overflows");
-    layout.pad_to_align()
+    let tail = Layout::array::<Atomic<T>>(tail_len).expect("tail size overflows");
+    let (mut layout, _) = Layout::new::<SmrNode<T>>().extend(tail).expect("node size overflows");
+    let mut birth_at = 0;
+    if birth {
+        (layout, birth_at) = layout.extend(Layout::new::<u64>()).expect("node size overflows");
+    }
+    (layout.pad_to_align(), birth_at)
+}
+
+/// [`block`] for the node at `ptr`, read off its header.
+///
+/// # Safety
+/// `ptr` must have come from [`alloc_node`] and its block must still be
+/// mapped (allocated, or parked in the oracle's quarantine).
+// SAFETY: [INV-11] obligation stated in `# Safety` above; every caller is
+// in this module and holds the node it sizes.
+#[inline]
+unsafe fn block_of<T>(ptr: *const SmrNode<T>) -> (Layout, usize) {
+    // SAFETY: [INV-15] the header is at offset 0 and was written by the
+    // allocation, whose shape the block was sized from.
+    let header = unsafe { &(*ptr).header };
+    block::<T>(header.tail_len(), header.has_birth())
 }
 
 /// The tail of the node at `ptr`: the links its allocation placed after
 /// the payload (none unless it asked for some).
 ///
 /// # Safety
-/// `ptr` must have come from [`alloc_node`] (so the header's `tail_len` is
-/// the length the block was sized for) and the node must stay allocated
-/// for `'a`.
+/// `ptr` must have come from [`alloc_node`] (so the header's shape is the
+/// one the block was sized for) and the node must stay allocated for `'a`.
 // SAFETY: [INV-11] obligation stated in `# Safety` above; `Shared::tail`
 // forwards its own protection contract, the allocator owns the fresh node.
 pub(crate) unsafe fn tail<'a, T>(ptr: *mut SmrNode<T>) -> &'a [Atomic<T>] {
     // SAFETY: [INV-15] the slice is built from the allocation's own pointer
     // (not from a `&T`, which covers the payload only), starts one
-    // `SmrNode<T>` past it — aligned, per `node_layout`'s assertions — and
-    // spans the `tail_len` links that allocation sized and null-initialized.
+    // `SmrNode<T>` past it — aligned, per `block`'s assertions — and spans
+    // the links that allocation sized and null-initialized.
     unsafe {
-        let len = (*ptr).header.tail_len as usize;
+        let len = (*ptr).header.tail_len();
         // CAST-OK: the tail's element type is fixed by the node type.
         core::slice::from_raw_parts(ptr.add(1) as *const Atomic<T>, len)
     }
 }
 
+/// The birth word of the node at `ptr`, or `None` if its scheme allocated
+/// none.
+///
+/// # Safety
+/// Same as [`tail`].
+// SAFETY: [INV-11] obligation stated in `# Safety` above; `Shared::birth`
+// forwards its own protection contract.
+pub(crate) unsafe fn birth<T>(ptr: *const SmrNode<T>) -> Option<u64> {
+    // SAFETY: [INV-15] the shape says whether the block ends in a birth
+    // word; if it does, `block` places it where the allocation wrote it,
+    // inside the block and 8-aligned, and it is immutable from then on.
+    unsafe {
+        let (_, at) = block_of(ptr);
+        (*ptr).header.has_birth().then(|| ptr.cast::<u8>().add(at).cast::<u64>().read())
+    }
+}
+
 /// Allocates a tail-less node with the given payload, index, and birth
-/// epoch.
+/// word (none if `birth` is `None`).
 ///
 /// The block comes from the slab pool (`mp_util::pool`): a recycled block
 /// of the node's size class when the thread's magazine or a chunk holds
 /// one, a fresh carve otherwise.
-pub(crate) fn alloc_node<T>(data: T, index: u32, birth: u64) -> *mut SmrNode<T> {
+pub(crate) fn alloc_node<T>(data: T, index: u32, birth: Option<u64>) -> *mut SmrNode<T> {
     alloc_node_tracked(data, index, birth, 0).0
 }
 
@@ -180,7 +252,7 @@ pub(crate) fn alloc_node<T>(data: T, index: u32, birth: u64) -> *mut SmrNode<T> 
 pub(crate) fn alloc_node_in<T>(
     data: T,
     index: u32,
-    birth: u64,
+    birth: Option<u64>,
     tail_len: usize,
     tele: &mut HandleTelemetry,
 ) -> *mut SmrNode<T> {
@@ -192,45 +264,52 @@ pub(crate) fn alloc_node_in<T>(
 fn alloc_node_tracked<T>(
     data: T,
     index: u32,
-    birth: u64,
+    birth: Option<u64>,
     tail_len: usize,
 ) -> (*mut SmrNode<T>, bool) {
-    let tail_len = u32::try_from(tail_len).expect("tail length must fit the header's 32-bit field");
+    assert!(tail_len <= MAX_TAIL_LEN, "tail length must fit the header's 15-bit field");
+    let shape = tail_len as u16 | if birth.is_some() { BIRTH_WORD } else { 0 };
+    let (layout, birth_at) = block::<T>(tail_len, birth.is_some());
     gauge::LIVE.fetch_add(1, Ordering::AcqRel);
-    let (raw, from_pool) = mp_util::pool::alloc(node_layout::<T>(tail_len));
-    let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly node_layout::<T>(tail_len).
+    let (raw, from_pool) = mp_util::pool::alloc(layout);
+    let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly this node's layout.
     // SAFETY: [INV-08] `raw` is an exclusively owned block of the node's layout;
-    // the writes fully initialize node and tail (recycled pool blocks may
-    // hold stale or oracle-poisoned bytes, overwritten without being read).
-    // [INV-15] `tail_len` is written here, before anyone else can see the
-    // node, and the links are written within the block sized from it.
+    // the writes fully initialize node, tail and birth word (recycled pool
+    // blocks may hold stale or oracle-poisoned bytes, overwritten without
+    // being read). [INV-15] the shape is written here, before anyone else
+    // can see the node, and the links and the birth word are written
+    // within the block sized from it.
     unsafe {
         ptr.write(SmrNode {
             header: Header {
-                birth,
                 index,
-                tail_len,
+                shape,
+                flag: AtomicU16::new(0),
                 #[cfg(feature = "oracle")]
                 canary: crate::oracle::CANARY_ALIVE,
             },
             data,
         });
         let links = ptr.add(1) as *mut Atomic<T>; // CAST-OK: the tail's element type is fixed by the node type.
-        for i in 0..tail_len as usize {
+        for i in 0..tail_len {
             links.add(i).write(Atomic::null());
+        }
+        if let Some(birth) = birth {
+            raw.add(birth_at).cast::<u64>().write(birth);
         }
     }
     #[cfg(feature = "oracle")]
-    crate::oracle::on_alloc(ptr as u64, birth); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
+    crate::oracle::on_alloc(ptr as u64, birth.unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
     #[cfg(feature = "hb-oracle")]
     crate::hb::on_alloc(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
     (ptr, from_pool)
 }
 
-/// Poisons a node whose payload was just dropped or moved out — payload
-/// and tail, so a stale tower read sees poison too — and parks its block
-/// in the oracle quarantine (instead of returning it to the allocator), so
-/// a later buggy dereference reads the poison canary deterministically.
+/// Poisons a node whose payload was just dropped or moved out — payload,
+/// tail and birth word, so a stale tower read sees poison too — and parks
+/// its block in the oracle quarantine (instead of returning it to the
+/// allocator), so a later buggy dereference reads the poison canary
+/// deterministically.
 ///
 /// # Safety
 /// Same contract as [`dealloc_node`].
@@ -270,7 +349,7 @@ pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) {
     // SAFETY: [INV-03] per this fn's contract the node is scan-approved and
     // never accessed again — the reclaiming thread has exclusive access. The
     // payload is dropped exactly once, here (the tail has no drop glue, see
-    // `node_layout`).
+    // `block`).
     unsafe { free_node(ptr, || core::ptr::drop_in_place(core::ptr::addr_of_mut!((*ptr).data))) }
 }
 
@@ -299,13 +378,13 @@ pub(crate) unsafe fn take_node<T>(ptr: *mut SmrNode<T>) -> T {
 unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
     gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
     // SAFETY: [INV-03] exclusive access per this fn's contract, and no
-    // access after the block is given up; [INV-15] the header's `tail_len`
-    // is what the allocation sized the block from, so [INV-08] the pool
-    // gets the block back under the layout class it was served for.
+    // access after the block is given up; [INV-15] the header's shape is
+    // what the allocation sized the block from, so [INV-08] the pool gets
+    // the block back under the layout class it was served for.
     unsafe {
-        let layout = node_layout::<T>((*ptr).header.tail_len);
+        let (layout, _) = block_of(ptr);
         #[cfg(feature = "oracle")]
-        crate::oracle::on_free(ptr as u64, (*ptr).header.birth); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
+        crate::oracle::on_free(ptr as u64, birth(ptr).unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_free(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
         let out = take();
@@ -317,12 +396,12 @@ unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Allocates an SMR node outside any handle (index 0, birth 0). For
+/// Allocates an SMR node outside any handle (index 0, birth word 0). For
 /// scheme-internal machinery only — e.g. the replacement copies DTA's
-/// freezer splices into a list; ordinary clients allocate through
-/// [`crate::SmrHandle::alloc`].
+/// freezer splices into a list, whose birth its next freeze reads;
+/// ordinary clients allocate through [`crate::SmrHandle::alloc`].
 pub fn alloc_bare<T>(data: T) -> *mut SmrNode<T> {
-    alloc_node(data, 0, 0)
+    alloc_node(data, 0, Some(0))
 }
 
 /// Monomorphized eraser stored in [`Retired::drop_fn`].
@@ -342,6 +421,8 @@ unsafe fn dealloc_erased<T>(ptr: *mut Header) {
 /// A type-erased retired node, buffered until reclamation is safe.
 pub(crate) struct Retired {
     pub(crate) ptr: *mut Header,
+    /// The node's birth word; 0 for a node allocated without one (the
+    /// schemes whose scans read this field always allocate one).
     pub(crate) birth: u64,
     pub(crate) retire: u64,
     /// Start stamp of the *operation* that unlinked and retired the node.
@@ -372,16 +453,16 @@ impl Retired {
     // SAFETY: [INV-11] obligation stated above; each scheme's `retire`
     // cites the winning unlink CAS ([INV-04]) at its call site.
     pub(crate) unsafe fn new<T>(ptr: *mut SmrNode<T>, retire_epoch: u64) -> Self {
+        // SAFETY: [INV-04] the node is removed, so the retiring thread may
+        // read it; [INV-15] its header and birth word are immutable.
+        let (layout, birth, index) =
+            unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0), (*ptr).header.index) };
         let header = ptr as *mut Header; // CAST-OK: [INV-09] header-at-offset-0 pun.
-        // SAFETY: [INV-09] in-bounds header reads through the repr(C) pun;
-        // [INV-04] the node is removed, so the retiring thread may read it.
-        let (birth, index, tail_len) =
-            unsafe { ((*header).birth, (*header).index, (*header).tail_len) };
         #[cfg(feature = "oracle")]
         crate::oracle::on_retire(header as u64, birth);
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_retire(header as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
-        let bytes = mp_util::pool::block_size(node_layout::<T>(tail_len)) as u32;
+        let bytes = mp_util::pool::block_size(layout) as u32;
         Retired {
             ptr: header,
             birth,
@@ -424,20 +505,20 @@ mod tests {
 
     #[test]
     fn header_is_at_offset_zero() {
-        let node = alloc_node(0u128, 9, 4);
+        let node = alloc_node(0u128, 9, Some(4));
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(node as usize, unsafe { &(*node).header } as *const _ as usize);
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
     }
 
     /// Zero-cost-when-off witness: without the oracle feature the header
-    /// is birth epoch plus index and tail length, two words exactly — an
-    /// oracle field leaking onto the hot path, or a per-node field nothing
-    /// reads, fails this at test time.
+    /// is index, shape and client flag, one word exactly — an oracle field
+    /// leaking onto the hot path, or a per-node field nothing reads, fails
+    /// this at test time.
     #[cfg(not(feature = "oracle"))]
     #[test]
-    fn header_is_two_words_without_the_oracle() {
-        assert_eq!(core::mem::size_of::<Header>(), 16);
+    fn header_is_one_word_without_the_oracle() {
+        assert_eq!(core::mem::size_of::<Header>(), 8);
     }
 
     /// Counterpart: under the oracle the canary widens the header by one
@@ -445,8 +526,8 @@ mod tests {
     #[cfg(feature = "oracle")]
     #[test]
     fn header_gains_exactly_one_canary_word_under_the_oracle() {
-        assert_eq!(core::mem::size_of::<Header>(), 24);
-        let node = alloc_node(7u32, 0, 0);
+        assert_eq!(core::mem::size_of::<Header>(), 16);
+        let node = alloc_node(7u32, 0, None);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(unsafe { (*node).header.canary }, crate::oracle::CANARY_ALIVE);
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
@@ -457,8 +538,8 @@ mod tests {
         // Tests run in parallel, so only lower bounds are reliable here; the
         // exact end-to-end leak check lives in the `leak_check` integration
         // test, which runs alone in its own process.
-        let a = alloc_node(vec![1u8, 2, 3], 1, 0);
-        let b = alloc_node("hello".to_string(), 2, 0);
+        let a = alloc_node(vec![1u8, 2, 3], 1, None);
+        let b = alloc_node("hello".to_string(), 2, Some(0));
         assert!(gauge::live_nodes() >= 2, "our two live nodes must be counted");
         // SAFETY: [INV-12] both nodes are unpublished and test-owned.
         unsafe {
@@ -469,7 +550,7 @@ mod tests {
 
     /// Through type erasure a node is freed as what it was allocated as —
     /// payload dropped once, block and gauge returned — whether or not it
-    /// carries a tail the erased `T` knows nothing about.
+    /// carries a tail or a birth word the erased `T` knows nothing about.
     #[test]
     fn retired_reclaims_through_type_erasure() {
         struct DropFlag(std::sync::Arc<AtomicUsize>);
@@ -478,14 +559,14 @@ mod tests {
                 self.0.fetch_add(1, Ordering::AcqRel);
             }
         }
-        for tail_len in [0, 5] {
+        for (tail_len, birth) in [(0, Some(3)), (5, Some(3)), (0, None), (5, None)] {
             let flag = std::sync::Arc::new(AtomicUsize::new(0));
-            let node = alloc_node_tracked(DropFlag(flag.clone()), 11, 3, tail_len).0;
+            let node = alloc_node_tracked(DropFlag(flag.clone()), 11, birth, tail_len).0;
             let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
-            assert_eq!(retired.birth, 3);
+            assert_eq!(retired.birth, birth.unwrap_or(0));
             assert_eq!(retired.retire, 8);
             assert_eq!(retired.index, 11);
-            let block = mp_util::pool::block_size(node_layout::<DropFlag>(tail_len as u32));
+            let block = mp_util::pool::block_size(block::<DropFlag>(tail_len, birth.is_some()).0);
             assert_eq!(retired.bytes as usize, block);
             unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
             assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
@@ -494,29 +575,34 @@ mod tests {
 
     /// A retired node is counted as the block it holds — its size in the
     /// pool's word-sized classes, which for a node (a whole number of words)
-    /// is its own size: 24 bytes for a header and a `u64`, or 32 for header
-    /// and two (which one depends on the oracle's canary word). A tail
-    /// counts in full.
+    /// is its own size: 16 bytes for a header and a `u64`, 24 with a birth
+    /// word (one more each with the oracle's canary). A tail counts in
+    /// full, and so does the birth word.
     #[test]
     fn retired_bytes_are_the_block_held() {
-        fn node_and_retired_bytes<T: Default>(tail_len: usize) -> (usize, usize) {
-            let node = alloc_node_tracked(T::default(), 0, 0, tail_len).0;
+        fn node_and_retired_bytes<T: Default>(tail_len: usize, birth: bool) -> (usize, usize) {
+            let node = alloc_node_tracked(T::default(), 0, birth.then_some(1), tail_len).0;
             let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
             let bytes = retired.bytes() as usize;
             unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
-            (size_of::<SmrNode<T>>() + tail_len * size_of::<Atomic<T>>(), bytes)
+            let words = tail_len + usize::from(birth);
+            (size_of::<SmrNode<T>>() + words * size_of::<Atomic<T>>(), bytes)
         }
         let sizes = [
-            node_and_retired_bytes::<u64>(0),
-            node_and_retired_bytes::<[u64; 2]>(0),
-            node_and_retired_bytes::<u64>(1),
-            node_and_retired_bytes::<u64>(20),
+            node_and_retired_bytes::<u64>(0, false),
+            node_and_retired_bytes::<[u64; 2]>(0, false),
+            node_and_retired_bytes::<u64>(1, false),
+            node_and_retired_bytes::<u64>(20, false),
+            node_and_retired_bytes::<u64>(0, true),
+            node_and_retired_bytes::<u64>(20, true),
         ];
         for (node, bytes) in sizes {
             assert_eq!(bytes, node.next_multiple_of(mp_util::pool::CLASS_GRANULE));
         }
-        assert!(sizes.contains(&(32, 32)), "{sizes:?}");
+        assert!(sizes.contains(&(24, 24)), "{sizes:?}");
         assert_eq!(sizes[3].0 - sizes[0].0, 160, "twenty links are twenty words");
+        assert_eq!(sizes[4].0 - sizes[0].0, 8, "a birth word is one word");
+        assert_eq!(sizes[5].0 - sizes[3].0, 8, "with a tail too");
     }
 
     /// The tail starts where the accessor says for any payload alignment,
@@ -527,8 +613,8 @@ mod tests {
         #[repr(align(16))]
         #[derive(Default)]
         struct Wide(#[allow(dead_code)] u8);
-        fn check<T: Default>(tail_len: usize) {
-            let node = alloc_node_tracked(T::default(), 0, 0, tail_len).0;
+        fn check<T: Default>(tail_len: usize, birth: Option<u64>) {
+            let node = alloc_node_tracked(T::default(), 0, birth, tail_len).0;
             // SAFETY: [INV-12] node is live and owned by this test thread.
             let links = unsafe { tail(node) };
             assert_eq!(links.len(), tail_len);
@@ -536,11 +622,56 @@ mod tests {
             assert_eq!(links.as_ptr() as usize, node as usize + size_of::<SmrNode<T>>());
             unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
         }
-        check::<u8>(0);
-        check::<u8>(3);
-        check::<Wide>(3);
-        let too_long = std::panic::catch_unwind(|| alloc_node_tracked(0u8, 0, 0, 1 << 32));
+        for birth in [None, Some(5)] {
+            check::<u8>(0, birth);
+            check::<u8>(3, birth);
+            check::<Wide>(3, birth);
+        }
+        check::<u8>(MAX_TAIL_LEN, None);
+        let too_long = std::panic::catch_unwind(|| alloc_node_tracked(0u8, 0, None, 1 << 15));
         assert!(too_long.is_err(), "a wrapped length would free the block in the wrong class");
+    }
+
+    /// The birth word reads back as written, for any payload alignment and
+    /// tail, whatever the tail links hold; a node allocated without one
+    /// reports none.
+    #[test]
+    fn birth_word_sits_past_the_tail() {
+        #[repr(align(16))]
+        #[derive(Default)]
+        struct Wide(#[allow(dead_code)] u8);
+        fn check<T: Default>(tail_len: usize) {
+            let node = alloc_node_tracked(T::default(), 0, Some(u64::MAX - 7), tail_len).0;
+            // SAFETY: [INV-12] node is live and owned by this test thread.
+            for link in unsafe { tail(node) } {
+                link.store(crate::Shared::from_word(u64::MAX), Ordering::Relaxed);
+            }
+            // SAFETY: [INV-12] as above.
+            assert_eq!(unsafe { birth(node) }, Some(u64::MAX - 7), "tail {tail_len}");
+            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+            let bare = alloc_node_tracked(T::default(), 0, None, tail_len).0;
+            // SAFETY: [INV-12] node is live and owned by this test thread.
+            assert_eq!(unsafe { birth(bare) }, None);
+            unsafe { dealloc_node(bare) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        }
+        for tail_len in [0, 1, 7] {
+            check::<u8>(tail_len);
+            check::<u64>(tail_len);
+            check::<Wide>(tail_len);
+        }
+    }
+
+    /// The client flag: lowered at birth, raised by the first caller, who
+    /// alone sees `false`.
+    #[test]
+    fn the_first_raise_alone_finds_the_flag_lowered() {
+        let node = alloc_node(0u64, 0, None);
+        // SAFETY: [INV-12] node is live and owned by this test thread.
+        let node_ref = unsafe { &*node };
+        assert!(!node_ref.raise_flag());
+        assert!(node_ref.raise_flag());
+        assert!(node_ref.raise_flag());
+        unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
     }
 
     /// Pool recycling round-trip: a reclaimed node's block is served to the
@@ -560,14 +691,14 @@ mod tests {
         }
         let drops = std::sync::Arc::new(AtomicUsize::new(0));
 
-        let a = alloc_node(DropFlag(drops.clone()), 1, 0);
+        let a = alloc_node(DropFlag(drops.clone()), 1, None);
         let a_addr = a as usize;
         unsafe { dealloc_node(a) }; // SAFETY: [INV-12] unpublished, test-owned node.
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
         let mut tele = HandleTelemetry::new();
-        let b = alloc_node_in(DropFlag(drops.clone()), 2, 0, 0, &mut tele);
+        let b = alloc_node_in(DropFlag(drops.clone()), 2, None, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
         assert_eq!(tele.counter(Counter::PoolHits), 1);
         assert_eq!(tele.counter(Counter::PoolMisses), 0);

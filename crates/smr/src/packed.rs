@@ -208,6 +208,23 @@ impl<T> Shared<T> {
         unsafe { crate::node::tail(self.as_raw()) }
     }
 
+    /// The node's birth epoch, if its scheme stamps one: HE, IBR, MP and DTA
+    /// do, HP, EBR and Leaky allocate no birth word (DESIGN.md, "the tailed
+    /// layout").
+    ///
+    /// # Safety
+    /// Same contract as [`deref`](Shared::deref).
+    #[inline]
+    // SAFETY: [INV-11] obligation (protected pointee) stated in `# Safety`
+    // above; every call site cites [INV-01] or [INV-03].
+    pub unsafe fn birth(self) -> Option<u64> {
+        self.oracle_check();
+        // SAFETY: [INV-02] the word decodes to a live (protected, per this
+        // fn's contract) allocation; [INV-15] the word's presence and place
+        // are read off the allocation's own header.
+        unsafe { crate::node::birth(self.as_raw()) }
+    }
+
     /// Asks the CPU to start fetching the cache line of the pointee's first
     /// byte and the line of its tail link `link` — the two lines a descent
     /// reads when it steps onto the node. Null and marked words are
@@ -401,7 +418,7 @@ mod tests {
 
     #[test]
     fn pack_preserves_address_and_index() {
-        let ptr = alloc_node(123u64, 0xdead_beef, 0);
+        let ptr = alloc_node(123u64, 0xdead_beef, None);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         assert_eq!(s.as_raw(), ptr);
         assert_eq!(s.packed_index(), 0xdead);
@@ -414,7 +431,7 @@ mod tests {
 
     #[test]
     fn marks_do_not_disturb_address_or_index() {
-        let ptr = alloc_node(7u8, 42 << PRECISION, 0);
+        let ptr = alloc_node(7u8, 42 << PRECISION, None);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         let m = s.with_mark(1);
         assert_eq!(m.mark(), 1);
@@ -449,7 +466,7 @@ mod tests {
         dangling.prefetch(1 << 20);
         dangling.with_mark(1).prefetch(0);
         // A freed block: its address may be recycled or unmapped.
-        let ptr = alloc_node(9u64, 0, 0);
+        let ptr = alloc_node(9u64, 0, None);
         let freed = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
         freed.prefetch(0);
@@ -457,8 +474,8 @@ mod tests {
 
     #[test]
     fn atomic_cas_full_word() {
-        let a = alloc_node(1u32, 5 << PRECISION, 0);
-        let b = alloc_node(2u32, 9 << PRECISION, 0);
+        let a = alloc_node(1u32, 5 << PRECISION, None);
+        let b = alloc_node(2u32, 9 << PRECISION, None);
         let sa = unsafe { Shared::from_owned(a) }; // SAFETY: [INV-12] just allocated.
         let sb = unsafe { Shared::from_owned(b) }; // SAFETY: [INV-12] just allocated.
         let cell = Atomic::new(sa);
@@ -491,7 +508,7 @@ mod tests {
     fn index_bounds_top_of_range_is_use_hp_class() {
         // A node whose index lies in the top 64K maps to packed 0xffff and
         // reconstructs to an upper bound of u32::MAX — the USE_HP class.
-        let ptr = alloc_node((), u32::MAX - 5, 0);
+        let ptr = alloc_node((), u32::MAX - 5, None);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         let (_, hi) = s.index_bounds();
         assert_eq!(hi, u32::MAX);

@@ -389,7 +389,7 @@ mod tests {
     fn orphans_counted() {
         let r = Registry::new(1);
         let tid = r.try_acquire().unwrap().tid;
-        let node = crate::node::alloc_node(5u32, 0, 0);
+        let node = crate::node::alloc_node(5u32, 0, None);
         let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published.
         r.release(tid, vec![retired]);
         assert_eq!(r.orphan_count(), 1);

@@ -155,14 +155,14 @@ impl HandleCore {
         crate::hb::on_end_op();
     }
 
-    /// Allocates a node stamped with `index` and the scheme's `birth`,
-    /// followed by `tail_len` null links.
+    /// Allocates a node stamped with `index`, followed by `tail_len` null
+    /// links and, if the scheme reads one, the birth word `birth`.
     #[inline]
     pub(crate) fn alloc<T: Send + Sync>(
         &mut self,
         data: T,
         index: u32,
-        birth: u64,
+        birth: Option<u64>,
         tail_len: usize,
     ) -> Shared<T> {
         self.tele.bump(Counter::Allocs);
@@ -358,7 +358,7 @@ mod tests {
 
     /// As [`retire`], pinning the node first when `pin` is set.
     fn retire_if(h: &mut Handle, s: &Fake, pinned: &mut Pinned, pin: bool) -> u64 {
-        let node = h.core.alloc(0u64, 0, 0, 0);
+        let node = h.core.alloc(0u64, 0, None, 0);
         if pin {
             pinned.0.push(node.addr());
         }

@@ -161,7 +161,7 @@ impl SmrHandle for HeHandle {
         tail_len: usize,
     ) -> Shared<T> {
         let birth = self.scheme.clock.now();
-        self.core.alloc(data, index.unwrap_or(0), birth, tail_len)
+        self.core.alloc(data, index.unwrap_or(0), Some(birth), tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -143,7 +143,7 @@ impl SmrHandle for HpHandle {
         index: Option<u32>,
         tail_len: usize,
     ) -> Shared<T> {
-        self.core.alloc(data, index.unwrap_or(0), 0, tail_len)
+        self.core.alloc(data, index.unwrap_or(0), None, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

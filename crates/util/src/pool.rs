@@ -377,6 +377,10 @@ pub struct PoolStats {
     pub free_blocks: usize,
     /// Blocks out of their chunk: in use, in a magazine or in a span.
     pub live_blocks: usize,
+    /// Bytes of those blocks, each counted at its class size. Once every
+    /// thread that took blocks has exited (its magazine and span went
+    /// home), this is exactly the bytes in use.
+    pub live_bytes: usize,
 }
 
 /// Snapshot of the slab, computed under its lock by walking the chunk
@@ -394,9 +398,10 @@ pub fn stats() -> PoolStats {
             let c: *const ChunkHeader = r.base.wrapping_add(i * CHUNK).cast();
             // SAFETY: [INV-08] a chunk whose blank bit is clear has an
             // initialised header, stable while the slab lock is held.
-            let (live, carved) = unsafe { ((*c).live, (*c).carved) };
+            let (live, carved, class) = unsafe { ((*c).live, (*c).carved, (*c).class) };
             s.chunks_in_use += 1;
             s.live_blocks += live as usize;
+            s.live_bytes += live as usize * class_size(class as usize);
             s.free_blocks += (carved - live) as usize;
         }
     }
@@ -698,6 +703,7 @@ mod tests {
             let s = stats();
             assert_eq!(s.free_blocks, THREAD_CLASS_CAP / 2, "{s:?}");
             assert_eq!(s.live_blocks, out - THREAD_CLASS_CAP / 2);
+            assert_eq!(s.live_bytes, s.live_blocks * 448, "one class, counted at its size");
         });
     }
 

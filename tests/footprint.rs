@@ -1,11 +1,15 @@
 //! Footprint pins: the pool block behind every node each structure
-//! allocates, measured — as the bytes a retired node holds — rather than
-//! computed from a `size_of`, and stated in bytes per key; and the nodes a
-//! structure allocates before its first key. The benchmark's
-//! `setup_rss_anon_kb` is these numbers times the prefill, plus one word
-//! per bucket, so a word added to a node, or a sentinel added to a bucket,
-//! fails here, with the structure's name, instead of surfacing as a memory
-//! regression some PRs later.
+//! allocates, under MP, HE and HP, measured — as the bytes a retired node
+//! holds — rather than computed from a `size_of`, and stated in bytes per
+//! key; and the nodes a structure allocates before its first key. The
+//! benchmark's `setup_rss_anon_kb` is these numbers times the prefill,
+//! plus one word per bucket, so a word added to a node, or a sentinel
+//! added to a bucket, fails here, with the structure's name, instead of
+//! surfacing as a memory regression some PRs later.
+//!
+//! A node carries the words its scheme reads: MP and HE judge a retired
+//! node by its lifetime and stamp a birth word after its tail, HP does
+//! not, so every MP or HE block is HP's plus one word.
 //!
 //! Without the oracle only: its canary word widens every header. One
 //! `#[test]` in this binary, and every pool access on a thread that has
@@ -13,10 +17,10 @@
 
 #![cfg(not(feature = "oracle"))]
 
-use margin_pointers::ds::skiplist::{MAX_HEIGHT, SLOTS_NEEDED};
+use margin_pointers::ds::skiplist::{random_height, MAX_HEIGHT, SLOTS_NEEDED};
 use margin_pointers::ds::{ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
 use margin_pointers::smr::node::gauge;
-use margin_pointers::smr::schemes::Hp;
+use margin_pointers::smr::schemes::{He, Hp, Mp};
 use margin_pointers::smr::{Config, Smr};
 
 /// Enough skip-list keys for the mean tower to settle within its bracket.
@@ -30,19 +34,20 @@ fn cfg() -> Config {
         .with_empty_freq(1 << 20)
 }
 
-/// Inserts `keys` keys, removes them one at a time, and returns what each
+/// Inserts `keys`, removes them one at a time, and returns what each
 /// removal retired: (nodes, bytes held). Runs on a thread of its own.
-fn retired_per_removal<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<(usize, usize)> {
+fn retired_per_removal<S: Smr, D: ConcurrentSet<S>>(keys: &[u64]) -> Vec<(usize, usize)> {
+    let keys = keys.to_vec();
     std::thread::spawn(move || {
-        let smr = Hp::new(cfg());
+        let smr = S::new(cfg());
         let ds = D::new(&smr);
         let mut h = smr.register();
-        for key in 0..keys {
+        for &key in &keys {
             assert!(ds.insert(&mut h, key));
         }
         let held = || (smr.retired_pending(), smr.telemetry().pending_bytes());
-        (0..keys)
-            .map(|key| {
+        keys.iter()
+            .map(|&key| {
                 let (nodes, bytes) = held();
                 assert!(ds.remove(&mut h, key));
                 (held().0 - nodes, held().1 - bytes)
@@ -51,6 +56,53 @@ fn retired_per_removal<D: ConcurrentSet<Hp>>(keys: u64) -> Vec<(usize, usize)> {
     })
     .join()
     .expect("footprint thread panicked")
+}
+
+/// Pins every structure's blocks under `S`, whose nodes end in `birth`
+/// bytes of birth word (0 or 8).
+fn pin<S: Smr>(birth: usize) {
+    let name = std::any::type_name::<S>().rsplit("::").next().unwrap();
+    // What one removal retires, per structure — the structure's bytes per
+    // key. List and hash bucket: one node of header 8 + key 8 + link 8.
+    // NM-tree: the leaf (header 8 + key 8) and the internal node that
+    // routed to it (the same plus two child edges).
+    let (list, leaf, internal) = (24 + birth, 16 + birth, 32 + birth);
+    let keys: Vec<u64> = (0..256).collect();
+    for (structure, removals, per_key) in [
+        ("list", retired_per_removal::<S, LinkedList<S>>(&keys), (1, list)),
+        ("hashmap", retired_per_removal::<S, HashMap<S>>(&keys), (1, list)),
+        ("nmtree", retired_per_removal::<S, NmTree<S>>(&keys), (2, leaf + internal)),
+    ] {
+        assert!(
+            removals.iter().all(|&r| r == per_key),
+            "{name} {structure}: a key is no longer {per_key:?} (nodes, bytes): {removals:?}"
+        );
+    }
+
+    // Skip list: header 8 + key 8 + 8 per level, no rounding — under HP
+    // 24 B at height 1, 32 B at 2, … 176 B at `MAX_HEIGHT` — so with heights
+    // drawn at p = 1/2 a key costs Σ 2⁻ʰ·(16 + 8h) = 32.0 bytes on average,
+    // plus the birth word. The first key above the stream with a full
+    // tower adds a height-20 node to the pins.
+    let tower = |height: usize| 16 + 8 * height + birth;
+    let tall = (KEYS..).find(|&key| random_height(key) == MAX_HEIGHT).unwrap();
+    let keys: Vec<u64> = (0..KEYS).chain([tall]).collect();
+    let removals = retired_per_removal::<S, SkipList<S>>(&keys);
+    for (&key, &(nodes, bytes)) in keys.iter().zip(&removals) {
+        let height = random_height(key);
+        assert_eq!((nodes, bytes), (1, tower(height)), "{name} skiplist: key {key}, height {height}");
+    }
+    for height in [1, 2, MAX_HEIGHT] {
+        assert!(keys.iter().any(|&key| random_height(key) == height), "no height-{height} key");
+    }
+    assert_eq!((tower(1), tower(2), tower(MAX_HEIGHT)), (24 + birth, 32 + birth, 176 + birth));
+    let stream = &removals[..KEYS as usize];
+    let mean = stream.iter().map(|&(_, bytes)| bytes).sum::<usize>() as f64 / KEYS as f64;
+    let expected = (32 + birth) as f64;
+    assert!(
+        (expected - 2.0..expected + 2.0).contains(&mean),
+        "{name} skiplist: {mean:.1} bytes per key, expected {expected:.1}"
+    );
 }
 
 #[test]
@@ -75,42 +127,16 @@ fn every_structure_allocates_the_block_it_is_pinned_to() {
     .expect("fixed-cost thread panicked");
     assert_eq!(mp_util::pool::stats().live_blocks, 0, "a sentinel's block did not go home");
 
-    // What one removal retires, per structure — the structure's bytes per
-    // key. List and hash bucket: one node of header 16 + key 8 + link 8.
-    // NM-tree: the 24-byte leaf (header 16 + key 8) and the 40-byte internal
-    // node that routed to it (the same plus two child edges).
-    for (name, removals, per_key) in [
-        ("list", retired_per_removal::<LinkedList<Hp>>(256), (1, 32)),
-        ("hashmap", retired_per_removal::<HashMap<Hp>>(256), (1, 32)),
-        ("nmtree", retired_per_removal::<NmTree<Hp>>(256), (2, 24 + 40)),
-    ] {
-        assert!(
-            removals.iter().all(|&r| r == per_key),
-            "{name}: a key is no longer {per_key:?} (nodes, bytes): {removals:?}"
-        );
-    }
-
-    // Skip list: header 16 + key 8 + flag 8 + 8 per level, no rounding —
-    // 40 B at height 1, 48 B at 2, … 192 B at `MAX_HEIGHT` — so with heights
-    // drawn at p = 1/2 a key costs Σ 2⁻ʰ·(32 + 8h) = 48.0 bytes on average.
-    let table: Vec<usize> = (1..=MAX_HEIGHT).map(|h| 32 + 8 * h).collect();
-    assert_eq!((table[0], table[1], table[2], table[MAX_HEIGHT - 1]), (40, 48, 56, 192));
-    let removals = retired_per_removal::<SkipList<Hp>>(KEYS);
-    assert!(
-        removals.iter().all(|(nodes, bytes)| *nodes == 1 && table.contains(bytes)),
-        "skiplist: a block outside the table"
-    );
-    let blocks = removals.iter().map(|&(_, bytes)| bytes);
-    assert_eq!(blocks.clone().min(), Some(40), "skiplist: a one-level node is 40 bytes");
-    let mean = blocks.sum::<usize>() as f64 / removals.len() as f64;
-    assert!((46.0..50.0).contains(&mean), "skiplist: {mean:.1} bytes per key, expected 48.0");
+    pin::<Hp>(0);
+    pin::<He>(8);
+    pin::<Mp>(8);
 
     // A mixed-height list built on one thread and dropped on another: every
     // block finds its way home to the chunk of its own height class.
-    let smr = Hp::new(cfg());
+    let smr = Mp::new(cfg());
     let list = std::thread::scope(|s| {
         s.spawn(|| {
-            let list = SkipList::<Hp>::new(&smr);
+            let list = SkipList::<Mp>::new(&smr);
             let mut h = smr.register();
             for key in 0..KEYS {
                 assert!(list.insert(&mut h, key));

@@ -175,6 +175,7 @@ fn positive_corpus_is_clean() {
         ("positive/scope_ok.rs", "crates/ds/src/scope_ok.rs"),
         ("positive/forbidden_ok.rs", "crates/smr/src/forbidden_ok.rs"),
         ("positive/prefetch_ok.rs", "crates/smr/src/packed.rs"),
+        ("positive/header_ok.rs", "crates/smr/src/node.rs"),
     ];
     for (name, display) in corpus {
         let (_, diags) = lint_fixture(name, display);
@@ -201,6 +202,7 @@ fn every_positive_fixture_is_in_the_corpus() {
         on_disk,
         vec![
             "forbidden_ok.rs",
+            "header_ok.rs",
             "ordering_diagnostic_ok.rs",
             "ordering_ok.rs",
             "ordering_pairing_ok.rs",

@@ -141,12 +141,12 @@ fn run_steps(steps: &[Step]) {
                 // SAFETY: [INV-01] the read above returned under an open
                 // protection span, so the node is pinned at least until the
                 // next step.
-                let node = unsafe { got.deref() };
+                let (node, birth) = unsafe { (got.deref(), got.birth()) };
+                let birth = birth.expect("an MP node carries its birth word");
                 assert!(
-                    node.birth() <= reader.announced_epoch(),
-                    "margin-path read returned a node born at epoch {} after the \
+                    birth <= reader.announced_epoch(),
+                    "margin-path read returned a node born at epoch {birth} after the \
                      announced epoch {} — invisible to the scan's epoch filter",
-                    node.birth(),
                     reader.announced_epoch(),
                 );
                 held[refno] = Some(node.index() as u64);
