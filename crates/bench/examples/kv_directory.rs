@@ -8,15 +8,15 @@
 //! soft real-time" motivation for bounded wasted memory (§1).
 //!
 //! ```sh
-//! cargo run --release --example kv_directory
+//! cargo run --release -p mp-bench --example kv_directory
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use margin_pointers::ds::{ConcurrentSet, NmTree};
-use margin_pointers::smr::{schemes::Mp, Config, Smr, SmrHandle};
+use mp_ds::{ConcurrentSet, NmTree};
+use mp_smr::{schemes::Mp, Config, Smr, SmrHandle};
 
 const INITIAL_SESSIONS: u64 = 50_000;
 

@@ -1,13 +1,13 @@
 //! Quickstart: a concurrent skip list protected by margin pointers.
 //!
 //! ```sh
-//! cargo run --release --example quickstart
+//! cargo run --release -p mp-bench --example quickstart
 //! ```
 
 use std::sync::Arc;
 
-use margin_pointers::ds::{skiplist, ConcurrentSet, SkipList};
-use margin_pointers::smr::{schemes::Mp, Atomic, Config, Shared, Smr, SmrHandle, Telemetry};
+use mp_ds::{skiplist, ConcurrentSet, SkipList};
+use mp_smr::{schemes::Mp, Atomic, Config, Shared, Smr, SmrHandle, Telemetry};
 
 fn main() {
     // 1. Configure the SMR scheme. The margin (2^20 here, the paper's

@@ -7,16 +7,16 @@
 //! is one monomorphization; name a scheme to run a single row:
 //!
 //! ```sh
-//! cargo run --release --example scheme_comparison
-//! cargo run --release --example scheme_comparison -- ebr
+//! cargo run --release -p mp-bench --example scheme_comparison
+//! cargo run --release -p mp-bench --example scheme_comparison -- ebr
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use margin_pointers::ds::{skiplist, ConcurrentSet, NmTree};
-use margin_pointers::smr::{
+use mp_ds::{skiplist, ConcurrentSet, NmTree};
+use mp_smr::{
     AnySmr, SchemeKind, Smr, SmrBuilder, Telemetry, TelemetrySnapshot,
 };
 

@@ -15,10 +15,10 @@
 //! print different `B/key` lay their nodes out differently.
 //!
 //! ```sh
-//! cargo run --release --example setup_split                # the benchmark's sizes
-//! cargo run --release --example setup_split -- 64          # every prefill ÷ 64
-//! cargo run --release --example setup_split -- 1 nmtree    # one structure only
-//! cargo run --release --example setup_split -- 1 list 31   # margin 2^31
+//! cargo run --release -p mp-bench --example setup_split               # the benchmark's sizes
+//! cargo run --release -p mp-bench --example setup_split -- 64         # every prefill ÷ 64
+//! cargo run --release -p mp-bench --example setup_split -- 1 nmtree   # one structure only
+//! cargo run --release -p mp-bench --example setup_split -- 1 list 31  # margin 2^31
 //! ```
 //!
 //! The optional second argument names one of `list`, `nmtree`, `hashmap`
@@ -33,10 +33,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use margin_pointers::ds::{nmtree, skiplist, ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
-use margin_pointers::smr::node::MAX_INDEX;
-use margin_pointers::smr::schemes::{He, Hp, Mp};
-use margin_pointers::smr::{Counter, Smr, SmrBuilder, Telemetry};
+use mp_ds::{nmtree, skiplist, ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
+use mp_smr::node::MAX_INDEX;
+use mp_smr::schemes::{He, Hp, Mp};
+use mp_smr::{Counter, Smr, SmrBuilder, Telemetry};
 use mp_util::{RngExt, SeedableRng, SmallRng};
 
 /// The benchmark's registry: two workers, the stalled reader, one spare.

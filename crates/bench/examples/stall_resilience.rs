@@ -7,16 +7,16 @@
 //! (Theorem 4.2).
 //!
 //! ```sh
-//! cargo run --release --example stall_resilience
+//! cargo run --release -p mp-bench --example stall_resilience
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use margin_pointers::ds::{ConcurrentSet, LinkedList};
-use margin_pointers::smr::schemes::{Ebr, Mp};
-use margin_pointers::smr::{Config, Smr, SmrHandle};
+use mp_ds::{ConcurrentSet, LinkedList};
+use mp_smr::schemes::{Ebr, Mp};
+use mp_smr::{Config, Smr, SmrHandle};
 
 fn churn_with_stall<S: Smr>(label: &str) -> Vec<usize> {
     let smr = S::new(Config::default().with_max_threads(8));

@@ -6,15 +6,15 @@
 //! exposition to stdout, so the output can go straight to a file:
 //!
 //! ```sh
-//! cargo run --release --example telemetry_export > telemetry_mp.prom
+//! cargo run --release -p mp-bench --example telemetry_export > telemetry_mp.prom
 //! ```
 
 use std::sync::Arc;
 
-use margin_pointers::ds::{skiplist, ConcurrentSet, SkipList};
-use margin_pointers::smr::schemes::Mp;
-use margin_pointers::smr::telemetry::{self, export};
-use margin_pointers::smr::{Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_ds::{skiplist, ConcurrentSet, SkipList};
+use mp_smr::schemes::Mp;
+use mp_smr::telemetry::{self, export};
+use mp_smr::{Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot};
 
 const THREADS: u64 = 4;
 const OPS_PER_THREAD: u64 = 30_000;

@@ -20,7 +20,7 @@
 //!    outside `packed.rs`, and node `Header` field access outside `node.rs`.
 //!
 //! Zero dependencies, a hand-rolled lexer (tokens + brace tree, no full
-//! parser), run as `cargo run -p mp-lint -- crates/ tests/ examples/ src/`.
+//! parser), run as `cargo run -p mp-lint -- crates/ tests/ src/`.
 
 pub mod lexer;
 pub mod passes;

@@ -1,7 +1,7 @@
 //! CLI for the SMR protocol linter.
 //!
 //! ```text
-//! cargo run -p mp-lint -- crates/ tests/ examples/ src/
+//! cargo run -p mp-lint -- crates/ tests/ src/
 //! cargo run -p mp-lint -- --invariants path/to/INVARIANTS.md crates/
 //! ```
 //!

@@ -295,8 +295,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     ///
     /// Operations must not be nested: do not call `pin` (or a data-structure
     /// operation, which pins internally) while a guard from the same handle
-    /// is alive. Under `--features oracle` this rule is enforced: a nested
-    /// `pin` on one thread panics with the offending scheme and replay seed.
+    /// is alive. Where the `oracle` feature is armed (every workspace test
+    /// build) this rule is enforced: a nested `pin` on one thread panics
+    /// with the offending scheme and replay seed.
     fn pin(&mut self) -> OpGuard<'_, Self>
     where
         Self: Sized,

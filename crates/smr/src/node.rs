@@ -73,8 +73,9 @@ pub struct Header {
     flag: AtomicU16,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
     /// live, flipped to the poison value on reclamation and validated by
-    /// every `Shared::deref`. Only present under `--features oracle`, so
-    /// the default header stays one word.
+    /// every `Shared::deref`. Only present when the `oracle` feature is
+    /// armed (every workspace test build), so a release build's header
+    /// stays one word.
     #[cfg(feature = "oracle")]
     canary: u64,
 }

@@ -1,5 +1,7 @@
-//! The reclamation oracle (`--features oracle`): turns latent SMR bugs into
-//! immediate, seed-replayable panics.
+//! The reclamation oracle (mp-smr's `oracle` feature): turns latent SMR
+//! bugs into immediate, seed-replayable panics. Every test build of the
+//! workspace arms it: the root package enables the feature on its mp-smr
+//! dev-dependency, so `cargo test` and `cargo test --workspace` run armed.
 //!
 //! SMR bugs are timing-dependent: a use-after-free or double-free corrupts
 //! memory silently and surfaces (if ever) far from the cause. Under this
@@ -40,7 +42,9 @@
 //! their waste is unbounded by design under stalls.
 //!
 //! Everything here is test machinery: the module (and every call site) is
-//! compiled out without `--features oracle`.
+//! compiled out of every build that does not arm the feature, `cargo
+//! build --release`, the `mp-bench` examples and benches, and
+//! `cargo test -p mp-smr` among them.
 
 use std::alloc::Layout;
 use std::cell::Cell;

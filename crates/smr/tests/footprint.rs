@@ -11,17 +11,20 @@
 //! node by its lifetime and stamp a birth word after its tail, HP does
 //! not, so every MP or HE block is HP's plus one word.
 //!
-//! Without the oracle only: its canary word widens every header. One
-//! `#[test]` in this binary, and every pool access on a thread that has
-//! exited before the closing checks, so the process-wide gauges are exact.
+//! Without the oracle only: its canary word widens every header. So this
+//! binary compiles to nothing when a test build arms mp-smr's `oracle`
+//! feature (`cargo test --workspace` does), and runs in the unarmed
+//! `cargo test --release -p mp-smr`. One `#[test]` in this binary, and
+//! every pool access on a thread that has exited before the closing
+//! checks, so the process-wide gauges are exact.
 
 #![cfg(not(feature = "oracle"))]
 
-use margin_pointers::ds::skiplist::{random_height, MAX_HEIGHT, SLOTS_NEEDED};
-use margin_pointers::ds::{ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
-use margin_pointers::smr::node::gauge;
-use margin_pointers::smr::schemes::{He, Hp, Mp};
-use margin_pointers::smr::{Config, Smr};
+use mp_ds::skiplist::{random_height, MAX_HEIGHT, SLOTS_NEEDED};
+use mp_ds::{ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
+use mp_smr::node::gauge;
+use mp_smr::schemes::{He, Hp, Mp};
+use mp_smr::{Config, Smr};
 
 /// Enough skip-list keys for the mean tower to settle within its bracket.
 const KEYS: u64 = 4096;

@@ -11,15 +11,20 @@
 //!
 //! The counting allocator is process-global, so this integration binary
 //! holds exactly one `#[test]` (same discipline as `leak_check`).
+//!
+//! Without the oracle only: its quarantine keeps freed blocks from the pool.
+//! So this binary compiles to nothing when a test build arms mp-smr's
+//! `oracle` feature (`cargo test --workspace` does), and runs in the
+//! unarmed `cargo test --release -p mp-smr`.
 
 #![cfg(not(feature = "oracle"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use margin_pointers::smr::node::gauge;
-use margin_pointers::smr::schemes::{Hp, Mp};
-use margin_pointers::smr::{telemetry, Config, Smr, SmrHandle, Telemetry};
+use mp_smr::node::gauge;
+use mp_smr::schemes::{Hp, Mp};
+use mp_smr::{telemetry, Config, Smr, SmrHandle, Telemetry};
 
 /// `rounds` pinned operations of `per_round` alloc/retire pairs each, every
 /// one followed by a full scan.

@@ -13,72 +13,71 @@ cargo build --release --offline
 # must report zero diagnostics before any test runs. Exit 1 = findings,
 # exit 2 = configuration error (missing INVARIANTS.md); both abort the
 # gate.
-echo "==> mp-lint (SMR protocol linter over crates/ tests/ examples/ src/)"
-cargo run -q --release --offline -p mp-lint -- crates tests examples src
+echo "==> mp-lint (SMR protocol linter over crates/ tests/ src/)"
+cargo run -q --release --offline -p mp-lint -- crates tests src
 
-# Includes mp-util's slab-pool tests (blank-chunk rule, cross-thread
-# `live` exactness, thread-exit release); they run again below with
-# `-p mp-util --features hb-oracle`.
-echo "==> cargo test -q --workspace --offline"
-cargo test -q --workspace --offline
+# Reports of the reclamation and happens-before oracles, and of the
+# seeded checker, print a base seed; a failing test stage names how to
+# replay it. The replay must repeat the stage's own flags: they decide
+# what is armed (see the stages below).
+run_oracle() {
+  if ! "$@"; then
+    echo "!! test stage failed: $*" >&2
+    echo "!! oracle and checker reports print a base seed; replay the exact run with:" >&2
+    echo "!!   MP_CHECK_SEED=<seed from the report> $* <failing_test>" >&2
+    exit 1
+  fi
+}
 
-# The data structures' unit tests again, optimised: their concurrent
-# stress tests and the skip list's link-after-remove regression race
-# differently in release, and the searches' unsafe derefs rest on which
-# reads those races leave protected.
-echo "==> cargo test -q --release --offline -p mp-ds"
-cargo test -q --release --offline -p mp-ds
+# The whole workspace with the reclamation oracle armed: shadow lifecycle
+# tracking, freed-memory poisoning, and the waste-bound monitor. The root
+# package enables mp-smr's `oracle` feature as a dev-dependency, and
+# resolver 2 unifies it for every member, so this one run covers the
+# conformance matrix, the negative oracle tests (tests/oracle_negative.rs
+# drives a block through quarantine eviction, a magazine and its chunk's
+# free list and still expects the poison canary), mp-smr's oracle unit
+# tests, mp-ds's unit tests with freed nodes poisoned, and mp-util's
+# slab-pool tests (blank-chunk rule, cross-thread `live` exactness,
+# thread-exit release).
+echo "==> cargo test -q --workspace --offline (reclamation oracle armed)"
+run_oracle cargo test -q --workspace --offline
 
-echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+# The library crates again, optimised and unarmed, as `cargo build
+# --release` ships them: the data structures' concurrent stress tests and
+# the skip list's link-after-remove regression race differently in
+# release, and the searches' unsafe derefs rest on which reads those races
+# leave protected. mp-smr's footprint pins (tests/footprint.rs) and
+# zero-allocation witness (tests/zero_alloc.rs) run only here: they
+# measure the unarmed node layout and pool, so they compile to nothing in
+# the armed run above.
+echo "==> cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util (unarmed)"
+run_oracle cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util
+
+# Lints: the armed workspace, then the library crates unarmed, which is
+# the only place the `cfg(not(feature = "oracle"))` code is linted.
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings (armed)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings (unarmed)"
+cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings
 
 # Rustdoc gate: a dangling intra-doc link (to a deleted or private item)
 # fails here instead of rotting in the rendered docs.
 echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench
 
-# Oracle stage: the same tests (the conformance matrix among them) plus
-# the negative oracle tests and mp-smr's oracle unit tests, with shadow
-# lifecycle tracking, freed-memory poisoning, and the waste-bound monitor
-# armed.
-# Only here (and in the hb-oracle stage, which reruns it) is the
-# quarantine → pool hand-off exercised: tests/oracle_negative.rs drives a
-# block through eviction, a magazine and its chunk's free list and still
-# expects the poison canary.
-run_oracle() {
-  if ! "$@"; then
-    echo "!! oracle stage failed: $*" >&2
-    echo "!! oracle and checker reports print a base seed; replay the exact run with:" >&2
-    echo "!!   MP_CHECK_SEED=<seed from the report> cargo test --features oracle -q <failing_test>" >&2
-    exit 1
-  fi
-}
-
-echo "==> cargo test -q --offline --features oracle (reclamation oracle armed)"
-run_oracle cargo test -q --offline --features oracle
-
-echo "==> cargo test -q --offline -p mp-smr --features oracle"
-run_oracle cargo test -q --offline -p mp-smr --features oracle
-# mp-ds has no feature of its own; arming its dependency's oracle runs its
-# unit tests — the skip list's link-after-remove regression among them —
-# with freed nodes poisoned.
-run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle
-
 # Happens-before oracle stage: the vector-clock tracker audits every
 # deref and free against the protocol's claimed synchronization edges,
 # and the seeded deref-after-unprotect must panic deterministically
-# (tests/hb_oracle.rs).
-echo "==> cargo test -q --offline --features 'oracle hb-oracle' (hb oracle armed)"
-run_oracle cargo test -q --offline --features "oracle hb-oracle"
+# (tests/hb_oracle.rs). `hb-oracle` implies the reclamation oracle.
+echo "==> cargo test -q --offline --features hb-oracle (hb oracle armed)"
+run_oracle cargo test -q --offline --features hb-oracle
 
 echo "==> cargo test -q --offline -p mp-smr --features hb-oracle"
 run_oracle cargo test -q --offline -p mp-smr --features hb-oracle
 run_oracle cargo test -q --offline -p mp-util --features hb-oracle
 
-echo "==> cargo clippy --offline --all-targets --features oracle -- -D warnings"
-cargo clippy --offline --all-targets --features oracle -- -D warnings
-cargo clippy --offline -p mp-smr --all-targets --features oracle -- -D warnings
-cargo clippy --offline --all-targets --features "oracle hb-oracle" -- -D warnings
+echo "==> cargo clippy --offline --all-targets --features hb-oracle -- -D warnings"
+cargo clippy --offline --all-targets --features hb-oracle -- -D warnings
 cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: the figure sweep — each figure, Table 1, the collision
@@ -104,7 +103,7 @@ done
 # its Prometheus exposition and prints it. Which metric families the
 # exposition carries is tier-1's contract (tests/telemetry.rs).
 echo "==> telemetry smoke (the exporter example emits a valid exposition)"
-cargo run -q --release --offline --example telemetry_export >/dev/null
+cargo run -q --release --offline -p mp-bench --example telemetry_export >/dev/null
 
 # Set-up split smoke: the per-scheme prefill breakdown (seconds, ns and
 # counters per insert for every structure under MP, HE and HP) runs to
@@ -112,9 +111,9 @@ cargo run -q --release --offline --example telemetry_export >/dev/null
 # columns are a function of the code alone, so the two runs must print
 # them identically: every column but the timings (`prefill_s`, `ns/ins`,
 # and the per-structure `sum` rows, which hold only timings).
-echo "==> set-up split smoke (examples/setup_split at prefill / 64, counters run-to-run identical)"
+echo "==> set-up split smoke (mp-bench's setup_split example at prefill / 64, counters run-to-run identical)"
 setup_split_counters() {
-  cargo run -q --release --offline --example setup_split -- 64 |
+  cargo run -q --release --offline -p mp-bench --example setup_split -- 64 |
     awk 'NR == 1 { print; next } $2 != "sum" { $4 = ""; $5 = ""; print }'
 }
 first_split=$(setup_split_counters)

@@ -14,14 +14,14 @@
 //!   path under concurrent load.
 //!
 //! Every test runs in the default `cargo test`, where it checks progress,
-//! the structure's answers after the fault, and the waste caps. Under
-//! `--features oracle` the same tests also run with the reclamation
-//! oracle armed: it converts any lifecycle violation (double retire,
-//! double free, use-after-free via the poisoned-canary check on every
-//! `deref`) into an immediate panic carrying the replay seed, and checks
-//! each scheme's waste bound inside every scan. The `Checker` then shrinks
-//! the operation plan. A run that completes silently is the conformance
-//! pass.
+//! the structure's answers after the fault, and the waste caps. The root
+//! package's mp-smr dev-dependency arms the reclamation oracle for every
+//! test build. The oracle converts any lifecycle violation (double
+//! retire, double free, use-after-free via the poisoned-canary check on
+//! every `deref`) into an immediate panic carrying the replay seed, and
+//! checks each scheme's waste bound inside every scan. The `Checker` then
+//! shrinks the operation plan. A run that completes silently is the
+//! conformance pass.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -29,7 +29,6 @@ use std::sync::{Arc, Barrier};
 use mp_util::{Checker, RngExt, SmallRng};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
-#[cfg(feature = "oracle")]
 use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use margin_pointers::smr::{Config, Smr, SmrError, SmrHandle, Telemetry, TelemetrySnapshot};
@@ -193,10 +192,14 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(
             })
         };
 
-        for w in workers {
-            merged.merge(&w.join().expect("worker panicked"));
-        }
+        // Release the fault thread before raising a worker's panic (an
+        // oracle report, say): the scope joins it, and a stalled one
+        // waits for `done`.
+        let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
         done.store(true, Ordering::Release);
+        for r in results {
+            merged.merge(&r.expect("worker panicked"));
+        }
         merged.merge(&faulter.join().expect("fault thread panicked"));
     });
 
@@ -220,7 +223,6 @@ fn run_case<S: Smr, D: ConcurrentSet<S>>(
 /// combo; `name` labels the shrink report.
 fn conformance<S: Smr, D: ConcurrentSet<S>>(fault: Fault, name: &str) {
     let checker = Checker::new().cases(3);
-    #[cfg(feature = "oracle")]
     oracle::set_replay_seed(checker.base_seed());
     checker.run(name, gen_plan, |plan| {
         let stats = run_case::<S, D>(fault, plan);
@@ -307,7 +309,6 @@ mod mp_stalled_wide_margin {
         }
 
         let done = Arc::new(AtomicBool::new(false));
-        let writers_done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(4)); // staller + 2 writers + poller
         let mut peak_pending = 0usize;
 
@@ -333,12 +334,12 @@ mod mp_stalled_wide_margin {
                     }
                 });
             }
+            let mut writers = Vec::new();
             for t in 0..2usize {
                 let smr = smr.clone();
                 let ds = ds.clone();
                 let barrier = barrier.clone();
-                let writers_done = writers_done.clone();
-                s.spawn(move || {
+                writers.push(s.spawn(move || {
                     let mut h = smr.register();
                     barrier.wait();
                     // Churn the exact range the staller's margins cover.
@@ -348,12 +349,13 @@ mod mp_stalled_wide_margin {
                             ds.insert(&mut h, (k + round) % KEY_SPACE);
                         }
                     }
-                    writers_done.fetch_add(1, Ordering::AcqRel);
-                });
+                }));
             }
             barrier.wait();
-            // Poll global pending waste while the writers churn.
-            while writers_done.load(Ordering::Acquire) < 2 {
+            // Poll global pending waste while the writers churn. A writer
+            // that panics counts as finished, so the staller is released
+            // and the scope raises the panic.
+            while !writers.iter().all(|w| w.is_finished()) {
                 peak_pending = peak_pending.max(smr.retired_pending());
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -399,7 +401,6 @@ mod mp_stalled_wide_margin {
 /// paper's motivation; survival is still asserted.
 mod scenario_matrix {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     const WORKERS: usize = 6;
     const OPS_PER_WORKER: u64 = 1_500;
@@ -453,7 +454,6 @@ mod scenario_matrix {
     }
 
     fn run_scenario<S: Smr>(scenario: Scenario, waste_capped: bool) {
-        #[cfg(feature = "oracle")]
         oracle::set_replay_seed(0x5ce9_a210);
         let smr = S::new(matrix_cfg());
         let ds = Arc::new(LinkedList::<S>::new(&smr));
@@ -465,7 +465,6 @@ mod scenario_matrix {
         }
 
         let done = Arc::new(AtomicBool::new(false));
-        let workers_done = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(WORKERS + 2)); // workers + misbehaver + poller
         let mut peak_nodes = 0usize;
         let mut total_ops = 0u64;
@@ -476,7 +475,6 @@ mod scenario_matrix {
                 let smr = smr.clone();
                 let ds = ds.clone();
                 let barrier = barrier.clone();
-                let workers_done = workers_done.clone();
                 joins.push(s.spawn(move || {
                     let mut h = smr.register();
                     barrier.wait();
@@ -486,7 +484,6 @@ mod scenario_matrix {
                         ds.insert(&mut h, k);
                         ds.remove(&mut h, k);
                     }
-                    workers_done.fetch_add(1, Ordering::AcqRel);
                     h.snapshot().ops()
                 }));
             }
@@ -576,7 +573,9 @@ mod scenario_matrix {
             }
 
             barrier.wait();
-            while workers_done.load(Ordering::Acquire) < WORKERS {
+            // A worker that panics (an oracle report, say) counts as
+            // finished, so the misbehaver is released and the panic raised.
+            while !joins.iter().all(|j| j.is_finished()) {
                 peak_nodes = peak_nodes.max(smr.retired_pending());
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -646,6 +645,62 @@ mod scenario_matrix {
         hp  => Hp  capped true;
         he  => He  capped true;
         ebr => Ebr capped false;
+    }
+}
+
+/// Every slot of a reader's row keeps its node through a scan. The reader
+/// protects one node per slot, the writer retires them all and scans, and
+/// every node must stay retired and pass the canary check. Deterministic,
+/// so a scan that skips a slot fails here on every run; the stress rows
+/// above meet such a fault only when a race lands in that slot. MP runs
+/// without bound hints, so every read takes its §4.3.2 hazard fallback.
+mod slot_rows {
+    use super::*;
+    use margin_pointers::smr::{Atomic, Shared};
+
+    const SLOTS: usize = 4;
+
+    fn every_slot_keeps_its_node<S: Smr>() {
+        let smr = S::new(Config::default().with_max_threads(2).with_slots_per_thread(SLOTS));
+        let (mut reader, mut writer) = (smr.register(), smr.register());
+        writer.start_op();
+        let nodes: Vec<_> = (0..SLOTS as u64).map(|k| writer.alloc(k)).collect();
+        let cells: Vec<_> = nodes.iter().map(|&n| Atomic::new(n)).collect();
+        reader.start_op();
+        let held: Vec<_> = cells.iter().enumerate().map(|(slot, c)| reader.read(c, slot)).collect();
+        for (cell, &n) in cells.iter().zip(&nodes) {
+            cell.store(Shared::null(), Ordering::Release);
+            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+            unsafe { writer.retire(n) };
+        }
+        writer.end_op();
+        writer.force_empty();
+        assert_eq!(writer.retired_len(), SLOTS, "{}: a scan freed a node a slot held", S::name());
+        for (k, n) in held.iter().enumerate() {
+            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+            assert_eq!(unsafe { *n.deref().data() }, k as u64);
+        }
+        reader.end_op();
+    }
+
+    #[test]
+    fn hp() {
+        every_slot_keeps_its_node::<Hp>();
+    }
+
+    #[test]
+    fn he() {
+        every_slot_keeps_its_node::<He>();
+    }
+
+    #[test]
+    fn ibr() {
+        every_slot_keeps_its_node::<Ibr>();
+    }
+
+    #[test]
+    fn mp() {
+        every_slot_keeps_its_node::<Mp>();
     }
 }
 

@@ -143,7 +143,7 @@ pub fn peek(a: &AtomicU64) -> u64 {
         assert_eq!(diags.len(), 1, "{gated}: {diags:?}");
         assert_eq!((diags[0].pass, diags[0].line), (PASS_ORDERING, 3), "{gated}");
     }
-    for free in ["crates/util/src/pool.rs", "crates/bench/src/x.rs", "tests/x.rs", "examples/x.rs"] {
+    for free in ["crates/util/src/pool.rs", "crates/bench/src/x.rs", "tests/x.rs", "crates/bench/examples/x.rs"] {
         let diags = lint_source(src, free);
         assert!(diags.is_empty(), "{free}: {diags:?}");
     }
@@ -244,8 +244,7 @@ fn every_registered_invariant_is_cited_somewhere() {
     // skips the fixture corpus, whose citations prove nothing.
     let root = repo_root();
     let reg = Registry::load(&root.join("INVARIANTS.md")).expect("INVARIANTS.md parses");
-    let paths: Vec<PathBuf> =
-        ["crates", "tests", "examples", "src"].iter().map(|p| root.join(p)).collect();
+    let paths: Vec<PathBuf> = ["crates", "tests", "src"].iter().map(|p| root.join(p)).collect();
     let mut cited = std::collections::BTreeSet::new();
     for f in mp_lint::collect_rs_files(&paths).expect("walking the tree") {
         let src = std::fs::read_to_string(&f).expect("readable source");
@@ -261,10 +260,7 @@ fn merged_tree_lints_clean() {
     // ORDERING: / PROTECTION: annotation in the tree fails here, not just
     // in scripts/verify.sh.
     let root = repo_root();
-    let paths: Vec<PathBuf> = ["crates", "tests", "examples", "src"]
-        .iter()
-        .map(|p| root.join(p))
-        .collect();
+    let paths: Vec<PathBuf> = ["crates", "tests", "src"].iter().map(|p| root.join(p)).collect();
     let cfg = LintConfig { invariants: root.join("INVARIANTS.md") };
     let diags = mp_lint::lint_paths(&paths, &cfg).expect("lint configuration must load");
     assert!(

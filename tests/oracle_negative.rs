@@ -1,7 +1,8 @@
-//! Negative tests for the reclamation oracle (`--features oracle`): each
-//! class of SMR bug the oracle exists to catch is committed on purpose
-//! through the real allocation/retire/reclaim pipeline, and the test
-//! asserts the oracle panics with the right diagnosis and a replay seed.
+//! Negative tests for the reclamation oracle, which every test build arms
+//! through the root package's mp-smr dev-dependency: each class of SMR
+//! bug the oracle exists to catch is committed on purpose through the
+//! real allocation/retire/reclaim pipeline, and the test asserts the
+//! oracle panics with the right diagnosis and a replay seed.
 //!
 //! A subtlety keeps teardown clean: schemes push the shadow-tracked
 //! [`Retired`] record *after* the oracle check inside `Retired::new`, so a
@@ -9,8 +10,6 @@
 //! is still reclaimed exactly once when the scheme drops.
 //!
 //! [`Retired`]: margin_pointers::smr::node::Retired
-
-#![cfg(feature = "oracle")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;

@@ -66,11 +66,14 @@ fn waste_under_stall<S: Smr>(margin: u32) -> usize {
                 h.force_empty();
             }));
         }
-        for j in joins {
-            j.join().unwrap();
-        }
+        // Release the parked thread before raising a worker's panic (an
+        // oracle report, say): the scope joins it.
+        let results: Vec<_> = joins.into_iter().map(|j| j.join()).collect();
         waste = smr.retired_pending();
         release.store(true, Ordering::Release);
+        for r in results {
+            r.unwrap();
+        }
     });
     waste
 }
