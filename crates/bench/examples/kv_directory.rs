@@ -29,7 +29,7 @@ fn session_key(sid: u64) -> u64 {
 }
 
 fn main() {
-    let smr = Mp::new(Config::default().with_max_threads(8).with_margin(1 << 24));
+    let smr = Mp::new(Config { max_threads: 8, margin: 1 << 24, ..Config::default() });
     // The directory maps hashed session keys to user ids (the key/value
     // flavor of Definition 4.1's search data structure).
     let dir: Arc<NmTree<Mp, u64>> = Arc::new(NmTree::new(&smr));

@@ -12,10 +12,12 @@ use mp_smr::{schemes::Mp, Atomic, Config, Shared, Smr, SmrHandle, Telemetry};
 fn main() {
     // 1. Configure the SMR scheme. The margin (2^20 here, the paper's
     //    default) trades run-time overhead against the wasted-memory bound.
-    let config = Config::default()
-        .with_max_threads(8)
-        .with_slots_per_thread(skiplist::SLOTS_NEEDED)
-        .with_margin(1 << 20);
+    let config = Config {
+        max_threads: 8,
+        slots_per_thread: skiplist::SLOTS_NEEDED,
+        margin: 1 << 20,
+        ..Config::default()
+    };
     let smr = Mp::new(config);
 
     // 2. Build a data structure on top of it.

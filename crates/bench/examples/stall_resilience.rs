@@ -19,7 +19,7 @@ use mp_smr::schemes::{Ebr, Mp};
 use mp_smr::{Config, Smr, SmrHandle};
 
 fn churn_with_stall<S: Smr>(label: &str) -> Vec<usize> {
-    let smr = S::new(Config::default().with_max_threads(8));
+    let smr = S::new(Config { max_threads: 8, ..Config::default() });
     let list = Arc::new(LinkedList::<S>::new(&smr));
     let stop = Arc::new(AtomicBool::new(false));
 

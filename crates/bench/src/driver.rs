@@ -83,8 +83,7 @@ impl BenchParams {
         // prefill. `scale = 1` (full paper size) still yields the paper's
         // 2^20 operating point; the cap keeps `2·margin < max_index`
         // (Config validation headroom).
-        let margin = ((1u64 << 20) * scale * scale).next_power_of_two().min(1 << 30) as u32;
-        p.config = p.config.with_margin(margin);
+        p.config.margin = ((1u64 << 20) * scale * scale).next_power_of_two().min(1 << 30) as u32;
         p
     }
 
@@ -103,10 +102,12 @@ impl BenchParams {
             dist: KeyDist::Uniform,
             churn_every: 0,
             stalled: 0,
-            config: Config::default()
-                .with_max_threads(threads + 2) // +setup, +churn slack
-                .with_slots_per_thread(slots)
-                .with_epoch_freq(150 * threads.max(1)),
+            config: Config {
+                max_threads: threads + 2, // +setup, +churn slack
+                slots_per_thread: slots,
+                epoch_freq: 150 * threads.max(1),
+                ..Config::default()
+            },
         }
     }
 
@@ -121,16 +122,15 @@ impl BenchParams {
         let mut p = Self::new(threads, prefill, mix);
         p.dist = KeyDist::Zipfian(0.99);
         p.churn_every = 20_000;
-        p.config = p.config.with_slots_per_thread(4);
+        p.config.slots_per_thread = 4;
         p
     }
 
     /// Sets the number of stalled threads, growing `Config::max_threads`
     /// to fit them.
     pub fn with_stalled(mut self, n: usize) -> Self {
-        let max = self.config.max_threads + n - self.stalled;
+        self.config.max_threads = self.config.max_threads + n - self.stalled;
         self.stalled = n;
-        self.config = self.config.with_max_threads(max);
         self
     }
 }

@@ -318,7 +318,7 @@ fn margin_sweep(sweep: &mut Sweep) -> Vec<(u32, BenchResult)> {
     (17..=26u32)
         .map(|shift| {
             let mut params = BenchParams::paper(sweep.scale, threads, 500_000, WRITE_DOMINATED);
-            params.config = params.config.with_margin(1 << shift);
+            params.config.margin = 1 << shift;
             (shift, sweep.get(Structure::NmTree, Mp, params))
         })
         .collect()
@@ -416,7 +416,7 @@ fn table1(sweep: &mut Sweep) -> Tables {
 /// pending.
 fn header_words(scheme: SchemeKind) -> usize {
     use mp_smr::{Smr, SmrHandle};
-    let cfg = mp_smr::Config::default().with_max_threads(1);
+    let cfg = mp_smr::Config { max_threads: 1, ..mp_smr::Config::default() };
     let smr = mp_smr::AnySmr::try_with_kind(scheme, cfg).expect("a default config is valid");
     let mut h = smr.try_register().expect("a fresh registry has a slot");
     let mut op = h.pin();

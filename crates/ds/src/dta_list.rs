@@ -473,12 +473,14 @@ mod tests {
     use mp_smr::{Config, Smr};
 
     fn cfg() -> Config {
-        Config::default()
-            .with_max_threads(8)
-            .with_empty_freq(4)
-            .with_epoch_freq(8)
-            .with_anchor_hops(4)
-            .with_stall_patience(3)
+        Config {
+            max_threads: 8,
+            empty_freq: 4,
+            epoch_freq: 8,
+            anchor_hops: 4,
+            stall_patience: 3,
+            ..Config::default()
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ mod tests {
     use mp_smr::{AnySmr, Config};
 
     fn cfg() -> Config {
-        Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
+        Config { max_threads: 8, empty_freq: 4, epoch_freq: 8, ..Config::default() }
     }
 
     fn smoke<S: Smr>() {

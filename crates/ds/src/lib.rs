@@ -154,7 +154,8 @@ fn stress<S: Smr, D: ConcurrentSet<S>>(ds: &D, smr: &Arc<S>, keys: u64, ops: usi
 fn retired_block_bytes<T: Send + Sync>(data: T, tail_len: usize) -> usize {
     use mp_smr::SmrHandle;
     // One retire, far below any scan trigger: the gauge reads this node.
-    let smr = <mp_smr::schemes::Hp as Smr>::new(mp_smr::Config::default().with_max_threads(1));
+    let cfg = mp_smr::Config { max_threads: 1, ..mp_smr::Config::default() };
+    let smr = <mp_smr::schemes::Hp as Smr>::new(cfg);
     let mut h = smr.register();
     let node = h.alloc_with_tail(data, None, tail_len);
     // SAFETY: [INV-12] never published, retired once.

@@ -59,7 +59,7 @@ pub struct Node<V = ()> {
 /// use mp_smr::{Config, Smr, schemes::Mp};
 /// use mp_ds::{ConcurrentSet, LinkedList};
 ///
-/// let smr = Mp::new(Config::default().with_max_threads(2));
+/// let smr = Mp::new(Config { max_threads: 2, ..Config::default() });
 /// let list = LinkedList::<Mp>::new(&smr);
 /// let mut h = smr.register();
 /// assert!(list.insert(&mut h, 7));
@@ -416,7 +416,7 @@ mod tests {
     use mp_smr::Config;
 
     fn cfg() -> Config {
-        Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
+        Config { max_threads: 8, empty_freq: 4, epoch_freq: 8, ..Config::default() }
     }
 
     #[test]

@@ -19,7 +19,24 @@
 //! internal node it navigates — the two bolded `update_*_bound` lines. The
 //! interval opens under the ∞₀ leaf, whose `MAX_INDEX` is every search's
 //! first upper bound; the ∞₀ router under `S` is stepped through without
-//! bounding anything (it shares the index of the first leaf inserted).
+//! bounding anything.
+//!
+//! Router indices: a router routes at `key.max(leaf_key)` and carries the
+//! index of the leaf with that key, so (inserts only) a new leaf's interval
+//! is exactly the index gap between its key neighbours. Only a new minimum
+//! ends its descent at the larger leaf; had its router taken the new leaf's
+//! index, the next key between the two would meet the empty interval
+//! (i, i) and be stamped `USE_HP`, with its router, high in the tree.
+//!
+//! Collisions: a key then collides only once its neighbours' gap has been
+//! halved away, ~32 levels deep in the insertion-order BST: 0.0297 per
+//! insert at 500 000 random keys (`setup_split -- 1 nmtree`), a rate that
+//! varies severalfold with the key order. Routers carrying the new leaf's
+//! index collide less (0.0118) because their early `USE_HP` routers bound
+//! every search below them by `USE_HP`, read as `0xffff_ffff`: that key
+//! range's intervals keep reaching the top of the index space instead of
+//! running out, at the price of 1.20 hazard-fallback reads per insert
+//! (0.17 with the rule above).
 //!
 //! Descent prefetch: at each internal node, as soon as its two child edges
 //! are loaded and before its key is compared, `seek` prefetches both
@@ -466,15 +483,17 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 return false;
             }
             // Allocate the new leaf with the search interval's midpoint
-            // index, and give the routing internal the same index (they are
-            // adjacent in key order).
+            // index. The router routes at `key.max(leaf_key)` and takes
+            // the index of the leaf carrying that key (module docs).
             let new_leaf = h.alloc(Node { key, value });
-            // SAFETY: [INV-02] just allocated, exclusively ours.
-            let leaf_idx = unsafe { new_leaf.deref() }.index();
             let leaf_edge_clean = sr.leaf_edge.unmarked();
-            let (lc, rc) =
-                if key < leaf_key { (new_leaf, leaf_edge_clean) } else { (leaf_edge_clean, new_leaf) };
-            let router = internal(h, key.max(leaf_key), leaf_idx, lc, rc);
+            let (lc, rc, router_idx) = if key < leaf_key {
+                (new_leaf, leaf_edge_clean, leaf_node.index())
+            } else {
+                // SAFETY: [INV-02] just allocated, exclusively ours.
+                (leaf_edge_clean, new_leaf, unsafe { new_leaf.deref() }.index())
+            };
+            let router = internal(h, key.max(leaf_key), router_idx, lc, rc);
 
             // SAFETY: [INV-01] parent protected by the seek record (or S);
             // [INV-15] the seek stepped through it, so it is internal.
@@ -611,7 +630,7 @@ mod tests {
     use mp_smr::Config;
 
     fn cfg() -> Config {
-        Config::default().with_max_threads(8).with_empty_freq(4).with_epoch_freq(8)
+        Config { max_threads: 8, empty_freq: 4, epoch_freq: 8, ..Config::default() }
     }
 
     /// A leaf is the bare node; an internal node adds its two child edges.
@@ -754,7 +773,7 @@ mod tests {
     fn removal_severs_the_parents_edges_and_a_leaf_has_none() {
         // No scan before the handles drop: the retired nodes stay allocated
         // whatever the scheme would have decided.
-        let smr = Hp::new(cfg().with_empty_freq(1 << 20));
+        let smr = Hp::new(Config { empty_freq: 1 << 20, ..cfg() });
         let tree: NmTree<Hp> = NmTree::new(&smr);
         let (mut reader, mut remover) = (smr.register(), smr.register());
         for key in [10u64, 5, 20] {

@@ -102,7 +102,7 @@ fn second_to_finish<V>(node: &SmrNode<Node<V>>, height: usize) -> bool {
 /// use mp_smr::{Config, Smr, schemes::Mp};
 /// use mp_ds::{ConcurrentSet, SkipList, skiplist::SLOTS_NEEDED};
 ///
-/// let smr = Mp::new(Config::default().with_slots_per_thread(SLOTS_NEEDED));
+/// let smr = Mp::new(Config { slots_per_thread: SLOTS_NEEDED, ..Config::default() });
 /// let sl = SkipList::<Mp>::new(&smr);
 /// let mut h = smr.register();
 /// assert!(sl.insert(&mut h, 3));
@@ -544,11 +544,13 @@ mod tests {
     use mp_smr::Config;
 
     fn cfg() -> Config {
-        Config::default()
-            .with_max_threads(8)
-            .with_slots_per_thread(SLOTS_NEEDED)
-            .with_empty_freq(4)
-            .with_epoch_freq(8)
+        Config {
+            max_threads: 8,
+            slots_per_thread: SLOTS_NEEDED,
+            empty_freq: 4,
+            epoch_freq: 8,
+            ..Config::default()
+        }
     }
 
     /// A paused thread's side of its two channels: the address of the node

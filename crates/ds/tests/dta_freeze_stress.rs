@@ -17,12 +17,14 @@ use mp_smr::{Config, Smr, SmrHandle};
 #[test]
 fn freezing_survives_heavy_concurrency() {
     for _round in 0..30 {
-        let cfg = Config::default()
-            .with_max_threads(8)
-            .with_empty_freq(4)
-            .with_epoch_freq(8)
-            .with_anchor_hops(4)
-            .with_stall_patience(1); // aggressive: false positives guaranteed
+        let cfg = Config {
+            max_threads: 8,
+            empty_freq: 4,
+            epoch_freq: 8,
+            anchor_hops: 4,
+            stall_patience: 1, // aggressive: false positives guaranteed
+            ..Config::default()
+        };
         let smr = Dta::new(cfg);
         let list = Arc::new(DtaList::new(&smr));
         {

@@ -10,11 +10,13 @@ use mp_smr::schemes::Mp;
 use mp_smr::{Config, Smr};
 
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(8)
-        .with_slots_per_thread(mp_ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8)
+    Config {
+        max_threads: 8,
+        slots_per_thread: mp_ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8,
+        ..Config::default()
+    }
 }
 
 #[test]

@@ -15,11 +15,13 @@ use mp_smr::schemes::Mp;
 use mp_smr::{Config, Smr, SmrHandle};
 
 fn stall_churn<D: ConcurrentSet<Mp>>() -> usize {
-    let cfg = Config::default()
-        .with_max_threads(8)
-        .with_slots_per_thread(mp_ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8); // fast epochs: maximal fallback churn
+    let cfg = Config {
+        max_threads: 8,
+        slots_per_thread: mp_ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8, // fast epochs: maximal fallback churn
+        ..Config::default()
+    };
     let smr = Mp::new(cfg);
     let ds = Arc::new(D::new(&smr));
     {

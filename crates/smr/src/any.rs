@@ -262,8 +262,8 @@ mod tests {
     #[test]
     fn facade_runs_the_full_handle_protocol_per_scheme() {
         for kind in SchemeKind::ALL {
-            let smr =
-                AnySmr::try_with_kind(kind, Config::default().with_max_threads(2)).unwrap();
+            let cfg = Config { max_threads: 2, ..Config::default() };
+            let smr = AnySmr::try_with_kind(kind, cfg).unwrap();
             assert_eq!(smr.kind(), kind);
             assert_eq!(smr.scheme_name(), kind.name());
             let mut h = smr.try_register().unwrap();
@@ -285,8 +285,8 @@ mod tests {
 
     #[test]
     fn registry_exhaustion_surfaces_through_the_facade() {
-        let smr =
-            AnySmr::try_with_kind(SchemeKind::Hp, Config::default().with_max_threads(1)).unwrap();
+        let cfg = Config { max_threads: 1, ..Config::default() };
+        let smr = AnySmr::try_with_kind(SchemeKind::Hp, cfg).unwrap();
         let h = smr.try_register().unwrap();
         match smr.try_register() {
             Err(SmrError::RegistryExhausted { max_threads }) => assert_eq!(max_threads, 1),

@@ -17,6 +17,12 @@ use crate::packed::{Atomic, Shared};
 use crate::telemetry::{self, SchemeTelemetry, Telemetry};
 
 /// Tunable SMR parameters (paper §4.3 Listing 2 constants + §6 defaults).
+///
+/// The fields are public and have no setters: write
+/// `Config { margin: 1 << 22, ..Config::default() }`, or chain the same
+/// names on [`SmrBuilder`](crate::SmrBuilder). [`Config::validate`] is the
+/// one place a value is rejected, and every scheme's
+/// [`try_new`](Smr::try_new) runs it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Capacity of per-thread slot arrays; at most this many handles may be
@@ -116,10 +122,10 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl Config {
-    /// Checks every cross-field invariant; every scheme's [`Smr::new`]
-    /// calls this, so an invalid value (e.g. a margin the index space
-    /// cannot hold twice) fails loudly at construction instead of silently
-    /// degrading protection.
+    /// Checks every field and cross-field invariant; every scheme's
+    /// [`Smr::try_new`] calls this, so an invalid value (e.g. a margin the
+    /// index space cannot hold twice) is an [`SmrError::Config`] at
+    /// construction instead of silently degraded protection.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_threads == 0 {
             return Err(ConfigError::ZeroThreads);
@@ -144,55 +150,6 @@ impl Config {
             }
         }
         Ok(())
-    }
-
-    /// Sets the maximum number of concurrently registered handles.
-    pub fn with_max_threads(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.max_threads = n;
-        self
-    }
-
-    /// Sets the number of protection slots per thread.
-    pub fn with_slots_per_thread(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.slots_per_thread = n;
-        self
-    }
-
-    /// Sets the scan cadence (see [`Config::empty_freq`]).
-    pub fn with_empty_freq(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.empty_freq = n;
-        self
-    }
-
-    /// Sets how many allocations/unlinks elapse between epoch increments.
-    pub fn with_epoch_freq(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.epoch_freq = n;
-        self
-    }
-
-    /// Sets MP's margin (protected interval size). Must be > 2^16.
-    pub fn with_margin(mut self, margin: u32) -> Self {
-        assert!(margin > 1 << 16, "margin must exceed pointer precision (2^16)");
-        self.margin = margin;
-        self
-    }
-
-    /// Sets DTA's anchor distance (node hops between anchor updates).
-    pub fn with_anchor_hops(mut self, k: usize) -> Self {
-        assert!(k > 0);
-        self.anchor_hops = k;
-        self
-    }
-
-    /// Sets DTA's stall-detection patience.
-    pub fn with_stall_patience(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.stall_patience = n;
-        self
     }
 }
 
@@ -284,7 +241,7 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// ```
     /// use mp_smr::{Config, Smr, SmrHandle, schemes::Mp};
     ///
-    /// let smr = Mp::new(Config::default().with_max_threads(1));
+    /// let smr = Mp::new(Config { max_threads: 1, ..Config::default() });
     /// let mut h = smr.register();
     /// let mut op = h.pin();
     /// let node = op.alloc_with_index(42u64, 7 << 16);
@@ -478,31 +435,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "margin must exceed")]
-    fn margin_below_precision_rejected() {
-        let _ = Config::default().with_margin(1 << 16);
-    }
-
-    #[test]
-    fn builder_setters() {
-        let c = Config::default()
-            .with_max_threads(4)
-            .with_slots_per_thread(3)
-            .with_empty_freq(10)
-            .with_epoch_freq(20)
-            .with_margin(1 << 18)
-            .with_anchor_hops(50)
-            .with_stall_patience(2);
-        assert_eq!(c.max_threads, 4);
-        assert_eq!(c.slots_per_thread, 3);
-        assert_eq!(c.empty_freq, 10);
-        assert_eq!(c.epoch_freq, 20);
-        assert_eq!(c.margin, 1 << 18);
-        assert_eq!(c.anchor_hops, 50);
-        assert_eq!(c.stall_patience, 2);
-    }
-
-    #[test]
     fn validate_accepts_default_and_rejects_each_invariant() {
         assert_eq!(Config::default().validate(), Ok(()));
 
@@ -517,12 +449,12 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::MarginTooSmall { margin: 1 << 16 }));
 
         // A margin the index space cannot hold twice: 2·2^31 > MAX_INDEX.
-        let c = Config::default().with_margin(1 << 31);
+        let c = Config { margin: 1 << 31, ..Config::default() };
         assert_eq!(c.validate(), Err(ConfigError::MarginTooLarge { margin: 1 << 31 }));
         // The largest power of two that fits is accepted.
-        assert_eq!(Config::default().with_margin(1 << 30).validate(), Ok(()));
+        assert_eq!(Config { margin: 1 << 30, ..Config::default() }.validate(), Ok(()));
 
-        // "Every 0 events" is never: the public fields bypass the setters' asserts.
+        // "Every 0 events" is never.
         for (field, c) in [
             ("epoch_freq", Config { epoch_freq: 0, ..Config::default() }),
             ("empty_freq", Config { empty_freq: 0, ..Config::default() }),
@@ -544,7 +476,7 @@ mod tests {
 
     #[test]
     fn schemes_reject_invalid_config_at_construction() {
-        let bad = Config::default().with_margin(1 << 31);
+        let bad = Config { margin: 1 << 31, ..Config::default() };
         for result in [
             std::panic::catch_unwind(|| crate::schemes::Mp::new(bad.clone())).map(drop),
             std::panic::catch_unwind(|| crate::schemes::Hp::new(bad.clone())).map(drop),
@@ -557,7 +489,7 @@ mod tests {
     #[test]
     fn op_guard_brackets_and_releases_on_drop() {
         use crate::schemes::Mp;
-        let smr = Mp::new(Config::default().with_max_threads(1));
+        let smr = Mp::new(Config { max_threads: 1, ..Config::default() });
         let mut h = smr.register();
         let fences_before = h.counter(Counter::Fences);
         let mut op = h.pin();
@@ -578,7 +510,7 @@ mod tests {
     #[test]
     fn op_guard_ends_op_during_unwind() {
         use crate::schemes::Mp;
-        let smr = Mp::new(Config::default().with_max_threads(1));
+        let smr = Mp::new(Config { max_threads: 1, ..Config::default() });
         let mut h = smr.register();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _op = h.pin();

@@ -25,11 +25,13 @@ use crate::api::{Config, Smr};
 use crate::error::SmrError;
 
 /// Fluent builder over [`Config`] and the runtime scheme choice.
-/// Construct with [`SmrBuilder::new`] (paper §6 defaults) or
-/// [`SmrBuilder::from_config`], chain setters, finish with
-/// [`try_build`](SmrBuilder::try_build) for a statically chosen scheme or
-/// [`try_build_any`](SmrBuilder::try_build_any) for one selected at
-/// runtime via [`scheme`](SmrBuilder::scheme).
+/// Construct with [`SmrBuilder::new`] (paper §6 defaults), chain setters,
+/// finish with [`try_build`](SmrBuilder::try_build) for a statically chosen
+/// scheme or [`try_build_any`](SmrBuilder::try_build_any) for one selected
+/// at runtime via [`scheme`](SmrBuilder::scheme). A setter only stores its
+/// value; [`Config::validate`] judges them all when the scheme is built, so
+/// the `try_*` finishers return [`SmrError::Config`] and never panic on a
+/// value.
 #[derive(Debug, Clone, Default)]
 pub struct SmrBuilder {
     cfg: Config,
@@ -42,55 +44,45 @@ impl SmrBuilder {
         SmrBuilder::default()
     }
 
-    /// A builder starting from an existing [`Config`].
-    pub fn from_config(cfg: Config) -> SmrBuilder {
-        SmrBuilder { cfg, ..SmrBuilder::default() }
-    }
-
-    /// The configuration as currently accumulated.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// Sets the maximum number of concurrently registered handles.
+    /// Sets [`Config::max_threads`].
     pub fn max_threads(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_max_threads(n);
+        self.cfg.max_threads = n;
         self
     }
 
-    /// Sets the number of protection slots per thread.
+    /// Sets [`Config::slots_per_thread`].
     pub fn slots_per_thread(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_slots_per_thread(n);
+        self.cfg.slots_per_thread = n;
         self
     }
 
-    /// Sets the scan cadence (see [`Config::empty_freq`]).
+    /// Sets [`Config::empty_freq`].
     pub fn empty_freq(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_empty_freq(n);
+        self.cfg.empty_freq = n;
         self
     }
 
-    /// Sets how many allocations/unlinks elapse between epoch increments.
+    /// Sets [`Config::epoch_freq`].
     pub fn epoch_freq(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_epoch_freq(n);
+        self.cfg.epoch_freq = n;
         self
     }
 
-    /// Sets MP's margin (protected interval size). Must be > 2^16.
+    /// Sets [`Config::margin`].
     pub fn margin(mut self, margin: u32) -> Self {
-        self.cfg = self.cfg.with_margin(margin);
+        self.cfg.margin = margin;
         self
     }
 
-    /// Sets DTA's anchor distance.
+    /// Sets [`Config::anchor_hops`].
     pub fn anchor_hops(mut self, k: usize) -> Self {
-        self.cfg = self.cfg.with_anchor_hops(k);
+        self.cfg.anchor_hops = k;
         self
     }
 
-    /// Sets DTA's stall-detection patience.
+    /// Sets [`Config::stall_patience`].
     pub fn stall_patience(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.with_stall_patience(n);
+        self.cfg.stall_patience = n;
         self
     }
 
@@ -128,6 +120,7 @@ impl SmrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ConfigError;
     use crate::schemes::{Ebr, Mp};
     use crate::SmrHandle;
     use crate::telemetry::{Counter, Telemetry};
@@ -142,14 +135,16 @@ mod tests {
             .margin(1 << 18)
             .anchor_hops(33)
             .stall_patience(4);
-        let c = b.config();
-        assert_eq!(c.max_threads, 3);
-        assert_eq!(c.slots_per_thread, 5);
-        assert_eq!(c.empty_freq, 11);
-        assert_eq!(c.epoch_freq, 22);
-        assert_eq!(c.margin, 1 << 18);
-        assert_eq!(c.anchor_hops, 33);
-        assert_eq!(c.stall_patience, 4);
+        let want = Config {
+            max_threads: 3,
+            slots_per_thread: 5,
+            empty_freq: 11,
+            epoch_freq: 22,
+            margin: 1 << 18,
+            anchor_hops: 33,
+            stall_patience: 4,
+        };
+        assert_eq!(b.cfg, want);
 
         let mp = b.clone().build::<Mp>();
         let mut h = mp.register();
@@ -159,18 +154,6 @@ mod tests {
 
         let ebr = b.build::<Ebr>();
         let _h = ebr.register();
-    }
-
-    #[test]
-    fn from_config_preserves_the_seed_config() {
-        let cfg = Config::default().with_empty_freq(7);
-        assert_eq!(SmrBuilder::from_config(cfg).config().empty_freq, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "margin must exceed")]
-    fn builder_rejects_invalid_margin_eagerly() {
-        let _ = SmrBuilder::new().margin(1 << 10);
     }
 
     #[test]
@@ -184,19 +167,27 @@ mod tests {
         let _h = smr.try_register().unwrap();
     }
 
+    /// Every value `Config::validate` rejects comes back from both `try_*`
+    /// finishers as the matching error; no setter panics first.
     #[test]
-    fn try_build_surfaces_config_errors() {
-        let cfg = Config { max_threads: 0, ..Config::default() };
-        let res = SmrBuilder::from_config(cfg).try_build::<Mp>();
-        assert!(matches!(res, Err(crate::error::SmrError::Config(_))));
-
-        let cfg = Config { epoch_freq: 0, ..Config::default() };
-        let res = SmrBuilder::from_config(cfg).try_build::<Mp>();
-        assert!(matches!(
-            res,
-            Err(crate::error::SmrError::Config(crate::ConfigError::ZeroFrequency {
-                field: "epoch_freq"
-            }))
-        ));
+    fn try_build_returns_every_invalid_value_as_a_config_error() {
+        type Set = fn(SmrBuilder) -> SmrBuilder;
+        let zero = |field| ConfigError::ZeroFrequency { field };
+        let cases: [(Set, ConfigError); 8] = [
+            (|b| b.max_threads(0), ConfigError::ZeroThreads),
+            (|b| b.slots_per_thread(0), ConfigError::ZeroSlots),
+            (|b| b.margin(1 << 16), ConfigError::MarginTooSmall { margin: 1 << 16 }),
+            (|b| b.margin(1 << 31), ConfigError::MarginTooLarge { margin: 1 << 31 }),
+            (|b| b.empty_freq(0), zero("empty_freq")),
+            (|b| b.epoch_freq(0), zero("epoch_freq")),
+            (|b| b.anchor_hops(0), zero("anchor_hops")),
+            (|b| b.stall_patience(0), zero("stall_patience")),
+        ];
+        for (set, want) in cases {
+            let err = set(SmrBuilder::new()).try_build::<Mp>().err();
+            assert_eq!(err, Some(SmrError::Config(want)));
+            let err = set(SmrBuilder::new()).try_build_any().err();
+            assert_eq!(err, Some(SmrError::Config(want)));
+        }
     }
 }

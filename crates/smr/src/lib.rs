@@ -30,7 +30,7 @@
 //! ```
 //! use mp_smr::{Config, Smr, SmrHandle, schemes::Mp};
 //!
-//! let smr = Mp::new(Config::default().with_max_threads(4));
+//! let smr = Mp::new(Config { max_threads: 4, ..Config::default() });
 //! let mut h = smr.register();
 //! let mut op = h.pin(); // RAII: start_op now, end_op on drop
 //! let node = op.alloc_with_index(42u64, 7 << 16);

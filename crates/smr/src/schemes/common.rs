@@ -254,17 +254,17 @@ mod tests {
 
     #[test]
     fn scan_policy_derives_k_times_h_floored_by_empty_freq() {
-        let cfg = Config::default().with_max_threads(4).with_slots_per_thread(8);
+        let cfg = Config { max_threads: 4, slots_per_thread: 8, ..Config::default() };
         let p = ScanPolicy::from_config(&cfg);
         assert_eq!(p.watermark, 2 * 4 * 8, "k·H with k = 2");
         assert_eq!(p.rearm_floor, cfg.empty_freq);
-        let p = ScanPolicy::from_config(&cfg.with_empty_freq(1000));
+        let p = ScanPolicy::from_config(&Config { empty_freq: 1000, ..cfg });
         assert_eq!(p.watermark, 1000, "empty_freq floors the watermark");
     }
 
     #[test]
     fn scan_state_triggers_at_watermark_and_rearms_under_pinning() {
-        let cfg = Config::default().with_max_threads(1).with_slots_per_thread(2);
+        let cfg = Config { max_threads: 1, slots_per_thread: 2, ..Config::default() };
         let p = ScanPolicy::from_config(&cfg); // watermark = max(30, 4) = 30
         let mut s = ScanState::new(&p);
         for len in 1..30 {
@@ -286,7 +286,7 @@ mod tests {
         // Watermark 2·4·8 = 64, re-arm floor 10: a scan that kept 5 re-arms
         // at the watermark, one that kept 60 at 60 + 10.
         let p = ScanPolicy::from_config(
-            &cfg.with_max_threads(4).with_slots_per_thread(8).with_empty_freq(10),
+            &Config { max_threads: 4, slots_per_thread: 8, empty_freq: 10, ..cfg },
         );
         s.rearm(&p, 5);
         assert!(!s.due(63) && s.due(64));

@@ -344,7 +344,7 @@ mod tests {
     impl_handle_telemetry!(Handle);
 
     fn fake(cfg: Config) -> Fake {
-        Fake { core: SchemeCore::try_new(cfg.with_max_threads(2)).unwrap() }
+        Fake { core: SchemeCore::try_new(Config { max_threads: 2, ..cfg }).unwrap() }
     }
 
     fn register(s: &Fake) -> Handle {
@@ -369,7 +369,7 @@ mod tests {
 
     /// No trigger fires on its own: scans happen where the test asks.
     fn manual() -> Config {
-        Config::default().with_empty_freq(1 << 20)
+        Config { empty_freq: 1 << 20, ..Config::default() }
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn an_all_kept_scan_rearms_at_kept_plus_empty_freq() {
-        let s = fake(Config::default().with_slots_per_thread(1).with_empty_freq(3));
+        let s = fake(Config { slots_per_thread: 1, empty_freq: 3, ..Config::default() });
         let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
         let scans_after: Vec<u64> = (0..10)
             .map(|_| {

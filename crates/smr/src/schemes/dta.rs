@@ -440,11 +440,13 @@ mod tests {
 
     fn setup(threads: usize) -> Arc<Dta> {
         Dta::new(
-            Config::default()
-                .with_max_threads(threads)
-                .with_epoch_freq(1)
-                .with_anchor_hops(3)
-                .with_stall_patience(2),
+            Config {
+                max_threads: threads,
+                epoch_freq: 1,
+                anchor_hops: 3,
+                stall_patience: 2,
+                ..Config::default()
+            },
         )
     }
 

@@ -172,7 +172,7 @@ mod tests {
     use super::*;
 
     fn setup(threads: usize) -> Arc<Ebr> {
-        Ebr::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
+        Ebr::new(Config { max_threads: threads, epoch_freq: 1, ..Config::default() })
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<He> {
-        He::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
+        He::new(Config { max_threads: threads, epoch_freq: 1, ..Config::default() })
     }
 
     #[test]
@@ -241,11 +241,13 @@ mod tests {
         // Watermark max(1, 2·2·1) = 4; after a scan that kept one node the
         // trigger re-arms at max(4, 1 + 1) = 4 again.
         let smr = He::new(
-            Config::default()
-                .with_max_threads(2)
-                .with_slots_per_thread(1)
-                .with_empty_freq(1)
-                .with_epoch_freq(1),
+            Config {
+                max_threads: 2,
+                slots_per_thread: 1,
+                empty_freq: 1,
+                epoch_freq: 1,
+                ..Config::default()
+            },
         );
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -310,7 +312,7 @@ mod tests {
 
     #[test]
     fn stable_era_reads_do_not_fence() {
-        let cfg = Config::default().with_max_threads(1).with_empty_freq(100).with_epoch_freq(1000);
+        let cfg = Config { max_threads: 1, empty_freq: 100, epoch_freq: 1000, ..Config::default() };
         let smr = He::new(cfg);
         let mut h = smr.register();
         h.start_op();

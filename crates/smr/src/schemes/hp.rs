@@ -179,7 +179,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Hp> {
-        Hp::new(Config::default().with_max_threads(threads))
+        Hp::new(Config { max_threads: threads, ..Config::default() })
     }
 
     #[test]
@@ -231,8 +231,8 @@ mod tests {
     fn released_hazard_does_not_outlive_the_next_retire_triggered_scan() {
         // Watermark max(1, 2·2·1) = 4; after a scan that kept one node the
         // trigger re-arms at max(4, 1 + 1) = 4 again.
-        let smr =
-            Hp::new(Config::default().with_max_threads(2).with_slots_per_thread(1).with_empty_freq(1));
+        let cfg = Config { max_threads: 2, slots_per_thread: 1, empty_freq: 1, ..Config::default() };
+        let smr = Hp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
         fn retire_fresh(writer: &mut HpHandle, count: u64) {
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn wasted_memory_bounded_by_hazards() {
         // A stalled reader pins at most slots_per_thread nodes.
-        let cfg = Config::default().with_max_threads(2).with_slots_per_thread(4);
+        let cfg = Config { max_threads: 2, slots_per_thread: 4, ..Config::default() };
         let smr = Hp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();

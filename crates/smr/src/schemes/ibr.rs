@@ -194,7 +194,7 @@ mod tests {
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<Ibr> {
-        Ibr::new(Config::default().with_max_threads(threads).with_epoch_freq(1))
+        Ibr::new(Config { max_threads: threads, epoch_freq: 1, ..Config::default() })
     }
 
     #[test]
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn stable_epoch_reads_cost_nothing() {
-        let cfg = Config::default().with_max_threads(1).with_empty_freq(100).with_epoch_freq(1000);
+        let cfg = Config { max_threads: 1, empty_freq: 100, epoch_freq: 1000, ..Config::default() };
         let smr = Ibr::new(cfg);
         let mut h = smr.register();
         h.start_op();

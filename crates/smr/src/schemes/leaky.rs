@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn leaky_never_reclaims_until_scheme_drop() {
-        let smr = Leaky::new(Config::default().with_max_threads(1));
+        let smr = Leaky::new(Config { max_threads: 1, ..Config::default() });
         let mut h = smr.register();
         h.start_op();
         let n = h.alloc(7u32);
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn read_is_plain_load() {
-        let smr = Leaky::new(Config::default().with_max_threads(1));
+        let smr = Leaky::new(Config { max_threads: 1, ..Config::default() });
         let mut h = smr.register();
         h.start_op();
         let n = h.alloc(99u64);

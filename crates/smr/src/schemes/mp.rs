@@ -759,9 +759,11 @@ mod tests {
 
     fn setup(threads: usize) -> Arc<Mp> {
         Mp::new(
-            Config::default()
-                .with_max_threads(threads)
-                .with_epoch_freq(1000), // avoid mid-test epoch churn unless wanted
+            Config {
+                max_threads: threads,
+                epoch_freq: 1000,
+                ..Config::default()
+            }, // avoid mid-test epoch churn unless wanted
         )
     }
 
@@ -851,9 +853,7 @@ mod tests {
         // span [idx_lo, idx_lo + margin], i.e. forward over the traversal
         // direction and scaled by the *configured* margin.
         let margin = 1u32 << 22;
-        let smr = Mp::new(
-            Config::default().with_max_threads(1).with_epoch_freq(1000).with_margin(margin),
-        );
+        let smr = Mp::new(Config { max_threads: 1, epoch_freq: 1000, margin, ..Config::default() });
         let mut h = smr.register();
         h.start_op();
         let base = 1u32 << 24;
@@ -1010,7 +1010,7 @@ mod tests {
 
     #[test]
     fn epoch_advance_mid_op_switches_to_hp() {
-        let cfg = Config::default().with_max_threads(2).with_empty_freq(1000).with_epoch_freq(1);
+        let cfg = Config { max_threads: 2, empty_freq: 1000, epoch_freq: 1, ..Config::default() };
         let smr = Mp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -1081,7 +1081,7 @@ mod tests {
         // covering margin moves on (2 slots: the other one takes the new
         // announcement).
         let cfg =
-            Config::default().with_max_threads(2).with_slots_per_thread(2).with_epoch_freq(1000);
+            Config { max_threads: 2, slots_per_thread: 2, epoch_freq: 1000, ..Config::default() };
         let smr = Mp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -1124,10 +1124,12 @@ mod tests {
         // standing margin. Each announcement must find the slot the reused
         // refno just gave up, and the node held through the other refno
         // must keep its margin.
-        let cfg = Config::default()
-            .with_max_threads(1)
-            .with_slots_per_thread(2)
-            .with_epoch_freq(1_000_000);
+        let cfg = Config {
+            max_threads: 1,
+            slots_per_thread: 2,
+            epoch_freq: 1_000_000,
+            ..Config::default()
+        };
         let smr = Mp::new(cfg);
         let mut h = smr.register();
         h.start_op();
@@ -1156,7 +1158,7 @@ mod tests {
         // must be reclaimed. We churn same-index nodes — the worst case the
         // epoch filter exists for.
         let cfg =
-            Config::default().with_max_threads(2).with_slots_per_thread(2).with_epoch_freq(10);
+            Config { max_threads: 2, slots_per_thread: 2, epoch_freq: 10, ..Config::default() };
         let smr = Mp::new(cfg);
         let mut stalled = smr.register();
         let mut worker = smr.register();

@@ -31,10 +31,12 @@ const KEYS: u64 = 4096;
 
 /// No scan before the handle drops, so retired bytes only add up.
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(2)
-        .with_slots_per_thread(SLOTS_NEEDED)
-        .with_empty_freq(1 << 20)
+    Config {
+        max_threads: 2,
+        slots_per_thread: SLOTS_NEEDED,
+        empty_freq: 1 << 20,
+        ..Config::default()
+    }
 }
 
 /// Inserts `keys`, removes them one at a time, and returns what each

@@ -7,7 +7,7 @@ use mp_smr::schemes::Mp;
 use mp_smr::{Atomic, Config, Counter, Shared, Smr, SmrHandle, Telemetry};
 
 fn cfg() -> Config {
-    Config::default().with_max_threads(3).with_epoch_freq(1000)
+    Config { max_threads: 3, epoch_freq: 1000, ..Config::default() }
 }
 
 /// The snapshot scan's keep/free decisions must match the test's own
@@ -78,7 +78,7 @@ fn snapshot_scan_agrees_with_the_interval_model() {
 /// each reader's own epoch filter, not a global minimum.
 #[test]
 fn per_reader_epoch_filters() {
-    let smr = Mp::new(Config::default().with_max_threads(3).with_epoch_freq(1));
+    let smr = Mp::new(Config { max_threads: 3, epoch_freq: 1, ..Config::default() });
     let mut early = smr.register();
     let mut late = smr.register();
     let mut writer = smr.register();

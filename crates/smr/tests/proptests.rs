@@ -34,7 +34,7 @@ const CASES: usize = 256;
 #[test]
 fn packed_word_roundtrip() {
     let (seed, mut rng) = test_rng(0x01);
-    let smr = Hp::new(Config::default().with_max_threads(1));
+    let smr = Hp::new(Config { max_threads: 1, ..Config::default() });
     let mut h = smr.register();
     for _ in 0..CASES {
         let index: u32 = rng.random_range(0..u32::MAX);
@@ -68,7 +68,7 @@ fn margin_interval_protection() {
         let probe_index: u32 = rng.random_range(0..0xfff0_0000);
         let margin = 1u32 << 20;
         let cfg =
-            Config::default().with_max_threads(2).with_epoch_freq(1_000_000).with_margin(margin);
+            Config { max_threads: 2, epoch_freq: 1_000_000, margin, ..Config::default() };
         let smr = Mp::new(cfg);
         let mut reader = smr.register();
         let mut writer = smr.register();
@@ -120,7 +120,7 @@ fn margin_interval_protection() {
 #[test]
 fn hp_protection_is_exact() {
     for protect in [false, true] {
-        let smr = Hp::new(Config::default().with_max_threads(2));
+        let smr = Hp::new(Config { max_threads: 2, ..Config::default() });
         let mut reader = smr.register();
         let mut writer = smr.register();
         writer.start_op();
@@ -152,7 +152,7 @@ fn alloc_index_respects_interval() {
         let lo: u32 = rng.random_range(0..u32::MAX - 2);
         let width: u32 = rng.random_range(0..1_000_000);
         let hi = lo.saturating_add(width);
-        let smr = Mp::new(Config::default().with_max_threads(1).with_epoch_freq(1_000_000));
+        let smr = Mp::new(Config { max_threads: 1, epoch_freq: 1_000_000, ..Config::default() });
         let mut h = smr.register();
         h.start_op();
         let a = h.alloc_with_index(0u8, lo);

@@ -8,7 +8,7 @@ use mp_smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use mp_smr::{Atomic, Config, Shared, Smr, SmrHandle, Telemetry};
 
 fn cfg() -> Config {
-    Config::default().with_max_threads(3).with_empty_freq(2).with_epoch_freq(4)
+    Config { max_threads: 3, empty_freq: 2, epoch_freq: 4, ..Config::default() }
 }
 
 /// Exercises one scheme generically: alloc/link/read/unlink/retire cycles
@@ -67,7 +67,7 @@ fn leaky_lifecycle_defers_to_scheme_drop() {
 fn tid_recycling_clears_protection() {
     // A dropped handle must not leave protections behind for its successor
     // tid, or retired nodes would be pinned forever.
-    let smr = Hp::new(Config::default().with_max_threads(1));
+    let smr = Hp::new(Config { max_threads: 1, ..Config::default() });
     let cell;
     {
         let mut h1 = smr.register();
@@ -111,7 +111,7 @@ fn panicking_thread_releases_its_handle() {
 #[test]
 #[should_panic(expected = "more handles registered")]
 fn over_registration_panics() {
-    let smr = Ebr::new(Config::default().with_max_threads(2));
+    let smr = Ebr::new(Config { max_threads: 2, ..Config::default() });
     let _a = smr.register();
     let _b = smr.register();
     let _c = smr.register();
@@ -144,7 +144,7 @@ fn two_schemes_coexist_in_one_process() {
 fn mp_class_boundary_index_is_hazard_protected() {
     // Index exactly at the USE_HP class boundary: packed bits collide with
     // USE_HP, so reads must take the hazard path and empty() must honor it.
-    let smr = Mp::new(Config::default().with_max_threads(2));
+    let smr = Mp::new(Config { max_threads: 2, ..Config::default() });
     let mut reader = smr.register();
     let mut writer = smr.register();
     writer.start_op();
@@ -177,7 +177,7 @@ fn mp_class_boundary_index_is_hazard_protected() {
 fn ibr_extends_interval_for_late_born_nodes() {
     // A node born *after* an operation started must still be protected by
     // the reader's reservation once read (the 2GE upper-bound extension).
-    let cfg = Config::default().with_max_threads(2).with_epoch_freq(1);
+    let cfg = Config { max_threads: 2, epoch_freq: 1, ..Config::default() };
     let smr = Ibr::new(cfg);
     let mut reader = smr.register();
     let mut writer = smr.register();
@@ -215,7 +215,7 @@ fn ibr_extends_interval_for_late_born_nodes() {
 
 #[test]
 fn hp_unprotect_releases_exactly_one_slot() {
-    let smr = Hp::new(Config::default().with_max_threads(2));
+    let smr = Hp::new(Config { max_threads: 2, ..Config::default() });
     let mut reader = smr.register();
     let mut writer = smr.register();
     writer.start_op();

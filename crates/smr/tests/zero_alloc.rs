@@ -81,7 +81,7 @@ fn steady_state_churn_does_not_allocate() {
     let live_baseline = gauge::live_nodes();
 
     let smr = Mp::new(
-        Config::default().with_max_threads(2).with_empty_freq(64).with_epoch_freq(16),
+        Config { max_threads: 2, empty_freq: 64, epoch_freq: 16, ..Config::default() },
     );
     let mut h = smr.register();
 
@@ -142,7 +142,7 @@ fn steady_state_churn_does_not_allocate() {
     // retired-count watermark on the retire path, so the adaptive trigger
     // machinery itself is proven to stay off the heap in steady state.
     let smr = Hp::new(
-        Config::default().with_max_threads(2).with_slots_per_thread(4).with_empty_freq(64),
+        Config { max_threads: 2, slots_per_thread: 4, empty_freq: 64, ..Config::default() },
     );
     let mut h = smr.register();
     for _ in 0..8 {
@@ -190,7 +190,7 @@ fn steady_state_churn_does_not_allocate() {
     // heap as well.
     telemetry::set_armed(true);
     let smr = Mp::new(
-        Config::default().with_max_threads(2).with_empty_freq(64).with_epoch_freq(16),
+        Config { max_threads: 2, empty_freq: 64, epoch_freq: 16, ..Config::default() },
     );
     let mut h = smr.register();
     pinned_churn(&mut h, 8, 256);

@@ -7,3 +7,9 @@
 
 pub use mp_ds as ds;
 pub use mp_smr as smr;
+
+/// README.md's Rust snippets, compiled by `cargo test` as doctests so the
+/// README cannot name an API that no longer exists.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

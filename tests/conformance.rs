@@ -75,13 +75,15 @@ enum Fault {
 /// Aggressive cadences so reclamation (and with it the oracle's
 /// free/waste-bound hooks) runs many times within a short plan.
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(5)
-        .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8)
-        .with_anchor_hops(4)
-        .with_stall_patience(2)
+    Config {
+        max_threads: 5,
+        slots_per_thread: margin_pointers::ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8,
+        anchor_hops: 4,
+        stall_patience: 2,
+        ..Config::default()
+    }
 }
 
 /// A random operation plan: `(kind % 3, key)` pairs split between the two
@@ -277,12 +279,14 @@ mod mp_stalled_wide_margin {
     const STALL_SLOTS: usize = margin_pointers::ds::skiplist::SLOTS_NEEDED;
 
     fn stall_config() -> Config {
-        Config::default()
-            .with_max_threads(5)
-            .with_slots_per_thread(STALL_SLOTS)
-            .with_empty_freq(4)
-            .with_epoch_freq(8)
-            .with_margin(STALL_MARGIN)
+        Config {
+            max_threads: 5,
+            slots_per_thread: STALL_SLOTS,
+            empty_freq: 4,
+            epoch_freq: 8,
+            margin: STALL_MARGIN,
+            ..Config::default()
+        }
     }
 
     /// Theorem 4.2 terms: waste ≤ T·H + T·H·M·F·T with M = margin + 2^16
@@ -436,11 +440,13 @@ mod scenario_matrix {
     /// slots so `SlotExhaustion` reaches the limit quickly while the other
     /// scenarios keep their probe slot.
     fn matrix_cfg() -> Config {
-        Config::default()
-            .with_max_threads(WORKERS + 4)
-            .with_slots_per_thread(LIST_SLOTS)
-            .with_empty_freq(64)
-            .with_epoch_freq(16)
+        Config {
+            max_threads: WORKERS + 4,
+            slots_per_thread: LIST_SLOTS,
+            empty_freq: 64,
+            epoch_freq: 16,
+            ..Config::default()
+        }
     }
 
     /// Check (d)'s cap in nodes: a handle scans once its list reaches the
@@ -661,7 +667,7 @@ mod slot_rows {
     const SLOTS: usize = 4;
 
     fn every_slot_keeps_its_node<S: Smr>() {
-        let smr = S::new(Config::default().with_max_threads(2).with_slots_per_thread(SLOTS));
+        let smr = S::new(Config { max_threads: 2, slots_per_thread: SLOTS, ..Config::default() });
         let (mut reader, mut writer) = (smr.register(), smr.register());
         writer.start_op();
         let nodes: Vec<_> = (0..SLOTS as u64).map(|k| writer.alloc(k)).collect();

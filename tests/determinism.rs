@@ -38,7 +38,7 @@ fn same_seed_same_op_sequences() {
 /// and returns the sorted final contents.
 fn final_contents<S: Smr>() -> Vec<u64> {
     let smr =
-        S::new(Config::default().with_max_threads(1).with_empty_freq(4).with_epoch_freq(8));
+        S::new(Config { max_threads: 1, empty_freq: 4, epoch_freq: 8, ..Config::default() });
     let list: LinkedList<S> = LinkedList::new(&smr);
     let mut h = smr.register();
     let mut rng = SmallRng::seed_from_u64(SEED);
@@ -91,7 +91,8 @@ fn final_contents_agree_across_schemes() {
 /// Returns the final contents, then the announce fences and collision
 /// allocations the stream cost.
 fn skiplist_under_mp() -> (Vec<u64>, u64, u64) {
-    let smr = Mp::new(Config::default().with_max_threads(2).with_slots_per_thread(SLOTS_NEEDED));
+    let cfg = Config { max_threads: 2, slots_per_thread: SLOTS_NEEDED, ..Config::default() };
+    let smr = Mp::new(cfg);
     let list: SkipList<Mp> = SkipList::new(&smr);
     let mut h = smr.register();
     let mut rng = SmallRng::seed_from_u64(SEED);

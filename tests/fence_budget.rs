@@ -90,7 +90,7 @@ fn breakdown(s: &TelemetrySnapshot) -> String {
 /// fence-free.
 #[test]
 fn mp_read_dominated_list_stays_under_two_fences_per_op() {
-    let cfg = Config::default().with_max_threads(2).with_margin(1 << 30);
+    let cfg = Config { max_threads: 2, margin: 1 << 30, ..Config::default() };
     let s = run_workload::<Mp>(cfg);
     assert!(
         s.fences_per_op() <= 2.0,
@@ -108,7 +108,7 @@ fn mp_read_dominated_list_stays_under_two_fences_per_op() {
 /// longer measuring HP.
 #[test]
 fn hp_pays_about_one_fence_per_hop() {
-    let s = run_workload::<Hp>(Config::default().with_max_threads(2));
+    let s = run_workload::<Hp>(Config { max_threads: 2, ..Config::default() });
     let per_hop = s.fences_per_node();
     assert!(
         (0.95..=1.15).contains(&per_hop),
@@ -129,7 +129,7 @@ fn hp_build<D: ConcurrentSet<Hp>>(
     keys: u64,
     new: impl Fn(&Arc<Hp>) -> D,
 ) -> TelemetrySnapshot {
-    let smr = Hp::new(Config::default().with_max_threads(2).with_slots_per_thread(slots));
+    let smr = Hp::new(Config { max_threads: 2, slots_per_thread: slots, ..Config::default() });
     let set = new(&smr);
     let mut h = smr.register();
     let mut rng = Lcg(0x5eed_f00d_fe4c_e002);
@@ -174,7 +174,7 @@ fn hp_build_pays_one_protect_fence_per_node_stepped_onto() {
 /// announcement) regardless of traversal length.
 #[test]
 fn ebr_pays_about_one_fence_per_op() {
-    let s = run_workload::<Ebr>(Config::default().with_max_threads(2));
+    let s = run_workload::<Ebr>(Config { max_threads: 2, ..Config::default() });
     let per_op = s.fences_per_op();
     assert!(
         (0.5..=1.5).contains(&per_op),
@@ -188,7 +188,7 @@ fn ebr_pays_about_one_fence_per_op() {
 /// margin/epoch persistence adopts.
 #[test]
 fn he_stays_well_under_one_fence_per_op() {
-    let s = run_workload::<He>(Config::default().with_max_threads(2));
+    let s = run_workload::<He>(Config { max_threads: 2, ..Config::default() });
     assert!(
         s.fences_per_op() <= 0.1,
         "HE's lazy-era budget regressed: {}",

@@ -34,13 +34,15 @@ const KEY_SPACE: u64 = 32;
 /// Aggressive cadences so scans (and thus fence/free hooks) run many
 /// times within a short plan.
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(4)
-        .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8)
-        .with_anchor_hops(4)
-        .with_stall_patience(2)
+    Config {
+        max_threads: 4,
+        slots_per_thread: margin_pointers::ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8,
+        anchor_hops: 4,
+        stall_patience: 2,
+        ..Config::default()
+    }
 }
 
 /// Three threads churn a set (insert/remove/contains over a small key
@@ -126,7 +128,7 @@ fn leaky_churn_is_hb_clean() {
 /// reader runs on its own thread because the ledger keys claims by thread;
 /// its panic, if any, is re-raised on the caller's.
 fn hp_reader_derefs_a_retired_node(release_first: bool) {
-    let smr = Hp::new(cfg().with_empty_freq(1 << 20));
+    let smr = Hp::new(Config { empty_freq: 1 << 20, ..cfg() });
     let mut writer = smr.register();
     writer.start_op();
     let n = writer.alloc(7u64);

@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 
 #[test]
 fn mp_without_bound_hints_degenerates_to_hp() {
-    let smr = Mp::new(Config::default().with_max_threads(2).with_empty_freq(1));
+    let smr = Mp::new(Config { max_threads: 2, empty_freq: 1, ..Config::default() });
     let mut client = smr.register(); // never calls update_*_bound
     let mut owner = smr.register();
 
@@ -45,7 +45,7 @@ fn mp_without_bound_hints_degenerates_to_hp() {
 #[test]
 fn ascending_insert_list_collides_but_stays_correct() {
     let smr = Mp::new(
-        Config::default().with_max_threads(2).with_empty_freq(4).with_epoch_freq(16),
+        Config { max_threads: 2, empty_freq: 4, epoch_freq: 16, ..Config::default() },
     );
     let list: LinkedList<Mp> = LinkedList::new(&smr);
     let mut h = smr.register();
@@ -78,19 +78,21 @@ fn ascending_insert_list_collides_but_stays_correct() {
 #[test]
 fn fresh_tree_first_inserts_collide_nowhere() {
     // The tree's search interval opens under the ∞₀ leaf's `MAX_INDEX`
-    // (§5.3), so an empty tree's first leaf — and the router that shares
-    // its index, the subtree root every later search starts from — is
-    // born with a margin index, not as a `USE_HP` collision.
+    // (§5.3), so an empty tree's first leaf is born with a margin index,
+    // not as a `USE_HP` collision. 5 then lands left of 10 under a router
+    // keyed 10, which carries 10's index: 7 gets the gap between 5 and 10,
+    // where with 5's index it would meet the empty interval (i5, i5).
     let smr = Mp::new(
-        Config::default().with_max_threads(1).with_slots_per_thread(nmtree::SLOTS_NEEDED),
+        Config { max_threads: 1, slots_per_thread: nmtree::SLOTS_NEEDED, ..Config::default() },
     );
     let tree: NmTree<Mp> = NmTree::new(&smr);
     let mut h = smr.register();
-    for k in [500u64, 250, 750] {
+    for k in [10u64, 5, 7] {
         assert!(tree.insert(&mut h, k), "insert {k}");
     }
     assert_eq!(h.counter(Counter::CollisionAllocs), 0, "first three inserts collided");
-    for k in [500u64, 250, 750] {
+    for k in [10u64, 5, 7] {
         assert!(tree.contains(&mut h, k), "contains {k}");
     }
 }
+

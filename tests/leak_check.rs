@@ -30,13 +30,15 @@ fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(6)
-        .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(8)
-        .with_epoch_freq(16)
-        .with_anchor_hops(8)
-        .with_stall_patience(3)
+    Config {
+        max_threads: 6,
+        slots_per_thread: margin_pointers::ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 8,
+        epoch_freq: 16,
+        anchor_hops: 8,
+        stall_patience: 3,
+        ..Config::default()
+    }
 }
 
 fn churn<S: Smr, D: ConcurrentSet<S>>() {
@@ -183,7 +185,7 @@ fn gauge_stays_exact_across_drop_park_adopt_and_free() {
     let _exclusive = exclusive();
     const NODES: usize = 10;
     // No scan fires on its own: the gauge itself is under test.
-    let smr = Ebr::new(Config::default().with_max_threads(4).with_empty_freq(1 << 20));
+    let smr = Ebr::new(Config { max_threads: 4, empty_freq: 1 << 20, ..Config::default() });
     let stall = StalledReader::spawn(&smr);
 
     let mut writer = smr.register();

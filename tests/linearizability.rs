@@ -16,13 +16,15 @@ const OPS_PER_THREAD: usize = 3_000;
 const THREADS: usize = 4;
 
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(THREADS + 1)
-        .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8)
-        .with_anchor_hops(4)
-        .with_stall_patience(2)
+    Config {
+        max_threads: THREADS + 1,
+        slots_per_thread: margin_pointers::ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8,
+        anchor_hops: 4,
+        stall_patience: 2,
+        ..Config::default()
+    }
 }
 
 fn run_and_check<S: Smr, D: ConcurrentSet<S>>() {

@@ -89,13 +89,14 @@ fn run_steps(steps: &[Step]) {
         return; // nothing to read; a shrunk-away topology is a trivial pass
     }
 
-    let cfg = Config::default()
-        .with_max_threads(2)
-        .with_slots_per_thread(slots)
-        // 2^31 does not fit twice; its nearest valid margin stands in.
-        .with_margin((1u64 << margin_shift).min(MAX_MARGIN) as u32)
-        .with_empty_freq(4)
-        .with_epoch_freq(epoch_freq);
+    let cfg = Config {
+        max_threads: 2,
+        slots_per_thread: slots, // 2^31 does not fit twice; its nearest valid margin stands in.
+        margin: (1u64 << margin_shift).min(MAX_MARGIN) as u32,
+        empty_freq: 4,
+        epoch_freq,
+        ..Config::default()
+    };
     let smr = Mp::new(cfg);
     let mut reader = smr.register();
     let mut writer = smr.register();

@@ -23,7 +23,7 @@ use margin_pointers::smr::{Config, Smr, SmrHandle};
 const SEED: u64 = 0x0bad_5eed_0bad_5eed;
 
 fn cfg() -> Config {
-    Config::default().with_max_threads(2).with_empty_freq(4)
+    Config { max_threads: 2, empty_freq: 4, ..Config::default() }
 }
 
 /// Runs `f`, requires it to panic, and returns the panic message.

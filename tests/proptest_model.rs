@@ -39,11 +39,13 @@ fn gen_ops(rng: &mut SmallRng, key_space: u64, max_len: usize) -> Vec<Op> {
 }
 
 fn cfg() -> Config {
-    Config::default()
-        .with_max_threads(2)
-        .with_slots_per_thread(margin_pointers::ds::skiplist::SLOTS_NEEDED)
-        .with_empty_freq(4)
-        .with_epoch_freq(8)
+    Config {
+        max_threads: 2,
+        slots_per_thread: margin_pointers::ds::skiplist::SLOTS_NEEDED,
+        empty_freq: 4,
+        epoch_freq: 8,
+        ..Config::default()
+    }
 }
 
 fn check_against_model<S: Smr, D: ConcurrentSet<S>>(ops: &[Op]) {
@@ -112,7 +114,7 @@ fn dta_list_matches_btreeset() {
         "dta_list_matches_btreeset",
         |rng| gen_ops(rng, 48, 400),
         |ops| {
-            let smr = Dta::new(cfg().with_anchor_hops(4).with_stall_patience(2));
+            let smr = Dta::new(Config { anchor_hops: 4, stall_patience: 2, ..cfg() });
             let ds = DtaList::new(&smr);
             let mut h = smr.register();
             let mut model = BTreeSet::new();
@@ -190,7 +192,7 @@ fn concurrent_partition_roundtrip() {
             keys.into_iter().collect()
         },
         |keys: &[u64]| {
-            let smr = Mp::new(cfg().with_max_threads(4));
+            let smr = Mp::new(Config { max_threads: 4, ..cfg() });
             let ds: Arc<SkipList<Mp>> = Arc::new(SkipList::new(&smr));
             std::thread::scope(|s| {
                 for t in 0..3usize {

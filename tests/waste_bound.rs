@@ -16,7 +16,7 @@ const WORKERS: u64 = 2;
 const DEFAULT_MARGIN: u32 = 1 << 20;
 
 fn cfg(margin: u32) -> Config {
-    Config::default().with_max_threads(4).with_empty_freq(8).with_epoch_freq(32).with_margin(margin)
+    Config { max_threads: 4, empty_freq: 8, epoch_freq: 32, margin, ..Config::default() }
 }
 
 /// Runs churn against a structure while one registered thread sits parked
