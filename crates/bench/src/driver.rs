@@ -90,7 +90,7 @@ impl BenchParams {
     /// Raw parameters: exact prefill, [`Scale::Ci`]'s run length, default
     /// margin, uniform keys, no churn, no stalled threads.
     pub fn new(threads: usize, prefill: usize, mix: Mix) -> Self {
-        // Slot budget: the skip list needs the most (2 per level + 2).
+        // Slot budget: the skip list needs the most (3 per level + 1 scratch).
         let slots = mp_ds::skiplist::SLOTS_NEEDED;
         BenchParams {
             threads,

@@ -12,8 +12,11 @@
 //! A node carries exactly as many forward pointers as its tower is tall:
 //! they are the node's *tail* ([`SmrHandle::alloc_with_tail`]), allocated
 //! in the same block right after the payload, so under HP a one-level node
-//! is 24 bytes, the expected node 32, and only a full-height one 176; a
-//! scheme that stamps births (MP, HE, IBR, DTA) adds its one word to each.
+//! is 24 bytes, a two-level one 32, and only a full-height one 96. Towers
+//! are drawn at p = 1/4 (Pugh's choice, as in LevelDB and Redis), so a node
+//! carries 4/3 links on average and the expected node is 26.7 bytes; a
+//! scheme that stamps births (MP, HE, IBR, DTA) adds its one word to each,
+//! 34.7 bytes.
 //! The sentinels are the same type with a tail of [`MAX_HEIGHT`].
 //!
 //! MP integration (§5.2): searches update the MP search interval exactly as
@@ -23,8 +26,7 @@
 //! implementation rotates *three* slots per level (pred / curr / next
 //! change roles instead, so each traversed node costs one protected read,
 //! not two) and keeps one scratch slot for `remove`'s re-reads of the
-//! victim's tower: [`SLOTS_NEEDED`] `= 3 · MAX_HEIGHT + 2`, the last slot
-//! spare.
+//! victim's tower: [`SLOTS_NEEDED`] `= 3 · MAX_HEIGHT + 1`.
 //!
 //! A search protects a node only before dereferencing it. At a descent
 //! point `find` needs only the mark bit of the node's successor link, so it
@@ -48,16 +50,15 @@ use mp_smr::{Shared, Smr, SmrHandle, SmrNode, Telemetry};
 
 use crate::ConcurrentSet;
 
-/// Maximum tower height. With p = 1/2, level occupancy halves per level, so
-/// 20 levels comfortably cover the paper's 500 K-element experiments.
-pub const MAX_HEIGHT: usize = 20;
+/// Maximum tower height. With p = 1/4, level occupancy quarters per level,
+/// so 10 levels cover 4¹⁰ ≈ 10⁶ keys, twice the paper's 500 K-element
+/// experiments.
+pub const MAX_HEIGHT: usize = 10;
 
 /// Protection slots a skip-list operation may use: three per level
 /// (rotating pred/curr/next roles, so each traversed node costs exactly one
-/// protected read) plus a scratch slot for `remove`'s re-reads. The last
-/// slot is spare: it stays in the count because the count sizes the slot
-/// rows of every skip-list measurement (ROADMAP, carried forward).
-pub const SLOTS_NEEDED: usize = 3 * MAX_HEIGHT + 2;
+/// protected read) plus a scratch slot for `remove`'s re-reads.
+pub const SLOTS_NEEDED: usize = 3 * MAX_HEIGHT + 1;
 
 /// Deleted-bit on a level's next pointer.
 const DELETED: u64 = 0b01;
@@ -130,16 +131,16 @@ struct FindResult<V> {
     found: bool,
 }
 
-/// `key`'s tower height, geometric with p = 1/2: one plus the trailing
-/// ones of the key's splitmix64 hash, capped at [`MAX_HEIGHT`]. A function
-/// of the key alone, so one key stream builds the same towers on every
-/// run, on every thread and under every scheme.
+/// `key`'s tower height, geometric with p = 1/4: one plus one level per two
+/// trailing ones of the key's splitmix64 hash, capped at [`MAX_HEIGHT`]. A
+/// function of the key alone, so one key stream builds the same towers on
+/// every run, on every thread and under every scheme.
 pub fn random_height(key: u64) -> usize {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
-    ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
+    ((z.trailing_ones() as usize) / 2 + 1).min(MAX_HEIGHT)
 }
 
 impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
@@ -666,7 +667,7 @@ mod tests {
     /// and the handshake flag lives in the header.
     #[test]
     fn node_size_is_pinned() {
-        for (height, block) in [(1, 24), (2, 32), (3, 40), (4, 48), (MAX_HEIGHT, 176)] {
+        for (height, block) in [(1, 24), (2, 32), (3, 40), (4, 48), (MAX_HEIGHT, 96)] {
             let held = crate::retired_block_bytes(Node { key: 0, value: () }, height);
             assert_eq!(held, block, "height {height}");
         }
@@ -709,11 +710,18 @@ mod tests {
             assert_eq!(random_height(key), ht, "a key's height is fixed");
             counts[ht] += 1;
         }
-        // p = 1/2 per level: 8 192, 4 096, 2 048, … expected.
-        for (ht, want) in [(1, 8_192.0), (2, 4_096.0), (3, 2_048.0), (4, 1_024.0)] {
+        // p = 1/4 per level: 12 288, 3 072, 768, 192, … expected. Each
+        // count is binomial: allow four standard deviations (σ ≈ 14 keys at
+        // height 4, 55 at height 1).
+        for (ht, want) in [(1, 12_288.0f64), (2, 3_072.0), (3, 768.0), (4, 192.0)] {
             let got = counts[ht] as f64;
-            assert!((got / want - 1.0).abs() < 0.1, "height {ht}: {got} keys, expected ≈ {want}");
+            let sigma = (want * (1.0 - want / 16_384.0)).sqrt();
+            assert!((got - want).abs() < 4.0 * sigma, "height {ht}: {got} keys, expected ≈ {want}");
         }
+        // A tower carries 1 / (1 − p) = 4/3 links on average.
+        let links: usize = counts.iter().enumerate().map(|(ht, &n)| ht * n).sum();
+        let mean = links as f64 / 16_384.0;
+        assert!((mean - 4.0 / 3.0).abs() < 0.05, "mean tower {mean:.3} links, expected ≈ 1.333");
     }
 
     #[test]

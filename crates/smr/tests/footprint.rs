@@ -85,10 +85,10 @@ fn pin<S: Smr>(birth: usize) {
     }
 
     // Skip list: header 8 + key 8 + 8 per level, no rounding — under HP
-    // 24 B at height 1, 32 B at 2, … 176 B at `MAX_HEIGHT` — so with heights
-    // drawn at p = 1/2 a key costs Σ 2⁻ʰ·(16 + 8h) = 32.0 bytes on average,
-    // plus the birth word. The first key above the stream with a full
-    // tower adds a height-20 node to the pins.
+    // 24 B at height 1, 32 B at 2, … 96 B at `MAX_HEIGHT` — so with heights
+    // drawn at p = 1/4 a key costs Σ 3·4⁻ʰ·(16 + 8h) = 26.67 bytes on
+    // average, plus the birth word. The first key above the stream with a
+    // full tower adds a height-10 node to the pins.
     let tower = |height: usize| 16 + 8 * height + birth;
     let tall = (KEYS..).find(|&key| random_height(key) == MAX_HEIGHT).unwrap();
     let keys: Vec<u64> = (0..KEYS).chain([tall]).collect();
@@ -100,10 +100,10 @@ fn pin<S: Smr>(birth: usize) {
     for height in [1, 2, MAX_HEIGHT] {
         assert!(keys.iter().any(|&key| random_height(key) == height), "no height-{height} key");
     }
-    assert_eq!((tower(1), tower(2), tower(MAX_HEIGHT)), (24 + birth, 32 + birth, 176 + birth));
+    assert_eq!((tower(1), tower(2), tower(MAX_HEIGHT)), (24 + birth, 32 + birth, 96 + birth));
     let stream = &removals[..KEYS as usize];
     let mean = stream.iter().map(|&(_, bytes)| bytes).sum::<usize>() as f64 / KEYS as f64;
-    let expected = (32 + birth) as f64;
+    let expected = 16.0 + 8.0 * 4.0 / 3.0 + birth as f64;
     assert!(
         (expected - 2.0..expected + 2.0).contains(&mean),
         "{name} skiplist: {mean:.1} bytes per key, expected {expected:.1}"

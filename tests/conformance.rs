@@ -384,7 +384,7 @@ mod mp_stalled_wide_margin {
         // total churn (~tens of thousands of retires). The filter caps the
         // margin-pinned set at nodes whose lifetime contains the stalled
         // epoch, leaving only scan-cadence backlog (each writer's unscanned
-        // list, up to the 2·5·62 = 620-node watermark) on top.
+        // list, up to the 2·5·31 = 310-node watermark) on top.
         assert!(
             peak_pending <= 2_000,
             "stalled wide margin pinned {peak_pending} nodes; epoch filter ineffective"
@@ -409,8 +409,8 @@ mod scenario_matrix {
     const WORKERS: usize = 6;
     const OPS_PER_WORKER: u64 = 1_500;
     /// The list's slot row, as the benchmark's `list-read` sizes it. The
-    /// trigger's watermark grows with the row: a skip list's 62 slots would
-    /// let each handle hold 1 240 unscanned nodes.
+    /// trigger's watermark grows with the row: a skip list's 31 slots would
+    /// let each handle hold 620 unscanned nodes.
     const LIST_SLOTS: usize = 4;
     /// Handles that retire: the workers and the misbehaver (the prefill
     /// only inserts).
