@@ -4,15 +4,14 @@
 //! structure under MP, HE and HP together. This example builds each of
 //! the four structures under each of the three schemes on its own, at the
 //! benchmark's prefill sizes, with the benchmark's registry size and slot
-//! counts and the library's defaults otherwise. It prints what one insert
-//! cost: the wall time, and the counters that explain it. Those are hops,
-//! announce fences, hazard fences, hazard-fallback reads and collision
-//! allocations. The last column, `B/key`, is the memory the build left
-//! behind: the pool's live bytes once the building thread has exited,
-//! divided by the keys. The build is single-threaded and seeded, so every
-//! column but the two timings is a function of the code alone: two trees
-//! that print different counters run different protocols, and two that
-//! print different `B/key` lay their nodes out differently.
+//! counts and the library's defaults otherwise. It prints the build's wall
+//! time and what one insert cost. The last column, `B/key`, is the memory
+//! the build left behind: the pool's live bytes once the building thread
+//! has exited, divided by the keys. The build is single-threaded and
+//! seeded, so two trees that print different `B/key` lay their nodes out
+//! differently. What an insert counts (hops, fences per site, hazard
+//! fallbacks, collisions) is in `tests/counter_table.txt`, which tier-1
+//! compares byte for byte.
 //!
 //! ```sh
 //! cargo run --release -p mp-bench --example setup_split               # the benchmark's sizes
@@ -36,7 +35,7 @@ use std::time::Instant;
 use mp_ds::{nmtree, skiplist, ConcurrentSet, HashMap, LinkedList, NmTree, SkipList};
 use mp_smr::node::MAX_INDEX;
 use mp_smr::schemes::{He, Hp, Mp};
-use mp_smr::{Counter, Smr, SmrBuilder, Telemetry};
+use mp_smr::{Smr, SmrBuilder};
 use mp_util::{RngExt, SeedableRng, SmallRng};
 
 /// The benchmark's registry: two workers, the stalled reader, one spare.
@@ -47,22 +46,11 @@ const SEED: u64 = 0x5e70_5011_7000_0001;
 /// `MAX_INDEX`.
 const WIDEST_MARGIN: u32 = (MAX_INDEX - 1) / 2;
 
-/// The counters printed per insert, in column order.
-const COUNTED: [Counter; 5] = [
-    Counter::NodesTraversed,
-    Counter::FencesAnnounce,
-    Counter::FencesHpProtect,
-    Counter::HpFallbackReads,
-    Counter::CollisionAllocs,
-];
-
 /// One build: its wall time, its `insert` calls (duplicates included),
-/// the [`COUNTED`] totals of the handle that made them, and the pool bytes
-/// the built structure holds.
+/// and the pool bytes the built structure holds.
 struct Build {
     secs: f64,
     inserts: u64,
-    counts: [u64; COUNTED.len()],
     bytes: usize,
 }
 
@@ -101,7 +89,7 @@ fn build<S: Smr, D: ConcurrentSet<S> + Send>(setup: Setup, new: fn(&Arc<S>) -> D
                 }
             }
             let secs = start.elapsed().as_secs_f64();
-            (set, Build { secs, inserts, counts: COUNTED.map(|c| h.counter(c)), bytes: 0 })
+            (set, Build { secs, inserts, bytes: 0 })
         })
         .join()
         .expect("build thread panicked")
@@ -121,16 +109,10 @@ fn structure<D: Family>(name: &str, setup: Setup) {
         ("HP", build::<Hp, _>(setup, D::new::<Hp>)),
     ];
     for (scheme, b) in &rows {
-        let per = |i: usize| b.counts[i] as f64 / b.inserts as f64;
         println!(
-            "{name:<10} {scheme:<3} {keys:>8} {:>9.4} {:>8.0} {:>9.3} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>7.1}",
+            "{name:<10} {scheme:<3} {keys:>8} {:>9.4} {:>8.0} {:>7.1}",
             b.secs,
             b.secs * 1e9 / b.inserts as f64,
-            per(0),
-            per(1),
-            per(2),
-            per(3),
-            per(4),
             b.bytes as f64 / keys as f64,
         );
     }
@@ -194,18 +176,8 @@ fn main() {
     let margin_log2: Option<u32> = args.next().map(|arg| arg.parse().expect(USAGE));
     assert!(margin_log2.is_none_or(|log2| log2 < 32), "the margin is a u32; {USAGE}");
     println!(
-        "{:<10} {:<3} {:>8} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "structure",
-        "",
-        "keys",
-        "prefill_s",
-        "ns/ins",
-        "hops/ins",
-        "ann/ins",
-        "hpf/ins",
-        "hpr/ins",
-        "coll/ins",
-        "B/key"
+        "{:<10} {:<3} {:>8} {:>9} {:>8} {:>7}",
+        "structure", "", "keys", "prefill_s", "ns/ins", "B/key"
     );
     for (name, slots, keys, run) in STRUCTURES {
         if only.as_deref().is_none_or(|o| o == name) {

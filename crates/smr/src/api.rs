@@ -250,11 +250,12 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// drop(op); // end_op: all protections released
     /// ```
     ///
-    /// Operations must not be nested: do not call `pin` (or a data-structure
-    /// operation, which pins internally) while a guard from the same handle
-    /// is alive. Where the `oracle` feature is armed (every workspace test
-    /// build) this rule is enforced: a nested `pin` on one thread panics
-    /// with the offending scheme and replay seed.
+    /// Operations must not be nested: do not call `pin`, or a data-structure
+    /// operation, while a guard from the same handle is alive. The structures
+    /// bracket their operations with raw `start_op` / `end_op`, which the
+    /// `oracle` feature's nesting check (armed in every workspace test build)
+    /// does not see: it panics, naming the scheme and replay seed, only on a
+    /// nested `pin`.
     fn pin(&mut self) -> OpGuard<'_, Self>
     where
         Self: Sized,

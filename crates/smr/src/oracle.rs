@@ -259,9 +259,9 @@ pub(crate) unsafe fn quarantine_node(ptr: *mut u8, layout: Layout) {
 }
 
 /// Marks the calling thread as inside a [`crate::SmrHandle::pin`]-scoped
-/// operation; panics on nesting, which the trait protocol forbids (a
-/// data-structure call pins internally, so pinning around one deadlocks
-/// protection bookkeeping silently in release builds).
+/// operation; panics on nesting, which the trait protocol forbids. Only
+/// `pin` comes through here: the data structures bracket their operations
+/// with raw `start_op` / `end_op`, so nesting through those is not seen.
 pub(crate) fn pin_enter() {
     PIN_DEPTH.with(|d| {
         let depth = d.get();

@@ -5,25 +5,16 @@
 //! suite runs offline. Each test derives all of its random inputs from a
 //! printed base seed — set `MP_CHECK_SEED` to replay a failure exactly.
 
-use mp_util::check::DEFAULT_SEED;
-use mp_util::{RngExt, SeedableRng, SmallRng};
+use mp_util::{Checker, RngExt, SeedableRng, SmallRng};
 
 use mp_smr::node::{is_use_hp_class, USE_HP};
 use mp_smr::schemes::{Hp, Mp};
 use mp_smr::{Atomic, Config, Shared, Smr, SmrHandle};
 
-/// Per-test deterministic RNG; honors `MP_CHECK_SEED` for replays.
+/// Per-test deterministic RNG from the checker's base seed, so
+/// `MP_CHECK_SEED` replays a failure and a malformed value panics.
 fn test_rng(salt: u64) -> (u64, SmallRng) {
-    let seed = std::env::var("MP_CHECK_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim();
-            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(h) => u64::from_str_radix(h, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(DEFAULT_SEED);
+    let seed = Checker::new().base_seed();
     (seed, SmallRng::seed_from_u64(seed ^ salt))
 }
 

@@ -1,4 +1,4 @@
-//! Vector-clock happens-before tracker (`--features hb-oracle`).
+//! Vector-clock happens-before tracker (driven by mp-smr's `hb-oracle`).
 //!
 //! The substrate of `mp-smr`'s happens-before oracle: a process-global
 //! ledger of the synchronization edges the SMR protocol *claims* exist —

@@ -68,17 +68,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p
 # Happens-before oracle stage: the vector-clock tracker audits every
 # deref and free against the protocol's claimed synchronization edges,
 # and the seeded deref-after-unprotect must panic deterministically
-# (tests/hb_oracle.rs). `hb-oracle` implies the reclamation oracle.
+# (tests/hb_oracle.rs). `hb-oracle` implies the reclamation oracle. The
+# tracker itself (mp-util's `hb` module) has no feature gate: the
+# workspace test and clippy stages above build and test it.
 echo "==> cargo test -q --offline --features hb-oracle (hb oracle armed)"
 run_oracle cargo test -q --offline --features hb-oracle
 
 echo "==> cargo test -q --offline -p mp-smr --features hb-oracle"
 run_oracle cargo test -q --offline -p mp-smr --features hb-oracle
-run_oracle cargo test -q --offline -p mp-util --features hb-oracle
 
 echo "==> cargo clippy --offline --all-targets --features hb-oracle -- -D warnings"
 cargo clippy --offline --all-targets --features hb-oracle -- -D warnings
-cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: the figure sweep — each figure, Table 1, the collision
 # analysis, the takeaways and the soak with and without a stalled reader —
@@ -87,7 +87,7 @@ cargo clippy --offline -p mp-util --all-targets --features hb-oracle -- -D warni
 # the header's width; which tables the sweep writes is pinned by
 # `mp_bench::figures`'s tests, and pass/fail on their *values* lives in
 # `cargo test -p mp-bench` (the driver's soak tests) and
-# tests/fence_budget.rs. Absolute path: `cargo bench` sets the CWD to the
+# tests/counter_table.rs. Absolute path: `cargo bench` sets the CWD to the
 # package directory.
 echo "==> cargo bench --offline -p mp-bench --bench figures (smoke scale)"
 BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
@@ -104,22 +104,6 @@ done
 # exposition carries is tier-1's contract (tests/telemetry.rs).
 echo "==> telemetry smoke (the exporter example emits a valid exposition)"
 cargo run -q --release --offline -p mp-bench --example telemetry_export >/dev/null
-
-# Set-up split smoke: the per-scheme prefill breakdown (seconds, ns and
-# counters per insert for every structure under MP, HE and HP) runs to
-# completion at 1/64 of the benchmark's prefill sizes, twice. Its counter
-# columns are a function of the code alone, so the two runs must print
-# them identically: every column but the timings (`prefill_s`, `ns/ins`,
-# and the per-structure `sum` rows, which hold only timings).
-echo "==> set-up split smoke (mp-bench's setup_split example at prefill / 64, counters run-to-run identical)"
-setup_split_counters() {
-  cargo run -q --release --offline -p mp-bench --example setup_split -- 64 |
-    awk 'NR == 1 { print; next } $2 != "sum" { $4 = ""; $5 = ""; print }'
-}
-first_split=$(setup_split_counters)
-second_split=$(setup_split_counters)
-diff <(echo "$first_split") <(echo "$second_split") ||
-  { echo "!! set-up split: counter columns differ between two runs of the same code" >&2; exit 1; }
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
 # the log histogram, the JSON writer and parser, `agree`'s bounds, the

@@ -7,10 +7,9 @@
 
 use mp_util::{Checker, RngCore, RngExt, SeedableRng, SmallRng};
 
-use margin_pointers::ds::skiplist::SLOTS_NEEDED;
-use margin_pointers::ds::{ConcurrentSet, LinkedList, SkipList};
+use margin_pointers::ds::{ConcurrentSet, LinkedList};
 use margin_pointers::smr::schemes::{Ebr, Hp, Mp};
-use margin_pointers::smr::{Config, Counter, Smr, Telemetry};
+use margin_pointers::smr::{Config, Smr};
 
 const SEED: u64 = 0xd5ea_5eed_0000_0001;
 
@@ -87,69 +86,17 @@ fn final_contents_agree_across_schemes() {
     assert_eq!(mp, final_contents::<Ebr>(), "MP and EBR diverged on one op stream");
 }
 
-/// Replays the `SEED` op stream single-threaded on a skip list under MP.
-/// Returns the final contents, then the announce fences and collision
-/// allocations the stream cost.
-fn skiplist_under_mp() -> (Vec<u64>, u64, u64) {
-    let cfg = Config { max_threads: 2, slots_per_thread: SLOTS_NEEDED, ..Config::default() };
-    let smr = Mp::new(cfg);
-    let list: SkipList<Mp> = SkipList::new(&smr);
-    let mut h = smr.register();
-    let mut rng = SmallRng::seed_from_u64(SEED);
-    for _ in 0..6_000 {
-        let key = rng.random_range(0..8_192u64);
-        match rng.random_range(0..4u8) {
-            0 | 1 => {
-                list.insert(&mut h, key);
-            }
-            2 => {
-                list.remove(&mut h, key);
-            }
-            _ => {
-                list.contains(&mut h, key);
-            }
-        }
-    }
-    // Ascending keys past the end halve the last interval per insert, so
-    // after ≈ 32 of them every new index collides.
-    for key in 8_192..8_256 {
-        list.insert(&mut h, key);
-    }
-    let counts = (h.counter(Counter::FencesAnnounce), h.counter(Counter::CollisionAllocs));
-    (list.collect(&mut h), counts.0, counts.1)
-}
-
-/// A skip list's shape is a function of its key stream: tower heights come
-/// from the keys, MP's indices from the towers, and MP's announcements and
-/// collisions from both. So one stream gives one structure and one
-/// fence count. The pinned counts move only when the index assignment, the
-/// margin lookup, the tower heights, the slot count or the search's
-/// protected reads change (a read the search skips announces nothing).
-#[test]
-fn same_key_stream_same_skiplist_and_same_mp_counters() {
-    let (keys, announces, collisions) = skiplist_under_mp();
-    let (again, announces_again, collisions_again) = skiplist_under_mp();
-    assert!(keys == again && !keys.is_empty(), "one key stream built two different sets");
-    assert_eq!((announces, collisions), (announces_again, collisions_again), "two builds");
-    assert_eq!((announces, collisions), (44_992, 42), "fences_announce, collision_allocs");
-}
-
-/// Golden stream for the exact seed the bench driver defaults to: any
-/// change to the PRNG (or its seeding path) that would break recorded
-/// benchmark reproducibility trips this before a bench ever runs.
+/// Golden stream for the exact seed the bench driver defaults to, as
+/// literals: any change to the PRNG (or its seeding path) that would break
+/// recorded benchmark reproducibility trips this before a bench ever runs.
 #[test]
 fn bench_default_seed_stream_is_stable() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_cafe_f00d_0001);
     let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
-    let again: Vec<u64> = {
-        let mut r = SmallRng::seed_from_u64(0x5eed_cafe_f00d_0001);
-        (0..4).map(|_| r.next_u64()).collect()
-    };
-    assert_eq!(first, again);
-    // Draws through the sampling layer are deterministic too.
+    assert_eq!(first[..2], [0xc638_e5f8_ebe6_5308, 0xc103_22dc_8041_22f0]);
+    assert_eq!(first[2..], [0xac55_90d3_69fe_2a32, 0xc0f2_fd0f_45cc_fc57]);
+    // Draws through the sampling layer are pinned too.
     let mut r = SmallRng::seed_from_u64(0x5eed_cafe_f00d_0001);
     let draws: Vec<u64> = (0..8).map(|_| r.random_range(0..1_000u64)).collect();
-    let mut r2 = SmallRng::seed_from_u64(0x5eed_cafe_f00d_0001);
-    let draws2: Vec<u64> = (0..8).map(|_| r2.random_range(0..1_000u64)).collect();
-    assert_eq!(draws, draws2);
+    assert_eq!(draws, [774, 753, 673, 753, 55, 356, 59, 488]);
 }

@@ -255,8 +255,7 @@ fn nested_pin_trips_the_oracle() {
     let mut h1 = smr.register();
     let mut h2 = smr.register();
     // The check is per *thread*, not per handle: nesting through a second
-    // handle is just as much a protocol violation (a structure call would
-    // pin internally) and is what real callers accidentally do.
+    // handle trips it too.
     let msg = oracle_panic(|| {
         let _outer = h1.pin();
         let _inner = h2.pin();
