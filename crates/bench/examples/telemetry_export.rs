@@ -1,65 +1,37 @@
 //! End-to-end telemetry tour: counters, armed latency histograms, the live
 //! waste gauges, and the Prometheus exposition.
 //!
-//! Runs a short churn workload on MP with telemetry armed, prints a
-//! counter/latency digest to stderr and the validated Prometheus text
-//! exposition to stdout, so the output can go straight to a file:
+//! Runs a short recorded churn (`mp_bench::churn`) on MP with telemetry
+//! armed, prints a counter/latency digest to stderr and the validated
+//! Prometheus text exposition to stdout, so the output can go straight to
+//! a file:
 //!
 //! ```sh
 //! cargo run --release -p mp-bench --example telemetry_export > telemetry_mp.prom
 //! ```
 
-use std::sync::Arc;
-
-use mp_ds::{skiplist, ConcurrentSet, SkipList};
+use mp_bench::churn::{plans, Churn, Draw};
+use mp_ds::{skiplist, SkipList};
 use mp_smr::schemes::Mp;
 use mp_smr::telemetry::{self, export};
-use mp_smr::{Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_smr::{Smr, SmrBuilder, SmrHandle, Telemetry};
 
-const THREADS: u64 = 4;
-const OPS_PER_THREAD: u64 = 30_000;
+const THREADS: usize = 4;
+const OPS_PER_THREAD: usize = 30_000;
 
 fn main() {
     telemetry::set_armed(true); // time pin() guards and scans
     let smr = SmrBuilder::new()
-        .max_threads(THREADS as usize + 2) // workers + setup + final reader
+        .max_threads(THREADS + 2) // workers + setup + final reader
         .slots_per_thread(skiplist::SLOTS_NEEDED)
         .margin(1 << 20)
         .build::<Mp>();
-    let set: Arc<SkipList<Mp>> = Arc::new(SkipList::new(&smr));
-
-    let mut merged = TelemetrySnapshot::default();
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for t in 0..THREADS {
-            let (smr, set) = (smr.clone(), set.clone());
-            joins.push(s.spawn(move || {
-                let mut h = smr.register();
-                let mut x = t + 0x9e37_79b9;
-                for i in 0..OPS_PER_THREAD {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let key = x % 8_192;
-                    match i % 3 {
-                        0 => {
-                            set.insert(&mut h, key);
-                        }
-                        1 => {
-                            set.contains(&mut h, key);
-                        }
-                        _ => {
-                            set.remove(&mut h, key);
-                        }
-                    }
-                }
-                h.snapshot()
-            }));
-        }
-        for j in joins {
-            merged.merge(&j.join().expect("worker panicked"));
-        }
-    });
+    // Each worker's operations over 8 192 keys, recorded and checked for
+    // linearizability.
+    let seeds: Vec<u64> = (1..=THREADS as u64).collect();
+    let workers = plans(&seeds, Draw::Thirds, OPS_PER_THREAD, 8_192);
+    let churn = Churn { prefill: Vec::new(), keys: 8_192, workers, fault: None };
+    let mut merged = churn.run::<Mp, SkipList<Mp>>(&smr).stats;
     // Raw-API phase: `pin()` guards are what the op-latency histogram
     // times (structure operations drive start_op/end_op directly and are
     // charged to the structures' own metrics instead).

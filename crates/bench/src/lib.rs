@@ -22,6 +22,7 @@
 
 use std::time::Duration;
 
+pub mod churn;
 pub mod driver;
 pub mod figures;
 pub mod linearize;

@@ -15,9 +15,10 @@
 //! The checker verifies:
 //!
 //! 1. the alternating chain exists and can be ordered consistently with
-//!    real time, via earliest-deadline-first greedy selection over the
-//!    interval order (optimal for interval orders, so chain violations
-//!    reported here are genuine);
+//!    real time, via earliest-deadline-first greedy selection among the
+//!    updates that may come next, those no unplaced update completed
+//!    before (optimal for interval orders, so chain violations reported
+//!    here are genuine);
 //! 2. every read's interval is consistent with the chain: a read of
 //!    *present* must overlap some `[insert.invoke, remove.response]`
 //!    window (or follow an unmatched final insert), and a read of *absent*
@@ -32,27 +33,20 @@
 //! scales to millions of recorded operations, which exhaustive
 //! linearization search cannot.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::workload::Op;
 
 /// Global logical clock for invocation/response stamps.
 static CLOCK: AtomicU64 = AtomicU64::new(0);
-
-/// Operation kinds in a set history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// `insert(key)`.
-    Insert,
-    /// `remove(key)`.
-    Remove,
-    /// `contains(key)`.
-    Contains,
-}
 
 /// One completed operation.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// Which operation ran.
-    pub kind: OpKind,
+    pub kind: Op,
     /// The key it targeted.
     pub key: u64,
     /// What it returned.
@@ -77,7 +71,7 @@ impl History {
 
     /// Runs `op` and records it: stamps the invocation, executes, stamps
     /// the response.
-    pub fn record(&mut self, kind: OpKind, key: u64, op: impl FnOnce() -> bool) {
+    pub fn record(&mut self, kind: Op, key: u64, op: impl FnOnce() -> bool) {
         let invoke = CLOCK.fetch_add(1, Ordering::AcqRel);
         let result = op();
         let response = CLOCK.fetch_add(1, Ordering::AcqRel);
@@ -126,80 +120,80 @@ fn check_key(key: u64, events: &[Event], initially_present: bool) -> Result<(), 
     let mut reads: Vec<(Event, bool)> = Vec::new(); // (event, observed-present)
     for &e in events {
         match (e.kind, e.result) {
-            (OpKind::Insert, true) | (OpKind::Remove, true) => chain.push(e),
-            (OpKind::Insert, false) => reads.push((e, true)),
-            (OpKind::Remove, false) => reads.push((e, false)),
-            (OpKind::Contains, r) => reads.push((e, r)),
+            (Op::Insert, true) | (Op::Remove, true) => chain.push(e),
+            (Op::Insert, false) => reads.push((e, true)),
+            (Op::Remove, false) => reads.push((e, false)),
+            (Op::Contains, r) => reads.push((e, r)),
         }
     }
 
-    // 1. Build the alternating chain greedily (EDF over the interval order).
-    let mut remaining = chain;
-    let mut ordered: Vec<Event> = Vec::new();
+    // 1. Build the alternating chain greedily: of the updates of the
+    // required kind that may come next, because nothing still unplaced
+    // completed before they started, take the earliest response. The
+    // horizon, the earliest unplaced response, only grows, so updates
+    // become eligible once each, in invoke order (the events come sorted).
+    let mut by_response: BinaryHeap<_> =
+        chain.iter().enumerate().map(|(i, e)| Reverse((e.response, i))).collect();
+    // Eligible inserts, then removes, earliest response first.
+    let mut eligible: [BinaryHeap<Reverse<(u64, usize)>>; 2] = Default::default();
+    let mut placed = vec![false; chain.len()];
+    let mut admitted = 0;
+    let mut ordered: Vec<Event> = Vec::with_capacity(chain.len());
     let mut expect_insert = !initially_present;
-    while !remaining.is_empty() {
-        // Candidate: required kind, earliest response.
-        let required = if expect_insert { OpKind::Insert } else { OpKind::Remove };
-        let mut best: Option<usize> = None;
-        for (i, e) in remaining.iter().enumerate() {
-            if e.kind == required
-                && best.is_none_or(|b| e.response < remaining[b].response)
-            {
-                best = Some(i);
+    while ordered.len() < chain.len() {
+        while let Some(&Reverse((_, i))) = by_response.peek() {
+            if !placed[i] {
+                break;
             }
+            by_response.pop();
         }
-        let Some(best) = best else {
+        let &Reverse((horizon, first)) = by_response.peek().expect("an update is unplaced");
+        while admitted < chain.len() && chain[admitted].invoke <= horizon {
+            let e = chain[admitted];
+            eligible[usize::from(e.kind == Op::Remove)].push(Reverse((e.response, admitted)));
+            admitted += 1;
+        }
+        let Some(Reverse((_, next))) = eligible[usize::from(!expect_insert)].pop() else {
+            let required = if expect_insert { Op::Insert } else { Op::Remove };
             return Err(format!(
-                "key {key}: {} more successful {}s than the alternation allows",
-                remaining.len(),
-                if expect_insert { "remove" } else { "insert" },
+                "key {key}: the alternation needs a successful {required:?} next, but none \
+                 left may come before {:?}",
+                chain[first]
             ));
         };
-        let chosen = remaining.swap_remove(best);
-        // Real-time consistency: nothing still unplaced may strictly
-        // precede the chosen op.
-        if let Some(viol) =
-            remaining.iter().find(|e| e.response < chosen.invoke)
-        {
-            return Err(format!(
-                "key {key}: successful {viol:?} completed before {chosen:?} started, \
-                 but the alternation forces it later"
-            ));
-        }
-        ordered.push(chosen);
+        placed[next] = true;
+        ordered.push(chain[next]);
         expect_insert = !expect_insert;
     }
 
-    // 2. Present/absent windows. present_windows[i] = the may-present span
-    // of the i-th insert..remove pair (or open-ended for a final insert).
-    let mut present_windows: Vec<(u64, u64)> = Vec::new();
-    let mut absent_windows: Vec<(u64, u64)> = Vec::new();
-    let mut cursor_present = initially_present;
-    let mut t = 0u64; // start of the current phase (may-bound)
-    for pair in ordered.iter() {
-        if cursor_present {
-            // present until this successful remove's response
-            present_windows.push((t, pair.response));
-            t = pair.invoke; // absence may begin as early as its invoke
-        } else {
-            absent_windows.push((t, pair.response));
-            t = pair.invoke;
-        }
-        cursor_present = !cursor_present;
+    // 2. Each state's may-windows, absent then present: the key may be in
+    // a state from the invocation of the update that entered it (0 at the
+    // start) to the response of the update that left it (open-ended for
+    // the last).
+    let mut windows: [Vec<(u64, u64)>; 2] = Default::default();
+    let (mut present, mut since) = (initially_present, 0);
+    for e in &ordered {
+        windows[usize::from(present)].push((since, e.response));
+        (present, since) = (!present, e.invoke);
     }
-    let end = u64::MAX;
-    if cursor_present {
-        present_windows.push((t, end));
-    } else {
-        absent_windows.push((t, end));
-    }
+    windows[usize::from(present)].push((since, u64::MAX));
 
-    // 3. Every read must overlap a window of its observed state.
+    // 3. Every read must overlap a window of its observed state: of the
+    // windows opened by its response, the one reaching furthest must
+    // reach its invocation.
+    let reach = windows.clone().map(|mut sorted| {
+        sorted.sort_unstable();
+        let mut furthest = 0;
+        for w in &mut sorted {
+            furthest = furthest.max(w.1);
+            w.1 = furthest;
+        }
+        sorted
+    });
     for (e, observed_present) in reads {
-        let windows =
-            if observed_present { &present_windows } else { &absent_windows };
-        let ok = windows.iter().any(|&(lo, hi)| e.invoke <= hi && lo <= e.response);
-        if !ok {
+        let state = usize::from(observed_present);
+        let opened = reach[state].partition_point(|&(lo, _)| lo <= e.response);
+        if opened == 0 || reach[state][opened - 1].1 < e.invoke {
             return Err(format!(
                 "key {key}: {:?} observed {} but no such state window overlaps \
                  [{}, {}] (windows: {:?})",
@@ -207,7 +201,7 @@ fn check_key(key: u64, events: &[Event], initially_present: bool) -> Result<(), 
                 if observed_present { "present" } else { "absent" },
                 e.invoke,
                 e.response,
-                windows
+                windows[state]
             ));
         }
     }
@@ -218,7 +212,7 @@ fn check_key(key: u64, events: &[Event], initially_present: bool) -> Result<(), 
 mod tests {
     use super::*;
 
-    fn ev(kind: OpKind, key: u64, result: bool, invoke: u64, response: u64) -> Event {
+    fn ev(kind: Op, key: u64, result: bool, invoke: u64, response: u64) -> Event {
         Event { kind, key, result, invoke, response }
     }
 
@@ -229,11 +223,11 @@ mod tests {
     #[test]
     fn sequential_history_passes() {
         let h = hist(vec![
-            ev(OpKind::Insert, 1, true, 0, 1),
-            ev(OpKind::Contains, 1, true, 2, 3),
-            ev(OpKind::Remove, 1, true, 4, 5),
-            ev(OpKind::Contains, 1, false, 6, 7),
-            ev(OpKind::Insert, 1, true, 8, 9),
+            ev(Op::Insert, 1, true, 0, 1),
+            ev(Op::Contains, 1, true, 2, 3),
+            ev(Op::Remove, 1, true, 4, 5),
+            ev(Op::Contains, 1, false, 6, 7),
+            ev(Op::Insert, 1, true, 8, 9),
         ]);
         h.check(&[]).unwrap();
     }
@@ -241,8 +235,8 @@ mod tests {
     #[test]
     fn double_successful_insert_fails() {
         let h = hist(vec![
-            ev(OpKind::Insert, 1, true, 0, 1),
-            ev(OpKind::Insert, 1, true, 2, 3), // no remove in between
+            ev(Op::Insert, 1, true, 0, 1),
+            ev(Op::Insert, 1, true, 2, 3), // no remove in between
         ]);
         assert!(h.check(&[]).is_err());
     }
@@ -250,8 +244,8 @@ mod tests {
     #[test]
     fn contains_true_before_any_insert_fails() {
         let h = hist(vec![
-            ev(OpKind::Contains, 1, true, 0, 1),
-            ev(OpKind::Insert, 1, true, 2, 3),
+            ev(Op::Contains, 1, true, 0, 1),
+            ev(Op::Insert, 1, true, 2, 3),
         ]);
         assert!(h.check(&[]).is_err());
     }
@@ -259,9 +253,9 @@ mod tests {
     #[test]
     fn prefilled_key_reads_present() {
         let h = hist(vec![
-            ev(OpKind::Contains, 1, true, 0, 1),
-            ev(OpKind::Remove, 1, true, 2, 3),
-            ev(OpKind::Insert, 1, true, 4, 5),
+            ev(Op::Contains, 1, true, 0, 1),
+            ev(Op::Remove, 1, true, 2, 3),
+            ev(Op::Insert, 1, true, 4, 5),
         ]);
         h.check(&[1]).unwrap();
         // Same history without prefill is invalid.
@@ -273,10 +267,23 @@ mod tests {
         // insert and remove overlap: either order works; the chain must
         // pick insert first (starting from absent).
         let h = hist(vec![
-            ev(OpKind::Insert, 7, true, 0, 10),
-            ev(OpKind::Remove, 7, true, 5, 15),
+            ev(Op::Insert, 7, true, 0, 10),
+            ev(Op::Remove, 7, true, 5, 15),
         ]);
         h.check(&[]).unwrap();
+    }
+
+    #[test]
+    fn long_update_overlapping_a_later_pair_is_placed_first() {
+        // The first remove spans the later insert-remove pair; it alone may
+        // come first, though the later remove responds earlier.
+        let h = hist(vec![
+            ev(Op::Remove, 7, true, 0, 100),
+            ev(Op::Contains, 7, false, 10, 11),
+            ev(Op::Insert, 7, true, 20, 21),
+            ev(Op::Remove, 7, true, 30, 31),
+        ]);
+        h.check(&[7]).unwrap();
     }
 
     #[test]
@@ -284,8 +291,8 @@ mod tests {
         // remove completes strictly before insert starts, yet alternation
         // (from absent) needs insert first — impossible.
         let h = hist(vec![
-            ev(OpKind::Remove, 7, true, 0, 1),
-            ev(OpKind::Insert, 7, true, 5, 6),
+            ev(Op::Remove, 7, true, 0, 1),
+            ev(Op::Insert, 7, true, 5, 6),
         ]);
         assert!(h.check(&[]).is_err());
     }
@@ -293,25 +300,51 @@ mod tests {
     #[test]
     fn stale_read_after_remove_fails() {
         let h = hist(vec![
-            ev(OpKind::Insert, 3, true, 0, 1),
-            ev(OpKind::Remove, 3, true, 2, 3),
-            ev(OpKind::Contains, 3, true, 10, 11), // observes a ghost
+            ev(Op::Insert, 3, true, 0, 1),
+            ev(Op::Remove, 3, true, 2, 3),
+            ev(Op::Contains, 3, true, 10, 11), // observes a ghost
         ]);
         assert!(h.check(&[]).is_err());
     }
 
     #[test]
+    fn prefilled_key_never_removed_reading_absent_fails() {
+        // A node freed while still reachable reads as a lost key.
+        let h = hist(vec![ev(Op::Contains, 4, true, 0, 1), ev(Op::Contains, 4, false, 2, 3)]);
+        assert!(h.check(&[4]).is_err());
+    }
+
+    #[test]
+    fn absent_read_between_insert_and_later_remove_fails() {
+        // The read starts after the insert completed and ends before the
+        // remove starts: the key was present throughout.
+        let h = hist(vec![
+            ev(Op::Insert, 6, true, 0, 1),
+            ev(Op::Contains, 6, false, 4, 5),
+            ev(Op::Remove, 6, true, 10, 11),
+        ]);
+        assert!(h.check(&[]).is_err());
+        // Overlapping the remove, the same read is fine.
+        let h = hist(vec![
+            ev(Op::Insert, 6, true, 0, 1),
+            ev(Op::Contains, 6, false, 4, 12),
+            ev(Op::Remove, 6, true, 10, 11),
+        ]);
+        h.check(&[]).unwrap();
+    }
+
+    #[test]
     fn failed_update_reads_state() {
         let h = hist(vec![
-            ev(OpKind::Insert, 5, true, 0, 1),
-            ev(OpKind::Insert, 5, false, 2, 3), // duplicate: observes present ✓
-            ev(OpKind::Remove, 5, true, 4, 5),
-            ev(OpKind::Remove, 5, false, 6, 7), // absent ✓
+            ev(Op::Insert, 5, true, 0, 1),
+            ev(Op::Insert, 5, false, 2, 3), // duplicate: observes present ✓
+            ev(Op::Remove, 5, true, 4, 5),
+            ev(Op::Remove, 5, false, 6, 7), // absent ✓
         ]);
         h.check(&[]).unwrap();
         let bad = hist(vec![
-            ev(OpKind::Insert, 5, false, 0, 1), // duplicate-fail with nothing there
-            ev(OpKind::Insert, 5, true, 4, 5),
+            ev(Op::Insert, 5, false, 0, 1), // duplicate-fail with nothing there
+            ev(Op::Insert, 5, true, 4, 5),
         ]);
         assert!(bad.check(&[]).is_err());
     }
@@ -319,10 +352,10 @@ mod tests {
     #[test]
     fn distinct_keys_are_independent() {
         let h = hist(vec![
-            ev(OpKind::Insert, 1, true, 0, 1),
-            ev(OpKind::Insert, 2, true, 0, 1),
-            ev(OpKind::Remove, 1, true, 2, 3),
-            ev(OpKind::Contains, 2, true, 4, 5),
+            ev(Op::Insert, 1, true, 0, 1),
+            ev(Op::Insert, 2, true, 0, 1),
+            ev(Op::Remove, 1, true, 2, 3),
+            ev(Op::Contains, 2, true, 4, 5),
         ]);
         h.check(&[]).unwrap();
     }
@@ -330,8 +363,8 @@ mod tests {
     #[test]
     fn recorder_produces_monotone_stamps() {
         let mut h = History::new();
-        h.record(OpKind::Insert, 9, || true);
-        h.record(OpKind::Contains, 9, || true);
+        h.record(Op::Insert, 9, || true);
+        h.record(Op::Contains, 9, || true);
         assert_eq!(h.len(), 2);
         assert!(h.events[0].invoke < h.events[0].response);
         assert!(h.events[0].response < h.events[1].invoke);

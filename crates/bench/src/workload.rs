@@ -24,7 +24,8 @@ pub const WRITE_DOMINATED: Mix =
 /// 100% contains.
 pub const READ_ONLY: Mix = Mix { contains: 100, insert: 0, remove: 0, name: "read-only" };
 
-/// The operation kinds drawn from a [`Mix`].
+/// A set operation: what a [`Mix`] draws, a [`churn`](crate::churn) plan
+/// holds and a [`linearize`](crate::linearize) history records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Membership query.

@@ -258,8 +258,8 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                     link.load(Ordering::Acquire).prefetch(RIGHT);
                 }
                 let side = if under_s || key < leaf_node.key { LEFT } else { RIGHT };
+                h.record_node_traversed();
                 if !under_s {
-                    h.record_node_traversed();
                     if side == LEFT {
                         h.update_upper_bound(leaf.node);
                     } else {

@@ -5,7 +5,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --offline"
+# Wall time per stage: each stage's time prints when it ends, and the gate
+# ends with all of them and the total. `SECONDS` counts from the start.
+stage_times=()
+stage_name=""
+stage_start=0
+stage_end() {
+  if [ -n "$stage_name" ]; then
+    local took=$((SECONDS - stage_start))
+    echo "    (${took} s)"
+    stage_times+=("$(printf '%6d s  %s' "$took" "$stage_name")")
+  fi
+}
+stage() {
+  stage_end
+  stage_name=$1
+  stage_start=$SECONDS
+  echo "==> $1"
+}
+
+stage "cargo build --release --offline"
 cargo build --release --offline
 
 # Lint gate: the in-tree SMR protocol linter (unsafe-invariant audit,
@@ -13,7 +32,7 @@ cargo build --release --offline
 # must report zero diagnostics before any test runs. Exit 1 = findings,
 # exit 2 = configuration error (missing INVARIANTS.md); both abort the
 # gate.
-echo "==> mp-lint (SMR protocol linter over crates/ tests/ src/)"
+stage "mp-lint (SMR protocol linter over crates/ tests/ src/)"
 cargo run -q --release --offline -p mp-lint -- crates tests src
 
 # Reports of the reclamation and happens-before oracles, and of the
@@ -39,7 +58,7 @@ run_oracle() {
 # tests, mp-ds's unit tests with freed nodes poisoned, and mp-util's
 # slab-pool tests (blank-chunk rule, cross-thread `live` exactness,
 # thread-exit release).
-echo "==> cargo test -q --workspace --offline (reclamation oracle armed)"
+stage "cargo test -q --workspace --offline (reclamation oracle armed)"
 run_oracle cargo test -q --workspace --offline
 
 # The library crates again, optimised and unarmed, as `cargo build
@@ -50,19 +69,19 @@ run_oracle cargo test -q --workspace --offline
 # zero-allocation witness (tests/zero_alloc.rs) run only here: they
 # measure the unarmed node layout and pool, so they compile to nothing in
 # the armed run above.
-echo "==> cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util (unarmed)"
+stage "cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util (unarmed)"
 run_oracle cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util
 
 # Lints: the armed workspace, then the library crates unarmed, which is
 # the only place the `cfg(not(feature = "oracle"))` code is linted.
-echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings (armed)"
+stage "cargo clippy --offline --workspace --all-targets -- -D warnings (armed)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
-echo "==> cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings (unarmed)"
+stage "cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings (unarmed)"
 cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings
 
 # Rustdoc gate: a dangling intra-doc link (to a deleted or private item)
 # fails here instead of rotting in the rendered docs.
-echo "==> cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench (rustdoc warnings denied)"
+stage "cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench
 
 # Happens-before oracle stage: the vector-clock tracker audits every
@@ -71,13 +90,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p
 # (tests/hb_oracle.rs). `hb-oracle` implies the reclamation oracle. The
 # tracker itself (mp-util's `hb` module) has no feature gate: the
 # workspace test and clippy stages above build and test it.
-echo "==> cargo test -q --offline --features hb-oracle (hb oracle armed)"
+stage "cargo test -q --offline --features hb-oracle (hb oracle armed)"
 run_oracle cargo test -q --offline --features hb-oracle
 
-echo "==> cargo test -q --offline -p mp-smr --features hb-oracle"
+stage "cargo test -q --offline -p mp-smr --features hb-oracle"
 run_oracle cargo test -q --offline -p mp-smr --features hb-oracle
 
-echo "==> cargo clippy --offline --all-targets --features hb-oracle -- -D warnings"
+stage "cargo clippy --offline --all-targets --features hb-oracle -- -D warnings"
 cargo clippy --offline --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: the figure sweep — each figure, Table 1, the collision
@@ -89,7 +108,7 @@ cargo clippy --offline --all-targets --features hb-oracle -- -D warnings
 # `cargo test -p mp-bench` (the driver's soak tests) and
 # tests/counter_table.rs. Absolute path: `cargo bench` sets the CWD to the
 # package directory.
-echo "==> cargo bench --offline -p mp-bench --bench figures (smoke scale)"
+stage "cargo bench --offline -p mp-bench --bench figures (smoke scale)"
 BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
 MP_BENCH_DIR="$BENCH_SMOKE_DIR" MP_BENCH_SCALE=smoke \
@@ -102,7 +121,7 @@ done
 # Telemetry smoke: the exporter example runs a workload armed, validates
 # its Prometheus exposition and prints it. Which metric families the
 # exposition carries is tier-1's contract (tests/telemetry.rs).
-echo "==> telemetry smoke (the exporter example emits a valid exposition)"
+stage "telemetry smoke (the exporter example emits a valid exposition)"
 cargo run -q --release --offline -p mp-bench --example telemetry_export >/dev/null
 
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
@@ -110,7 +129,7 @@ cargo run -q --release --offline -p mp-bench --example telemetry_export >/dev/nu
 # ledger's row names, a smoke run against BENCHMARK.json). It is not a
 # workspace member, so the workspace stage above does not run them. Builds
 # into benchmark/target, as the smoke stage below does.
-echo "==> cargo test --manifest-path benchmark/Cargo.toml (benchmark self-tests)"
+stage "cargo test --manifest-path benchmark/Cargo.toml (benchmark self-tests)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # Benchmark smoke: the frozen benchmark (BENCHMARK.json, benchmark/) is a
@@ -118,7 +137,11 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # this stage is what notices a PR that breaks that surface or the
 # benchmark's correctness checks (per-key parity, drained-to-zero, bounded
 # waste under a stalled reader). ~12 s; builds into benchmark/target.
-echo "==> benchmark/run.sh --smoke"
+stage "benchmark/run.sh --smoke"
 ./benchmark/run.sh --smoke >/dev/null
 
+stage_end
+echo "==> stage wall times"
+printf '%s\n' "${stage_times[@]}"
+printf '%6d s  total\n' "$SECONDS"
 echo "==> OK"

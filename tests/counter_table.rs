@@ -257,7 +257,7 @@ fn hp_pays_about_one_fence_per_hop() {
 /// validation retries and no marked node: one protect fence per hop.
 #[test]
 fn hp_build_pays_one_protect_fence_per_node_stepped_onto() {
-    let wrong: String = ["list-build", "hash-build", "skip-build"]
+    let wrong: String = ["list-build", "hash-build", "skip-build", "tree-build"]
         .map(|w| row(w, "HP"))
         .into_iter()
         .filter(|(s, _)| s.fences_hp_protect() != s.nodes_traversed())

@@ -1,9 +1,10 @@
 //! Happens-before oracle tests (`--features hb-oracle`, implies `oracle`).
 //!
-//! **Positive half** — every scheme runs a small multi-threaded churn
-//! workload with the vector-clock tracker armed: each `counted_fence` and
-//! raw scan fence joins the tracked SeqCst order, each validated protect
-//! stamps a record, and every `Shared::deref` of a retired node must be
+//! **Positive half** — every scheme runs the recorded churn
+//! (`mp_bench::churn`, whose history must also be linearizable) with the
+//! vector-clock tracker armed: each `counted_fence` and raw scan fence
+//! joins the tracked SeqCst order, each validated protect stamps a
+//! record, and every `Shared::deref` of a retired node must be
 //! justified by a tracked edge. A silent run is the pass: the oracle found
 //! no dereference or free whose protection story the protocol cannot back
 //! with a happens-before path.
@@ -22,14 +23,15 @@
 
 #![cfg(feature = "hb-oracle")]
 
+mod common;
+
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
 use margin_pointers::ds::{ConcurrentSet, LinkedList, SkipList};
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
-
-const KEY_SPACE: u64 = 32;
+use mp_bench::churn::{plans, seeds, Churn, Draw};
 
 /// Aggressive cadences so scans (and thus fence/free hooks) run many
 /// times within a short plan.
@@ -45,75 +47,35 @@ fn cfg() -> Config {
     }
 }
 
-/// Three threads churn a set (insert/remove/contains over a small key
-/// space) so retired nodes are continually re-read, scanned, and freed
-/// while the tracker audits every deref and free.
+/// Three workers × 400 steps over 32 keys through the recorded churn, so
+/// retired nodes are continually re-read, scanned and freed while the
+/// tracker audits every deref and free.
 fn churn<S: Smr, D: ConcurrentSet<S>>() {
-    let smr = S::new(cfg());
-    let ds = Arc::new(D::new(&smr));
-    let barrier = Arc::new(Barrier::new(3));
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let smr = smr.clone();
-            let ds = ds.clone();
-            let barrier = barrier.clone();
-            s.spawn(move || {
-                let mut h = smr.register();
-                barrier.wait();
-                let mut k = t + 1;
-                for i in 0..400u64 {
-                    k = (k.wrapping_mul(31) + t + 7) % KEY_SPACE;
-                    match i % 3 {
-                        0 => {
-                            ds.insert(&mut h, k);
-                        }
-                        1 => {
-                            ds.remove(&mut h, k);
-                        }
-                        _ => {
-                            ds.contains(&mut h, k);
-                        }
-                    }
-                }
-            });
-        }
+    const KEYS: u64 = 32;
+    common::check(&format!("{} / {}", S::name(), D::name()), 1, seeds(3), |seeds| {
+        let workers = plans(seeds, Draw::Thirds, 400, KEYS);
+        Churn { prefill: Vec::new(), keys: KEYS, workers, fault: None }.run::<S, D>(&S::new(cfg()));
     });
 }
 
-#[test]
-fn mp_churn_is_hb_clean() {
-    churn::<Mp, LinkedList<Mp>>();
-    churn::<Mp, SkipList<Mp>>();
+/// One test per scheme, churning each structure it names.
+macro_rules! hb_clean {
+    ($($test:ident => $s:ident on $($ds:ident),+;)*) => {$(
+        #[test]
+        fn $test() {
+            $(churn::<$s, $ds<$s>>();)+
+        }
+    )*};
 }
 
-#[test]
-fn hp_churn_is_hb_clean() {
-    churn::<Hp, LinkedList<Hp>>();
-}
-
-#[test]
-fn he_churn_is_hb_clean() {
-    churn::<He, LinkedList<He>>();
-}
-
-#[test]
-fn ebr_churn_is_hb_clean() {
-    churn::<Ebr, LinkedList<Ebr>>();
-}
-
-#[test]
-fn ibr_churn_is_hb_clean() {
-    churn::<Ibr, LinkedList<Ibr>>();
-}
-
-#[test]
-fn dta_churn_is_hb_clean() {
-    churn::<Dta, LinkedList<Dta>>();
-}
-
-#[test]
-fn leaky_churn_is_hb_clean() {
-    churn::<Leaky, LinkedList<Leaky>>();
+hb_clean! {
+    mp_churn_is_hb_clean    => Mp    on LinkedList, SkipList;
+    hp_churn_is_hb_clean    => Hp    on LinkedList;
+    he_churn_is_hb_clean    => He    on LinkedList;
+    ebr_churn_is_hb_clean   => Ebr   on LinkedList;
+    ibr_churn_is_hb_clean   => Ibr   on LinkedList;
+    dta_churn_is_hb_clean   => Dta   on LinkedList;
+    leaky_churn_is_hb_clean => Leaky on LinkedList;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 //! zero. The tests in this binary hold one lock while they run, so no
 //! other test perturbs the process-wide gauge.
 //!
-//! Each churn round also cross-checks the per-handle telemetry counters
+//! Each churn round (`mp_bench::churn`, whose history must also be
+//! linearizable) also cross-checks the per-handle telemetry counters
 //! against the scheme's global retired-pending gauge: a node can only be
 //! freed after being retired, so the scheme can never report more pending
 //! than the handles' `retires - frees` — though it may report less, since
@@ -14,13 +15,16 @@
 //! A second test holds the *scheme's* pending gauge, nodes and bytes, exact
 //! across the handle-death path: drain, park, adopt, free.
 
+mod common;
+
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
 use margin_pointers::smr::node::gauge;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
-use margin_pointers::smr::{Config, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
+use margin_pointers::smr::{Config, Smr, SmrHandle};
+use mp_bench::churn::{plans, seeds, Churn, Draw};
 
 /// Serialises the tests of this binary: each one expects the process-wide
 /// node gauge to be its own.
@@ -41,69 +45,31 @@ fn cfg() -> Config {
     }
 }
 
+/// Three workers × 4 000 steps over 128 keys through the recorded churn,
+/// then the counters against the gauge, while the scheme still exists:
+/// the handles are dropped, so their leftover retired lists are parked as
+/// orphans and still count as pending.
 fn churn<S: Smr, D: ConcurrentSet<S>>() {
-    let smr = S::new(cfg());
-    let ds = Arc::new(D::new(&smr));
-    let mut merged = TelemetrySnapshot::default();
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for t in 0..3u64 {
-            let smr = smr.clone();
-            let ds = ds.clone();
-            joins.push(s.spawn(move || {
-                let mut h = smr.register();
-                let mut x = t * 7 + 1;
-                for i in 0..4000u64 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let key = x % 128;
-                    match i % 3 {
-                        0 => {
-                            ds.insert(&mut h, key);
-                        }
-                        1 => {
-                            ds.remove(&mut h, key);
-                        }
-                        _ => {
-                            ds.contains(&mut h, key);
-                        }
-                    }
-                }
-                h.snapshot()
-            }));
-        }
-        for j in joins {
-            merged.merge(&j.join().expect("churn worker panicked"));
+    const KEYS: u64 = 128;
+    let combo = format!("{} / {}", S::name(), D::name());
+    common::check(&combo, 1, seeds(3), |seeds| {
+        let smr = S::new(cfg());
+        let workers = plans(seeds, Draw::Thirds, 4_000, KEYS);
+        let stats =
+            Churn { prefill: Vec::new(), keys: KEYS, workers, fault: None }.run::<S, D>(&smr).stats;
+        let outstanding = (stats.retires() - stats.frees()) as usize;
+        let pending = smr.retired_pending();
+        // Handles run a drain scan at Drop, *after* their snapshot, so the
+        // gauge may read below `retires - frees`; it can never exceed it
+        // (for DTA it can — freezing recovery parks nodes on the gauge
+        // without a handle-attributed retire, so no bound holds there).
+        if S::name() != "DTA" {
+            assert!(
+                pending <= outstanding,
+                "{combo}: gauge reports {pending} pending > {outstanding} outstanding retires"
+            );
         }
     });
-
-    // Counter invariants, checked while the scheme still exists (handles
-    // are dropped, so their leftover retired lists are parked as orphans
-    // and still count as pending).
-    let combo = format!("{} / {}", S::name(), D::name());
-    assert!(merged.ops() > 0, "{combo}: no operations recorded");
-    assert!(
-        merged.retires() >= merged.frees(),
-        "{combo}: freed {} nodes but only {} were ever retired",
-        merged.frees(),
-        merged.retires()
-    );
-    let outstanding = (merged.retires() - merged.frees()) as usize;
-    let pending = smr.retired_pending();
-    // Handles run a drain scan at Drop, *after* the worker took its
-    // snapshot, so the gauge may read below `retires - frees`; it can never
-    // exceed it (for DTA it can — freezing recovery parks nodes on the
-    // gauge without a handle-attributed retire, so no bound holds there).
-    if S::name() != "DTA" {
-        assert!(
-            pending <= outstanding,
-            "{combo}: gauge reports {pending} pending > {outstanding} outstanding retires"
-        );
-    }
-
-    drop(ds);
-    drop(smr);
 }
 
 #[test]
@@ -111,39 +77,20 @@ fn no_nodes_leak_across_all_schemes_and_structures() {
     let _exclusive = exclusive();
     assert_eq!(gauge::live_nodes(), 0, "gauge must start clean");
 
-    churn::<Mp, LinkedList<Mp>>();
-    churn::<Mp, SkipList<Mp>>();
-    churn::<Mp, NmTree<Mp>>();
-    churn::<Mp, HashMap<Mp>>();
-
-    churn::<Hp, LinkedList<Hp>>();
-    churn::<Hp, SkipList<Hp>>();
-    churn::<Hp, NmTree<Hp>>();
-    churn::<Hp, HashMap<Hp>>();
-
-    churn::<Ebr, LinkedList<Ebr>>();
-    churn::<Ebr, SkipList<Ebr>>();
-    churn::<Ebr, NmTree<Ebr>>();
-    churn::<Ebr, HashMap<Ebr>>();
-
-    churn::<He, LinkedList<He>>();
-    churn::<He, SkipList<He>>();
-    churn::<He, NmTree<He>>();
-    churn::<He, HashMap<He>>();
-
-    churn::<Ibr, LinkedList<Ibr>>();
-    churn::<Ibr, SkipList<Ibr>>();
-    churn::<Ibr, NmTree<Ibr>>();
-    churn::<Ibr, HashMap<Ibr>>();
-
+    // Every scheme on every structure it supports.
+    macro_rules! churn_every_structure {
+        ($($s:ident),*) => {$(
+            churn::<$s, LinkedList<$s>>();
+            churn::<$s, SkipList<$s>>();
+            churn::<$s, NmTree<$s>>();
+            churn::<$s, HashMap<$s>>();
+        )*};
+    }
+    churn_every_structure!(Mp, Hp, Ebr, He, Ibr);
     churn::<Leaky, LinkedList<Leaky>>();
     churn::<Dta, DtaList>();
 
-    assert_eq!(
-        gauge::live_nodes(),
-        0,
-        "every allocated node must be reclaimed after teardown"
-    );
+    assert_eq!(gauge::live_nodes(), 0, "every allocated node must be reclaimed after teardown");
 }
 
 /// A reader parked on its own thread with one operation pinned — the §1

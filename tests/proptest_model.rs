@@ -8,8 +8,9 @@
 //! seed; replay with `MP_CHECK_SEED=<seed> cargo test -q <test_name>`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
+use mp_bench::churn::Churn;
+use mp_bench::workload::Op as Kind;
 use mp_util::{Checker, RngExt, SmallRng};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, LinkedList, NmTree, SkipList};
@@ -178,10 +179,12 @@ fn nmtree_kv_matches_btreemap_under_mp() {
     );
 }
 
-/// Two-phase concurrent property: a batch of keys is partitioned among
-/// threads that insert their shares concurrently; afterwards the set
-/// must contain exactly the batch. Then threads remove disjoint shares
-/// concurrently; the set must end empty.
+/// Two-phase concurrent property through the recorded churn
+/// (`mp_bench::churn`): three workers insert disjoint shares of a batch,
+/// and the recovery's reads of every key must find exactly the batch;
+/// then they remove the same shares from that concurrently built skip
+/// list, and the reads must find nothing. Each phase's history must be
+/// linearizable.
 #[test]
 fn concurrent_partition_roundtrip() {
     Checker::new().cases(16).run(
@@ -193,39 +196,12 @@ fn concurrent_partition_roundtrip() {
         },
         |keys: &[u64]| {
             let smr = Mp::new(Config { max_threads: 4, ..cfg() });
-            let ds: Arc<SkipList<Mp>> = Arc::new(SkipList::new(&smr));
-            std::thread::scope(|s| {
-                for t in 0..3usize {
-                    let smr = smr.clone();
-                    let ds = ds.clone();
-                    let share: Vec<u64> = keys.iter().copied().skip(t).step_by(3).collect();
-                    s.spawn(move || {
-                        let mut h = smr.register();
-                        for k in share {
-                            assert!(ds.insert(&mut h, k), "fresh key {k}");
-                        }
-                    });
-                }
-            });
-            let mut h = smr.register();
-            for &k in keys {
-                assert!(ds.contains(&mut h, k));
-            }
-            std::thread::scope(|s| {
-                for t in 0..3usize {
-                    let smr = smr.clone();
-                    let ds = ds.clone();
-                    let share: Vec<u64> = keys.iter().copied().skip(t).step_by(3).collect();
-                    s.spawn(move || {
-                        let mut h = smr.register();
-                        for k in share {
-                            assert!(ds.remove(&mut h, k), "present key {k}");
-                        }
-                    });
-                }
-            });
-            for &k in keys {
-                assert!(!ds.contains(&mut h, k));
+            let skip = SkipList::<Mp>::new(&smr);
+            let share = |t, op| keys.iter().skip(t).step_by(3).map(|&k| (op, k)).collect();
+            for (present, op) in [(&[][..], Kind::Insert), (keys, Kind::Remove)] {
+                let workers = (0..3).map(|t| share(t, op)).collect();
+                Churn { prefill: Vec::new(), keys: 512, workers, fault: None }
+                    .run_on(&smr, &skip, present);
             }
         },
     );

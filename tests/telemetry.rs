@@ -7,47 +7,11 @@
 //! timing: one holds the exposition to its metric families and live waste
 //! gauges, one holds the README's counter table to `Counter::ALL`.
 
-use std::sync::Arc;
-
-use margin_pointers::ds::{ConcurrentSet, LinkedList};
+use margin_pointers::ds::LinkedList;
 use margin_pointers::smr::schemes::{Ebr, Mp};
 use margin_pointers::smr::telemetry::export;
-use margin_pointers::smr::{
-    telemetry, Counter, Smr, SmrBuilder, SmrHandle, Telemetry, TelemetrySnapshot,
-};
-
-fn churn<S: Smr>(smr: &Arc<S>, threads: u64, ops: u64) -> TelemetrySnapshot {
-    let set: Arc<LinkedList<S>> = Arc::new(LinkedList::new(smr));
-    let mut merged = TelemetrySnapshot::default();
-    std::thread::scope(|s| {
-        let mut joins = Vec::new();
-        for t in 0..threads {
-            let (smr, set) = (smr.clone(), set.clone());
-            joins.push(s.spawn(move || {
-                let mut h = smr.register();
-                for i in 0..ops {
-                    let key = (i * 17 + t) % 512;
-                    match i % 3 {
-                        0 => {
-                            set.insert(&mut h, key);
-                        }
-                        1 => {
-                            set.contains(&mut h, key);
-                        }
-                        _ => {
-                            set.remove(&mut h, key);
-                        }
-                    }
-                }
-                h.snapshot()
-            }));
-        }
-        for j in joins {
-            merged.merge(&j.join().expect("worker panicked"));
-        }
-    });
-    merged
-}
+use margin_pointers::smr::{telemetry, Counter, Smr, SmrBuilder, SmrHandle, Telemetry};
+use mp_bench::churn::{plans, Churn, Draw};
 
 #[test]
 fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
@@ -71,8 +35,12 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
         assert!(snap.op_latency().count() >= 1, "pin() ops are timed when armed");
     }
 
-    let merged = churn(&smr, 3, 4_000);
-    assert!(merged.ops() >= 3 * 4_000, "every op counted");
+    // Three workers × 4 000 operations over 512 keys, recorded and checked.
+    let workers = plans(&[1, 2, 3], Draw::Thirds, 4_000, 512);
+    let churn = Churn { prefill: Vec::new(), keys: 512, workers, fault: None };
+    let out = churn.run::<Mp, LinkedList<Mp>>(&smr);
+    let merged = out.stats;
+    assert!(merged.ops() >= out.recorded as u64, "every recorded op counted");
     assert!(merged.op_latency().count() == 0, "ds ops use raw start_op, not pin()");
     assert!(merged.retires() > 0 && merged.frees() > 0, "churn reclaims");
     assert!(merged.scan_latency().count() > 0, "armed scans are timed");
