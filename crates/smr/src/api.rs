@@ -216,8 +216,8 @@ pub trait Smr: Send + Sync + Sized + 'static {
 /// * Bracket every data-structure operation with [`start_op`]/[`end_op`].
 /// * Load shared node pointers only through [`read`], passing a `refno`
 ///   identifying which local reference is being refreshed (`prev`, `curr`,
-///   …). The returned [`Shared`] may be dereferenced until `end_op` (or
-///   until the same `refno` is reused, for address-protecting schemes).
+///   …). How long the returned [`Shared`] may be dereferenced is stated
+///   once, at [`read`].
 /// * `read(src, refno)` is only sound when `src` is a field of a node that
 ///   is itself protected by this handle (or a structure root), and the
 ///   client follows the usual hazard-pointer validation discipline — the
@@ -276,22 +276,36 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// structures that manage bracketing across helper functions.
     fn start_op(&mut self);
 
-    /// Ends the operation: nothing returned by [`read`](SmrHandle::read)
-    /// since `start_op` may be dereferenced afterwards. What is released,
-    /// and whether a fence is paid, is the scheme's business — HP clears
-    /// its hazard slots, EBR leaves its epoch, MP and HE keep their
-    /// announcements standing and issue no fence at all.
+    /// Ends the operation: under HP's rule, which portable code follows,
+    /// nothing returned by [`read`](SmrHandle::read) since `start_op` may
+    /// be dereferenced afterwards (`read` states each scheme's rule). What
+    /// is released, and whether a fence is paid, is the scheme's business —
+    /// HP clears its hazard slots, EBR leaves its epoch, MP and HE keep
+    /// their announcements standing and issue no fence at all.
     fn end_op(&mut self);
 
-    /// Protected pointer load: dereferencing the returned pointer is safe
-    /// until `end_op`, provided the caller respects the trait-level
-    /// protocol. Loops internally until protection is validated, so it is
-    /// lock-free rather than wait-free (paper Thm 4.4).
+    /// Protected pointer load, provided the caller respects the
+    /// trait-level protocol. Loops internally until protection is
+    /// validated, so it is lock-free rather than wait-free (paper Thm 4.4).
+    ///
+    /// How long the returned node stays protected, which the `oracle`
+    /// feature's ledger enforces on every dereference of a retired node:
+    ///
+    /// * HP: until `refno` is read again, [`unprotect`]ed, or `end_op`.
+    /// * MP and HE: until `refno` is read again or [`unprotect`]ed. (An MP
+    ///   margin read outlives its operation only while the global epoch
+    ///   stands; its hazard fallback ends at `end_op`, like HP's.)
+    /// * EBR, IBR, DTA and Leaky: for the whole operation.
+    ///
+    /// Structures written against every scheme follow HP's rule.
+    ///
+    /// [`unprotect`]: SmrHandle::unprotect
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T>;
 
-    /// Declares that the local reference `refno` is dropped. A no-op in MP
-    /// (margins keep protecting future accesses, §4.3) and in epoch-based
-    /// schemes; clears the slot in HP.
+    /// Declares that the local reference `refno` is dropped: the node its
+    /// last [`read`](SmrHandle::read) returned is no longer protected. Clears
+    /// the slot in HP and HE; a no-op for the scheme in MP (margins keep
+    /// protecting future accesses, §4.3) and in epoch-based schemes.
     fn unprotect(&mut self, _refno: usize) {}
 
     /// Allocates a node for `data`: [`alloc_with_tail`] with the scheme's
@@ -382,9 +396,8 @@ pub trait SmrHandle: Send + Telemetry + 'static {
 /// guard itself.
 ///
 /// Pointers returned by [`read`](SmrHandle::read) during the guard's
-/// lifetime must not be dereferenced after it drops (the same rule as the
-/// raw API's "until `end_op`", now enforced by scope ordering in typical
-/// usage).
+/// lifetime live by `read`'s rule, and under HP's, which portable code
+/// follows, none outlives the guard: dropping it is `end_op`.
 pub struct OpGuard<'a, H: SmrHandle> {
     handle: &'a mut H,
     /// Armed-telemetry op timer; `None` when telemetry is disarmed.

@@ -46,8 +46,6 @@ pub mod any;
 pub mod api;
 pub mod builder;
 pub mod error;
-#[cfg(feature = "hb-oracle")]
-pub mod hb;
 pub mod node;
 #[cfg(feature = "oracle")]
 pub mod oracle;

@@ -72,12 +72,13 @@ pub struct Header {
     /// [`SmrNode::raise_flag`], never lowered.
     flag: AtomicU16,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
-    /// live, flipped to the poison value on reclamation and validated by
-    /// every `Shared::deref`. Only present when the `oracle` feature is
-    /// armed (every workspace test build), so a release build's header
-    /// stays one word.
+    /// live, [`crate::oracle::CANARY_RETIRED`] once retired, the poison
+    /// value once reclaimed; validated by every `Shared::deref`. Atomic,
+    /// because a correct reader may race the retire. Only present when the
+    /// `oracle` feature is armed (every workspace test build), so a release
+    /// build's header stays one word.
     #[cfg(feature = "oracle")]
-    canary: u64,
+    canary: core::sync::atomic::AtomicU64,
 }
 
 impl Header {
@@ -94,7 +95,8 @@ impl Header {
 
 /// Canary validation for `Shared::deref`: reads the header through a raw
 /// pointer (never materializing a reference to the possibly-poisoned
-/// payload) and panics on a reclaimed or wild pointee.
+/// payload), panics on a reclaimed or wild pointee, and hands a retired
+/// one to the oracle's deref check.
 ///
 /// # Safety
 /// `h` must point to memory that is still mapped — guaranteed for any node
@@ -105,9 +107,14 @@ impl Header {
 pub(crate) unsafe fn oracle_check_canary(h: *const Header) {
     // SAFETY: [INV-10] quarantined memory stays mapped until eviction, so
     // this header read is in-bounds even for an already-reclaimed node.
-    let canary = unsafe { (*h).canary };
-    if canary != crate::oracle::CANARY_ALIVE {
-        crate::oracle::uaf_panic(h as u64, canary);
+    let canary = unsafe { &(*h).canary };
+    // ORDERING: reason = diagnostic — a reader racing the retire may see
+    // either value, and both are right for it.
+    let canary = canary.load(Ordering::Relaxed);
+    match canary {
+        crate::oracle::CANARY_ALIVE => {}
+        crate::oracle::CANARY_RETIRED => crate::oracle::retired_deref(h as u64), // CAST-OK: the ledger records addresses as u64.
+        _ => crate::oracle::uaf_panic(h as u64, canary),
     }
 }
 
@@ -287,7 +294,7 @@ fn alloc_node_tracked<T>(
                 shape,
                 flag: AtomicU16::new(0),
                 #[cfg(feature = "oracle")]
-                canary: crate::oracle::CANARY_ALIVE,
+                canary: core::sync::atomic::AtomicU64::new(crate::oracle::CANARY_ALIVE),
             },
             data,
         });
@@ -301,8 +308,6 @@ fn alloc_node_tracked<T>(
     }
     #[cfg(feature = "oracle")]
     crate::oracle::on_alloc(ptr as u64, birth.unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
-    #[cfg(feature = "hb-oracle")]
-    crate::hb::on_alloc(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
     (ptr, from_pool)
 }
 
@@ -331,7 +336,7 @@ unsafe fn poison_and_quarantine<T>(ptr: *mut SmrNode<T>, layout: Layout) {
             crate::oracle::POISON_BYTE,
             layout.size() - after_header,
         );
-        (*ptr).header.canary = crate::oracle::CANARY_POISON;
+        (*ptr).header.canary.store(crate::oracle::CANARY_POISON, Ordering::Release);
         // CAST-OK: quarantine parks the block as untyped bytes + layout.
         crate::oracle::quarantine_node(ptr as *mut u8, layout);
     }
@@ -386,8 +391,6 @@ unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
         let (layout, _) = block_of(ptr);
         #[cfg(feature = "oracle")]
         crate::oracle::on_free(ptr as u64, birth(ptr).unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_free(ptr as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
         let out = take();
         #[cfg(feature = "oracle")]
         poison_and_quarantine(ptr, layout);
@@ -460,9 +463,12 @@ impl Retired {
             unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0), (*ptr).header.index) };
         let header = ptr as *mut Header; // CAST-OK: [INV-09] header-at-offset-0 pun.
         #[cfg(feature = "oracle")]
-        crate::oracle::on_retire(header as u64, birth);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_retire(header as u64); // CAST-OK: hb-ledger key; tracker records addresses as u64.
+        {
+            crate::oracle::on_retire(header as u64, birth);
+            // SAFETY: [INV-10] the retiring thread may read the removed
+            // node ([INV-04]), and the canary is atomic.
+            unsafe { (*header).canary.store(crate::oracle::CANARY_RETIRED, Ordering::Release) };
+        }
         let bytes = mp_util::pool::block_size(layout) as u32;
         Retired {
             ptr: header,
@@ -530,7 +536,7 @@ mod tests {
         assert_eq!(core::mem::size_of::<Header>(), 16);
         let node = alloc_node(7u32, 0, None);
         // SAFETY: [INV-12] node is live and owned by this test thread.
-        assert_eq!(unsafe { (*node).header.canary }, crate::oracle::CANARY_ALIVE);
+        assert_eq!(unsafe { (*node).header.canary.load(Ordering::Relaxed) }, crate::oracle::CANARY_ALIVE);
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
     }
 

@@ -24,14 +24,34 @@
 //! ## Poisoning and quarantine
 //!
 //! On reclamation the payload is dropped in place, overwritten with
-//! [`POISON_BYTE`], and the header canary flips from [`CANARY_ALIVE`] to
-//! [`CANARY_POISON`]; [`crate::Shared::deref`] validates the canary on
+//! `POISON_BYTE`, and the header canary flips from `CANARY_ALIVE` to
+//! `CANARY_POISON`; [`crate::Shared::deref`] validates the canary on
 //! every dereference. To keep that check *defined behavior* (not a racy
 //! read of returned-to-the-allocator memory), freed nodes are parked in a
 //! bounded FIFO quarantine and only handed back to the allocator once the
 //! quarantine exceeds [`QUARANTINE_CAP`] — the same trick sanitizers use,
 //! giving a deterministic use-after-free detection window without Miri or
 //! TSan (which the hermetic toolchain cannot assume).
+//!
+//! ## Protection ledger
+//!
+//! [`crate::SmrHandle::read`] keeps a node safe until its refno is read
+//! again or released (paper §2, Listing 1), under HP only until `end_op`
+//! (`read`'s docs give each scheme's rule), and a freed node's canary
+//! shows only the violations that lost the race to the scan. So
+//! `Retired::new` flips the canary to `CANARY_RETIRED`, and each handle
+//! keeps a `Ledger`: per refno, the address its last read returned,
+//! plus the nodes the handle allocated in its open operation and has not
+//! retired. A re-read, `unprotect` or handle drop ends an entry; a
+//! hazard-backed entry (HP's, MP's fallback) also ends at `end_op`.
+//! `start_op` links the ledger into a thread-local list of open
+//! operations and `end_op` unlinks it. A `Shared::deref` of a retired node
+//! on a thread with an open operation must find the address in one of
+//! that thread's ledgers, unless one of the operations is an
+//! epoch-protecting scheme's (EBR, IBR, DTA, Leaky), which covers every
+//! node it can reach. Otherwise it panics, naming the missing protection.
+//! No lock, no clock: a read writes one word, and only a deref of a
+//! retired node looks at the list.
 //!
 //! ## Waste-bound monitor
 //!
@@ -47,8 +67,9 @@
 //! `cargo test -p mp-smr` among them.
 
 use std::alloc::Layout;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -61,6 +82,9 @@ pub const RETIRED: u8 = 1;
 
 /// Header canary value of a live (not yet reclaimed) node.
 pub(crate) const CANARY_ALIVE: u64 = 0xa11c_0de5_afe5_eed5;
+/// Header canary value of a retired node not yet reclaimed: a deref must
+/// be covered by an open operation of the reading thread (see [`Ledger`]).
+pub(crate) const CANARY_RETIRED: u64 = 0x2e71_2ed0_2e71_2ed0;
 /// Header canary value after reclamation (while the node sits in
 /// quarantine).
 pub(crate) const CANARY_POISON: u64 = 0xdead_f12e_d00d_beef;
@@ -76,6 +100,8 @@ static REPLAY_SEED: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     static SCHEME: Cell<&'static str> = const { Cell::new("?") };
     static PIN_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// The ledger rows of this thread's open operations.
+    static OPEN: RefCell<Vec<*const Row>> = const { RefCell::new(Vec::new()) };
 }
 
 fn table() -> &'static ShadowTable {
@@ -179,7 +205,7 @@ pub(crate) fn on_free(addr: u64, birth: u64) {
 }
 
 /// Panics with a use-after-free report; called by `Shared::deref` when the
-/// header canary is not [`CANARY_ALIVE`].
+/// header canary is neither [`CANARY_ALIVE`] nor [`CANARY_RETIRED`].
 pub(crate) fn uaf_panic(addr: u64, canary: u64) -> ! {
     let kind = if canary == CANARY_POISON {
         "use-after-free: node dereferenced after reclamation".to_string()
@@ -187,6 +213,188 @@ pub(crate) fn uaf_panic(addr: u64, canary: u64) -> ! {
         format!("use-after-free or wild pointer: unknown canary {canary:#x}")
     };
     violation("dereference", addr, kind);
+}
+
+/// Tag bit of a [`Ledger`] entry backed by a hazard slot, which `end_op`
+/// clears (node addresses are 8-byte aligned, so the bit is free).
+const HAZARD: u64 = 1;
+
+/// One handle's protection record (see the module docs). Boxed, so the
+/// handle may move while the row is linked into its thread's list of open
+/// operations. The handle writes the row, and the deref check reads it
+/// only on the thread that linked it, so a handle must not move to another
+/// thread inside an operation; one that does leaves its row behind,
+/// closed and leaked, at its next `end_op`.
+pub(crate) struct Ledger(NonNull<Row>);
+
+struct Row {
+    /// Per refno, the address the last read through it returned, tagged
+    /// [`HAZARD`] when a hazard slot backs it; 0 when none stands.
+    reads: Box<[u64]>,
+    /// Some entry of `reads` may be tagged [`HAZARD`].
+    hazards: bool,
+    /// Nodes allocated in the open operation and not retired since.
+    allocated: Vec<u64>,
+    /// The open operation protects by epoch: it covers every node.
+    epoch: bool,
+    /// Linked into a thread's list of open operations.
+    open: bool,
+}
+
+impl Row {
+    /// A fresh, unlinked row, freed by its ledger's `Drop`.
+    fn leak(refnos: usize) -> NonNull<Row> {
+        let row = Row {
+            reads: vec![0; refnos].into(),
+            hazards: false,
+            allocated: Vec::new(),
+            epoch: false,
+            open: false,
+        };
+        NonNull::from(Box::leak(Box::new(row)))
+    }
+
+    fn covers(&self, addr: u64) -> bool {
+        self.epoch || self.reads.iter().any(|&e| e & !HAZARD == addr) || self.allocated.contains(&addr)
+    }
+}
+
+// SAFETY: [INV-07] the row is the ledger's own allocation, handed over
+// with it; the thread-local list that also points at it is read only on
+// the linking thread ([INV-10]).
+unsafe impl Send for Ledger {}
+
+impl Ledger {
+    /// An empty ledger for a handle with `refnos` protection slots.
+    pub(crate) fn new(refnos: usize) -> Self {
+        Ledger(Row::leak(refnos))
+    }
+
+    fn row(&mut self) -> &mut Row {
+        // SAFETY: [INV-10] the row is this ledger's own allocation, and the
+        // deref check, its only other reader, runs on the same thread and
+        // never while this borrow lives.
+        unsafe { self.0.as_mut() }
+    }
+
+    /// `start_op`: links the row into the thread's open operations;
+    /// `epoch` says the scheme protects by epoch.
+    pub(crate) fn open(&mut self, epoch: bool) {
+        let row = self.row();
+        row.epoch = epoch;
+        if !row.open {
+            let ptr = self.0.as_ptr().cast_const();
+            self.row().open = OPEN.try_with(|open| open.borrow_mut().push(ptr)).is_ok();
+        }
+    }
+
+    /// `end_op`: hazard-backed entries and the allocation list end, and
+    /// the row leaves the thread's open operations.
+    pub(crate) fn close(&mut self) {
+        let row = self.row();
+        if row.hazards {
+            row.hazards = false;
+            row.reads.iter_mut().filter(|e| **e & HAZARD != 0).for_each(|e| *e = 0);
+        }
+        row.allocated.clear();
+        if !self.unlink() {
+            // The row stays behind, closed, in another thread's list and is
+            // never written again; the handle goes on with a fresh one.
+            let refnos = self.row().reads.len();
+            self.0 = Row::leak(refnos);
+        }
+    }
+
+    /// Closes the row and takes it out of this thread's open operations.
+    /// False when some other thread's list may still hold it: the handle
+    /// moved mid-operation.
+    fn unlink(&mut self) -> bool {
+        let row = self.row();
+        if !row.open {
+            return true;
+        }
+        row.open = false;
+        let ptr = self.0.as_ptr().cast_const();
+        OPEN.try_with(|open| {
+            let mut open = open.borrow_mut();
+            open.iter().position(|&p| p == ptr).map(|i| open.swap_remove(i)).is_some()
+        })
+        // This thread's list is gone with its other thread-locals, so which
+        // list holds the row cannot be told: keep it.
+        .unwrap_or(false)
+    }
+
+    /// A read through `refno` returned `addr` (0 for null), protected by a
+    /// hazard slot when `hazard` is set.
+    #[inline]
+    pub(crate) fn read(&mut self, refno: usize, addr: u64, hazard: bool) {
+        let row = self.row();
+        row.reads[refno] = if hazard && addr != 0 { addr | HAZARD } else { addr };
+        row.hazards |= hazard;
+    }
+
+    /// `unprotect(refno)`: the entry ends.
+    pub(crate) fn release(&mut self, refno: usize) {
+        self.row().reads[refno] = 0;
+    }
+
+    /// The handle allocated `addr`; listed while its operation is open.
+    pub(crate) fn allocated(&mut self, addr: u64) {
+        let row = self.row();
+        if row.open {
+            row.allocated.push(addr);
+        }
+    }
+
+    /// The handle retired `addr`, which leaves its allocation list.
+    pub(crate) fn retired(&mut self, addr: u64) {
+        let allocated = &mut self.row().allocated;
+        if let Some(i) = allocated.iter().rposition(|&a| a == addr) {
+            allocated.swap_remove(i);
+        }
+    }
+}
+
+impl Drop for Ledger {
+    fn drop(&mut self) {
+        if self.unlink() {
+            // SAFETY: [INV-10] the row came from `Box::leak` in `new` and no
+            // list links it any more.
+            drop(unsafe { Box::from_raw(self.0.as_ptr()) });
+        }
+    }
+}
+
+/// The deref check, for a node whose canary reads retired: on a thread
+/// with an open operation, some open operation must cover `addr`.
+pub(crate) fn retired_deref(addr: u64) {
+    let covered = OPEN.try_with(|open| {
+        let mut none_open = true;
+        for &row in open.borrow().iter() {
+            // SAFETY: [INV-10] a listed row is live — its ledger unlinks it
+            // before freeing it, and leaks it when it cannot — and is
+            // written only by its handle on this thread, not during this
+            // check.
+            let row = unsafe { &*row };
+            if row.open {
+                if row.covers(addr) {
+                    return true;
+                }
+                none_open = false;
+            }
+        }
+        none_open
+    });
+    if covered == Ok(false) {
+        violation(
+            "unprotected dereference",
+            addr,
+            "a retired node that no refno of this thread's open operations \
+             returned and none of them allocated; HP's reads last until re-read, \
+             unprotect or end_op, MP's and HE's until re-read or unprotect"
+                .to_string(),
+        );
+    }
 }
 
 /// Asserts a scheme's per-handle retired-list length against its
@@ -343,6 +551,33 @@ mod tests {
         assert!(msg.contains("HP"), "{msg}");
         assert!(msg.contains("TEST-SCHEME"), "{msg}");
         assert!(msg.contains("MP_CHECK_SEED=0xabcd"), "{msg}");
+    }
+
+    /// A handle that moves to another thread inside an operation leaves
+    /// its row behind, closed: the first thread's checks skip it, the
+    /// handle goes on with a fresh row, and nothing dangles.
+    #[test]
+    fn a_handle_moved_mid_operation_leaves_its_row_behind() {
+        use crate::{schemes::Hp, Config, Smr, SmrHandle};
+        let smr = Hp::new(Config { max_threads: 2, ..Config::default() });
+        let mut h = smr.register();
+        h.start_op();
+        let mut h = std::thread::scope(|s| {
+            s.spawn(move || {
+                h.end_op();
+                h.start_op();
+                h.end_op();
+                h
+            })
+            .join()
+            .expect("the moved handle's thread panicked")
+        });
+        // No open operation on this thread: a retired deref passes.
+        retired_deref(0x10);
+        h.start_op();
+        let err = std::panic::catch_unwind(|| retired_deref(0x10));
+        assert!(err.is_err(), "the fresh row is checked");
+        h.end_op();
     }
 
     #[test]

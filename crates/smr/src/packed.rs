@@ -257,25 +257,21 @@ impl<T> Shared<T> {
         let _ = (block, offset);
     }
 
-    /// The oracles' toll on every access to the pointee; nothing without
-    /// them.
+    /// The oracle's toll on every access to the pointee; nothing without
+    /// it.
     #[inline]
     fn oracle_check(self) {
         debug_assert!(!self.is_null());
         // Oracle: reclaimed nodes stay mapped (quarantined) with a poisoned
         // header canary, so a protection bug panics here deterministically
-        // instead of reading freed memory.
+        // instead of reading freed memory; a retired node must be covered
+        // by an open operation of this thread (the oracle's ledger).
         #[cfg(feature = "oracle")]
         // SAFETY: [INV-10] quarantined memory stays mapped, so the canary
         // check may read the header even if protection was violated.
         unsafe {
             crate::node::oracle_check_canary(self.as_raw() as *const crate::node::Header)
         };
-        // Hb-oracle: beyond "not freed yet" (the canary above), demand a
-        // tracked happens-before justification — blanket epoch coverage or
-        // a validated protection record — for dereferencing a retired node.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_deref(self.addr());
     }
 
     /// Frees a node the caller *exclusively owns*, bypassing the retire

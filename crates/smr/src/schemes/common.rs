@@ -22,8 +22,6 @@ pub const NO_MARGIN: u64 = u64::MAX;
 #[inline]
 pub fn counted_fence(tele: &mut HandleTelemetry, site: FenceSite) {
     fence(Ordering::SeqCst);
-    #[cfg(feature = "hb-oracle")]
-    crate::hb::on_fence_sc();
     tele.record_fence(site);
 }
 
@@ -80,20 +78,12 @@ impl<const IDLE: u64> MirroredRow<IDLE> {
     ) -> Result<Shared<T>, Shared<T>> {
         let addr = w.addr();
         if self.mirror[slot] != addr {
-            // Hb-oracle: the overwritten slot's claim dies; the new one is
-            // recorded only once validated.
-            #[cfg(feature = "hb-oracle")]
-            crate::hb::on_unprotect(slot);
             self.announce(slots, tele, slot, addr, FenceSite::HpProtect);
             let now = src.load(Ordering::Acquire);
             if now != w {
                 return Err(now);
             }
         }
-        // Hb-oracle: validated by the re-read above or, for a standing
-        // address, by the caller's load of `w`, made after its fence.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_protect(Some(slot), addr);
         Ok(w)
     }
 
@@ -103,8 +93,6 @@ impl<const IDLE: u64> MirroredRow<IDLE> {
     pub fn withdraw(&mut self, slots: &SlotArray, slot: usize) {
         slots.get(self.tid, slot).store(IDLE, Ordering::Release);
         self.mirror[slot] = IDLE;
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_unprotect(slot);
     }
 
     /// Withdraws the whole row, unfenced, if anything was announced since

@@ -27,9 +27,10 @@ use crate::telemetry::{Counter, HandleTelemetry, SchemeTelemetry};
 pub(crate) trait Scheme {
     /// Display name (`Smr::name`, oracle reports).
     const NAME: &'static str;
-    /// How the scheme's protection claims map onto hb-tracker records.
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy;
+    /// Whether an open operation protects every node it can reach (EBR,
+    /// IBR, DTA, Leaky), so the oracle's deref check exempts it.
+    #[cfg(feature = "oracle")]
+    const PROTECTS_BY_EPOCH: bool = false;
     /// Whether retired nodes are ever scanned (false only for Leaky).
     const RECLAIMS: bool = true;
 
@@ -94,6 +95,8 @@ impl SchemeCore {
             scan_scratch: Vec::new(),
             scan: ScanState::new(&self.scan_policy),
             tele: CachePadded::new(tele),
+            #[cfg(feature = "oracle")]
+            ledger: crate::oracle::Ledger::new(self.cfg.slots_per_thread),
         })
     }
 
@@ -134,25 +137,30 @@ pub(crate) struct HandleCore {
     scan_scratch: Vec<Retired>,
     scan: ScanState,
     pub(crate) tele: CachePadded<HandleTelemetry>,
+    /// What this handle's reads and allocations protect, for the oracle's
+    /// deref check.
+    #[cfg(feature = "oracle")]
+    pub(crate) ledger: crate::oracle::Ledger,
 }
 
 impl HandleCore {
-    /// `start_op` prologue: oracle/hb context, op accounting.
+    /// `start_op` prologue: oracle context, op accounting.
     #[inline]
     pub(crate) fn start_op<S: Scheme>(&mut self) {
         #[cfg(feature = "oracle")]
-        crate::oracle::enter_scheme(S::NAME);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_start_op(S::HB);
+        {
+            crate::oracle::enter_scheme(S::NAME);
+            self.ledger.open(S::PROTECTS_BY_EPOCH);
+        }
         let retired_len = self.retired.len();
         self.tele.record_op_start(retired_len);
     }
 
-    /// `end_op` prologue: closes the hb-oracle's op span.
+    /// `end_op` prologue: closes the operation in the oracle's ledger.
     #[inline]
     pub(crate) fn end_op(&mut self) {
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_end_op();
+        #[cfg(feature = "oracle")]
+        self.ledger.close();
     }
 
     /// Allocates a node stamped with `index`, followed by `tail_len` null
@@ -168,7 +176,10 @@ impl HandleCore {
         self.tele.bump(Counter::Allocs);
         let ptr = crate::node::alloc_node_in(data, index, birth, tail_len, &mut self.tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let node = unsafe { Shared::from_owned(ptr) };
+        #[cfg(feature = "oracle")]
+        self.ledger.allocated(node.addr());
+        node
     }
 
     /// Buffers `node` as retired at `stamp` (by an operation that began at
@@ -193,6 +204,8 @@ impl HandleCore {
     {
         let shared = scheme.core();
         self.tele.bump(Counter::Retires);
+        #[cfg(feature = "oracle")]
+        self.ledger.retired(node.addr());
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let mut r = unsafe { shared.capture(node, stamp) };
         r.op_start = op_start;
@@ -216,8 +229,6 @@ impl HandleCore {
         // Retirements about to be judged are ordered after any protection
         // announcement the snapshot will observe.
         fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
         prot.snapshot(scheme);
         // `pending` (last scan's scratch) becomes the drain source and the
         // emptied `retired` collects the keepers; `mem::take` leaves a
@@ -320,8 +331,6 @@ mod tests {
 
     impl Scheme for Fake {
         const NAME: &'static str = "FAKE";
-        #[cfg(feature = "hb-oracle")]
-        const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
 
         fn core(&self) -> &SchemeCore {
             &self.core

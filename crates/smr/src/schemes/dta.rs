@@ -111,8 +111,8 @@ pub struct DtaHandle {
 /// a predetermined formula — exempt from the oracle's waste-bound monitor.
 impl Scheme for Dta {
     const NAME: &'static str = "DTA";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    #[cfg(feature = "oracle")]
+    const PROTECTS_BY_EPOCH: bool = true;
 
     fn core(&self) -> &SchemeCore {
         &self.core

@@ -47,8 +47,8 @@ pub struct EbrHandle {
 /// legitimately pins every later retiree (§1).
 impl Scheme for Ebr {
     const NAME: &'static str = "EBR";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    #[cfg(feature = "oracle")]
+    const PROTECTS_BY_EPOCH: bool = true;
 
     fn core(&self) -> &SchemeCore {
         &self.core

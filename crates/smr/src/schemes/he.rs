@@ -49,8 +49,6 @@ pub struct HeHandle {
 
 impl Scheme for He {
     const NAME: &'static str = "HE";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::HE;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -139,12 +137,8 @@ impl SmrHandle for HeHandle {
             let era = self.scheme.clock.now();
             let (slots, tele) = (&self.scheme.era_slots, &mut self.core.tele);
             if !self.eras.announce(slots, tele, refno, era, FenceSite::Announce) {
-                // Hb-oracle: era stable across the load — the node's
-                // lifetime overlaps this handle's validated announcement.
-                #[cfg(feature = "hb-oracle")]
-                if !w.is_null() {
-                    crate::hb::on_protect(None, w.addr());
-                }
+                #[cfg(feature = "oracle")]
+                self.core.ledger.read(refno, w.addr(), false);
                 return w;
             }
         }
@@ -152,6 +146,8 @@ impl SmrHandle for HeHandle {
 
     fn unprotect(&mut self, refno: usize) {
         self.eras.withdraw(&self.scheme.era_slots, refno);
+        #[cfg(feature = "oracle")]
+        self.core.ledger.release(refno);
     }
 
     fn alloc_with_tail<T: Send + Sync>(
@@ -186,10 +182,6 @@ impl SmrHandle for HeHandle {
 
 impl Drop for HeHandle {
     fn drop(&mut self) {
-        // Hb-oracle: the row clear below withdraws every era announcement
-        // this handle made, so its protection claims must die with it.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_handle_drop();
         self.eras.clear(&self.scheme.era_slots);
         self.core.release(&*self.scheme, &mut self.snap);
     }

@@ -47,8 +47,6 @@ pub struct HpHandle {
 
 impl Scheme for Hp {
     const NAME: &'static str = "HP";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::HP;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -117,13 +115,11 @@ impl SmrHandle for HpHandle {
         // On a failed validation the re-read *becomes* the next candidate.
         // A fence is paid only per newly announced address: a retry that
         // lands back on the slot's standing address (A→B→A churn) is free.
+        // A null (possibly marked-null) word needs no protection.
         let mut w = src.load(Ordering::Acquire);
-        loop {
-            if w.is_null() {
-                return w; // null (possibly marked-null): nothing to protect
-            }
+        while !w.is_null() {
             match self.hazards.protect(&self.scheme.hp_slots, &mut self.core.tele, refno, src, w) {
-                Ok(w) => return w,
+                Ok(_) => break,
                 Err(now) => {
                     // A writer is churning `src`: back off before fencing again.
                     backoff.spin();
@@ -131,10 +127,15 @@ impl SmrHandle for HpHandle {
                 }
             }
         }
+        #[cfg(feature = "oracle")]
+        self.core.ledger.read(refno, w.addr(), true);
+        w
     }
 
     fn unprotect(&mut self, refno: usize) {
         self.hazards.withdraw(&self.scheme.hp_slots, refno);
+        #[cfg(feature = "oracle")]
+        self.core.ledger.release(refno);
     }
 
     fn alloc_with_tail<T: Send + Sync>(
@@ -164,10 +165,6 @@ impl SmrHandle for HpHandle {
 
 impl Drop for HpHandle {
     fn drop(&mut self) {
-        // Hb-oracle: the row clear below withdraws every announcement this
-        // handle made, so its protection claims must die with it.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_handle_drop();
         self.hazards.clear(&self.scheme.hp_slots);
         self.core.release(&*self.scheme, &mut self.snap);
     }

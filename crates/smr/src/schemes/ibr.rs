@@ -61,8 +61,8 @@ pub struct IbrHandle {
 /// reservation pins unboundedly many retirees whose intervals overlap it.
 impl Scheme for Ibr {
     const NAME: &'static str = "IBR";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    #[cfg(feature = "oracle")]
+    const PROTECTS_BY_EPOCH: bool = true;
 
     fn core(&self) -> &SchemeCore {
         &self.core

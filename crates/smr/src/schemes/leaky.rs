@@ -33,8 +33,8 @@ pub struct LeakyHandle {
 /// keeping the no-reclamation baseline honest about its memory pressure.
 impl Scheme for Leaky {
     const NAME: &'static str = "Leaky";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::EPOCH;
+    #[cfg(feature = "oracle")]
+    const PROTECTS_BY_EPOCH: bool = true;
     const RECLAIMS: bool = false;
 
     fn core(&self) -> &SchemeCore {

@@ -258,8 +258,6 @@ pub struct MpHandle {
 
 impl Scheme for Mp {
     const NAME: &'static str = "MP";
-    #[cfg(feature = "hb-oracle")]
-    const HB: crate::hb::HbPolicy = crate::hb::HbPolicy::MP;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -509,6 +507,8 @@ impl MpHandle {
         loop {
             let w = src.load(Ordering::Acquire);
             if w.is_null() {
+                #[cfg(feature = "oracle")]
+                self.core.ledger.read(refno, 0, false);
                 return w;
             }
             let (idx_lo, idx_hi) = w.index_bounds();
@@ -521,6 +521,8 @@ impl MpHandle {
                 if self.hazards.protect(slots, tele, refno, src, w).is_ok() {
                     // The hazard slot owns this refno's protection now.
                     self.release(refno);
+                    #[cfg(feature = "oracle")]
+                    self.core.ledger.read(refno, w.addr(), true);
                     return w;
                 }
                 // Validation raced a writer; back off before re-announcing.
@@ -537,8 +539,8 @@ impl MpHandle {
                 if self.scheme.global_epoch.load(Ordering::Relaxed) == self.epoch {
                     self.cache_cover(slot);
                     self.set_owner(refno, slot);
-                    #[cfg(feature = "hb-oracle")]
-                    crate::hb::on_protect(None, w.addr());
+                    #[cfg(feature = "oracle")]
+                    self.core.ledger.read(refno, w.addr(), false);
                     return w;
                 }
                 // Epoch advanced: §4.3.2 HP mode. Restart the loop so the
@@ -560,8 +562,8 @@ impl MpHandle {
                     self.enter_hp_mode();
                     continue;
                 }
-                #[cfg(feature = "hb-oracle")]
-                crate::hb::on_protect(None, w.addr());
+                #[cfg(feature = "oracle")]
+                self.core.ledger.read(refno, w.addr(), false);
                 return w;
             }
             // Margin validation raced a writer on `src`; back off.
@@ -653,6 +655,8 @@ impl SmrHandle for MpHandle {
     fn read<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
         let w = src.load(Ordering::Acquire);
         if w.is_null() {
+            #[cfg(feature = "oracle")]
+            self.core.ledger.read(refno, 0, false);
             return w;
         }
         let (idx_lo, idx_hi) = w.index_bounds();
@@ -673,8 +677,8 @@ impl SmrHandle for MpHandle {
             if self.owner[refno] != self.cover_slot {
                 self.set_owner(refno, self.cover_slot);
             }
-            #[cfg(feature = "hb-oracle")]
-            crate::hb::on_protect(None, w.addr());
+            #[cfg(feature = "oracle")]
+            self.core.ledger.read(refno, w.addr(), false);
             return w;
         }
         self.read_slow(src, refno)
@@ -683,7 +687,10 @@ impl SmrHandle for MpHandle {
     fn unprotect(&mut self, _refno: usize) {
         // No-op (§4.3 "Node Unprotection"): margins keep protecting
         // future-accessed nodes; hazard slots are cleared wholesale at
-        // end_op and margins persist until evicted by refno reuse.
+        // end_op and margins persist until evicted by refno reuse. The
+        // API's rule still holds: the refno's node is released.
+        #[cfg(feature = "oracle")]
+        self.core.ledger.release(_refno);
     }
 
     fn alloc_with_tail<T: Send + Sync>(
@@ -737,10 +744,6 @@ impl SmrHandle for MpHandle {
 
 impl Drop for MpHandle {
     fn drop(&mut self) {
-        // Hb-oracle: the row clears below withdraw every margin, hazard,
-        // and epoch announcement, so this handle's claims die with it.
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_handle_drop();
         // Dropping announcements is removal-only — a stale observation can
         // only over-protect nodes this thread no longer reads — so no
         // fence is needed.

@@ -24,8 +24,6 @@
 //!   SMR node memory.
 //! * [`shadow`] — a sharded shadow table (key → state record with atomic
 //!   transitions), the substrate of `mp-smr`'s reclamation oracle.
-//! * [`hb`] — a vector-clock happens-before tracker, the substrate of
-//!   `mp-smr`'s happens-before oracle (its `hb-oracle` feature).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -33,7 +31,6 @@
 pub mod backoff;
 pub mod cache_padded;
 pub mod check;
-pub mod hb;
 pub mod hist;
 pub mod pool;
 pub mod rng;

@@ -35,10 +35,10 @@ cargo build --release --offline
 stage "mp-lint (SMR protocol linter over crates/ tests/ src/)"
 cargo run -q --release --offline -p mp-lint -- crates tests src
 
-# Reports of the reclamation and happens-before oracles, and of the
-# seeded checker, print a base seed; a failing test stage names how to
-# replay it. The replay must repeat the stage's own flags: they decide
-# what is armed (see the stages below).
+# Reports of the reclamation oracle and of the seeded checker print a
+# base seed; a failing test stage names how to replay it. The replay must
+# repeat the stage's own flags: they decide what is armed (see the stages
+# below).
 run_oracle() {
   if ! "$@"; then
     echo "!! test stage failed: $*" >&2
@@ -49,12 +49,13 @@ run_oracle() {
 }
 
 # The whole workspace with the reclamation oracle armed: shadow lifecycle
-# tracking, freed-memory poisoning, and the waste-bound monitor. The root
-# package enables mp-smr's `oracle` feature as a dev-dependency, and
-# resolver 2 unifies it for every member, so this one run covers the
-# conformance matrix, the negative oracle tests (tests/oracle_negative.rs
-# drives a block through quarantine eviction, a magazine and its chunk's
-# free list and still expects the poison canary), mp-smr's oracle unit
+# tracking, freed-memory poisoning, the protection ledger's deref check,
+# and the waste-bound monitor. The root package enables mp-smr's `oracle`
+# feature as a dev-dependency, and resolver 2 unifies it for every member,
+# so this one run covers the conformance matrix, the negative oracle tests
+# (tests/oracle_negative.rs drives a block through quarantine eviction, a
+# magazine and its chunk's free list and still expects the poison canary,
+# and seeds four unprotected derefs), mp-smr's oracle unit
 # tests, mp-ds's unit tests with freed nodes poisoned, and mp-util's
 # slab-pool tests (blank-chunk rule, cross-thread `live` exactness,
 # thread-exit release).
@@ -83,21 +84,6 @@ cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings
 # fails here instead of rotting in the rendered docs.
 stage "cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p mp-ds -p mp-bench
-
-# Happens-before oracle stage: the vector-clock tracker audits every
-# deref and free against the protocol's claimed synchronization edges,
-# and the seeded deref-after-unprotect must panic deterministically
-# (tests/hb_oracle.rs). `hb-oracle` implies the reclamation oracle. The
-# tracker itself (mp-util's `hb` module) has no feature gate: the
-# workspace test and clippy stages above build and test it.
-stage "cargo test -q --offline --features hb-oracle (hb oracle armed)"
-run_oracle cargo test -q --offline --features hb-oracle
-
-stage "cargo test -q --offline -p mp-smr --features hb-oracle"
-run_oracle cargo test -q --offline -p mp-smr --features hb-oracle
-
-stage "cargo clippy --offline --all-targets --features hb-oracle -- -D warnings"
-cargo clippy --offline --all-targets --features hb-oracle -- -D warnings
 
 # Bench smoke: the figure sweep — each figure, Table 1, the collision
 # analysis, the takeaways and the soak with and without a stalled reader —

@@ -224,6 +224,14 @@ mod scenario_matrix {
     /// watermark `max(empty_freq, 2·T·H)` and re-arms at `kept +
     /// empty_freq`, so each retiring handle holds at most a watermark plus
     /// `empty_freq` — 7 × (80 + 64) = 1 008 nodes here.
+    ///
+    /// That assumes a scan keeps at most a watermark's worth, which holds
+    /// for MP and HP but not for HE: HE keeps every retired node whose
+    /// lifetime spans a reserved era, however many that is. The cap holds
+    /// for HE only because the matrix draws insert-remove pairs, which
+    /// keep the list near empty and the nodes short-lived (HE peaked at
+    /// 657–721). Remove-insert pairs keep the 48-key list full, and there
+    /// HE reached 1 052.
     fn node_cap() -> usize {
         let c = matrix_cfg();
         let watermark = c.empty_freq.max(2 * c.max_threads * c.slots_per_thread);
@@ -299,12 +307,14 @@ mod scenario_matrix {
     }
 }
 
-/// Every slot of a reader's row keeps its node through a scan. The reader
-/// protects one node per slot, the writer retires them all and scans, and
+/// Every slot of the registry's first and last rows keeps its node
+/// through a scan. Two readers take those rows and protect distinct nodes,
+/// one per slot; the writer between them retires them all and scans, and
 /// every node must stay retired and pass the canary check. Deterministic,
-/// so a scan that skips a slot fails here on every run; the stress rows
-/// above meet such a fault only when a race lands in that slot. MP runs
-/// without bound hints, so every read takes its §4.3.2 hazard fallback.
+/// so a scan that skips a slot or a boundary row fails here on every run;
+/// the stress rows above meet such a fault only when a race lands there.
+/// MP runs without bound hints, so every read takes its §4.3.2 hazard
+/// fallback.
 mod slot_rows {
     use super::*;
     use margin_pointers::smr::{Atomic, Shared};
@@ -313,13 +323,18 @@ mod slot_rows {
     const SLOTS: usize = 4;
 
     fn every_slot_keeps_its_node<S: Smr>() {
-        let smr = S::new(Config { max_threads: 2, slots_per_thread: SLOTS, ..Config::default() });
-        let (mut reader, mut writer) = (smr.register(), smr.register());
+        let smr = S::new(Config { max_threads: 3, slots_per_thread: SLOTS, ..Config::default() });
+        // The registry hands out the lowest free tid: rows 0, 1 and 2.
+        let (mut first, mut writer, mut last) = (smr.register(), smr.register(), smr.register());
         writer.start_op();
-        let nodes: Vec<_> = (0..SLOTS as u64).map(|k| writer.alloc(k)).collect();
+        let nodes: Vec<_> = (0..2 * SLOTS as u64).map(|k| writer.alloc(k)).collect();
         let cells: Vec<_> = nodes.iter().map(|&n| Atomic::new(n)).collect();
-        reader.start_op();
-        let held: Vec<_> = cells.iter().enumerate().map(|(slot, c)| reader.read(c, slot)).collect();
+        let (firsts, lasts) = cells.split_at(SLOTS);
+        first.start_op();
+        last.start_op();
+        let held: Vec<_> = (firsts.iter().enumerate().map(|(slot, c)| first.read(c, slot)))
+            .chain(lasts.iter().enumerate().map(|(slot, c)| last.read(c, slot)))
+            .collect();
         for (cell, &n) in cells.iter().zip(&nodes) {
             cell.store(Shared::null(), Ordering::Release);
             // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
@@ -327,12 +342,13 @@ mod slot_rows {
         }
         writer.end_op();
         writer.force_empty();
-        assert_eq!(writer.retired_len(), SLOTS, "{}: a scan freed a node a slot held", S::name());
+        assert_eq!(writer.retired_len(), 2 * SLOTS, "{}: a scan freed a node a slot held", S::name());
         for (k, n) in held.iter().enumerate() {
             // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
             assert_eq!(unsafe { *n.deref().data() }, k as u64);
         }
-        reader.end_op();
+        first.end_op();
+        last.end_op();
     }
 
     #[test]

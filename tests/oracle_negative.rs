@@ -4,6 +4,11 @@
 //! real allocation/retire/reclaim pipeline, and the test asserts the
 //! oracle panics with the right diagnosis and a replay seed.
 //!
+//! The deref check gets four seeded negatives, each with a silent twin
+//! that differs in the one step that ends the protection: nothing is ever
+//! freed there, so the poison canary has nothing to say and only the
+//! protection ledger can object.
+//!
 //! A subtlety keeps teardown clean: schemes push the shadow-tracked
 //! [`Retired`] record *after* the oracle check inside `Retired::new`, so a
 //! rejected (second) retire never lands on any retired list and the node
@@ -15,8 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
 use margin_pointers::smr::oracle;
-use margin_pointers::smr::schemes::Hp;
-use margin_pointers::smr::{Config, Smr, SmrHandle};
+use margin_pointers::smr::schemes::{He, Hp, Mp};
+use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
 
 /// The seed every test stamps before misbehaving, so the panic messages
 /// are asserted against a known replay line.
@@ -261,4 +266,119 @@ fn nested_pin_trips_the_oracle() {
         let _inner = h2.pin();
     });
     assert!(msg.contains("nested pin"), "wrong diagnosis: {msg}");
+}
+
+/// What a reader does between reading a node through refno 0 and
+/// dereferencing it after a writer retired it.
+#[derive(Clone, Copy)]
+enum Then {
+    /// Nothing: the node is still protected.
+    Keep,
+    /// `unprotect(0)`.
+    Unprotect,
+    /// Reads a second node through this refno.
+    ReadThrough(usize),
+    /// Ends its operation and starts the next.
+    NextOp,
+}
+
+/// A writer allocates two nodes without bound hints (so MP's reads take
+/// the hazard fallback); a reader reads the first through refno 0, does
+/// `then`, and dereferences it after the writer unlinked and retired it.
+/// The scan watermark is out of reach, so nothing is freed: the node stays
+/// live memory whatever the reader did. Returns the deref's panic message,
+/// if any.
+fn reader_derefs_a_retired_node<S: Smr>(then: Then) -> Option<String> {
+    let smr = S::new(Config { empty_freq: 1 << 20, ..cfg() });
+    let (mut writer, mut reader) = (smr.register(), smr.register());
+    writer.start_op();
+    let (n, m) = (writer.alloc(7u64), writer.alloc(8u64));
+    writer.end_op();
+    let (cell, other) = (Atomic::new(n), Atomic::new(m));
+    reader.start_op();
+    let got = reader.read(&cell, 0);
+    match then {
+        Then::Keep => {}
+        Then::Unprotect => reader.unprotect(0),
+        Then::ReadThrough(refno) => assert_eq!(reader.read(&other, refno), m),
+        Then::NextOp => {
+            reader.end_op();
+            reader.start_op();
+        }
+    }
+    cell.store(Shared::null(), Ordering::Release);
+    // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+    unsafe { writer.retire(n) };
+    assert_eq!(writer.retired_len(), 1, "the watermark must keep the scan away");
+    oracle::set_replay_seed(SEED);
+    // SAFETY: [INV-12] test-controlled: nothing is freed (see above), so the read is of live memory; whether a protection stands is the oracle's question.
+    let read = catch_unwind(AssertUnwindSafe(|| unsafe { *got.deref().data() }));
+    reader.end_op();
+    // SAFETY: [INV-12] test-controlled: `m` was published only in `other`, which nothing reads any more.
+    unsafe { m.drop_owned() };
+    match read {
+        Ok(v) => {
+            assert_eq!(v, 7);
+            None
+        }
+        Err(panic) => Some(panic.downcast_ref::<String>().expect("oracle panics carry a String").clone()),
+    }
+}
+
+/// Requires the deref to panic with the ledger's diagnosis, naming the
+/// scheme and the replay seed.
+fn assert_unprotected<S: Smr>(then: Then) {
+    let msg = reader_derefs_a_retired_node::<S>(then).expect("the deref must trip the oracle");
+    assert!(msg.contains("unprotected dereference"), "wrong diagnosis: {msg}");
+    assert!(msg.contains(&format!("scheme={}", S::name())), "missing scheme attribution: {msg}");
+    assert!(msg.contains(&format!("MP_CHECK_SEED={SEED:#x}")), "missing replay line: {msg}");
+}
+
+/// Requires the deref to pass silently.
+fn assert_protected<S: Smr>(then: Then) {
+    if let Some(msg) = reader_derefs_a_retired_node::<S>(then) {
+        panic!("{}: a protected deref tripped the oracle: {msg}", S::name());
+    }
+}
+
+#[test]
+fn hp_deref_after_unprotect_trips_the_ledger() {
+    assert_unprotected::<Hp>(Then::Unprotect);
+}
+
+#[test]
+fn hp_deref_under_a_standing_hazard_is_silent() {
+    assert_protected::<Hp>(Then::Keep);
+}
+
+#[test]
+fn hp_deref_after_its_refno_was_read_again_trips_the_ledger() {
+    assert_unprotected::<Hp>(Then::ReadThrough(0));
+}
+
+#[test]
+fn hp_deref_after_another_refno_was_read_is_silent() {
+    assert_protected::<Hp>(Then::ReadThrough(1));
+}
+
+#[test]
+fn mp_fallback_deref_after_its_refno_was_read_again_trips_the_ledger() {
+    assert_unprotected::<Mp>(Then::ReadThrough(0));
+}
+
+#[test]
+fn mp_fallback_deref_after_another_refno_was_read_is_silent() {
+    assert_protected::<Mp>(Then::ReadThrough(1));
+}
+
+#[test]
+fn hp_deref_in_the_next_operation_trips_the_ledger() {
+    assert_unprotected::<Hp>(Then::NextOp);
+}
+
+/// HE's era stands until its refno is read again or released, across
+/// operations; HP's hazard ends with the operation.
+#[test]
+fn he_deref_in_the_next_operation_is_silent() {
+    assert_protected::<He>(Then::NextOp);
 }
