@@ -409,10 +409,11 @@ fn table1(sweep: &mut Sweep) -> Tables {
 
 /// Words of SMR metadata `scheme` puts in each node, read off the
 /// allocator: the pool block a payload-less, tail-less node holds once
-/// retired. Every node has the one-word header (index, shape, client
-/// flag); HE, IBR, MP and DTA add the birth word their scans judge. The
-/// paper's retire epoch is in no node: it is known only once a node is
-/// retired, so it lives in the retired-list record while the node is
+/// retired. Every node has the one-word header (48-bit stamp, shape,
+/// client flag), whose stamp holds the birth epoch under HE, IBR and DTA
+/// and the index otherwise; only MP, which reads both, adds a birth word.
+/// The paper's retire epoch is in no node: it is known only once a node
+/// is retired, so it lives in the retired-list record while the node is
 /// pending.
 fn header_words(scheme: SchemeKind) -> usize {
     use mp_smr::{Smr, SmrHandle};
@@ -670,15 +671,16 @@ mod tests {
         assert!(err.contains("fig8") && err.contains("fig7c, table1"), "{err}");
     }
 
-    /// Table 1's `hdr-words`: the one-word header for every scheme, plus
-    /// a birth word for the schemes whose scans judge a node's lifetime.
+    /// Table 1's `hdr-words`: the one-word header for every scheme (plus
+    /// the oracle's canary in an armed build), and a birth word for MP
+    /// alone, the one scheme that reads both an index and a birth. HE, IBR
+    /// and DTA keep their birth in the header's stamp.
     #[test]
     fn a_node_carries_a_birth_word_only_where_its_scheme_reads_one() {
-        let bare = header_words(Hp);
-        assert_eq!(bare, size_of::<mp_smr::node::Header>() / size_of::<u64>());
+        let bare = size_of::<mp_smr::node::Header>() / size_of::<u64>();
         for scheme in SchemeKind::ALL {
-            let birth = matches!(scheme, He | Ibr | Mp | Dta);
-            assert_eq!(header_words(scheme), bare + usize::from(birth), "{}", scheme.name());
+            let birth_word = scheme == Mp;
+            assert_eq!(header_words(scheme), bare + usize::from(birth_word), "{}", scheme.name());
         }
     }
 }

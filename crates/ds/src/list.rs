@@ -18,6 +18,11 @@
 //! [`HashMap`](crate::HashMap) runs this same code: a table is one head
 //! link per bucket, every chain ending at one shared tail.
 //!
+//! A node is the one-word SMR header, the key and the `next` link: 24
+//! bytes under every scheme but MP, whose nodes alone add a birth word
+//! (32 bytes), because MP reads both an index and a birth and the header's
+//! stamp holds one of the two.
+//!
 //! The MP integration (Listing 7) is the two bolded lines: during `seek`,
 //! passing a node with a smaller key updates the search interval's lower
 //! endpoint; the stopping node updates the upper endpoint. `insert` then

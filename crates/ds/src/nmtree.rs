@@ -41,8 +41,9 @@
 //! Descent prefetch: at each internal node, as soon as its two child edges
 //! are loaded and before its key is compared, `seek` prefetches both
 //! children ([`Shared::prefetch`]: the block start and the line of link
-//! `RIGHT`, since a 40-byte internal node — MP's or HE's, with its birth
-//! word — can straddle a cache line; HP's 32-byte one never does). Left
+//! `RIGHT`, since a 40-byte internal node — MP's, with its birth word —
+//! can straddle a cache line; the 32-byte one of every other scheme never
+//! does). Left
 //! or right is a coin flip the branch predictor often loses, and without
 //! the hint the next miss starts only once the key has arrived and the
 //! branch has resolved. A prefetch reads nothing, so it needs no
@@ -52,8 +53,9 @@
 //! *internal* node are its tail ([`SmrHandle::alloc_with_tail`] with two
 //! links, `tail()[LEFT]` and `tail()[RIGHT]`), in the same block right
 //! after the payload. A *leaf* is allocated with no tail, so half the
-//! tree's nodes carry no child words at all: under HP 16 bytes a leaf, 32
-//! an internal node (24 and 40 under a scheme that stamps births). "Is
+//! tree's nodes carry no child words at all: 16 bytes a leaf, 32 an
+//! internal node (24 and 40 under MP, whose nodes alone add a birth word;
+//! HE, IBR and DTA keep their birth in the header's stamp). "Is
 //! this a leaf" is therefore "is its tail empty" — a
 //! fact fixed at allocation — and the descent ends on the node that answers
 //! yes, without reading a child edge of it.

@@ -11,12 +11,12 @@
 //!
 //! A node carries exactly as many forward pointers as its tower is tall:
 //! they are the node's *tail* ([`SmrHandle::alloc_with_tail`]), allocated
-//! in the same block right after the payload, so under HP a one-level node
+//! in the same block right after the payload, so a one-level node
 //! is 24 bytes, a two-level one 32, and only a full-height one 96. Towers
 //! are drawn at p = 1/4 (Pugh's choice, as in LevelDB and Redis), so a node
-//! carries 4/3 links on average and the expected node is 26.7 bytes; a
-//! scheme that stamps births (MP, HE, IBR, DTA) adds its one word to each,
-//! 34.7 bytes.
+//! carries 4/3 links on average and the expected node is 26.7 bytes, under
+//! HE, IBR and DTA too, which keep their birth in the header's stamp; MP,
+//! which reads an index as well, adds a birth word to each, 34.7 bytes.
 //! The sentinels are the same type with a tail of [`MAX_HEIGHT`].
 //!
 //! MP integration (§5.2): searches update the MP search interval exactly as

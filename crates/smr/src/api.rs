@@ -341,7 +341,7 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     ///
     /// Node memory is served from the slab pool ([`mp_util::pool`]), in the
     /// 8-byte size class of header + payload + tail (+ the birth word, for
-    /// the schemes that stamp one) — for a node, which is
+    /// MP, the one scheme that keeps one) — for a node, which is
     /// a whole number of words, exactly its size: steady-state churn —
     /// alloc, retire, reclaim, alloc again — recycles blocks through the
     /// thread's magazines and performs no heap allocations;

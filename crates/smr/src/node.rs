@@ -1,17 +1,19 @@
 //! Node allocation: the per-node SMR header and type-erased reclamation.
 //!
 //! Every node managed by an SMR scheme is allocated as an [`SmrNode<T>`]:
-//! a one-word [`Header`] (32-bit index, 16-bit shape, 16-bit client flag)
+//! a one-word [`Header`] (48-bit stamp, 8-bit shape, 8-bit client flag)
 //! followed by the client payload, then by the node's *tail*: an array of
 //! [`Atomic<T>`] links whose length is chosen at allocation time (a
 //! skip-list tower, an internal tree node's two child edges; empty for a
-//! list node and a tree leaf), and last, for the schemes that judge a
-//! retired node by its lifetime (HE, IBR, MP, DTA), by the node's *birth
-//! word*. A node carries only the words its scheme reads (the paper's
-//! Table 1): HP, EBR and Leaky nodes have no birth word, and no node holds
-//! a retire epoch — that is known only once the node is retired, and lives
-//! in the retired-list record for exactly that long. The header's shape
-//! records the tail length and whether the birth word is there, and every
+//! list node and a tree leaf). A node carries only the words its scheme
+//! reads (the paper's Table 1). The stamp holds the one thing the scheme
+//! reads of a node: the index (HP, EBR and Leaky read neither, and keep
+//! the index there too) or, under the schemes that judge a retired node by
+//! its lifetime and read no index (HE, IBR, DTA), the birth epoch. MP reads
+//! both, so its nodes alone end in a *birth word* after the tail. No node
+//! holds a retire epoch — that is known only once the node is retired, and
+//! lives in the retired-list record for exactly that long. The header's
+//! shape records the tail length and where the birth lives, and every
 //! layout the block is handled under is derived from it ([INV-15]), so one
 //! allocation and one free path serve every node. Retired nodes are stored
 //! type-erased (the crate-private `Retired` record, which carries the
@@ -19,7 +21,7 @@
 //! client type.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use crate::packed::Atomic;
 use crate::telemetry::{Counter, HandleTelemetry};
@@ -45,32 +47,63 @@ pub fn is_use_hp_class(index: u32) -> bool {
     index >= USE_HP_CLASS_START
 }
 
-/// Top bit of [`Header`]'s shape: the block ends in a birth word.
-const BIRTH_WORD: u16 = 1 << 15;
+/// Low six bits of [`Header`]'s shape: the tail length.
+const TAIL_BITS: u8 = (1 << 6) - 1;
 
-/// The longest tail a header's shape can record.
-pub const MAX_TAIL_LEN: usize = (BIRTH_WORD - 1) as usize;
+/// The longest tail a header's shape can record: 63 links (the skip list
+/// needs 10, the NM-tree 2). A longer tail is refused at allocation, with
+/// a panic, never clamped: a wrapped length would free the block in the
+/// wrong size class.
+pub const MAX_TAIL_LEN: usize = TAIL_BITS as usize;
+
+/// The largest birth a header's 48-bit stamp holds. A later birth is
+/// clamped to it: a stored birth is then never later than the true one, so
+/// a clamped node is only ever protected longer, never freed early.
+pub const STAMP_MAX: u64 = (1 << 48) - 1;
+
+/// Where a node keeps its birth epoch: a fixed property of its scheme
+/// (`Scheme::BIRTH`), recorded in the top two bits of the node's shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum BirthAt {
+    /// Nowhere: the scheme judges no lifetime (HP, EBR, Leaky). The stamp
+    /// holds the index.
+    Nowhere = 0,
+    /// In the header's stamp, clamped to [`STAMP_MAX`]: the scheme judges a
+    /// lifetime and reads no index (HE, IBR, DTA).
+    Stamp = 1 << 6,
+    /// In a word after the tail: the scheme reads both (MP), and a 32-bit
+    /// index and a birth do not fit beside the shape in one word.
+    Word = 1 << 7,
+}
 
 /// The per-node SMR header: one word, whatever the scheme (paper Listing
-/// 10's added `Node` fields, less the birth epoch — a word after the tail,
-/// present only where the scheme reads it — and the retire epoch, which is
-/// `Retired::retire`, held only while the node is pending).
+/// 10's added `Node` fields, less the retire epoch, which is
+/// `Retired::retire`, held only while the node is pending). A 48-bit
+/// *stamp* holds what the scheme reads of a node: its index (MP, and the
+/// schemes that read neither), or its birth epoch (HE, IBR, DTA). MP, which
+/// reads both, keeps its birth in a word after the tail.
 ///
 /// Its fields are this module's alone (the linter's forbidden-API pass
-/// denies `.header.<field>` anywhere else): the shape decides whether the
-/// birth word exists, so only the code that reads the shape may read it.
+/// denies `.header.<field>` anywhere else): the shape decides what the
+/// stamp holds and whether the birth word exists, so only the code that
+/// reads the shape may read them.
 #[repr(C, align(8))]
 #[derive(Debug)]
 pub struct Header {
-    /// The node's immutable 32-bit MP index.
-    index: u32,
-    /// The tail length in the low 15 bits, [`BIRTH_WORD`] on top: what the
-    /// block's layout is derived from ([INV-15]). Written once by the
-    /// allocation, immutable afterwards.
-    shape: u16,
+    /// The stamp's low 32 bits: the whole index, or the birth's low half.
+    stamp_lo: u32,
+    /// The stamp's high 16 bits: 0 under an index, the birth's bits 32–47
+    /// otherwise.
+    stamp_hi: u16,
+    /// The tail length in the low six bits ([`TAIL_BITS`]), a [`BirthAt`]
+    /// on top: what the block's layout is derived from and what the stamp
+    /// holds ([INV-15]). Written once by the allocation, immutable
+    /// afterwards.
+    shape: u8,
     /// The client flag: 0 at birth, raised once by
     /// [`SmrNode::raise_flag`], never lowered.
-    flag: AtomicU16,
+    flag: AtomicU8,
     /// Oracle canary: [`crate::oracle::CANARY_ALIVE`] while the node is
     /// live, [`crate::oracle::CANARY_RETIRED`] once retired, the poison
     /// value once reclaimed; validated by every `Shared::deref`. Atomic,
@@ -84,12 +117,33 @@ pub struct Header {
 impl Header {
     #[inline]
     fn tail_len(&self) -> usize {
-        usize::from(self.shape & !BIRTH_WORD)
+        usize::from(self.shape & TAIL_BITS)
     }
 
     #[inline]
-    fn has_birth(&self) -> bool {
-        self.shape & BIRTH_WORD != 0
+    fn birth_at(&self) -> BirthAt {
+        const STAMP: u8 = BirthAt::Stamp as u8;
+        match self.shape & !TAIL_BITS {
+            0 => BirthAt::Nowhere,
+            STAMP => BirthAt::Stamp,
+            _ => BirthAt::Word,
+        }
+    }
+
+    /// The index, or 0 when the stamp holds a birth, so a packed pointer
+    /// never carries birth bits.
+    #[inline]
+    fn index(&self) -> u32 {
+        if self.birth_at() == BirthAt::Stamp {
+            0
+        } else {
+            self.stamp_lo
+        }
+    }
+
+    #[inline]
+    fn stamp(&self) -> u64 {
+        u64::from(self.stamp_lo) | u64::from(self.stamp_hi) << 32
     }
 }
 
@@ -135,10 +189,11 @@ impl<T> SmrNode<T> {
         &self.data
     }
 
-    /// The node's immutable MP index.
+    /// The node's immutable MP index; 0 under a scheme whose stamp holds
+    /// the birth instead (HE, IBR, DTA), which reads no index.
     #[inline]
     pub fn index(&self) -> u32 {
-        self.header.index
+        self.header.index()
     }
 
     /// Raises the node's client flag and returns whether it was already
@@ -169,12 +224,12 @@ pub mod gauge {
 }
 
 /// The block behind a node with payload `T`, `tail_len` links and, if
-/// `birth`, a birth word: its layout, and the birth word's offset (0 when
-/// there is none). The tail starts at `size_of::<SmrNode<T>>()`; the birth
+/// `birth_word`, a birth word: its layout, and the birth word's offset (0
+/// when there is none). The tail starts at `size_of::<SmrNode<T>>()`; the birth
 /// word follows it, so a prefetch or a tail index computes the same
 /// addresses with or without one.
 #[inline]
-fn block<T>(tail_len: usize, birth: bool) -> (Layout, usize) {
+fn block<T>(tail_len: usize, birth_word: bool) -> (Layout, usize) {
     // The tail's element type is fixed by the node type, so this pins
     // `Atomic`'s representation rather than a caller's choice: a wider
     // (more aligned) link would not start where `tail` looks for it, and
@@ -186,7 +241,7 @@ fn block<T>(tail_len: usize, birth: bool) -> (Layout, usize) {
     let tail = Layout::array::<Atomic<T>>(tail_len).expect("tail size overflows");
     let (mut layout, _) = Layout::new::<SmrNode<T>>().extend(tail).expect("node size overflows");
     let mut birth_at = 0;
-    if birth {
+    if birth_word {
         (layout, birth_at) = layout.extend(Layout::new::<u64>()).expect("node size overflows");
     }
     (layout.pad_to_align(), birth_at)
@@ -204,7 +259,7 @@ unsafe fn block_of<T>(ptr: *const SmrNode<T>) -> (Layout, usize) {
     // SAFETY: [INV-15] the header is at offset 0 and was written by the
     // allocation, whose shape the block was sized from.
     let header = unsafe { &(*ptr).header };
-    block::<T>(header.tail_len(), header.has_birth())
+    block::<T>(header.tail_len(), header.birth_at() == BirthAt::Word)
 }
 
 /// The tail of the node at `ptr`: the links its allocation placed after
@@ -227,31 +282,38 @@ pub(crate) unsafe fn tail<'a, T>(ptr: *mut SmrNode<T>) -> &'a [Atomic<T>] {
     }
 }
 
-/// The birth word of the node at `ptr`, or `None` if its scheme allocated
-/// none.
+/// The birth epoch of the node at `ptr`, read from where its shape says
+/// it lives — the stamp (clamped to [`STAMP_MAX`]) or the birth word — or
+/// `None` if its scheme stamps none.
 ///
 /// # Safety
 /// Same as [`tail`].
 // SAFETY: [INV-11] obligation stated in `# Safety` above; `Shared::birth`
 // forwards its own protection contract.
 pub(crate) unsafe fn birth<T>(ptr: *const SmrNode<T>) -> Option<u64> {
-    // SAFETY: [INV-15] the shape says whether the block ends in a birth
-    // word; if it does, `block` places it where the allocation wrote it,
-    // inside the block and 8-aligned, and it is immutable from then on.
+    // SAFETY: [INV-15] the shape says where the birth lives; a birth word,
+    // if there is one, is where `block` places it, which is where the
+    // allocation wrote it, inside the block and 8-aligned; header and word
+    // are immutable from then on.
     unsafe {
-        let (_, at) = block_of(ptr);
-        (*ptr).header.has_birth().then(|| ptr.cast::<u8>().add(at).cast::<u64>().read())
+        let header = &(*ptr).header;
+        match header.birth_at() {
+            BirthAt::Nowhere => None,
+            BirthAt::Stamp => Some(header.stamp()),
+            BirthAt::Word => Some(ptr.cast::<u8>().add(block_of(ptr).1).cast::<u64>().read()),
+        }
     }
 }
 
-/// Allocates a tail-less node with the given payload, index, and birth
-/// word (none if `birth` is `None`).
+/// Allocates a tail-less node with the given payload whose birth lives
+/// `at`: `index` is kept unless the stamp holds the birth, `birth` unless
+/// it lives nowhere.
 ///
 /// The block comes from the slab pool (`mp_util::pool`): a recycled block
 /// of the node's size class when the thread's magazine or a chunk holds
 /// one, a fresh carve otherwise.
-pub(crate) fn alloc_node<T>(data: T, index: u32, birth: Option<u64>) -> *mut SmrNode<T> {
-    alloc_node_tracked(data, index, birth, 0).0
+pub(crate) fn alloc_node<T>(data: T, at: BirthAt, index: u32, birth: u64) -> *mut SmrNode<T> {
+    alloc_node_tracked(data, at, index, birth, 0).0
 }
 
 /// Node allocation plus per-handle telemetry: counts the pool hit/miss
@@ -259,25 +321,28 @@ pub(crate) fn alloc_node<T>(data: T, index: u32, birth: Option<u64>) -> *mut Smr
 /// routes here.
 pub(crate) fn alloc_node_in<T>(
     data: T,
+    at: BirthAt,
     index: u32,
-    birth: Option<u64>,
+    birth: u64,
     tail_len: usize,
     tele: &mut HandleTelemetry,
 ) -> *mut SmrNode<T> {
-    let (ptr, from_pool) = alloc_node_tracked(data, index, birth, tail_len);
+    let (ptr, from_pool) = alloc_node_tracked(data, at, index, birth, tail_len);
     tele.bump(if from_pool { Counter::PoolHits } else { Counter::PoolMisses });
     ptr
 }
 
 fn alloc_node_tracked<T>(
     data: T,
+    at: BirthAt,
     index: u32,
-    birth: Option<u64>,
+    birth: u64,
     tail_len: usize,
 ) -> (*mut SmrNode<T>, bool) {
-    assert!(tail_len <= MAX_TAIL_LEN, "tail length must fit the header's 15-bit field");
-    let shape = tail_len as u16 | if birth.is_some() { BIRTH_WORD } else { 0 };
-    let (layout, birth_at) = block::<T>(tail_len, birth.is_some());
+    assert!(tail_len <= MAX_TAIL_LEN, "tail length must fit the header's 6-bit field");
+    let shape = tail_len as u8 | at as u8;
+    let stamp = if at == BirthAt::Stamp { birth.min(STAMP_MAX) } else { u64::from(index) };
+    let (layout, birth_at) = block::<T>(tail_len, at == BirthAt::Word);
     gauge::LIVE.fetch_add(1, Ordering::AcqRel);
     let (raw, from_pool) = mp_util::pool::alloc(layout);
     let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly this node's layout.
@@ -290,9 +355,10 @@ fn alloc_node_tracked<T>(
     unsafe {
         ptr.write(SmrNode {
             header: Header {
-                index,
+                stamp_lo: stamp as u32,
+                stamp_hi: (stamp >> 32) as u16,
                 shape,
-                flag: AtomicU16::new(0),
+                flag: AtomicU8::new(0),
                 #[cfg(feature = "oracle")]
                 canary: core::sync::atomic::AtomicU64::new(crate::oracle::CANARY_ALIVE),
             },
@@ -302,12 +368,14 @@ fn alloc_node_tracked<T>(
         for i in 0..tail_len {
             links.add(i).write(Atomic::null());
         }
-        if let Some(birth) = birth {
+        if at == BirthAt::Word {
             raw.add(birth_at).cast::<u64>().write(birth);
         }
     }
     #[cfg(feature = "oracle")]
-    crate::oracle::on_alloc(ptr as u64, birth.unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
+    // SAFETY: [INV-15] the node was just initialized above and is still
+    // exclusively owned; its birth is read back as every later reader sees it.
+    crate::oracle::on_alloc(ptr as u64, unsafe { self::birth(ptr) }.unwrap_or(0)); // CAST-OK: shadow-table key; oracle tracks addresses as u64.
     (ptr, from_pool)
 }
 
@@ -400,12 +468,13 @@ unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Allocates an SMR node outside any handle (index 0, birth word 0). For
-/// scheme-internal machinery only — e.g. the replacement copies DTA's
-/// freezer splices into a list, whose birth its next freeze reads;
-/// ordinary clients allocate through [`crate::SmrHandle::alloc`].
+/// Allocates an SMR node outside any handle, stamped with birth 0 the way
+/// DTA stamps its own. For scheme-internal machinery only — e.g. the
+/// replacement copies DTA's freezer splices into a list, whose birth its
+/// next freeze reads; ordinary clients allocate through
+/// [`crate::SmrHandle::alloc`].
 pub fn alloc_bare<T>(data: T) -> *mut SmrNode<T> {
-    alloc_node(data, 0, Some(0))
+    alloc_node(data, BirthAt::Stamp, 0, 0)
 }
 
 /// Monomorphized eraser stored in [`Retired::drop_fn`].
@@ -425,8 +494,9 @@ unsafe fn dealloc_erased<T>(ptr: *mut Header) {
 /// A type-erased retired node, buffered until reclamation is safe.
 pub(crate) struct Retired {
     pub(crate) ptr: *mut Header,
-    /// The node's birth word; 0 for a node allocated without one (the
-    /// schemes whose scans read this field always allocate one).
+    /// The node's birth, wherever its shape keeps it; 0 for a node whose
+    /// scheme stamps none (the schemes whose scans read this field always
+    /// stamp one).
     pub(crate) birth: u64,
     pub(crate) retire: u64,
     /// Start stamp of the *operation* that unlinked and retired the node.
@@ -460,7 +530,7 @@ impl Retired {
         // SAFETY: [INV-04] the node is removed, so the retiring thread may
         // read it; [INV-15] its header and birth word are immutable.
         let (layout, birth, index) =
-            unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0), (*ptr).header.index) };
+            unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0), (*ptr).header.index()) };
         let header = ptr as *mut Header; // CAST-OK: [INV-09] header-at-offset-0 pun.
         #[cfg(feature = "oracle")]
         {
@@ -512,14 +582,14 @@ mod tests {
 
     #[test]
     fn header_is_at_offset_zero() {
-        let node = alloc_node(0u128, 9, Some(4));
+        let node = alloc_node(0u128, BirthAt::Word, 9, 4);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(node as usize, unsafe { &(*node).header } as *const _ as usize);
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
     }
 
     /// Zero-cost-when-off witness: without the oracle feature the header
-    /// is index, shape and client flag, one word exactly — an oracle field
+    /// is stamp, shape and client flag, one word exactly — an oracle field
     /// leaking onto the hot path, or a per-node field nothing reads, fails
     /// this at test time.
     #[cfg(not(feature = "oracle"))]
@@ -534,7 +604,7 @@ mod tests {
     #[test]
     fn header_gains_exactly_one_canary_word_under_the_oracle() {
         assert_eq!(core::mem::size_of::<Header>(), 16);
-        let node = alloc_node(7u32, 0, None);
+        let node = alloc_node(7u32, BirthAt::Nowhere, 0, 0);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(unsafe { (*node).header.canary.load(Ordering::Relaxed) }, crate::oracle::CANARY_ALIVE);
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
@@ -545,8 +615,8 @@ mod tests {
         // Tests run in parallel, so only lower bounds are reliable here; the
         // exact end-to-end leak check lives in the `leak_check` integration
         // test, which runs alone in its own process.
-        let a = alloc_node(vec![1u8, 2, 3], 1, None);
-        let b = alloc_node("hello".to_string(), 2, Some(0));
+        let a = alloc_node(vec![1u8, 2, 3], BirthAt::Nowhere, 1, 0);
+        let b = alloc_node("hello".to_string(), BirthAt::Word, 2, 0);
         assert!(gauge::live_nodes() >= 2, "our two live nodes must be counted");
         // SAFETY: [INV-12] both nodes are unpublished and test-owned.
         unsafe {
@@ -557,7 +627,8 @@ mod tests {
 
     /// Through type erasure a node is freed as what it was allocated as —
     /// payload dropped once, block and gauge returned — whether or not it
-    /// carries a tail or a birth word the erased `T` knows nothing about.
+    /// carries a tail or a birth word the erased `T` knows nothing about,
+    /// and its record keeps what the stamp holds: the index, or the birth.
     #[test]
     fn retired_reclaims_through_type_erasure() {
         struct DropFlag(std::sync::Arc<AtomicUsize>);
@@ -566,42 +637,48 @@ mod tests {
                 self.0.fetch_add(1, Ordering::AcqRel);
             }
         }
-        for (tail_len, birth) in [(0, Some(3)), (5, Some(3)), (0, None), (5, None)] {
-            let flag = std::sync::Arc::new(AtomicUsize::new(0));
-            let node = alloc_node_tracked(DropFlag(flag.clone()), 11, birth, tail_len).0;
-            let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
-            assert_eq!(retired.birth, birth.unwrap_or(0));
-            assert_eq!(retired.retire, 8);
-            assert_eq!(retired.index, 11);
-            let block = mp_util::pool::block_size(block::<DropFlag>(tail_len, birth.is_some()).0);
-            assert_eq!(retired.bytes as usize, block);
-            unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
-            assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
+        for tail_len in [0, 5] {
+            for (at, birth, index) in
+                [(BirthAt::Word, 3, 11), (BirthAt::Stamp, 3, 0), (BirthAt::Nowhere, 0, 11)]
+            {
+                let flag = std::sync::Arc::new(AtomicUsize::new(0));
+                let node = alloc_node_tracked(DropFlag(flag.clone()), at, 11, 3, tail_len).0;
+                let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
+                assert_eq!((retired.birth, retired.index), (birth, index), "{at:?}");
+                assert_eq!(retired.retire, 8);
+                let block = block::<DropFlag>(tail_len, at == BirthAt::Word).0;
+                assert_eq!(retired.bytes as usize, mp_util::pool::block_size(block));
+                unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+                assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
+            }
         }
     }
 
     /// A retired node is counted as the block it holds — its size in the
     /// pool's word-sized classes, which for a node (a whole number of words)
-    /// is its own size: 16 bytes for a header and a `u64`, 24 with a birth
-    /// word (one more each with the oracle's canary). A tail counts in
-    /// full, and so does the birth word.
+    /// is its own size: 16 bytes for a header and a `u64`, whether or not
+    /// the stamp holds a birth, 24 with a birth word (one more each with
+    /// the oracle's canary). A tail counts in full, and so does the birth
+    /// word.
     #[test]
     fn retired_bytes_are_the_block_held() {
-        fn node_and_retired_bytes<T: Default>(tail_len: usize, birth: bool) -> (usize, usize) {
-            let node = alloc_node_tracked(T::default(), 0, birth.then_some(1), tail_len).0;
+        fn node_and_retired_bytes<T: Default>(tail_len: usize, at: BirthAt) -> (usize, usize) {
+            let node = alloc_node_tracked(T::default(), at, 0, 1, tail_len).0;
             let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
             let bytes = retired.bytes() as usize;
             unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
-            let words = tail_len + usize::from(birth);
+            let words = tail_len + usize::from(at == BirthAt::Word);
             (size_of::<SmrNode<T>>() + words * size_of::<Atomic<T>>(), bytes)
         }
         let sizes = [
-            node_and_retired_bytes::<u64>(0, false),
-            node_and_retired_bytes::<[u64; 2]>(0, false),
-            node_and_retired_bytes::<u64>(1, false),
-            node_and_retired_bytes::<u64>(20, false),
-            node_and_retired_bytes::<u64>(0, true),
-            node_and_retired_bytes::<u64>(20, true),
+            node_and_retired_bytes::<u64>(0, BirthAt::Nowhere),
+            node_and_retired_bytes::<[u64; 2]>(0, BirthAt::Nowhere),
+            node_and_retired_bytes::<u64>(1, BirthAt::Nowhere),
+            node_and_retired_bytes::<u64>(20, BirthAt::Nowhere),
+            node_and_retired_bytes::<u64>(0, BirthAt::Word),
+            node_and_retired_bytes::<u64>(20, BirthAt::Word),
+            node_and_retired_bytes::<u64>(0, BirthAt::Stamp),
+            node_and_retired_bytes::<u64>(20, BirthAt::Stamp),
         ];
         for (node, bytes) in sizes {
             assert_eq!(bytes, node.next_multiple_of(mp_util::pool::CLASS_GRANULE));
@@ -610,6 +687,7 @@ mod tests {
         assert_eq!(sizes[3].0 - sizes[0].0, 160, "twenty links are twenty words");
         assert_eq!(sizes[4].0 - sizes[0].0, 8, "a birth word is one word");
         assert_eq!(sizes[5].0 - sizes[3].0, 8, "with a tail too");
+        assert_eq!((sizes[6], sizes[7]), (sizes[0], sizes[3]), "a stamped birth costs nothing");
     }
 
     /// The tail starts where the accessor says for any payload alignment,
@@ -620,8 +698,8 @@ mod tests {
         #[repr(align(16))]
         #[derive(Default)]
         struct Wide(#[allow(dead_code)] u8);
-        fn check<T: Default>(tail_len: usize, birth: Option<u64>) {
-            let node = alloc_node_tracked(T::default(), 0, birth, tail_len).0;
+        fn check<T: Default>(tail_len: usize, at: BirthAt) {
+            let node = alloc_node_tracked(T::default(), at, 0, 5, tail_len).0;
             // SAFETY: [INV-12] node is live and owned by this test thread.
             let links = unsafe { tail(node) };
             assert_eq!(links.len(), tail_len);
@@ -629,37 +707,44 @@ mod tests {
             assert_eq!(links.as_ptr() as usize, node as usize + size_of::<SmrNode<T>>());
             unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
         }
-        for birth in [None, Some(5)] {
-            check::<u8>(0, birth);
-            check::<u8>(3, birth);
-            check::<Wide>(3, birth);
+        for at in [BirthAt::Nowhere, BirthAt::Stamp, BirthAt::Word] {
+            check::<u8>(0, at);
+            check::<u8>(3, at);
+            check::<Wide>(3, at);
+            check::<u8>(MAX_TAIL_LEN, at);
         }
-        check::<u8>(MAX_TAIL_LEN, None);
-        let too_long = std::panic::catch_unwind(|| alloc_node_tracked(0u8, 0, None, 1 << 15));
+        let too_long = || alloc_node_tracked(0u8, BirthAt::Word, 0, 0, MAX_TAIL_LEN + 1);
+        let too_long = std::panic::catch_unwind(too_long);
         assert!(too_long.is_err(), "a wrapped length would free the block in the wrong class");
     }
 
-    /// The birth word reads back as written, for any payload alignment and
-    /// tail, whatever the tail links hold; a node allocated without one
-    /// reports none.
+    /// The birth reads back as written, for any payload alignment and tail,
+    /// whatever the tail links hold, from a birth word or from the stamp; a
+    /// node whose scheme stamps none reports none, and the index is 0 only
+    /// where the stamp holds the birth.
     #[test]
     fn birth_word_sits_past_the_tail() {
         #[repr(align(16))]
         #[derive(Default)]
         struct Wide(#[allow(dead_code)] u8);
         fn check<T: Default>(tail_len: usize) {
-            let node = alloc_node_tracked(T::default(), 0, Some(u64::MAX - 7), tail_len).0;
-            // SAFETY: [INV-12] node is live and owned by this test thread.
-            for link in unsafe { tail(node) } {
-                link.store(crate::Shared::from_word(u64::MAX), Ordering::Relaxed);
+            let born = STAMP_MAX - 7;
+            let cases = [
+                (BirthAt::Word, Some(born), 9),
+                (BirthAt::Stamp, Some(born), 0),
+                (BirthAt::Nowhere, None, 9),
+            ];
+            for (at, birth_read, index) in cases {
+                let node = alloc_node_tracked(T::default(), at, 9, born, tail_len).0;
+                // SAFETY: [INV-12] node is live and owned by this test thread.
+                for link in unsafe { tail(node) } {
+                    link.store(crate::Shared::from_word(u64::MAX), Ordering::Relaxed);
+                }
+                // SAFETY: [INV-12] as above.
+                let (got, got_index) = unsafe { (birth(node), (*node).index()) };
+                assert_eq!((got, got_index), (birth_read, index), "{at:?}, tail {tail_len}");
+                unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
             }
-            // SAFETY: [INV-12] as above.
-            assert_eq!(unsafe { birth(node) }, Some(u64::MAX - 7), "tail {tail_len}");
-            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
-            let bare = alloc_node_tracked(T::default(), 0, None, tail_len).0;
-            // SAFETY: [INV-12] node is live and owned by this test thread.
-            assert_eq!(unsafe { birth(bare) }, None);
-            unsafe { dealloc_node(bare) }; // SAFETY: [INV-12] unpublished, test-owned node.
         }
         for tail_len in [0, 1, 7] {
             check::<u8>(tail_len);
@@ -668,11 +753,32 @@ mod tests {
         }
     }
 
+    /// A stamped birth round-trips through `Shared::birth` as
+    /// `min(birth, STAMP_MAX)`: exact up to the clamp, the clamp itself
+    /// above it — never later than the true birth, and never spilling into
+    /// the shape or the flag, so the index still reads 0 and the flag still
+    /// starts lowered.
+    #[test]
+    fn a_stamped_birth_reads_back_clamped_to_48_bits() {
+        for born in [0, STAMP_MAX - 1, STAMP_MAX, STAMP_MAX + 1, u64::MAX - 1] {
+            let node = alloc_node_tracked(0u64, BirthAt::Stamp, 7, born, 2).0;
+            // SAFETY: [INV-12] node is live and owned by this test thread.
+            let shared = unsafe { crate::Shared::from_owned(node) };
+            // SAFETY: [INV-12] as above.
+            let (got, links) = unsafe { (shared.birth(), shared.tail().len()) };
+            assert_eq!(got, Some(born.min(STAMP_MAX)), "birth {born:#x}");
+            assert_eq!((shared.packed_index(), links), (0, 2), "birth {born:#x}");
+            // SAFETY: [INV-12] as above.
+            assert!(!unsafe { &*node }.raise_flag(), "birth {born:#x}");
+            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        }
+    }
+
     /// The client flag: lowered at birth, raised by the first caller, who
     /// alone sees `false`.
     #[test]
     fn the_first_raise_alone_finds_the_flag_lowered() {
-        let node = alloc_node(0u64, 0, None);
+        let node = alloc_node(0u64, BirthAt::Nowhere, 0, 0);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         let node_ref = unsafe { &*node };
         assert!(!node_ref.raise_flag());
@@ -698,20 +804,20 @@ mod tests {
         }
         let drops = std::sync::Arc::new(AtomicUsize::new(0));
 
-        let a = alloc_node(DropFlag(drops.clone()), 1, None);
+        let a = alloc_node(DropFlag(drops.clone()), BirthAt::Nowhere, 1, 0);
         let a_addr = a as usize;
         unsafe { dealloc_node(a) }; // SAFETY: [INV-12] unpublished, test-owned node.
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
         let mut tele = HandleTelemetry::new();
-        let b = alloc_node_in(DropFlag(drops.clone()), 2, None, 0, &mut tele);
+        let b = alloc_node_in(DropFlag(drops.clone()), BirthAt::Nowhere, 2, 0, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
         assert_eq!(tele.counter(Counter::PoolHits), 1);
         assert_eq!(tele.counter(Counter::PoolMisses), 0);
         assert_eq!(drops.load(Ordering::Acquire), 1, "recycling must not run drop glue");
         // SAFETY: [INV-12] `b` is live and owned by this test thread.
-        assert_eq!(unsafe { (*b).header.index }, 2, "header fully re-initialized");
+        assert_eq!(unsafe { (*b).header.index() }, 2, "header fully re-initialized");
 
         unsafe { dealloc_node(b) }; // SAFETY: [INV-12] unpublished, test-owned node.
         assert_eq!(drops.load(Ordering::Acquire), 2, "each payload dropped exactly once");

@@ -90,7 +90,9 @@ impl<T> Shared<T> {
         self.word
     }
 
-    /// Packs a freshly allocated node, reading its index from the header.
+    /// Packs a freshly allocated node, reading its index from the header:
+    /// 0 for a node whose header stamps a birth instead (HE, IBR, DTA), so
+    /// the packed word never carries birth bits.
     ///
     /// # Safety
     /// `ptr` must point to a live `SmrNode<T>` (typically just allocated and
@@ -208,9 +210,14 @@ impl<T> Shared<T> {
         unsafe { crate::node::tail(self.as_raw()) }
     }
 
-    /// The node's birth epoch, if its scheme stamps one: HE, IBR, MP and DTA
-    /// do, HP, EBR and Leaky allocate no birth word (DESIGN.md, "the tailed
-    /// layout").
+    /// The node's birth epoch, if its scheme stamps one: HE, IBR and DTA
+    /// keep it in the header's 48-bit stamp, MP in a word after the tail,
+    /// and HP, EBR and Leaky stamp none (DESIGN.md, "the tailed layout").
+    /// A stamped birth reads back clamped to [`STAMP_MAX`], 2⁴⁸ − 1: never
+    /// later than the true birth, so a clamped node is only ever protected
+    /// longer.
+    ///
+    /// [`STAMP_MAX`]: crate::node::STAMP_MAX
     ///
     /// # Safety
     /// Same contract as [`deref`](Shared::deref).
@@ -401,7 +408,7 @@ impl<T> fmt::Debug for Atomic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::alloc_node;
+    use crate::node::{alloc_node, BirthAt};
 
     #[test]
     fn null_roundtrip() {
@@ -414,7 +421,7 @@ mod tests {
 
     #[test]
     fn pack_preserves_address_and_index() {
-        let ptr = alloc_node(123u64, 0xdead_beef, None);
+        let ptr = alloc_node(123u64, BirthAt::Nowhere, 0xdead_beef, 0);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         assert_eq!(s.as_raw(), ptr);
         assert_eq!(s.packed_index(), 0xdead);
@@ -427,7 +434,7 @@ mod tests {
 
     #[test]
     fn marks_do_not_disturb_address_or_index() {
-        let ptr = alloc_node(7u8, 42 << PRECISION, None);
+        let ptr = alloc_node(7u8, BirthAt::Nowhere, 42 << PRECISION, 0);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         let m = s.with_mark(1);
         assert_eq!(m.mark(), 1);
@@ -462,7 +469,7 @@ mod tests {
         dangling.prefetch(1 << 20);
         dangling.with_mark(1).prefetch(0);
         // A freed block: its address may be recycled or unmapped.
-        let ptr = alloc_node(9u64, 0, None);
+        let ptr = alloc_node(9u64, BirthAt::Nowhere, 0, 0);
         let freed = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
         freed.prefetch(0);
@@ -470,8 +477,8 @@ mod tests {
 
     #[test]
     fn atomic_cas_full_word() {
-        let a = alloc_node(1u32, 5 << PRECISION, None);
-        let b = alloc_node(2u32, 9 << PRECISION, None);
+        let a = alloc_node(1u32, BirthAt::Nowhere, 5 << PRECISION, 0);
+        let b = alloc_node(2u32, BirthAt::Nowhere, 9 << PRECISION, 0);
         let sa = unsafe { Shared::from_owned(a) }; // SAFETY: [INV-12] just allocated.
         let sb = unsafe { Shared::from_owned(b) }; // SAFETY: [INV-12] just allocated.
         let cell = Atomic::new(sa);
@@ -504,7 +511,7 @@ mod tests {
     fn index_bounds_top_of_range_is_use_hp_class() {
         // A node whose index lies in the top 64K maps to packed 0xffff and
         // reconstructs to an upper bound of u32::MAX — the USE_HP class.
-        let ptr = alloc_node((), u32::MAX - 5, None);
+        let ptr = alloc_node((), BirthAt::Nowhere, u32::MAX - 5, 0);
         let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
         let (_, hi) = s.index_bounds();
         assert_eq!(hi, u32::MAX);

@@ -198,6 +198,13 @@ impl EpochClock {
         self.0.load(Ordering::Acquire)
     }
 
+    /// Moves the clock to `epoch`, for tests that need an epoch no run
+    /// reaches.
+    #[cfg(test)]
+    pub(crate) fn set(&self, epoch: u64) {
+        self.0.store(epoch, Ordering::Release);
+    }
+
     /// Advances the clock by one.
     #[inline]
     pub fn advance(&self) -> u64 {

@@ -17,7 +17,7 @@ use mp_util::CachePadded;
 
 use crate::api::Config;
 use crate::error::SmrError;
-use crate::node::Retired;
+use crate::node::{BirthAt, Retired};
 use crate::packed::Shared;
 use crate::registry::Registry;
 use crate::schemes::common::{ScanPolicy, ScanState};
@@ -33,6 +33,10 @@ pub(crate) trait Scheme {
     const PROTECTS_BY_EPOCH: bool = false;
     /// Whether retired nodes are ever scanned (false only for Leaky).
     const RECLAIMS: bool = true;
+    /// Where the scheme's nodes keep their birth epoch: nowhere unless its
+    /// scans judge a node's lifetime, in the header's stamp unless they
+    /// also read its index.
+    const BIRTH: BirthAt = BirthAt::Nowhere;
 
     /// The embedded shared half of the skeleton.
     fn core(&self) -> &SchemeCore;
@@ -163,18 +167,19 @@ impl HandleCore {
         self.ledger.close();
     }
 
-    /// Allocates a node stamped with `index`, followed by `tail_len` null
-    /// links and, if the scheme reads one, the birth word `birth`.
+    /// Allocates a node followed by `tail_len` null links, keeping of
+    /// `index` and `birth` what `S` reads, where [`Scheme::BIRTH`] says.
     #[inline]
-    pub(crate) fn alloc<T: Send + Sync>(
+    pub(crate) fn alloc<S: Scheme, T: Send + Sync>(
         &mut self,
         data: T,
         index: u32,
-        birth: Option<u64>,
+        birth: u64,
         tail_len: usize,
     ) -> Shared<T> {
         self.tele.bump(Counter::Allocs);
-        let ptr = crate::node::alloc_node_in(data, index, birth, tail_len, &mut self.tele);
+        let tele = &mut self.tele;
+        let ptr = crate::node::alloc_node_in(data, S::BIRTH, index, birth, tail_len, tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
         let node = unsafe { Shared::from_owned(ptr) };
         #[cfg(feature = "oracle")]
@@ -367,7 +372,7 @@ mod tests {
 
     /// As [`retire`], pinning the node first when `pin` is set.
     fn retire_if(h: &mut Handle, s: &Fake, pinned: &mut Pinned, pin: bool) -> u64 {
-        let node = h.core.alloc(0u64, 0, None, 0);
+        let node = h.core.alloc::<Fake, _>(0u64, 0, 0, 0);
         if pin {
             pinned.0.push(node.addr());
         }

@@ -27,7 +27,7 @@ use core::sync::atomic::Ordering;
 
 use crate::api::{Config, Smr, SmrHandle};
 use crate::error::SmrError;
-use crate::node::Retired;
+use crate::node::{BirthAt, Retired};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
 use crate::schemes::common::{counted_fence, EpochClock, INACTIVE};
@@ -111,6 +111,7 @@ pub struct DtaHandle {
 /// a predetermined formula — exempt from the oracle's waste-bound monitor.
 impl Scheme for Dta {
     const NAME: &'static str = "DTA";
+    const BIRTH: BirthAt = BirthAt::Stamp;
     #[cfg(feature = "oracle")]
     const PROTECTS_BY_EPOCH: bool = true;
 
@@ -387,7 +388,7 @@ impl SmrHandle for DtaHandle {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
-        self.core.alloc(data, index.unwrap_or(0), Some(birth), tail_len)
+        self.core.alloc::<Dta, _>(data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -140,7 +140,7 @@ impl SmrHandle for EbrHandle {
     ) -> Shared<T> {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq);
-        self.core.alloc(data, index.unwrap_or(0), None, tail_len)
+        self.core.alloc::<Ebr, _>(data, index.unwrap_or(0), 0, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -19,7 +19,7 @@ use core::sync::atomic::Ordering;
 
 use crate::api::{Config, Smr, SmrHandle};
 use crate::error::SmrError;
-use crate::node::Retired;
+use crate::node::{BirthAt, Retired};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
 use crate::schemes::common::{interval_hit, EpochClock, MirroredRow, INACTIVE};
@@ -49,6 +49,7 @@ pub struct HeHandle {
 
 impl Scheme for He {
     const NAME: &'static str = "HE";
+    const BIRTH: BirthAt = BirthAt::Stamp;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -157,7 +158,7 @@ impl SmrHandle for HeHandle {
         tail_len: usize,
     ) -> Shared<T> {
         let birth = self.scheme.clock.now();
-        self.core.alloc(data, index.unwrap_or(0), Some(birth), tail_len)
+        self.core.alloc::<He, _>(data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
@@ -190,6 +191,7 @@ impl Drop for HeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::STAMP_MAX;
     use crate::telemetry::{Counter, Telemetry};
 
     fn setup(threads: usize) -> Arc<He> {
@@ -267,6 +269,43 @@ mod tests {
         assert_eq!(writer.counter(Counter::Empties), 2);
         assert_eq!(writer.retired_len(), 0, "no era is announced, yet a node was kept");
         reader.end_op();
+        writer.end_op();
+    }
+
+    /// A birth above the 48-bit stamp is stored clamped, never later than
+    /// it was: a reader whose era is the node's true birth still pins it,
+    /// and a node born after that era, clamped to the same stamp, is kept
+    /// too — a clamped node is protected longer, never freed early.
+    #[test]
+    fn a_birth_above_the_stamp_clamp_is_still_pinned_by_its_era() {
+        let smr = setup(2);
+        let born = STAMP_MAX + 100;
+        smr.clock.set(born);
+        let mut reader = smr.register();
+        let mut writer = smr.register();
+
+        writer.start_op();
+        let n = writer.alloc(1u32);
+        // SAFETY: [INV-12] allocated in this operation, not yet published.
+        assert_eq!(unsafe { n.birth() }, Some(STAMP_MAX), "true birth {born}");
+        let cell = Atomic::new(n);
+        reader.start_op();
+        assert_eq!(reader.read(&cell, 0), n, "announces era {born}");
+
+        cell.store(Shared::null(), Ordering::Release);
+        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        writer.force_empty();
+        assert_eq!(writer.retired_len(), 1, "the era at the true birth pins the node");
+
+        let younger = writer.alloc(2u32);
+        unsafe { writer.retire(younger) }; // SAFETY: [INV-12] never published, retired once.
+        writer.force_empty();
+        assert_eq!(writer.retired_len(), 2, "born after the era, but clamped below it");
+
+        reader.end_op();
+        drop(reader);
+        writer.force_empty();
+        assert_eq!(writer.retired_len(), 0, "no era announced, nothing pinned");
         writer.end_op();
     }
 

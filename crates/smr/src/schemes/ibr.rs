@@ -25,7 +25,7 @@ use core::sync::atomic::Ordering;
 
 use crate::api::{Config, Smr, SmrHandle};
 use crate::error::SmrError;
-use crate::node::Retired;
+use crate::node::{BirthAt, Retired};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
 use crate::schemes::common::{EpochClock, MirroredRow, INACTIVE};
@@ -61,6 +61,7 @@ pub struct IbrHandle {
 /// reservation pins unboundedly many retirees whose intervals overlap it.
 impl Scheme for Ibr {
     const NAME: &'static str = "IBR";
+    const BIRTH: BirthAt = BirthAt::Stamp;
     #[cfg(feature = "oracle")]
     const PROTECTS_BY_EPOCH: bool = true;
 
@@ -161,7 +162,7 @@ impl SmrHandle for IbrHandle {
         let freq = self.scheme.core.cfg.epoch_freq;
         self.scheme.clock.tick(&mut self.alloc_counter, freq);
         let birth = self.scheme.clock.now();
-        self.core.alloc(data, index.unwrap_or(0), Some(birth), tail_len)
+        self.core.alloc::<Ibr, _>(data, index.unwrap_or(0), birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

@@ -74,7 +74,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 
 use crate::api::{Config, Smr, SmrHandle};
 use crate::error::SmrError;
-use crate::node::{is_use_hp_class, Retired, USE_HP};
+use crate::node::{is_use_hp_class, BirthAt, Retired, USE_HP};
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
 use crate::schemes::common::{counted_fence, interval_hit, MirroredRow};
@@ -258,6 +258,7 @@ pub struct MpHandle {
 
 impl Scheme for Mp {
     const NAME: &'static str = "MP";
+    const BIRTH: BirthAt = BirthAt::Word;
 
     fn core(&self) -> &SchemeCore {
         &self.core
@@ -503,6 +504,7 @@ impl MpHandle {
     /// into traversal loops.
     #[cold]
     fn read_slow<T: Send + Sync>(&mut self, src: &Atomic<T>, refno: usize) -> Shared<T> {
+        self.core.tele.bump(Counter::ReadSlow);
         let mut backoff = mp_util::Backoff::new();
         loop {
             let w = src.load(Ordering::Acquire);
@@ -701,7 +703,7 @@ impl SmrHandle for MpHandle {
     ) -> Shared<T> {
         let index = index.unwrap_or_else(|| self.interval_index());
         let birth = self.scheme.global_epoch.load(Ordering::SeqCst);
-        self.core.alloc(data, index, Some(birth), tail_len)
+        self.core.alloc::<Mp, _>(data, index, birth, tail_len)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node

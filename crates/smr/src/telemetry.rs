@@ -130,6 +130,9 @@ counters! {
         "Nodes reclaimed by this handle's `empty()` runs.";
     Empties => empties,
         "Reclamation passes executed.";
+    ReadSlow => read_slow,
+        "MP only: `read` calls that missed the cover cache and entered the slow path (a margin \
+         lookup across the row, an announcement, or the hazard-pointer fallback).";
     HpFallbackReads => hp_fallback_reads,
         "MP only: `read` calls that took the hazard-pointer fallback (index collision, `USE_HP` \
          class, or epoch advance).";

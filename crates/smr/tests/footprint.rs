@@ -7,9 +7,11 @@
 //! added to a bucket, fails here, with the structure's name, instead of
 //! surfacing as a memory regression some PRs later.
 //!
-//! A node carries the words its scheme reads: MP and HE judge a retired
-//! node by its lifetime and stamp a birth word after its tail, HP does
-//! not, so every MP or HE block is HP's plus one word.
+//! A node carries the words its scheme reads: HP reads an index, HE a
+//! birth epoch, and each fits the header's stamp, so every HE block is
+//! HP's; MP reads both and ends in a birth word after its tail, so every
+//! MP block is HP's plus one word. The root suite's `node_bytes` holds
+//! the same numbers in the armed test build, less the oracle's canary.
 //!
 //! Without the oracle only: its canary word widens every header. So this
 //! binary compiles to nothing when a test build arms mp-smr's `oracle`
@@ -133,7 +135,7 @@ fn every_structure_allocates_the_block_it_is_pinned_to() {
     assert_eq!(mp_util::pool::stats().live_blocks, 0, "a sentinel's block did not go home");
 
     pin::<Hp>(0);
-    pin::<He>(8);
+    pin::<He>(0);
     pin::<Mp>(8);
 
     // A mixed-height list built on one thread and dropped on another: every

@@ -7,8 +7,9 @@
 //!
 //! The columns after `ops` are per operation, to five decimals, so a
 //! one-count move shows in any row of fewer than [`EXACT_BELOW_OPS`]
-//! operations. `fence/hop` is Fig 5's y-axis; `peak` is the longest the
-//! retired list grew. On a mismatch with `tests/counter_table.txt` the
+//! operations. `fence/hop` is Fig 5's y-axis; `slow` counts MP reads that
+//! missed the cover cache and entered `read_slow`; `peak` is the longest
+//! the retired list grew. On a mismatch with `tests/counter_table.txt` the
 //! golden test writes `target/counter_table.actual` and prints the diff: a
 //! change that means to move a counter copies that file over the golden
 //! one, and the diff is its evidence.
@@ -37,7 +38,7 @@ const WORKLOADS: [(&str, usize); 6] = [
 const EXACT_BELOW_OPS: u64 = 100_000;
 
 const HEADER: &str = "workload     scheme      ops       hops     start       end  announce   \
-                      hp_prot fence/hop   hp_fall   collide     scans     frees  peak\n";
+                      hp_prot fence/hop      slow   hp_fall   collide     scans     frees  peak\n";
 
 /// Deterministic LCG; keys are its high bits.
 fn lcg(mut x: u64) -> impl FnMut() -> u64 {
@@ -178,7 +179,8 @@ fn render_row(r: &Row) -> String {
     let per_op = |n: u64| n as f64 / ops as f64;
     let mut line = format!("{w:<12} {scheme:<8} {ops:>6} {:>10.5}", per_op(s.nodes_traversed()));
     let site = [s.fences_start_op(), s.fences_end_op(), s.fences_announce(), s.fences_hp_protect()];
-    let rest = [s.hp_fallback_reads(), s.collision_allocs(), s.empties(), s.frees()];
+    let rest =
+        [s.read_slow(), s.hp_fallback_reads(), s.collision_allocs(), s.empties(), s.frees()];
     let fence_per_hop = s.fences_per_node();
     let cells = site.map(per_op).into_iter().chain([fence_per_hop]).chain(rest.map(per_op));
     cells.for_each(|v| line += &format!(" {v:>9.5}"));
