@@ -91,6 +91,11 @@ pub enum Fault {
     /// Reads every key first, so whatever protection the scheme keeps
     /// across operations stands over the whole key space, then stalls.
     ReadThenStall,
+    /// Until the workers finish: reads a key, which leaves whatever
+    /// protection the scheme keeps across operations standing, then opens
+    /// an operation and sleeps in it for 200 µs. Stalls come and go while
+    /// the announcements of the last read are still live.
+    RepeatedStall,
     /// Alternates insert-remove pairs with panics that unwind out of a
     /// pinned operation, caught on its own thread.
     MidOpPanic,
@@ -289,6 +294,17 @@ fn misbehave<S: Smr, D: ConcurrentSet<S>>(
                 std::thread::yield_now();
             }
             drop(op);
+            h.snapshot()
+        }
+        Fault::RepeatedStall => {
+            start.wait();
+            let mut key = 0;
+            while running() {
+                key = (key * 31 + 7) % keys;
+                apply(ds, &mut h, &mut hist, (Op::Contains, key));
+                let _op = h.pin();
+                std::thread::sleep(Duration::from_micros(200));
+            }
             h.snapshot()
         }
         Fault::MidOpPanic => {

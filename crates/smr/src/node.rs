@@ -410,21 +410,22 @@ unsafe fn poison_and_quarantine<T>(ptr: *mut SmrNode<T>, layout: Layout) {
     }
 }
 
-/// Frees a node. Without the oracle the block goes back to the thread-local
-/// pool for recycling; with the oracle it is poisoned and quarantined first,
-/// and only reaches the pool when evicted from quarantine (so UAF detection
-/// is not weakened by recycling).
+/// Frees a node and returns the bytes it held (its pool block). Without the
+/// oracle the block goes back to the thread-local pool for recycling; with
+/// the oracle it is poisoned and quarantined first, and only reaches the
+/// pool when evicted from quarantine (so UAF detection is not weakened by
+/// recycling).
 ///
 /// # Safety
 /// `ptr` must have come from [`alloc_node`] and must not be accessed again.
 // SAFETY: [INV-11] obligation stated in `# Safety` above; every caller
 // (Retired::reclaim via dealloc_erased, tests) cites how it is met.
-pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) {
+pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) -> usize {
     // SAFETY: [INV-03] per this fn's contract the node is scan-approved and
     // never accessed again — the reclaiming thread has exclusive access. The
     // payload is dropped exactly once, here (the tail has no drop glue, see
     // `block`).
-    unsafe { free_node(ptr, || core::ptr::drop_in_place(core::ptr::addr_of_mut!((*ptr).data))) }
+    unsafe { free_node(ptr, || core::ptr::drop_in_place(core::ptr::addr_of_mut!((*ptr).data))).1 }
 }
 
 /// Frees a node, returning its payload to the caller.
@@ -436,20 +437,20 @@ pub(crate) unsafe fn dealloc_node<T>(ptr: *mut SmrNode<T>) {
 pub(crate) unsafe fn take_node<T>(ptr: *mut SmrNode<T>) -> T {
     // SAFETY: [INV-03] exclusive access per this fn's contract: the payload
     // is moved out exactly once, before the block is given up.
-    unsafe { free_node(ptr, || core::ptr::read(core::ptr::addr_of!((*ptr).data))) }
+    unsafe { free_node(ptr, || core::ptr::read(core::ptr::addr_of!((*ptr).data))).0 }
 }
 
 /// The one free path: disposes of the payload through `take` (drop it, or
 /// move it out), then gives the block up under the layout it was allocated
 /// with — poisoned into quarantine with the oracle, straight back to the
-/// pool without.
+/// pool without — and returns `take`'s result and the block's size.
 ///
 /// # Safety
 /// Same as [`dealloc_node`]; `take` must leave the payload logically
 /// uninitialized.
 // SAFETY: [INV-11] obligation stated in `# Safety` above; the two callers
 // are `dealloc_node` and `take_node`.
-unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
+unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> (R, usize) {
     gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
     // SAFETY: [INV-03] exclusive access per this fn's contract, and no
     // access after the block is given up; [INV-15] the header's shape is
@@ -464,7 +465,7 @@ unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> R {
         poison_and_quarantine(ptr, layout);
         #[cfg(not(feature = "oracle"))]
         mp_util::pool::dealloc(ptr as *mut u8, layout); // CAST-OK: pool stores free blocks as untyped bytes + layout.
-        out
+        (out, mp_util::pool::block_size(layout))
     }
 }
 
@@ -484,14 +485,19 @@ pub fn alloc_bare<T>(data: T) -> *mut SmrNode<T> {
 /// at retire time), under [`dealloc_node`]'s contract.
 // SAFETY: [INV-11] obligation stated above; Retired::reclaim's call site
 // carries the scan-approval argument.
-unsafe fn dealloc_erased<T>(ptr: *mut Header) {
+unsafe fn dealloc_erased<T>(ptr: *mut Header) -> usize {
     // SAFETY: [INV-09] header is at offset 0 of the #[repr(C)] node, so the
     // erased header pointer converts back to the `*mut SmrNode<T>` that
     // `Retired::new` erased; contract then forwards to `dealloc_node`.
     unsafe { dealloc_node(ptr as *mut SmrNode<T>) } // CAST-OK: [INV-09] pun, see SAFETY above.
 }
 
-/// A type-erased retired node, buffered until reclamation is safe.
+/// A type-erased retired node, buffered until reclamation is safe: 40
+/// bytes, `{ptr, birth, retire, op_start, drop_fn}`. The node stays
+/// allocated until `reclaim`, so the record keeps only what a scan cannot
+/// cheaply read off it: the index comes from the header, the block size
+/// from `new` and `reclaim`; the birth stays, since MP's birth word sits
+/// where only the erased `T` knows, and HE rescans many kept records.
 pub(crate) struct Retired {
     pub(crate) ptr: *mut Header,
     /// The node's birth, wherever its shape keeps it; 0 for a node whose
@@ -505,32 +511,28 @@ pub(crate) struct Retired {
     /// guaranteed ≤ the unlink time, which DTA's neutralization window
     /// depends on. Defaults to `retire` for schemes that don't need it.
     pub(crate) op_start: u64,
-    pub(crate) index: u32,
-    /// Bytes the node holds — the pool block it occupies, not only its
-    /// header + payload — so the pending gauge counts what is held.
-    bytes: u32,
     // SAFETY: [INV-11] unsafe fn *type*: the pointee-type obligation is
     // carried by `dealloc_erased`, the only value ever stored here.
-    drop_fn: unsafe fn(*mut Header),
+    drop_fn: unsafe fn(*mut Header) -> usize,
 }
 
 // SAFETY: [INV-07] a `Retired` is a plain word bundle; the raw pointer moves
 // between threads (retiring thread's list → scheme orphan list) but is only
-// dereferenced by `reclaim`, whose call sites carry the [INV-05] argument.
+// dereferenced by `index` and by `reclaim`, whose call sites carry [INV-05].
 unsafe impl Send for Retired {}
 
 impl Retired {
-    /// Captures `ptr` for deferred reclamation, stamping `retire_epoch`.
+    /// Captures `ptr` for deferred reclamation, stamping `retire_epoch`;
+    /// also returns the bytes the node holds (its pool block).
     ///
     /// # Safety
     /// `ptr` must be a removed (unreachable) node retired exactly once.
     // SAFETY: [INV-11] obligation stated above; each scheme's `retire`
     // cites the winning unlink CAS ([INV-04]) at its call site.
-    pub(crate) unsafe fn new<T>(ptr: *mut SmrNode<T>, retire_epoch: u64) -> Self {
+    pub(crate) unsafe fn new<T>(ptr: *mut SmrNode<T>, retire_epoch: u64) -> (Self, usize) {
         // SAFETY: [INV-04] the node is removed, so the retiring thread may
         // read it; [INV-15] its header and birth word are immutable.
-        let (layout, birth, index) =
-            unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0), (*ptr).header.index()) };
+        let (layout, birth) = unsafe { (block_of(ptr).0, birth(ptr).unwrap_or(0)) };
         let header = ptr as *mut Header; // CAST-OK: [INV-09] header-at-offset-0 pun.
         #[cfg(feature = "oracle")]
         {
@@ -539,28 +541,26 @@ impl Retired {
             // node ([INV-04]), and the canary is atomic.
             unsafe { (*header).canary.store(crate::oracle::CANARY_RETIRED, Ordering::Release) };
         }
-        let bytes = mp_util::pool::block_size(layout) as u32;
-        Retired {
+        let retired = Retired {
             ptr: header,
             birth,
             retire: retire_epoch,
             op_start: retire_epoch,
-            index,
-            bytes,
             drop_fn: dealloc_erased::<T>,
-        }
+        };
+        (retired, mp_util::pool::block_size(layout))
     }
 
-    /// Reclaims the node's memory.
+    /// Reclaims the node's memory; returns the bytes `new` returned.
     ///
     /// # Safety
     /// No thread may hold a protected reference to the node.
     // SAFETY: [INV-11] obligation stated above; every scheme's `empty()`
     // call site points at the scan that approved the node ([INV-05]).
-    pub(crate) unsafe fn reclaim(self) {
+    pub(crate) unsafe fn reclaim(self) -> usize {
         // SAFETY: [INV-05] caller's scan approved the node; `drop_fn` is the
         // monomorphized eraser recorded by `Retired::new` for this node.
-        unsafe { (self.drop_fn)(self.ptr) };
+        unsafe { (self.drop_fn)(self.ptr) }
     }
 
     /// The node address as a u64 (for comparison against hazard slots).
@@ -569,10 +569,12 @@ impl Retired {
         self.ptr as u64 // CAST-OK: compared against announced slot words, never decoded.
     }
 
-    /// Bytes the node holds (its pool block), for the pending-bytes gauge.
+    /// The node's index, read from its (immutable) header.
     #[inline]
-    pub(crate) fn bytes(&self) -> u32 {
-        self.bytes
+    pub(crate) fn index(&self) -> u32 {
+        // SAFETY: [INV-15] the node stays allocated until `reclaim` consumes
+        // this record, and its header is immutable from allocation on.
+        unsafe { (*self.ptr).index() }
     }
 }
 
@@ -610,6 +612,14 @@ mod tests {
         unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
     }
 
+    /// The retired record is five words — `{ptr, birth, retire, op_start,
+    /// drop_fn}` — armed or not: a field the node can answer for itself
+    /// (its index, its block size) creeping back fails here.
+    #[test]
+    fn retired_record_is_forty_bytes() {
+        assert_eq!(size_of::<Retired>(), 40);
+    }
+
     #[test]
     fn gauge_tracks_alloc_and_free() {
         // Tests run in parallel, so only lower bounds are reliable here; the
@@ -643,12 +653,13 @@ mod tests {
             {
                 let flag = std::sync::Arc::new(AtomicUsize::new(0));
                 let node = alloc_node_tracked(DropFlag(flag.clone()), at, 11, 3, tail_len).0;
-                let retired = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
-                assert_eq!((retired.birth, retired.index), (birth, index), "{at:?}");
+                let (retired, bytes) = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
+                assert_eq!((retired.birth, retired.index()), (birth, index), "{at:?}");
                 assert_eq!(retired.retire, 8);
                 let block = block::<DropFlag>(tail_len, at == BirthAt::Word).0;
-                assert_eq!(retired.bytes as usize, mp_util::pool::block_size(block));
-                unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+                assert_eq!(bytes, mp_util::pool::block_size(block));
+                let freed = unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+                assert_eq!(freed, bytes, "reclaim frees what the record was counted as");
                 assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
             }
         }
@@ -664,8 +675,7 @@ mod tests {
     fn retired_bytes_are_the_block_held() {
         fn node_and_retired_bytes<T: Default>(tail_len: usize, at: BirthAt) -> (usize, usize) {
             let node = alloc_node_tracked(T::default(), at, 0, 1, tail_len).0;
-            let retired = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
-            let bytes = retired.bytes() as usize;
+            let (retired, bytes) = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
             unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
             let words = tail_len + usize::from(at == BirthAt::Word);
             (size_of::<SmrNode<T>>() + words * size_of::<Atomic<T>>(), bytes)

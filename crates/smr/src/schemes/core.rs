@@ -96,7 +96,6 @@ impl SchemeCore {
         Ok(HandleCore {
             tid: lease.tid,
             retired: CachePadded::new(self.registry.adopt_orphans()),
-            scan_scratch: Vec::new(),
             scan: ScanState::new(&self.scan_policy),
             tele: CachePadded::new(tele),
             #[cfg(feature = "oracle")]
@@ -113,8 +112,8 @@ impl SchemeCore {
     // `HandleCore::retire` and DTA's `park_frozen` from their own contracts.
     pub(crate) unsafe fn capture<T: Send + Sync>(&self, node: Shared<T>, stamp: u64) -> Retired {
         // SAFETY: [INV-04] forwarded from this fn's own contract.
-        let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.tele.add(1, r.bytes() as usize);
+        let (r, bytes) = unsafe { Retired::new(node.as_raw(), stamp) };
+        self.tele.add(1, bytes);
         r
     }
 }
@@ -136,9 +135,6 @@ pub(crate) struct HandleCore {
     /// Cache-padded so adjacent handles never false-share the hot
     /// retired-list head (cf. `registry.rs::SlotArray` rows).
     retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for scans: the drain source of one scan is the
-    /// keep destination of the next, so steady-state scans never allocate.
-    scan_scratch: Vec<Retired>,
     scan: ScanState,
     pub(crate) tele: CachePadded<HandleTelemetry>,
     /// What this handle's reads and allocations protect, for the oracle's
@@ -220,10 +216,10 @@ impl HandleCore {
         }
     }
 
-    /// One reclamation scan: fence, snapshot, then partition the retired
-    /// list into kept and freed. Allocation-free in steady state — the
-    /// retired list swaps through the retained `scan_scratch` and the
-    /// snapshot refills the scheme's own buffers.
+    /// One reclamation scan: fence, snapshot, then compact the retired list
+    /// in place, freeing each unprotected node as it goes and keeping the
+    /// rest in order. Allocation-free in steady state — the list keeps its
+    /// capacity and the snapshot refills the scheme's own buffers.
     pub(crate) fn scan<S: Scheme, P: Protection<S>>(&mut self, scheme: &S, prot: &mut P) {
         self.tele.bump(Counter::Empties);
         if !S::RECLAIMS {
@@ -235,28 +231,18 @@ impl HandleCore {
         // announcement the snapshot will observe.
         fence(Ordering::SeqCst);
         prot.snapshot(scheme);
-        // `pending` (last scan's scratch) becomes the drain source and the
-        // emptied `retired` collects the keepers; `mem::take` leaves a
-        // capacity-0 Vec, so nothing allocates.
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
+        let before = self.retired.len();
         let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            if prot.is_protected(&r) {
-                self.retired.push(r);
-            } else {
-                self.tele.bump(Counter::Frees);
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the node is retired (unreachable) and the
-                // scheme's snapshot, taken after the SeqCst fence above,
-                // shows no announcement that admits a reference to it — each
-                // scheme's `is_protected` carries its own argument.
-                unsafe { r.reclaim() };
-            }
+        // Not `retain`: if a payload's `Drop` panics in `reclaim`, its record
+        // has already left the list, and the records not yet reached stay.
+        for r in self.retired.extract_if(.., |r| !prot.is_protected(r)) {
+            self.tele.bump(Counter::Frees);
+            // SAFETY: [INV-05] the node is retired (unreachable) and the
+            // scheme's snapshot, taken after the SeqCst fence above, shows
+            // no announcement that admits a reference to it — each scheme's
+            // `is_protected` carries its own argument.
+            freed_bytes += unsafe { r.reclaim() };
         }
-        self.scan_scratch = pending;
         let freed = before - self.retired.len();
         shared.tele.sub(freed, freed_bytes);
         self.scan.rearm(&shared.scan_policy, self.retired.len());
@@ -327,6 +313,7 @@ pub(crate) use impl_handle_telemetry;
 mod tests {
     use super::*;
     use crate::telemetry::Telemetry;
+    use core::sync::atomic::AtomicUsize;
 
     /// Everything a scheme must write for the skeleton: here the protected
     /// set is a list of addresses the test edits.
@@ -401,17 +388,43 @@ mod tests {
         for _ in 0..5 {
             retire(&mut h, &s, &mut pinned);
         }
-        // The scan swaps the retired list through its scratch buffer, so
-        // the two capacities only trade places; a sum that grew means the
-        // scan allocated.
-        let capacity = |h: &Handle| h.core.retired.capacity() + h.core.scan_scratch.capacity();
-        let warm = capacity(&h);
+        // The scan compacts the retired list in place: a capacity that
+        // moved means the scan allocated.
+        let warm = h.core.retired.capacity();
         h.core.scan(&s, &mut pinned);
-        assert_eq!(capacity(&h), warm, "steady-state scan grew a buffer");
+        assert_eq!(h.core.retired.capacity(), warm, "steady-state scan grew the list");
         assert_eq!(h.core.retired_len(), 3);
         pinned.0.clear();
         h.core.release(&s, &mut pinned);
         assert_eq!(s.core.tele.pending(), 0);
+    }
+
+    /// A payload whose `Drop` panics unwinds out of the scan, and every
+    /// node is still freed exactly once: the records the scan had not
+    /// reached stay on the list for the next scan, and the one that
+    /// panicked is not on it.
+    #[test]
+    fn a_payload_drop_that_panics_mid_scan_frees_every_node_once() {
+        struct Counted(std::sync::Arc<[AtomicUsize; 3]>, usize);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0[self.1].fetch_add(1, Ordering::Relaxed);
+                assert_ne!(self.1, 1, "the middle payload's drop panics");
+            }
+        }
+        let drops = std::sync::Arc::new([const { AtomicUsize::new(0) }; 3]);
+        let s = fake(manual());
+        let (mut h, mut pinned) = (register(&s), Pinned(Vec::new()));
+        for i in 0..3 {
+            let node = h.core.alloc::<Fake, _>(Counted(drops.clone(), i), 0, 0, 0);
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { h.core.retire(&s, &mut pinned, node, 0, 0) };
+        }
+        let scan = std::panic::AssertUnwindSafe(|| h.core.scan(&s, &mut pinned));
+        assert!(std::panic::catch_unwind(scan).is_err(), "the middle drop must unwind");
+        h.core.scan(&s, &mut pinned);
+        h.core.release(&s, &mut pinned);
+        assert_eq!(drops.each_ref().map(|d| d.load(Ordering::Relaxed)), [1, 1, 1]);
     }
 
     #[test]

@@ -419,7 +419,7 @@ impl Protection<Mp> for MpSnapshot {
         // tests/mp_depth.rs). Address protection is epoch-free and the waste
         // bound's #HP term is unaffected.
         self.hazards.binary_search(&r.addr()).is_ok()
-            || self.margin_covers(r.index, r.birth, r.retire)
+            || self.margin_covers(r.index(), r.birth, r.retire)
     }
 }
 

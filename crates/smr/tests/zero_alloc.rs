@@ -3,8 +3,9 @@
 //! Installs a counting global allocator and proves that, after a warm-up
 //! phase, a steady-state churn loop — pinned operations, node allocation,
 //! retirement, and full `empty()` scans — performs **zero** heap
-//! allocations: every node comes from the thread's pool magazine and every
-//! scan cycles through handle-retained scratch buffers. Also asserts a
+//! allocations: every node comes from the thread's pool magazine, every
+//! scan compacts the retired list in place, and the scheme's snapshot
+//! refills handle-retained buffers. Also asserts a
 //! pool hit rate above 90% under churn, that arming telemetry (timing every
 //! pinned op and every scan) adds no allocation either, and that the
 //! live-node gauge returns to its baseline.
@@ -85,8 +86,8 @@ fn steady_state_churn_does_not_allocate() {
     );
     let mut h = smr.register();
 
-    // Warm-up: grow the pool's free lists, the retired list, and every scan
-    // scratch buffer past their steady-state working set. Interleave scans
+    // Warm-up: grow the pool's free lists, the retired list, and every
+    // snapshot buffer past their steady-state working set. Interleave scans
     // so reclaimed blocks cycle back through the pool.
     for round in 0..8 {
         let _ = round;
