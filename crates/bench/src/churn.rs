@@ -148,6 +148,9 @@ pub struct Outcome {
     /// Retired nodes pending once the workers finished, their handles
     /// dropped, and before the misbehaver was released.
     pub pending_at_release: usize,
+    /// Operations the misbehaver recorded; under [`Fault::RepeatedStall`]
+    /// each is followed by one stall, so this counts its stalls.
+    pub misbehaver_ops: usize,
 }
 
 impl Churn {
@@ -232,6 +235,8 @@ impl Churn {
             history.merge(hist);
             stats.merge(&snapshot);
         }
+        // The workers recorded every step of their plans.
+        let misbehaver_ops = history.len() - self.workers.iter().map(Vec::len).sum::<usize>();
 
         let mut h = smr.register();
         for key in 0..self.keys {
@@ -253,7 +258,13 @@ impl Churn {
         if let Err(e) = history.check(&initial) {
             panic!("{run}: non-linearizable history: {e}");
         }
-        Outcome { recorded: history.len(), stats, peak_pending, pending_at_release }
+        Outcome {
+            recorded: history.len(),
+            stats,
+            peak_pending,
+            pending_at_release,
+            misbehaver_ops,
+        }
     }
 }
 

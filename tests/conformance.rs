@@ -205,20 +205,30 @@ mod mp_repeated_stall {
         }
     }
 
-    /// Three workers × 4 000 steps over 512 keys, half of them prefilled.
-    /// Waste stays bounded: the most nodes pending at any poll stays under
-    /// 5 000.
+    /// Most nodes pending at any poll: the bound a scheme that freed
+    /// nothing would break, since every case retires over twice as many.
+    const PENDING_BOUND: usize = 5_000;
+
+    /// Three workers × 24 000 steps over 512 keys, half of them prefilled:
+    /// about 12 000 retires a case on the list and skip list, 24 000 on the
+    /// NM-tree, which retires two nodes per remove. The staller must have
+    /// stalled a hundred times at least, so stalls came and went all
+    /// through the churn.
     fn safe_and_bounded<D: ConcurrentSet<Mp>>() {
         common::check(&test_name(), 3, seeds(3), |seeds| {
-            let peak_pending = Churn {
+            let outcome = Churn {
                 prefill: (0..KEYS).step_by(2).collect(),
                 keys: KEYS,
-                workers: churn::plans(seeds, Draw::Thirds, 4_000, KEYS),
+                workers: churn::plans(seeds, Draw::Thirds, 24_000, KEYS),
                 fault: Some(Fault::RepeatedStall),
             }
-            .run::<Mp, D>(&Mp::new(stall_cfg()))
-            .peak_pending;
-            assert!(peak_pending < 5_000, "waste {peak_pending} not bounded");
+            .run::<Mp, D>(&Mp::new(stall_cfg()));
+            let retires = outcome.stats.retires() as usize;
+            assert!(retires > 2 * PENDING_BOUND, "only {retires} retires: the bound shows nothing");
+            let stalls = outcome.misbehaver_ops;
+            assert!(stalls >= 100, "the staller stalled only {stalls} times");
+            let peak = outcome.peak_pending;
+            assert!(peak < PENDING_BOUND, "waste {peak} not bounded ({retires} retires)");
         });
     }
 
