@@ -14,7 +14,7 @@ use mp_bench::churn::{plans, Churn, Draw};
 use mp_ds::{skiplist, SkipList};
 use mp_smr::schemes::Mp;
 use mp_smr::telemetry::{self, export};
-use mp_smr::{Smr, SmrBuilder, SmrHandle, Telemetry};
+use mp_smr::{Smr, SmrBuilder};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 30_000;
@@ -31,20 +31,7 @@ fn main() {
     let seeds: Vec<u64> = (1..=THREADS as u64).collect();
     let workers = plans(&seeds, Draw::Thirds, OPS_PER_THREAD, 8_192);
     let churn = Churn { prefill: Vec::new(), keys: 8_192, workers, fault: None };
-    let mut merged = churn.run::<Mp, SkipList<Mp>>(&smr).stats;
-    // Raw-API phase: `pin()` guards are what the op-latency histogram
-    // times (structure operations drive start_op/end_op directly and are
-    // charged to the structures' own metrics instead).
-    {
-        let mut h = smr.register();
-        for i in 0..2_000u64 {
-            let mut op = h.pin();
-            let n = op.alloc_with_index(i, ((i % 60_000) as u32 + 2_000) << 16);
-            unsafe { op.retire(n) }; // SAFETY: [INV-04] never published, retired once.
-            drop(op);
-        }
-        merged.merge(&h.snapshot());
-    }
+    let merged = churn.run::<Mp, SkipList<Mp>>(&smr).stats;
 
     eprintln!("== counters ==");
     eprintln!("  ops            {:>10}", merged.ops());
@@ -55,7 +42,10 @@ fn main() {
     eprintln!("  fences/node    {:>10.4}", merged.fences_per_node());
     eprintln!("  pool hit rate  {:>10.3}", merged.pool_hit_rate());
 
+    // Every structure operation opens with `pin()`, whose guard is what
+    // the armed op-latency histogram times.
     let ops = merged.op_latency();
+    assert_eq!(ops.count(), merged.ops(), "armed: every operation is timed");
     eprintln!("== pin() op latency (ns) ==");
     eprintln!(
         "  count {}  mean {:.0}  p50 {}  p99 {}  max {}",

@@ -323,9 +323,7 @@ fn misbehave<S: Smr, D: ConcurrentSet<S>>(
             let mut key = 1;
             while running() {
                 // Real operations keep protections and retires live around
-                // the fault, which unwinds out of a bare pinned operation
-                // (no structure call inside, so the oracle's pin-nesting
-                // check stays quiet).
+                // the fault, which unwinds out of a pinned operation.
                 for _ in 0..4 {
                     key = (key * 31 + 7) % keys;
                     pair(&mut h, &mut hist, key);

@@ -252,8 +252,9 @@ impl DtaList {
     }
 
     /// The traversal: Michael's seek + anchor cadence + frozen-zone restart.
-    // PROTECTION: caller — seek runs inside the caller's start_op span;
-    // derefs are covered by the posted-anchor contract (§3.1).
+    // PROTECTION: caller — seek runs inside the caller's operation (its
+    // `pin()` guard); derefs are covered by the posted-anchor contract
+    // (§3.1).
     fn seek(&self, h: &mut DtaHandle, key: u64) -> Position {
         let cadence = h.anchor_hops();
         let mut saw_frozen = false;
@@ -335,14 +336,13 @@ impl DtaList {
     /// Adds `key`; returns `false` if present.
     pub fn insert(&self, h: &mut DtaHandle, key: u64) -> bool {
         assert!(key < u64::MAX);
-        h.start_op();
+        let mut op = h.pin();
         loop {
-            let pos = self.seek(h, key);
+            let pos = self.seek(&mut op, key);
             if pos.curr_key == key {
-                h.end_op();
                 return false;
             }
-            let new = h.alloc(Node { key, next: Atomic::new(pos.curr) });
+            let new = op.alloc(Node { key, next: Atomic::new(pos.curr) });
             // SAFETY: [INV-01] prev covered by the anchor contract.
             let prev_node = unsafe { pos.prev.deref() }.data();
             match prev_node.next.compare_exchange(
@@ -351,10 +351,7 @@ impl DtaList {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    h.end_op();
-                    return true;
-                }
+                Ok(_) => return true,
                 // SAFETY: [INV-03] CAS failed: never published, still ours.
                 Err(_) => unsafe { new.drop_owned() },
             }
@@ -363,16 +360,15 @@ impl DtaList {
 
     /// Removes `key`; returns `false` if absent.
     pub fn remove(&self, h: &mut DtaHandle, key: u64) -> bool {
-        h.start_op();
+        let mut op = h.pin();
         loop {
-            let pos = self.seek(h, key);
+            let pos = self.seek(&mut op, key);
             if pos.curr_key != key {
-                h.end_op();
                 return false;
             }
             // SAFETY: [INV-01] curr covered by the anchor contract.
             let curr_node = unsafe { pos.curr.deref() }.data();
-            let next = h.read(&curr_node.next, 0);
+            let next = op.read(&curr_node.next, 0);
             if next.mark() != 0 {
                 continue; // frozen or concurrently deleted; re-seek decides
             }
@@ -391,33 +387,29 @@ impl DtaList {
                 .is_ok()
             {
                 // SAFETY: [INV-04] the winning splice uniquely retires it.
-                unsafe { h.retire(pos.curr) };
+                unsafe { op.retire(pos.curr) };
             } else {
-                let _ = self.seek(h, key);
+                let _ = self.seek(&mut op, key);
             }
-            h.end_op();
             return true;
         }
     }
 
     /// Membership test.
     pub fn contains(&self, h: &mut DtaHandle, key: u64) -> bool {
-        h.start_op();
-        let pos = self.seek(h, key);
-        h.end_op();
-        pos.curr_key == key
+        let mut op = h.pin();
+        self.seek(&mut op, key).curr_key == key
     }
 
     /// Collects all keys (test helper).
     pub fn collect(&self, h: &mut DtaHandle) -> Vec<u64> {
         let mut out = Vec::new();
-        h.start_op();
-        let mut pos = self.seek(h, 0);
+        let mut op = h.pin();
+        let mut pos = self.seek(&mut op, 0);
         while pos.curr_key != u64::MAX {
             out.push(pos.curr_key);
-            pos = self.seek(h, pos.curr_key + 1);
+            pos = self.seek(&mut op, pos.curr_key + 1);
         }
-        h.end_op();
         out
     }
 }

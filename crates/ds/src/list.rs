@@ -116,8 +116,9 @@ pub(crate) fn new_tail<S: Smr, V: Send + Sync + Default + 'static>(
 /// splicing out any marked nodes encountered (Listing 7). On return, MP's
 /// search interval is `(prev's owner.key, curr.key)`, opening at 0 when
 /// `prev` is the head link.
-// PROTECTION: caller — seek runs inside the caller's start_op/end_op
-// span; every deref below is of a slot-protected read made in this op.
+// PROTECTION: caller — seek runs inside the caller's operation (its
+// `pin()` guard); every deref below is of a slot-protected read made in
+// this op.
 //
 // Out of line on purpose: inlined through `contains` into a caller's loop,
 // seek lost the hot-loop inlining bonus for its per-hop `read`, and HE's
@@ -190,22 +191,18 @@ pub(crate) fn insert<H: SmrHandle, V: Send + Sync + 'static>(
     value: V,
 ) -> bool {
     assert!(key < u64::MAX, "key space reserved for the tail sentinel");
-    h.start_op();
+    let mut op = h.pin();
     let mut value = value;
     loop {
-        let pos = seek(head, h, key);
+        let pos = seek(head, &mut *op, key);
         if pos.curr_key == key {
-            h.end_op();
             return false;
         }
         // MP assigns the midpoint index of (pred, succ) — the bounds seek
         // just maintained (Listing 5).
-        let new = h.alloc(Node { key, value, next: Atomic::new(pos.curr) });
+        let new = op.alloc(Node { key, value, next: Atomic::new(pos.curr) });
         match pos.prev.compare_exchange(pos.curr, new, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => {
-                h.end_op();
-                return true;
-            }
+            Ok(_) => return true,
             Err(_) => {
                 // SAFETY: [INV-03] the CAS failed, so no other thread ever
                 // saw `new`. Recover the value for the next attempt.
@@ -222,16 +219,14 @@ pub(crate) fn get<H: SmrHandle, V: Clone + Send + Sync + 'static>(
     h: &mut H,
     key: u64,
 ) -> Option<V> {
-    h.start_op();
-    let pos = seek(head, h, key);
-    let out = if pos.curr_key == key {
+    let mut op = h.pin();
+    let pos = seek(head, &mut *op, key);
+    if pos.curr_key == key {
         // SAFETY: [INV-01] curr is protected by seek until end_op.
         Some(unsafe { pos.curr.deref() }.data().value.clone())
     } else {
         None
-    };
-    h.end_op();
-    out
+    }
 }
 
 /// Removes `key` from the chain at `head`; returns `false` if absent.
@@ -243,16 +238,15 @@ pub(crate) fn remove<H: SmrHandle, V: Send + Sync + 'static>(
     // Removing the tail would retire the sentinel every chain of a table
     // ends at, while the structure still holds it.
     assert!(key < u64::MAX, "key space reserved for the tail sentinel");
-    h.start_op();
+    let mut op = h.pin();
     loop {
-        let pos = seek(head, h, key);
+        let pos = seek(head, &mut *op, key);
         if pos.curr_key != key {
-            h.end_op();
             return false;
         }
         // SAFETY: [INV-01] curr is protected by seek.
         let curr_node = unsafe { pos.curr.deref() }.data();
-        let next = h.read(&curr_node.next, pos.free_slot);
+        let next = op.read(&curr_node.next, pos.free_slot);
         if next.mark() != 0 {
             continue; // already being deleted; re-seek decides the winner
         }
@@ -267,11 +261,10 @@ pub(crate) fn remove<H: SmrHandle, V: Send + Sync + 'static>(
         // Physical removal: try to splice; on failure, a seek does it.
         if pos.prev.compare_exchange(pos.curr, next, Ordering::AcqRel, Ordering::Acquire).is_ok() {
             // SAFETY: [INV-04] the winning splice uniquely retires the node.
-            unsafe { h.retire(pos.curr) };
+            unsafe { op.retire(pos.curr) };
         } else {
-            let _ = seek(head, h, key); // helper splice + retire
+            let _ = seek(head, &mut *op, key); // helper splice + retire
         }
-        h.end_op();
         return true;
     }
 }
@@ -282,10 +275,8 @@ pub(crate) fn contains<H: SmrHandle, V: Send + Sync + 'static>(
     h: &mut H,
     key: u64,
 ) -> bool {
-    h.start_op();
-    let pos = seek(head, h, key);
-    h.end_op();
-    pos.curr_key == key
+    let mut op = h.pin();
+    seek(head, &mut *op, key).curr_key == key
 }
 
 /// True if the chain at `head` holds no client key (same caveats as
@@ -294,10 +285,8 @@ pub(crate) fn is_empty<H: SmrHandle, V: Send + Sync + 'static>(
     head: &Atomic<Node<V>>,
     h: &mut H,
 ) -> bool {
-    h.start_op();
-    let pos = seek(head, h, 0);
-    h.end_op();
-    pos.curr_key == u64::MAX
+    let mut op = h.pin();
+    seek(head, &mut *op, 0).curr_key == u64::MAX
 }
 
 /// Collects the chain's keys in order (test/diagnostic helper; not
@@ -307,13 +296,12 @@ pub(crate) fn collect<H: SmrHandle, V: Send + Sync + 'static>(
     h: &mut H,
 ) -> Vec<u64> {
     let mut out = Vec::new();
-    h.start_op();
-    let mut pos = seek(head, h, 0);
+    let mut op = h.pin();
+    let mut pos = seek(head, &mut *op, 0);
     while pos.curr_key != u64::MAX {
         out.push(pos.curr_key);
-        pos = seek(head, h, pos.curr_key + 1);
+        pos = seek(head, &mut *op, pos.curr_key + 1);
     }
-    h.end_op();
     out
 }
 

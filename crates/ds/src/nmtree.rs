@@ -224,8 +224,9 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     /// Navigates from the root to the leaf where `key`'s search terminates
     /// (Listing 9), maintaining the MP search interval along the way.
     /// All four record roles remain protected until the next seek/`end_op`.
-    // PROTECTION: caller — seek runs inside the caller's start_op/end_op
-    // span; every deref below is of a slot-protected read made in this op.
+    // PROTECTION: caller — seek runs inside the caller's operation (its
+    // `pin()` guard); every deref below is of a slot-protected read made
+    // in this op.
     fn seek(&self, h: &mut S::Handle, key: u64) -> SeekRecord<V> {
         'restart: loop {
             // Every client key is below ∞₀, so the search interval opens
@@ -308,8 +309,9 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     /// winner retires the whole detached region exactly once.
     ///
     /// Returns true iff this call performed the swing.
-    // PROTECTION: caller — runs inside the caller's start_op span; all seek
-    // record roles stay protected under their slots until the next seek.
+    // PROTECTION: caller — runs inside the caller's operation (its `pin()`
+    // guard); all seek record roles stay protected under their slots until
+    // the next seek.
     fn cleanup(&self, h: &mut S::Handle, key: u64, sr: &SeekRecord<V>) -> bool {
         // SAFETY: [INV-01] all record roles are protected (or sentinels);
         // [INV-15] the parent role is a node the seek stepped through, so
@@ -452,12 +454,10 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for NmTree<S, 
     }
 
     fn contains(&self, h: &mut S::Handle, key: u64) -> bool {
-        h.start_op();
-        let sr = self.seek(h, key);
+        let mut op = h.pin();
+        let sr = self.seek(&mut *op, key);
         // SAFETY: [INV-01] leaf protected by the seek record.
-        let found = unsafe { sr.leaf.node.deref() }.data().key == key;
-        h.end_op();
-        found
+        unsafe { sr.leaf.node.deref() }.data().key == key
     }
 
     fn name() -> &'static str {
@@ -473,21 +473,20 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
         V: Default, // internal routing nodes carry a placeholder value
     {
         assert!(key < INF0, "key space reserved for tree sentinels");
-        h.start_op();
+        let mut op = h.pin();
         let mut value = value;
         loop {
-            let sr = self.seek(h, key);
+            let sr = self.seek(&mut *op, key);
             // SAFETY: [INV-01] leaf protected by the seek record.
             let leaf_node = unsafe { sr.leaf.node.deref() };
             let leaf_key = leaf_node.data().key;
             if leaf_key == key {
-                h.end_op();
                 return false;
             }
             // Allocate the new leaf with the search interval's midpoint
             // index. The router routes at `key.max(leaf_key)` and takes
             // the index of the leaf carrying that key (module docs).
-            let new_leaf = h.alloc(Node { key, value });
+            let new_leaf = op.alloc(Node { key, value });
             let leaf_edge_clean = sr.leaf_edge.unmarked();
             let (lc, rc, router_idx) = if key < leaf_key {
                 (new_leaf, leaf_edge_clean, leaf_node.index())
@@ -495,7 +494,7 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 // SAFETY: [INV-02] just allocated, exclusively ours.
                 (leaf_edge_clean, new_leaf, unsafe { new_leaf.deref() }.index())
             };
-            let router = internal(h, key.max(leaf_key), router_idx, lc, rc);
+            let router = internal(&mut *op, key.max(leaf_key), router_idx, lc, rc);
 
             // SAFETY: [INV-01] parent protected by the seek record (or S);
             // [INV-15] the seek stepped through it, so it is internal.
@@ -508,10 +507,7 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    h.end_op();
-                    return true;
-                }
+                Ok(_) => return true,
                 Err(actual) => {
                     // SAFETY: [INV-03] never published; recover the value
                     // for the retry.
@@ -522,7 +518,7 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                     // If the edge still leads to our leaf but is marked, a
                     // deletion is pending there: help it finish.
                     if actual.as_raw() == sr.leaf.node.as_raw() && actual.mark() != 0 {
-                        self.cleanup(h, key, &sr);
+                        self.cleanup(&mut *op, key, &sr);
                     }
                 }
             }
@@ -535,28 +531,25 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
     where
         V: Clone,
     {
-        h.start_op();
-        let sr = self.seek(h, key);
+        let mut op = h.pin();
+        let sr = self.seek(&mut *op, key);
         // SAFETY: [INV-01] leaf protected by the seek record.
         let leaf = unsafe { sr.leaf.node.deref() }.data();
-        let out = if leaf.key == key { Some(leaf.value.clone()) } else { None };
-        h.end_op();
-        out
+        if leaf.key == key { Some(leaf.value.clone()) } else { None }
     }
 
     fn remove_inner(&self, h: &mut S::Handle, key: u64) -> bool {
         assert!(key < INF0, "key space reserved for tree sentinels");
-        h.start_op();
+        let mut op = h.pin();
         let mut injected = false;
         let mut victim: Shared<Node<V>> = Shared::null();
         loop {
-            let sr = self.seek(h, key);
+            let sr = self.seek(&mut *op, key);
             if !injected {
                 // INJECTION mode: flag the parent→leaf edge.
                 // SAFETY: [INV-01] record roles protected.
                 let leaf_key = unsafe { sr.leaf.node.deref() }.data().key;
                 if leaf_key != key {
-                    h.end_op();
                     return false;
                 }
                 // SAFETY: [INV-01] parent protected by the seek record (or S);
@@ -574,15 +567,14 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                     Ok(_) => {
                         injected = true;
                         victim = sr.leaf.node;
-                        if self.cleanup(h, key, &sr) {
-                            h.end_op();
+                        if self.cleanup(&mut *op, key, &sr) {
                             return true;
                         }
                     }
                     Err(actual) => {
                         if actual.as_raw() == sr.leaf.node.as_raw() && actual.mark() != 0 {
                             // Another operation is deleting this leaf: help.
-                            self.cleanup(h, key, &sr);
+                            self.cleanup(&mut *op, key, &sr);
                         }
                     }
                 }
@@ -590,11 +582,9 @@ impl<S: Smr, V: Send + Sync + 'static> NmTree<S, V> {
                 // CLEANUP mode: our flag is planted; finish (or observe that
                 // a helper finished) the physical removal.
                 if sr.leaf.node.as_raw() != victim.as_raw() {
-                    h.end_op();
                     return true; // a helper completed the removal
                 }
-                if self.cleanup(h, key, &sr) {
-                    h.end_op();
+                if self.cleanup(&mut *op, key, &sr) {
                     return true;
                 }
             }

@@ -148,8 +148,9 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     /// `pred.key < key ≤ succ.key` at every level, splicing marked nodes
     /// encountered along the way. Maintains the MP search interval across
     /// the whole descent (§5.2).
-    // PROTECTION: caller — find runs inside the caller's start_op/end_op
-    // span; every deref below is of a slot-protected read made in this op.
+    // PROTECTION: caller — find runs inside the caller's operation (its
+    // `pin()` guard); every deref below is of a slot-protected read made
+    // in this op.
     fn find(&self, h: &mut S::Handle, key: u64) -> FindResult<V> {
         'retry: loop {
             let mut preds = [self.head; MAX_HEIGHT];
@@ -244,9 +245,9 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     /// the level right after it, and the `pred` CAS then links a marked
     /// node — which is why `new` is not unlinked and retired before its
     /// inserter's [`second_to_finish`].
-    // PROTECTION: caller — runs inside the caller's start_op span; `new` is
-    // the caller's own node, unretired until its `second_to_finish`, and
-    // preds stay protected by the most recent find.
+    // PROTECTION: caller — runs inside the caller's operation (its `pin()`
+    // guard); `new` is the caller's own node, unretired until its
+    // `second_to_finish`, and preds stay protected by the most recent find.
     fn link_upper_levels(
         &self,
         h: &mut S::Handle,
@@ -311,18 +312,17 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     /// if the key is already present. The map flavor of `insert`.
     pub fn insert_kv(&self, h: &mut S::Handle, key: u64, value: V) -> bool {
         assert!(key < u64::MAX, "key space reserved for the tail sentinel");
-        h.start_op();
+        let mut op = h.pin();
         let height = random_height(key);
         let mut value = value;
         loop {
-            let r = self.find(h, key);
+            let r = self.find(&mut *op, key);
             if r.found {
-                h.end_op();
                 return false;
             }
             // Midpoint index of the search interval find just maintained,
             // and a tower exactly as tall as the node.
-            let new = h.alloc_with_tail(Node { key, value }, None, height);
+            let new = op.alloc_with_tail(Node { key, value }, None, height);
             // SAFETY: [INV-03] not published yet; exclusively ours. [INV-15]
             // the zip stops at the `height` links just allocated.
             for (link, succ) in unsafe { new.tail() }.iter().zip(&r.succs) {
@@ -344,7 +344,7 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
                 value = unsafe { new.take_owned() }.value;
                 continue;
             }
-            self.link_upper_levels(h, new, key, r, height);
+            self.link_upper_levels(&mut *op, new, key, r, height);
             // One-level nodes are born done (and may be retired by now):
             // only a tall node's inserter takes part in the handshake.
             // SAFETY: [INV-01] a tall node is not retired before this very
@@ -352,13 +352,12 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             if height > 1 && second_to_finish(unsafe { new.deref() }, height) {
                 // Removed while we were linking, and the remover is done
                 // marking: it left the node to us.
-                self.unlink(h, new, key);
+                self.unlink(&mut *op, new, key);
                 // SAFETY: [INV-04] marked at every level, unlinked after the
                 // last link attempt, and `second_to_finish` returned `true`
                 // to us alone — unique retirer.
-                unsafe { h.retire(new) };
+                unsafe { op.retire(new) };
             }
-            h.end_op();
             return true;
         }
     }
@@ -369,25 +368,23 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
     where
         V: Clone,
     {
-        h.start_op();
-        let r = self.find(h, key);
-        let out = if r.found {
+        let mut op = h.pin();
+        let r = self.find(&mut *op, key);
+        if r.found {
             // SAFETY: [INV-01] succs[0] protected by find until end_op.
             Some(unsafe { r.succs[0].deref() }.data().value.clone())
         } else {
             None
-        };
-        h.end_op();
-        out
+        }
     }
 
     /// Collects all keys in order (test helper; not linearizable).
     pub fn collect(&self, h: &mut S::Handle) -> Vec<u64> {
         let mut out = Vec::new();
-        h.start_op();
+        let mut op = h.pin();
         let mut cursor = 0u64;
         loop {
-            let r = self.find(h, cursor);
+            let r = self.find(&mut *op, cursor);
             // SAFETY: [INV-01] protected by find.
             let key = unsafe { r.succs[0].deref() }.data().key;
             if key == u64::MAX {
@@ -396,7 +393,6 @@ impl<S: Smr, V: Send + Sync + 'static> SkipList<S, V> {
             out.push(key);
             cursor = key + 1;
         }
-        h.end_op();
         out
     }
 
@@ -435,10 +431,9 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
         self.insert_kv(h, key, V::default())
     }
     fn remove(&self, h: &mut S::Handle, key: u64) -> bool {
-        h.start_op();
-        let r = self.find(h, key);
+        let mut op = h.pin();
+        let r = self.find(&mut *op, key);
         if !r.found {
-            h.end_op();
             return false;
         }
         let victim = r.succs[0];
@@ -450,7 +445,7 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
         // Mark top-down, levels height-1 .. 1.
         for link in victim_next[1..].iter().rev() {
             loop {
-                let next = h.read(link, SCRATCH);
+                let next = op.read(link, SCRATCH);
                 if next.mark() != 0 {
                     break;
                 }
@@ -470,9 +465,8 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
 
         // The level-0 mark is the logical deletion; its winner retires.
         loop {
-            let next = h.read(&victim_next[0], SCRATCH);
+            let next = op.read(&victim_next[0], SCRATCH);
             if next.mark() != 0 {
-                h.end_op();
                 return false; // another thread won the deletion
             }
             if victim_next[0]
@@ -494,22 +488,19 @@ impl<S: Smr, V: Send + Sync + Default + 'static> ConcurrentSet<S> for SkipList<S
             // The inserter is done (a one-level node's was at birth), so
             // nothing links the node again once this pass has unlinked it.
             // Otherwise the inserter, finishing second, does both.
-            self.unlink(h, victim, key);
+            self.unlink(&mut *op, victim, key);
             // SAFETY: [INV-04] we won the level-0 mark, the inserter had
             // stopped linking before the unlink above, and
             // `second_to_finish` returned `true` to us alone — unique
             // retirer.
-            unsafe { h.retire(victim) };
+            unsafe { op.retire(victim) };
         }
-        h.end_op();
         true
     }
 
     fn contains(&self, h: &mut S::Handle, key: u64) -> bool {
-        h.start_op();
-        let r = self.find(h, key);
-        h.end_op();
-        r.found
+        let mut op = h.pin();
+        self.find(&mut *op, key).found
     }
 
     fn name() -> &'static str {

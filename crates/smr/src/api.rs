@@ -251,11 +251,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// ```
     ///
     /// Operations must not be nested: do not call `pin`, or a data-structure
-    /// operation, while a guard from the same handle is alive. The structures
-    /// bracket their operations with raw `start_op` / `end_op`, which the
-    /// `oracle` feature's nesting check (armed in every workspace test build)
-    /// does not see: it panics, naming the scheme and replay seed, only on a
-    /// nested `pin`.
+    /// operation (each opens with `pin`), while a guard is alive on the same
+    /// thread. The `oracle` feature's nesting check (armed in every workspace
+    /// test build) panics on it, naming the scheme and replay seed.
     fn pin(&mut self) -> OpGuard<'_, Self>
     where
         Self: Sized,
@@ -271,9 +269,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
 
     /// Begins a data-structure operation (announces epoch/activity).
     ///
-    /// Prefer [`pin`](SmrHandle::pin), which cannot leak the operation;
-    /// the raw `start_op`/`end_op` pair remains for implementors of data
-    /// structures that manage bracketing across helper functions.
+    /// Prefer [`pin`](SmrHandle::pin), which cannot leak the operation and
+    /// is how every `mp-ds` structure opens one; the raw `start_op`/`end_op`
+    /// pair is the primitive each scheme implements and `pin` calls.
     fn start_op(&mut self);
 
     /// Ends the operation: under HP's rule, which portable code follows,

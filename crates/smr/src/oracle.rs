@@ -467,9 +467,8 @@ pub(crate) unsafe fn quarantine_node(ptr: *mut u8, layout: Layout) {
 }
 
 /// Marks the calling thread as inside a [`crate::SmrHandle::pin`]-scoped
-/// operation; panics on nesting, which the trait protocol forbids. Only
-/// `pin` comes through here: the data structures bracket their operations
-/// with raw `start_op` / `end_op`, so nesting through those is not seen.
+/// operation, as every data-structure operation is; panics on nesting,
+/// which the trait protocol forbids.
 pub(crate) fn pin_enter() {
     PIN_DEPTH.with(|d| {
         let depth = d.get();

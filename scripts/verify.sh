@@ -48,28 +48,34 @@ run_oracle() {
   fi
 }
 
-# The whole workspace with the reclamation oracle armed: shadow lifecycle
+# Tier-1 itself, with the reclamation oracle armed: shadow lifecycle
 # tracking, freed-memory poisoning, the protection ledger's deref check,
 # and the waste-bound monitor. The root package enables mp-smr's `oracle`
-# feature as a dev-dependency, and resolver 2 unifies it for every member,
-# so this one run covers the conformance matrix, the negative oracle tests
-# (tests/oracle_negative.rs drives a block through quarantine eviction, a
-# magazine and its chunk's free list and still expects the poison canary,
-# and seeds four unprotected derefs), mp-smr's oracle unit
-# tests, mp-ds's unit tests with freed nodes poisoned, and mp-util's
-# slab-pool tests (blank-chunk rule, cross-thread `live` exactness,
-# thread-exit release).
-stage "cargo test -q --workspace --offline (reclamation oracle armed)"
-run_oracle cargo test -q --workspace --offline
+# feature as a dev-dependency, and resolver 2 unifies it for every default
+# member (root `Cargo.toml`: all but mp-ds), so this one run covers the
+# conformance matrix, the negative oracle tests (tests/oracle_negative.rs
+# drives a block through quarantine eviction, a magazine and its chunk's
+# free list and still expects the poison canary, and seeds four
+# unprotected derefs), mp-smr's oracle unit tests, mp-bench's churn and
+# checker tests, and mp-util's slab-pool tests (blank-chunk rule,
+# cross-thread `live` exactness, thread-exit release).
+stage "cargo test -q --offline (tier-1, reclamation oracle armed)"
+run_oracle cargo test -q --offline
+
+# mp-ds armed, in a line of its own: its unit tests with freed nodes
+# poisoned, its stress tests, and DTA's freeze stress, whose use-after-free
+# flake (ROADMAP finding v) keeps the crate out of tier-1.
+stage "cargo test -q --offline -p mp-ds --features mp-smr/oracle (armed)"
+run_oracle cargo test -q --offline -p mp-ds --features mp-smr/oracle
 
 # The library crates again, optimised and unarmed, as `cargo build
 # --release` ships them: the data structures' concurrent stress tests and
 # the skip list's link-after-remove regression race differently in
 # release, and the searches' unsafe derefs rest on which reads those races
-# leave protected. mp-smr's footprint pins (tests/footprint.rs) and
-# zero-allocation witness (tests/zero_alloc.rs) run only here: they
-# measure the unarmed node layout and pool, so they compile to nothing in
-# the armed run above.
+# leave protected. mp-smr's pool footprint checks (tests/footprint.rs)
+# and zero-allocation witness (tests/zero_alloc.rs) run only here: they
+# measure the unarmed pool, so they compile to nothing in the armed runs
+# above. The node bytes themselves are tier-1's (tests/node_bytes.rs).
 stage "cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util (unarmed)"
 run_oracle cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util
 
@@ -91,9 +97,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p mp-smr -p mp-util -p
 # target/bench-smoke/. Each CSV must hold a header and at least one row of
 # the header's width; which tables the sweep writes is pinned by
 # `mp_bench::figures`'s tests, and pass/fail on their *values* lives in
-# `cargo test -p mp-bench` (the driver's soak tests) and
-# tests/counter_table.rs. Absolute path: `cargo bench` sets the CWD to the
-# package directory.
+# tier-1 (mp-bench's two soak tests and tests/counter_table.rs).
+# Absolute path: `cargo bench` sets the CWD to the package directory.
 stage "cargo bench --offline -p mp-bench --bench figures (smoke scale)"
 BENCH_SMOKE_DIR="$PWD/target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
@@ -113,7 +118,7 @@ cargo run -q --release --offline -p mp-bench --example telemetry_export >/dev/nu
 # Benchmark self-tests: the benchmark package's 17 unit tests (quartiles,
 # the log histogram, the JSON writer and parser, `agree`'s bounds, the
 # ledger's row names, a smoke run against BENCHMARK.json). It is not a
-# workspace member, so the workspace stage above does not run them. Builds
+# workspace member, so the test stages above do not run them. Builds
 # into benchmark/target, as the smoke stage below does.
 stage "cargo test --manifest-path benchmark/Cargo.toml (benchmark self-tests)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml

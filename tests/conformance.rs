@@ -292,11 +292,12 @@ mod scenario_matrix {
     ///
     /// That assumes a scan keeps at most a watermark's worth, which holds
     /// for MP and HP but not for HE: HE keeps every retired node whose
-    /// lifetime spans a reserved era, however many that is. The cap holds
-    /// for HE only because the matrix draws insert-remove pairs, which
-    /// keep the list near empty and the nodes short-lived (HE peaked at
-    /// 657–721). Remove-insert pairs keep the 48-key list full, and there
-    /// HE reached 1 052.
+    /// lifetime spans a reserved era, however many that is. So the cap
+    /// holds for insert-then-remove pairs only, the matrix's draw, which
+    /// keeps the list near empty and the nodes short-lived (HE peaked at
+    /// 657–721). Remove-then-insert pairs keep the 48-key list full, and
+    /// there HE reached 1 052. A bound derived per scheme replaces this
+    /// cap in ROADMAP item 4.
     fn node_cap() -> usize {
         let c = matrix_cfg();
         let watermark = c.empty_freq.max(2 * c.max_threads * c.slots_per_thread);

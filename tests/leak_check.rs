@@ -13,10 +13,13 @@
 //! nodes on the pending gauge without a handle-attributed retire).
 //!
 //! A second test holds the *scheme's* pending gauge, nodes and bytes, exact
-//! across the handle-death path: drain, park, adopt, free.
+//! across the handle-death path: drain, park, adopt, free. A third holds
+//! that an operation that unwinds still ends, so its protection does not
+//! keep a node another handle retired.
 
 mod common;
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -167,4 +170,32 @@ fn gauge_stays_exact_across_drop_park_adopt_and_free() {
     }
     assert_eq!(smr.retired_pending(), 0, "all adopted nodes must free");
     assert_eq!(tele.pending_bytes(), 0, "freed bytes must be subtracted exactly");
+}
+
+/// A value whose clone panics: `get` clones while its node is protected,
+/// so the panic unwinds out of an open operation.
+#[derive(Default)]
+struct CloneBomb;
+
+impl Clone for CloneBomb {
+    fn clone(&self) -> Self {
+        panic!("clone bomb");
+    }
+}
+
+/// An operation that unwinds still ends: its `pin()` guard runs `end_op`
+/// on the way out, so the epoch it announced under EBR does not keep
+/// another handle's retired node from being freed.
+#[test]
+fn an_unwinding_operation_ends_and_releases_its_protection() {
+    let _exclusive = exclusive();
+    let smr = Ebr::new(Config { max_threads: 3, ..Config::default() });
+    let list = LinkedList::<Ebr, CloneBomb>::new(&smr);
+    let (mut reader, mut writer) = (smr.register(), smr.register());
+    assert!(list.insert_kv(&mut writer, 1, CloneBomb));
+    let unwound = panic::catch_unwind(AssertUnwindSafe(|| list.get(&mut reader, 1)));
+    assert!(unwound.is_err(), "the value's clone panics inside get");
+    assert!(list.remove(&mut writer, 1));
+    writer.force_empty();
+    assert_eq!(smr.retired_pending(), 0, "the unwound get still holds the removed node");
 }

@@ -19,6 +19,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
+use margin_pointers::ds::{ConcurrentSet, LinkedList};
 use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::{He, Hp, Mp};
 use margin_pointers::smr::{Atomic, Config, Shared, Smr, SmrHandle};
@@ -264,6 +265,20 @@ fn nested_pin_trips_the_oracle() {
     let msg = oracle_panic(|| {
         let _outer = h1.pin();
         let _inner = h2.pin();
+    });
+    assert!(msg.contains("nested pin"), "wrong diagnosis: {msg}");
+}
+
+#[test]
+fn a_structure_operation_inside_a_pin_trips_the_oracle() {
+    let smr = Hp::new(cfg());
+    let list = LinkedList::<Hp>::new(&smr);
+    let mut h1 = smr.register();
+    let mut h2 = smr.register();
+    // Every structure operation opens with `pin()`, so it nests like one.
+    let msg = oracle_panic(|| {
+        let _outer = h1.pin();
+        list.insert(&mut h2, 1);
     });
     assert!(msg.contains("nested pin"), "wrong diagnosis: {msg}");
 }

@@ -41,7 +41,7 @@ fn armed_run_times_and_exports_and_disarmed_run_only_counts() {
     let out = churn.run::<Mp, LinkedList<Mp>>(&smr);
     let merged = out.stats;
     assert!(merged.ops() >= out.recorded as u64, "every recorded op counted");
-    assert!(merged.op_latency().count() == 0, "ds ops use raw start_op, not pin()");
+    assert_eq!(merged.op_latency().count(), merged.ops(), "armed: every ds op is timed");
     assert!(merged.retires() > 0 && merged.frees() > 0, "churn reclaims");
     assert!(merged.scan_latency().count() > 0, "armed scans are timed");
 
