@@ -39,7 +39,7 @@ use crate::error::SmrError;
 use crate::packed::{Atomic, Shared};
 use crate::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use crate::schemes::{DtaHandle, EbrHandle, HeHandle, HpHandle, IbrHandle, LeakyHandle, MpHandle};
-use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
+use crate::telemetry::{SchemeTelemetry, Telemetry, TelemetrySnapshot};
 
 /// The scheme table: one row per scheme — enum variant, scheme type, handle
 /// type, display name (identical to the scheme's [`Smr::name`]) and
@@ -187,11 +187,11 @@ impl Smr for AnySmr {
 }
 
 impl Telemetry for AnyHandle {
-    fn tele(&self) -> &HandleTelemetry {
+    fn tele(&self) -> &TelemetrySnapshot {
         delegate!(AnyHandle, self, h => h.tele())
     }
 
-    fn tele_mut(&mut self) -> &mut HandleTelemetry {
+    fn tele_mut(&mut self) -> &mut TelemetrySnapshot {
         delegate!(AnyHandle, self, h => h.tele_mut())
     }
 }

@@ -213,7 +213,8 @@ pub trait Smr: Send + Sync + Sized + 'static {
 ///
 /// # Protocol
 ///
-/// * Bracket every data-structure operation with [`start_op`]/[`end_op`].
+/// * Open every data-structure operation with [`pin`], whose guard runs
+///   [`start_op`] now and [`end_op`] when it drops.
 /// * Load shared node pointers only through [`read`], passing a `refno`
 ///   identifying which local reference is being refreshed (`prev`, `curr`,
 ///   …). How long the returned [`Shared`] may be dereferenced is stated
@@ -225,6 +226,7 @@ pub trait Smr: Send + Sync + Sized + 'static {
 ///   the target was linked at announcement time (§3.1).
 /// * Do not hold references across operations (§2 model assumption).
 ///
+/// [`pin`]: SmrHandle::pin
 /// [`start_op`]: SmrHandle::start_op
 /// [`end_op`]: SmrHandle::end_op
 /// [`read`]: SmrHandle::read
@@ -380,10 +382,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
 
     /// Forces a reclamation attempt regardless of `empty_freq` cadence.
     ///
-    /// Scans are allocation-free in steady state: the retired list swaps
-    /// through a handle-retained scratch `Vec` and protection snapshots
-    /// refill handle-owned buffers in place (`tests/zero_alloc.rs` counts
-    /// the heap calls).
+    /// Scans are allocation-free in steady state: the scan compacts the
+    /// retired list in place and protection snapshots refill handle-owned
+    /// buffers in place (`tests/zero_alloc.rs` counts the heap calls).
     fn force_empty(&mut self);
 }
 
@@ -503,7 +504,7 @@ mod tests {
         use crate::schemes::Mp;
         let smr = Mp::new(Config { max_threads: 1, ..Config::default() });
         let mut h = smr.register();
-        let fences_before = h.counter(Counter::Fences);
+        let fences_before = h.tele().fences();
         let mut op = h.pin();
         assert_eq!(op.counter(Counter::Ops), 1, "pin must start_op");
         let n = op.alloc_with_index(1u8, 5 << 16);
@@ -511,7 +512,7 @@ mod tests {
         drop(op);
         // Amortized MP: the first start_op announces the epoch (one fence);
         // end_op releases hazard slots fence-free and keeps the margins.
-        assert_eq!(h.counter(Counter::Fences), fences_before + 1, "first pin announces once");
+        assert_eq!(h.tele().fences(), fences_before + 1, "first pin announces once");
         assert_eq!(h.counter(Counter::FencesStartOp), 1);
         assert_eq!(h.counter(Counter::FencesEndOp), 0, "amortized end_op is fence-free");
         // The handle is reusable after the guard drops.
@@ -532,6 +533,6 @@ mod tests {
         assert_eq!(h.counter(Counter::Ops), 1);
         // end_op (fence-free under amortized MP) must still have run: the
         // hazard row is cleared even though no fence is issued.
-        assert_eq!(h.counter(Counter::Fences), 1, "only the start_op announcement fences");
+        assert_eq!(h.tele().fences(), 1, "only the start_op announcement fences");
     }
 }

@@ -58,8 +58,6 @@ pub use any::{AnyHandle, AnySmr, SchemeKind};
 pub use api::{Config, ConfigError, OpGuard, Smr, SmrHandle};
 pub use builder::SmrBuilder;
 pub use error::SmrError;
-pub use node::{gauge, SmrNode};
+pub use node::SmrNode;
 pub use packed::{Atomic, Shared};
-pub use telemetry::{
-    Counter, FenceSite, HandleTelemetry, SchemeTelemetry, Telemetry, TelemetrySnapshot,
-};
+pub use telemetry::{Counter, FenceSite, SchemeTelemetry, Telemetry, TelemetrySnapshot};

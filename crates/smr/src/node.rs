@@ -21,10 +21,10 @@
 //! client type.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU8, Ordering};
 
 use crate::packed::Atomic;
-use crate::telemetry::{Counter, HandleTelemetry};
+use crate::telemetry::{Counter, TelemetrySnapshot};
 
 /// Reserved index meaning "protect this node with hazard pointers, not
 /// margin pointers" (paper §4.3.2). Assigned on index collision.
@@ -208,21 +208,6 @@ impl<T> SmrNode<T> {
     }
 }
 
-/// Live-allocation gauge: incremented on every SMR node allocation and
-/// decremented on every reclamation. Lets tests assert leak-freedom and
-/// benchmarks report resident nodes.
-pub mod gauge {
-    use super::*;
-
-    pub(crate) static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-    /// Number of SMR nodes currently allocated and not yet reclaimed
-    /// (linked + retired-pending), across all schemes in the process.
-    pub fn live_nodes() -> usize {
-        LIVE.load(Ordering::Acquire)
-    }
-}
-
 /// The block behind a node with payload `T`, `tail_len` links and, if
 /// `birth_word`, a birth word: its layout, and the birth word's offset (0
 /// when there is none). The tail starts at `size_of::<SmrNode<T>>()`; the birth
@@ -316,16 +301,16 @@ pub(crate) fn alloc_node<T>(data: T, at: BirthAt, index: u32, birth: u64) -> *mu
     alloc_node_tracked(data, at, index, birth, 0).0
 }
 
-/// Node allocation plus per-handle telemetry: counts the pool hit/miss
-/// split (recycled block / fresh carve). Every `SmrHandle::alloc_with_tail`
-/// routes here.
+/// Node allocation plus per-handle telemetry: counts it once, as a pool
+/// hit (recycled block) or a miss (fresh carve); `allocs()` is their sum.
+/// Every `SmrHandle::alloc_with_tail` routes here.
 pub(crate) fn alloc_node_in<T>(
     data: T,
     at: BirthAt,
     index: u32,
     birth: u64,
     tail_len: usize,
-    tele: &mut HandleTelemetry,
+    tele: &mut TelemetrySnapshot,
 ) -> *mut SmrNode<T> {
     let (ptr, from_pool) = alloc_node_tracked(data, at, index, birth, tail_len);
     tele.bump(if from_pool { Counter::PoolHits } else { Counter::PoolMisses });
@@ -343,7 +328,6 @@ fn alloc_node_tracked<T>(
     let shape = tail_len as u8 | at as u8;
     let stamp = if at == BirthAt::Stamp { birth.min(STAMP_MAX) } else { u64::from(index) };
     let (layout, birth_at) = block::<T>(tail_len, at == BirthAt::Word);
-    gauge::LIVE.fetch_add(1, Ordering::AcqRel);
     let (raw, from_pool) = mp_util::pool::alloc(layout);
     let ptr = raw as *mut SmrNode<T>; // CAST-OK: pool block served for exactly this node's layout.
     // SAFETY: [INV-08] `raw` is an exclusively owned block of the node's layout;
@@ -451,7 +435,6 @@ pub(crate) unsafe fn take_node<T>(ptr: *mut SmrNode<T>) -> T {
 // SAFETY: [INV-11] obligation stated in `# Safety` above; the two callers
 // are `dealloc_node` and `take_node`.
 unsafe fn free_node<T, R>(ptr: *mut SmrNode<T>, take: impl FnOnce() -> R) -> (R, usize) {
-    gauge::LIVE.fetch_sub(1, Ordering::AcqRel);
     // SAFETY: [INV-03] exclusive access per this fn's contract, and no
     // access after the block is given up; [INV-15] the header's shape is
     // what the allocation sized the block from, so [INV-08] the pool gets
@@ -581,6 +564,7 @@ impl Retired {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::sync::atomic::AtomicUsize;
 
     #[test]
     fn header_is_at_offset_zero() {
@@ -620,23 +604,8 @@ mod tests {
         assert_eq!(size_of::<Retired>(), 40);
     }
 
-    #[test]
-    fn gauge_tracks_alloc_and_free() {
-        // Tests run in parallel, so only lower bounds are reliable here; the
-        // exact end-to-end leak check lives in the `leak_check` integration
-        // test, which runs alone in its own process.
-        let a = alloc_node(vec![1u8, 2, 3], BirthAt::Nowhere, 1, 0);
-        let b = alloc_node("hello".to_string(), BirthAt::Word, 2, 0);
-        assert!(gauge::live_nodes() >= 2, "our two live nodes must be counted");
-        // SAFETY: [INV-12] both nodes are unpublished and test-owned.
-        unsafe {
-            dealloc_node(a);
-            dealloc_node(b);
-        }
-    }
-
     /// Through type erasure a node is freed as what it was allocated as —
-    /// payload dropped once, block and gauge returned — whether or not it
+    /// payload dropped once, block returned — whether or not it
     /// carries a tail or a birth word the erased `T` knows nothing about,
     /// and its record keeps what the stamp holds: the index, or the birth.
     #[test]
@@ -798,8 +767,8 @@ mod tests {
     }
 
     /// Pool recycling round-trip: a reclaimed node's block is served to the
-    /// next same-class allocation on this thread, the live gauge balances,
-    /// and the payload's drop glue runs exactly once per node lifetime
+    /// next same-class allocation on this thread, and the payload's drop
+    /// glue runs exactly once per node lifetime
     /// (recycling must never re-drop or skip a payload). Without the oracle
     /// only — the oracle parks freed blocks in quarantine, so immediate
     /// reuse is deliberately impossible there.
@@ -820,7 +789,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
-        let mut tele = HandleTelemetry::new();
+        let mut tele = TelemetrySnapshot::default();
         let b = alloc_node_in(DropFlag(drops.clone()), BirthAt::Nowhere, 2, 0, 0, &mut tele);
         assert_eq!(b as usize, a_addr, "reclaimed block must be recycled");
         assert_eq!(tele.counter(Counter::PoolHits), 1);
@@ -831,9 +800,6 @@ mod tests {
 
         unsafe { dealloc_node(b) }; // SAFETY: [INV-12] unpublished, test-owned node.
         assert_eq!(drops.load(Ordering::Acquire), 2, "each payload dropped exactly once");
-        // Gauge exactness under recycling is asserted in the single-test
-        // `zero_alloc` process (the gauge is global; tests here run in
-        // parallel) and end-to-end in `leak_check`.
     }
 
     #[test]

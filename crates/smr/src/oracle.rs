@@ -10,10 +10,15 @@
 //! epoch as an incarnation tag distinguishing address reuse:
 //!
 //! ```text
-//!   Allocated ──retire──▶ Retired ──reclaim──▶ Freed (entry pruned on
-//!       │                                        real deallocation)
-//!       └───────owned drop (never published)──────▶ Freed
+//!   Allocated ──retire──▶ Retired ──reclaim──▶ (entry removed)
+//!       │                                            ▲
+//!       └───────owned drop (never published)─────────┘
 //! ```
+//!
+//! A free removes the node's entry, so the table holds exactly the nodes
+//! allocated and not yet freed, and [`live_nodes`] is its size. A freed
+//! block waits in quarantine untracked: its address cannot be served
+//! again before it leaves, and a second free of it finds no entry.
 //!
 //! Illegal transitions — double retire, retire after free, double free,
 //! free of an untracked address, a birth-tag mismatch betraying a stale
@@ -109,6 +114,13 @@ fn table() -> &'static ShadowTable {
     TABLE.get_or_init(ShadowTable::new)
 }
 
+/// SMR nodes allocated and not yet freed (linked, owned or retired and
+/// pending), across every scheme in the process: the shadow table's size,
+/// exact because a free removes the node's entry.
+pub fn live_nodes() -> usize {
+    table().len()
+}
+
 /// Records the checker base seed driving the current test, so oracle panics
 /// print a `MP_CHECK_SEED=…` replay line. `0` means "unset".
 pub fn set_replay_seed(seed: u64) {
@@ -150,8 +162,9 @@ fn state_name(state: u8) -> &'static str {
 /// Records a fresh allocation at `addr` with birth-epoch tag `birth`.
 ///
 /// The allocator can only return an address the table does not track: a
-/// freed node's entry is pruned exactly when its memory leaves quarantine.
-/// A tracked address here means a node was freed behind the oracle's back.
+/// freed node's entry went with its free, and its block reaches the pool
+/// only when it leaves quarantine. A tracked address here means a node was
+/// freed behind the oracle's back.
 pub(crate) fn on_alloc(addr: u64, birth: u64) {
     let r = table().transition(addr, |cur| match cur {
         None => Ok(Some(ShadowSlot { state: ALLOCATED, tag: birth })),
@@ -185,10 +198,11 @@ pub(crate) fn on_retire(addr: u64, birth: u64) {
     }
 }
 
-/// Transitions `addr` to Freed (entry pruned once the memory leaves
-/// quarantine — see [`quarantine_node`]). Accepts `Allocated` (an owned
-/// drop of a never-published node) and `Retired` (normal reclamation);
-/// anything else is a double free or a free of an untracked node.
+/// Removes `addr`'s entry: the node is freed, and its block goes to
+/// quarantine untracked ([`quarantine_node`]). Accepts `Allocated` (an
+/// owned drop of a never-published node) and `Retired` (normal
+/// reclamation); an address with no entry is a double free or a free of an
+/// untracked node.
 pub(crate) fn on_free(addr: u64, birth: u64) {
     let r = table().transition(addr, |cur| match cur {
         Some(s) if s.tag != birth => Err(format!(
@@ -428,14 +442,14 @@ static QUARANTINE: Mutex<VecDeque<Quarantined>> = Mutex::new(VecDeque::new());
 
 /// Parks a reclaimed (already poisoned) node's memory in the FIFO
 /// quarantine; once the quarantine exceeds [`QUARANTINE_CAP`], the oldest
-/// entry is handed back to the block pool and its shadow entry pruned.
+/// entry is handed back to the block pool.
 ///
 /// Ordering contract with the node pool (`mp_util::pool`): a freed block
 /// enters quarantine *before* it can ever be reinserted into the pool, and
-/// its shadow entry is pruned *before* the pool sees it — so while an
-/// address is still tracked as `Freed`, the pool cannot serve it back and
-/// every dereference of it reads poison deterministically. Recycling
-/// therefore does not weaken UAF detection.
+/// its shadow entry is already gone ([`on_free`]) — so while a block sits
+/// here the pool cannot serve it back and every dereference of it reads
+/// poison deterministically, and once it leaves, `on_alloc` finds its
+/// address untracked. Recycling therefore does not weaken UAF detection.
 ///
 /// # Safety
 /// `ptr` must be the start of a live allocation of `layout` that no other
@@ -453,14 +467,10 @@ pub(crate) unsafe fn quarantine_node(ptr: *mut u8, layout: Layout) {
         }
     };
     if let Some(old) = evicted {
-        // Prune the shadow entry: the address may now be legitimately
-        // reused by the pool or the allocator.
-        // CAST-OK: shadow-table key; oracle tracks addresses as u64.
-        let _ = table().transition(old.ptr as u64, |_| Ok(None));
         // SAFETY: [INV-10] the quarantine entry owned this allocation
         // exclusively. Handing it to the pool (not straight to `std::alloc`)
         // is what lets recycled blocks flow back to `alloc_node` under the
-        // oracle; the shadow entry was pruned first, so `on_alloc` sees an
+        // oracle; `on_free` removed the shadow entry, so `on_alloc` sees an
         // untracked address.
         unsafe { mp_util::pool::dealloc(old.ptr, old.layout) };
     }
@@ -504,9 +514,23 @@ mod tests {
         on_alloc(addr, 3);
         on_retire(addr, 3);
         on_free(addr, 3);
-        // Freed entries are pruned only on quarantine eviction; prune
-        // manually so this fabricated address does not linger.
-        let _ = table().transition(addr, |_| Ok(None));
+        assert_eq!(table().get(addr), None, "the free removed the entry");
+    }
+
+    /// A node counts from its allocation until its free, retired or not.
+    /// Other tests in this binary move the count too, so only this test's
+    /// own entries are checked exactly.
+    #[test]
+    fn live_nodes_counts_nodes_until_their_free() {
+        let (a, b) = (0x5009, 0x500b); // fabricated: never real allocations
+        on_alloc(a, 1);
+        on_alloc(b, 1);
+        on_retire(b, 1);
+        assert!(live_nodes() >= 2, "an allocated and a retired node are live");
+        assert!(table().get(a).is_some() && table().get(b).is_some());
+        on_free(a, 1);
+        on_free(b, 1);
+        assert_eq!((table().get(a), table().get(b)), (None, None), "a free ends the count");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use core::sync::atomic::{fence, AtomicU64, Ordering};
 use crate::api::Config;
 use crate::packed::{Atomic, Shared};
 use crate::registry::SlotArray;
-use crate::telemetry::{FenceSite, HandleTelemetry};
+use crate::telemetry::{FenceSite, TelemetrySnapshot};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
 pub const INACTIVE: u64 = u64::MAX;
@@ -20,7 +20,7 @@ pub const NO_MARGIN: u64 = u64::MAX;
 /// Issues a full sequentially consistent fence and counts it (Figure 5),
 /// attributed to the issuing call site for the per-site fence breakdown.
 #[inline]
-pub fn counted_fence(tele: &mut HandleTelemetry, site: FenceSite) {
+pub fn counted_fence(tele: &mut TelemetrySnapshot, site: FenceSite) {
     fence(Ordering::SeqCst);
     tele.record_fence(site);
 }
@@ -48,7 +48,7 @@ impl<const IDLE: u64> MirroredRow<IDLE> {
     pub fn announce(
         &mut self,
         slots: &SlotArray,
-        tele: &mut HandleTelemetry,
+        tele: &mut TelemetrySnapshot,
         slot: usize,
         value: u64,
         site: FenceSite,
@@ -71,7 +71,7 @@ impl<const IDLE: u64> MirroredRow<IDLE> {
     pub fn protect<T: Send + Sync>(
         &mut self,
         slots: &SlotArray,
-        tele: &mut HandleTelemetry,
+        tele: &mut TelemetrySnapshot,
         slot: usize,
         src: &Atomic<T>,
         w: Shared<T>,
@@ -290,17 +290,17 @@ mod tests {
     }
 
     /// A row of `slots` slots for tid 1 of a two-thread hazard array.
-    fn hazard_row(slots: usize) -> (SlotArray, MirroredRow<NO_HAZARD>, HandleTelemetry) {
+    fn hazard_row(slots: usize) -> (SlotArray, MirroredRow<NO_HAZARD>, TelemetrySnapshot) {
         let array = SlotArray::new(2, slots, NO_HAZARD);
         let row = MirroredRow::new(&array, 1);
-        (array, row, HandleTelemetry::new())
+        (array, row, TelemetrySnapshot::default())
     }
 
     #[test]
     fn re_announcing_the_standing_value_neither_stores_nor_fences() {
         let array = SlotArray::new(2, 3, INACTIVE);
         let mut row = MirroredRow::<INACTIVE>::new(&array, 1);
-        let mut t = HandleTelemetry::new();
+        let mut t = TelemetrySnapshot::default();
         assert!(row.announce(&array, &mut t, 2, 7, FenceSite::Announce));
         assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 7);
         assert_eq!(t.counter(Counter::FencesAnnounce), 1);
@@ -309,11 +309,11 @@ mod tests {
         array.get(1, 2).store(99, Ordering::Relaxed);
         assert!(!row.announce(&array, &mut t, 2, 7, FenceSite::Announce));
         assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 99, "the standing value was stored again");
-        assert_eq!(t.counter(Counter::Fences), 1, "the standing value was fenced again");
+        assert_eq!(t.fences(), 1, "the standing value was fenced again");
         // A new value stores and fences.
         assert!(row.announce(&array, &mut t, 2, 8, FenceSite::Announce));
         assert_eq!(array.get(1, 2).load(Ordering::Relaxed), 8);
-        assert_eq!(t.counter(Counter::Fences), 2);
+        assert_eq!(t.fences(), 2);
     }
 
     #[test]
@@ -331,7 +331,7 @@ mod tests {
         assert_eq!(t.counter(Counter::FencesHpProtect), 2);
         // Once it stands, protecting it again costs no fence.
         assert_eq!(row.protect(&array, &mut t, 1, &src, b), Ok(b));
-        assert_eq!(t.counter(Counter::Fences), 2);
+        assert_eq!(t.fences(), 2);
     }
 
     #[test]
@@ -348,7 +348,7 @@ mod tests {
         assert!(row.mirror.iter().all(|&v| v == NO_HAZARD) && !row.dirty, "the mirror is idle too");
         // The mirror forgot the old values: announcing one stores and fences.
         assert!(row.announce(&array, &mut t, 0, 0x100, FenceSite::HpProtect));
-        assert_eq!(t.counter(Counter::Fences), 4);
+        assert_eq!(t.fences(), 4);
     }
 
     #[test]
@@ -369,10 +369,10 @@ mod tests {
 
     #[test]
     fn fence_counted() {
-        let mut t = HandleTelemetry::new();
+        let mut t = TelemetrySnapshot::default();
         counted_fence(&mut t, FenceSite::StartOp);
         counted_fence(&mut t, FenceSite::Announce);
-        assert_eq!(t.counter(Counter::Fences), 2);
+        assert_eq!(t.fences(), 2);
         assert_eq!(t.counter(Counter::FencesStartOp), 1);
         assert_eq!(t.counter(Counter::FencesAnnounce), 1);
     }

@@ -21,7 +21,7 @@ use crate::node::{BirthAt, Retired};
 use crate::packed::Shared;
 use crate::registry::Registry;
 use crate::schemes::common::{ScanPolicy, ScanState};
-use crate::telemetry::{Counter, HandleTelemetry, SchemeTelemetry};
+use crate::telemetry::{Counter, SchemeTelemetry, TelemetrySnapshot};
 
 /// What a scheme's shared state tells the skeleton about itself.
 pub(crate) trait Scheme {
@@ -86,7 +86,7 @@ impl SchemeCore {
             .registry
             .try_acquire()
             .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new();
+        let mut tele = TelemetrySnapshot::default();
         if lease.recycled {
             tele.bump(Counter::TidRecycles);
         }
@@ -136,7 +136,7 @@ pub(crate) struct HandleCore {
     /// retired-list head (cf. `registry.rs::SlotArray` rows).
     retired: CachePadded<Vec<Retired>>,
     scan: ScanState,
-    pub(crate) tele: CachePadded<HandleTelemetry>,
+    pub(crate) tele: CachePadded<TelemetrySnapshot>,
     /// What this handle's reads and allocations protect, for the oracle's
     /// deref check.
     #[cfg(feature = "oracle")]
@@ -173,7 +173,6 @@ impl HandleCore {
         birth: u64,
         tail_len: usize,
     ) -> Shared<T> {
-        self.tele.bump(Counter::Allocs);
         let tele = &mut self.tele;
         let ptr = crate::node::alloc_node_in(data, S::BIRTH, index, birth, tail_len, tele);
         // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
@@ -297,11 +296,11 @@ pub(crate) use smr_core_accessors;
 macro_rules! impl_handle_telemetry {
     ($handle:ty) => {
         impl $crate::telemetry::Telemetry for $handle {
-            fn tele(&self) -> &$crate::telemetry::HandleTelemetry {
+            fn tele(&self) -> &$crate::telemetry::TelemetrySnapshot {
                 &self.core.tele
             }
 
-            fn tele_mut(&mut self) -> &mut $crate::telemetry::HandleTelemetry {
+            fn tele_mut(&mut self) -> &mut $crate::telemetry::TelemetrySnapshot {
                 &mut self.core.tele
             }
         }

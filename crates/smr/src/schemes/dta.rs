@@ -437,7 +437,7 @@ impl Drop for DtaHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Counter, Telemetry};
+    use crate::telemetry::Telemetry;
 
     fn setup(threads: usize) -> Arc<Dta> {
         Dta::new(
@@ -501,15 +501,15 @@ mod tests {
         h.start_op();
         let n = h.alloc(0u32);
         let cell = Atomic::new(n);
-        let f0 = h.counter(Counter::Fences);
+        let f0 = h.tele().fences();
         // Reads are plain loads — DTA's whole point.
         for _ in 0..10 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.counter(Counter::Fences), f0, "reads must not fence");
+        assert_eq!(h.tele().fences(), f0, "reads must not fence");
         assert_eq!(h.anchor_hops(), 3);
         h.post_anchor(n.addr());
-        assert_eq!(h.counter(Counter::Fences), f0 + 1, "anchor post costs one fence");
+        assert_eq!(h.tele().fences(), f0 + 1, "anchor post costs one fence");
         assert_eq!(smr.anchors.get(0, 0).load(Ordering::Relaxed), n.addr());
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.

@@ -350,11 +350,11 @@ mod tests {
         let n = h.alloc(9u8);
         let cell = Atomic::new(n);
         let _ = h.read(&cell, 0);
-        let after_first = h.counter(Counter::Fences);
+        let after_first = h.tele().fences();
         for _ in 0..50 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.counter(Counter::Fences), after_first, "unchanged era ⇒ no fence");
+        assert_eq!(h.tele().fences(), after_first, "unchanged era ⇒ no fence");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
         h.force_empty();

@@ -286,14 +286,14 @@ mod tests {
         h.start_op();
         let n = h.alloc(3u16);
         let cell = Atomic::new(n);
-        let f0 = h.counter(Counter::Fences);
+        let f0 = h.tele().fences();
         let _ = h.read(&cell, 0);
-        let after_first = h.counter(Counter::Fences);
+        let after_first = h.tele().fences();
         assert_eq!(after_first, f0 + 1);
         for _ in 0..10 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.counter(Counter::Fences), after_first, "slot dedup avoids refencing");
+        assert_eq!(h.tele().fences(), after_first, "slot dedup avoids refencing");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
     }

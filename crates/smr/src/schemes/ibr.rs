@@ -192,7 +192,7 @@ impl Drop for IbrHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Counter, Telemetry};
+    use crate::telemetry::Telemetry;
 
     fn setup(threads: usize) -> Arc<Ibr> {
         Ibr::new(Config { max_threads: threads, epoch_freq: 1, ..Config::default() })
@@ -259,11 +259,11 @@ mod tests {
         h.start_op();
         let n = h.alloc(1u8);
         let cell = Atomic::new(n);
-        let baseline = h.counter(Counter::Fences);
+        let baseline = h.tele().fences();
         for _ in 0..50 {
             let _ = h.read(&cell, 0);
         }
-        assert_eq!(h.counter(Counter::Fences), baseline, "per-operation overhead only");
+        assert_eq!(h.tele().fences(), baseline, "per-operation overhead only");
         h.end_op();
         unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
         h.force_empty();

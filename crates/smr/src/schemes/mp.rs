@@ -40,7 +40,8 @@
 //!   standing coverage. The inlined read tests one cached interval; past
 //!   it, an exact region index over the row's midpoints (`MarginRow`)
 //!   names the covering slot in O(1). Rows of up to 8 slots, one cache
-//!   line of midpoints, are scanned instead, which costs them less.
+//!   line of midpoints, are scanned instead, which costs them less, and so
+//!   are rows of more than 64, which no structure asks for.
 //! * **Persistent announcements** — `end_op` releases hazard slots only.
 //!   Margins and the announced epoch stay published (HE's lazy-era
 //!   discipline): a standing (margin, epoch) pair pins only nodes whose
@@ -94,14 +95,11 @@ const NO_OWNER: usize = usize::MAX;
 /// throughput there (EXPERIMENTS.md, "A region index over the margin row").
 const SCANNED_ROW: usize = 8;
 
-/// Most regions a [`MarginRow`]'s index has. A row of `s` slots gets the
-/// power of two at or above `4·s`, up to this, so that up to 64 slots a
-/// lookup meets about `2·s / regions ≤ ½` aliased candidates.
-const MAX_REGIONS: usize = 256;
-
 /// One thread's announced margins, as its handle mirrors them, with an
 /// exact index over their midpoints by region when the row is longer than
-/// [`SCANNED_ROW`].
+/// [`SCANNED_ROW`] and one mask word holds it: 9 to 64 slots (the skip
+/// list, the longest row a structure asks for, has 31). A longer row is
+/// scanned too.
 ///
 /// Region `r` holds the midpoints `m` with `(m >> shift) % regions == r`,
 /// where `2^shift` is the least power of two `≥ margin`; its mask has a bit
@@ -110,7 +108,9 @@ const MAX_REGIONS: usize = 256;
 /// `[idx_hi − half, idx_lo + half]`. The window is narrower than `2^shift`,
 /// so it meets at most two regions: a lookup ORs their two masks and range-
 /// checks only the slots named. Aliased regions add candidates but never
-/// hide one, so the lookup is exact.
+/// hide one, so the lookup is exact. A row of `s` slots gets the power of
+/// two at or above `4·s` regions, so that a lookup meets about
+/// `2·s / regions ≤ ½` aliased candidates.
 struct MarginRow {
     /// Per slot, the announced midpoint, or `NO_MARGIN`.
     mids: Box<[u64]>,
@@ -120,34 +120,28 @@ struct MarginRow {
     shift: u32,
     /// `regions − 1`; `regions` is a power of two.
     region_mask: u32,
-    /// Mask words per region, `⌈slots / 64⌉`.
-    words: u32,
-    /// `regions × words` words: bit `s % 64` of word `r · words + s / 64`
-    /// is slot `s` in region `r`. Empty for a scanned row.
+    /// One word per region: bit `s` of word `r` is slot `s` in region `r`.
+    /// Empty for a scanned row.
     masks: Box<[u64]>,
 }
 
 impl MarginRow {
     fn new(slots: usize, margin: u32) -> Self {
-        let (regions, words) = if slots <= SCANNED_ROW {
-            (1, 0)
-        } else {
-            ((4 * slots).next_power_of_two().min(MAX_REGIONS), slots.div_ceil(64))
-        };
+        let indexed = (SCANNED_ROW + 1..=u64::BITS as usize).contains(&slots);
+        let regions = if indexed { (4 * slots).next_power_of_two() } else { 0 };
         MarginRow {
             mids: vec![NO_MARGIN; slots].into_boxed_slice(),
             half: u64::from(margin / 2),
             shift: u64::from(margin).next_power_of_two().trailing_zeros(),
-            region_mask: (regions - 1) as u32,
-            words: words as u32,
-            masks: vec![0; regions * words].into_boxed_slice(),
+            region_mask: regions.saturating_sub(1) as u32,
+            masks: vec![0; regions].into_boxed_slice(),
         }
     }
 
-    /// Offset of the masks of the region holding midpoint `mid`.
+    /// The region holding midpoint `mid`.
     #[inline]
     fn region(&self, mid: u64) -> usize {
-        ((mid >> self.shift) as usize & self.region_mask as usize) * self.words as usize
+        (mid >> self.shift) as usize & self.region_mask as usize
     }
 
     /// Records that `slot` now announces `mid`: in an indexed row, two bit
@@ -159,21 +153,21 @@ impl MarginRow {
         if self.masks.is_empty() {
             return;
         }
-        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        let bit = 1u64 << slot;
         if old != NO_MARGIN {
             let r = self.region(old);
-            self.masks[r + word] &= !bit;
+            self.masks[r] &= !bit;
         }
         let r = self.region(mid);
-        self.masks[r + word] |= bit;
+        self.masks[r] |= bit;
     }
 
     /// The lowest-index slot whose margin covers the precision block
     /// `[idx_lo, idx_hi]`, if any: the cross-refno cover check that elides
     /// re-announcements when clients rotate refnos per hop. In an indexed
-    /// row it costs two mask loads per 64 slots and one range check per
-    /// candidate: O(1) for rows of up to 64 slots. The candidates are all
-    /// checked, without a branch on each, and the lowest hit is taken.
+    /// row it costs two mask loads and one range check per candidate:
+    /// O(1). The candidates are all checked, without a branch on each, and
+    /// the lowest hit is taken.
     #[inline]
     fn covering(&self, idx_lo: u32, idx_hi: u32) -> Option<usize> {
         let lo = u64::from(idx_hi).saturating_sub(self.half);
@@ -181,20 +175,14 @@ impl MarginRow {
         if self.masks.is_empty() {
             return self.mids.iter().position(|mid| (lo..=hi).contains(mid));
         }
-        let (a, b) = (self.region(lo), self.region(hi));
-        for w in 0..self.words as usize {
-            let (mut candidates, mut hits) = (self.masks[a + w] | self.masks[b + w], 0u64);
-            while candidates != 0 {
-                let bit = candidates.trailing_zeros();
-                let mid = self.mids[w * 64 + bit as usize];
-                hits |= u64::from((lo..=hi).contains(&mid)) << bit;
-                candidates &= candidates - 1;
-            }
-            if hits != 0 {
-                return Some(w * 64 + hits.trailing_zeros() as usize);
-            }
+        let mut candidates = self.masks[self.region(lo)] | self.masks[self.region(hi)];
+        let mut hits = 0u64;
+        while candidates != 0 {
+            let bit = candidates.trailing_zeros();
+            hits |= u64::from((lo..=hi).contains(&self.mids[bit as usize])) << bit;
+            candidates &= candidates - 1;
         }
-        None
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 }
 
@@ -834,9 +822,9 @@ mod tests {
         // Nodes clustered within one margin (margin default 2^20).
         let cells: Vec<_> =
             (0..8u32).map(|i| cell_with(&mut h, i, 500_000 + (i << 16))).collect();
-        let f0 = h.counter(Counter::Fences);
+        let f0 = h.tele().fences();
         let _ = h.read(&cells[0].0, 0);
-        let after_first = h.counter(Counter::Fences);
+        let after_first = h.tele().fences();
         assert_eq!(after_first, f0 + 1, "first read announces one margin");
         assert_eq!(h.counter(Counter::FencesAnnounce), 1, "the fence is attributed to the announce site");
         for (i, (c, _)) in cells[1..].iter().enumerate() {
@@ -844,7 +832,7 @@ mod tests {
             // cover check must keep the cluster fence-free anyway.
             let _ = h.read(c, (i + 1) % 3);
         }
-        assert_eq!(h.counter(Counter::Fences), after_first, "margin covers the cluster: no more fences");
+        assert_eq!(h.tele().fences(), after_first, "margin covers the cluster: no more fences");
         h.end_op();
         for (_, n) in cells {
             unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
@@ -864,23 +852,23 @@ mod tests {
         let base = 1u32 << 24;
         let (c0, n0) = cell_with(&mut h, 0u32, base);
         let _ = h.read(&c0, 0);
-        let f_after_first = h.counter(Counter::Fences);
+        let f_after_first = h.tele().fences();
 
         // Far forward but still inside [base, base + margin]: covered.
         let (c1, n1) = cell_with(&mut h, 1u32, base + margin - (1 << 16));
         let _ = h.read(&c1, 1);
-        assert_eq!(h.counter(Counter::Fences), f_after_first, "configured margin covers forward reads");
+        assert_eq!(h.tele().fences(), f_after_first, "configured margin covers forward reads");
 
         // Just beyond the configured margin: must re-announce.
         let (c2, n2) = cell_with(&mut h, 2u32, base + margin + (1 << 16));
         let _ = h.read(&c2, 2);
-        assert_eq!(h.counter(Counter::Fences), f_after_first + 1, "past-margin read announces");
+        assert_eq!(h.tele().fences(), f_after_first + 1, "past-margin read announces");
 
         // Behind the block base: forward centering does not cover it.
         let (c3, n3) = cell_with(&mut h, 3u32, base - (1 << 17));
-        let f_before_back = h.counter(Counter::Fences);
+        let f_before_back = h.tele().fences();
         let _ = h.read(&c3, 0);
-        assert_eq!(h.counter(Counter::Fences), f_before_back + 1, "margins are forward-centered");
+        assert_eq!(h.tele().fences(), f_before_back + 1, "margins are forward-centered");
 
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
@@ -901,14 +889,14 @@ mod tests {
         let (c, n) = cell_with(&mut h, 1u32, 500_000);
         let _ = h.read(&c, 0);
         h.end_op();
-        let fences_after_op1 = h.counter(Counter::Fences);
+        let fences_after_op1 = h.tele().fences();
         // Second op over the same region: no epoch movement, standing
         // margin → zero fences for both the bracketing and the read.
         h.start_op();
         let _ = h.read(&c, 1);
         h.end_op();
         assert_eq!(
-            h.counter(Counter::Fences),
+            h.tele().fences(),
             fences_after_op1,
             "unchanged epoch + standing margin must make the second op fence-free \
              (start_op {}, end_op {}, announce {}, hp {})",
@@ -1065,9 +1053,9 @@ mod tests {
 
         let _ = h.read(&ca, 0); // announce margin over region A
         let _ = h.read(&cb, 0); // refno 0 reused far away: A's margin stays
-        let fences = h.counter(Counter::Fences);
+        let fences = h.tele().fences();
         let _ = h.read(&ca2, 1); // back in region A: covered by the standing margin
-        assert_eq!(h.counter(Counter::Fences), fences, "standing margin keeps region A fence-free");
+        assert_eq!(h.tele().fences(), fences, "standing margin keeps region A fence-free");
 
         h.end_op();
         // SAFETY: [INV-12] test-owned nodes, each retired exactly once.
@@ -1238,9 +1226,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x6d70_5f72_6567_696f);
         let block = |idx: u32| (idx & 0xffff_0000, idx | 0xffff);
         let (mut hits, mut misses) = (0u32, 0u32);
-        // A scanned row, the shortest indexed row, and indexed rows of one
-        // and of two mask words.
-        for slots in [4usize, 9, 62, 70] {
+        // A short scanned row, the shortest and two of the longest indexed
+        // rows, and a row too long for one mask word, which is scanned.
+        for slots in [4usize, 9, 62, 64, 70] {
             for shift in 17..=31u32 {
                 // A power of two, and an odd margin just above the next
                 // lower one, whose region is still `2^shift` wide.

@@ -7,13 +7,18 @@
 //! this module keeps those signals as counts:
 //!
 //! * **Counters** — one exact `u64` per [`Counter`] per handle, merged
-//!   across handles by [`TelemetrySnapshot::merge`]. Fig. 6's
-//!   wasted-memory average is one of them: `retired_sampled_sum / ops`.
+//!   across handles by [`TelemetrySnapshot::merge`]. Each fact is counted
+//!   once: a total that is the sum of counted parts (`fences`, `allocs`) is
+//!   summed when read, not bumped beside them. Fig. 6's wasted-memory
+//!   average is one of them: `retired_sampled_sum / ops`.
 //! * **Latency histograms** — power-of-two log-bucketed [`Histogram`]s
 //!   (64 buckets, merged along with the counters) for the operations a
 //!   [`pin`](crate::SmrHandle::pin) guard brackets and for `empty()` scans.
 //! * **Waste gauges** — [`SchemeTelemetry`], the scheme's retired-but-
 //!   unreclaimed nodes and bytes right now, read at render time.
+//!
+//! A handle owns one [`TelemetrySnapshot`] and updates it in place;
+//! [`Telemetry::snapshot`] hands out a clone of it.
 //!
 //! # Arming and the zero-cost-off contract
 //!
@@ -72,8 +77,7 @@ pub fn timer() -> Option<Instant> {
 macro_rules! counters {
     ($($variant:ident => $name:ident, $doc:literal;)*) => {
         /// Scheme-agnostic counter identifiers; the discriminant indexes
-        /// the counter arrays of [`HandleTelemetry`] and
-        /// [`TelemetrySnapshot`].
+        /// [`TelemetrySnapshot`]'s counter array.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub enum Counter {
             $(#[doc = $doc] $variant,)*
@@ -104,9 +108,6 @@ macro_rules! counters {
 }
 
 counters! {
-    Fences => fences,
-        "Full memory fences (or sequentially consistent protection stores) on the protection \
-         path; Fig. 5 numerator.";
     FencesStartOp => fences_start_op,
         "Fences issued at operation start ([`FenceSite::StartOp`]).";
     FencesEndOp => fences_end_op,
@@ -122,8 +123,6 @@ counters! {
     RetiredSampledSum => retired_sampled_sum,
         "Sum over operations of the retired-list length at `start_op`; over `ops` it is Fig. 6's \
          wasted-memory metric.";
-    Allocs => allocs,
-        "Nodes allocated.";
     Retires => retires,
         "Nodes retired.";
     Frees => frees,
@@ -151,12 +150,12 @@ counters! {
          reads per scan are noise.";
 }
 
-/// Which protection-path call site issued a fence. The per-site split is
-/// the profiling surface behind the fence-amortization work: ~64 fences/op
-/// is indistinguishable from ~2 fences/op in the aggregate `fences` counter
-/// until you know whether they come from per-op bracketing (`StartOp` /
-/// `EndOp`), per-uncovered-node margin announcements (`Announce`), or the
-/// §4.3.2 hazard-pointer fallback (`HpProtect`).
+/// Which protection-path call site issued a fence. Each fence is counted
+/// at its site alone, and [`TelemetrySnapshot::fences`] is their sum: ~64
+/// fences/op is indistinguishable from ~2 fences/op in the total until you
+/// know whether they come from per-op bracketing (`StartOp` / `EndOp`),
+/// per-uncovered-node margin announcements (`Announce`), or the §4.3.2
+/// hazard-pointer fallback (`HpProtect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FenceSite {
     /// Operation-start announcement (epoch / era / reservation publish).
@@ -184,112 +183,6 @@ impl FenceSite {
 }
 
 // ---------------------------------------------------------------------------
-// Per-handle state
-
-/// Per-handle telemetry state: the counters and both latency histograms.
-/// Embedded by every scheme's handle; schemes record through
-/// [`bump`](Self::bump) / [`add`](Self::add) and the `record_*` methods
-/// that also sample or time, clients and the bench driver read a
-/// [`snapshot`](Self::snapshot).
-pub struct HandleTelemetry {
-    counters: [u64; Counter::COUNT],
-    op_hist: Histogram,
-    scan_hist: Histogram,
-}
-
-impl Default for HandleTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HandleTelemetry {
-    /// Zeroed state for a newly registered handle.
-    pub fn new() -> HandleTelemetry {
-        HandleTelemetry {
-            counters: [0; Counter::COUNT],
-            op_hist: Histogram::new(),
-            scan_hist: Histogram::new(),
-        }
-    }
-
-    // -- recorders (the hot-path write surface) --
-
-    /// Adds one to counter `c`.
-    #[inline]
-    pub fn bump(&mut self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Adds `n` to counter `c`, saturating.
-    #[inline]
-    pub fn add(&mut self, c: Counter, n: u64) {
-        let v = &mut self.counters[c as usize];
-        *v = v.saturating_add(n);
-    }
-
-    /// Counts one protection-path fence (Fig. 5 numerator), attributed to
-    /// the issuing call site so the per-site breakdown can tell per-op
-    /// bracketing apart from per-node announcements.
-    #[inline]
-    pub fn record_fence(&mut self, site: FenceSite) {
-        self.bump(Counter::Fences);
-        self.bump(site.counter());
-    }
-
-    /// Counts an operation start, sampling the retired-list length.
-    #[inline]
-    pub fn record_op_start(&mut self, retired_len: usize) {
-        self.bump(Counter::Ops);
-        self.add(Counter::RetiredSampledSum, retired_len as u64);
-    }
-
-    /// Records a whole-operation latency sample (nanoseconds).
-    #[inline]
-    pub fn record_op_nanos(&mut self, nanos: u64) {
-        self.op_hist.record(nanos);
-    }
-
-    /// Folds a scan timer into the always-on `ScanNanos` counter (the
-    /// `scan_ns_per_free` bench column) and — when telemetry is armed —
-    /// the scan-latency histogram. Scans are watermark-paced, so the two
-    /// clock reads per scan are amortized over hundreds of retires.
-    #[inline]
-    pub fn record_scan_elapsed(&mut self, t0: Instant) {
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.add(Counter::ScanNanos, nanos);
-        if armed() {
-            self.scan_hist.record(nanos);
-        }
-    }
-
-    // -- read surface --
-
-    /// One counter's current value.
-    #[inline]
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// A self-contained copy of counters and histograms, mergeable across
-    /// handles.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            counters: self.counters,
-            op_latency: self.op_hist.clone(),
-            scan_latency: self.scan_hist.clone(),
-        }
-    }
-
-    /// Zeroes counters and histograms.
-    pub fn reset(&mut self) {
-        self.counters = [0; Counter::COUNT];
-        self.op_hist.reset();
-        self.scan_hist.reset();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The trait
 
 /// The scheme-agnostic observability surface of every [`SmrHandle`]
@@ -300,15 +193,15 @@ impl HandleTelemetry {
 /// [`SmrHandle`]: crate::SmrHandle
 /// [`OpGuard`]: crate::OpGuard
 pub trait Telemetry {
-    /// This handle's telemetry state.
-    fn tele(&self) -> &HandleTelemetry;
+    /// This handle's telemetry record, as it stands.
+    fn tele(&self) -> &TelemetrySnapshot;
 
-    /// Mutable telemetry state.
-    fn tele_mut(&mut self) -> &mut HandleTelemetry;
+    /// The record, mutably (the scheme's recorders write through it).
+    fn tele_mut(&mut self) -> &mut TelemetrySnapshot;
 
-    /// Copies counters + histograms into a mergeable snapshot.
+    /// A clone of the handle's record, mergeable across handles.
     fn snapshot(&self) -> TelemetrySnapshot {
-        self.tele().snapshot()
+        self.tele().clone()
     }
 
     /// Reads one counter.
@@ -323,18 +216,20 @@ pub trait Telemetry {
 
     /// Zeroes counters and histograms (used to scope a measurement window).
     fn reset_telemetry(&mut self) {
-        self.tele_mut().reset();
+        *self.tele_mut() = TelemetrySnapshot::default();
     }
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot
 
-/// A self-contained, mergeable copy of one handle's telemetry: counters
-/// and both latency histograms. This is the read
-/// path of the bench drivers, the exporters and the examples; every
-/// counter has a getter of its own name (generated by the counter table)
-/// and the ratios the paper's figures plot are derived here, once.
+/// One handle's telemetry: counters and both latency histograms. The
+/// handle owns one and its scheme records into it in place; a clone of it
+/// ([`Telemetry::snapshot`]) is the read path of the bench drivers, the
+/// exporters and the examples, and clones merge across handles. Every
+/// counter has a getter of its own name (generated by the counter table),
+/// and the totals and ratios the paper's figures plot are derived here,
+/// once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     counters: [u64; Counter::COUNT],
@@ -352,6 +247,57 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 impl TelemetrySnapshot {
+    // -- recorders (the hot-path write surface) --
+
+    /// Adds one to counter `c`.
+    #[inline]
+    pub(crate) fn bump(&mut self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Adds `n` to counter `c`, saturating.
+    #[inline]
+    pub(crate) fn add(&mut self, c: Counter, n: u64) {
+        let v = &mut self.counters[c as usize];
+        *v = v.saturating_add(n);
+    }
+
+    /// Counts one protection-path fence (Fig. 5 numerator) at the call
+    /// site that issued it, so per-op bracketing and per-node
+    /// announcements stay apart.
+    #[inline]
+    pub(crate) fn record_fence(&mut self, site: FenceSite) {
+        self.bump(site.counter());
+    }
+
+    /// Counts an operation start, sampling the retired-list length.
+    #[inline]
+    pub(crate) fn record_op_start(&mut self, retired_len: usize) {
+        self.bump(Counter::Ops);
+        self.add(Counter::RetiredSampledSum, retired_len as u64);
+    }
+
+    /// Records a whole-operation latency sample (nanoseconds).
+    #[inline]
+    pub(crate) fn record_op_nanos(&mut self, nanos: u64) {
+        self.op_latency.record(nanos);
+    }
+
+    /// Folds a scan timer into the always-on `ScanNanos` counter (the
+    /// `scan_ns_per_free` bench column) and — when telemetry is armed —
+    /// the scan-latency histogram. Scans are watermark-paced, so the two
+    /// clock reads per scan are amortized over hundreds of retires.
+    #[inline]
+    pub(crate) fn record_scan_elapsed(&mut self, t0: Instant) {
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.add(Counter::ScanNanos, nanos);
+        if armed() {
+            self.scan_latency.record(nanos);
+        }
+    }
+
+    // -- read surface --
+
     /// Merges `other` into `self` (order-independent).
     ///
     /// Every counter accumulates with `u64::saturating_add`: on a soak run
@@ -372,6 +318,19 @@ impl TelemetrySnapshot {
         self.counters[c as usize]
     }
 
+    /// Full memory fences (or sequentially consistent protection stores)
+    /// on the protection path, the Fig. 5 numerator: the sum of the four
+    /// per-site counters.
+    pub fn fences(&self) -> u64 {
+        let sites = [self.fences_start_op(), self.fences_end_op(), self.fences_announce()];
+        sites.into_iter().fold(self.fences_hp_protect(), u64::saturating_add)
+    }
+
+    /// Nodes allocated: every allocation is a pool hit or a pool miss.
+    pub fn allocs(&self) -> u64 {
+        self.pool_hits().saturating_add(self.pool_misses())
+    }
+
     /// Scan nanoseconds per reclaimed node — the amortized cost of the
     /// reclamation path, which the watermark trigger exists to keep flat
     /// as threads scale.
@@ -381,12 +340,12 @@ impl TelemetrySnapshot {
 
     /// Fences per traversed node (Fig. 5 y-axis).
     pub fn fences_per_node(&self) -> f64 {
-        ratio(self.counter(Counter::Fences), self.counter(Counter::NodesTraversed))
+        ratio(self.fences(), self.nodes_traversed())
     }
 
     /// Fences per started operation (the fence-budget metric).
     pub fn fences_per_op(&self) -> f64 {
-        ratio(self.counter(Counter::Fences), self.counter(Counter::Ops))
+        ratio(self.fences(), self.ops())
     }
 
     /// `site`'s share of [`fences_per_op`](Self::fences_per_op); the four
@@ -409,8 +368,7 @@ impl TelemetrySnapshot {
     /// Fraction of node allocations served a recycled pool block, in
     /// `[0, 1]`.
     pub fn pool_hit_rate(&self) -> f64 {
-        let hits = self.counter(Counter::PoolHits);
-        ratio(hits, hits.saturating_add(self.counter(Counter::PoolMisses)))
+        ratio(self.pool_hits(), self.allocs())
     }
 
     /// Fresh-memory node allocations (pool misses) per operation.
@@ -419,9 +377,9 @@ impl TelemetrySnapshot {
     }
 
     /// The latency histogram of operations bracketed by a
-    /// [`pin`](crate::SmrHandle::pin) guard (samples only when armed).
-    /// Raw `start_op`/`end_op` brackets, which every `mp-ds` structure
-    /// uses, are not timed.
+    /// [`pin`](crate::SmrHandle::pin) guard (samples only when armed);
+    /// every `mp-ds` structure operation opens with one. Raw
+    /// `start_op`/`end_op` brackets are not timed.
     pub fn op_latency(&self) -> &Histogram {
         &self.op_latency
     }
@@ -437,10 +395,9 @@ impl TelemetrySnapshot {
 
 /// Scheme-wide telemetry: the retired-but-unreclaimed node and byte
 /// gauges (the paper's wasted memory), including orphans. Kept per scheme
-/// instance, not process-wide like [`crate::node::gauge`], so several
-/// instances in one process (the conformance matrix, the bench harness)
-/// never read each other's waste. Returned by
-/// [`Smr::telemetry`](crate::Smr::telemetry).
+/// instance, not process-wide, so several instances in one process (the
+/// conformance matrix, the bench harness) never read each other's waste.
+/// Returned by [`Smr::telemetry`](crate::Smr::telemetry).
 #[derive(Default)]
 pub struct SchemeTelemetry {
     nodes: AtomicUsize,
@@ -483,7 +440,7 @@ mod tests {
 
     #[test]
     fn recorders_map_to_counters() {
-        let mut t = HandleTelemetry::new();
+        let mut t = TelemetrySnapshot::default();
         t.record_op_start(5);
         t.record_op_start(7);
         t.add(Counter::NodesTraversed, 4);
@@ -497,7 +454,6 @@ mod tests {
             t.record_fence(site);
         }
         let expected = [
-            (Counter::Fences, 5),
             (Counter::FencesStartOp, 1),
             (Counter::FencesEndOp, 1),
             (Counter::FencesAnnounce, 2),
@@ -510,15 +466,12 @@ mod tests {
             let want = expected.iter().find(|(e, _)| *e == c).map_or(0, |&(_, v)| v);
             assert_eq!(t.counter(c), want, "{}", c.name());
         }
+        assert_eq!(t.fences(), 5, "the total is the sum of the sites");
 
-        let mut snap = t.snapshot();
-        snap.merge(&t.snapshot());
+        let mut snap = t.clone();
+        snap.merge(&t);
         assert_eq!(snap.ops(), 4);
         assert_eq!(snap.counter(Counter::RetiredSampledSum), 24);
-
-        t.reset();
-        assert!(Counter::ALL.iter().all(|&c| t.counter(c) == 0));
-        assert_eq!(t.snapshot().op_latency().count(), 0);
     }
 
     /// The table drives the test: `bump`/`add` land on their own index,
@@ -526,29 +479,28 @@ mod tests {
     /// saturates (instead of wrapping on a long soak) at every index.
     #[test]
     fn every_counter_bumps_merges_and_saturates() {
-        let mut t = HandleTelemetry::new();
+        let mut snap = TelemetrySnapshot::default();
         for (i, c) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(c as usize, i, "ALL is in declaration order");
-            t.bump(c);
-            t.add(c, i as u64);
+            snap.bump(c);
+            snap.add(c, i as u64);
         }
-        let snap = t.snapshot();
         let mut acc = snap.clone();
         acc.merge(&snap);
-        let mut near_max = HandleTelemetry::new();
+        let mut pinned = TelemetrySnapshot::default();
         for c in Counter::ALL {
-            near_max.add(c, u64::MAX - 1);
+            pinned.add(c, u64::MAX - 1);
         }
-        let mut pinned = near_max.snapshot();
         pinned.merge(&snap);
         for (i, c) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(snap.counter(c), 1 + i as u64, "{}", c.name());
             assert_eq!(acc.counter(c), 2 * (1 + i as u64), "{} accumulates", c.name());
             assert_eq!(pinned.counter(c), u64::MAX, "{} pins at MAX", c.name());
         }
-        assert_eq!(snap.fences(), 1, "generated getters read their own index");
+        assert_eq!(snap.fences_start_op(), 1, "generated getters read their own index");
         assert_eq!(snap.scan_nanos(), 1 + Counter::ScanNanos as u64);
-        // Ratios remain finite and sane at saturation.
+        // Summed totals and ratios remain finite and sane at saturation.
+        assert_eq!((pinned.fences(), pinned.allocs()), (u64::MAX, u64::MAX));
         assert!(pinned.fences_per_node() <= 1.0 + 1e-12);
         assert!(pinned.pool_hit_rate() <= 1.0);
     }
@@ -568,9 +520,9 @@ mod tests {
         ] {
             assert_eq!(r, 0.0, "nothing counted reads as zero, not NaN");
         }
-        let mut t = HandleTelemetry::new();
+        let mut s = TelemetrySnapshot::default();
         for (c, n) in [
-            (Counter::Fences, 5),
+            (Counter::FencesStartOp, 2),
             (Counter::FencesAnnounce, 3),
             (Counter::NodesTraversed, 10),
             (Counter::Ops, 4),
@@ -581,9 +533,8 @@ mod tests {
             (Counter::Frees, 4),
             (Counter::ScanNanos, 1000),
         ] {
-            t.add(c, n);
+            s.add(c, n);
         }
-        let s = t.snapshot();
         let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
         assert!(close(s.fences_per_node(), 0.5));
         assert!(close(s.fences_per_op(), 1.25));
@@ -596,11 +547,13 @@ mod tests {
         assert!(close(s.scan_ns_per_free(), 250.0));
     }
 
-    /// Layout pin (1 216 bytes at 18 counters): the two histograms plus
-    /// eight bytes per counter and nothing else.
+    /// Layout pin of the record a handle owns (1 208 bytes at 17
+    /// counters): the two histograms plus eight bytes per counter and
+    /// nothing else.
     #[test]
     fn handle_telemetry_size_is_pinned() {
-        assert_eq!(core::mem::size_of::<HandleTelemetry>(), Counter::COUNT * 8 + 1072);
+        assert_eq!(size_of::<TelemetrySnapshot>(), Counter::COUNT * 8 + 1072);
+        assert_eq!(Counter::COUNT, 17);
     }
 
     #[test]
@@ -618,8 +571,7 @@ mod tests {
             assert!(seen.insert(c.name()), "duplicate counter name {}", c.name());
         }
         assert_eq!(seen.len(), Counter::ALL.len());
-        // The per-site counters always sum to the aggregate in recorded
-        // state (enforced by `record_fence` taking a site), and their names
+        // The per-site counters are what `fences()` sums, and their names
         // share the `fences_` prefix for exporter grouping.
         for c in
             [Counter::FencesStartOp, Counter::FencesEndOp, Counter::FencesAnnounce, Counter::FencesHpProtect]

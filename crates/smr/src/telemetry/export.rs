@@ -41,7 +41,9 @@ fn push_histogram(
 }
 
 /// Renders the snapshot in Prometheus text exposition format: one
-/// `mp_<counter>_total` counter per [`Counter`], both latency histograms
+/// `mp_<counter>_total` counter per [`Counter`] (no total that is a sum of
+/// them: `fences` is the four `mp_fences_*_total`, `allocs` is
+/// `mp_pool_hits_total + mp_pool_misses_total`), both latency histograms
 /// with cumulative power-of-two buckets, the scheme's waste gauges as they
 /// read now, and the process-wide node-pool gauges (`mp_pool_*`, no
 /// `scheme` label: every scheme shares the one pool).
@@ -144,20 +146,20 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{FenceSite, HandleTelemetry};
+    use super::super::FenceSite;
     use super::*;
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let mut t = HandleTelemetry::new();
+        let mut t = TelemetrySnapshot::default();
         t.record_op_start(3);
         t.record_fence(FenceSite::StartOp);
-        for c in [Counter::Allocs, Counter::PoolHits, Counter::Retires, Counter::Frees] {
+        for c in [Counter::PoolHits, Counter::Retires, Counter::Frees] {
             t.bump(c);
         }
         t.record_op_nanos(1_234);
         t.record_op_nanos(999_999);
         t.add(Counter::ScanNanos, 50_000);
-        t.snapshot()
+        t
     }
 
     /// Four nodes retired, two freed: the gauges read (2, 128).

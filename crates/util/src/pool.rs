@@ -46,8 +46,9 @@
 //! Blocks are recycled with their contents intact except for the first
 //! word, which holds the free-list link while a block sits in its chunk.
 //! The reclamation oracle's poison canary lives past that word, and the
-//! oracle quarantines a freed node *first*, releasing it into the pool only
-//! after its shadow entry is pruned (see `mp-smr`'s oracle module).
+//! oracle quarantines a freed node *first* (its shadow entry already
+//! removed by the free), releasing it into the pool only when it leaves
+//! the quarantine (see `mp-smr`'s oracle module).
 
 use core::alloc::Layout;
 use core::ptr::{addr_of, null_mut};

@@ -4,7 +4,8 @@
 //!
 //! This is the generic substrate of `mp-smr`'s reclamation oracle: the SMR
 //! crate keys the table by node address and encodes its lifecycle state
-//! machine (Allocated → Retired → Freed) in [`ShadowSlot::state`], using
+//! machine (Allocated → Retired, the entry removed on free) in
+//! [`ShadowSlot::state`], using
 //! [`ShadowSlot::tag`] as a birth-epoch incarnation stamp so reuses of the
 //! same address after a real free are distinguishable from the original
 //! allocation. The table itself knows nothing about SMR: it only offers

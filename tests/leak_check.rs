@@ -1,7 +1,8 @@
 //! End-to-end leak check: after exercising every scheme on every structure
-//! and dropping everything, the global SMR allocation gauge must return to
-//! zero. The tests in this binary hold one lock while they run, so no
-//! other test perturbs the process-wide gauge.
+//! and dropping everything, the reclamation oracle must track no live node
+//! (`oracle::live_nodes()`, the size of its shadow table, from which every
+//! free removes its node). The tests in this binary hold one lock while
+//! they run, so no other test perturbs the process-wide count.
 //!
 //! Each churn round (`mp_bench::churn`, whose history must also be
 //! linearizable) also cross-checks the per-handle telemetry counters
@@ -24,13 +25,13 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use margin_pointers::ds::{ConcurrentSet, DtaList, HashMap, LinkedList, NmTree, SkipList};
-use margin_pointers::smr::node::gauge;
+use margin_pointers::smr::oracle;
 use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use margin_pointers::smr::{Config, Smr, SmrHandle};
 use mp_bench::churn::{plans, seeds, Churn, Draw};
 
 /// Serialises the tests of this binary: each one expects the process-wide
-/// node gauge to be its own.
+/// live-node count to be its own.
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -78,7 +79,7 @@ fn churn<S: Smr, D: ConcurrentSet<S>>() {
 #[test]
 fn no_nodes_leak_across_all_schemes_and_structures() {
     let _exclusive = exclusive();
-    assert_eq!(gauge::live_nodes(), 0, "gauge must start clean");
+    assert_eq!(oracle::live_nodes(), 0, "no node is live before the churn");
 
     // Every scheme on every structure it supports.
     macro_rules! churn_every_structure {
@@ -93,7 +94,7 @@ fn no_nodes_leak_across_all_schemes_and_structures() {
     churn::<Leaky, LinkedList<Leaky>>();
     churn::<Dta, DtaList>();
 
-    assert_eq!(gauge::live_nodes(), 0, "every allocated node must be reclaimed after teardown");
+    assert_eq!(oracle::live_nodes(), 0, "every allocated node must be reclaimed after teardown");
 }
 
 /// A reader parked on its own thread with one operation pinned — the §1
