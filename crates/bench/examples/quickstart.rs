@@ -76,7 +76,8 @@ fn main() {
     // SAFETY: [INV-01] deref inside the `op` pin span that read `seen`.
     println!("raw API: read back key {}", unsafe { *seen.deref().data() });
     cell.store(Shared::null(), std::sync::atomic::Ordering::Release); // unlink
-    unsafe { op.retire(node) }; // SAFETY: [INV-04] unlinked above, retired once.
+    // SAFETY: [INV-04] unlinked above, retired once.
+    unsafe { op.retire(node) };
     drop(op); // end_op: protections released, node reclaimable
     drop(handle);
 }

@@ -344,10 +344,12 @@ fn misbehave<S: Smr, D: ConcurrentSet<S>>(
             let stats = h.snapshot();
             let unwound = panic::catch_unwind(AssertUnwindSafe(move || {
                 let op = h.pin();
-                // FORBID-OK: the fault under test *is* the leak — an op
-                // guard and handle that never run their drops.
+                #[allow(
+                    clippy::mem_forget,
+                    reason = "the fault under test is the leak: an op guard that never runs its drop"
+                )]
                 std::mem::forget(op);
-                // FORBID-OK: see above; the slot is gone for good.
+                #[allow(clippy::mem_forget, reason = "the handle's slot is gone for good")]
                 std::mem::forget(h);
                 panic!("{INJECTED_PANIC}");
             }));
@@ -384,8 +386,10 @@ fn misbehave<S: Smr, D: ConcurrentSet<S>>(
                 pair(&mut h, &mut hist, key);
             }
             let stats = h.snapshot();
-            // FORBID-OK: a killed thread — the handle's drop (drain and
-            // orphan park) must never run.
+            #[allow(
+                clippy::mem_forget,
+                reason = "a killed thread: the handle's drop (drain and orphan park) must never run"
+            )]
             std::mem::forget(h);
             stats
         }

@@ -422,7 +422,8 @@ fn header_words(scheme: SchemeKind) -> usize {
     let mut h = smr.try_register().expect("a fresh registry has a slot");
     let mut op = h.pin();
     let node = op.alloc(());
-    unsafe { op.retire(node) }; // SAFETY: [INV-04] never published, retired once.
+    // SAFETY: [INV-04] never published, retired once.
+    unsafe { op.retire(node) };
     drop(op);
     smr.telemetry().pending_bytes() / size_of::<u64>()
 }

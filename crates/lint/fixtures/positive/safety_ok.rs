@@ -1,4 +1,4 @@
-//! Positive fixture — pass 1 (safety): every annotation form the audit
+//! Positive fixture — pass 1 (safety): every citation form the audit
 //! accepts. Linted under `crates/smr/src/safety_ok.rs`; must be clean.
 
 pub struct Token(*const u8);
@@ -6,25 +6,15 @@ pub struct Token(*const u8);
 // SAFETY: [INV-07] the pointer is an opaque id on this type; it is never
 // dereferenced, so handing the value across threads cannot alias memory.
 unsafe impl Send for Token {}
-// SAFETY: [INV-07] see above.
-unsafe impl Sync for Token {}
 
 /// # Safety
-/// `p` must point to a live, aligned `u64`.
+/// `p` must point to a live, aligned `u64`. Doc prose may quote the form,
+/// `// SAFETY: [INV-xx]`, without citing anything.
 // SAFETY: [INV-11] unsafe fn: contract stated in `# Safety` above,
 // discharged by every caller.
 pub unsafe fn read_raw(p: *const u64) -> u64 {
     // SAFETY: [INV-11] forwarded from this fn's own contract.
     unsafe { *p }
-}
-
-pub fn cited_block(p: *const u64) -> u64 {
-    // SAFETY: [INV-12] test-controlled: `p` is valid by construction here.
-    unsafe { *p }
-}
-
-pub fn trailing_form(p: *const u64) -> u64 {
-    unsafe { *p } // SAFETY: [INV-12] valid by construction.
 }
 
 pub fn multi_citation(p: *const u64) -> u64 {

@@ -30,6 +30,7 @@ pub enum Tok {
 pub struct Comment {
     pub text: String,
     pub line: u32,
+    pub col: u32,
 }
 
 /// One element of the lexed stream.
@@ -177,19 +178,18 @@ pub fn lex(src: &str) -> LexFile {
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => bump!(),
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
-                let at = line;
+                let (start, at, at_col) = (i, line, col);
                 while i < b.len() && b[i] != b'\n' {
                     bump!();
                 }
                 out.items.push(Item::Comment(Comment {
                     text: src[start..i].to_string(),
                     line: at,
+                    col: at_col,
                 }));
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start = i;
-                let at = line;
+                let (start, at, at_col) = (i, line, col);
                 let mut depth = 0usize;
                 while i < b.len() {
                     if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
@@ -210,6 +210,7 @@ pub fn lex(src: &str) -> LexFile {
                 out.items.push(Item::Comment(Comment {
                     text: src[start..i.min(src.len())].to_string(),
                     line: at,
+                    col: at_col,
                 }));
             }
             b'"' => {
@@ -465,8 +466,8 @@ pub fn enclosing_fn(spans: &[FnSpan], i: usize) -> Option<&FnSpan> {
 }
 
 /// Code-position ranges lexically inside `#[cfg(test)] mod … { }` blocks or
-/// `#[test]` functions — the "test code" exemption for the forbidden-API
-/// pass.
+/// `#[test]` functions — the "test code" exemption of the ordering and
+/// cast passes.
 pub fn test_spans(f: &LexFile) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let n = f.code.len();
@@ -574,15 +575,7 @@ mod tests {
 #[inline]\n\
 pub unsafe fn f() {}\n";
         let f = lex(src);
-        let unsafe_pos = f.code.iter().position(|&i| matches!(
-            &f.items[i],
-            Item::Tok { tok: Tok::Ident(id), .. } if id == "unsafe"
-        ));
-        let pos = f.code.iter().enumerate().find_map(|(ci, &i)| match &f.items[i] {
-            Item::Tok { tok: Tok::Ident(id), .. } if id == "unsafe" => Some(ci),
-            _ => None,
-        });
-        assert!(unsafe_pos.is_some());
+        let pos = (0..f.code.len()).find(|&i| f.is_ident(i, "unsafe"));
         let c = f.attached_comment(pos.unwrap());
         assert!(c.contains("SAFETY: [INV-01]"), "{c}");
     }
@@ -591,10 +584,7 @@ pub unsafe fn f() {}\n";
     fn attached_comment_stops_at_statement_boundary() {
         let src = "// SAFETY: [INV-01] first\nfoo();\nunsafe { bar() }\n";
         let f = lex(src);
-        let pos = f.code.iter().enumerate().find_map(|(ci, &i)| match &f.items[i] {
-            Item::Tok { tok: Tok::Ident(id), .. } if id == "unsafe" => Some(ci),
-            _ => None,
-        });
+        let pos = (0..f.code.len()).find(|&i| f.is_ident(i, "unsafe"));
         let c = f.attached_comment(pos.unwrap());
         assert!(!c.contains("SAFETY"), "comment beyond `;` must not attach: {c}");
     }
@@ -626,10 +616,7 @@ b.store(2, Ordering::Relaxed); // ORDERING: reason = quiescent\n";
         assert_eq!(spans[0].name, "outer");
         assert_eq!(spans[1].name, "next");
         // A position inside the closure still maps to `outer`.
-        let call = f.code.iter().enumerate().find_map(|(ci, &i)| match &f.items[i] {
-            Item::Tok { tok: Tok::Ident(id), .. } if id == "inner_call" => Some(ci),
-            _ => None,
-        });
+        let call = (0..f.code.len()).find(|&i| f.is_ident(i, "inner_call"));
         assert_eq!(enclosing_fn(&spans, call.unwrap()).unwrap().name, "outer");
     }
 
@@ -639,10 +626,7 @@ b.store(2, Ordering::Relaxed); // ORDERING: reason = quiescent\n";
         let f = lex(src);
         let spans = test_spans(&f);
         assert_eq!(spans.len(), 1);
-        let marker = f.code.iter().enumerate().find_map(|(ci, &i)| match &f.items[i] {
-            Item::Tok { tok: Tok::Ident(id), .. } if id == "todo_marker" => Some(ci),
-            _ => None,
-        });
+        let marker = (0..f.code.len()).find(|&i| f.is_ident(i, "todo_marker"));
         assert!(in_spans(&spans, marker.unwrap()));
     }
 }

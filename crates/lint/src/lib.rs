@@ -1,26 +1,18 @@
 //! `mp-lint` — the in-tree SMR protocol linter.
 //!
 //! The MP paper's correctness argument (§4, Theorem 4.2) rests on protocol
-//! invariants the Rust compiler cannot check: every `Shared::deref` must be
-//! dominated by an active protection, and every protection announcement
-//! must be ordered before the revalidating read by the right fence. This
-//! crate makes those invariants *build-breaking*:
-//!
-//! 1. **unsafe-invariant audit** — every `unsafe` site cites a named
-//!    invariant from `INVARIANTS.md` via `// SAFETY: [INV-xx]`.
-//! 2. **memory-ordering gate** — in the protocol crates (`crates/smr/src/`,
-//!    `crates/ds/src/`) every non-test `Ordering::Relaxed` carries a
-//!    structured `// ORDERING:` annotation at the site
-//!    (`pairs = <path-suffix>:<fn>` or `reason = …`), and every `pairs`
-//!    reference is resolved against the whole-tree site table.
-//! 3. **protection-scope heuristic** — `deref()` outside a lexical
-//!    `pin()` / `start_op()` span needs a `// PROTECTION:` annotation.
-//! 4. **forbidden-API pass** — `mem::forget`, `todo!`/`unimplemented!` in
-//!    non-test code, raw pointer-width `as` casts and prefetch intrinsics
-//!    outside `packed.rs`, and node `Header` field access outside `node.rs`.
+//! invariants the Rust compiler cannot check. Each rule has one checker:
+//! rustc and clippy (the workspace `[workspace.lints.clippy]` table and
+//! `clippy.toml`) hold what they can, and this crate's passes hold the
+//! rest: [`passes::safety`] (every SAFETY comment cites a declared
+//! `[INV-xx]`), [`passes::ordering`] (a structured `// ORDERING:` at every
+//! protocol `Relaxed`), [`passes::scope`] (`deref()` inside a protection
+//! span) and [`passes::cast`] (no pointer-width casts outside `packed.rs`).
+//! DESIGN.md ("Static analysis") maps every rule to its checker.
 //!
 //! Zero dependencies, a hand-rolled lexer (tokens + brace tree, no full
-//! parser), run as `cargo run -p mp-lint -- crates/ tests/ src/`.
+//! parser). Its one whole-tree run is tier-1's `merged_tree_lints_clean`
+//! (`cargo test -q --test lint_fixtures`).
 
 pub mod lexer;
 pub mod passes;
@@ -28,12 +20,12 @@ pub mod registry;
 
 use std::path::{Path, PathBuf};
 
-pub use passes::ordering::{Annotation, OrderingSite, Reason};
+use passes::ordering::OrderingSite;
 
 pub const PASS_SAFETY: &str = "safety";
 pub const PASS_ORDERING: &str = "ordering";
 pub const PASS_SCOPE: &str = "scope";
-pub const PASS_FORBIDDEN: &str = "forbidden";
+pub const PASS_CAST: &str = "cast";
 
 /// One finding. `file` is the normalized (forward-slash) path as given.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +37,13 @@ pub struct Diagnostic {
     pub msg: String,
 }
 
+impl Diagnostic {
+    /// A finding at code position `i` of `f`.
+    fn at(file: &str, f: &lexer::LexFile, i: usize, pass: &'static str, msg: String) -> Self {
+        Diagnostic { file: file.to_string(), line: f.line_of(i), col: f.col_of(i), pass, msg }
+    }
+}
+
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -52,17 +51,6 @@ impl std::fmt::Display for Diagnostic {
             "{}:{}:{}: error[{}]: {}",
             self.file, self.line, self.col, self.pass, self.msg
         )
-    }
-}
-
-/// Linter configuration: where the invariant registry lives.
-pub struct LintConfig {
-    pub invariants: PathBuf,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig { invariants: PathBuf::from("INVARIANTS.md") }
     }
 }
 
@@ -128,15 +116,15 @@ fn lint_file_collect(
     passes::safety::run(path_display, &f, reg, out);
     passes::ordering::run(path_display, &f, &spans, &tspans, sites, out);
     passes::scope::run(path_display, &f, &spans, out);
-    passes::forbidden::run(path_display, &f, &tspans, out);
+    passes::cast::run(path_display, &f, &tspans, out);
 }
 
-/// Runs all passes over every `.rs` file under `paths`, then resolves the
-/// `pairs` references over the merged site table. Returns the sorted
-/// diagnostics; a configuration error (missing registry) is `Err` — it must
-/// fail the build, not read as a clean run.
-pub fn lint_paths(paths: &[PathBuf], cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
-    let reg = registry::Registry::load(&cfg.invariants)?;
+/// Runs all passes over every `.rs` file under `paths` against the
+/// registry at `invariants`, then resolves the `pairs` references over the
+/// merged site table. Returns the sorted diagnostics; a configuration error
+/// (missing registry) is `Err` — it must fail, not read as a clean run.
+pub fn lint_paths(paths: &[PathBuf], invariants: &Path) -> Result<Vec<Diagnostic>, String> {
+    let reg = registry::Registry::load(invariants)?;
     let files = collect_rs_files(paths).map_err(|e| format!("walking inputs: {e}"))?;
     if files.is_empty() {
         return Err("no .rs files found under the given paths".to_string());

@@ -1,4 +1,4 @@
-pub mod forbidden;
+pub mod cast;
 pub mod ordering;
 pub mod safety;
 pub mod scope;

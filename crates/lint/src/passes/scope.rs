@@ -46,14 +46,8 @@ pub fn run(file: &str, f: &LexFile, spans: &[FnSpan], out: &mut Vec<Diagnostic>)
         };
         // (1) A pin()/start_op() call earlier in this function body.
         let body_start = span.body.unwrap_or(span.fn_kw);
-        let mut pinned = false;
-        for j in body_start..i {
-            if (f.is_ident(j, "pin") || f.is_ident(j, "start_op")) && f.is_punct(j + 1, '(') {
-                pinned = true;
-                break;
-            }
-        }
-        if pinned {
+        let opens = |j| (f.is_ident(j, "pin") || f.is_ident(j, "start_op")) && f.is_punct(j + 1, '(');
+        if (body_start..i).any(opens) {
             continue;
         }
         // (2) A `// PROTECTION:` annotation on the enclosing function.
@@ -74,14 +68,9 @@ pub fn run(file: &str, f: &LexFile, spans: &[FnSpan], out: &mut Vec<Diagnostic>)
 }
 
 fn diag(file: &str, f: &LexFile, i: usize, callee: &str, detail: &str) -> Diagnostic {
-    Diagnostic {
-        file: file.to_string(),
-        line: f.line_of(i),
-        col: f.col_of(i),
-        pass: PASS_SCOPE,
-        msg: format!(
-            ".{callee}() {detail} — open a protection span first, or annotate the \
-             fn with `// PROTECTION: <who discharges the obligation>`"
-        ),
-    }
+    let msg = format!(
+        ".{callee}() {detail} — open a protection span first, or annotate the fn with \
+         `// PROTECTION: <who discharges the obligation>`"
+    );
+    Diagnostic::at(file, f, i, PASS_SCOPE, msg)
 }

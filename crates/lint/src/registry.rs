@@ -47,20 +47,15 @@ impl Registry {
     }
 }
 
-/// Extracts every `[INV-xx]` citation from a comment block.
+/// Extracts every `[INV-nn]` citation from a comment block; a placeholder
+/// such as `[INV-xx]` cites nothing.
 pub fn cited_invariants(comment: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut rest = comment;
-    while let Some(pos) = rest.find("[INV-") {
-        let tail = &rest[pos + 1..];
-        let id: String =
-            tail.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '-').collect();
-        if let Some(after) = tail.get(id.len()..) {
-            if after.starts_with(']') && id.len() > 4 {
-                out.push(id);
-            }
+    for tail in comment.split("[INV-").skip(1) {
+        let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap_or(tail.len());
+        if digits > 0 && tail[digits..].starts_with(']') {
+            out.push(format!("INV-{}", &tail[..digits]));
         }
-        rest = &rest[pos + 1..];
     }
     out
 }
@@ -75,5 +70,6 @@ mod tests {
         assert_eq!(cited_invariants(c), vec!["INV-01", "INV-12"]);
         assert!(cited_invariants("// SAFETY: no citation").is_empty());
         assert!(cited_invariants("// [INV-] malformed").is_empty());
+        assert!(cited_invariants("/// cite as `// SAFETY: [INV-xx]`").is_empty());
     }
 }

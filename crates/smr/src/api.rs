@@ -508,7 +508,8 @@ mod tests {
         let mut op = h.pin();
         assert_eq!(op.counter(Counter::Ops), 1, "pin must start_op");
         let n = op.alloc_with_index(1u8, 5 << 16);
-        unsafe { op.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { op.retire(n) };
         drop(op);
         // Amortized MP: the first start_op announces the epoch (one fence);
         // end_op releases hazard slots fence-free and keeps the margins.

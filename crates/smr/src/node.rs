@@ -84,10 +84,9 @@ pub(crate) enum BirthAt {
 /// schemes that read neither), or its birth epoch (HE, IBR, DTA). MP, which
 /// reads both, keeps its birth in a word after the tail.
 ///
-/// Its fields are this module's alone (the linter's forbidden-API pass
-/// denies `.header.<field>` anywhere else): the shape decides what the
-/// stamp holds and whether the birth word exists, so only the code that
-/// reads the shape may read them.
+/// Its fields are private to this module, so rustc rejects a field access
+/// anywhere else: the shape decides what the stamp holds and whether the
+/// birth word exists, so only the code that reads the shape may read them.
 #[repr(C, align(8))]
 #[derive(Debug)]
 pub struct Header {
@@ -571,7 +570,8 @@ mod tests {
         let node = alloc_node(0u128, BirthAt::Word, 9, 4);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(node as usize, unsafe { &(*node).header } as *const _ as usize);
-        unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        // SAFETY: [INV-12] unpublished, test-owned node.
+        unsafe { dealloc_node(node) };
     }
 
     /// Zero-cost-when-off witness: without the oracle feature the header
@@ -593,7 +593,8 @@ mod tests {
         let node = alloc_node(7u32, BirthAt::Nowhere, 0, 0);
         // SAFETY: [INV-12] node is live and owned by this test thread.
         assert_eq!(unsafe { (*node).header.canary.load(Ordering::Relaxed) }, crate::oracle::CANARY_ALIVE);
-        unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        // SAFETY: [INV-12] unpublished, test-owned node.
+        unsafe { dealloc_node(node) };
     }
 
     /// The retired record is five words — `{ptr, birth, retire, op_start,
@@ -622,12 +623,14 @@ mod tests {
             {
                 let flag = std::sync::Arc::new(AtomicUsize::new(0));
                 let node = alloc_node_tracked(DropFlag(flag.clone()), at, 11, 3, tail_len).0;
-                let (retired, bytes) = unsafe { Retired::new(node, 8) }; // SAFETY: [INV-12] never published, retired once.
+                // SAFETY: [INV-12] never published, retired once.
+                let (retired, bytes) = unsafe { Retired::new(node, 8) };
                 assert_eq!((retired.birth, retired.index()), (birth, index), "{at:?}");
                 assert_eq!(retired.retire, 8);
                 let block = block::<DropFlag>(tail_len, at == BirthAt::Word).0;
                 assert_eq!(bytes, mp_util::pool::block_size(block));
-                let freed = unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+                // SAFETY: [INV-12] no other thread ever saw the node.
+                let freed = unsafe { retired.reclaim() };
                 assert_eq!(freed, bytes, "reclaim frees what the record was counted as");
                 assert_eq!(flag.load(Ordering::Acquire), 1, "payload Drop must run");
             }
@@ -644,8 +647,10 @@ mod tests {
     fn retired_bytes_are_the_block_held() {
         fn node_and_retired_bytes<T: Default>(tail_len: usize, at: BirthAt) -> (usize, usize) {
             let node = alloc_node_tracked(T::default(), at, 0, 1, tail_len).0;
-            let (retired, bytes) = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published, retired once.
-            unsafe { retired.reclaim() }; // SAFETY: [INV-12] no other thread ever saw the node.
+            // SAFETY: [INV-12] never published, retired once.
+            let (retired, bytes) = unsafe { Retired::new(node, 1) };
+            // SAFETY: [INV-12] no other thread ever saw the node.
+            unsafe { retired.reclaim() };
             let words = tail_len + usize::from(at == BirthAt::Word);
             (size_of::<SmrNode<T>>() + words * size_of::<Atomic<T>>(), bytes)
         }
@@ -684,7 +689,8 @@ mod tests {
             assert_eq!(links.len(), tail_len);
             assert!(links.iter().all(|l| l.load(Ordering::Relaxed).is_null()));
             assert_eq!(links.as_ptr() as usize, node as usize + size_of::<SmrNode<T>>());
-            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+            // SAFETY: [INV-12] unpublished, test-owned node.
+            unsafe { dealloc_node(node) };
         }
         for at in [BirthAt::Nowhere, BirthAt::Stamp, BirthAt::Word] {
             check::<u8>(0, at);
@@ -722,7 +728,8 @@ mod tests {
                 // SAFETY: [INV-12] as above.
                 let (got, got_index) = unsafe { (birth(node), (*node).index()) };
                 assert_eq!((got, got_index), (birth_read, index), "{at:?}, tail {tail_len}");
-                unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+                // SAFETY: [INV-12] unpublished, test-owned node.
+                unsafe { dealloc_node(node) };
             }
         }
         for tail_len in [0, 1, 7] {
@@ -749,7 +756,8 @@ mod tests {
             assert_eq!((shared.packed_index(), links), (0, 2), "birth {born:#x}");
             // SAFETY: [INV-12] as above.
             assert!(!unsafe { &*node }.raise_flag(), "birth {born:#x}");
-            unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+            // SAFETY: [INV-12] unpublished, test-owned node.
+            unsafe { dealloc_node(node) };
         }
     }
 
@@ -763,7 +771,8 @@ mod tests {
         assert!(!node_ref.raise_flag());
         assert!(node_ref.raise_flag());
         assert!(node_ref.raise_flag());
-        unsafe { dealloc_node(node) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        // SAFETY: [INV-12] unpublished, test-owned node.
+        unsafe { dealloc_node(node) };
     }
 
     /// Pool recycling round-trip: a reclaimed node's block is served to the
@@ -785,7 +794,8 @@ mod tests {
 
         let a = alloc_node(DropFlag(drops.clone()), BirthAt::Nowhere, 1, 0);
         let a_addr = a as usize;
-        unsafe { dealloc_node(a) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        // SAFETY: [INV-12] unpublished, test-owned node.
+        unsafe { dealloc_node(a) };
         assert_eq!(drops.load(Ordering::Acquire), 1, "first payload dropped once");
 
         // Same thread, same size class: the LIFO free list returns the block.
@@ -798,7 +808,8 @@ mod tests {
         // SAFETY: [INV-12] `b` is live and owned by this test thread.
         assert_eq!(unsafe { (*b).header.index() }, 2, "header fully re-initialized");
 
-        unsafe { dealloc_node(b) }; // SAFETY: [INV-12] unpublished, test-owned node.
+        // SAFETY: [INV-12] unpublished, test-owned node.
+        unsafe { dealloc_node(b) };
         assert_eq!(drops.load(Ordering::Acquire), 2, "each payload dropped exactly once");
     }
 

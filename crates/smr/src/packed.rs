@@ -133,7 +133,7 @@ impl<T> Shared<T> {
     /// the form announced in hazard/anchor slots and compared by
     /// reclamation scans. This accessor is the one sanctioned
     /// pointer→integer pun for protocol code outside this module; the
-    /// linter's forbidden-API pass rejects raw `as` casts elsewhere.
+    /// linter's cast pass rejects raw `as` casts elsewhere.
     #[inline]
     pub fn addr(self) -> u64 {
         self.word & ADDR_MASK & !MARK_MASK
@@ -242,8 +242,13 @@ impl<T> Shared<T> {
     /// the prefetch protects nothing either. `link` need not be below the
     /// node's tail length; the address is computed, never read. On targets
     /// without a prefetch instruction (anything but x86-64 here) it
-    /// compiles to nothing.
+    /// compiles to nothing. It is the one site that issues the intrinsic:
+    /// `clippy.toml` denies it everywhere else (`disallowed_methods`).
     #[inline]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one site that issues a prefetch ([INV-16]); clippy.toml denies the intrinsics anywhere else"
+    )]
     pub fn prefetch(self, link: usize) {
         if self.mark() != 0 || self.is_null() {
             return;
@@ -422,20 +427,23 @@ mod tests {
     #[test]
     fn pack_preserves_address_and_index() {
         let ptr = alloc_node(123u64, BirthAt::Nowhere, 0xdead_beef, 0);
-        let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
+        // SAFETY: [INV-12] just allocated.
+        let s = unsafe { Shared::from_owned(ptr) };
         assert_eq!(s.as_raw(), ptr);
         assert_eq!(s.packed_index(), 0xdead);
         let (lo, hi) = s.index_bounds();
         assert_eq!(lo, 0xdead_0000);
         assert_eq!(hi, 0xdead_ffff);
         assert!(lo <= 0xdead_beef && 0xdead_beef <= hi);
-        unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
+        // SAFETY: [INV-12] test-owned node.
+        unsafe { crate::node::dealloc_node(ptr) };
     }
 
     #[test]
     fn marks_do_not_disturb_address_or_index() {
         let ptr = alloc_node(7u8, BirthAt::Nowhere, 42 << PRECISION, 0);
-        let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
+        // SAFETY: [INV-12] just allocated.
+        let s = unsafe { Shared::from_owned(ptr) };
         let m = s.with_mark(1);
         assert_eq!(m.mark(), 1);
         assert_eq!(m.as_raw(), ptr);
@@ -445,7 +453,8 @@ mod tests {
         assert_eq!(m3.mark(), 3);
         assert_eq!(m3.unmarked(), s);
         assert!(!m3.is_null());
-        unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
+        // SAFETY: [INV-12] test-owned node.
+        unsafe { crate::node::dealloc_node(ptr) };
     }
 
     #[test]
@@ -470,8 +479,10 @@ mod tests {
         dangling.with_mark(1).prefetch(0);
         // A freed block: its address may be recycled or unmapped.
         let ptr = alloc_node(9u64, BirthAt::Nowhere, 0, 0);
-        let freed = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
-        unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
+        // SAFETY: [INV-12] just allocated.
+        let freed = unsafe { Shared::from_owned(ptr) };
+        // SAFETY: [INV-12] test-owned node.
+        unsafe { crate::node::dealloc_node(ptr) };
         freed.prefetch(0);
     }
 
@@ -479,8 +490,10 @@ mod tests {
     fn atomic_cas_full_word() {
         let a = alloc_node(1u32, BirthAt::Nowhere, 5 << PRECISION, 0);
         let b = alloc_node(2u32, BirthAt::Nowhere, 9 << PRECISION, 0);
-        let sa = unsafe { Shared::from_owned(a) }; // SAFETY: [INV-12] just allocated.
-        let sb = unsafe { Shared::from_owned(b) }; // SAFETY: [INV-12] just allocated.
+        // SAFETY: [INV-12] just allocated.
+        let sa = unsafe { Shared::from_owned(a) };
+        // SAFETY: [INV-12] just allocated.
+        let sb = unsafe { Shared::from_owned(b) };
         let cell = Atomic::new(sa);
         // CAS with wrong expected fails and reports the live value.
         assert_eq!(
@@ -512,9 +525,11 @@ mod tests {
         // A node whose index lies in the top 64K maps to packed 0xffff and
         // reconstructs to an upper bound of u32::MAX — the USE_HP class.
         let ptr = alloc_node((), BirthAt::Nowhere, u32::MAX - 5, 0);
-        let s = unsafe { Shared::from_owned(ptr) }; // SAFETY: [INV-12] just allocated.
+        // SAFETY: [INV-12] just allocated.
+        let s = unsafe { Shared::from_owned(ptr) };
         let (_, hi) = s.index_bounds();
         assert_eq!(hi, u32::MAX);
-        unsafe { crate::node::dealloc_node(ptr) }; // SAFETY: [INV-12] test-owned node.
+        // SAFETY: [INV-12] test-owned node.
+        unsafe { crate::node::dealloc_node(ptr) };
     }
 }

@@ -390,10 +390,12 @@ mod tests {
         let r = Registry::new(1);
         let tid = r.try_acquire().unwrap().tid;
         let node = crate::node::alloc_node(5u32, crate::node::BirthAt::Nowhere, 0, 0);
-        let (retired, _) = unsafe { Retired::new(node, 1) }; // SAFETY: [INV-12] never published.
+        // SAFETY: [INV-12] never published.
+        let (retired, _) = unsafe { Retired::new(node, 1) };
         r.release(tid, vec![retired]);
         assert_eq!(r.orphan_count(), 1);
-        unsafe { r.reclaim_orphans() }; // SAFETY: [INV-12] single-threaded test.
+        // SAFETY: [INV-12] single-threaded test.
+        unsafe { r.reclaim_orphans() };
         assert_eq!(r.orphan_count(), 0);
     }
 }

@@ -462,7 +462,8 @@ mod tests {
             // thread's stale stamp can pin memory.
             worker.start_op();
             let n = worker.alloc(i);
-            unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(n) };
             worker.end_op();
         }
         assert!(worker.retired_len() >= 100, "no freezer ⇒ stall pins everything (EBR)");
@@ -483,7 +484,8 @@ mod tests {
         b.start_op();
         a.start_op();
         let n = a.alloc(0u32);
-        unsafe { a.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { a.retire(n) };
         a.end_op();
         drop(a);
         assert_eq!(smr.core.registry.orphan_count(), 1, "b's stamp pins the node past a's drop");
@@ -512,7 +514,8 @@ mod tests {
         assert_eq!(h.tele().fences(), f0 + 1, "anchor post costs one fence");
         assert_eq!(smr.anchors.get(0, 0).load(Ordering::Relaxed), n.addr());
         h.end_op();
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
         h.force_empty();
     }
 
@@ -550,7 +553,8 @@ mod tests {
             worker.end_op();
             worker.start_op();
             let n = worker.alloc(i);
-            unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(n) };
             worker.force_empty();
         }
         assert!(
@@ -563,7 +567,8 @@ mod tests {
         // The frozen node itself must never be reclaimed while the scheme
         // lives, even when retired.
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { worker.retire(anchor_node) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { worker.retire(anchor_node) };
         stalled.end_op();
         worker.end_op();
         worker.force_empty();

@@ -182,7 +182,8 @@ mod tests {
         h.start_op();
         let n = h.alloc(1u32);
         h.end_op(); // no active threads now
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
         h.force_empty();
         assert_eq!(h.retired_len(), 0);
     }
@@ -197,7 +198,8 @@ mod tests {
 
         worker.start_op();
         let n = worker.alloc(5u64); // advances epoch (epoch_freq=1)
-        unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { worker.retire(n) };
         worker.end_op();
         worker.force_empty();
         assert!(
@@ -222,7 +224,8 @@ mod tests {
         worker.start_op();
         for i in 0..500u32 {
             let n = worker.alloc(i);
-            unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(n) };
         }
         assert!(
             worker.retired_len() >= 500,
@@ -243,7 +246,8 @@ mod tests {
         // b retires a node at an old epoch while a is inactive.
         b.start_op();
         let old = b.alloc(1u32);
-        unsafe { b.retire(old) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { b.retire(old) };
         // Advance epochs past the retirement stamp (epoch_freq = 1).
         let fillers: Vec<_> = (0..4).map(|_| b.alloc(0u8)).collect();
         b.end_op();
@@ -259,7 +263,8 @@ mod tests {
         a.end_op();
         b.end_op();
         for f in fillers {
-            unsafe { b.retire(f) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { b.retire(f) };
         }
         b.force_empty();
         assert_eq!(b.retired_len(), 0);

@@ -213,7 +213,8 @@ mod tests {
         assert_eq!(got, n);
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "announced era within [birth,retire] pins node");
         // SAFETY: [INV-12] reader's announced era still pins the node.
@@ -248,7 +249,8 @@ mod tests {
         fn retire_fresh(writer: &mut HeHandle, count: u32) {
             for i in 0..count {
                 let other = writer.alloc(i);
-                unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+                // SAFETY: [INV-12] never published, retired once.
+                unsafe { writer.retire(other) };
             }
         }
 
@@ -259,7 +261,8 @@ mod tests {
         let _ = reader.read(&cell, 0);
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         retire_fresh(&mut writer, 3);
         assert_eq!(writer.counter(Counter::Empties), 1, "the fourth retire scans");
         assert_eq!(writer.retired_len(), 1, "the scan saw the era and kept the node");
@@ -293,12 +296,14 @@ mod tests {
         assert_eq!(reader.read(&cell, 0), n, "announces era {born}");
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "the era at the true birth pins the node");
 
         let younger = writer.alloc(2u32);
-        unsafe { writer.retire(younger) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { writer.retire(younger) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 2, "born after the era, but clamped below it");
 
@@ -324,7 +329,8 @@ mod tests {
         // Churn: every alloc is born after the era advanced (epoch_freq=1).
         for i in 0..100u32 {
             let churn = worker.alloc(i);
-            unsafe { worker.retire(churn) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(churn) };
         }
         worker.force_empty();
         assert!(
@@ -336,7 +342,8 @@ mod tests {
         drop(stalled); // lazy eras: deregistration releases the stale era
         worker.end_op();
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { worker.retire(pin) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { worker.retire(pin) };
         worker.force_empty();
         assert_eq!(worker.retired_len(), 0);
     }
@@ -356,7 +363,8 @@ mod tests {
         }
         assert_eq!(h.tele().fences(), after_first, "unchanged era ⇒ no fence");
         h.end_op();
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
         h.force_empty();
     }
 }

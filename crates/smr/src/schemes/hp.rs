@@ -209,7 +209,8 @@ mod tests {
 
         // Writer unlinks and retires; reader's hazard must block reclamation.
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "hazard must block reclamation");
         // SAFETY: [INV-12] reader's hazard span is still open and pins the node.
@@ -235,7 +236,8 @@ mod tests {
         fn retire_fresh(writer: &mut HpHandle, count: u64) {
             for i in 0..count {
                 let other = writer.alloc(i);
-                unsafe { writer.retire(other) }; // SAFETY: [INV-12] never published, retired once.
+                // SAFETY: [INV-12] never published, retired once.
+                unsafe { writer.retire(other) };
             }
         }
 
@@ -246,7 +248,8 @@ mod tests {
         let _ = reader.read(&cell, 0);
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         retire_fresh(&mut writer, 3);
         assert_eq!(writer.counter(Counter::Empties), 1, "the fourth retire scans");
         assert_eq!(writer.retired_len(), 1, "the scan saw the hazard and kept the node");
@@ -295,7 +298,8 @@ mod tests {
         }
         assert_eq!(h.tele().fences(), after_first, "slot dedup avoids refencing");
         h.end_op();
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
     }
 
     #[test]
@@ -319,11 +323,13 @@ mod tests {
         // Writer churns: retire the protected nodes + many unprotected ones.
         for (cell, n) in &cells {
             cell.store(Shared::null(), Ordering::Release);
-            unsafe { writer.retire(*n) }; // SAFETY: [INV-12] unlinked above, retired once.
+            // SAFETY: [INV-12] unlinked above, retired once.
+            unsafe { writer.retire(*n) };
         }
         for i in 0..1000u32 {
             let n = writer.alloc(i);
-            unsafe { writer.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { writer.retire(n) };
         }
         writer.force_empty();
         assert!(

@@ -213,7 +213,8 @@ mod tests {
         assert_eq!(got, n);
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "overlapping reservation pins node");
         // SAFETY: [INV-12] reader's reservation still pins the node.
@@ -237,7 +238,8 @@ mod tests {
             // epoch_freq = 1 ⇒ every alloc advances the epoch, so nodes are
             // quickly born after the stalled interval's upper bound.
             let n = worker.alloc(i);
-            unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(n) };
         }
         worker.force_empty();
         assert!(
@@ -265,7 +267,8 @@ mod tests {
         }
         assert_eq!(h.tele().fences(), baseline, "per-operation overhead only");
         h.end_op();
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
         h.force_empty();
     }
 }

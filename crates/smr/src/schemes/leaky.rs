@@ -125,7 +125,8 @@ mod tests {
         let mut h = smr.register();
         h.start_op();
         let n = h.alloc(7u32);
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
         h.force_empty();
         h.end_op();
         assert_eq!(h.retired_len(), 1, "leaky keeps everything");
@@ -149,6 +150,7 @@ mod tests {
         // SAFETY: [INV-12] leaky never reclaims; the node is live.
         assert_eq!(unsafe { *r.deref().data() }, 99);
         h.end_op();
-        unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+        // SAFETY: [INV-12] test-owned, retired once.
+        unsafe { h.retire(n) };
     }
 }

@@ -835,7 +835,8 @@ mod tests {
         assert_eq!(h.tele().fences(), after_first, "margin covers the cluster: no more fences");
         h.end_op();
         for (_, n) in cells {
-            unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+            // SAFETY: [INV-12] test-owned, retired once.
+            unsafe { h.retire(n) };
         }
     }
 
@@ -924,7 +925,8 @@ mod tests {
         assert_eq!(got, n);
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "margin must pin the covered index");
         // SAFETY: [INV-12] reader's span is still open and pins the node.
@@ -957,13 +959,15 @@ mod tests {
         // Retire nodes far outside the margin (margin = 2^20).
         for i in 0..50u32 {
             let far = writer.alloc_with_index(i, (1 << 28) + (i << 17));
-            unsafe { writer.retire(far) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { writer.retire(far) };
         }
         writer.force_empty();
         assert_eq!(writer.retired_len(), 0, "distant indices unprotected");
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(near) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(near) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "near node still pinned");
         drop(reader);
@@ -987,7 +991,8 @@ mod tests {
         assert!(reader.counter(Counter::FencesHpProtect) >= 1, "attributed to the HP site");
 
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(n) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(n) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "hazard pins the collision node");
         // SAFETY: [INV-12] reader's hazard span is still open and pins the node.
@@ -1017,7 +1022,8 @@ mod tests {
 
         // Writer unlinks something unrelated → epoch advances (freq 1).
         let junk = writer.alloc_with_index(0u8, 1);
-        unsafe { writer.retire(junk) }; // SAFETY: [INV-12] never published, retired once.
+        // SAFETY: [INV-12] never published, retired once.
+        unsafe { writer.retire(junk) };
 
         // §4.3.2: the rest of the operation protects with hazard pointers.
         let before = reader.counter(Counter::HpFallbackReads);
@@ -1092,7 +1098,8 @@ mod tests {
         let _ = reader.read(&cc, 0);
 
         cb.store(Shared::null(), Ordering::Release);
-        unsafe { writer.retire(nb) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(nb) };
         writer.force_empty();
         assert_eq!(writer.retired_len(), 1, "the node must remain margin-pinned");
         // SAFETY: [INV-12] refno 1's margin protection is still in force.
@@ -1140,7 +1147,8 @@ mod tests {
         assert_eq!(h.counter(Counter::HpFallbackReads), 0);
         h.end_op();
         for (_, n) in cells {
-            unsafe { h.retire(n) }; // SAFETY: [INV-12] test-owned, retired once.
+            // SAFETY: [INV-12] test-owned, retired once.
+            unsafe { h.retire(n) };
         }
     }
 
@@ -1164,7 +1172,8 @@ mod tests {
         // Churn 5_000 nodes with the *same* index inside the margin.
         for i in 0..5_000u32 {
             let n = worker.alloc_with_index(i, 800_001);
-            unsafe { worker.retire(n) }; // SAFETY: [INV-12] never published, retired once.
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { worker.retire(n) };
         }
         worker.force_empty();
         // Bound: #HP + #MP·M + #MP·M·F·T is astronomically larger than what
@@ -1180,7 +1189,8 @@ mod tests {
         // dropping the handle withdraws them.
         drop(stalled);
         cell.store(Shared::null(), Ordering::Release);
-        unsafe { worker.retire(pinned) }; // SAFETY: [INV-12] unlinked above, retired once.
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { worker.retire(pinned) };
         worker.end_op();
         worker.force_empty();
         assert_eq!(worker.retired_len(), 0);

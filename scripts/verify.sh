@@ -27,14 +27,6 @@ stage() {
 stage "cargo build --release --offline"
 cargo build --release --offline
 
-# Lint gate: the in-tree SMR protocol linter (unsafe-invariant audit,
-# memory-ordering gate, protection-scope heuristic, forbidden-API pass)
-# must report zero diagnostics before any test runs. Exit 1 = findings,
-# exit 2 = configuration error (missing INVARIANTS.md); both abort the
-# gate.
-stage "mp-lint (SMR protocol linter over crates/ tests/ src/)"
-cargo run -q --release --offline -p mp-lint -- crates tests src
-
 # Reports of the reclamation oracle and of the seeded checker print a
 # base seed; a failing test stage names how to replay it. The replay must
 # repeat the stage's own flags: they decide what is armed (see the stages
@@ -58,8 +50,11 @@ run_oracle() {
 # free list and still expects the poison canary, and seeds four
 # unprotected derefs), mp-smr's oracle unit tests, mp-bench's churn and
 # checker tests, and mp-util's slab-pool tests (blank-chunk rule,
-# cross-thread `live` exactness, thread-exit release).
-stage "cargo test -q --offline (tier-1, reclamation oracle armed)"
+# cross-thread `live` exactness, thread-exit release). It also runs the
+# protocol lint: `tests/lint_fixtures.rs` lints the whole tree with mp-lint
+# (invariant citations, `// ORDERING:` annotations, protection scope,
+# pointer-width casts) and pins the clippy table the stages below enforce.
+stage "cargo test -q --offline (tier-1 with the protocol lint, reclamation oracle armed)"
 run_oracle cargo test -q --offline
 
 # mp-ds armed, in a line of its own: its unit tests with freed nodes
@@ -80,7 +75,11 @@ stage "cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util (unarmed)
 run_oracle cargo test -q --release --offline -p mp-smr -p mp-ds -p mp-util
 
 # Lints: the armed workspace, then the library crates unarmed, which is
-# the only place the `cfg(not(feature = "oracle"))` code is linted.
+# the only place the `cfg(not(feature = "oracle"))` code is linted. The
+# workspace `[workspace.lints.clippy]` table and `clippy.toml` deny the
+# protocol rules clippy owns: SAFETY comments on unsafe blocks and impls,
+# `# Safety` docs, `mem::forget`, `todo!`/`unimplemented!`, and prefetch
+# intrinsics outside `Shared::prefetch`.
 stage "cargo clippy --offline --workspace --all-targets -- -D warnings (armed)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 stage "cargo clippy --offline -p mp-smr -p mp-ds --all-targets -- -D warnings (unarmed)"

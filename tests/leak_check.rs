@@ -1,8 +1,10 @@
 //! End-to-end leak check: after exercising every scheme on every structure
-//! and dropping everything, the reclamation oracle must track no live node
-//! (`oracle::live_nodes()`, the size of its shadow table, from which every
-//! free removes its node). The tests in this binary hold one lock while
-//! they run, so no other test perturbs the process-wide count.
+//! and dropping everything, the reclamation oracle must track no more live
+//! nodes (`oracle::live_nodes()`, the size of its shadow table, from which
+//! every free removes its node) than before. Each test of this binary
+//! opens with [`exclusive`], whose guard holds one lock while the test
+//! runs, so no other test perturbs the process-wide count, and checks the
+//! count when the test ends, so a leak fails the test that leaked.
 //!
 //! Each churn round (`mp_bench::churn`, whose history must also be
 //! linearizable) also cross-checks the per-handle telemetry counters
@@ -30,11 +32,28 @@ use margin_pointers::smr::schemes::{Dta, Ebr, He, Hp, Ibr, Leaky, Mp};
 use margin_pointers::smr::{Config, Smr, SmrHandle};
 use mp_bench::churn::{plans, seeds, Churn, Draw};
 
-/// Serialises the tests of this binary: each one expects the process-wide
-/// live-node count to be its own.
-fn exclusive() -> MutexGuard<'static, ()> {
+/// Serialises the tests of this binary, and holds each to the live-node
+/// count it started with. Taken first, so it drops after the test's
+/// structures and schemes.
+fn exclusive() -> Exclusive {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    let lock = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    Exclusive { live: oracle::live_nodes(), _lock: lock }
+}
+
+struct Exclusive {
+    live: usize,
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        // A test that already fails unwinds through here; its own panic
+        // says why.
+        if !std::thread::panicking() {
+            assert_eq!(oracle::live_nodes(), self.live, "live nodes at the test's end vs its start");
+        }
+    }
 }
 
 fn cfg() -> Config {
@@ -79,7 +98,6 @@ fn churn<S: Smr, D: ConcurrentSet<S>>() {
 #[test]
 fn no_nodes_leak_across_all_schemes_and_structures() {
     let _exclusive = exclusive();
-    assert_eq!(oracle::live_nodes(), 0, "no node is live before the churn");
 
     // Every scheme on every structure it supports.
     macro_rules! churn_every_structure {
@@ -93,8 +111,6 @@ fn no_nodes_leak_across_all_schemes_and_structures() {
     churn_every_structure!(Mp, Hp, Ebr, He, Ibr);
     churn::<Leaky, LinkedList<Leaky>>();
     churn::<Dta, DtaList>();
-
-    assert_eq!(oracle::live_nodes(), 0, "every allocated node must be reclaimed after teardown");
 }
 
 /// A reader parked on its own thread with one operation pinned — the §1

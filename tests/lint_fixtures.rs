@@ -1,4 +1,5 @@
-//! Golden fixture tests for the in-tree SMR protocol linter (`mp-lint`).
+//! Golden fixture tests for the in-tree SMR protocol linter (`mp-lint`),
+//! and its one whole-tree run (`merged_tree_lints_clean`).
 //!
 //! Two corpora under `crates/lint/fixtures/` (a directory the linter's own
 //! tree walk skips, so the deliberately-failing files never break a clean
@@ -15,14 +16,14 @@
 //!   exercising every accepted escape hatch; zero diagnostics allowed.
 //!
 //! Both run against the *real* `INVARIANTS.md` registry, so the fixtures
-//! also pin that file's contract (`[INV-12]` must keep existing for the
-//! safety fixtures to cite).
+//! also pin that file's contract (`[INV-11]` must keep existing for the
+//! safety fixtures to cite). The rules rustc and clippy check in mp-lint's
+//! place are pinned by `the_toolchain_denies_the_moved_rules`.
 
 use std::path::{Path, PathBuf};
 
 use mp_lint::{
-    lint_file, registry::Registry, Diagnostic, LintConfig, PASS_FORBIDDEN, PASS_ORDERING,
-    PASS_SAFETY, PASS_SCOPE,
+    lint_file, registry::Registry, Diagnostic, PASS_CAST, PASS_ORDERING, PASS_SAFETY, PASS_SCOPE,
 };
 
 fn repo_root() -> &'static Path {
@@ -113,6 +114,7 @@ fn check_negative(name: &str, display_path: &str, expected_pass: &'static str) {
 
 #[test]
 fn safety_pass_fires_on_uncited_unsafe() {
+    // Free-text and unknown-ID SAFETY comments, and an unsafe fn with none.
     check_negative("safety_missing.rs", "crates/smr/src/fixture_safety.rs", PASS_SAFETY);
 }
 
@@ -155,8 +157,43 @@ fn scope_pass_fires_on_unprotected_deref() {
 }
 
 #[test]
-fn forbidden_pass_fires_on_each_denied_api() {
-    check_negative("forbidden_api.rs", "crates/smr/src/forbidden_api.rs", PASS_FORBIDDEN);
+fn cast_pass_fires_on_a_pointer_width_pun() {
+    check_negative("cast_pun.rs", "crates/smr/src/cast_pun.rs", PASS_CAST);
+}
+
+/// True if TOML table `header` in `text` holds the line `line`.
+fn table_has(text: &str, header: &str, line: &str) -> bool {
+    let table = text.lines().map(str::trim).skip_while(|l| *l != header).skip(1);
+    table.take_while(|l| !l.starts_with('[')).any(|l| l == line)
+}
+
+#[test]
+fn the_toolchain_denies_the_moved_rules() {
+    // Tier-1 runs no clippy: this pins the configuration with which the
+    // gate's clippy stages reject what mp-lint no longer checks. The
+    // `Header` field rule needs no pin: rustc rejects access to the
+    // module-private fields.
+    let read = |p: PathBuf| std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    let root = repo_root();
+    let workspace = read(root.join("Cargo.toml"));
+    for lint in [
+        "mem_forget", "todo", "unimplemented", "disallowed_methods",
+        "undocumented_unsafe_blocks", "missing_safety_doc",
+    ] {
+        let want = format!("{lint} = \"deny\"");
+        assert!(table_has(&workspace, "[workspace.lints.clippy]", &want), "Cargo.toml: no `{want}`");
+    }
+    let members = std::fs::read_dir(root.join("crates")).expect("crates/");
+    for dir in members.map(|m| m.expect("member dir").path()).chain([root.to_path_buf()]) {
+        let opted_in = table_has(&read(dir.join("Cargo.toml")), "[lints]", "workspace = true");
+        assert!(opted_in, "{}: no `[lints] workspace = true`", dir.display());
+    }
+    let clippy = read(root.join("clippy.toml"));
+    let private = clippy.lines().any(|l| l == "check-private-items = true");
+    assert!(private, "clippy.toml: no `check-private-items = true`");
+    for path in ["core::arch::x86_64::_mm_prefetch", "core::arch::x86::_mm_prefetch"] {
+        assert!(clippy.contains(&format!("path = \"{path}\"")), "clippy.toml allows `{path}`");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,9 +210,7 @@ fn positive_corpus_is_clean() {
         ("positive/ordering_diagnostic_ok.rs", "crates/smr/src/schemes/common.rs"),
         ("positive/ordering_pairing_ok.rs", "crates/smr/src/schemes/mp.rs"),
         ("positive/scope_ok.rs", "crates/ds/src/scope_ok.rs"),
-        ("positive/forbidden_ok.rs", "crates/smr/src/forbidden_ok.rs"),
-        ("positive/prefetch_ok.rs", "crates/smr/src/packed.rs"),
-        ("positive/header_ok.rs", "crates/smr/src/node.rs"),
+        ("positive/cast_ok.rs", "crates/smr/src/cast_ok.rs"),
     ];
     for (name, display) in corpus {
         let (_, diags) = lint_fixture(name, display);
@@ -201,12 +236,10 @@ fn every_positive_fixture_is_in_the_corpus() {
     assert_eq!(
         on_disk,
         vec![
-            "forbidden_ok.rs",
-            "header_ok.rs",
+            "cast_ok.rs",
             "ordering_diagnostic_ok.rs",
             "ordering_ok.rs",
             "ordering_pairing_ok.rs",
-            "prefetch_ok.rs",
             "safety_ok.rs",
             "scope_ok.rs"
         ],
@@ -221,13 +254,10 @@ fn every_positive_fixture_is_in_the_corpus() {
 #[test]
 fn fixtures_dir_is_skipped_by_the_tree_walk() {
     // The deliberately-failing corpus must never be linted by a clean-tree
-    // run, or `cargo run -p mp-lint` would always fail.
+    // run, or `merged_tree_lints_clean` would always fail.
     let files = mp_lint::collect_rs_files(&[repo_root().join("crates/lint")])
         .expect("walking crates/lint");
-    assert!(
-        !files.is_empty(),
-        "walk found the linter's own sources"
-    );
+    assert!(!files.is_empty(), "walk found the linter's own sources");
     for f in &files {
         let norm = f.display().to_string().replace('\\', "/");
         assert!(
@@ -256,13 +286,12 @@ fn every_registered_invariant_is_cited_somewhere() {
 
 #[test]
 fn merged_tree_lints_clean() {
-    // The whole-repo gate, as a test: reverting any single SAFETY: /
-    // ORDERING: / PROTECTION: annotation in the tree fails here, not just
-    // in scripts/verify.sh.
+    // The linter's one whole-tree run: an invariant citation, ORDERING or
+    // PROTECTION annotation, or cast escape reverted anywhere fails here.
     let root = repo_root();
     let paths: Vec<PathBuf> = ["crates", "tests", "src"].iter().map(|p| root.join(p)).collect();
-    let cfg = LintConfig { invariants: root.join("INVARIANTS.md") };
-    let diags = mp_lint::lint_paths(&paths, &cfg).expect("lint configuration must load");
+    let diags = mp_lint::lint_paths(&paths, &root.join("INVARIANTS.md"))
+        .expect("lint configuration must load");
     assert!(
         diags.is_empty(),
         "merged tree must lint clean; found:\n  {}",
